@@ -10,7 +10,6 @@ its uncovered single vertices.  The poset has the root (full set) minimal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 

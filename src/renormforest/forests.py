@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .rules import CumulantSet
 from .scaling import TypeTable
@@ -235,10 +235,6 @@ def subtree_lt(a: SubForest, b: SubForest) -> bool:
     return a != b and a.nodes <= b.nodes
 
 
-def compatible_with(s: SubForest, forest: ForestOfSubtrees) -> bool:
-    return all(nested_or_disjoint(s, x) for x in forest)
-
-
 def forest_children(forest: ForestOfSubtrees, s: SubForest) -> frozenset:
     """C_F(S): maximal members strictly below S."""
     below = [x for x in forest if subtree_lt(x, s)]
@@ -330,17 +326,6 @@ def forests_strictly_below(
     ]
 
 
-def forests_weakly_below(
-    universe: Sequence[SubForest], forest: ForestOfSubtrees
-) -> list[ForestOfSubtrees]:
-    inside = [
-        s
-        for s in universe
-        if any(s == m or subtree_lt(s, m) for m in forest)
-    ]
-    return [g for g in all_forests(inside) if depth(g) <= 1]
-
-
 # -- partitions of the noises ---------------------------------------------------
 
 
@@ -392,15 +377,6 @@ def forests_compatible_with(
         if compatible_partition(t, table, frozenset([s]), pi)
     ]
     return all_forests(keep)
-
-
-def pi_edges(pi: frozenset) -> frozenset[frozenset[int]]:
-    """E_pi: the two-element subsets within the blocks (complete graphs)."""
-    out: set[frozenset[int]] = set()
-    for b in pi:
-        for pair in itertools.combinations(sorted(b), 2):
-            out.add(frozenset(pair))
-    return frozenset(out)
 
 
 # -- sigma constructions ---------------------------------------------------------
@@ -480,11 +456,6 @@ def dangling_trees(t: DecoratedTree, base: SubForest, table: TypeTable) -> list[
         if e[0] in base.nodes and e[1] not in base.nodes:
             out.append(up_tree(t, e))
     return out
-
-
-def div_avoiding(divs: Sequence[SubForest], cuts: Iterable[EdgeKey]) -> list[SubForest]:
-    cs = set(cuts)
-    return [s for s in divs if not (cs & s.edges)]
 
 
 def cuts_avoiding(t: DecoratedTree, cuts: Sequence[EdgeKey], forest: ForestOfSubtrees) -> list[EdgeKey]:
@@ -615,21 +586,6 @@ def projection_pullback(
         return all(not (cs & s.edges) for s in forest)
 
     return [f for f in family if P(f) == target and avoids(f)]
-
-
-def check_forest_projection(
-    P: Callable[[frozenset], frozenset], family: Sequence[frozenset]
-) -> dict:
-    """Verify the defining property: every nonempty fiber is an interval
-    whose minimum is the target."""
-    for target in family:
-        fiber = projection_pullback(P, family, target)
-        if not fiber:
-            continue
-        iv = is_interval_of(family, fiber)
-        if iv is None or iv.small != target:
-            return {"pass": False, "witness": target, "fiber": fiber}
-    return {"pass": True}
 
 
 def cuts_away_from(interval_big: frozenset, all_cuts: Sequence[EdgeKey]) -> CutSet:

@@ -808,11 +808,6 @@ class CountertermReport:
     monomials: tuple[CountertermMonomial, ...]
 
 
-def _constant_name(code: tuple, renormalized: bool) -> str:
-    digest = f"{abs(hash(code)) % 10**8:08d}"
-    return ("C'" if renormalized else "C") + f"[{digest}]"
-
-
 def counterterm_report(
     t: DecoratedTree, table: TypeTable, cum: CumulantSet, names: Optional[dict] = None
 ) -> CountertermReport:

@@ -9,9 +9,9 @@ sides of every identity we test, so they are not materialized as factors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .forests import (
     CutSet,
@@ -96,17 +96,6 @@ def collapse_map(t: DecoratedTree, sf: SubForest, table: TypeTable, variables: I
     piece = t.restrict(sf)
     inner = piece.true_nodes(table) - {piece.root}
     return {v: (piece.root if v in inner else v) for v in variables}
-
-
-def fict_taylor_terms(table: TypeTable, block_types: Sequence[str]) -> list[tuple]:
-    """Y_B for the fictitious renormalization of a second cumulant: the jet
-    orders strictly below f(B)."""
-    from .powercount import fict_gain
-
-    f = fict_gain(table, block_types)
-    return [
-        tuple(k.entries) for k in multiindices_below(table.scaling, Fraction(f))
-    ]
 
 
 # -- nested integrand structure --------------------------------------------------------
@@ -215,10 +204,6 @@ def _kernel_factor(e: EdgeKey, cut_kind: Optional[str], gamma: Optional[int]) ->
     if cut_kind == "rker":
         return ("rker", e, gamma)
     return ("kerhat", e, gamma)
-
-
-def _power_key(u: int) -> tuple:
-    return ("pow", u, STAR)
 
 
 def build_W(

@@ -5,22 +5,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 from .forests import (
     CutSet,
     ForestOfSubtrees,
     Interval,
-    cut_enumerate,
     forest_children,
-    forest_maximal,
     is_interval_of,
     nested_or_disjoint,
     projection_pullback,
     subtree_lt,
-    zero_node_hom,
 )
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, StructureError, SubForest

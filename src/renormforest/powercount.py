@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import coalescence as co
 from .coalescence import (
@@ -16,14 +16,10 @@ from .coalescence import (
     ancestor,
     bits,
     children_blocks,
-    descendants,
     enumerate_trees,
     full_mask,
     grand_ancestor,
-    join,
-    not_descendants,
     popcount,
-    strict_join,
 )
 from .forests import (
     cut_enumerate,
@@ -32,7 +28,6 @@ from .forests import (
     forest_children,
     nested_or_disjoint,
     omega,
-    zero_node_hom,
 )
 from .rules import CumulantSet, jump
 from .scaling import TypeTable

@@ -4,11 +4,11 @@ bullet list)."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .scaling import MultiIndex, ScalingSpec, TypeTable, ZERO_MI, multiindices_below
+from .scaling import MultiIndex, TypeTable, ZERO_MI, multiindices_below
 from .trees import DecoratedTree, SubForest, noise, poly
 
 # An entry of a production: (type name, derivative decoration).
@@ -297,13 +297,33 @@ def generate_trees(
     require_subcritical: bool = True,
 ) -> list[DecoratedTree]:
     """All rule-conforming trees with homogeneity < cutoff and at most
-    `max_edges` edges, deduplicated up to isomorphism.
+    `max_edges` edges, deduplicated up to isomorphism and sorted by (edge
+    count, canonical code), each in its canonical labelling.
 
     Node labels are drawn from |n|_s <= poly_sdeg_bound (0 disables
     polynomial decorations, which is the right setting for a negative
     cutoff basis).
+
+    The search is a branch and bound.  The homogeneity of a tree is a sum
+    over its nodes: the root's node label, one term |t|_s - |k|_s per entry
+    (t, k) of the root's production, and the homogeneities of the planted
+    subtrees hanging off its kernel edges.  A table `least(t, b)`, filled
+    from smaller budgets up, holds the least homogeneity of a tree whose root
+    content conforms for incoming kernel type t and that has at most b edges;
+    node labels only add (|n|_s >= 0), so it takes them zero.  It is a plain
+    minimum over finitely many trees and does not use the subcriticality
+    fixpoint, so it is valid for any rule.  When the search fills the kernel
+    branches of a production, a branch is asked only for subtrees below what
+    is left of the bound once the homogeneity already fixed (the entries,
+    the branches chosen so far) and the least the unfilled branches can reach
+    with the remaining edges are taken off.  Every tree dropped this way has
+    homogeneity >= cutoff, and every kept tree is checked exactly, so the
+    result is the same set as filtering all conforming trees at the root.
+    For a subcritical rule the bounded search is finite however large
+    `max_edges` is, because only finitely many trees lie below any cutoff.
     """
     table = rule.table
+    scaling = table.scaling
     cutoff = Fraction(cutoff)
     if require_subcritical and not check_subcritical(rule)["pass"]:
         raise SubcriticalityError(
@@ -313,57 +333,106 @@ def generate_trees(
     labels = (
         [ZERO_MI]
         if poly_sdeg_bound <= 0
-        else multiindices_below(table.scaling, Fraction(poly_sdeg_bound) + 1)
+        else multiindices_below(scaling, Fraction(poly_sdeg_bound) + 1)
     )
+    label_homs = [(lab, Fraction(lab.sdeg(scaling))) for lab in labels]
 
-    # planted generation: trees whose root content conforms for a given
-    # incoming type, organized by edge budget
-    cache: dict[tuple[Optional[str], int], list[DecoratedTree]] = {}
+    def entries_hom(entries: Iterable[Entry]) -> Fraction:
+        return sum((table.hom(n) - k.sdeg(scaling) for n, k in entries), Fraction(0))
 
-    def gen(incoming: Optional[str], budget: int) -> list[DecoratedTree]:
-        key = (incoming, budget)
+    least_memo: dict[tuple[str, int], Optional[Fraction]] = {}
+    spread_memo: dict[tuple[tuple[str, ...], int], Optional[Fraction]] = {}
+
+    def kernel_names(p: Production) -> tuple[str, ...]:
+        return tuple(name for name, _ in p if table.is_kernel(name))
+
+    def least(kernel: str, budget: int) -> Optional[Fraction]:
+        """Least homogeneity of a planted tree for `kernel` with at most
+        `budget` edges; None when there is no such tree."""
+        key = (kernel, budget)
+        if key not in least_memo:
+            best = None
+            for p in rule.allowed_contents(kernel):
+                if len(p) <= budget:
+                    rest = spread(kernel_names(p), budget - len(p))
+                    if rest is not None:
+                        v = entries_hom(p) + rest
+                        best = v if best is None or v < best else best
+            least_memo[key] = best
+        return least_memo[key]
+
+    def spread(kernels: tuple[str, ...], budget: int) -> Optional[Fraction]:
+        """Least summed homogeneity of planted subtrees, one for each of
+        `kernels`, sharing at most `budget` edges."""
+        if not kernels:
+            return Fraction(0)
+        key = (kernels, budget)
+        if key not in spread_memo:
+            best = None
+            for used in range(budget + 1):
+                a = least(kernels[0], used)
+                b = spread(kernels[1:], budget - used) if a is not None else None
+                if b is not None and (best is None or a + b < best):
+                    best = a + b
+            spread_memo[key] = best
+        return spread_memo[key]
+
+    cache: dict[tuple[Optional[str], int, Fraction], list[tuple[Fraction, DecoratedTree]]] = {}
+
+    def gen(
+        incoming: Optional[str], budget: int, bound: Fraction
+    ) -> list[tuple[Fraction, DecoratedTree]]:
+        """(homogeneity, tree) for every planted tree with root content
+        allowed for `incoming`, at most `budget` edges and homogeneity
+        below `bound`."""
+        key = (incoming, budget, bound)
         if key in cache:
             return cache[key]
-        out: dict[tuple, DecoratedTree] = {}
+        out: dict[tuple, tuple[Fraction, DecoratedTree]] = {}
         for p in rule.allowed_contents(incoming):
+            if len(p) > budget:
+                continue
             noise_entries = [e for e in p if table.is_noise(e[0])]
             kernel_entries = [e for e in p if table.is_kernel(e[0])]
-            edges_needed = len(p)
-            if edges_needed > budget:
+            kernels = kernel_names(p)
+            fixed = entries_hom(p)
+            floor = spread(kernels, budget - len(p))
+            if floor is None or fixed + floor >= bound:
                 continue
-            # distribute the remaining budget over kernel branches
-            def branches(idx: int, left: int, acc: list[DecoratedTree]):
+
+            # fill the kernel branches in turn; `left` edges remain for the
+            # subtrees of branches idx, idx+1, ...
+            def branches(idx: int, left: int, hom: Fraction, acc: list[DecoratedTree]):
                 if idx == len(kernel_entries):
-                    yield list(acc)
+                    yield hom, list(acc)
                     return
-                name, k = kernel_entries[idx]
-                if left < 1:
+                rest = spread(kernels[idx + 1 :], left)
+                if rest is None:
                     return
-                for sub in gen(name, left - 1):  # the connecting edge costs 1
+                for h, sub in gen(kernels[idx], left, bound - hom - rest):
                     acc.append(sub)
-                    yield from branches(idx + 1, left - 1 - len(sub.edge_items), acc)
+                    yield from branches(idx + 1, left - len(sub.edge_items), hom + h, acc)
                     acc.pop()
 
-            for subs in branches(0, budget - len(noise_entries), []):
-                for lab in labels:
-                    t = _assemble(table, lab, noise_entries, kernel_entries, subs)
-                    out[t.canonical_code()] = t
-        res = sorted(out.values(), key=lambda t: (len(t.edge_items), t.canonical_code()))
-        cache[key] = res
-        return res
+            for hom, subs in branches(0, budget - len(p), fixed, []):
+                for lab, lab_hom in label_homs:
+                    if hom + lab_hom < bound:
+                        t = _assemble(table, lab, noise_entries, kernel_entries, subs)
+                        out[t.canonical_code()] = (hom + lab_hom, t)
+        cache[key] = list(out.values())
+        return cache[key]
 
     basis: dict[tuple, DecoratedTree] = {}
-    for lab in labels:
-        t = poly(lab)
-        if t.homogeneity(table) < cutoff:
+    for lab, lab_hom in label_homs:
+        if lab_hom < cutoff:
+            t = poly(lab)
             basis[t.canonical_code()] = t
     for ln in rule.standalone_noises:
         t = noise(ln)
         if t.homogeneity(table) < cutoff:
             basis[t.canonical_code()] = t
-    for t in gen(None, max_edges):
-        if t.homogeneity(table) < cutoff:
-            basis[t.canonical_code()] = t
+    for _, t in gen(None, max_edges, cutoff):
+        basis[t.canonical_code()] = t
     return sorted(basis.values(), key=lambda t: (len(t.edge_items), t.canonical_code()))
 
 

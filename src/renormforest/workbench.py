@@ -7,14 +7,13 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import forests as fo
 from . import multiscale as ms
-from .formal import FormalSum
 from .hopf import counterterm_report
 from .integrands import chaos_classes
-from .powercount import Certifier, CertificateInput, CumulantHomogeneity
+from .powercount import Certifier, CertificateInput
 from .rules import CumulantSet, RuleSpec, generate_trees, production
 from .scaling import MultiIndex, ScalingSpec, TypeTable
 from .trees import DecoratedTree, SubForest
@@ -145,18 +144,23 @@ def parse_config(document: str) -> WorkbenchConfig:
         problems.append(f"rule: {exc}")
         rule = None
     caps = dict(DEFAULT_CAPS)
-    caps.update(data.get("caps", {}))
+    file_caps = data.get("caps", {})
+    if isinstance(file_caps, dict):
+        caps.update(file_caps)
+    else:
+        problems.append("caps must be an object")
     env = os.environ.get("RENORMFOREST_CAPS")
     if env:
         try:
-            caps.update(json.loads(env))
+            env_caps = json.loads(env)
         except json.JSONDecodeError:
             problems.append("RENORMFOREST_CAPS is not valid JSON")
-    for k, v in caps.items():
-        if k in ("cutoff", "poly_sdeg_bound"):
-            continue
-        if int(v) <= 0:
-            problems.append(f"caps.{k} must be positive")
+        else:
+            if isinstance(env_caps, dict):
+                caps.update(env_caps)
+            else:
+                problems.append("RENORMFOREST_CAPS must be a JSON object")
+    caps = _check_caps(caps, problems)
     if problems:
         raise ConfigError(problems)
     return WorkbenchConfig(
@@ -169,6 +173,31 @@ def parse_config(document: str) -> WorkbenchConfig:
         output=data.get("output", {}),
         raw=data,
     )
+
+
+def _check_caps(caps: dict, problems: list[str]) -> dict:
+    """The caps with `cutoff` as a Fraction and the rest as ints; every
+    malformed value goes to `problems`."""
+    out = {}
+    for k, v in caps.items():
+        if k not in DEFAULT_CAPS:
+            problems.append(f"unknown cap caps.{k}")
+        elif k == "cutoff":
+            try:
+                if type(v) not in (int, str):  # a bool or a float is no exact rational
+                    raise ValueError(v)
+                out[k] = Fraction(v)
+            except ValueError:
+                problems.append(f"caps.cutoff must be an exact rational, got {v!r}")
+        elif type(v) is not int:
+            problems.append(f"caps.{k} must be an integer, got {v!r}")
+        elif k == "poly_sdeg_bound" and v < 0:
+            problems.append(f"caps.{k} must not be negative")
+        elif k != "poly_sdeg_bound" and v <= 0:
+            problems.append(f"caps.{k} must be positive")
+        else:
+            out[k] = v
+    return out
 
 
 # -- canonical tree strings ------------------------------------------------------
@@ -219,11 +248,12 @@ class Workbench:
 
     def basis(self) -> list[DecoratedTree]:
         if self._basis is None:
+            caps = self.config.caps
             self._basis = generate_trees(
                 self.config.rule,
-                Fraction(self.config.caps.get("cutoff", "0")),
-                int(self.config.caps["max_edges"]),
-                poly_sdeg_bound=int(self.config.caps.get("poly_sdeg_bound", 0)),
+                caps["cutoff"],
+                caps["max_edges"],
+                poly_sdeg_bound=caps["poly_sdeg_bound"],
             )
         return self._basis
 
@@ -301,7 +331,7 @@ class Workbench:
         table, cum = self.config.table, self.config.cum
         t = self.tree_by_id(tree_id)
         cert = Certifier(
-            table, cum, vertex_cap=int(self.config.caps["max_coalescence_vertices"])
+            table, cum, vertex_cap=self.config.caps["max_coalescence_vertices"]
         )
         rows = []
         ok = True
@@ -352,7 +382,7 @@ class Workbench:
             for s in univ
             if fo.compatible_partition(t, table, frozenset([s]), pi)
         ]
-        family = fo.all_forests(compat, cap=int(self.config.caps["max_div"]))
+        family = fo.all_forests(compat, cap=self.config.caps["max_div"])
         cuts = [e for e, _ in fo.cut_enumerate(t, table)]
         rows = []
         for f in family:

@@ -90,6 +90,29 @@ class Kpz:
         )
 
 
+# The known tree bases of the two models below cutoff 0, as
+# (format_tree, homogeneity) in basis order.
+PHI4_BASIS = [
+    ("Xi", "-251/100"),
+    ("I(Xi)", "-51/100"),
+    ("I(Xi)*I(Xi)", "-51/50"),
+    ("I(Xi)*I(Xi)*I(Xi)", "-153/100"),
+    ("I(I(Xi)*I(Xi))*I(Xi)*I(Xi)", "-1/25"),
+    ("I(I(Xi)*I(Xi)*I(Xi))*I(Xi)", "-1/25"),
+    ("I(I(Xi)*I(Xi)*I(Xi))*I(Xi)*I(Xi)", "-11/20"),
+]
+KPZ_BASIS = [
+    ("l", "-151/100"),
+    ("t(l)", "-51/100"),
+    ("t(l)*t(l)", "-51/50"),
+    ("t(l)*t(t(l))", "-1/50"),
+    ("t(t(l)*t(l))", "-1/50"),
+    ("t(l)*t(t(l)*t(l))", "-53/100"),
+    ("t(l)*t(t(l)*t(t(l)*t(l)))", "-1/25"),
+    ("t(t(l)*t(l))*t(t(l)*t(l))", "-1/25"),
+]
+
+
 @pytest.fixture(scope="session")
 def phi4() -> Phi4:
     return Phi4()

@@ -1,0 +1,90 @@
+"""Test-only oracle for `rules.generate_trees`: the exhaustive enumerator.
+
+It assembles and canonically relabels every rule-conforming tree up to
+`max_edges` and only then filters by homogeneity at the root, so it makes no
+use of the bound the branch-and-bound generator prunes with.  Its cost grows
+with the number of conforming trees (tens of thousands for phi4_3 at eleven
+edges), so keep the cases that call it small.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from renormforest.rules import (
+    RuleSpec,
+    SubcriticalityError,
+    _assemble,
+    check_subcritical,
+)
+from renormforest.scaling import ZERO_MI, multiindices_below
+from renormforest.trees import DecoratedTree, noise, poly
+
+
+def exhaustive_trees(
+    rule: RuleSpec,
+    cutoff: Fraction,
+    max_edges: int,
+    poly_sdeg_bound: int = 0,
+    require_subcritical: bool = True,
+) -> list[DecoratedTree]:
+    """Same contract as `generate_trees`, by enumerating all trees first."""
+    table = rule.table
+    cutoff = Fraction(cutoff)
+    if require_subcritical and not check_subcritical(rule)["pass"]:
+        raise SubcriticalityError("rule failed the subcriticality fixpoint test")
+    labels = (
+        [ZERO_MI]
+        if poly_sdeg_bound <= 0
+        else multiindices_below(table.scaling, Fraction(poly_sdeg_bound) + 1)
+    )
+
+    # planted generation: trees whose root content conforms for a given
+    # incoming type, organized by edge budget
+    cache: dict[tuple[Optional[str], int], list[DecoratedTree]] = {}
+
+    def gen(incoming: Optional[str], budget: int) -> list[DecoratedTree]:
+        key = (incoming, budget)
+        if key in cache:
+            return cache[key]
+        out: dict[tuple, DecoratedTree] = {}
+        for p in rule.allowed_contents(incoming):
+            noise_entries = [e for e in p if table.is_noise(e[0])]
+            kernel_entries = [e for e in p if table.is_kernel(e[0])]
+            if len(p) > budget:
+                continue
+
+            # distribute the remaining budget over kernel branches
+            def branches(idx: int, left: int, acc: list[DecoratedTree]):
+                if idx == len(kernel_entries):
+                    yield list(acc)
+                    return
+                name, _ = kernel_entries[idx]
+                if left < 1:
+                    return
+                for sub in gen(name, left - 1):  # the connecting edge costs 1
+                    acc.append(sub)
+                    yield from branches(idx + 1, left - 1 - len(sub.edge_items), acc)
+                    acc.pop()
+
+            for subs in branches(0, budget - len(noise_entries), []):
+                for lab in labels:
+                    t = _assemble(table, lab, noise_entries, kernel_entries, subs)
+                    out[t.canonical_code()] = t
+        res = sorted(out.values(), key=lambda t: (len(t.edge_items), t.canonical_code()))
+        cache[key] = res
+        return res
+
+    basis: dict[tuple, DecoratedTree] = {}
+    for lab in labels:
+        t = poly(lab)
+        if t.homogeneity(table) < cutoff:
+            basis[t.canonical_code()] = t
+    for ln in rule.standalone_noises:
+        t = noise(ln)
+        if t.homogeneity(table) < cutoff:
+            basis[t.canonical_code()] = t
+    for t in gen(None, max_edges):
+        if t.homogeneity(table) < cutoff:
+            basis[t.canonical_code()] = t
+    return sorted(basis.values(), key=lambda t: (len(t.edge_items), t.canonical_code()))

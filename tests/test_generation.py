@@ -1,0 +1,80 @@
+"""The branch-and-bound tree generator against the exhaustive oracle, and
+its invariants as property tests."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import Kpz, Phi4
+from generation_oracle import exhaustive_trees
+from renormforest.rules import RuleSpec, generate_trees, production
+from renormforest.scaling import ScalingSpec, TypeTable
+
+MODELS = {"phi4": Phi4(), "kpz": Kpz()}
+
+
+def supercritical_rule() -> RuleSpec:
+    """The cubic rule at |Xi| = -4, which fails the subcriticality test."""
+    sc = ScalingSpec(4, (2, 1, 1, 1))
+    table = TypeTable(sc, kernel_types={"I": Fraction(2)}, noise_types={"Xi": Fraction(-4)})
+    return RuleSpec(
+        table,
+        productions={"I": frozenset({production("I", "I", "I"), production("Xi")})},
+        standalone_noises=("Xi",),
+    )
+
+
+@pytest.mark.parametrize("max_edges", range(1, 8))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_matches_oracle(model, max_edges):
+    rule = MODELS[model].rule
+    for cutoff in (Fraction(0), Fraction(1), Fraction(2)):
+        assert generate_trees(rule, cutoff, max_edges) == exhaustive_trees(
+            rule, cutoff, max_edges
+        )
+
+
+@pytest.mark.parametrize("max_edges", range(1, 6))
+def test_matches_oracle_with_labels(kpz, max_edges):
+    for cutoff in (Fraction(0), Fraction(1), Fraction(2)):
+        got = generate_trees(kpz.rule, cutoff, max_edges, poly_sdeg_bound=1)
+        assert got == exhaustive_trees(kpz.rule, cutoff, max_edges, poly_sdeg_bound=1)
+    # labelled trees do occur, so the label bound is exercised
+    assert any(t.node_dec_items for t in got)
+
+
+@pytest.mark.parametrize("max_edges", range(1, 7))
+def test_matches_oracle_supercritical(max_edges):
+    rule = supercritical_rule()
+    for cutoff in (Fraction(0), Fraction(1), Fraction(2)):
+        got = generate_trees(rule, cutoff, max_edges, require_subcritical=False)
+        want = exhaustive_trees(rule, cutoff, max_edges, require_subcritical=False)
+        assert got == want
+
+
+def test_matches_oracle_empty_rule(phi4):
+    empty = RuleSpec(phi4.table, productions={}, standalone_noises=("Xi",))
+    for cutoff in (Fraction(-3), Fraction(0), Fraction(1)):
+        assert generate_trees(empty, cutoff, 6) == exhaustive_trees(empty, cutoff, 6)
+
+
+CUTOFFS = [Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    model=st.sampled_from(sorted(MODELS)),
+    cutoff=st.sampled_from(CUTOFFS),
+    max_edges=st.integers(min_value=1, max_value=6),
+)
+def test_generation_invariants(model, cutoff, max_edges):
+    m = MODELS[model]
+    basis = generate_trees(m.rule, cutoff, max_edges)
+    for t in basis:
+        assert m.rule.conforms(t)
+        assert t.homogeneity(m.table) < cutoff
+        assert len(t.edge_items) <= max_edges
+    codes = [t.canonical_code() for t in basis]
+    assert len(set(codes)) == len(codes)
+    bigger = set(generate_trees(m.rule, cutoff, max_edges + 1))
+    assert set(basis) <= bigger

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import KAPPA, Phi4
+from conftest import KAPPA, KPZ_BASIS, PHI4_BASIS, Phi4
 from renormforest.rules import (
     CumulantSet,
     RuleSpec,
@@ -16,17 +16,19 @@ from renormforest.rules import (
 )
 from renormforest.scaling import ScalingSpec, TypeTable
 from renormforest.trees import noise, poly
+from renormforest.workbench import format_tree, frac_str
+
+
+def named(basis, table):
+    return [(format_tree(t, table), frac_str(t.homogeneity(table))) for t in basis]
 
 
 def test_phi4_generation(phi4):
     basis = generate_trees(phi4.rule, Fraction(0), 11)
-    codes = {t.canonical_code() for t in basis}
-    assert phi4.xi.canonical_code() in codes
-    assert phi4.t111.canonical_code() in codes
-    assert phi4.t131.canonical_code() in codes
-    assert all(t.homogeneity(phi4.table) < 0 for t in basis)
-    # the lifted integral <1> enters as a tree of its own
-    assert phi4.t1.canonical_code() in codes
+    assert named(basis, phi4.table) == PHI4_BASIS
+    assert {phi4.xi, phi4.t1, phi4.t11, phi4.t111, phi4.t131} <= set(basis)
+    # the bound keeps the search finite: no tree below 0 needs more edges
+    assert generate_trees(phi4.rule, Fraction(0), 30) == basis
 
 
 def test_empty_rule(phi4):
@@ -39,8 +41,9 @@ def test_empty_rule(phi4):
 
 def test_kpz_generation(kpz):
     basis = generate_trees(kpz.rule, Fraction(0), 10)
-    codes = {t.canonical_code() for t in basis}
-    assert kpz.t211.canonical_code() in codes
+    assert named(basis, kpz.table) == KPZ_BASIS
+    assert {kpz.il, kpz.t211} <= set(basis)
+    assert generate_trees(kpz.rule, Fraction(0), 30) == basis
 
 
 def test_generation_closed_under_subtrees(phi4):
