@@ -36,6 +36,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_scales(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError([f"cannot read scales: {exc}"]) from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -57,8 +65,7 @@ def main(argv=None) -> int:
         elif args.command == "certify":
             result = wb.cmd_certify(args.tree_id)
         elif args.command == "project":
-            with open(args.scales, "r", encoding="utf-8") as fh:
-                result = wb.cmd_project(args.tree_id, fh.read())
+            result = wb.cmd_project(args.tree_id, _read_scales(args.scales))
         elif args.command == "decompose":
             result = wb.cmd_decompose(args.tree_id)
         else:

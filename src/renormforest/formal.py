@@ -32,7 +32,9 @@ class FormalSum:
         return cls()
 
     def items(self) -> Iterator[tuple[Hashable, Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda kv: repr(kv[0])))
+        """The terms in no canonical order: callers that emit them sort by
+        a canonical key of their own."""
+        return iter(self._terms.items())
 
     def coeff(self, key: Hashable) -> Fraction:
         return self._terms.get(key, Fraction(0))
@@ -75,16 +77,6 @@ class FormalSum:
 
     def map_keys(self, fn: Callable[[Hashable], Hashable]) -> "FormalSum":
         return FormalSum((fn(k), v) for k, v in self._terms.items())
-
-    def filter_keys(self, keep: Callable[[Hashable], bool]) -> "FormalSum":
-        return FormalSum((k, v) for k, v in self._terms.items() if keep(k))
-
-    def bind(self, fn: Callable[[Hashable], "FormalSum"]) -> "FormalSum":
-        """Substitute each key by a formal sum and expand linearly."""
-        out = FormalSum.zero()
-        for k, v in self._terms.items():
-            out = out + v * fn(k)
-        return out
 
     def tensor(self, other: "FormalSum") -> "FormalSum":
         """Concatenate tuple keys slotwise."""

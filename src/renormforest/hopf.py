@@ -7,15 +7,24 @@ literally), possibly colored.  Formal sums carry exact rational coefficients.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .forests import irreducible_partition_exists, zero_node_hom
+from .forests import dangling_trees, irreducible_partition_exists, up_tree, zero_node_hom
 from .formal import FormalSum
 from .rules import CumulantSet
-from .scaling import ExtLabel, MultiIndex, TypeTable, ZERO_MI, multiindices_below, submultiindices
+from .scaling import (
+    ExtLabel,
+    MultiIndex,
+    TypeTable,
+    ZERO_MI,
+    binom_mi,
+    multiindices_below,
+    submultiindices,
+)
 from .trees import DecoratedTree, EdgeKey, SubForest
 
 PieceForest = tuple  # sorted tuple of DecoratedTree
@@ -35,28 +44,6 @@ def in_X_minus(piece: DecoratedTree, table: TypeTable) -> bool:
     return piece.node_dec(piece.root).is_zero() and piece.homogeneity(table, "minus") < 0
 
 
-def dangling_of_hat2(piece: DecoratedTree, table: TypeTable) -> list[SubForest]:
-    """The up-trees hanging off the color-2 part through a kernel edge."""
-    out = []
-    for e in piece.kernel_edges(table):
-        if e[0] in piece.hat2.nodes and e[1] not in piece.hat2.nodes:
-            out.append(_up_tree_in(piece, e))
-    return out
-
-
-def _up_tree_in(piece: DecoratedTree, e: EdgeKey) -> SubForest:
-    nodes = {e[0], e[1]}
-    edges = {e}
-    stack = [e[1]]
-    while stack:
-        u = stack.pop()
-        for f in piece.children(u):
-            edges.add(f)
-            nodes.add(f[1])
-            stack.append(f[1])
-    return SubForest(frozenset(nodes), frozenset(edges))
-
-
 def _recentered_plus_hom(piece: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
     sub = piece.restrict(sf)
     total = sub.homogeneity(table, "plus")
@@ -72,7 +59,7 @@ def in_X_plus(piece: DecoratedTree, table: TypeTable) -> bool:
         return False
     return all(
         _recentered_plus_hom(piece, sf, table) > 0
-        for sf in dangling_of_hat2(piece, table)
+        for sf in dangling_trees(piece, piece.hat2, table)
     )
 
 
@@ -106,9 +93,8 @@ def _extraction_decorations(
         return
     fict = {c for (p, c) in comp.edges if table.is_noise(t.edge_type((p, c)))}
     node_slots = [u for u in sorted(comp.nodes - fict) if u != root and not t.node_dec(u).is_zero()]
+    # boundary edges at the root force e_G = 0 there; they are skipped
     edge_slots = [e for e in sorted(boundary) if e[0] != root]
-    if any(e[0] == root for e in boundary) and False:
-        pass  # boundary edges at the root force e_G = 0 there; they are skipped
 
     def rec(slots: list, remaining: Fraction, ndec: dict, edec: dict, coeff: Fraction):
         if not slots:
@@ -121,8 +107,6 @@ def _extraction_decorations(
                 if d < remaining:
                     if not k.is_zero():
                         ndec[slot] = k
-                    from .scaling import binom_mi
-
                     c = Fraction(binom_mi(t.node_dec(slot), k))
                     yield from rec(rest, remaining - d, ndec, edec, coeff * c)
                     ndec.pop(slot, None)
@@ -148,13 +132,6 @@ def _boundary(t: DecoratedTree, nodes: frozenset[int], edges: frozenset[EdgeKey]
     return [e for e in t.kernel_edges(table) if e not in edges and e[0] in nodes]
 
 
-def _extracted_piece(
-    t: DecoratedTree, comp: SubForest, ndec: dict[int, MultiIndex]
-) -> DecoratedTree:
-    base = t.restrict(comp)
-    return base.with_(node_dec=dict(ndec))
-
-
 def _all_edge_subsets(t: DecoratedTree) -> Iterator[frozenset[EdgeKey]]:
     edges = [e for e, _ in t.edge_items]
     for r in range(len(edges) + 1):
@@ -162,72 +139,66 @@ def _all_edge_subsets(t: DecoratedTree) -> Iterator[frozenset[EdgeKey]]:
             yield frozenset(combo)
 
 
-def delta_minus(
+def _extractions(
     t: DecoratedTree,
     table: TypeTable,
+    proper: bool = False,
     vanishing: Optional[CumulantSet] = None,
-) -> FormalSum:
-    """The extraction coaction on an uncolored tree: a sum of
-    (extracted forest, colored remainder) pairs.
+) -> Iterator[tuple[SubForest, Fraction, list[DecoratedTree], dict, dict]]:
+    """Every extraction of a subforest of an uncolored tree whose components
+    each pass the X_- filter, with every choice of decorations n_G, e_G.
 
-    Every subforest whose components each pass the X_- filter is extracted;
-    the decoration sums are materialized only where the filter survives,
-    which keeps them finite.  With `vanishing` given, components whose
-    renormalization constant vanishes identically are dropped as well (the
-    lone noise, odd pairings, pendant-cancelled patterns).
+    Yields (G, coefficient, extracted pieces in component order, n_G, e_G);
+    the empty subforest comes first, with no pieces.  With `proper`, no
+    component may be the whole tree (the antipode's recursion); with
+    `vanishing`, components whose renormalization constant vanishes
+    identically are dropped.  The decoration sums are materialized only
+    where the filter survives, which keeps them finite.
     """
-    if t.has_coloring():
-        raise ValueError("the negative coaction acts on uncolored trees")
-    out = FormalSum.zero()
+    full_edges = frozenset(e for e, _ in t.edge_items)
     for edge_set in _all_edge_subsets(t):
-        nodes = frozenset(itertools.chain.from_iterable(edge_set))
-        sub = SubForest(nodes, edge_set)
+        sub = SubForest(frozenset(itertools.chain.from_iterable(edge_set)), edge_set)
         comps = t.subforest_components(sub) if edge_set else []
-        if not edge_set:
-            out = out + FormalSum.single(((), t))
+        if proper and any(c.edges == full_edges for c in comps):
             continue
         if vanishing is not None and not all(
             irreducible_partition_exists(t, c, vanishing) for c in comps
         ):
             continue
-        per_comp = []
-        dead = False
+        options = []
         for c in comps:
-            options = list(
-                _extraction_decorations(t, table, c, _boundary(t, c.nodes, edge_set, table))
-            )
-            if not options:
-                dead = True
+            opts = list(_extraction_decorations(t, table, c, _boundary(t, c.nodes, edge_set, table)))
+            if not opts:
                 break
-            per_comp.append((c, options))
-        if dead:
-            continue
-        for chosen in itertools.product(*(opts for _, opts in per_comp)):
-            ndec_all: dict[int, MultiIndex] = {}
-            edec_all: dict[EdgeKey, MultiIndex] = {}
-            coeff = Fraction(1)
-            pieces = []
-            for (c, _), (nd, ed, cf) in zip(per_comp, chosen):
-                coeff *= cf
-                extra = _chi(ed)
-                labels = dict(nd)
-                for u, k in extra.items():
-                    labels[u] = labels.get(u, ZERO_MI) + k
-                pieces.append(_extracted_piece(t, c, labels))
-                ndec_all.update(nd)
-                edec_all.update(ed)
-            remainder = _remainder_piece(t, sub, ndec_all, edec_all)
-            out = out + coeff * FormalSum.single((sorted_pieces(pieces), remainder))
-    return out
+            options.append(opts)
+        else:
+            for chosen in itertools.product(*options):
+                coeff = Fraction(1)
+                pieces = []
+                ndec_all: dict[int, MultiIndex] = {}
+                edec_all: dict[EdgeKey, MultiIndex] = {}
+                for c, (nd, ed, cf) in zip(comps, chosen):
+                    coeff *= cf
+                    labels = dict(nd)
+                    for u, k in _chi(ed).items():
+                        labels[u] = labels.get(u, ZERO_MI) + k
+                    pieces.append(t.restrict(c).with_(node_dec=labels))
+                    ndec_all.update(nd)
+                    edec_all.update(ed)
+                yield sub, coeff, pieces, ndec_all, edec_all
 
 
-def _remainder_piece(
+def _remainder(
     t: DecoratedTree,
     extracted: SubForest,
     ndec_g: dict[int, MultiIndex],
     edec_g: dict[EdgeKey, MultiIndex],
+    o_label: bool,
 ) -> DecoratedTree:
-    chi = _chi(edec_g)
+    """What an extraction leaves: n_G subtracted from the node labels, e_G
+    added to the edge labels, the extracted subforest colored 1.  With
+    `o_label`, o records n_G + chi(e_G) on the extracted nodes (the
+    coaction); the antipode's recursion carries no o-label."""
     new_ndec = {}
     for u in t.nodes:
         k = t.node_dec(u)
@@ -243,12 +214,33 @@ def _remainder_piece(
         if not k.is_zero():
             new_edec[e] = k
     olabel = {}
-    for u in extracted.nodes:
-        k = ndec_g.get(u, ZERO_MI) + chi.get(u, ZERO_MI)
-        if not k.is_zero():
-            olabel[u] = ExtLabel.from_multiindex(k)
-    return t.with_(
-        node_dec=new_ndec, edge_dec=new_edec, hat1=extracted, o_label=olabel
+    if o_label:
+        chi = _chi(edec_g)
+        for u in extracted.nodes:
+            k = ndec_g.get(u, ZERO_MI) + chi.get(u, ZERO_MI)
+            if not k.is_zero():
+                olabel[u] = ExtLabel.from_multiindex(k)
+    return t.with_(node_dec=new_ndec, edge_dec=new_edec, hat1=extracted, o_label=olabel)
+
+
+def delta_minus(
+    t: DecoratedTree,
+    table: TypeTable,
+    vanishing: Optional[CumulantSet] = None,
+) -> FormalSum:
+    """The extraction coaction on an uncolored tree: a sum of
+    (extracted forest, colored remainder) pairs.
+
+    Every subforest whose components each pass the X_- filter is extracted.
+    With `vanishing` given, components whose renormalization constant
+    vanishes identically are dropped as well (the lone noise, odd pairings,
+    pendant-cancelled patterns).
+    """
+    if t.has_coloring():
+        raise ValueError("the negative coaction acts on uncolored trees")
+    return FormalSum(
+        ((sorted_pieces(pieces), _remainder(t, sub, nd, ed, o_label=True)), coeff)
+        for sub, coeff, pieces, nd, ed in _extractions(t, table, vanishing=vanishing)
     )
 
 
@@ -273,77 +265,16 @@ class _AntipodeMinus:
             return self.memo[piece]
         if not in_X_minus(piece, self.table):
             raise ValueError("negative antipode applied outside X_-")
-        t = self.table
-        total = FormalSum.zero()
-        full_edges = frozenset(e for e, _ in piece.edge_items)
-        for edge_set in _all_edge_subsets(piece):
-            comps = piece.subforest_components(SubForest(
-                frozenset(itertools.chain.from_iterable(edge_set)), edge_set
-            )) if edge_set else []
-            # no component may be a full connected component of the input tree
-            if any(c.edges == full_edges for c in comps):
-                continue
-            if self.vanishing is not None and not all(
-                irreducible_partition_exists(piece, c, self.vanishing) for c in comps
-            ):
-                continue
-            per_comp = []
-            dead = False
-            for c in comps:
-                options = list(
-                    _extraction_decorations(piece, t, c, _boundary(piece, c.nodes, edge_set, t))
-                )
-                if not options:
-                    dead = True
-                    break
-                per_comp.append((c, options))
-            if dead:
-                continue
-            sub = SubForest(frozenset(itertools.chain.from_iterable(edge_set)), edge_set)
-            for chosen in itertools.product(*(opts for _, opts in per_comp)):
-                coeff = Fraction(1)
-                inner_pieces = []
-                ndec_all: dict[int, MultiIndex] = {}
-                edec_all: dict[EdgeKey, MultiIndex] = {}
-                for (c, _), (nd, ed, cf) in zip(per_comp, chosen):
-                    coeff *= cf
-                    labels = dict(nd)
-                    for u, k in _chi(ed).items():
-                        labels[u] = labels.get(u, ZERO_MI) + k
-                    inner_pieces.append(_extracted_piece(piece, c, labels))
-                    ndec_all.update(nd)
-                    edec_all.update(ed)
-                residual = _antipode_residual(piece, sub, ndec_all, edec_all)
-                inner = self.forest(inner_pieces)
-                term = inner.map_keys(lambda k, r=residual: (sorted_pieces(k[0] + (r,)),))
-                total = total + coeff * term
-        result = (-1) * total
+        terms = []
+        for sub, coeff, pieces, nd, ed in _extractions(
+            piece, self.table, proper=True, vanishing=self.vanishing
+        ):
+            residual = _remainder(piece, sub, nd, ed, o_label=False)
+            for (inner,), c in self.forest(pieces).items():
+                terms.append(((sorted_pieces(inner + (residual,)),), -coeff * c))
+        result = FormalSum(terms)
         self.memo[piece] = result
         return result
-
-
-def _antipode_residual(
-    piece: DecoratedTree,
-    extracted: SubForest,
-    ndec_g: dict[int, MultiIndex],
-    edec_g: dict[EdgeKey, MultiIndex],
-) -> DecoratedTree:
-    new_ndec = {}
-    for u in piece.nodes:
-        k = piece.node_dec(u)
-        if u in ndec_g:
-            k = k - ndec_g[u]
-        if not k.is_zero():
-            new_ndec[u] = k
-    new_edec = {}
-    for e, _ in piece.edge_items:
-        k = piece.edge_dec(e)
-        if e in edec_g:
-            k = k + edec_g[e]
-        if not k.is_zero():
-            new_edec[e] = k
-    # the recursion's remainder keeps the coloring but carries no o-label
-    return piece.with_(node_dec=new_ndec, edge_dec=new_edec, hat1=extracted, o_label={})
 
 
 def antipode_minus(
@@ -433,13 +364,52 @@ def _dangle_headroom(
     fails at zero decoration."""
     probe = piece.with_(node_dec=ndec, hat1=hat1, hat2=hat2, o_label=olabel)
     out: dict[EdgeKey, Fraction] = {}
-    for e in piece.kernel_edges(table):
-        if e[0] in s.nodes and e[1] not in s.nodes:
-            h = _recentered_plus_hom(probe, _up_tree_in(piece, e), table)
-            if h <= 0:
-                return None
-            out[e] = h
+    for e in _boundary(piece, s.nodes, s.edges, table):
+        h = _recentered_plus_hom(probe, up_tree(piece, e), table)
+        if h <= 0:
+            return None
+        out[e] = h
     return out
+
+
+def _node_choices(
+    piece: DecoratedTree, slots: list[int]
+) -> Iterator[tuple[dict[int, MultiIndex], Fraction]]:
+    """Every split of the node labels on `slots` between the recentered
+    piece and the remainder: (the piece's labels, binomial coefficient)."""
+
+    def rec(idx: int, nd: dict, coeff: Fraction):
+        if idx == len(slots):
+            yield dict(nd), coeff
+            return
+        u = slots[idx]
+        for k in submultiindices(piece.node_dec(u)):
+            if not k.is_zero():
+                nd[u] = k
+            yield from rec(idx + 1, nd, coeff * binom_mi(piece.node_dec(u), k))
+            nd.pop(u, None)
+
+    yield from rec(0, {}, Fraction(1))
+
+
+def _edge_choices(
+    slots: list[EdgeKey], headroom: dict[EdgeKey, Fraction], table: TypeTable
+) -> Iterator[tuple[dict[EdgeKey, MultiIndex], Fraction]]:
+    """Every edge labelling of `slots` whose s-degree stays strictly below
+    each edge's headroom: (labels, 1 / product of the factorials)."""
+
+    def rec(idx: int, ed: dict, coeff: Fraction):
+        if idx == len(slots):
+            yield dict(ed), coeff
+            return
+        e = slots[idx]
+        for k in multiindices_below(table.scaling, headroom[e]):
+            if not k.is_zero():
+                ed[e] = k
+            yield from rec(idx + 1, ed, coeff / k.factorial())
+            ed.pop(e, None)
+
+    yield from rec(0, {}, Fraction(1))
 
 
 def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
@@ -448,32 +418,15 @@ def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
     X_+."""
     if piece.hat2.nodes:
         raise ValueError("the positive coaction acts on trees of color <= 1")
-    out = FormalSum.zero()
+    fict = piece.fictitious_nodes(table)
+    terms = []
     for s in _admissible_rooted(piece, table):
         hat1, hat2 = _plus_colored(piece, s)
-        boundary = [e for e in piece.kernel_edges(table) if e not in s.edges and e[0] in s.nodes]
-        fict = piece.fictitious_nodes(table)
+        boundary = _boundary(piece, s.nodes, s.edges, table)
         node_slots = [
             u for u in sorted(s.nodes - fict) if not piece.node_dec(u).is_zero()
         ]
-
-        def assignments():
-            def rec_nodes(idx: int, nd: dict, coeff: Fraction):
-                if idx == len(node_slots):
-                    yield dict(nd), coeff
-                    return
-                u = node_slots[idx]
-                from .scaling import binom_mi
-
-                for k in submultiindices(piece.node_dec(u)):
-                    if not k.is_zero():
-                        nd[u] = k
-                    yield from rec_nodes(idx + 1, nd, coeff * binom_mi(piece.node_dec(u), k))
-                    nd.pop(u, None)
-
-            yield from rec_nodes(0, {}, Fraction(1))
-
-        for nd, base_coeff in assignments():
+        for nd, base_coeff in _node_choices(piece, node_slots):
             rem_ndec = {}
             for u in piece.nodes:
                 k = piece.node_dec(u)
@@ -485,22 +438,9 @@ def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
             headroom = _dangle_headroom(piece, s, table, rem_ndec, hat1, hat2, olabel)
             if headroom is None:
                 continue
-
-            def rec_edges(edges: list[EdgeKey], ed: dict, coeff: Fraction):
-                if not edges:
-                    yield dict(ed), coeff
-                    return
-                e, rest = edges[0], edges[1:]
-                for k in multiindices_below(table.scaling, headroom[e]):
-                    if not k.is_zero():
-                        ed[e] = k
-                    yield from rec_edges(rest, ed, coeff / k.factorial())
-                    ed.pop(e, None)
-
-            for ed, edge_coeff in rec_edges(list(boundary), {}, Fraction(1)):
-                chi = _chi(ed)
+            for ed, edge_coeff in _edge_choices(boundary, headroom, table):
                 left_labels = dict(nd)
-                for u, k in chi.items():
+                for u, k in _chi(ed).items():
                     left_labels[u] = left_labels.get(u, ZERO_MI) + k
                 left = piece.restrict(s).with_(node_dec=left_labels)
                 rem_edec = {}
@@ -517,8 +457,8 @@ def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
                     hat2=hat2,
                     o_label=olabel,
                 )
-                out = out + (base_coeff * edge_coeff) * FormalSum.single((left, right))
-    return out
+                terms.append(((left, right), base_coeff * edge_coeff))
+    return FormalSum(terms)
 
 
 class _AntipodePlus:
@@ -538,7 +478,7 @@ class _AntipodePlus:
             res = FormalSum.single(((piece.with_(o_label={}),),), sign)
             self.memo[piece] = res
             return res
-        danglers = dangling_of_hat2(piece, t)
+        danglers = dangling_trees(piece, piece.hat2, t)
         outer_sign = (-1) ** len(danglers)
         fict = piece.fictitious_nodes(t)
         nhat = {
@@ -550,26 +490,20 @@ class _AntipodePlus:
         # f decorations sit on the kernel edges leaving the color-2 part and
         # must keep the *input* piece in X_+; each such edge trunks its own
         # dangling tree, so the bounds decouple.
-        f_slots = sorted(
-            e
-            for e in piece.kernel_edges(t)
-            if e[0] in piece.hat2.nodes and e not in piece.hat2.edges
-        )
+        f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
         f_headroom = {
-            e: _recentered_plus_hom(piece, _up_tree_in(piece, e), t) for e in f_slots
+            e: _recentered_plus_hom(piece, up_tree(piece, e), t) for e in f_slots
         }
-        total = FormalSum.zero()
+        terms = []
         for s in self._abar2(piece, danglers):
             hat1, hat2 = _plus_colored(piece, s)
-            boundary_s = [
-                e for e in piece.kernel_edges(t) if e not in s.edges and e[0] in s.nodes
-            ]
+            boundary_s = _boundary(piece, s.nodes, s.edges, t)
             node_slots = [
                 u
                 for u in sorted(s.nodes - fict - piece.hat2.nodes)
                 if not piece.node_dec(u).is_zero()
             ]
-            for nd, coeff_n in self._node_choices(piece, node_slots):
+            for nd, coeff_n in _node_choices(piece, node_slots):
                 rem_ndec = {}
                 for u in piece.nodes:
                     k = piece.node_dec(u)
@@ -583,13 +517,8 @@ class _AntipodePlus:
                 headroom = _dangle_headroom(piece, s, t, rem_ndec, hat1, hat2, olabel)
                 if headroom is None:
                     continue
-                for ed_s in self._edge_choices(boundary_s, headroom, t):
-                    for ed_f in self._edge_choices(f_slots, f_headroom, t):
-                        fact = Fraction(1)
-                        for k in ed_s.values():
-                            fact /= k.factorial()
-                        for k in ed_f.values():
-                            fact /= k.factorial()
+                for ed_s, coeff_s in _edge_choices(boundary_s, headroom, t):
+                    for ed_f, coeff_f in _edge_choices(f_slots, f_headroom, t):
                         chi_s = _chi(ed_s)
                         chi_f = _chi(ed_f)
                         inner_sign = (-1) ** (
@@ -622,12 +551,10 @@ class _AntipodePlus:
                         )
                         if not in_X_plus(right, t):
                             continue
-                        inner = self.run(right)
-                        term = inner.map_keys(
-                            lambda k, l=left: (sorted_pieces(k[0] + (l,)),)
-                        )
-                        total = total + (coeff_n * fact * inner_sign) * term
-        result = outer_sign * total
+                        coeff = outer_sign * inner_sign * coeff_n * coeff_s * coeff_f
+                        for (inner,), c in self.run(right).items():
+                            terms.append(((sorted_pieces(inner + (left,)),), coeff * c))
+        result = FormalSum(terms)
         self.memo[piece] = result
         return result
 
@@ -642,36 +569,6 @@ class _AntipodePlus:
             if all(sf.edges & s.edges for sf in danglers):
                 yield s
 
-    def _node_choices(self, piece: DecoratedTree, slots: list[int]):
-        from .scaling import binom_mi
-
-        def rec(idx: int, nd: dict, coeff: Fraction):
-            if idx == len(slots):
-                yield dict(nd), coeff
-                return
-            u = slots[idx]
-            for k in submultiindices(piece.node_dec(u)):
-                if not k.is_zero():
-                    nd[u] = k
-                yield from rec(idx + 1, nd, coeff * binom_mi(piece.node_dec(u), k))
-                nd.pop(u, None)
-
-        yield from rec(0, {}, Fraction(1))
-
-    def _edge_choices(self, slots: list[EdgeKey], headroom: dict, table: TypeTable):
-        def rec(idx: int, ed: dict):
-            if idx == len(slots):
-                yield dict(ed)
-                return
-            e = slots[idx]
-            for k in multiindices_below(table.scaling, headroom[e]):
-                if not k.is_zero():
-                    ed[e] = k
-                yield from rec(idx + 1, ed)
-                ed.pop(e, None)
-
-        yield from rec(0, {})
-
 
 def antipode_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
     """Recursive recentering map on a tree of X_+: a formal sum of forests."""
@@ -685,19 +582,17 @@ def bphz_expansion(t: DecoratedTree, table: TypeTable) -> FormalSum:
     """(A_- (x) id (x) A_+)(id (x) Delta_+) Delta_- applied to an uncolored
     tree: a three-slot formal sum (counterterm forest, observed piece,
     recentering forest)."""
-    dm = delta_minus(t, table)
     anti_minus = _AntipodeMinus(table)
     anti_plus = _AntipodePlus(table)
-    out = FormalSum.zero()
-    for (extracted, remainder), c1 in dm.items():
+    terms = []
+    for (extracted, remainder), c1 in delta_minus(t, table).items():
         left = anti_minus.forest(extracted)
-        dp = delta_plus(remainder, table)
-        for (mid, rec_piece), c2 in dp.items():
+        for (mid, rec_piece), c2 in delta_plus(remainder, table).items():
             right = anti_plus.run(rec_piece)
             for (lkey,), cl in left.items():
                 for (rkey,), cr in right.items():
-                    out = out + (c1 * c2 * cl * cr) * FormalSum.single((lkey, mid, rkey))
-    return out
+                    terms.append(((lkey, mid, rkey), c1 * c2 * cl * cr))
+    return FormalSum(terms)
 
 
 def undecorated_forest_shape(pieces: Sequence[DecoratedTree]) -> tuple:
@@ -740,57 +635,28 @@ class _RenormalizedConstant:
         self.cum = cum
         self.memo: dict[tuple, FormalSum] = {}
 
-    def of(self, piece: DecoratedTree) -> FormalSum:
-        key = piece.relabel_canonical().canonical_code()
-        if key in self.memo:
-            return self.memo[key]
-        if not irreducible_partition_exists(piece, piece.full_subforest(), self.cum):
-            res = FormalSum.zero()
-        else:
-            res = FormalSum.zero()
-            t = self.table
-            full_edges = frozenset(e for e, _ in piece.edge_items)
-            for edge_set in _all_edge_subsets(piece):
-                sub = SubForest(
-                    frozenset(itertools.chain.from_iterable(edge_set)), edge_set
-                )
-                comps = piece.subforest_components(sub) if edge_set else []
-                if any(c.edges == full_edges for c in comps):
+    def of(self, piece: DecoratedTree, code: Optional[tuple] = None) -> FormalSum:
+        """The expansion of one piece; `code` is its canonical code, when
+        the caller already has it."""
+        if code is None:
+            code = piece.relabel_canonical().canonical_code()
+        if code in self.memo:
+            return self.memo[code]
+        terms = []
+        if irreducible_partition_exists(piece, piece.full_subforest(), self.cum):
+            for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, proper=True):
+                factors = FormalSum.single(())
+                for p in pieces:
+                    factors = factors.tensor(self.of(p))
+                if factors.is_zero():
                     continue
-                per_comp = []
-                dead = False
-                for c in comps:
-                    options = list(
-                        _extraction_decorations(piece, t, c, _boundary(piece, c.nodes, edge_set, t))
-                    )
-                    if not options:
-                        dead = True
-                        break
-                    per_comp.append((c, options))
-                if dead:
+                residual = _remainder(piece, sub, nd, ed, o_label=False)
+                ckey = _bare_constant_key(residual, self.table, self.cum)
+                if ckey is None:
                     continue
-                for chosen in itertools.product(*(opts for _, opts in per_comp)):
-                    coeff = Fraction(1)
-                    factors = FormalSum.single(())
-                    ndec_all: dict[int, MultiIndex] = {}
-                    edec_all: dict[EdgeKey, MultiIndex] = {}
-                    for (c, _), (nd, ed, cf) in zip(per_comp, chosen):
-                        coeff *= cf
-                        labels = dict(nd)
-                        for u, k in _chi(ed).items():
-                            labels[u] = labels.get(u, ZERO_MI) + k
-                        factors = factors.tensor(self.of(_extracted_piece(piece, c, labels)))
-                        ndec_all.update(nd)
-                        edec_all.update(ed)
-                    if factors.is_zero():
-                        continue
-                    residual = _antipode_residual(piece, sub, ndec_all, edec_all)
-                    ckey = _bare_constant_key(residual, t, self.cum)
-                    if ckey is None:
-                        continue
-                    term = factors.map_keys(lambda k, c0=ckey: tuple(sorted(k + (c0,))))
-                    res = res + (-coeff) * term
-        self.memo[key] = res
+                terms.extend((tuple(sorted(k + (ckey,))), -coeff * c) for k, c in factors.items())
+        res = FormalSum(terms)
+        self.memo[code] = res
         return res
 
 
@@ -825,10 +691,10 @@ def counterterm_report(
         if not extracted:
             continue
         residual = remainder.contract_colored(table).relabel_canonical()
-        comp_codes = tuple(sorted(p.relabel_canonical().canonical_code() for p in extracted))
-        key = (residual.canonical_code(), comp_codes)
+        codes = [p.relabel_canonical().canonical_code() for p in extracted]
+        key = (residual.canonical_code(), tuple(sorted(codes)))
         g = groups.setdefault(
-            key, {"residual": residual, "pieces": extracted, "coeff": Fraction(0)}
+            key, {"residual": residual, "pieces": list(zip(codes, extracted)), "coeff": Fraction(0)}
         )
         g["coeff"] += coeff
     monomials = []
@@ -837,16 +703,14 @@ def counterterm_report(
         names_out = []
         expansions = []
         dead = False
-        for p in pieces:
-            expansion = rc.of(p)
+        for code, p in pieces:
+            expansion = rc.of(p, code)
             if expansion.is_zero():
                 dead = True
                 break
-            bare = p.relabel_canonical().canonical_code()
-            is_bare = len(expansion) == 1 and expansion.coeff((bare,)) == -1
-            label = _label_for(p, table, names, renormalized=not is_bare)
-            names_out.append(label)
-            expansions.append(tuple((k, c) for k, c in expansion.items()))
+            is_bare = len(expansion) == 1 and expansion.coeff((code,)) == -1
+            names_out.append(_label_for(code, names, renormalized=not is_bare))
+            expansions.append(tuple(sorted(expansion.items(), key=lambda kv: repr(kv[0]))))
         if dead:
             continue
         sign = Fraction(-1) ** len(pieces)
@@ -862,10 +726,11 @@ def counterterm_report(
     return CountertermReport(base=t, monomials=tuple(monomials))
 
 
-def _label_for(piece: DecoratedTree, table: TypeTable, names: Optional[dict], renormalized: bool) -> str:
-    code = piece.relabel_canonical().canonical_code()
+def _label_for(code: tuple, names: Optional[dict], renormalized: bool) -> str:
     if names and code in names:
         base = names[code]
     else:
-        base = f"{abs(hash(code)) % 10**8:08d}"
+        # a digest rather than hash(), which varies with PYTHONHASHSEED
+        digest = hashlib.sha256(repr(code).encode()).hexdigest()
+        base = f"{int(digest, 16) % 10**8:08d}"
     return ("C'" if renormalized else "C") + f"[{base}]"

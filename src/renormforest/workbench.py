@@ -296,15 +296,15 @@ class Workbench:
     def cmd_renormalize(self, tree_id: str) -> dict:
         table = self.config.table
         t = self.tree_by_id(tree_id)
-        rep = counterterm_report(t, table, self.config.cum, names=self.name_map())
-        residual_names = self.name_map()
+        names = self.name_map()
+        rep = counterterm_report(t, table, self.config.cum, names=names)
         monos = []
         for m in rep.monomials:
             monos.append(
                 {
                     "coeff": frac_str(m.coefficient),
                     "constants": list(m.constants),
-                    "residual": residual_names.get(
+                    "residual": names.get(
                         m.residual.canonical_code(),
                         format_tree(m.residual, table),
                     ),
@@ -366,16 +366,14 @@ class Workbench:
     def cmd_project(self, tree_id: str, scales_doc: str) -> dict:
         table, cum = self.config.table, self.config.cum
         t = self.tree_by_id(tree_id)
-        spec = json.loads(scales_doc)
-        pi = frozenset(frozenset(int(u) for u in b) for b in spec.get("pi", []))
+        pi, given = _parse_scales(scales_doc)
         eu = ms.EdgeUniverse(t, table, pi)
         n = {}
-        given = spec.get("scales", {})
         for tag in eu.all_tags():
             key = _tag_str(tag)
             if key not in given:
                 raise ConfigError([f"scale assignment missing edge {key}"])
-            n[tag] = int(given[key])
+            n[tag] = _as_int(given[key], f"scale of edge {key}")
         univ = [s for s, _ in fo.div_enumerate(t, table, cum, effective=False)]
         compat = [
             s
@@ -440,6 +438,31 @@ class Workbench:
             return sigma_to_dot(t, table, sigma)
         t = self.tree_by_id(object_id)
         return tree_to_dot(t, table, name="tree")
+
+
+def _parse_scales(doc: str) -> tuple[frozenset, dict]:
+    """The leaf partition and the per-edge scales of a scale-assignment
+    document {"pi": [[leaf, ...], ...], "scales": {edge: n, ...}}."""
+    try:
+        spec = json.loads(doc)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"scale assignment is not JSON: {exc}"]) from None
+    if not isinstance(spec, dict):
+        raise ConfigError(["scale assignment must be a JSON object"])
+    blocks, scales = spec.get("pi", []), spec.get("scales", {})
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
+        raise ConfigError(['scale assignment "pi" must be a list of lists of leaves'])
+    if not isinstance(scales, dict):
+        raise ConfigError(['scale assignment "scales" must be an object'])
+    pi = frozenset(frozenset(_as_int(u, "leaf in pi") for u in b) for b in blocks)
+    return pi, scales
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError([f"{what} is not an integer: {value!r}"]) from None
 
 
 def _violation_row(v):

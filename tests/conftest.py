@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from renormforest.rules import CumulantSet, RuleSpec, production
-from renormforest.scaling import MultiIndex, ScalingSpec, TypeTable, ZERO_MI
+from renormforest.scaling import ScalingSpec, TypeTable, ZERO_MI
 from renormforest.trees import DecoratedTree, SubForest, integrate, noise, tree_product
 
 KAPPA = Fraction(1, 100)
@@ -111,6 +111,12 @@ KPZ_BASIS = [
     ("t(l)*t(t(l)*t(t(l)*t(l)))", "-1/25"),
     ("t(t(l)*t(l))*t(t(l)*t(l))", "-1/25"),
 ]
+# The number of terms of the BPHZ expansion of each basis tree, in basis
+# order.
+BPHZ_TERMS = {
+    "kpz": (2, 4, 24, 48, 48, 416, 5760, 3456),
+    "phi4_3": (2, 4, 24, 208, 1728, 2496, 28544),
+}
 
 
 @pytest.fixture(scope="session")

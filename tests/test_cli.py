@@ -1,5 +1,5 @@
-"""The command line: exit codes, malformed caps, and output that does not
-depend on the hash seed."""
+"""The command line: exit codes, malformed caps and scale documents, and
+output that does not depend on the hash seed."""
 import json
 import os
 import subprocess
@@ -59,20 +59,85 @@ def test_malformed_caps_are_config_errors(caps, capsys, monkeypatch):
     assert captured.err.startswith("config error: ")
 
 
+def run_with_hash_seed(seed: str, args: list[str]) -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env.pop("RENORMFOREST_CAPS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable] + args, env=env, cwd=ROOT, capture_output=True, check=True
+    )
+    return proc.stdout
+
+
 def test_generate_independent_of_hash_seed():
-    outputs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env.pop("RENORMFOREST_CAPS", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "renormforest.cli", "--config", config_path("phi4_3"), "generate"],
-            env=env,
-            capture_output=True,
-            check=True,
-        )
-        outputs.append(proc.stdout)
+    """`generate`, and `renormalize` of a tree with counterterms."""
+    for command in (["generate"], ["renormalize", "T3"]):
+        args = ["-m", "renormforest.cli", "--config", config_path("phi4_3")] + command
+        outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
+        assert outputs[0] == outputs[1]
+        assert outputs[0]
+
+
+UNNAMED_CONSTANTS = """
+from pathlib import Path
+from renormforest.hopf import counterterm_report
+from renormforest.workbench import Workbench, parse_config
+wb = Workbench(parse_config(Path("configs/phi4_3.json").read_text()))
+rep = counterterm_report(wb.tree_by_id("T3"), wb.config.table, wb.config.cum)
+print([m.constants for m in rep.monomials])
+"""
+
+
+def test_unnamed_constants_independent_of_hash_seed():
+    """Without `names` a constant is labelled by a digest of its canonical
+    code, which must not vary with the hash seed."""
+    outputs = [run_with_hash_seed(seed, ["-c", UNNAMED_CONSTANTS]) for seed in ("0", "1")]
     assert outputs[0] == outputs[1]
-    assert outputs[0]
+    assert outputs[0].startswith(b"[('C[")
+
+
+# every edge of kpz T2 (t(l)*t(l)) at some scale, with no leaf partition
+KPZ_T2_SCALES = {"K:0,1": 1, "K:0,3": 2, "star:0": 0, "star:1": 1, "star:3": 1}
+
+
+def test_project(tmp_path, capsys):
+    path = tmp_path / "scales.json"
+    path.write_text(json.dumps({"pi": [], "scales": KPZ_T2_SCALES}))
+    assert cli.main(["--config", config_path("kpz"), "project", "T2", "--scales", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "project"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        None,
+        "{bad",
+        "[]",
+        json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, **{"K:0,1": "one"})}),
+        json.dumps({"pi": [["x"]], "scales": KPZ_T2_SCALES}),
+        json.dumps({"pi": 5, "scales": KPZ_T2_SCALES}),
+        json.dumps({"pi": [], "scales": ["K:0,1"]}),
+        json.dumps({"pi": [], "scales": {"K:0,1": 1}}),
+    ],
+    ids=[
+        "missing-file",
+        "not-json",
+        "not-an-object",
+        "non-integer-scale",
+        "non-integer-leaf",
+        "pi-not-a-list",
+        "scales-not-an-object",
+        "missing-edge",
+    ],
+)
+def test_bad_scales_are_input_errors(doc, tmp_path, capsys):
+    path = tmp_path / "scales.json"
+    if doc is not None:
+        path.write_text(doc)
+    assert cli.main(["--config", config_path("kpz"), "project", "T2", "--scales", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

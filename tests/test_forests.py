@@ -10,7 +10,6 @@ from renormforest.forests import (
     Interval,
     IntervalMachinery,
     all_forests,
-    compatible_partition,
     cut_depth,
     cut_depth_sets,
     cut_enumerate,
@@ -19,15 +18,11 @@ from renormforest.forests import (
     div_enumerate,
     down_tree,
     edge_le,
-    forest_children,
     forests_compatible_with,
     irreducible_partition_exists,
     is_forest_of_subtrees,
     is_interval_of,
-    leaf_partitions,
     min_cuts,
-    nested_or_disjoint,
-    omega,
     sigma_negative,
     sigma_positive,
     up_tree,

@@ -1,0 +1,47 @@
+"""Property tests for `FormalSum`: building from pairs agrees with the fold
+of single terms it replaced, cancelled keys are dropped, and the tensor
+product is bilinear."""
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from renormforest.formal import FormalSum
+
+# few distinct keys and small coefficients, so that keys repeat and cancel
+keys = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda k: k[: k[0] % 3])
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+pairs = st.lists(st.tuples(keys, coeffs), max_size=12)
+
+
+def folded(terms) -> FormalSum:
+    """The oracle: one `+` per term, starting from zero."""
+    out = FormalSum.zero()
+    for key, coeff in terms:
+        out = out + FormalSum.single(key, coeff)
+    return out
+
+
+@given(pairs)
+def test_constructor_equals_fold(terms):
+    assert FormalSum(terms) == folded(terms)
+
+
+@given(pairs)
+def test_cancelled_keys_dropped(terms):
+    total: dict = {}
+    for key, coeff in terms:
+        total[key] = total.get(key, Fraction(0)) + coeff
+    fs = FormalSum(terms)
+    assert set(fs.keys()) == {k for k, v in total.items() if v}
+    assert all(fs.coeff(k) == v for k, v in total.items())
+    assert all(c != 0 for _, c in fs.items())
+    assert len(fs) == len(list(fs.items()))
+
+
+@given(pairs, pairs, pairs, coeffs)
+def test_tensor_bilinear(a, b, c, q):
+    fa, fb, fc = FormalSum(a), FormalSum(b), FormalSum(c)
+    assert (fa + fb).tensor(fc) == fa.tensor(fc) + fb.tensor(fc)
+    assert fa.tensor(fb + fc) == fa.tensor(fb) + fa.tensor(fc)
+    assert (q * fa).tensor(fb) == q * fa.tensor(fb) == fa.tensor(q * fb)
+    assert fa.tensor(FormalSum.zero()).is_zero()

@@ -1,10 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
-from conftest import KAPPA
 from renormforest.forests import (
-    all_forests,
     cut_enumerate,
     depth,
     div_enumerate,
@@ -30,7 +26,7 @@ from renormforest.hopf import (
     undecorated_forest_shape,
 )
 from renormforest.scaling import MultiIndex, ZERO_MI
-from renormforest.trees import SubForest, integrate, noise, poly, tree_product
+from renormforest.trees import SubForest, integrate, poly, tree_product
 
 
 def cherry_subtrees(t, table):

@@ -1,8 +1,4 @@
-import itertools
 import random
-from fractions import Fraction
-
-import pytest
 
 from conftest import KAPPA
 from renormforest.forests import (
@@ -16,18 +12,14 @@ from renormforest.forests import (
 from renormforest.integrands import (
     STAR,
     build_W,
-    build_interval_W,
     chaos_classes,
     chaos_decomposition,
     collapse_map,
     derivative_set,
-    expand_choice,
     interval_expansion_check,
     taylor_op,
 )
 from renormforest.multiscale import EdgeUniverse, reorganize
-from renormforest.scaling import MultiIndex, ZERO_MI
-from renormforest.trees import integrate, noise, tree_product
 
 
 def test_derivative_set_examples(kpz, phi4):

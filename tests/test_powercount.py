@@ -1,13 +1,8 @@
-import itertools
-import math
-import random
 from fractions import Fraction
 
-import pytest
-
 from conftest import KAPPA, Phi4
-from renormforest.coalescence import enumerate_trees, full_mask, popcount
-from renormforest.forests import div_enumerate, leaf_partitions
+from renormforest.coalescence import enumerate_trees, popcount
+from renormforest.forests import div_enumerate
 from renormforest.powercount import (
     Certifier,
     CertificateInput,

@@ -15,7 +15,6 @@ from renormforest.rules import (
     theorem_conditions,
 )
 from renormforest.scaling import ScalingSpec, TypeTable
-from renormforest.trees import noise, poly
 from renormforest.workbench import format_tree, frac_str
 
 
