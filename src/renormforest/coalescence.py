@@ -22,7 +22,7 @@ class CoalescenceCap(RuntimeError):
 
 
 def popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def bits(x: int) -> list[int]:

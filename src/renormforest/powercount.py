@@ -15,7 +15,6 @@ from .coalescence import (
     TotalHomogeneity,
     ancestor,
     bits,
-    children_blocks,
     enumerate_trees,
     full_mask,
     grand_ancestor,
@@ -209,9 +208,7 @@ class CumulantHomogeneity:
         image of the restriction's injection."""
         base = self.block(tuple(types))
         pos = list(positions)
-        bmask = 0
-        for p in pos:
-            bmask |= 1 << p
+        bmask = _mask(pos)
 
         def fn(fam: Family) -> dict[Cluster, Fraction]:
             fam_b, iota = co.restrict_tree(fam, bmask)
@@ -234,6 +231,13 @@ def _tomask(cluster_in_ambient: int, positions: Sequence[int]) -> int:
     for i, p in enumerate(positions):
         if cluster_in_ambient >> p & 1:
             out |= 1 << i
+    return out
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    out = 0
+    for i in vertices:
+        out |= 1 << i
     return out
 
 
@@ -367,10 +371,7 @@ class Certifier:
             parts.append(("lift", tuple(positions), self.ch.block(types)))
             f = fict_gain(table, types)
             if f > 0:
-                bmask = 0
-                for p in positions:
-                    bmask |= 1 << p
-                parts.append(("fict", bmask, Fraction(f)))
+                parts.append(("fict", _mask(positions), Fraction(f)))
         for s in built["maximal"]:
             r = index[qhat(t.restrict(s).root)]
             parts.append(("up", 1 << r, omega(t, s, table)))
@@ -413,10 +414,7 @@ class Certifier:
                     add(a, -value)
             else:  # lifted block homogeneity through tree restriction
                 positions = data
-                bmask = 0
-                for p in positions:
-                    bmask |= 1 << p
-                fam_b, iota = co.restrict_tree(fam, bmask)
+                fam_b, iota = co.restrict_tree(fam, _mask(positions))
                 block_fam = frozenset(_tomask(c, positions) for c in fam_b)
                 vals = value.on(block_fam)
                 for c in fam_b:
@@ -427,194 +425,102 @@ class Certifier:
 
     # ---- realizability of a coalescence tree under the interval's scales
 
-    def _interval_conditions(self, ci: CertificateInput, built: dict, fam: Family):
-        """The scale-order constraints the interval places on a labeled
-        tree: conjunctive atoms LE(c, d) (rank c <= rank d) plus disjunctive
-        atom groups (at least one must hold).  Comparisons sit at the
-        cluster-rank level with ties resolved favorably, reflecting the
-        bounded in-window jitter of individual edge scales."""
+    def _interval_plan(self, ci: CertificateInput, built: dict):
+        """The scale-order constraints the interval places on every labeled
+        tree, reduced to vertex masks of the quotient so that a candidate
+        tree only has to look up the joins `ancestor(fam, mask)`:
+
+        - `cuts`: per positive cut outside m_big, (star_pair, edge_pair,
+          harvested).  A kernel route can never beat the join of its
+          endpoints and the basepoint route never drops below its direct
+          edge, so comparing the two join clusters captures the
+          harvested/unharvested dichotomy at the rank level.
+        - `subtrees`: per divergence nested or disjoint with m_big that has
+          internal and external edges, (internal masks, external masks,
+          dangerous).  A dangerous divergence (in m_big, not in m_small)
+          puts every internal join at or below every external one; any
+          other needs some internal join at or above some external one.
+        - `masks`: every mask the two lists name.
+
+        Comparisons sit at the cluster-rank level with ties resolved
+        favorably, reflecting the bounded in-window jitter of individual
+        edge scales."""
         t, table = ci.tree, self.table
-        index, qhat = built["index"], built["qhat"]
-        edges = built["edges"]
+        index, qhat, edges = built["index"], built["qhat"], built["edges"]
         big = frozenset(ci.m_big)
+        tag_mask = {(kind, data): _mask(endmask) for kind, data, endmask in edges}
+        tags_of: dict[SubForest, tuple[set, frozenset[int]]] = {}
 
-        def subtree_tags(s: SubForest) -> set:
-            piece = t.restrict(s)
-            truen = piece.true_nodes(table)
-            out = {("K", e) for e in piece.kernel_edges(table)}
-            for kind, data, _ in edges:
-                if kind == "pi" and data[0] in truen and data[1] in truen:
-                    out.add((kind, data))
-            return out
+        def subtree_tags(s: SubForest) -> tuple[set, frozenset[int]]:
+            if s not in tags_of:
+                piece = t.restrict(s)
+                truen = piece.true_nodes(table)
+                tags = {("K", e) for e in piece.kernel_edges(table)}
+                tags |= {
+                    (kind, data)
+                    for kind, data, _ in edges
+                    if kind == "pi" and data[0] in truen and data[1] in truen
+                }
+                tags_of[s] = tags, truen
+            return tags_of[s]
 
-        tag_mask = {}
-        for kind, data, endmask in edges:
-            m = 0
-            for i in endmask:
-                m |= 1 << i
-            tag_mask[(kind, data)] = m
-
-        def joins(tags) -> list[Cluster]:
-            return sorted({ancestor(fam, tag_mask[tg]) for tg in tags if tg in tag_mask})
-
-        def int_ext_joins(s: SubForest, forest: frozenset):
-            internal = subtree_tags(s)
-            for c in forest_children(forest, s):
-                internal -= subtree_tags(c)
-            truen = t.restrict(s).true_nodes(table)
-            qset = {index[qhat(u)] for u in truen}
-            incident = {
-                (k, d)
-                for k, d, endmask in edges
-                if endmask & frozenset(qset)
-            }
-            above = [x for x in forest if s != x and s.nodes <= x.nodes]
-            if above:
-                anc_internal = subtree_tags(min(above, key=lambda x: len(x.nodes)))
-            else:
-                anc_internal = {(k, d) for k, d, _ in edges}
-            ext = (incident - subtree_tags(s)) & anc_internal
-            return joins(internal), joins(ext)
-
-        univ = [s for s, _ in self._div_universe(ci)]
-        atoms_conj: set[tuple[Cluster, Cluster]] = set()
-        disjunctions: list[list[tuple[Cluster, Cluster]]] = []
-        # cut rule at the join level: a kernel route can never beat the join
-        # of its endpoints and the basepoint route never drops below its
-        # direct edge, so comparing the two join clusters captures the
-        # harvested/unharvested dichotomy at the rank level
         used_edges: set = set()
         for s in big:
             used_edges |= s.edges
+        cuts = []
         for e, _ in cut_enumerate(t, table):
-            if e in used_edges:
+            if e not in used_edges:
+                top, bottom = 1 << index[qhat(e[0])], 1 << index[qhat(e[1])]
+                harvested = e in ci.g_big and e not in ci.g_small
+                cuts.append(((1 << 0) | top, top | bottom, harvested))
+        # the scale machinery needs every power-counting divergence: a
+        # subtree with a vanishing counterterm still gets its scale-local
+        # Taylor reorganization, so the universe here is the full one
+        subtrees = []
+        for s, _ in div_enumerate(t, table, self.cum, effective=False):
+            if not compatible_partition(t, table, frozenset([s]), ci.pi):
                 continue
-            star_pair = (1 << 0) | (1 << index[qhat(e[0])])
-            edge_pair = (1 << index[qhat(e[0])]) | (1 << index[qhat(e[1])])
-            a_star = ancestor(fam, star_pair)
-            a_edge = ancestor(fam, edge_pair)
-            if e in ci.g_big and e not in ci.g_small:
-                atoms_conj.add((a_edge, a_star))
-            else:
-                atoms_conj.add((a_star, a_edge))
-        for s in univ:
             in_big = s in big
             if not in_big and not all(nested_or_disjoint(s, x) for x in big):
                 continue
-            ints, exts = int_ext_joins(s, big | frozenset([s]))
-            if not ints or not exts:
-                continue
-            if in_big and s not in ci.m_small:
-                # dangerous: every internal join must sit at or below every
-                # external one (rank >=, i.e. LE(ext, int))
-                for ci_ in ints:
-                    for ce in exts:
-                        atoms_conj.add((ce, ci_))
+            forest = big | frozenset([s])
+            own, truen = subtree_tags(s)
+            internal = set(own)
+            for c in forest_children(forest, s):
+                internal -= subtree_tags(c)[0]
+            qset = {index[qhat(u)] for u in truen}
+            incident = {(k, d) for k, d, endmask in edges if endmask & qset}
+            above = [x for x in forest if s != x and s.nodes <= x.nodes]
+            if above:
+                anc_internal = subtree_tags(min(above, key=lambda x: len(x.nodes)))[0]
             else:
-                # safe: some internal join at or above some external one
-                group = sorted({(ci_, ce) for ci_ in ints for ce in exts})
-                disjunctions.append(group)
-        return atoms_conj, disjunctions
+                anc_internal = set(tag_mask)
+            ints = sorted({tag_mask[tg] for tg in internal if tg in tag_mask})
+            exts = sorted({tag_mask[tg] for tg in (incident - own) & anc_internal})
+            if ints and exts:
+                subtrees.append((ints, exts, in_big and s not in ci.m_small))
+        masks = {m for c in cuts for m in c[:2]} | {
+            m for ints, exts, _ in subtrees for m in ints + exts
+        }
+        return masks, cuts, subtrees
 
-    def _feasible(self, fam: Family, atoms: set, disjunctions: list) -> bool:
-        """Is there a labeling with the given LE-atoms?  Ranks must strictly
-        increase into smaller clusters, so a constraint set is feasible iff
-        no LE-cycle crosses a strict containment."""
-        clusters = sorted(fam)
-
-        def consistent(chosen: set) -> bool:
-            # edges: LE(c, d) allows rank(c) <= rank(d); strict laminar
-            # containment d < c (as sets: c strictly contains d) forces
-            # rank(c) < rank(d).  Infeasible iff some LE-closed cycle
-            # contains a strict edge.
-            adj: dict[Cluster, set[Cluster]] = {c: set() for c in clusters}
-            for c, d in chosen:
-                adj[c].add(d)
-            for c in clusters:
-                for d in clusters:
-                    if c != d and (d & c) == d:  # d strictly inside c
-                        adj[c].add(d)
-            # Tarjan-free SCC via iterative Kosaraju on small graphs
-            order = []
-            seen = set()
-            for v in clusters:
-                if v in seen:
-                    continue
-                stack = [(v, iter(sorted(adj[v])))]
-                seen.add(v)
-                while stack:
-                    node, it = stack[-1]
-                    advanced = False
-                    for w in it:
-                        if w not in seen:
-                            seen.add(w)
-                            stack.append((w, iter(sorted(adj[w]))))
-                            advanced = True
-                            break
-                    if not advanced:
-                        order.append(node)
-                        stack.pop()
-            radj: dict[Cluster, set[Cluster]] = {c: set() for c in clusters}
-            for c in clusters:
-                for d in adj[c]:
-                    radj[d].add(c)
-            comp: dict[Cluster, int] = {}
-            cid = 0
-            for v in reversed(order):
-                if v in comp:
-                    continue
-                stack = [v]
-                while stack:
-                    w = stack.pop()
-                    if w in comp:
-                        continue
-                    comp[w] = cid
-                    stack.extend(radj[w] - comp.keys())
-                cid += 1
-            for c in clusters:
-                for d in clusters:
-                    if c != d and (d & c) == d and comp[c] == comp[d]:
-                        return False
-            return True
-
-        def dfs(idx: int, chosen: set) -> bool:
-            if not consistent(chosen):
-                return False
-            if idx == len(disjunctions):
-                return True
-            for atom in disjunctions[idx]:
-                if atom in chosen:
-                    if dfs(idx + 1, chosen):
-                        return True
-                    continue
-                chosen.add(atom)
-                if dfs(idx + 1, chosen):
-                    chosen.discard(atom)
-                    return True
-                chosen.discard(atom)
-            return False
-
-        return dfs(0, set(atoms))
-
-    def _realizable(self, ci: CertificateInput, built: dict, fam: Family) -> bool:
-        atoms, disjunctions = self._interval_conditions(ci, built, fam)
-        return self._feasible(fam, atoms, disjunctions)
-
-    def _div_universe(self, ci: CertificateInput):
-        key = (ci.tree, ci.pi)
-        if not hasattr(self, "_div_memo"):
-            self._div_memo = {}
-        if key not in self._div_memo:
-            # the scale machinery needs every power-counting divergence: a
-            # subtree with a vanishing counterterm still gets its scale-local
-            # Taylor reorganization, so the universe here is the full one
-            univ = div_enumerate(ci.tree, self.table, self.cum, effective=False)
-            self._div_memo[key] = [
-                (s, w)
-                for s, w in univ
-                if compatible_partition(ci.tree, self.table, frozenset([s]), ci.pi)
-            ]
-        return self._div_memo[key]
+    @staticmethod
+    def _realizable(plan, fam: Family) -> bool:
+        """Does some labeling of the tree satisfy the interval's plan?"""
+        masks, cuts, subtrees = plan
+        up = {m: ancestor(fam, m) for m in masks}
+        atoms: set[tuple[Cluster, Cluster]] = set()
+        disjunctions: list[list[tuple[Cluster, Cluster]]] = []
+        for star_pair, edge_pair, harvested in cuts:
+            a_star, a_edge = up[star_pair], up[edge_pair]
+            atoms.add((a_edge, a_star) if harvested else (a_star, a_edge))
+        for ints, exts, dangerous in subtrees:
+            j_int, j_ext = {up[m] for m in ints}, {up[m] for m in exts}
+            if dangerous:
+                atoms.update((ce, ci_) for ci_ in j_int for ce in j_ext)
+            else:
+                disjunctions.append(sorted({(ci_, ce) for ci_ in j_int for ce in j_ext}))
+        return _feasible(fam, atoms, disjunctions)
 
     # ---- hypothesis checks
 
@@ -637,10 +543,7 @@ class Certifier:
                 ficts[data] = ficts.get(data, Fraction(0)) + value
             else:
                 positions = data
-                bmask = 0
-                for p in positions:
-                    bmask |= 1 << p
-                lifts.append((bmask, value.total(enumerate_trees(len(positions))[0])))
+                lifts.append((_mask(positions), value.total(enumerate_trees(len(positions))[0])))
         total = (
             sum((v for _, v in ups), Fraction(0))
             + sum((v for _, v in lifts), Fraction(0))
@@ -659,17 +562,10 @@ class Certifier:
             base[a] = acc
         return base, total
 
-    def certify(self, ci: CertificateInput) -> dict:
-        """Check the integrability and large-scale decay inequalities; a
-        violated node only fails the certificate when some realizable
-        coalescence tree contains it.
-
-        With the default (root-concentrated) cumulant homogeneity the
-        inequalities are evaluated per vertex subset and only failing
-        subsets trigger the tree search; a custom homogeneity falls back to
-        the full enumeration.
-        """
-        built = self.build(ci)
+    def _failures(self, ci: CertificateInput, built: dict):
+        """The order alpha and the vertex subsets that violate the
+        integrability or the large-scale decay inequality, as (kind, subset,
+        value, bound) in subset order."""
         n = len(built["verts"])
         index = built["index"]
         abs_s = self.table.scaling.abs_s
@@ -723,52 +619,41 @@ class Certifier:
                 )
                 if not out > rhs2:
                     failures.append(("decay", a, out, rhs2))
+        return alpha, failures
+
+    def certify(self, ci: CertificateInput) -> dict:
+        """Check the integrability and large-scale decay inequalities; a
+        violated node only fails the certificate when some realizable
+        coalescence tree contains it.
+
+        With the default (root-concentrated) cumulant homogeneity the
+        inequalities are evaluated per vertex subset and only failing
+        subsets trigger the tree search, which walks the connected
+        coalescence trees containing the subset and returns the first one
+        the interval's scale constraints can realize.
+        """
+        built = self.build(ci)
+        alpha, failures = self._failures(ci, built)
         if not failures:
             return {"pass": True, "alpha": alpha, "failing_subsets": 0}
 
         # a failing subset matters only when some realizable tree realizes it
-        edge_masks = []
-        for _, _, endmask in built["edges"]:
-            m = 0
-            for i in endmask:
-                m |= 1 << i
-            edge_masks.append(m)
-
-        def connected_split(cluster: int, blocks: list[int]) -> bool:
-            parent = list(range(len(blocks)))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for m in edge_masks:
-                if (m & cluster) != m:
-                    continue
-                touched = [i for i, b in enumerate(blocks) if m & b]
-                for j in touched[1:]:
-                    parent[find(j)] = find(touched[0])
-            return len({find(i) for i in range(len(blocks))}) == 1
-
-        realizable_memo: dict[Family, bool] = {}
+        n = len(built["verts"])
+        plan = self._interval_plan(ci, built)
+        prune = connected_split(built["edges"])
+        realizable: dict[Family, bool] = {}
         pruned = 0
         for violation in failures:
-            a = violation[1]
-            found = None
-            for fam in trees_containing(n, a, connected_split, cap=self.vertex_cap):
-                if fam not in realizable_memo:
-                    realizable_memo[fam] = self._realizable(ci, built, fam)
-                if realizable_memo[fam]:
-                    found = fam
-                    break
-            if found is not None:
-                return {
-                    "pass": False,
-                    "alpha": alpha,
-                    "violation": violation,
-                    "tree": found,
-                }
+            for fam in trees_containing(n, violation[1], prune, cap=self.vertex_cap):
+                if fam not in realizable:
+                    realizable[fam] = self._realizable(plan, fam)
+                if realizable[fam]:
+                    return {
+                        "pass": False,
+                        "alpha": alpha,
+                        "violation": violation,
+                        "tree": fam,
+                    }
             pruned += 1
         return {
             "pass": True,
@@ -778,6 +663,82 @@ class Certifier:
         }
 
 
+def _feasible(fam: Family, atoms: Iterable, disjunctions: list) -> bool:
+    """Is there a labeling of the tree's clusters with the given LE-atoms
+    (LE(c, d): rank c <= rank d) and at least one atom of each disjunction?
+
+    Ranks strictly increase into smaller clusters, so a constraint set is
+    feasible iff no cluster reaches a cluster strictly containing it in the
+    graph of LE and containment edges.  `reach[i]` is the bitmask of the
+    clusters reachable from cluster i, starting from the strict
+    containments (already transitive).  Adding LE(c, d) ORs
+    `reach[d] | bit(d)` into every row that reaches c, c's own included, so
+    the rows stay transitively closed, and only those rows can turn
+    infeasible.  The depth-first search over the disjunctions passes a
+    copied row list down each branch; a group one of whose atoms already
+    holds adds nothing and is passed over.
+    """
+    clusters = sorted(fam)
+    pos = {c: i for i, c in enumerate(clusters)}
+    above = [0] * len(clusters)
+    reach = [0] * len(clusters)
+    for i, c in enumerate(clusters):
+        for j, d in enumerate(clusters):
+            if c != d and (d & c) == d:  # d strictly inside c
+                reach[i] |= 1 << j
+                above[j] |= 1 << i
+
+    def add(rows: list[int], c: Cluster, d: Cluster) -> bool:
+        ic, id_ = pos[c], pos[d]
+        gain = rows[id_] | (1 << id_)
+        for i, row in enumerate(rows):
+            if i == ic or row >> ic & 1:
+                rows[i] = row | gain
+                if rows[i] & above[i]:
+                    return False
+        return True
+
+    def dfs(idx: int, rows: list[int]) -> bool:
+        if idx == len(disjunctions):
+            return True
+        group = disjunctions[idx]
+        if any(c == d or rows[pos[c]] >> pos[d] & 1 for c, d in group):
+            return dfs(idx + 1, rows)
+        for c, d in group:
+            branch = list(rows)
+            if add(branch, c, d) and dfs(idx + 1, branch):
+                return True
+        return False
+
+    return all(add(reach, c, d) for c, d in atoms) and dfs(0, reach)
+
+
+def connected_split(edges: Sequence[tuple]) -> Callable[[int, list[int]], bool]:
+    """The prune of the certificate search: a cluster may split into blocks
+    only when the quotient edges inside the cluster connect the blocks, as
+    in the coalescence tree of a connected multigraph."""
+    edge_masks = [_mask(endmask) for _, _, endmask in edges]
+
+    def prune(cluster: int, blocks: list[int]) -> bool:
+        parent = list(range(len(blocks)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for m in edge_masks:
+            if (m & cluster) != m:
+                continue
+            touched = [i for i, b in enumerate(blocks) if m & b]
+            for j in touched[1:]:
+                parent[find(j)] = find(touched[0])
+        return len({find(i) for i in range(len(blocks))}) == 1
+
+    return prune
+
+
 def trees_containing(
     n: int,
     cluster: int,
@@ -785,46 +746,39 @@ def trees_containing(
     cap: int = 9,
 ) -> Iterable[Family]:
     """Coalescence trees on n vertices that contain the given cluster,
-    assembled from a tree inside the cluster and a tree on the quotient."""
+    assembled from a tree inside the cluster and a tree on the quotient
+    (the cluster as one vertex), outer trees in the outer loop.
+
+    `prune(cluster, blocks)` is lifted into both enumerations, so a split is
+    rejected before any family is built on it.  This is exact: in the
+    assembled family the children of an inner node are its expanded inner
+    children, and those of an outer node are its expanded outer blocks, the
+    cluster itself being a member.  The result is therefore the subsequence
+    of the unpruned trees all of whose clusters pass `prune` with their
+    `children_blocks`, in the same order.
+    """
     if popcount(cluster) < 2:
         raise ValueError("a cluster needs at least two vertices")
     full = full_mask(n)
-    inner = enumerate_trees(popcount(cluster), cap=cap, prune=None)
-    in_bits = bits(cluster)
 
-    def expand_inner(mask: int) -> int:
-        out = 0
-        for i, b in enumerate(in_bits):
-            if mask >> i & 1:
-                out |= 1 << b
-        return out
+    def enumerate_expanded(pieces: list[int]) -> list[Family]:
+        def expand(mask: int) -> int:
+            out = 0
+            for i in bits(mask):
+                out |= pieces[i]
+            return out
 
+        def lifted(c: int, blocks: list[int]) -> bool:
+            return prune(expand(c), sorted(expand(b) for b in blocks))
+
+        fams = enumerate_trees(len(pieces), cap=cap, prune=lifted if prune else None)
+        return [frozenset(expand(c) for c in fam) for fam in fams]
+
+    inner = enumerate_expanded([1 << v for v in bits(cluster)])
     if cluster == full:
-        for fin in inner:
-            fam = frozenset(expand_inner(c) for c in fin)
-            if prune is None or _tree_ok(fam, n, prune):
-                yield fam
+        yield from inner
         return
-    out_bits = [cluster] + [1 << v for v in bits(full & ~cluster)]
-    outer = enumerate_trees(len(out_bits), cap=cap, prune=None)
-
-    def expand_outer(mask: int) -> int:
-        out = 0
-        for i, piece in enumerate(out_bits):
-            if mask >> i & 1:
-                out |= piece
-        return out
-
+    outer = enumerate_expanded([cluster] + [1 << v for v in bits(full & ~cluster)])
     for fout in outer:
-        base = {expand_outer(c) for c in fout}
         for fin in inner:
-            fam = frozenset(base | {expand_inner(c) for c in fin} | {cluster})
-            if prune is None or _tree_ok(fam, n, prune):
-                yield fam
-
-
-def _tree_ok(fam: Family, n: int, prune: Callable[[int, list[int]], bool]) -> bool:
-    for c in fam:
-        if not prune(c, children_blocks(fam, c)):
-            return False
-    return True
+            yield fout | fin | {cluster}

@@ -367,6 +367,11 @@ class Workbench:
         table, cum = self.config.table, self.config.cum
         t = self.tree_by_id(tree_id)
         pi, given = _parse_scales(scales_doc)
+        unknown = sorted(set().union(*pi) - t.leaf_nodes(table))
+        if unknown:
+            raise ConfigError(
+                [f"scale assignment pi names nodes that are not leaves of {tree_id}: {unknown}"]
+            )
         eu = ms.EdgeUniverse(t, table, pi)
         n = {}
         for tag in eu.all_tags():
@@ -454,8 +459,12 @@ def _parse_scales(doc: str) -> tuple[frozenset, dict]:
         raise ConfigError(['scale assignment "pi" must be a list of lists of leaves'])
     if not isinstance(scales, dict):
         raise ConfigError(['scale assignment "scales" must be an object'])
-    pi = frozenset(frozenset(_as_int(u, "leaf in pi") for u in b) for b in blocks)
-    return pi, scales
+    pi = [[_as_int(u, "leaf in pi") for u in b] for b in blocks]
+    leaves = [u for b in pi for u in b]
+    repeated = sorted({u for u in leaves if leaves.count(u) > 1})
+    if repeated:
+        raise ConfigError([f"scale assignment pi repeats leaves {repeated}"])
+    return frozenset(map(frozenset, pi)), scales
 
 
 def _as_int(value, what: str) -> int:

@@ -1,0 +1,266 @@
+"""Test-only oracle for the realizability search of `powercount.Certifier`.
+
+These are the search's first implementation: the interval's scale-order
+constraints rebuilt from the tree for every candidate coalescence tree, a
+Kosaraju SCC over all cluster pairs at every node of the feasibility search,
+and coalescence trees assembled in full before the connectivity filter.  They
+make no use of the per-certificate plan, the incremental reachability rows or
+the pruned enumeration, so they check all three.  The oracle costs a few
+milliseconds per candidate tree (2 752 trees on six vertices); keep its
+cases small.
+"""
+from __future__ import annotations
+
+from typing import Callable, Iterable, Optional
+
+from renormforest.coalescence import (
+    Cluster,
+    Family,
+    ancestor,
+    bits,
+    children_blocks,
+    enumerate_trees,
+    full_mask,
+    popcount,
+)
+from renormforest.forests import (
+    compatible_partition,
+    cut_enumerate,
+    div_enumerate,
+    forest_children,
+    nested_or_disjoint,
+)
+from renormforest.powercount import CertificateInput, Certifier, connected_split
+from renormforest.trees import SubForest
+
+
+def div_universe(cert: Certifier, ci: CertificateInput) -> list:
+    """Every power-counting divergence compatible with the partition; the
+    certifier once kept it in a memo per (tree, partition)."""
+    univ = div_enumerate(ci.tree, cert.table, cert.cum, effective=False)
+    return [
+        s
+        for s, _ in univ
+        if compatible_partition(ci.tree, cert.table, frozenset([s]), ci.pi)
+    ]
+
+
+def interval_conditions(
+    cert: Certifier, ci: CertificateInput, built: dict, univ: list, fam: Family
+):
+    """Conjunctive atoms LE(c, d) (rank c <= rank d) and disjunctive atom
+    groups (at least one must hold) of the interval on one labeled tree."""
+    t, table = ci.tree, cert.table
+    index, qhat = built["index"], built["qhat"]
+    edges = built["edges"]
+    big = frozenset(ci.m_big)
+
+    def subtree_tags(s: SubForest) -> set:
+        piece = t.restrict(s)
+        truen = piece.true_nodes(table)
+        out = {("K", e) for e in piece.kernel_edges(table)}
+        for kind, data, _ in edges:
+            if kind == "pi" and data[0] in truen and data[1] in truen:
+                out.add((kind, data))
+        return out
+
+    tag_mask = {}
+    for kind, data, endmask in edges:
+        m = 0
+        for i in endmask:
+            m |= 1 << i
+        tag_mask[(kind, data)] = m
+
+    def joins(tags) -> list[Cluster]:
+        return sorted({ancestor(fam, tag_mask[tg]) for tg in tags if tg in tag_mask})
+
+    def int_ext_joins(s: SubForest, forest: frozenset):
+        internal = subtree_tags(s)
+        for c in forest_children(forest, s):
+            internal -= subtree_tags(c)
+        truen = t.restrict(s).true_nodes(table)
+        qset = {index[qhat(u)] for u in truen}
+        incident = {(k, d) for k, d, endmask in edges if endmask & frozenset(qset)}
+        above = [x for x in forest if s != x and s.nodes <= x.nodes]
+        if above:
+            anc_internal = subtree_tags(min(above, key=lambda x: len(x.nodes)))
+        else:
+            anc_internal = {(k, d) for k, d, _ in edges}
+        ext = (incident - subtree_tags(s)) & anc_internal
+        return joins(internal), joins(ext)
+
+    atoms_conj: set[tuple[Cluster, Cluster]] = set()
+    disjunctions: list[list[tuple[Cluster, Cluster]]] = []
+    used_edges: set = set()
+    for s in big:
+        used_edges |= s.edges
+    for e, _ in cut_enumerate(t, table):
+        if e in used_edges:
+            continue
+        star_pair = (1 << 0) | (1 << index[qhat(e[0])])
+        edge_pair = (1 << index[qhat(e[0])]) | (1 << index[qhat(e[1])])
+        a_star = ancestor(fam, star_pair)
+        a_edge = ancestor(fam, edge_pair)
+        if e in ci.g_big and e not in ci.g_small:
+            atoms_conj.add((a_edge, a_star))
+        else:
+            atoms_conj.add((a_star, a_edge))
+    for s in univ:
+        in_big = s in big
+        if not in_big and not all(nested_or_disjoint(s, x) for x in big):
+            continue
+        ints, exts = int_ext_joins(s, big | frozenset([s]))
+        if not ints or not exts:
+            continue
+        if in_big and s not in ci.m_small:
+            for ci_ in ints:
+                for ce in exts:
+                    atoms_conj.add((ce, ci_))
+        else:
+            group = sorted({(ci_, ce) for ci_ in ints for ce in exts})
+            disjunctions.append(group)
+    return atoms_conj, disjunctions
+
+
+def feasible(fam: Family, atoms: set, disjunctions: list) -> bool:
+    """Is there a labeling with the given LE-atoms?  A constraint set is
+    feasible iff no LE-cycle crosses a strict containment; checked by a
+    Kosaraju SCC at every node of the search."""
+    clusters = sorted(fam)
+
+    def consistent(chosen: set) -> bool:
+        adj: dict[Cluster, set[Cluster]] = {c: set() for c in clusters}
+        for c, d in chosen:
+            adj[c].add(d)
+        for c in clusters:
+            for d in clusters:
+                if c != d and (d & c) == d:
+                    adj[c].add(d)
+        order = []
+        seen = set()
+        for v in clusters:
+            if v in seen:
+                continue
+            stack = [(v, iter(sorted(adj[v])))]
+            seen.add(v)
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for w in it:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append((w, iter(sorted(adj[w]))))
+                        advanced = True
+                        break
+                if not advanced:
+                    order.append(node)
+                    stack.pop()
+        radj: dict[Cluster, set[Cluster]] = {c: set() for c in clusters}
+        for c in clusters:
+            for d in adj[c]:
+                radj[d].add(c)
+        comp: dict[Cluster, int] = {}
+        cid = 0
+        for v in reversed(order):
+            if v in comp:
+                continue
+            stack = [v]
+            while stack:
+                w = stack.pop()
+                if w in comp:
+                    continue
+                comp[w] = cid
+                stack.extend(radj[w] - comp.keys())
+            cid += 1
+        for c in clusters:
+            for d in clusters:
+                if c != d and (d & c) == d and comp[c] == comp[d]:
+                    return False
+        return True
+
+    def dfs(idx: int, chosen: set) -> bool:
+        if not consistent(chosen):
+            return False
+        if idx == len(disjunctions):
+            return True
+        for atom in disjunctions[idx]:
+            if atom in chosen:
+                if dfs(idx + 1, chosen):
+                    return True
+                continue
+            chosen.add(atom)
+            if dfs(idx + 1, chosen):
+                chosen.discard(atom)
+                return True
+            chosen.discard(atom)
+        return False
+
+    return dfs(0, set(atoms))
+
+
+def trees_containing(
+    n: int,
+    cluster: int,
+    prune: Optional[Callable[[int, list[int]], bool]] = None,
+    cap: int = 9,
+) -> Iterable[Family]:
+    """Every inner x outer family assembled in full, then filtered."""
+    if popcount(cluster) < 2:
+        raise ValueError("a cluster needs at least two vertices")
+    full = full_mask(n)
+    inner = enumerate_trees(popcount(cluster), cap=cap, prune=None)
+    in_bits = bits(cluster)
+
+    def expand_inner(mask: int) -> int:
+        out = 0
+        for i, b in enumerate(in_bits):
+            if mask >> i & 1:
+                out |= 1 << b
+        return out
+
+    def tree_ok(fam: Family) -> bool:
+        return all(prune(c, children_blocks(fam, c)) for c in fam)
+
+    if cluster == full:
+        for fin in inner:
+            fam = frozenset(expand_inner(c) for c in fin)
+            if prune is None or tree_ok(fam):
+                yield fam
+        return
+    out_bits = [cluster] + [1 << v for v in bits(full & ~cluster)]
+    outer = enumerate_trees(len(out_bits), cap=cap, prune=None)
+
+    def expand_outer(mask: int) -> int:
+        out = 0
+        for i, piece in enumerate(out_bits):
+            if mask >> i & 1:
+                out |= piece
+        return out
+
+    for fout in outer:
+        base = {expand_outer(c) for c in fout}
+        for fin in inner:
+            fam = frozenset(base | {expand_inner(c) for c in fin} | {cluster})
+            if prune is None or tree_ok(fam):
+                yield fam
+
+
+def realizable(
+    cert: Certifier, ci: CertificateInput, built: dict, univ: list, fam: Family
+) -> bool:
+    return feasible(fam, *interval_conditions(cert, ci, built, univ, fam))
+
+
+def witness(cert: Certifier, ci: CertificateInput):
+    """The first failing subset with a realizable tree, searched the old way:
+    (violation, tree), or None when every failure is pruned."""
+    built = cert.build(ci)
+    _, failures = cert._failures(ci, built)
+    n = len(built["verts"])
+    univ = div_universe(cert, ci)
+    prune = connected_split(built["edges"])
+    for violation in failures:
+        for fam in trees_containing(n, violation[1], prune, cap=cert.vertex_cap):
+            if realizable(cert, ci, built, univ, fam):
+                return violation, fam
+    return None

@@ -120,6 +120,9 @@ def test_project(tmp_path, capsys):
         json.dumps({"pi": 5, "scales": KPZ_T2_SCALES}),
         json.dumps({"pi": [], "scales": ["K:0,1"]}),
         json.dumps({"pi": [], "scales": {"K:0,1": 1}}),
+        json.dumps({"pi": [[99]], "scales": KPZ_T2_SCALES}),
+        json.dumps({"pi": [[1, 2]], "scales": dict(KPZ_T2_SCALES, **{"pi:1,2": 1})}),
+        json.dumps({"pi": [[1, 3], [1]], "scales": dict(KPZ_T2_SCALES, **{"pi:1,3": 1})}),
     ],
     ids=[
         "missing-file",
@@ -130,6 +133,9 @@ def test_project(tmp_path, capsys):
         "pi-not-a-list",
         "scales-not-an-object",
         "missing-edge",
+        "unknown-node",
+        "not-a-leaf",
+        "repeated-leaf",
     ],
 )
 def test_bad_scales_are_input_errors(doc, tmp_path, capsys):
@@ -141,3 +147,36 @@ def test_bad_scales_are_input_errors(doc, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_certify(capsys, monkeypatch):
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    assert cli.main(["--config", config_path("kpz"), "certify", "T3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "certify"
+    assert report["pass"] is True
+    assert report["classes"] and all(row["pass"] for row in report["classes"])
+
+
+def test_certify_over_the_vertex_cap(capsys, monkeypatch):
+    monkeypatch.setenv("RENORMFOREST_CAPS", '{"max_coalescence_vertices": 3}')
+    assert cli.main(["--config", config_path("kpz"), "certify", "T5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cap exceeded: quotient vertex count 6 exceeds the cap 3\n"
+
+
+def test_certify_unknown_tree(capsys, monkeypatch):
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    assert cli.main(["--config", config_path("kpz"), "certify", "T9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_certify_independent_of_hash_seed():
+    """KPZ T5 has failing subsets, so the coalescence-tree search runs."""
+    args = ["-m", "renormforest.cli", "--config", config_path("kpz"), "certify", "T5"]
+    outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["pass"] is True
