@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .rules import CumulantSet
 from .scaling import TypeTable
-from .trees import DecoratedTree, EdgeKey, StructureError, SubForest
+from .trees import DecoratedTree, EdgeKey, StructureError, SubForest, zero_node_hom
 
 ForestOfSubtrees = frozenset  # frozenset[SubForest], pairwise nested-or-disjoint
 CutSet = frozenset  # frozenset[EdgeKey], subset of the positive cuts
@@ -18,13 +18,6 @@ CutSet = frozenset  # frozenset[EdgeKey], subset of the positive cuts
 
 class CapExceeded(RuntimeError):
     """An exhaustive enumeration would exceed a configured cap."""
-
-
-def zero_node_hom(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
-    total = Fraction(0)
-    for e in sf.edges:
-        total += table.hom(t.edge_type(e)) - Fraction(t.edge_dec(e).sdeg(table.scaling))
-    return total
 
 
 def omega(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
@@ -132,9 +125,12 @@ def div_enumerate(
     """
     if effective and cum is None:
         raise ValueError("effective enumeration needs the cumulant set")
+    weight = {
+        e: table.hom(ty) - t.edge_dec(e).sdeg(table.scaling) for e, ty in t.edge_items
+    }
     out = []
     for sf in t.all_subtrees(table, min_true_nodes=1):
-        w = omega(t, sf, table)
+        w = -sum((weight[e] for e in sf.edges), Fraction(0))
         if w <= 0:
             continue
         if effective and not irreducible_partition_exists(t, sf, cum):
@@ -353,9 +349,9 @@ def compatible_partition(
     covered: set[int] = set()
     for b in pi:
         covered |= set(b)
+    noise = set(t.noise_edges(table))
     for s in forest:
-        piece = t.restrict(s)
-        ls = set(piece.leaf_nodes(table))
+        ls = {p for p, c in s.edges & noise}  # the leaves of the piece s
         if not ls <= covered:
             return False
         for b in pi:

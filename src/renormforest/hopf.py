@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .forests import dangling_trees, irreducible_partition_exists, up_tree, zero_node_hom
+from .forests import dangling_trees, irreducible_partition_exists, up_tree
 from .formal import FormalSum
 from .rules import CumulantSet
 from .scaling import (
@@ -25,7 +25,7 @@ from .scaling import (
     multiindices_below,
     submultiindices,
 )
-from .trees import DecoratedTree, EdgeKey, SubForest
+from .trees import DecoratedTree, EdgeKey, SubForest, zero_node_hom
 
 PieceForest = tuple  # sorted tuple of DecoratedTree
 

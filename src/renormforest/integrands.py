@@ -19,13 +19,13 @@ from .forests import (
     compatible_partition,
     cut_enumerate,
     cuts_avoiding,
-    div_enumerate,
     forest_children,
     forest_maximal,
     forests_compatible_with,
-    leaf_partitions,
     omega,
 )
+from .forests import leaf_partitions  # noqa: F401  (perfbench wraps this name)
+from .powercount import TreeAnalysis
 from .rules import CumulantSet
 from .scaling import MultiIndex, TypeTable, multiindices_below
 from .trees import DecoratedTree, EdgeKey, SubForest
@@ -364,43 +364,41 @@ class ChaosClass:
     cut_sets_per_forest: tuple
 
 
-def chaos_classes(t: DecoratedTree, table: TypeTable, cum: CumulantSet) -> list[ChaosClass]:
-    """All (Wick set, partition) classes with their compatible forests and
-    admissible cut sets; a class's summands are the (forest, cuts) pairs."""
-    leaves = sorted(t.leaf_nodes(table))
-    univ = [s for s, _ in div_enumerate(t, table, cum)]
-    all_cuts = [e for e, _ in cut_enumerate(t, table)]
+def chaos_classes(analysis: TreeAnalysis) -> list[ChaosClass]:
+    """All (Wick set, partition) classes of `analysis.tree` with their
+    compatible forests and admissible cut sets; a class's summands are the
+    (forest, cuts) pairs."""
+    t, table = analysis.tree, analysis.table
+    univ = [s for s, _ in analysis.divergences]
+    all_cuts = [e for e, _ in analysis.cuts]
     out = []
-    for r in range(len(leaves) + 1):
-        for kept in itertools.combinations(leaves, r):
-            rest = [u for u in leaves if u not in kept]
-            for pi in leaf_partitions(t, table, cum, ground=rest):
-                forests = forests_compatible_with(t, table, univ, pi)
-                cut_sets = []
-                for f in forests:
-                    free = cuts_avoiding(t, all_cuts, f)
-                    cut_sets.append(
-                        tuple(
-                            frozenset(c)
-                            for rr in range(len(free) + 1)
-                            for c in itertools.combinations(free, rr)
-                        )
-                    )
-                out.append(
-                    ChaosClass(
-                        wick=frozenset(kept),
-                        pi=pi,
-                        forests=tuple(forests),
-                        cut_sets_per_forest=tuple(cut_sets),
-                    )
+    for wick, pi in analysis.gaussian_classes:
+        forests = forests_compatible_with(t, table, univ, pi)
+        cut_sets = []
+        for f in forests:
+            free = cuts_avoiding(t, all_cuts, f)
+            cut_sets.append(
+                tuple(
+                    frozenset(c)
+                    for rr in range(len(free) + 1)
+                    for c in itertools.combinations(free, rr)
                 )
+            )
+        out.append(
+            ChaosClass(
+                wick=wick,
+                pi=pi,
+                forests=tuple(forests),
+                cut_sets_per_forest=tuple(cut_sets),
+            )
+        )
     return out
 
 
 def chaos_decomposition(t: DecoratedTree, table: TypeTable, cum: CumulantSet) -> list[dict]:
     """One entry per summand of the renormalized chaos expansion."""
     out = []
-    for cls in chaos_classes(t, table, cum):
+    for cls in chaos_classes(TreeAnalysis(t, table, cum)):
         for f, csets in zip(cls.forests, cls.cut_sets_per_forest):
             for c in csets:
                 out.append(

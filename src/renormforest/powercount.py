@@ -6,9 +6,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import coalescence as co
+from . import forests as fo
 from .coalescence import (
     Cluster,
     Family,
@@ -22,7 +24,6 @@ from .coalescence import (
 )
 from .forests import (
     cut_enumerate,
-    div_enumerate,
     compatible_partition,
     forest_children,
     nested_or_disjoint,
@@ -241,6 +242,68 @@ def _mask(vertices: Iterable[int]) -> int:
     return out
 
 
+# -- the per-tree analysis -------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class TreeAnalysis:
+    """The power-counting facts of one tree that every command reads: its
+    divergent subtrees with their omega, both the effective ones (nonvanishing
+    counterterm) and the full universe, its positive cuts with their Taylor
+    order gamma, and its Gaussian chaos classes (Wick set, leaf partition).
+
+    They depend only on the tree, the type table and the cumulant set, not on
+    a partition or on scales.  Each is computed on first use and then kept;
+    none is computed on construction."""
+
+    tree: DecoratedTree
+    table: TypeTable
+    cum: CumulantSet
+    max_div: int = 4096
+
+    @cached_property
+    def divergences(self) -> tuple[tuple[SubForest, Fraction], ...]:
+        return tuple(fo.div_enumerate(self.tree, self.table, self.cum, cap=self.max_div))
+
+    @cached_property
+    def all_divergences(self) -> tuple[tuple[SubForest, Fraction], ...]:
+        return tuple(
+            fo.div_enumerate(self.tree, self.table, self.cum, effective=False, cap=self.max_div)
+        )
+
+    @cached_property
+    def cuts(self) -> tuple[tuple[EdgeKey, int], ...]:
+        return tuple(cut_enumerate(self.tree, self.table))
+
+    @cached_property
+    def gaussian_classes(self) -> tuple[tuple[frozenset[int], frozenset], ...]:
+        """Every (Wick set, admissible partition of the other leaves), by
+        Wick-set size, then in combination and partition order."""
+        t, table = self.tree, self.table
+        leaves = sorted(t.leaf_nodes(table))
+        out = []
+        for r in range(len(leaves) + 1):
+            for kept in itertools.combinations(leaves, r):
+                rest = [u for u in leaves if u not in kept]
+                for pi in fo.leaf_partitions(t, table, self.cum, ground=rest):
+                    out.append((frozenset(kept), pi))
+        return tuple(out)
+
+
+class Analyses:
+    """One TreeAnalysis per tree, made on first request."""
+
+    def __init__(self, table: TypeTable, cum: CumulantSet, max_div: int = 4096):
+        self.table, self.cum, self.max_div = table, cum, max_div
+        self._by_tree: dict[DecoratedTree, TreeAnalysis] = {}
+
+    def __call__(self, t: DecoratedTree) -> TreeAnalysis:
+        a = self._by_tree.get(t)
+        if a is None:
+            a = self._by_tree[t] = TreeAnalysis(t, self.table, self.cum, self.max_div)
+        return a
+
+
 # -- the certifier -------------------------------------------------------------------
 
 
@@ -271,11 +334,13 @@ class Certifier:
         cum: CumulantSet,
         ch: Optional[CumulantHomogeneity] = None,
         vertex_cap: int = 9,
+        analysis: Optional[Analyses] = None,
     ):
         self.table = table
         self.cum = cum
         self.ch = ch or CumulantHomogeneity(cum)
         self.vertex_cap = vertex_cap
+        self.analysis = analysis if analysis is not None else Analyses(table, cum)
 
     # ---- construction of the quotient data
 
@@ -375,7 +440,7 @@ class Certifier:
         for s in built["maximal"]:
             r = index[qhat(t.restrict(s).root)]
             parts.append(("up", 1 << r, omega(t, s, table)))
-        cuts = dict(cut_enumerate(t, table))
+        cuts = dict(self.analysis(t).cuts)
         d_cuts = set(ci.g_small)
         s_cuts = set(ci.g_big) - set(ci.g_small)
         star = 1 << 0
@@ -468,7 +533,8 @@ class Certifier:
         for s in big:
             used_edges |= s.edges
         cuts = []
-        for e, _ in cut_enumerate(t, table):
+        analysis = self.analysis(t)
+        for e, _ in analysis.cuts:
             if e not in used_edges:
                 top, bottom = 1 << index[qhat(e[0])], 1 << index[qhat(e[1])]
                 harvested = e in ci.g_big and e not in ci.g_small
@@ -477,7 +543,7 @@ class Certifier:
         # subtree with a vanishing counterterm still gets its scale-local
         # Taylor reorganization, so the universe here is the full one
         subtrees = []
-        for s, _ in div_enumerate(t, table, self.cum, effective=False):
+        for s, _ in analysis.all_divergences:
             if not compatible_partition(t, table, frozenset([s]), ci.pi):
                 continue
             in_big = s in big

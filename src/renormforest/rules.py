@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .scaling import MultiIndex, TypeTable, ZERO_MI, multiindices_below
-from .trees import DecoratedTree, SubForest, noise, poly
+from .trees import DecoratedTree, SubForest, noise, poly, zero_node_hom
 
 # An entry of a production: (type name, derivative decoration).
 Entry = tuple[str, MultiIndex]
@@ -474,15 +474,6 @@ def _assemble(
 # -- side conditions ------------------------------------------------------------
 
 
-def _zero_node_hom(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
-    """|S^0_e|_s: the subtree's homogeneity with node labels dropped."""
-    total = Fraction(0)
-    for e in sf.edges:
-        ty = t.edge_type(e)
-        total += table.hom(ty) - Fraction(t.edge_dec(e).sdeg(table.scaling))
-    return total
-
-
 def eligible_subtrees(t: DecoratedTree, table: TypeTable) -> list[SubForest]:
     """Subtrees S with |N(S)| > 1 (true nodes)."""
     return t.all_subtrees(table, min_true_nodes=2)
@@ -518,7 +509,7 @@ def super_regularity(
         leaf_types = [piece.leaf_type(u, table) for u in leaves]
         if variant == "plain" and not leaves:
             continue
-        base = _zero_node_hom(t, sf, table)
+        base = zero_node_hom(t, sf, table)
         candidates = [half]
         if variant == "plain":
             candidates.extend(-table.hom(ty) for ty in leaf_types)
@@ -553,7 +544,7 @@ def theorem_conditions(t: DecoratedTree, cum: CumulantSet) -> dict:
     for sf in eligible_subtrees(t, table):
         piece = t.restrict(sf)
         leaves = sorted(piece.leaf_nodes(table))
-        base = _zero_node_hom(t, sf, table)
+        base = zero_node_hom(t, sf, table)
         # bullet 1: worst typed set A (types from t(L(T)) as a set, |A|+|L(S)| even)
         bullet1 = True
         if ambient_types:

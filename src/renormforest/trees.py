@@ -531,6 +531,14 @@ class DecoratedTree:
         )
 
 
+def zero_node_hom(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
+    """|S^0_e|_s: the subtree's homogeneity with node labels dropped."""
+    total = Fraction(0)
+    for e in sf.edges:
+        total += table.hom(t.edge_type(e)) - Fraction(t.edge_dec(e).sdeg(table.scaling))
+    return total
+
+
 # -- construction of standalone trees ---------------------------------------
 
 

@@ -2,7 +2,6 @@
 export for the workbench."""
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -13,7 +12,7 @@ from . import forests as fo
 from . import multiscale as ms
 from .hopf import counterterm_report
 from .integrands import chaos_classes
-from .powercount import Certifier, CertificateInput
+from .powercount import Analyses, Certifier, CertificateInput
 from .rules import CumulantSet, RuleSpec, generate_trees, production
 from .scaling import MultiIndex, ScalingSpec, TypeTable
 from .trees import DecoratedTree, SubForest
@@ -245,6 +244,8 @@ class Workbench:
     def __init__(self, config: WorkbenchConfig):
         self.config = config
         self._basis: Optional[list[DecoratedTree]] = None
+        # per-tree divergences, cuts and chaos classes, each built on first use
+        self.analysis = Analyses(config.table, config.cum, config.caps["max_div"])
 
     def basis(self) -> list[DecoratedTree]:
         if self._basis is None:
@@ -316,26 +317,18 @@ class Workbench:
             "terms": monos,
         }
 
-    def _gaussian_classes(self, t: DecoratedTree):
-        table, cum = self.config.table, self.config.cum
-        leaves = sorted(t.leaf_nodes(table))
-        out = []
-        for r in range(len(leaves) + 1):
-            for kept in itertools.combinations(leaves, r):
-                rest = [u for u in leaves if u not in kept]
-                for pi in fo.leaf_partitions(t, table, cum, ground=rest):
-                    out.append((frozenset(kept), pi))
-        return out
-
     def cmd_certify(self, tree_id: str) -> dict:
         table, cum = self.config.table, self.config.cum
         t = self.tree_by_id(tree_id)
         cert = Certifier(
-            table, cum, vertex_cap=self.config.caps["max_coalescence_vertices"]
+            table,
+            cum,
+            vertex_cap=self.config.caps["max_coalescence_vertices"],
+            analysis=self.analysis,
         )
         rows = []
         ok = True
-        for wick, pi in self._gaussian_classes(t):
+        for wick, pi in self.analysis(t).gaussian_classes:
             ci = CertificateInput(
                 tree=t,
                 wick=wick,
@@ -364,7 +357,7 @@ class Workbench:
         }
 
     def cmd_project(self, tree_id: str, scales_doc: str) -> dict:
-        table, cum = self.config.table, self.config.cum
+        table, caps = self.config.table, self.config.caps
         t = self.tree_by_id(tree_id)
         pi, given = _parse_scales(scales_doc)
         unknown = sorted(set().union(*pi) - t.leaf_nodes(table))
@@ -379,14 +372,18 @@ class Workbench:
             if key not in given:
                 raise ConfigError([f"scale assignment missing edge {key}"])
             n[tag] = _as_int(given[key], f"scale of edge {key}")
-        univ = [s for s, _ in fo.div_enumerate(t, table, cum, effective=False)]
+            if not 0 <= n[tag] <= caps["scale_range"]:
+                raise ConfigError(
+                    [f"scale of edge {key} is {n[tag]}, outside 0..{caps['scale_range']}"]
+                )
+        analysis = self.analysis(t)
         compat = [
             s
-            for s in univ
+            for s, _ in analysis.all_divergences
             if fo.compatible_partition(t, table, frozenset([s]), pi)
         ]
-        family = fo.all_forests(compat, cap=self.config.caps["max_div"])
-        cuts = [e for e, _ in fo.cut_enumerate(t, table)]
+        family = fo.all_forests(compat, cap=caps["max_div"])
+        cuts = [e for e, _ in analysis.cuts]
         rows = []
         for f in family:
             safe = ms.safe_projection(eu, f, n)
@@ -407,9 +404,8 @@ class Workbench:
         }
 
     def cmd_decompose(self, tree_id: str) -> dict:
-        table, cum = self.config.table, self.config.cum
         t = self.tree_by_id(tree_id)
-        classes = chaos_classes(t, table, cum)
+        classes = chaos_classes(self.analysis(t))
         rows = []
         total = 0
         for c in classes:
@@ -425,20 +421,23 @@ class Workbench:
             )
         return {
             "command": "decompose",
-            "tree": format_tree(t, table),
+            "tree": format_tree(t, self.config.table),
             "classes": rows,
             "class_count": len(rows),
             "summand_count": total,
         }
 
     def cmd_export_dot(self, object_id: str) -> str:
-        table, cum = self.config.table, self.config.cum
+        table = self.config.table
         if ":sigma:" in object_id:
             tree_id, _, sel = object_id.partition(":sigma:")
             t = self.tree_by_id(tree_id)
-            divs = [s for s, _ in fo.div_enumerate(t, table, cum)]
-            idx = [int(x) for x in sel.split(",") if x != ""]
-            forest = frozenset(divs[i] for i in idx)
+            divs = [s for s, _ in self.analysis(t).divergences]
+            forest = frozenset(divs[i] for i in _sigma_indices(sel, tree_id, len(divs)))
+            if not fo.is_forest_of_subtrees(forest):
+                raise ConfigError(
+                    [f"sigma selection {sel!r} of {tree_id} is not nested or disjoint"]
+                )
             sigma = fo.sigma_negative(t, forest)
             return sigma_to_dot(t, table, sigma)
         t = self.tree_by_id(object_id)
@@ -465,6 +464,22 @@ def _parse_scales(doc: str) -> tuple[frozenset, dict]:
     if repeated:
         raise ConfigError([f"scale assignment pi repeats leaves {repeated}"])
     return frozenset(map(frozenset, pi)), scales
+
+
+def _sigma_indices(sel: str, tree_id: str, count: int) -> list[int]:
+    """The divergence indices of an export-dot `T:sigma:i,j` selection."""
+    out = []
+    for x in sel.split(","):
+        if x == "":
+            continue
+        i = _as_int(x, "sigma selection")
+        if not 0 <= i < count:
+            raise ConfigError(
+                [f"sigma selection {i} is outside 0..{count - 1}: "
+                 f"{tree_id} has {count} divergent subtrees"]
+            )
+        out.append(i)
+    return out
 
 
 def _as_int(value, what: str) -> int:

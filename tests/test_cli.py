@@ -123,6 +123,8 @@ def test_project(tmp_path, capsys):
         json.dumps({"pi": [[99]], "scales": KPZ_T2_SCALES}),
         json.dumps({"pi": [[1, 2]], "scales": dict(KPZ_T2_SCALES, **{"pi:1,2": 1})}),
         json.dumps({"pi": [[1, 3], [1]], "scales": dict(KPZ_T2_SCALES, **{"pi:1,3": 1})}),
+        json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, **{"K:0,1": -5})}),
+        json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, **{"star:0": 10**6})}),
     ],
     ids=[
         "missing-file",
@@ -136,6 +138,8 @@ def test_project(tmp_path, capsys):
         "unknown-node",
         "not-a-leaf",
         "repeated-leaf",
+        "negative-scale",
+        "scale-above-range",
     ],
 )
 def test_bad_scales_are_input_errors(doc, tmp_path, capsys):
@@ -180,3 +184,32 @@ def test_certify_independent_of_hash_seed():
     outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["pass"] is True
+
+
+def test_decompose_over_the_divergence_cap(capsys, monkeypatch):
+    """phi4_3 T3 has three effective divergent subtrees."""
+    monkeypatch.setenv("RENORMFOREST_CAPS", '{"max_div": 1}')
+    assert cli.main(["--config", config_path("phi4_3"), "decompose", "T3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the cap" in captured.err
+
+
+def test_export_dot_sigma(capsys, monkeypatch):
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    assert cli.main(["--config", config_path("phi4_3"), "export-dot", "T4:sigma:0"]) == 0
+    assert capsys.readouterr().out.startswith("digraph sigma {")
+
+
+@pytest.mark.parametrize(
+    "selection",
+    ["T4:sigma:99", "T4:sigma:x", "T4:sigma:-1", "T6:sigma:0,1,2,3,4,5,6"],
+    ids=["out-of-range", "not-an-integer", "negative", "not-a-forest"],
+)
+def test_bad_sigma_selections_are_input_errors(selection, capsys, monkeypatch):
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    assert cli.main(["--config", config_path("phi4_3"), "export-dot", selection]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

@@ -20,6 +20,7 @@ from renormforest.integrands import (
     taylor_op,
 )
 from renormforest.multiscale import EdgeUniverse, reorganize
+from renormforest.powercount import TreeAnalysis
 
 
 def test_derivative_set_examples(kpz, phi4):
@@ -57,7 +58,7 @@ def test_collapse_fixes_outside(kpz):
 
 
 def test_chaos_classes_211(kpz):
-    classes = chaos_classes(kpz.t211, kpz.table, kpz.cum)
+    classes = chaos_classes(TreeAnalysis(kpz.t211, kpz.table, kpz.cum))
     assert len(classes) == 10
     by_wick = {}
     for c in classes:
