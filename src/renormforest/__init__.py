@@ -1,13 +1,14 @@
 """renormforest: a symbolic workbench for the renormalization of decorated
-trees — extraction coactions and twisted antipodes, forest/cut expansions,
-safe-forest multiscale bookkeeping, and coalescence-tree power counting,
+trees — tree bases of a rule, extraction coactions, twisted antipodes and
+counterterm reports, safe-forest projections at given scales, and the
+power-counting certificates of the convergence theorem with its hypotheses,
 all in exact rational arithmetic."""
 
 from .scaling import ExtLabel, MultiIndex, ScalingSpec, TypeTable
-from .trees import DecoratedTree, Forest, SubForest, integrate, noise, poly, tree_product
+from .trees import DecoratedTree, SubForest, integrate, noise, poly, tree_product
 from .formal import FormalSum
 from .rules import CumulantSet, RuleSpec, check_subcritical, generate_trees, production
-from .forests import div_enumerate, cut_enumerate, sigma_negative, sigma_positive
+from .forests import div_enumerate, cut_enumerate, sigma_negative
 from .hopf import (
     antipode_minus,
     antipode_plus,
@@ -16,10 +17,10 @@ from .hopf import (
     delta_minus,
     delta_plus,
 )
-from .multiscale import EdgeUniverse, harvested_cuts, path_scale, reorganize, safe_projection
-from .coalescence import TotalHomogeneity, build_coalescence, enumerate_trees, scale_sum
+from .multiscale import EdgeUniverse, harvested_cuts, path_scale, safe_projection
+from .coalescence import TotalHomogeneity, enumerate_trees
 from .powercount import Certifier, CertificateInput, CumulantHomogeneity
-from .integrands import build_W, chaos_classes, interval_expansion_check
+from .integrands import chaos_classes
 from .workbench import Workbench, parse_config, report_emit
 
 __version__ = "0.1.0"

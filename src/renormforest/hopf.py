@@ -63,10 +63,6 @@ def in_X_plus(piece: DecoratedTree, table: TypeTable) -> bool:
     )
 
 
-def membership(piece: DecoratedTree, table: TypeTable) -> dict:
-    return {"in_X_minus": in_X_minus(piece, table), "in_X_plus": in_X_plus(piece, table)}
-
-
 # -- negative coaction ----------------------------------------------------------
 
 
@@ -593,22 +589,6 @@ def bphz_expansion(t: DecoratedTree, table: TypeTable) -> FormalSum:
                 for (rkey,), cr in right.items():
                     terms.append(((lkey, mid, rkey), c1 * c2 * cl * cr))
     return FormalSum(terms)
-
-
-def undecorated_forest_shape(pieces: Sequence[DecoratedTree]) -> tuple:
-    """The underlying undecorated colored i-forest of a slot entry, in the
-    same format as the sigma constructions (for projector tests)."""
-    out = []
-    for p in pieces:
-        out.append(
-            (
-                tuple(sorted(p.nodes)),
-                tuple(sorted(e for e, _ in p.edge_items)),
-                p.hat1.sort_key(),
-                p.hat2.sort_key(),
-            )
-        )
-    return tuple(sorted(out))
 
 
 def _bare_constant_key(piece: DecoratedTree, table: TypeTable, cum: CumulantSet):

@@ -1,6 +1,5 @@
 """Scale assignments on the edge universe, internal/external scales, the
-safe-forest projection, path scales, the harvested-cut rule, and the
-reorganization of (forest, cut set) sums into interval fibers."""
+safe-forest projection, path scales, and the harvested-cut rule."""
 from __future__ import annotations
 
 import itertools
@@ -8,16 +7,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .forests import (
-    CutSet,
-    ForestOfSubtrees,
-    Interval,
-    forest_children,
-    is_interval_of,
-    nested_or_disjoint,
-    projection_pullback,
-    subtree_lt,
-)
+from .forests import CutSet, ForestOfSubtrees, forest_children, subtree_lt
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, StructureError, SubForest
 
@@ -131,30 +121,12 @@ def safe_projection(
 ) -> ForestOfSubtrees:
     """P^n[F]: the members whose internal scale does not exceed their
     external scale (computed mod F)."""
-    return frozenset(
-        s for s in forest if int_ext(eu, s, forest, n)[0] <= int_ext(eu, s, forest, n)[1]
-    )
-
-
-def dangerous_extension(
-    eu: EdgeUniverse,
-    safe: ForestOfSubtrees,
-    universe: Sequence[SubForest],
-    n: Mapping[EdgeTag, int],
-) -> frozenset:
-    """G: the divergent subtrees compatible with the safe forest that are
-    dangerous relative to it; the pullback of P^n at the safe forest is
-    exactly [safe, safe + G]."""
-    out = set()
-    for s in universe:
-        if s in safe:
-            continue
-        if not all(nested_or_disjoint(s, x) for x in safe):
-            continue
-        i, e = int_ext(eu, s, frozenset(safe | {s}), n)
-        if i > e:
-            out.add(s)
-    return frozenset(out)
+    safe = []
+    for s in forest:
+        i, e = int_ext(eu, s, forest, n)
+        if i <= e:
+            safe.append(s)
+    return frozenset(safe)
 
 
 INF = float("inf")
@@ -213,101 +185,3 @@ def harvested_cuts(
         if path_scale(eu, STAR, e[0], forest, n) > path_scale(eu, e[0], e[1], forest, n):
             out.add(e)
     return frozenset(out)
-
-
-def exhaustive_path_scale(
-    eu: EdgeUniverse, u, v, forest: ForestOfSubtrees, n: Mapping[EdgeTag, int]
-) -> float:
-    """Literal subset-enumeration oracle for the path scale."""
-    internal: set[EdgeTag] = set()
-    for s in forest:
-        internal |= internal_tags(eu, s)
-    tags = eu.all_tags()
-    best = -1.0
-    for r in range(1, len(tags) + 1):
-        for combo in itertools.combinations(tags, r):
-            # connectivity of u, v through the chosen edges
-            reach = {u}
-            grown = True
-            while grown:
-                grown = False
-                for tag in combo:
-                    pts = eu.endpoints(tag)
-                    if pts & reach and not pts <= reach:
-                        reach |= pts
-                        grown = True
-            if v not in reach:
-                continue
-            vals = [n[tag] for tag in combo if tag not in internal]
-            score = INF if not vals else min(vals)
-            best = max(best, score)
-    return best
-
-
-# -- reorganization into interval fibers ------------------------------------------
-
-
-@dataclass(frozen=True)
-class Fiber:
-    forests: Interval
-    cuts: Interval
-
-
-def reorganize(
-    eu: EdgeUniverse,
-    family: Sequence[ForestOfSubtrees],
-    cuts: Sequence[EdgeKey],
-    n: Mapping[EdgeTag, int],
-) -> dict:
-    """Split all admissible (forest, cut set) pairs into M x G fibers for
-    the safe projection and the harvested-cut rule at the given scales; the
-    cover is verified by exact counting."""
-    family = [frozenset(f) for f in family]
-
-    def P(f: frozenset) -> frozenset:
-        return safe_projection(eu, f, n)
-
-    pairs = []
-    for f in family:
-        used: set[EdgeKey] = set()
-        for s in f:
-            used |= s.edges
-        free = [e for e in cuts if e not in used]
-        for r in range(len(free) + 1):
-            for combo in itertools.combinations(free, r):
-                pairs.append((f, frozenset(combo)))
-
-    fibers: dict[tuple, Fiber] = {}
-    assignment: dict[tuple, tuple] = {}
-    for f, c in pairs:
-        target = P(f)
-        fiber_members = projection_pullback(P, family, target, c)
-        iv = is_interval_of(family, fiber_members)
-        if iv is None:
-            raise StructureError("safe projection fiber is not an interval")
-        harvested = harvested_cuts(eu, iv.big, cuts, n)
-        small_cuts = c - harvested
-        giv = Interval(small_cuts, small_cuts | harvested)
-        key = (
-            tuple(sorted(iv.small, key=lambda s: s.sort_key())),
-            tuple(sorted(iv.big, key=lambda s: s.sort_key())),
-            tuple(sorted(giv.small)),
-            tuple(sorted(giv.big)),
-        )
-        fibers.setdefault(key, Fiber(iv, giv))
-        assignment[(f, c)] = key
-
-    # exact-cover check: every fiber's M x G product must consist of
-    # admissible pairs assigned to that very fiber
-    total = 0
-    for key, fib in fibers.items():
-        for f in (x for x in family if x in fib.forests):
-            for c in fib.cuts.members():
-                if assignment.get((f, c)) != key:
-                    raise StructureError("interval fibers do not cover the pairs exactly")
-                total += 1
-    if total != len(pairs):
-        raise StructureError(
-            f"fiber cover counted {total} pairs, expected {len(pairs)}"
-        )
-    return {"fibers": fibers, "assignment": assignment, "pairs": len(pairs)}

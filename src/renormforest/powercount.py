@@ -1,5 +1,6 @@
-"""Cumulant homogeneities, the power-counting certifier for the convergence
-hypotheses, and the numeric toy check of the geometric scale-sum law."""
+"""Cumulant homogeneities, the per-tree analysis with the convergence
+theorem's hypotheses, and the power-counting certifier of the single-tree
+moment bounds."""
 from __future__ import annotations
 
 import itertools
@@ -19,17 +20,10 @@ from .coalescence import (
     bits,
     enumerate_trees,
     full_mask,
-    grand_ancestor,
     popcount,
 )
-from .forests import (
-    cut_enumerate,
-    compatible_partition,
-    forest_children,
-    nested_or_disjoint,
-    omega,
-)
-from .rules import CumulantSet, jump
+from .forests import cut_enumerate, compatible_partition, nested_or_disjoint, omega
+from .rules import CumulantSet, jump, super_regularity, theorem_conditions
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, SubForest
 
@@ -70,17 +64,6 @@ class CumulantHomogeneity:
         if key not in self._memo:
             self._memo[key] = self._builder(key)
         return self._memo[key]
-
-    def penalized(self, kappa: Fraction) -> "CumulantHomogeneity":
-        kappa = Fraction(kappa)
-
-        def builder(types: tuple[str, ...]) -> TotalHomogeneity:
-            out = self.block(types)
-            for v in range(len(types)):
-                out = out + kappa * co.delta_up(1 << v)
-            return out
-
-        return CumulantHomogeneity(self.cum, builder)
 
     # -- consistency ---------------------------------------------------------
 
@@ -203,37 +186,6 @@ class CumulantHomogeneity:
                 return {"pass": False, "types": types}
         return {"pass": True}
 
-    def lift(self, types: Sequence[str], positions: Sequence[int]) -> TotalHomogeneity:
-        """c^(t,B): the block homogeneity lifted to coalescence trees of a
-        larger vertex set through tree restriction; it vanishes off the
-        image of the restriction's injection."""
-        base = self.block(tuple(types))
-        pos = list(positions)
-        bmask = _mask(pos)
-
-        def fn(fam: Family) -> dict[Cluster, Fraction]:
-            fam_b, iota = co.restrict_tree(fam, bmask)
-            # translate restricted clusters to block-position masks
-            out: dict[Cluster, Fraction] = {}
-            vals = base.on(
-                frozenset(_tomask(c, pos) for c in fam_b)
-            )
-            for c in fam_b:
-                v = vals.get(_tomask(c, pos), Fraction(0))
-                if v:
-                    out[iota[c]] = out.get(iota[c], Fraction(0)) + v
-            return out
-
-        return TotalHomogeneity(fn, f"lift{tuple(types)}")
-
-
-def _tomask(cluster_in_ambient: int, positions: Sequence[int]) -> int:
-    out = 0
-    for i, p in enumerate(positions):
-        if cluster_in_ambient >> p & 1:
-            out |= 1 << i
-    return out
-
 
 def _mask(vertices: Iterable[int]) -> int:
     out = 0
@@ -250,7 +202,8 @@ class TreeAnalysis:
     """The power-counting facts of one tree that every command reads: its
     divergent subtrees with their omega, both the effective ones (nonvanishing
     counterterm) and the full universe, its positive cuts with their Taylor
-    order gamma, and its Gaussian chaos classes (Wick set, leaf partition).
+    order gamma, its Gaussian chaos classes (Wick set, leaf partition) and
+    the convergence theorem's hypotheses on its subtrees that fail.
 
     They depend only on the tree, the type table and the cumulant set, not on
     a partition or on scales.  Each is computed on first use and then kept;
@@ -289,9 +242,26 @@ class TreeAnalysis:
                     out.append((frozenset(kept), pi))
         return tuple(out)
 
+    @cached_property
+    def failed_hypotheses(self) -> tuple[str, ...]:
+        """The names of the theorem's per-tree hypotheses that fail:
+        subtree power counting ("super_regularity", with the cumulant
+        homogeneity's gain for non-Gaussian noise) and, for Gaussian noise,
+        the three subtree bullets ("theorem_conditions")."""
+        if self.cum.mode == "gaussian":
+            checks = {
+                "super_regularity": super_regularity(self.tree, self.cum),
+                "theorem_conditions": theorem_conditions(self.tree, self.cum),
+            }
+        else:
+            ch = CumulantHomogeneity(self.cum)
+            checks = {"super_regularity": super_regularity(self.tree, self.cum, "cumulant", ch)}
+        return tuple(name for name, rep in checks.items() if not rep["pass"])
+
 
 class Analyses:
-    """One TreeAnalysis per tree, made on first request."""
+    """One TreeAnalysis per tree, made on first request, and the hypotheses
+    on the cumulant set, checked on first request."""
 
     def __init__(self, table: TypeTable, cum: CumulantSet, max_div: int = 4096):
         self.table, self.cum, self.max_div = table, cum, max_div
@@ -302,6 +272,19 @@ class Analyses:
         if a is None:
             a = self._by_tree[t] = TreeAnalysis(t, self.table, self.cum, self.max_div)
         return a
+
+    @cached_property
+    def failed_cumulant_hypotheses(self) -> tuple[str, ...]:
+        """The names of the checks of the default cumulant homogeneity that
+        fail: its consistency ("consistency_check") and the margin that
+        leaves only second cumulants to renormalize ("higher_cum_check").
+        They depend on the cumulant set alone."""
+        ch = CumulantHomogeneity(self.cum)
+        checks = {
+            "consistency_check": ch.consistency_check(),
+            "higher_cum_check": ch.higher_cum_check(),
+        }
+        return tuple(name for name, rep in checks.items() if not rep["pass"])
 
 
 # -- the certifier -------------------------------------------------------------------
@@ -417,7 +400,7 @@ class Certifier:
         the second-cumulant renormalization gain, and the cut factors.
 
         Each entry is ("up", mask, value), ("lift", positions, block hom) or
-        ("fict", mask, value); `evaluate_hom` turns it into per-tree values.
+        ("fict", mask, value); `_subset_tables` sums them per vertex subset.
         """
         t, table = ci.tree, self.table
         index, qhat = built["index"], built["qhat"]
@@ -461,33 +444,6 @@ class Certifier:
                     parts.append(("up", child | parent, h))
         return parts
 
-    @staticmethod
-    def evaluate_hom(parts: list, fam: Family, n: int) -> dict[Cluster, Fraction]:
-        full = full_mask(n)
-        out: dict[Cluster, Fraction] = {}
-
-        def add(c: Cluster, v: Fraction):
-            out[c] = out.get(c, Fraction(0)) + v
-
-        for kind, data, value in parts:
-            if kind == "up":
-                add(ancestor(fam, data), value)
-            elif kind == "fict":
-                a = ancestor(fam, data)
-                if a == data:  # the block coalesces alone
-                    add(grand_ancestor(fam, full, data), value)
-                    add(a, -value)
-            else:  # lifted block homogeneity through tree restriction
-                positions = data
-                fam_b, iota = co.restrict_tree(fam, _mask(positions))
-                block_fam = frozenset(_tomask(c, positions) for c in fam_b)
-                vals = value.on(block_fam)
-                for c in fam_b:
-                    v = vals.get(_tomask(c, positions), Fraction(0))
-                    if v:
-                        add(iota[c], v)
-        return {c: v for c, v in out.items() if v}
-
     # ---- realizability of a coalescence tree under the interval's scales
 
     def _interval_plan(self, ci: CertificateInput, built: dict):
@@ -500,11 +456,10 @@ class Certifier:
           endpoints and the basepoint route never drops below its direct
           edge, so comparing the two join clusters captures the
           harvested/unharvested dichotomy at the rank level.
-        - `subtrees`: per divergence nested or disjoint with m_big that has
-          internal and external edges, (internal masks, external masks,
-          dangerous).  A dangerous divergence (in m_big, not in m_small)
-          puts every internal join at or below every external one; any
-          other needs some internal join at or above some external one.
+        - `subtrees`: per divergence that lies within no member of m_big,
+          is nested or disjoint with each and has internal and external
+          edges, (internal masks, external masks): some internal join must
+          sit at or above some external one.
         - `masks`: every mask the two lists name.
 
         Comparisons sit at the cluster-rank level with ties resolved
@@ -514,21 +469,6 @@ class Certifier:
         index, qhat, edges = built["index"], built["qhat"], built["edges"]
         big = frozenset(ci.m_big)
         tag_mask = {(kind, data): _mask(endmask) for kind, data, endmask in edges}
-        tags_of: dict[SubForest, tuple[set, frozenset[int]]] = {}
-
-        def subtree_tags(s: SubForest) -> tuple[set, frozenset[int]]:
-            if s not in tags_of:
-                piece = t.restrict(s)
-                truen = piece.true_nodes(table)
-                tags = {("K", e) for e in piece.kernel_edges(table)}
-                tags |= {
-                    (kind, data)
-                    for kind, data, _ in edges
-                    if kind == "pi" and data[0] in truen and data[1] in truen
-                }
-                tags_of[s] = tags, truen
-            return tags_of[s]
-
         used_edges: set = set()
         for s in big:
             used_edges |= s.edges
@@ -544,29 +484,22 @@ class Certifier:
         # Taylor reorganization, so the universe here is the full one
         subtrees = []
         for s, _ in analysis.all_divergences:
+            # the quotient keeps no edge inside an m_big member, so no divergence within one has any
+            if any(s.nodes <= x.nodes or not nested_or_disjoint(s, x) for x in big):
+                continue
             if not compatible_partition(t, table, frozenset([s]), ci.pi):
                 continue
-            in_big = s in big
-            if not in_big and not all(nested_or_disjoint(s, x) for x in big):
-                continue
-            forest = big | frozenset([s])
-            own, truen = subtree_tags(s)
-            internal = set(own)
-            for c in forest_children(forest, s):
-                internal -= subtree_tags(c)[0]
-            qset = {index[qhat(u)] for u in truen}
-            incident = {(k, d) for k, d, endmask in edges if endmask & qset}
-            above = [x for x in forest if s != x and s.nodes <= x.nodes]
-            if above:
-                anc_internal = subtree_tags(min(above, key=lambda x: len(x.nodes)))[0]
-            else:
-                anc_internal = set(tag_mask)
-            ints = sorted({tag_mask[tg] for tg in internal if tg in tag_mask})
-            exts = sorted({tag_mask[tg] for tg in (incident - own) & anc_internal})
+            piece = t.restrict(s)
+            truen = piece.true_nodes(table)
+            own = {("K", e) for e in piece.kernel_edges(table)}
+            own |= {("pi", d) for k, d, _ in edges if k == "pi" and d[0] in truen and d[1] in truen}
+            qmask = _mask(index[qhat(u)] for u in truen)
+            ints = sorted({tag_mask[tg] for tg in own if tg in tag_mask})
+            exts = sorted({m for tg, m in tag_mask.items() if m & qmask and tg not in own})
             if ints and exts:
-                subtrees.append((ints, exts, in_big and s not in ci.m_small))
+                subtrees.append((ints, exts))
         masks = {m for c in cuts for m in c[:2]} | {
-            m for ints, exts, _ in subtrees for m in ints + exts
+            m for ints, exts in subtrees for m in ints + exts
         }
         return masks, cuts, subtrees
 
@@ -580,12 +513,9 @@ class Certifier:
         for star_pair, edge_pair, harvested in cuts:
             a_star, a_edge = up[star_pair], up[edge_pair]
             atoms.add((a_edge, a_star) if harvested else (a_star, a_edge))
-        for ints, exts, dangerous in subtrees:
+        for ints, exts in subtrees:
             j_int, j_ext = {up[m] for m in ints}, {up[m] for m in exts}
-            if dangerous:
-                atoms.update((ce, ci_) for ci_ in j_int for ce in j_ext)
-            else:
-                disjunctions.append(sorted({(ci_, ce) for ci_ in j_int for ce in j_ext}))
+            disjunctions.append(sorted({(ci_, ce) for ci_ in j_int for ce in j_ext}))
         return _feasible(fam, atoms, disjunctions)
 
     # ---- hypothesis checks

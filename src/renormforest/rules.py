@@ -37,7 +37,8 @@ class RuleSpec:
 
     A tree conforms when every true node's multiset of outgoing (type,
     derivative) pairs is an allowed production for the type of its incoming
-    edge (for the root: for at least one kernel type).
+    edge (for the root: for at least one kernel type); `generate_trees`
+    builds exactly the conforming trees.
     """
 
     table: TypeTable
@@ -69,28 +70,6 @@ class RuleSpec:
                 out |= ps
             return frozenset(out)
         return self.productions.get(incoming, frozenset())
-
-    def node_content(self, t: DecoratedTree, u: int) -> Production:
-        return tuple(
-            sorted(
-                ((t.edge_type(e), t.edge_dec(e)) for e in t.children(u)),
-                key=lambda p: (p[0], p[1].entries),
-            )
-        )
-
-    def conforms(self, t: DecoratedTree) -> bool:
-        fict = t.fictitious_nodes(self.table)
-        for u in t.nodes - fict:
-            incoming = None
-            p = t.parent(u)
-            if p is not None:
-                incoming = t.edge_type((p, u))
-            content = self.node_content(t, u)
-            if u == t.root and not content and len(t.nodes) == 1:
-                return True  # bare polynomial
-            if content not in self.allowed_contents(incoming):
-                return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,6 @@ class MultiIndex:
                 clean[int(i)] = v
         self._entries = tuple(sorted(clean.items()))
 
-    @classmethod
-    def unit(cls, i: int) -> "MultiIndex":
-        return cls({i: 1})
-
     @property
     def entries(self) -> tuple[tuple[int, int], ...]:
         return self._entries
@@ -288,6 +284,3 @@ class TypeTable:
         for t, v in label.types:
             total += v * self.hom(t)
         return total
-
-    def type_names(self) -> list[str]:
-        return sorted(self.kernel_types) + sorted(self.noise_types)

@@ -1,4 +1,4 @@
-"""Decorated typed rooted trees, colorings, subforest algebra, canonical forms.
+"""Decorated typed rooted trees, colorings, subforests, canonical forms.
 
 A `DecoratedTree` is immutable.  Node ids are opaque integers; within a fixed
 ambient tree, subtrees and i-forest components are referenced through the
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .scaling import ExtLabel, MultiIndex, TypeTable, ZERO_EXT, ZERO_MI
 
@@ -31,18 +31,6 @@ class SubForest:
 
     def is_empty(self) -> bool:
         return not self.nodes and not self.edges
-
-    def union(self, other: "SubForest") -> "SubForest":
-        return SubForest(self.nodes | other.nodes, self.edges | other.edges)
-
-    def intersection(self, other: "SubForest") -> "SubForest":
-        return SubForest(self.nodes & other.nodes, self.edges & other.edges)
-
-    def disjoint_from(self, other: "SubForest") -> bool:
-        return not (self.nodes & other.nodes)
-
-    def contains(self, other: "SubForest") -> bool:
-        return other.nodes <= self.nodes and other.edges <= self.edges
 
     def sort_key(self):
         return (tuple(sorted(self.nodes)), tuple(sorted(self.edges)))
@@ -411,13 +399,6 @@ class DecoratedTree:
             )
         return comps
 
-    def is_subforest(self, sf: SubForest) -> bool:
-        try:
-            self.subforest_components(sf)
-            return True
-        except StructureError:
-            return False
-
     def subtree_root(self, sf: SubForest) -> int:
         """Root of a connected subforest: its unique minimal node."""
         targets = {c for _, c in sf.edges}
@@ -597,44 +578,3 @@ def tree_product(*trees: DecoratedTree) -> DecoratedTree:
             ndec[tgt] = ndec.get(tgt, ZERO_MI) + k
         acc = DecoratedTree(root=acc.root, edges=edges, node_dec=ndec, edge_dec=edec, check=False)
     return acc.relabel_canonical()
-
-
-# -- standalone forests ------------------------------------------------------
-
-
-class Forest:
-    """A multiset of standalone decorated trees (the empty forest is 1)."""
-
-    __slots__ = ("_components",)
-
-    def __init__(self, components: Iterable[DecoratedTree] = ()):
-        comps = sorted(components, key=lambda t: t.canonical_code())
-        self._components = tuple(comps)
-
-    @property
-    def components(self) -> tuple[DecoratedTree, ...]:
-        return self._components
-
-    def is_empty(self) -> bool:
-        return not self._components
-
-    def product(self, other: "Forest") -> "Forest":
-        return Forest(self._components + other._components)
-
-    def canonical_code(self) -> tuple:
-        return ("forest",) + tuple(t.canonical_code() for t in self._components)
-
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.canonical_code() == other.canonical_code()
-
-    def __hash__(self):
-        return hash(self.canonical_code())
-
-    def __iter__(self) -> Iterator[DecoratedTree]:
-        return iter(self._components)
-
-    def __len__(self) -> int:
-        return len(self._components)
-
-
-EMPTY_FOREST = Forest()

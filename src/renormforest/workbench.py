@@ -349,12 +349,18 @@ class Workbench:
                 }
             )
             ok = ok and res["pass"]
-        return {
+        out = {
             "command": "certify",
             "tree": format_tree(t, table),
             "pass": ok,
             "classes": rows,
         }
+        # the certificates prove convergence only under the theorem's hypotheses
+        failed = self.analysis.failed_cumulant_hypotheses + self.analysis(t).failed_hypotheses
+        if failed:
+            out["hypotheses"] = list(failed)
+            out["pass"] = False
+        return out
 
     def cmd_project(self, tree_id: str, scales_doc: str) -> dict:
         table, caps = self.config.table, self.config.caps

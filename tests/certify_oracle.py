@@ -8,17 +8,21 @@ make no use of the per-certificate plan, the incremental reachability rows or
 the pruned enumeration, so they check all three.  The oracle costs a few
 milliseconds per candidate tree (2 752 trees on six vertices); keep its
 cases small.
+
+`evaluate_hom` places the certificate's homogeneity on one coalescence tree
+node by node; it checks the per-subset tables the certifier sums instead.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from fractions import Fraction
+from typing import Callable, Iterable, Optional, Sequence
 
+from coalescence_oracle import children_blocks, grand_ancestor, restrict_tree
 from renormforest.coalescence import (
     Cluster,
     Family,
     ancestor,
     bits,
-    children_blocks,
     enumerate_trees,
     full_mask,
     popcount,
@@ -264,3 +268,45 @@ def witness(cert: Certifier, ci: CertificateInput):
             if realizable(cert, ci, built, univ, fam):
                 return violation, fam
     return None
+
+
+# -- the certificate's homogeneity on one tree ---------------------------------------
+
+
+def tomask(cluster: int, positions: Sequence[int]) -> int:
+    """The cluster as a mask over the positions, in their order."""
+    out = 0
+    for i, p in enumerate(positions):
+        if cluster >> p & 1:
+            out |= 1 << i
+    return out
+
+
+def evaluate_hom(parts: list, fam: Family, n: int) -> dict[Cluster, Fraction]:
+    """The total homogeneity of `Certifier.wick_contributions` on one
+    coalescence tree, placed node by node; `Certifier._subset_tables`
+    replaces it with one partial sum per vertex subset."""
+    full = full_mask(n)
+    out: dict[Cluster, Fraction] = {}
+
+    def add(c: Cluster, v: Fraction):
+        out[c] = out.get(c, Fraction(0)) + v
+
+    for kind, data, value in parts:
+        if kind == "up":
+            add(ancestor(fam, data), value)
+        elif kind == "fict":
+            a = ancestor(fam, data)
+            if a == data:  # the block coalesces alone
+                add(grand_ancestor(fam, full, data), value)
+                add(a, -value)
+        else:  # lifted block homogeneity through tree restriction
+            positions = data
+            fam_b, iota = restrict_tree(fam, sum(1 << p for p in positions))
+            block_fam = frozenset(tomask(c, positions) for c in fam_b)
+            vals = value.on(block_fam)
+            for c in fam_b:
+                v = vals.get(tomask(c, positions), Fraction(0))
+                if v:
+                    add(iota[c], v)
+    return {c: v for c, v in out.items() if v}

@@ -1,6 +1,7 @@
-"""Test-only oracle for `rules.generate_trees`: the exhaustive enumerator.
+"""Test-only oracles for `rules.generate_trees`: the exhaustive enumerator,
+and `conforms`, which checks a tree against the rule node by node.
 
-It assembles and canonically relabels every rule-conforming tree up to
+The enumerator assembles and canonically relabels every rule-conforming tree up to
 `max_edges` and only then filters by homogeneity at the root, so it makes no
 use of the bound the branch-and-bound generator prunes with.  Its cost grows
 with the number of conforming trees (tens of thousands for phi4_3 at eleven
@@ -88,3 +89,30 @@ def exhaustive_trees(
         if t.homogeneity(table) < cutoff:
             basis[t.canonical_code()] = t
     return sorted(basis.values(), key=lambda t: (len(t.edge_items), t.canonical_code()))
+
+
+def node_content(t: DecoratedTree, u: int) -> tuple:
+    """The node's multiset of outgoing (type, derivative) pairs, as a
+    production."""
+    return tuple(
+        sorted(
+            ((t.edge_type(e), t.edge_dec(e)) for e in t.children(u)),
+            key=lambda p: (p[0], p[1].entries),
+        )
+    )
+
+
+def conforms(rule: RuleSpec, t: DecoratedTree) -> bool:
+    """Does every true node's content conform to the rule?"""
+    fict = t.fictitious_nodes(rule.table)
+    for u in t.nodes - fict:
+        incoming = None
+        p = t.parent(u)
+        if p is not None:
+            incoming = t.edge_type((p, u))
+        content = node_content(t, u)
+        if u == t.root and not content and len(t.nodes) == 1:
+            return True  # bare polynomial
+        if content not in rule.allowed_contents(incoming):
+            return False
+    return True

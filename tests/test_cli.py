@@ -59,15 +59,14 @@ def test_malformed_caps_are_config_errors(caps, capsys, monkeypatch):
     assert captured.err.startswith("config error: ")
 
 
-def run_with_hash_seed(seed: str, args: list[str]) -> bytes:
+def run_with_hash_seed(seed: str, args: list[str], returncode: int = 0) -> bytes:
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env.pop("RENORMFOREST_CAPS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [sys.executable] + args, env=env, cwd=ROOT, capture_output=True, check=True
-    )
+    proc = subprocess.run([sys.executable] + args, env=env, cwd=ROOT, capture_output=True)
+    assert proc.returncode == returncode, proc.stderr
     return proc.stdout
 
 
@@ -184,6 +183,22 @@ def test_certify_independent_of_hash_seed():
     outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["pass"] is True
+
+
+def test_certify_fails_on_broken_hypotheses(tmp_path):
+    """At |Xi| = -3 the higher-cumulant margin fails for the model and
+    subtree power counting for I(Xi)^3: exit 1, all three named, and the
+    same bytes under both hash seeds."""
+    config = json.loads(Path(config_path("phi4_3")).read_text())
+    config["types"]["noises"]["Xi"] = "-3"
+    path = tmp_path / "phi4_3_xi3.json"
+    path.write_text(json.dumps(config))
+    args = ["-m", "renormforest.cli", "--config", str(path), "certify", "T3"]
+    outputs = [run_with_hash_seed(seed, args, returncode=1) for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0])
+    assert report["pass"] is False
+    assert report["hypotheses"] == ["higher_cum_check", "super_regularity", "theorem_conditions"]
 
 
 def test_decompose_over_the_divergence_cap(capsys, monkeypatch):

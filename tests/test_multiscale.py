@@ -2,23 +2,25 @@ import random
 
 import pytest
 
+from multiscale_oracle import (
+    dangerous_extension,
+    exhaustive_path_scale,
+    is_interval_of,
+    reorganize,
+)
 from renormforest.forests import (
     cut_enumerate,
     div_enumerate,
     forests_compatible_with,
-    is_interval_of,
     leaf_partitions,
     nested_or_disjoint,
 )
 from renormforest.multiscale import (
     STAR,
     EdgeUniverse,
-    dangerous_extension,
-    exhaustive_path_scale,
     harvested_cuts,
     int_ext,
     path_scale,
-    reorganize,
     safe_projection,
 )
 from renormforest.trees import StructureError
