@@ -6,7 +6,7 @@ Tensor terms are represented by tuples of per-slot keys.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 
 class FormalSum:
@@ -74,22 +74,6 @@ class FormalSum:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    def map_keys(self, fn: Callable[[Hashable], Hashable]) -> "FormalSum":
-        return FormalSum((fn(k), v) for k, v in self._terms.items())
-
-    def tensor(self, other: "FormalSum") -> "FormalSum":
-        """Concatenate tuple keys slotwise."""
-        out: dict = {}
-        for k1, v1 in self._terms.items():
-            for k2, v2 in other._terms.items():
-                key = tuple(k1) + tuple(k2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-                if not out[key]:
-                    del out[key]
-        res = FormalSum.zero()
-        res._terms = out
-        return res
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -4,16 +4,23 @@ expansion, and grouped counterterm reports.
 Terms live inside a fixed ambient tree: every slot entry is a
 `DecoratedTree` whose node ids are ambient ids (so embedded i-trees compare
 literally), possibly colored.  Formal sums carry exact rational coefficients.
+
+An extraction takes a forest of pairwise disjoint subtrees that lie in X_-
+once decorated.  The candidate subtrees are the divergent ones that
+`forests.div_enumerate` lists (under its default cap), and each candidate's
+decorations are enumerated once per tree.  The negative antipode is
+multiplicative: it is one product over a forest's pieces.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
-from .forests import dangling_trees, irreducible_partition_exists, up_tree
+from .forests import dangling_trees, div_enumerate, irreducible_partition_exists, up_tree
 from .formal import FormalSum
 from .rules import CumulantSet
 from .scaling import (
@@ -25,7 +32,7 @@ from .scaling import (
     multiindices_below,
     submultiindices,
 )
-from .trees import DecoratedTree, EdgeKey, SubForest, zero_node_hom
+from .trees import DecoratedTree, EdgeKey, SubForest
 
 PieceForest = tuple  # sorted tuple of DecoratedTree
 
@@ -73,20 +80,30 @@ def _chi(edge_dec: dict[EdgeKey, MultiIndex]) -> dict[int, MultiIndex]:
     return out
 
 
+def _shifted(labels, plus=(), minus=()) -> dict:
+    """`labels` (a dict or its items) with the (key, label) pairs of `plus`
+    added and those of `minus` subtracted, key by key."""
+    out = dict(labels)
+    for u, k in plus:
+        out[u] = out.get(u, ZERO_MI) + k
+    for u, k in minus:
+        out[u] = out.get(u, ZERO_MI) - k
+    return out
+
+
 def _extraction_decorations(
     t: DecoratedTree,
     table: TypeTable,
     comp: SubForest,
+    omega: Fraction,
     boundary: Sequence[EdgeKey],
 ) -> Iterator[tuple[dict[int, MultiIndex], dict[EdgeKey, MultiIndex], Fraction]]:
-    """Node labels n_G on the component and edge labels e_G on its boundary
-    edges keeping the extracted tree in X_-: root label zero and homogeneity
-    strictly negative.  Yields (n_G, e_G, combinatorial coefficient)."""
+    """Node labels n_G on a divergent subtree and edge labels e_G on its
+    boundary edges keeping the extracted tree in X_-: root label zero and
+    homogeneity strictly negative, so their total s-degree stays strictly
+    below the subtree's degree of divergence `omega` > 0 (as `div_enumerate`
+    lists it).  Yields (n_G, e_G, combinatorial coefficient)."""
     root = t.subtree_root(comp)
-    base = zero_node_hom(t, comp, table)
-    budget = -base  # total extra s-degree must stay strictly below this
-    if budget <= 0:
-        return
     fict = {c for (p, c) in comp.edges if table.is_noise(t.edge_type((p, c)))}
     node_slots = [u for u in sorted(comp.nodes - fict) if u != root and not t.node_dec(u).is_zero()]
     # boundary edges at the root force e_G = 0 there; they are skipped
@@ -119,7 +136,7 @@ def _extraction_decorations(
                 )
                 edec.pop(slot, None)
 
-    yield from rec(node_slots + edge_slots, budget, {}, {}, Fraction(1))
+    yield from rec(node_slots + edge_slots, omega, {}, {}, Fraction(1))
 
 
 def _boundary(t: DecoratedTree, nodes: frozenset[int], edges: frozenset[EdgeKey], table: TypeTable) -> list[EdgeKey]:
@@ -128,60 +145,51 @@ def _boundary(t: DecoratedTree, nodes: frozenset[int], edges: frozenset[EdgeKey]
     return [e for e in t.kernel_edges(table) if e not in edges and e[0] in nodes]
 
 
-def _all_edge_subsets(t: DecoratedTree) -> Iterator[frozenset[EdgeKey]]:
-    edges = [e for e, _ in t.edge_items]
-    for r in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, r):
-            yield frozenset(combo)
-
-
 def _extractions(
     t: DecoratedTree,
     table: TypeTable,
     proper: bool = False,
     vanishing: Optional[CumulantSet] = None,
 ) -> Iterator[tuple[SubForest, Fraction, list[DecoratedTree], dict, dict]]:
-    """Every extraction of a subforest of an uncolored tree whose components
-    each pass the X_- filter, with every choice of decorations n_G, e_G.
+    """Every extraction of a forest of pairwise node-disjoint candidates
+    from an uncolored tree, with every choice of decorations n_G, e_G.
 
-    Yields (G, coefficient, extracted pieces in component order, n_G, e_G);
-    the empty subforest comes first, with no pieces.  With `proper`, no
-    component may be the whole tree (the antipode's recursion); with
-    `vanishing`, components whose renormalization constant vanishes
-    identically are dropped.  The decoration sums are materialized only
-    where the filter survives, which keeps them finite.
+    The candidates are the subtrees that `div_enumerate` lists, under its
+    default cap: connected, with omega > 0 and, with `vanishing`, with a
+    renormalization constant that does not vanish identically (the lone
+    noise, odd pairings, pendant-cancelled patterns).  With `proper`, the
+    whole tree is no candidate (the antipode's recursion).  Each candidate's
+    decorations are enumerated once, and its extracted pieces are built once.
+
+    Yields (G, coefficient, extracted pieces in candidate order, n_G, e_G);
+    the empty forest comes first, with no pieces.
     """
     full_edges = frozenset(e for e, _ in t.edge_items)
-    for edge_set in _all_edge_subsets(t):
-        sub = SubForest(frozenset(itertools.chain.from_iterable(edge_set)), edge_set)
-        comps = t.subforest_components(sub) if edge_set else []
-        if proper and any(c.edges == full_edges for c in comps):
+    options = []
+    for c, omega in div_enumerate(t, table, vanishing, effective=vanishing is not None):
+        if proper and c.edges == full_edges:
             continue
-        if vanishing is not None and not all(
-            irreducible_partition_exists(t, c, vanishing) for c in comps
-        ):
-            continue
-        options = []
-        for c in comps:
-            opts = list(_extraction_decorations(t, table, c, _boundary(t, c.nodes, edge_set, table)))
-            if not opts:
-                break
-            options.append(opts)
-        else:
-            for chosen in itertools.product(*options):
-                coeff = Fraction(1)
-                pieces = []
-                ndec_all: dict[int, MultiIndex] = {}
-                edec_all: dict[EdgeKey, MultiIndex] = {}
-                for c, (nd, ed, cf) in zip(comps, chosen):
-                    coeff *= cf
-                    labels = dict(nd)
-                    for u, k in _chi(ed).items():
-                        labels[u] = labels.get(u, ZERO_MI) + k
-                    pieces.append(t.restrict(c).with_(node_dec=labels))
-                    ndec_all.update(nd)
-                    edec_all.update(ed)
-                yield sub, coeff, pieces, ndec_all, edec_all
+        plain = t.restrict(c)
+        boundary = _boundary(t, c.nodes, c.edges, table)
+        decorated = [
+            (plain.with_(node_dec=_shifted(nd, plus=_chi(ed).items())), nd, ed, coeff)
+            for nd, ed, coeff in _extraction_decorations(t, table, c, omega, boundary)
+        ]
+        options.append((c, decorated))
+
+    def families(start: int, g: SubForest, coeff: Fraction, pieces: list, nd: dict, ed: dict):
+        yield g, coeff, pieces, nd, ed
+        for i in range(start, len(options)):
+            c, decorated = options[i]
+            if c.nodes & g.nodes:
+                continue
+            grown = SubForest(g.nodes | c.nodes, g.edges | c.edges)
+            for piece, nd_c, ed_c, coeff_c in decorated:
+                yield from families(
+                    i + 1, grown, coeff * coeff_c, pieces + [piece], {**nd, **nd_c}, {**ed, **ed_c}
+                )
+
+    yield from families(0, SubForest.empty(), Fraction(1), [], {}, {})
 
 
 def _remainder(
@@ -195,28 +203,18 @@ def _remainder(
     added to the edge labels, the extracted subforest colored 1.  With
     `o_label`, o records n_G + chi(e_G) on the extracted nodes (the
     coaction); the antipode's recursion carries no o-label."""
-    new_ndec = {}
-    for u in t.nodes:
-        k = t.node_dec(u)
-        if u in ndec_g:
-            k = k - ndec_g[u]
-        if not k.is_zero():
-            new_ndec[u] = k
-    new_edec = {}
-    for e, _ in t.edge_items:
-        k = t.edge_dec(e)
-        if e in edec_g:
-            k = k + edec_g[e]
-        if not k.is_zero():
-            new_edec[e] = k
     olabel = {}
     if o_label:
-        chi = _chi(edec_g)
-        for u in extracted.nodes:
-            k = ndec_g.get(u, ZERO_MI) + chi.get(u, ZERO_MI)
-            if not k.is_zero():
-                olabel[u] = ExtLabel.from_multiindex(k)
-    return t.with_(node_dec=new_ndec, edge_dec=new_edec, hat1=extracted, o_label=olabel)
+        olabel = {
+            u: ExtLabel.from_multiindex(k)
+            for u, k in _shifted(ndec_g, plus=_chi(edec_g).items()).items()
+        }
+    return t.with_(
+        node_dec=_shifted(t.node_dec_items, minus=ndec_g.items()),
+        edge_dec=_shifted(t.edge_dec_items, plus=edec_g.items()),
+        hat1=extracted,
+        o_label=olabel,
+    )
 
 
 def delta_minus(
@@ -243,18 +241,29 @@ def delta_minus(
 # -- negative twisted antipode ----------------------------------------------------
 
 
+def _product(factors: Sequence[FormalSum], key: Callable[[list], Hashable]) -> FormalSum:
+    """The product of formal sums: each output term takes one term from
+    every factor, its key is `key` of their keys and its coefficient the
+    product of theirs."""
+    return FormalSum(
+        (key([k for k, _ in chosen]), math.prod((c for _, c in chosen), start=Fraction(1)))
+        for chosen in itertools.product(*(f.items() for f in factors))
+    )
+
+
 class _AntipodeMinus:
     def __init__(self, table: TypeTable, vanishing: Optional[CumulantSet] = None):
         self.table = table
         self.vanishing = vanishing
         self.memo: dict[DecoratedTree, FormalSum] = {}
 
-    def forest(self, pieces: Sequence[DecoratedTree]) -> FormalSum:
-        acc = FormalSum.single(((),))
-        for p in pieces:
-            acc = acc.tensor(self.tree(p))
-            acc = acc.map_keys(lambda k: (sorted_pieces(k[0] + k[1]),))
-        return acc
+    def forest(self, pieces: Sequence[DecoratedTree], extra: tuple = ()) -> FormalSum:
+        """A_- on a forest, one product over its pieces (A_- is
+        multiplicative); the trees in `extra` join every output forest."""
+        return _product(
+            [self.tree(p) for p in pieces],
+            lambda keys: (sorted_pieces(itertools.chain(extra, *(k for (k,) in keys))),),
+        )
 
     def tree(self, piece: DecoratedTree) -> FormalSum:
         if piece in self.memo:
@@ -266,8 +275,7 @@ class _AntipodeMinus:
             piece, self.table, proper=True, vanishing=self.vanishing
         ):
             residual = _remainder(piece, sub, nd, ed, o_label=False)
-            for (inner,), c in self.forest(pieces).items():
-                terms.append(((sorted_pieces(inner + (residual,)),), -coeff * c))
+            terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (residual,)).items())
         result = FormalSum(terms)
         self.memo[piece] = result
         return result
@@ -316,14 +324,10 @@ def _rooted_subtrees(t: DecoratedTree, table: TypeTable) -> Iterator[SubForest]:
     yield from rec(list(children[t.root]), frozenset())
 
 
-def _hat1_components(piece: DecoratedTree) -> list[SubForest]:
-    return piece.subforest_components(piece.hat1)
-
-
 def _admissible_rooted(piece: DecoratedTree, table: TypeTable) -> Iterator[SubForest]:
     """A_2: rooted subtrees S such that every color-1 component is contained
     in S or disjoint from it."""
-    comps = _hat1_components(piece)
+    comps = piece.subforest_components(piece.hat1)
     for sf in _rooted_subtrees(piece, table):
         ok = True
         for c in comps:
@@ -339,7 +343,7 @@ def _plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[SubForest, SubFor
     """New coloring [hat1 \\ S]_1 + [S]_2 after recentering around S."""
     keep_nodes: set[int] = set()
     keep_edges: set[EdgeKey] = set()
-    for c in _hat1_components(piece):
+    for c in piece.subforest_components(piece.hat1):
         if not (c.nodes <= s.nodes):
             keep_nodes |= c.nodes
             keep_edges |= c.edges
@@ -423,32 +427,16 @@ def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
             u for u in sorted(s.nodes - fict) if not piece.node_dec(u).is_zero()
         ]
         for nd, base_coeff in _node_choices(piece, node_slots):
-            rem_ndec = {}
-            for u in piece.nodes:
-                k = piece.node_dec(u)
-                if u in nd:
-                    k = k - nd[u]
-                if not k.is_zero():
-                    rem_ndec[u] = k
+            rem_ndec = _shifted(piece.node_dec_items, minus=nd.items())
             olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
             headroom = _dangle_headroom(piece, s, table, rem_ndec, hat1, hat2, olabel)
             if headroom is None:
                 continue
             for ed, edge_coeff in _edge_choices(boundary, headroom, table):
-                left_labels = dict(nd)
-                for u, k in _chi(ed).items():
-                    left_labels[u] = left_labels.get(u, ZERO_MI) + k
-                left = piece.restrict(s).with_(node_dec=left_labels)
-                rem_edec = {}
-                for e, _ in piece.edge_items:
-                    k = piece.edge_dec(e)
-                    if e in ed:
-                        k = k + ed[e]
-                    if not k.is_zero():
-                        rem_edec[e] = k
+                left = piece.restrict(s).with_(node_dec=_shifted(nd, plus=_chi(ed).items()))
                 right = piece.with_(
                     node_dec=rem_ndec,
-                    edge_dec=rem_edec,
+                    edge_dec=_shifted(piece.edge_dec_items, plus=ed.items()),
                     hat1=hat1,
                     hat2=hat2,
                     o_label=olabel,
@@ -500,15 +488,9 @@ class _AntipodePlus:
                 if not piece.node_dec(u).is_zero()
             ]
             for nd, coeff_n in _node_choices(piece, node_slots):
-                rem_ndec = {}
-                for u in piece.nodes:
-                    k = piece.node_dec(u)
-                    if u in nd:
-                        k = k - nd[u]
-                    if u in nhat:
-                        k = k - nhat[u]
-                    if not k.is_zero():
-                        rem_ndec[u] = k
+                rem_ndec = _shifted(
+                    piece.node_dec_items, minus=itertools.chain(nd.items(), nhat.items())
+                )
                 olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
                 headroom = _dangle_headroom(piece, s, t, rem_ndec, hat1, hat2, olabel)
                 if headroom is None:
@@ -520,11 +502,9 @@ class _AntipodePlus:
                         inner_sign = (-1) ** (
                             deg_nhat + sum(k.degree() for k in chi_f.values())
                         )
-                        left_labels = dict(nd)
-                        for extra in (nhat, chi_s, chi_f):
-                            for u, k in extra.items():
-                                left_labels[u] = left_labels.get(u, ZERO_MI) + k
-                        left_labels = {u: k for u, k in left_labels.items() if not k.is_zero()}
+                        left_labels = _shifted(
+                            nd, plus=itertools.chain(nhat.items(), chi_s.items(), chi_f.items())
+                        )
                         left_edec = {}
                         for e in s.edges:
                             k = piece.edge_dec(e) + ed_f.get(e, ZERO_MI)
@@ -533,14 +513,9 @@ class _AntipodePlus:
                         left = piece.restrict(s).with_(
                             node_dec=left_labels, edge_dec=left_edec, o_label={}
                         )
-                        rem_edec = {}
-                        for e, _ in piece.edge_items:
-                            k = piece.edge_dec(e) + ed_s.get(e, ZERO_MI)
-                            if not k.is_zero():
-                                rem_edec[e] = k
                         right = piece.with_(
                             node_dec=rem_ndec,
-                            edge_dec=rem_edec,
+                            edge_dec=_shifted(piece.edge_dec_items, plus=ed_s.items()),
                             hat1=hat1,
                             hat2=hat2,
                             o_label=olabel,
@@ -625,16 +600,15 @@ class _RenormalizedConstant:
         terms = []
         if irreducible_partition_exists(piece, piece.full_subforest(), self.cum):
             for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, proper=True):
-                factors = FormalSum.single(())
-                for p in pieces:
-                    factors = factors.tensor(self.of(p))
-                if factors.is_zero():
+                factors = [self.of(p) for p in pieces]
+                if any(f.is_zero() for f in factors):
                     continue
                 residual = _remainder(piece, sub, nd, ed, o_label=False)
                 ckey = _bare_constant_key(residual, self.table, self.cum)
                 if ckey is None:
                     continue
-                terms.extend((tuple(sorted(k + (ckey,))), -coeff * c) for k, c in factors.items())
+                product = _product(factors, lambda keys: tuple(sorted(itertools.chain((ckey,), *keys))))
+                terms.extend((k, -coeff * c) for k, c in product.items())
         res = FormalSum(terms)
         self.memo[code] = res
         return res

@@ -56,11 +56,16 @@ class EdgeUniverse:
         return {tag: rng.randint(lo, hi) for tag in self.all_tags()}
 
 
+def _true_nodes(eu: EdgeUniverse, s: SubForest) -> frozenset[int]:
+    """N(S): the nodes of S except the fictitious ends of noise edges."""
+    return s.nodes - eu.tree.fictitious_nodes(eu.table)
+
+
 def internal_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
     """E^int(S): kernel edges of S plus cumulant edges within N(S)."""
-    piece = eu.tree.restrict(s)
-    true = piece.true_nodes(eu.table)
-    out = {("K", e) for e in piece.kernel_edges(eu.table)}
+    true = _true_nodes(eu, s)
+    # an edge of S is a kernel edge exactly when its child is a true node
+    out = {("K", e) for e in s.edges if e[1] in true}
     for tag in eu.pi_tags():
         a, b = tag[1]
         if a in true and b in true:
@@ -69,7 +74,7 @@ def internal_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
 
 
 def incident_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
-    true = eu.tree.restrict(s).true_nodes(eu.table)
+    true = _true_nodes(eu, s)
     out = set()
     for tag in eu.all_tags():
         if eu.endpoints(tag) & true:

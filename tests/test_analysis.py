@@ -1,6 +1,8 @@
 """The per-tree analysis against the direct enumerations it replaces, the
 edge-weight omega of `div_enumerate` against the per-subtree zero-node
-homogeneity, and reports that do not depend on what a Workbench has already
+homogeneity, the BPHZ extractions and negative antipode built on it against
+the edge-subset scan and tensor fold they replaced, on random decorated
+trees, and reports that do not depend on what a Workbench has already
 analysed."""
 import itertools
 import json
@@ -11,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BPHZ_TERMS, Kpz
+from hopf_oracle import antipode_minus_fold, extraction_multisets
 from renormforest.forests import (
     cut_enumerate,
     div_enumerate,
     irreducible_partition_exists,
     leaf_partitions,
 )
+from renormforest.hopf import antipode_minus, delta_minus
 from renormforest.multiscale import EdgeUniverse
 from renormforest.powercount import TreeAnalysis
 from renormforest.scaling import MultiIndex
@@ -87,10 +91,11 @@ KPZ_DIMS = len(KPZ.scaling.s)
 
 
 @st.composite
-def decorated_trees(draw):
-    """A random KPZ-typed tree whose kernel edges carry random derivative
-    decorations, so that the weights of its edges differ."""
-    n = draw(st.integers(1, 5))
+def decorated_trees(draw, max_edges: int = 10):
+    """A random KPZ-typed tree of at most `max_edges` edges whose kernel
+    edges carry random derivative decorations, so that the weights of its
+    edges differ."""
+    n = draw(st.integers(1, min(5, max_edges)))
     edges, edec = {}, {}
     for c in range(1, n + 1):
         p = draw(st.integers(0, c - 1))
@@ -98,7 +103,7 @@ def decorated_trees(draw):
         k = draw(st.lists(st.integers(0, 1), min_size=KPZ_DIMS, max_size=KPZ_DIMS))
         edec[(p, c)] = MultiIndex(dict(enumerate(k)))
     # at most one noise per node; all_subtrees is exponential in the edges
-    for u in draw(st.sets(st.integers(0, n), max_size=10 - n)):
+    for u in draw(st.sets(st.integers(0, n), max_size=max_edges - n)):
         edges[(u, 100 + u)] = "l"
     return DecoratedTree(root=0, edges=edges, edge_dec=edec, table=KPZ.table)
 
@@ -111,6 +116,41 @@ def test_edge_weight_omega_equals_zero_node_hom(t):
     assert got == div_oracle(t, table, KPZ.cum, effective=False)
     for sf, w in got:
         assert w == -zero_node_hom(t, sf, table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(decorated_trees())
+def test_extractions_match_edge_subset_scan(t):
+    """The random edge decorations lower the kernel edges' weights, so the
+    candidates' omega, and with them the budgets for e_G, vary.  The scan
+    makes up most of the time: a tree of 10 edges can take a second."""
+    for kw in ({}, {"proper": True}, {"vanishing": KPZ.cum}):
+        got, want = extraction_multisets(t, KPZ.table, **kw)
+        assert got == want, kw
+
+
+@settings(max_examples=40, deadline=None)
+@given(decorated_trees(max_edges=7), st.data())
+def test_antipode_minus_matches_tensor_fold(t, data):
+    """On a forest of X_- pieces extracted from a random tree (pieces whose
+    node labels come from chi(e_G)), the product over the pieces equals the
+    fold of tensor products, with and without the vanishing filter.  The
+    trees have at most seven edges and the forests at most four: with the
+    random decorations' budgets a piece of five edges can have an antipode
+    of 30 000 terms, which takes seconds on each side."""
+    table = KPZ.table
+    forests = sorted(
+        {
+            extracted
+            for (extracted, _), _ in delta_minus(t, table).items()
+            if sum(len(p.edge_items) for p in extracted) <= 4
+        },
+        # forests of several pieces first, where hypothesis draws most
+        key=lambda f: (-len(f), repr([p.embedded_key() for p in f])),
+    )
+    forest = data.draw(st.sampled_from(forests))
+    vanishing = data.draw(st.sampled_from([None, KPZ.cum]))
+    assert antipode_minus(forest, table, vanishing) == antipode_minus_fold(forest, table, vanishing)
 
 
 # -- warm and cold reports -----------------------------------------------------

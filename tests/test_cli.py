@@ -71,9 +71,16 @@ def run_with_hash_seed(seed: str, args: list[str], returncode: int = 0) -> bytes
 
 
 def test_generate_independent_of_hash_seed():
-    """`generate`, and `renormalize` of a tree with counterterms."""
-    for command in (["generate"], ["renormalize", "T3"]):
-        args = ["-m", "renormforest.cli", "--config", config_path("phi4_3")] + command
+    """`generate`, `renormalize` of a tree with counterterms, and
+    `renormalize` of the deepest tree of each model, whose extractions come
+    in the order `div_enumerate` sorts its subtrees."""
+    for model, command in (
+        ("phi4_3", ["generate"]),
+        ("phi4_3", ["renormalize", "T3"]),
+        ("phi4_3", ["renormalize", "T6"]),
+        ("kpz", ["renormalize", "T6"]),
+    ):
+        args = ["-m", "renormforest.cli", "--config", config_path(model)] + command
         outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
         assert outputs[0] == outputs[1]
         assert outputs[0]

@@ -1,5 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from conftest import BPHZ_TERMS
 from forest_oracle import (
     depth,
     down_tree,
@@ -9,9 +13,11 @@ from forest_oracle import (
     undecorated_forest_shape,
 )
 from generation_oracle import conforms
+from hopf_oracle import extraction_multisets, map_keys, tensor
 from renormforest.forests import cut_enumerate, div_enumerate, sigma_negative
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
+    _extractions,
     antipode_minus,
     antipode_plus,
     bphz_expansion,
@@ -24,6 +30,10 @@ from renormforest.hopf import (
 )
 from renormforest.scaling import MultiIndex, ZERO_MI
 from renormforest.trees import SubForest, integrate, poly, tree_product
+from renormforest.workbench import Workbench, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+TREES = [(m, f"T{i}") for m in sorted(BPHZ_TERMS) for i in range(len(BPHZ_TERMS[m]))]
 
 
 def cherry_subtrees(t, table):
@@ -136,8 +146,29 @@ def test_antipode_minus_multiplicative(phi4):
     both = antipode_minus(pieces, table)
     a = antipode_minus((pieces[0],), table)
     b = antipode_minus((pieces[1],), table)
-    merged = a.tensor(b).map_keys(lambda k: (sorted_pieces(k[0] + k[1]),))
+    merged = map_keys(tensor(a, b), lambda k: (sorted_pieces(k[0] + k[1]),))
     assert both == merged
+
+
+@pytest.fixture(scope="module")
+def workbenches():
+    return {
+        m: Workbench(parse_config((ROOT / "configs" / f"{m}.json").read_text(encoding="utf-8")))
+        for m in BPHZ_TERMS
+    }
+
+
+@pytest.mark.parametrize("model,tree_id", TREES, ids=[f"{m}-{t}" for m, t in TREES])
+def test_extractions_match_edge_subset_scan(workbenches, model, tree_id):
+    """The extractions built from the listed divergent subtrees are those
+    of the scan over every edge subset, as a multiset of (G, coefficient,
+    pieces, n_G, e_G): plain, proper, and with the vanishing filter."""
+    wb = workbenches[model]
+    t, table, cum = wb.tree_by_id(tree_id), wb.config.table, wb.config.cum
+    for kw in ({}, {"proper": True}, {"vanishing": cum}):
+        got, want = extraction_multisets(t, table, **kw)
+        assert got == want, kw
+        assert next(_extractions(t, table, **kw))[2] == []  # the empty forest comes first
 
 
 def test_antipode_nested_four_noise(phi4):
