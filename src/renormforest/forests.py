@@ -10,7 +10,7 @@ from typing import Iterable, Optional, Sequence
 
 from .rules import CumulantSet
 from .scaling import TypeTable
-from .trees import DecoratedTree, EdgeKey, SubForest, zero_node_hom
+from .trees import DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
 
 ForestOfSubtrees = frozenset  # frozenset[SubForest], pairwise nested-or-disjoint
 CutSet = frozenset  # frozenset[EdgeKey], subset of the positive cuts
@@ -144,35 +144,13 @@ def div_enumerate(
 # -- positive cuts -------------------------------------------------------------
 
 
-def up_tree(t: DecoratedTree, e: EdgeKey) -> SubForest:
-    """T_>=(e): the subtree of everything at or above the edge e."""
-    nodes = {e[0], e[1]}
-    stack = [e[1]]
-    edges = {e}
-    while stack:
-        u = stack.pop()
-        for f in t.children(u):
-            edges.add(f)
-            nodes.add(f[1])
-            stack.append(f[1])
-    return SubForest(frozenset(nodes), frozenset(edges))
-
-
-def recentered_up_hom(t: DecoratedTree, e: EdgeKey, table: TypeTable) -> Fraction:
-    """|P~(T_>=(e), 0)^n_e|_+ : homogeneity of the up-tree with the root's
-    node label suppressed."""
-    sf = up_tree(t, e)
-    piece = t.restrict(sf)
-    total = piece.homogeneity(table, "plus")
-    total -= Fraction(piece.node_dec(piece.root).sdeg(table.scaling))
-    return total
-
-
 def cut_enumerate(t: DecoratedTree, table: TypeTable) -> list[tuple[EdgeKey, int]]:
-    """Positive cuts with their Taylor order gamma(e)."""
+    """Positive cuts with their Taylor order gamma(e): the kernel edges
+    whose up-tree T_>=(e), root label dropped, has positive |.|_+."""
+    up = up_hom_table(t, table)
     out = []
     for e in t.kernel_edges(table):
-        h = recentered_up_hom(t, e, table)
+        h = up[e]
         if h > 0:
             out.append((e, math.ceil(h)))
     return sorted(out)
@@ -348,15 +326,6 @@ def sigma_negative(t: DecoratedTree, forest: ForestOfSubtrees) -> tuple:
                 )
             )
     return tuple(sorted(pieces))
-
-
-def dangling_trees(t: DecoratedTree, base: SubForest, table: TypeTable) -> list[SubForest]:
-    """T(T, base): the up-trees hanging off the base subtree."""
-    out = []
-    for e in t.kernel_edges(table):
-        if e[0] in base.nodes and e[1] not in base.nodes:
-            out.append(up_tree(t, e))
-    return out
 
 
 def cuts_avoiding(t: DecoratedTree, cuts: Sequence[EdgeKey], forest: ForestOfSubtrees) -> list[EdgeKey]:

@@ -1,7 +1,8 @@
 """Exact-rational formal linear combinations.
 
 A `FormalSum` maps canonical hashable keys to nonzero `Fraction` coefficients.
-Tensor terms are represented by tuples of per-slot keys.
+Tensor terms are represented by tuples of per-slot keys.  Coefficients that
+are already `Fraction`s are kept as they are; others are converted.
 """
 from __future__ import annotations
 
@@ -16,10 +17,12 @@ class FormalSum:
         acc: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, coeff in items:
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff:
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-                if not acc[key]:
+                total = acc.get(key)
+                acc[key] = total = coeff if total is None else total + coeff
+                if not total:
                     del acc[key]
         self._terms = acc
 

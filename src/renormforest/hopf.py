@@ -7,9 +7,15 @@ literally), possibly colored.  Formal sums carry exact rational coefficients.
 
 An extraction takes a forest of pairwise disjoint subtrees that lie in X_-
 once decorated.  The candidate subtrees are the divergent ones that
-`forests.div_enumerate` lists (under its default cap), and each candidate's
-decorations are enumerated once per tree.  The negative antipode is
-multiplicative: it is one product over a forest's pieces.
+`forests.div_enumerate` lists (or the caller's list of them, under the
+caller's cap), and each candidate's decorations are enumerated once per tree.
+The negative antipode is multiplicative: it is one product over a forest's
+pieces.
+
+Recentering a piece around a rooted subtree S changes no label above S, so
+the bound on each boundary edge's decoration, and the X_+ test of each
+dangling tree, read the piece's up-tree table (`trees.up_hom_table`), built
+once per piece by `delta_plus` and by the positive antipode.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
-from .forests import dangling_trees, div_enumerate, irreducible_partition_exists, up_tree
+from .forests import div_enumerate, irreducible_partition_exists
 from .formal import FormalSum
 from .rules import CumulantSet
 from .scaling import (
@@ -32,7 +38,7 @@ from .scaling import (
     multiindices_below,
     submultiindices,
 )
-from .trees import DecoratedTree, EdgeKey, SubForest
+from .trees import DecoratedTree, EdgeKey, SubForest, up_hom_table
 
 PieceForest = tuple  # sorted tuple of DecoratedTree
 
@@ -51,23 +57,17 @@ def in_X_minus(piece: DecoratedTree, table: TypeTable) -> bool:
     return piece.node_dec(piece.root).is_zero() and piece.homogeneity(table, "minus") < 0
 
 
-def _recentered_plus_hom(piece: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
-    sub = piece.restrict(sf)
-    total = sub.homogeneity(table, "plus")
-    if sub.color_of_node(sub.root) != 2:
-        total -= Fraction(sub.node_dec(sub.root).sdeg(table.scaling))
-    return total
-
-
-def in_X_plus(piece: DecoratedTree, table: TypeTable) -> bool:
+def in_X_plus(
+    piece: DecoratedTree, table: TypeTable, up: Optional[dict[EdgeKey, Fraction]] = None
+) -> bool:
     """Color-2 part nonempty and every dangling tree has positive
-    root-recentered |.|_+ homogeneity."""
+    root-recentered |.|_+ homogeneity, read from the piece's up-tree table
+    `up` (built here when the caller has none)."""
     if not piece.hat2.nodes:
         return False
-    return all(
-        _recentered_plus_hom(piece, sf, table) > 0
-        for sf in dangling_trees(piece, piece.hat2, table)
-    )
+    if up is None:
+        up = up_hom_table(piece, table)
+    return all(up[e] > 0 for e in _boundary(piece, piece.hat2.nodes, piece.hat2.edges, table))
 
 
 # -- negative coaction ----------------------------------------------------------
@@ -150,6 +150,7 @@ def _extractions(
     table: TypeTable,
     proper: bool = False,
     vanishing: Optional[CumulantSet] = None,
+    candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
 ) -> Iterator[tuple[SubForest, Fraction, list[DecoratedTree], dict, dict]]:
     """Every extraction of a forest of pairwise node-disjoint candidates
     from an uncolored tree, with every choice of decorations n_G, e_G.
@@ -157,8 +158,10 @@ def _extractions(
     The candidates are the subtrees that `div_enumerate` lists, under its
     default cap: connected, with omega > 0 and, with `vanishing`, with a
     renormalization constant that does not vanish identically (the lone
-    noise, odd pairings, pendant-cancelled patterns).  With `proper`, the
-    whole tree is no candidate (the antipode's recursion).  Each candidate's
+    noise, odd pairings, pendant-cancelled patterns).  A caller that has
+    already listed them, as (subtree, omega) pairs in that order and under
+    its own cap, passes them as `candidates`.  With `proper`, the whole tree
+    is no candidate (the antipode's recursion).  Each candidate's
     decorations are enumerated once, and its extracted pieces are built once.
 
     Yields (G, coefficient, extracted pieces in candidate order, n_G, e_G);
@@ -166,7 +169,9 @@ def _extractions(
     """
     full_edges = frozenset(e for e, _ in t.edge_items)
     options = []
-    for c, omega in div_enumerate(t, table, vanishing, effective=vanishing is not None):
+    if candidates is None:
+        candidates = div_enumerate(t, table, vanishing, effective=vanishing is not None)
+    for c, omega in candidates:
         if proper and c.edges == full_edges:
             continue
         plain = t.restrict(c)
@@ -221,6 +226,7 @@ def delta_minus(
     t: DecoratedTree,
     table: TypeTable,
     vanishing: Optional[CumulantSet] = None,
+    candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
 ) -> FormalSum:
     """The extraction coaction on an uncolored tree: a sum of
     (extracted forest, colored remainder) pairs.
@@ -228,13 +234,16 @@ def delta_minus(
     Every subforest whose components each pass the X_- filter is extracted.
     With `vanishing` given, components whose renormalization constant
     vanishes identically are dropped as well (the lone noise, odd pairings,
-    pendant-cancelled patterns).
+    pendant-cancelled patterns).  `candidates` is the list of divergent
+    subtrees, when the caller has it (see `_extractions`).
     """
     if t.has_coloring():
         raise ValueError("the negative coaction acts on uncolored trees")
     return FormalSum(
         ((sorted_pieces(pieces), _remainder(t, sub, nd, ed, o_label=True)), coeff)
-        for sub, coeff, pieces, nd, ed in _extractions(t, table, vanishing=vanishing)
+        for sub, coeff, pieces, nd, ed in _extractions(
+            t, table, vanishing=vanishing, candidates=candidates
+        )
     )
 
 
@@ -246,7 +255,7 @@ def _product(factors: Sequence[FormalSum], key: Callable[[list], Hashable]) -> F
     every factor, its key is `key` of their keys and its coefficient the
     product of theirs."""
     return FormalSum(
-        (key([k for k, _ in chosen]), math.prod((c for _, c in chosen), start=Fraction(1)))
+        (key([k for k, _ in chosen]), math.prod(c for _, c in chosen))
         for chosen in itertools.product(*(f.items() for f in factors))
     )
 
@@ -329,13 +338,10 @@ def _admissible_rooted(piece: DecoratedTree, table: TypeTable) -> Iterator[SubFo
     in S or disjoint from it."""
     comps = piece.subforest_components(piece.hat1)
     for sf in _rooted_subtrees(piece, table):
-        ok = True
-        for c in comps:
-            inter = c.nodes & sf.nodes
-            if inter and not (c.nodes <= sf.nodes and c.edges <= sf.edges):
-                ok = False
-                break
-        if ok:
+        if all(
+            not c.nodes & sf.nodes or (c.nodes <= sf.nodes and c.edges <= sf.edges)
+            for c in comps
+        ):
             yield sf
 
 
@@ -354,62 +360,47 @@ def _plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[SubForest, SubFor
 
 
 def _dangle_headroom(
-    piece: DecoratedTree, s: SubForest, table: TypeTable,
-    ndec: dict[int, MultiIndex], hat1: SubForest, hat2: SubForest,
-    olabel: dict[int, ExtLabel],
+    boundary: Iterable[EdgeKey], up: dict[EdgeKey, Fraction]
 ) -> Optional[dict[EdgeKey, Fraction]]:
-    """For each boundary edge of S, the strict upper bound on the extra
-    s-degree its decoration may carry while the dangling tree keeps
-    positive recentered homogeneity.  None when some dangling tree already
-    fails at zero decoration."""
-    probe = piece.with_(node_dec=ndec, hat1=hat1, hat2=hat2, o_label=olabel)
+    """For each boundary edge e of a recentered subtree, the strict upper
+    bound on the extra s-degree its decoration may carry while the dangling
+    tree T_>=(e) keeps positive recentered homogeneity: `up[e]` from the
+    piece's up-tree table, since recentering changes no label above the
+    subtree.  None when some dangling tree already fails at zero
+    decoration."""
     out: dict[EdgeKey, Fraction] = {}
-    for e in _boundary(piece, s.nodes, s.edges, table):
-        h = _recentered_plus_hom(probe, up_tree(piece, e), table)
-        if h <= 0:
+    for e in boundary:
+        if up[e] <= 0:
             return None
-        out[e] = h
+        out[e] = up[e]
     return out
 
 
-def _node_choices(
-    piece: DecoratedTree, slots: list[int]
-) -> Iterator[tuple[dict[int, MultiIndex], Fraction]]:
+def _choices(slots: list, options: Callable[[Hashable], list]) -> Iterator[tuple[dict, Fraction]]:
+    """Every labelling of `slots` by one (label, coefficient) pair of
+    `options(slot)` per slot: (the nonzero labels, product of the
+    coefficients), the first slot varying slowest."""
+    for chosen in itertools.product(*(options(x) for x in slots)):
+        labels = {x: k for x, (k, _) in zip(slots, chosen) if not k.is_zero()}
+        yield labels, math.prod(c for _, c in chosen)
+
+
+def _node_choices(piece: DecoratedTree, slots: list[int]) -> Iterator[tuple[dict, Fraction]]:
     """Every split of the node labels on `slots` between the recentered
     piece and the remainder: (the piece's labels, binomial coefficient)."""
-
-    def rec(idx: int, nd: dict, coeff: Fraction):
-        if idx == len(slots):
-            yield dict(nd), coeff
-            return
-        u = slots[idx]
-        for k in submultiindices(piece.node_dec(u)):
-            if not k.is_zero():
-                nd[u] = k
-            yield from rec(idx + 1, nd, coeff * binom_mi(piece.node_dec(u), k))
-            nd.pop(u, None)
-
-    yield from rec(0, {}, Fraction(1))
+    n = piece.node_dec
+    return _choices(slots, lambda u: [(k, binom_mi(n(u), k)) for k in submultiindices(n(u))])
 
 
 def _edge_choices(
     slots: list[EdgeKey], headroom: dict[EdgeKey, Fraction], table: TypeTable
-) -> Iterator[tuple[dict[EdgeKey, MultiIndex], Fraction]]:
+) -> Iterator[tuple[dict, Fraction]]:
     """Every edge labelling of `slots` whose s-degree stays strictly below
     each edge's headroom: (labels, 1 / product of the factorials)."""
-
-    def rec(idx: int, ed: dict, coeff: Fraction):
-        if idx == len(slots):
-            yield dict(ed), coeff
-            return
-        e = slots[idx]
-        for k in multiindices_below(table.scaling, headroom[e]):
-            if not k.is_zero():
-                ed[e] = k
-            yield from rec(idx + 1, ed, coeff / k.factorial())
-            ed.pop(e, None)
-
-    yield from rec(0, {}, Fraction(1))
+    return _choices(
+        slots,
+        lambda e: [(k, Fraction(1, k.factorial())) for k in multiindices_below(table.scaling, headroom[e])],
+    )
 
 
 def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
@@ -419,21 +410,23 @@ def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
     if piece.hat2.nodes:
         raise ValueError("the positive coaction acts on trees of color <= 1")
     fict = piece.fictitious_nodes(table)
+    up = up_hom_table(piece, table)
     terms = []
     for s in _admissible_rooted(piece, table):
-        hat1, hat2 = _plus_colored(piece, s)
         boundary = _boundary(piece, s.nodes, s.edges, table)
+        headroom = _dangle_headroom(boundary, up)
+        if headroom is None:
+            continue
+        hat1, hat2 = _plus_colored(piece, s)
+        olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
+        plain = piece.restrict(s)
         node_slots = [
             u for u in sorted(s.nodes - fict) if not piece.node_dec(u).is_zero()
         ]
         for nd, base_coeff in _node_choices(piece, node_slots):
             rem_ndec = _shifted(piece.node_dec_items, minus=nd.items())
-            olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
-            headroom = _dangle_headroom(piece, s, table, rem_ndec, hat1, hat2, olabel)
-            if headroom is None:
-                continue
             for ed, edge_coeff in _edge_choices(boundary, headroom, table):
-                left = piece.restrict(s).with_(node_dec=_shifted(nd, plus=_chi(ed).items()))
+                left = plain.with_(node_dec=_shifted(nd, plus=_chi(ed).items()))
                 right = piece.with_(
                     node_dec=rem_ndec,
                     edge_dec=_shifted(piece.edge_dec_items, plus=ed.items()),
@@ -454,7 +447,8 @@ class _AntipodePlus:
         if piece in self.memo:
             return self.memo[piece]
         t = self.table
-        if not in_X_plus(piece, t):
+        up = up_hom_table(piece, t)
+        if not in_X_plus(piece, t, up):
             raise ValueError("positive antipode applied outside X_+")
         full_edges = frozenset(e for e, _ in piece.edge_items)
         if not (full_edges - piece.hat2.edges):
@@ -462,26 +456,29 @@ class _AntipodePlus:
             res = FormalSum.single(((piece.with_(o_label={}),),), sign)
             self.memo[piece] = res
             return res
-        danglers = dangling_trees(piece, piece.hat2, t)
-        outer_sign = (-1) ** len(danglers)
-        fict = piece.fictitious_nodes(t)
-        nhat = {
-            u: piece.node_dec(u)
-            for u in piece.hat2.nodes - fict
-            if not piece.node_dec(u).is_zero()
-        }
-        deg_nhat = sum(k.degree() for k in nhat.values())
-        # f decorations sit on the kernel edges leaving the color-2 part and
-        # must keep the *input* piece in X_+; each such edge trunks its own
-        # dangling tree, so the bounds decouple.
+        # f decorations sit on the kernel edges leaving the color-2 part, at
+        # the foot of its dangling trees, and must keep the *input* piece in
+        # X_+; each such edge trunks its own dangling tree, so the bounds
+        # decouple.
         f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
-        f_headroom = {
-            e: _recentered_plus_hom(piece, up_tree(piece, e), t) for e in f_slots
-        }
+        f_headroom = _dangle_headroom(f_slots, up)
+        outer_sign = (-1) ** len(f_slots)
+        fict = piece.fictitious_nodes(t)
+        nhat = {u: k for u, k in piece.node_dec_items if u in piece.hat2.nodes and u not in fict}
+        deg_nhat = sum(k.degree() for k in nhat.values())
+        f_choices = [
+            (ed_f, _chi(ed_f), coeff_f)
+            for ed_f, coeff_f in _edge_choices(f_slots, f_headroom, t)
+        ]
         terms = []
-        for s in self._abar2(piece, danglers):
-            hat1, hat2 = _plus_colored(piece, s)
+        for s in self._abar2(piece, f_slots):
             boundary_s = _boundary(piece, s.nodes, s.edges, t)
+            headroom = _dangle_headroom(boundary_s, up)
+            if headroom is None:
+                continue
+            hat1, hat2 = _plus_colored(piece, s)
+            olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
+            plain = piece.restrict(s)
             node_slots = [
                 u
                 for u in sorted(s.nodes - fict - piece.hat2.nodes)
@@ -491,14 +488,20 @@ class _AntipodePlus:
                 rem_ndec = _shifted(
                     piece.node_dec_items, minus=itertools.chain(nd.items(), nhat.items())
                 )
-                olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
-                headroom = _dangle_headroom(piece, s, t, rem_ndec, hat1, hat2, olabel)
-                if headroom is None:
-                    continue
                 for ed_s, coeff_s in _edge_choices(boundary_s, headroom, t):
-                    for ed_f, coeff_f in _edge_choices(f_slots, f_headroom, t):
-                        chi_s = _chi(ed_s)
-                        chi_f = _chi(ed_f)
+                    # within the headroom every dangling tree of S stays
+                    # positive, so the remainder lies in X_+
+                    right = self.run(
+                        piece.with_(
+                            node_dec=rem_ndec,
+                            edge_dec=_shifted(piece.edge_dec_items, plus=ed_s.items()),
+                            hat1=hat1,
+                            hat2=hat2,
+                            o_label=olabel,
+                        )
+                    )
+                    chi_s = _chi(ed_s)
+                    for ed_f, chi_f, coeff_f in f_choices:
                         inner_sign = (-1) ** (
                             deg_nhat + sum(k.degree() for k in chi_f.values())
                         )
@@ -510,26 +513,18 @@ class _AntipodePlus:
                             k = piece.edge_dec(e) + ed_f.get(e, ZERO_MI)
                             if not k.is_zero():
                                 left_edec[e] = k
-                        left = piece.restrict(s).with_(
-                            node_dec=left_labels, edge_dec=left_edec, o_label={}
-                        )
-                        right = piece.with_(
-                            node_dec=rem_ndec,
-                            edge_dec=_shifted(piece.edge_dec_items, plus=ed_s.items()),
-                            hat1=hat1,
-                            hat2=hat2,
-                            o_label=olabel,
-                        )
-                        if not in_X_plus(right, t):
-                            continue
+                        left = plain.with_(node_dec=left_labels, edge_dec=left_edec, o_label={})
                         coeff = outer_sign * inner_sign * coeff_n * coeff_s * coeff_f
-                        for (inner,), c in self.run(right).items():
+                        for (inner,), c in right.items():
                             terms.append(((sorted_pieces(inner + (left,)),), coeff * c))
         result = FormalSum(terms)
         self.memo[piece] = result
         return result
 
-    def _abar2(self, piece: DecoratedTree, danglers: list[SubForest]) -> Iterator[SubForest]:
+    def _abar2(self, piece: DecoratedTree, dangling: list[EdgeKey]) -> Iterator[SubForest]:
+        """Admissible rooted subtrees that strictly grow the color-2 part
+        and meet every dangling tree, that is, contain the edge at its foot
+        (a rooted subtree holding any edge of T_>=(e) holds e)."""
         for s in _admissible_rooted(piece, self.table):
             if not (piece.hat2.nodes <= s.nodes and piece.hat2.edges <= s.edges):
                 continue
@@ -537,7 +532,7 @@ class _AntipodePlus:
                 # the induction is on the number of uncolored edges, so the
                 # recentered subtree must strictly grow the color-2 part
                 continue
-            if all(sf.edges & s.edges for sf in danglers):
+            if all(e in s.edges for e in dangling):
                 yield s
 
 
@@ -560,9 +555,11 @@ def bphz_expansion(t: DecoratedTree, table: TypeTable) -> FormalSum:
         left = anti_minus.forest(extracted)
         for (mid, rec_piece), c2 in delta_plus(remainder, table).items():
             right = anti_plus.run(rec_piece)
+            c12 = c1 * c2
             for (lkey,), cl in left.items():
+                c = c12 * cl
                 for (rkey,), cr in right.items():
-                    terms.append(((lkey, mid, rkey), c1 * c2 * cl * cr))
+                    terms.append(((lkey, mid, rkey), c * cr))
     return FormalSum(terms)
 
 
@@ -629,7 +626,11 @@ class CountertermReport:
 
 
 def counterterm_report(
-    t: DecoratedTree, table: TypeTable, cum: CumulantSet, names: Optional[dict] = None
+    t: DecoratedTree,
+    table: TypeTable,
+    cum: CumulantSet,
+    names: Optional[dict] = None,
+    candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
 ) -> CountertermReport:
     """Group the renormalized expansion of an uncolored tree into
     counterterm monomials: (constant product, exact coefficient, residual).
@@ -637,10 +638,12 @@ def counterterm_report(
     Counterterm constants attach per extracted iso class; a class whose
     nested expansion is the bare expectation appears as C[.], one with
     genuine nested corrections as C'[.] with its expansion recorded.
+    `candidates` is the tree's list of effective divergent subtrees, when
+    the caller has it.
     """
     rc = _RenormalizedConstant(table, cum)
     groups: dict[tuple, dict] = {}
-    dm = delta_minus(t, table, vanishing=cum)
+    dm = delta_minus(t, table, vanishing=cum, candidates=candidates)
     for (extracted, remainder), coeff in dm.items():
         if not extracted:
             continue

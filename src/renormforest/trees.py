@@ -16,6 +16,7 @@ from typing import Mapping, Optional
 from .scaling import ExtLabel, MultiIndex, TypeTable, ZERO_EXT, ZERO_MI
 
 EdgeKey = tuple[int, int]
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,12 @@ class SubForest:
         return not self.nodes and not self.edges
 
     def sort_key(self):
-        return (tuple(sorted(self.nodes)), tuple(sorted(self.edges)))
+        """The sorted nodes and edges, sorted once per subforest and kept
+        beside the (compared and hashed) fields."""
+        key = self.__dict__.get("_sort_key")
+        if key is None:
+            key = self.__dict__["_sort_key"] = (tuple(sorted(self.nodes)), tuple(sorted(self.edges)))
+        return key
 
 
 EMPTY_SUBFOREST = SubForest.empty()
@@ -45,19 +51,20 @@ class StructureError(ValueError):
 
 class DecoratedTree:
     """Typed rooted tree with node labels n, edge labels e, an optional
-    coloring (hat1, hat2) and an extended label o on the color-1 nodes."""
+    coloring (hat1, hat2) and an extended label o on the color-1 nodes.
+
+    Each tree is indexed once.  `__init__` builds the edge types, node
+    labels, edge labels and o labels as dicts (O(1) lookups) beside the
+    sorted tuples that make up `embedded_key`; the key is built once, and the
+    hash and `==` are derived from it.  The AHU codes of all nodes are
+    computed together, bottom-up, on the first call that needs one.  `with_`
+    shares the sorted edges and the children and parent maps of the tree it
+    starts from unless it is given new edges."""
 
     __slots__ = (
-        "root",
-        "_edges",
-        "_ndec",
-        "_edec",
-        "hat1",
-        "hat2",
-        "_olabel",
-        "_children",
-        "_parent",
-        "_hash",
+        "root", "_edges", "_types", "_children", "_parent",  # the shape
+        "_ndec", "_nd", "_edec", "_ed", "hat1", "hat2", "_olabel", "_ol",  # labels, coloring
+        "_key", "_hash", "_codes",
     )
 
     def __init__(
@@ -74,15 +81,7 @@ class DecoratedTree:
     ):
         self.root = int(root)
         self._edges = tuple(sorted(((int(p), int(c)), str(t)) for (p, c), t in dict(edges).items()))
-        nd = {int(u): k for u, k in dict(node_dec).items() if not k.is_zero()}
-        ed = {(int(p), int(c)): k for (p, c), k in dict(edge_dec).items() if not k.is_zero()}
-        self._ndec = tuple(sorted(nd.items()))
-        self._edec = tuple(sorted(ed.items()))
-        self.hat1 = hat1
-        self.hat2 = hat2
-        ol = {int(u): v for u, v in dict(o_label).items() if not v.is_zero()}
-        self._olabel = tuple(sorted(ol.items()))
-
+        self._types = dict(self._edges)
         children: dict[int, list[EdgeKey]] = {}
         parent: dict[int, int] = {}
         for (p, c), _ in self._edges:
@@ -92,36 +91,45 @@ class DecoratedTree:
                 raise StructureError(f"node {c} has two parents")
             parent[c] = p
         children.setdefault(self.root, [])
-        self._children = {u: tuple(sorted(v)) for u, v in children.items()}
+        self._children = {u: tuple(v) for u, v in children.items()}
         self._parent = parent
-        self._hash = hash(
-            (
-                "tree",
-                self.root,
-                self._edges,
-                self._ndec,
-                self._edec,
-                self.hat1.sort_key(),
-                self.hat2.sort_key(),
-                self._olabel,
-            )
-        )
+        self._label(node_dec, edge_dec, hat1, hat2, o_label)
         if check:
             self._check(table)
+
+    def _label(self, node_dec, edge_dec, hat1: SubForest, hat2: SubForest, o_label):
+        """Set the labels and the coloring, their dicts, the embedded key
+        and the hash; the AHU codes are left to the first use."""
+        self._nd = {int(u): k for u, k in dict(node_dec).items() if not k.is_zero()}
+        self._ed = {(int(p), int(c)): k for (p, c), k in dict(edge_dec).items() if not k.is_zero()}
+        self._ol = {int(u): v for u, v in dict(o_label).items() if not v.is_zero()}
+        self._ndec = tuple(sorted(self._nd.items()))
+        self._edec = tuple(sorted(self._ed.items()))
+        self._olabel = tuple(sorted(self._ol.items()))
+        self.hat1 = hat1
+        self.hat2 = hat2
+        self._key = (
+            "emb",
+            self.root,
+            self._edges,
+            self._ndec,
+            self._edec,
+            hat1.sort_key(),
+            hat2.sort_key(),
+            self._olabel,
+        )
+        self._hash = hash(self._key)
+        self._codes: Optional[dict[int, tuple]] = None
 
     # -- structure ---------------------------------------------------------
 
     def _check(self, table: Optional[TypeTable]):
         if self.root in self._parent:
             raise StructureError("root has an incoming edge")
-        # connectivity: walk up from every node
-        for u in self._children:
-            v, hops = u, 0
-            while v != self.root:
-                if v not in self._parent or hops > len(self._children):
-                    raise StructureError(f"node {u} not connected to the root")
-                v = self._parent[v]
-                hops += 1
+        # with one parent per node, connected means reached from the root
+        cut_off = self._children.keys() - set(self.top_down())
+        if cut_off:
+            raise StructureError(f"node {min(cut_off)} not connected to the root")
         if table is not None:
             seen_noise_parent: set[int] = set()
             for (p, c), t in self._edges:
@@ -142,7 +150,7 @@ class DecoratedTree:
 
     @property
     def edges(self) -> dict[EdgeKey, str]:
-        return dict(self._edges)
+        return dict(self._types)
 
     @property
     def edge_items(self) -> tuple[tuple[EdgeKey, str], ...]:
@@ -153,22 +161,13 @@ class DecoratedTree:
         return frozenset(self._children)
 
     def node_dec(self, u: int) -> MultiIndex:
-        for v, k in self._ndec:
-            if v == u:
-                return k
-        return ZERO_MI
+        return self._nd.get(u, ZERO_MI)
 
     def edge_dec(self, e: EdgeKey) -> MultiIndex:
-        for f, k in self._edec:
-            if f == e:
-                return k
-        return ZERO_MI
+        return self._ed.get(e, ZERO_MI)
 
     def o_label(self, u: int) -> ExtLabel:
-        for v, k in self._olabel:
-            if v == u:
-                return k
-        return ZERO_EXT
+        return self._ol.get(u, ZERO_EXT)
 
     @property
     def node_dec_items(self):
@@ -189,10 +188,14 @@ class DecoratedTree:
         return self._parent.get(u)
 
     def edge_type(self, e: EdgeKey) -> str:
-        for f, t in self._edges:
-            if f == e:
-                return t
-        raise KeyError(e)
+        return self._types[e]
+
+    def top_down(self) -> list[int]:
+        """The nodes breadth first from the root: each after its parent."""
+        order = [self.root]
+        for u in order:  # the list grows while it is read
+            order.extend(c for _, c in self._children[u])
+        return order
 
     def noise_edges(self, table: TypeTable) -> list[EdgeKey]:
         return [e for e, t in self._edges if table.is_noise(t)]
@@ -212,9 +215,9 @@ class DecoratedTree:
         return frozenset(p for (p, c), t in self._edges if table.is_noise(t))
 
     def leaf_type(self, u: int, table: TypeTable) -> str:
-        for (p, c), t in self._edges:
-            if p == u and table.is_noise(t):
-                return t
+        for e in self.children(u):
+            if table.is_noise(self._types[e]):
+                return self._types[e]
         raise KeyError(f"node {u} carries no noise edge")
 
     def color_of_node(self, u: int) -> int:
@@ -234,29 +237,30 @@ class DecoratedTree:
     def has_coloring(self) -> bool:
         return not (self.hat1.is_empty() and self.hat2.is_empty())
 
-    def with_(self, **kw) -> "DecoratedTree":
-        args = dict(
-            root=self.root,
-            edges=dict(self._edges),
-            node_dec=dict(self._ndec),
-            edge_dec=dict(self._edec),
-            hat1=self.hat1,
-            hat2=self.hat2,
-            o_label=dict(self._olabel),
-        )
-        args.update(kw)
-        return DecoratedTree(**args)
+    def with_(self, *, edges=None, table: Optional[TypeTable] = None, check: bool = True, **labels):
+        """This tree with some of `node_dec`, `edge_dec`, `hat1`, `hat2` and
+        `o_label` replaced.  Without new `edges` the result shares this
+        tree's sorted edges and children and parent maps, and is checked all
+        the same."""
+        labels = {
+            "node_dec": self._nd, "edge_dec": self._ed, "hat1": self.hat1, "hat2": self.hat2,
+            "o_label": self._ol, **labels,
+        }
+        if edges is not None:
+            return DecoratedTree(self.root, edges, table=table, check=check, **labels)
+        out = object.__new__(DecoratedTree)
+        out.root, out._edges, out._types = self.root, self._edges, self._types
+        out._children, out._parent = self._children, self._parent
+        out._label(**labels)
+        if check:
+            out._check(table)
+        return out
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, DecoratedTree)
-            and self.root == other.root
-            and self._edges == other._edges
-            and self._ndec == other._ndec
-            and self._edec == other._edec
-            and self.hat1 == other.hat1
-            and self.hat2 == other.hat2
-            and self._olabel == other._olabel
+            and self._hash == other._hash
+            and self._key == other._key
         )
 
     def __hash__(self) -> int:
@@ -287,62 +291,48 @@ class DecoratedTree:
 
     # -- canonical forms ---------------------------------------------------
 
-    def _code(self, u: int) -> tuple:
-        child_codes = sorted(
-            (
-                self.edge_type(e),
-                self.edge_dec(e).entries,
-                self.color_of_edge(e),
-                self._code(e[1]),
-            )
-            for e in self.children(u)
-        )
-        return (
-            self.node_dec(u).entries,
-            self.color_of_node(u),
-            (self.o_label(u).zd, self.o_label(u).types),
-            tuple(child_codes),
-        )
+    def _edge_code(self, e: EdgeKey, codes: dict[int, tuple]) -> tuple:
+        return (self._types[e], self.edge_dec(e).entries, self.color_of_edge(e), codes[e[1]])
+
+    def _node_codes(self) -> dict[int, tuple]:
+        """The AHU code of every node, built bottom-up on first use."""
+        if self._codes is None:
+            codes: dict[int, tuple] = {}
+            for u in reversed(self.top_down()):
+                o = self.o_label(u)
+                codes[u] = (
+                    self.node_dec(u).entries,
+                    self.color_of_node(u),
+                    (o.zd, o.types),
+                    tuple(sorted(self._edge_code(e, codes) for e in self._children[u])),
+                )
+            self._codes = codes
+        return self._codes
 
     def canonical_code(self) -> tuple:
         """AHU-style code: equal iff trees are isomorphic as decorated
         colored trees (embeddings erased)."""
-        return self._code(self.root)
+        return self._node_codes()[self.root]
 
     def embedded_key(self) -> tuple:
         """Literal representation: equal iff equal as embedded i-trees."""
-        return (
-            "emb",
-            self.root,
-            self._edges,
-            self._ndec,
-            self._edec,
-            self.hat1.sort_key(),
-            self.hat2.sort_key(),
-            self._olabel,
-        )
+        return self._key
 
     def relabel_canonical(self) -> "DecoratedTree":
         """Relabel node ids 0..n-1 in the canonical (AHU) traversal order,
-        giving a deterministic representative of the iso class."""
-        order: list[int] = []
-
-        def visit(u: int):
-            order.append(u)
-            for e in sorted(
-                self.children(u),
-                key=lambda e: (
-                    self.edge_type(e),
-                    self.edge_dec(e).entries,
-                    self.color_of_edge(e),
-                    self._code(e[1]),
-                ),
-            ):
-                visit(e[1])
-
-        visit(self.root)
-        ren = {u: i for i, u in enumerate(order)}
-        return self.relabel(ren)
+        giving a deterministic representative of the iso class.  The
+        relabelled tree takes over the codes, which erase the embedding."""
+        codes = self._node_codes()
+        ren: dict[int, int] = {}
+        stack = [self.root]
+        while stack:  # preorder, children in the order of their codes
+            u = stack.pop()
+            ren[u] = len(ren)
+            kids = sorted(self._children[u], key=lambda e: self._edge_code(e, codes))
+            stack.extend(c for _, c in reversed(kids))
+        out = self.relabel(ren)
+        out._codes = {ren[u]: code for u, code in codes.items()}
+        return out
 
     def relabel(self, ren: Mapping[int, int]) -> "DecoratedTree":
         return DecoratedTree(
@@ -411,7 +401,6 @@ class DecoratedTree:
         """The decorated colored tree induced on one connected subforest
         (decorations, coloring and o restricted, per the paper's convention)."""
         root = self.subtree_root(sf)
-        fict = {c for (p, c), t in self._edges if (p, c) in sf.edges}
         return DecoratedTree(
             root=root,
             edges={e: t for e, t in self._edges if e in sf.edges},
@@ -518,6 +507,36 @@ def zero_node_hom(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction
     for e in sf.edges:
         total += table.hom(t.edge_type(e)) - Fraction(t.edge_dec(e).sdeg(table.scaling))
     return total
+
+
+def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
+    """|T_>=(e)|_+ with the labels n and o of its root dropped, for every
+    edge e = (p, c): the edge e and every edge above it, and the node labels
+    and o labels of the true nodes from c up.  One bottom-up pass over the
+    tree.  Color 2 is not looked at, so an entry is that homogeneity where
+    nothing above p has color 2: on uncolored trees, and at the foot of the
+    dangling trees of a rooted color-2 part, the entries that are read."""
+    scaling = table.scaling
+    fict = t.fictitious_nodes(table)
+    above: dict[int, Fraction] = {}
+    out: dict[EdgeKey, Fraction] = {}
+    for u in reversed(t.top_down()):
+        h = _ZERO
+        if u not in fict:
+            k, o = t.node_dec(u), t.o_label(u)
+            if not k.is_zero():
+                h += k.sdeg(scaling)
+            if not o.is_zero():
+                h += table.hom_ext(o)
+        for e in t.children(u):
+            w = above[e[1]] + table.hom(t.edge_type(e))
+            k = t.edge_dec(e)
+            if not k.is_zero():
+                w -= k.sdeg(scaling)
+            out[e] = w
+            h += w
+        above[u] = h
+    return out
 
 
 # -- construction of standalone trees ---------------------------------------

@@ -298,7 +298,9 @@ class Workbench:
         table = self.config.table
         t = self.tree_by_id(tree_id)
         names = self.name_map()
-        rep = counterterm_report(t, table, self.config.cum, names=names)
+        rep = counterterm_report(
+            t, table, self.config.cum, names=names, candidates=self.analysis(t).divergences
+        )
         monos = []
         for m in rep.monomials:
             monos.append(

@@ -1,14 +1,23 @@
-"""Shared settings: the two standard model problems and the worked example
-trees used across the suite."""
+"""Shared settings: the two standard model problems, the worked example
+trees used across the suite, and hypothesis strategies for random KPZ-typed
+trees, plain and colored."""
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from renormforest.rules import CumulantSet, RuleSpec, production
-from renormforest.scaling import ScalingSpec, TypeTable, ZERO_MI
-from renormforest.trees import DecoratedTree, SubForest, integrate, noise, tree_product
+from renormforest.scaling import ExtLabel, MultiIndex, ScalingSpec, TypeTable, ZERO_MI
+from renormforest.trees import (
+    EMPTY_SUBFOREST,
+    DecoratedTree,
+    SubForest,
+    integrate,
+    noise,
+    tree_product,
+)
 
 KAPPA = Fraction(1, 100)
 
@@ -88,6 +97,71 @@ class Kpz:
                 self.table,
             ),
         )
+
+
+KPZ = Kpz()
+KPZ_DIMS = len(KPZ.scaling.s)
+
+
+def multiindices(max_entry: int = 1):
+    return st.lists(
+        st.integers(0, max_entry), min_size=KPZ_DIMS, max_size=KPZ_DIMS
+    ).map(lambda k: MultiIndex(dict(enumerate(k))))
+
+
+@st.composite
+def decorated_trees(draw, max_edges: int = 10):
+    """A random KPZ-typed tree of at most `max_edges` edges whose kernel
+    edges carry random derivative decorations, so that the weights of its
+    edges differ."""
+    n = draw(st.integers(1, min(5, max_edges)))
+    edges, edec = {}, {}
+    for c in range(1, n + 1):
+        p = draw(st.integers(0, c - 1))
+        edges[(p, c)] = "t"
+        edec[(p, c)] = draw(multiindices())
+    # at most one noise per node; all_subtrees is exponential in the edges
+    for u in draw(st.sets(st.integers(0, n), max_size=max_edges - n)):
+        edges[(u, 100 + u)] = "l"
+    return DecoratedTree(root=0, edges=edges, edge_dec=edec, table=KPZ.table)
+
+
+@st.composite
+def colored_trees(draw, max_edges: int = 8, base: DecoratedTree = None):
+    """A `decorated_trees` tree (or `base`) with new random node labels,
+    on fictitious nodes too (where homogeneities ignore them), and a random
+    coloring: possibly a rooted color-2 subtree,
+    grown from the root by random kernel edges with the noise edges of its
+    nodes riding along, and node-disjoint color-1 components outside it,
+    whose nodes may carry random extended labels o."""
+    t = draw(decorated_trees(max_edges)) if base is None else base
+    table = KPZ.table
+    ndec = {u: draw(multiindices(2)) for u in draw(st.sets(st.sampled_from(sorted(t.nodes))))}
+    hat2 = EMPTY_SUBFOREST
+    if draw(st.booleans()):
+        nodes, edges = {t.root}, set()
+        for u in t.top_down():
+            for e in t.children(u):
+                if u in nodes and (table.is_noise(t.edge_type(e)) or draw(st.booleans())):
+                    nodes.add(e[1])
+                    edges.add(e)
+        hat2 = SubForest(frozenset(nodes), frozenset(edges))
+    outside = [s for s in t.all_subtrees(table) if not s.nodes & hat2.nodes]
+    comps: list[SubForest] = []
+    if outside:
+        for s in draw(st.lists(st.sampled_from(outside), max_size=3)):
+            if all(not s.nodes & c.nodes for c in comps):
+                comps.append(s)
+    hat1 = SubForest(
+        frozenset().union(*(c.nodes for c in comps)),
+        frozenset().union(*(c.edges for c in comps)),
+    )
+    olabel = {}
+    if hat1.nodes:
+        for u in draw(st.sets(st.sampled_from(sorted(hat1.nodes)))):
+            zd = {draw(st.integers(0, KPZ_DIMS - 1)): draw(st.integers(1, 2))}
+            olabel[u] = ExtLabel(zd, {"t": draw(st.integers(0, 1))})
+    return t.with_(node_dec=ndec, hat1=hat1, hat2=hat2, o_label=olabel, table=table)
 
 
 # The known tree bases of the two models below cutoff 0, as

@@ -17,16 +17,37 @@ from renormforest.forests import (
     ForestOfSubtrees,
     _union_subforests,
     all_forests,
-    dangling_trees,
     depth_sets,
     forest_maximal,
     subtree_lt,
     undecorated_piece,
-    up_tree,
 )
 from renormforest.hopf import in_X_minus, in_X_plus
 from renormforest.scaling import TypeTable
 from renormforest.trees import DecoratedTree, EdgeKey, StructureError, SubForest
+
+
+def up_tree(t: DecoratedTree, e: EdgeKey) -> SubForest:
+    """T_>=(e): the subtree of everything at or above the edge e."""
+    nodes = {e[0], e[1]}
+    stack = [e[1]]
+    edges = {e}
+    while stack:
+        u = stack.pop()
+        for f in t.children(u):
+            edges.add(f)
+            nodes.add(f[1])
+            stack.append(f[1])
+    return SubForest(frozenset(nodes), frozenset(edges))
+
+
+def dangling_trees(t: DecoratedTree, base: SubForest, table: TypeTable) -> list[SubForest]:
+    """T(T, base): the up-trees hanging off the base subtree."""
+    out = []
+    for e in t.kernel_edges(table):
+        if e[0] in base.nodes and e[1] not in base.nodes:
+            out.append(up_tree(t, e))
+    return out
 
 
 def membership(piece: DecoratedTree, table: TypeTable) -> dict:

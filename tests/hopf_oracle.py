@@ -1,27 +1,37 @@
 """The slow paths that `hopf` replaced, kept as test oracles: extractions
 found by scanning every edge subset of the tree and splitting it into
-components, and the negative antipode of a forest as a fold of slotwise
-tensor products and key maps."""
+components, the negative antipode of a forest as a fold of slotwise
+tensor products and key maps, and the recentering bounds found by building
+a probe tree and restricting it to each dangling up-tree."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
+from forest_oracle import dangling_trees, up_tree
 from renormforest.forests import irreducible_partition_exists
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
+    _admissible_rooted,
+    _AntipodePlus,
     _boundary,
     _chi,
     _extraction_decorations,
     _extractions,
+    _node_choices,
+    _plus_colored,
     _remainder,
+    _shifted,
+    delta_minus,
+    delta_plus,
     in_X_minus,
     sorted_pieces,
 )
 from renormforest.rules import CumulantSet
-from renormforest.scaling import MultiIndex, TypeTable, ZERO_MI
+from renormforest.scaling import ExtLabel, MultiIndex, TypeTable, ZERO_MI
 from renormforest.trees import DecoratedTree, EdgeKey, SubForest, zero_node_hom
 
 
@@ -151,3 +161,109 @@ def extraction_multisets(t: DecoratedTree, table: TypeTable, **kw) -> tuple[Coun
     want = list(extractions(t, table, **kw))
     got = itertools.islice(_extractions(t, table, **kw), len(want) + 1)
     return extraction_multiset(got), extraction_multiset(want)
+
+
+# -- recentering bounds by probe trees ----------------------------------------------
+
+
+def recentered_plus_hom(piece: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
+    """|.|_+ of the restriction to `sf`, its root's node label dropped
+    unless the root has color 2."""
+    sub = piece.restrict(sf)
+    total = sub.homogeneity(table, "plus")
+    if sub.color_of_node(sub.root) != 2:
+        total -= Fraction(sub.node_dec(sub.root).sdeg(table.scaling))
+    return total
+
+
+def recentered_up_hom(t: DecoratedTree, e: EdgeKey, table: TypeTable) -> Fraction:
+    """|P~(T_>=(e), 0)^n_e|_+ : homogeneity of the up-tree with the root's
+    node label suppressed."""
+    sf = up_tree(t, e)
+    piece = t.restrict(sf)
+    total = piece.homogeneity(table, "plus")
+    total -= Fraction(piece.node_dec(piece.root).sdeg(table.scaling))
+    return total
+
+
+def cut_enumerate(t: DecoratedTree, table: TypeTable) -> list[tuple[EdgeKey, int]]:
+    out = []
+    for e in t.kernel_edges(table):
+        h = recentered_up_hom(t, e, table)
+        if h > 0:
+            out.append((e, math.ceil(h)))
+    return sorted(out)
+
+
+def in_X_plus(piece: DecoratedTree, table: TypeTable) -> bool:
+    if not piece.hat2.nodes:
+        return False
+    return all(
+        recentered_plus_hom(piece, sf, table) > 0
+        for sf in dangling_trees(piece, piece.hat2, table)
+    )
+
+
+def dangle_headroom(
+    piece: DecoratedTree, s: SubForest, table: TypeTable,
+    ndec: dict[int, MultiIndex], hat1: SubForest, hat2: SubForest,
+    olabel: dict[int, ExtLabel],
+) -> Optional[dict[EdgeKey, Fraction]]:
+    """The headroom of S's boundary edges read off a probe: the piece
+    recentered around S, restricted to each dangling up-tree."""
+    probe = piece.with_(node_dec=ndec, hat1=hat1, hat2=hat2, o_label=olabel)
+    out: dict[EdgeKey, Fraction] = {}
+    for e in _boundary(piece, s.nodes, s.edges, table):
+        h = recentered_plus_hom(probe, up_tree(piece, e), table)
+        if h <= 0:
+            return None
+        out[e] = h
+    return out
+
+
+def probe_headrooms(piece: DecoratedTree, s: SubForest, table: TypeTable) -> list:
+    """The probe's headroom for every split of the node labels of S outside
+    the color-2 part, as `delta_plus` and the positive antipode made it
+    (the color-2 part's labels all go to the recentered piece)."""
+    fict = piece.fictitious_nodes(table)
+    hat1, hat2 = _plus_colored(piece, s)
+    olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
+    nhat = [(u, k) for u, k in piece.node_dec_items if u in piece.hat2.nodes - fict]
+    slots = [
+        u for u in sorted(s.nodes - fict - piece.hat2.nodes) if not piece.node_dec(u).is_zero()
+    ]
+    out = []
+    for nd, _ in _node_choices(piece, slots):
+        ndec = _shifted(piece.node_dec_items, minus=itertools.chain(nd.items(), nhat))
+        out.append(dangle_headroom(piece, s, table, ndec, hat1, hat2, olabel))
+    return out
+
+
+def abar2(piece: DecoratedTree, table: TypeTable) -> list[SubForest]:
+    """The positive antipode's recentered subtrees, meeting each dangling
+    tree in some edge."""
+    danglers = dangling_trees(piece, piece.hat2, table)
+    return [
+        s
+        for s in _admissible_rooted(piece, table)
+        if piece.hat2.nodes <= s.nodes
+        and piece.hat2.edges <= s.edges
+        and s.edges != piece.hat2.edges
+        and all(sf.edges & s.edges for sf in danglers)
+    ]
+
+
+def recentering_cases(t: DecoratedTree, table: TypeTable) -> Iterator[tuple[DecoratedTree, SubForest]]:
+    """Every (piece, S) at which the expansion of `t` bounds the decorations
+    of S's boundary edges: each remainder of Delta_- with its admissible
+    rooted subtrees (`delta_plus`), then each piece the positive antipode
+    runs on, with its recentered subtrees."""
+    anti_plus = _AntipodePlus(table)
+    for _, remainder in delta_minus(t, table).keys():
+        for s in _admissible_rooted(remainder, table):
+            yield remainder, s
+        for _, rec_piece in delta_plus(remainder, table).keys():
+            anti_plus.run(rec_piece)
+    for piece in anti_plus.memo:
+        for s in abar2(piece, table):
+            yield piece, s

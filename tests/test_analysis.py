@@ -12,7 +12,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BPHZ_TERMS, Kpz
+from conftest import BPHZ_TERMS, KPZ, decorated_trees
 from hopf_oracle import antipode_minus_fold, extraction_multisets
 from renormforest.forests import (
     cut_enumerate,
@@ -23,8 +23,7 @@ from renormforest.forests import (
 from renormforest.hopf import antipode_minus, delta_minus
 from renormforest.multiscale import EdgeUniverse
 from renormforest.powercount import TreeAnalysis
-from renormforest.scaling import MultiIndex
-from renormforest.trees import DecoratedTree, zero_node_hom
+from renormforest.trees import zero_node_hom
 from renormforest.workbench import Workbench, parse_config, report_emit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,28 +83,6 @@ def test_analysis_is_lazy():
     assert vars(a).keys() == {"tree", "table", "cum", "max_div"}
     assert a.cuts is a.cuts
     assert vars(a).keys() == {"tree", "table", "cum", "max_div", "cuts"}
-
-
-KPZ = Kpz()
-KPZ_DIMS = len(KPZ.scaling.s)
-
-
-@st.composite
-def decorated_trees(draw, max_edges: int = 10):
-    """A random KPZ-typed tree of at most `max_edges` edges whose kernel
-    edges carry random derivative decorations, so that the weights of its
-    edges differ."""
-    n = draw(st.integers(1, min(5, max_edges)))
-    edges, edec = {}, {}
-    for c in range(1, n + 1):
-        p = draw(st.integers(0, c - 1))
-        edges[(p, c)] = "t"
-        k = draw(st.lists(st.integers(0, 1), min_size=KPZ_DIMS, max_size=KPZ_DIMS))
-        edec[(p, c)] = MultiIndex(dict(enumerate(k)))
-    # at most one noise per node; all_subtrees is exponential in the edges
-    for u in draw(st.sets(st.integers(0, n), max_size=max_edges - n)):
-        edges[(u, 100 + u)] = "l"
-    return DecoratedTree(root=0, edges=edges, edge_dec=edec, table=KPZ.table)
 
 
 @settings(max_examples=60, deadline=None)

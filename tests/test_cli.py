@@ -217,6 +217,16 @@ def test_decompose_over_the_divergence_cap(capsys, monkeypatch):
     assert "exceeds the cap" in captured.err
 
 
+def test_renormalize_over_the_divergence_cap(capsys, monkeypatch):
+    """renormalize extracts from the same list of divergent subtrees as
+    decompose, under the same cap."""
+    monkeypatch.setenv("RENORMFOREST_CAPS", '{"max_div": 1}')
+    assert cli.main(["--config", config_path("phi4_3"), "renormalize", "T3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the cap" in captured.err
+
+
 def test_export_dot_sigma(capsys, monkeypatch):
     monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
     assert cli.main(["--config", config_path("phi4_3"), "export-dot", "T4:sigma:0"]) == 0

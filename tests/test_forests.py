@@ -12,6 +12,7 @@ from forest_oracle import (
     edge_le,
     min_cuts,
     sigma_positive,
+    up_tree,
 )
 from multiscale_oracle import Interval, is_interval_of
 from renormforest.forests import (
@@ -24,7 +25,6 @@ from renormforest.forests import (
     irreducible_partition_exists,
     is_forest_of_subtrees,
     sigma_negative,
-    up_tree,
 )
 from renormforest.trees import DecoratedTree, SubForest
 

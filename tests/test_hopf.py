@@ -2,8 +2,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import BPHZ_TERMS
+import hopf_oracle
+from conftest import BPHZ_TERMS, KPZ, colored_trees
 from forest_oracle import (
     depth,
     down_tree,
@@ -11,12 +13,25 @@ from forest_oracle import (
     membership,
     sigma_positive,
     undecorated_forest_shape,
+    up_tree,
 )
 from generation_oracle import conforms
-from hopf_oracle import extraction_multisets, map_keys, tensor
+from hopf_oracle import (
+    extraction_multisets,
+    map_keys,
+    probe_headrooms,
+    recentered_plus_hom,
+    recentered_up_hom,
+    recentering_cases,
+    tensor,
+)
 from renormforest.forests import cut_enumerate, div_enumerate, sigma_negative
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
+    _admissible_rooted,
+    _AntipodePlus,
+    _boundary,
+    _dangle_headroom,
     _extractions,
     antipode_minus,
     antipode_plus,
@@ -29,7 +44,14 @@ from renormforest.hopf import (
     sorted_pieces,
 )
 from renormforest.scaling import MultiIndex, ZERO_MI
-from renormforest.trees import SubForest, integrate, poly, tree_product
+from renormforest.trees import (
+    EMPTY_SUBFOREST,
+    SubForest,
+    integrate,
+    poly,
+    tree_product,
+    up_hom_table,
+)
 from renormforest.workbench import Workbench, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -169,6 +191,64 @@ def test_extractions_match_edge_subset_scan(workbenches, model, tree_id):
         got, want = extraction_multisets(t, table, **kw)
         assert got == want, kw
         assert next(_extractions(t, table, **kw))[2] == []  # the empty forest comes first
+
+
+# -- recentering bounds against probe trees ------------------------------------------
+
+
+def assert_headroom_matches_probe(piece, s, table):
+    """The headroom of S's boundary edges from the piece's up-tree table
+    equals the probe's, for every split of S's node labels."""
+    want = _dangle_headroom(_boundary(piece, s.nodes, s.edges, table), up_hom_table(piece, table))
+    assert all(h == want for h in probe_headrooms(piece, s, table))
+
+
+def assert_x_plus_matches_probe(piece, table):
+    """X_+ membership, the bounds on the f decorations at the foot of the
+    dangling trees and the positive antipode's recentered subtrees equal
+    their probe-based versions."""
+    assert in_X_plus(piece, table) == hopf_oracle.in_X_plus(piece, table)
+    f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, table))
+    probe = {e: recentered_plus_hom(piece, up_tree(piece, e), table) for e in f_slots}
+    got = _dangle_headroom(f_slots, up_hom_table(piece, table))
+    assert got == (probe if all(h > 0 for h in probe.values()) else None)
+    assert list(_AntipodePlus(table)._abar2(piece, f_slots)) == hopf_oracle.abar2(piece, table)
+
+
+def test_recentering_bounds_match_probe_trees(workbenches):
+    """Every (piece, S) that the expansions of the basis trees reach,
+    phi4_3 T6 left out for time."""
+    cases, colored = 0, set()
+    for model, tree_id in TREES:
+        if (model, tree_id) == ("phi4_3", "T6"):
+            continue
+        wb = workbenches[model]
+        table = wb.config.table
+        for piece, s in recentering_cases(wb.tree_by_id(tree_id), table):
+            assert_headroom_matches_probe(piece, s, table)
+            if piece.hat2.nodes and piece not in colored:
+                colored.add(piece)
+                assert_x_plus_matches_probe(piece, table)
+            cases += 1
+    assert (cases, len(colored)) == (4743, 73)
+
+
+@settings(max_examples=60, deadline=None)
+@given(colored_trees())
+def test_recentering_bounds_match_probe_on_random_trees(piece):
+    """On a random colored tree: the headroom of every admissible rooted
+    subtree S (holding the color-2 part, if any), X_+ membership, and, on
+    the uncolored tree, the up-tree table and the positive cuts."""
+    table = KPZ.table
+    if piece.hat2.nodes:
+        assert_x_plus_matches_probe(piece, table)
+    for s in _admissible_rooted(piece, table):
+        if piece.hat2.nodes <= s.nodes and piece.hat2.edges <= s.edges:
+            assert_headroom_matches_probe(piece, s, table)
+    plain = piece.with_(hat1=EMPTY_SUBFOREST, hat2=EMPTY_SUBFOREST, o_label={})
+    up = up_hom_table(plain, table)
+    assert up == {e: recentered_up_hom(plain, e, table) for e, _ in plain.edge_items}
+    assert cut_enumerate(plain, table) == hopf_oracle.cut_enumerate(plain, table)
 
 
 def test_antipode_nested_four_noise(phi4):

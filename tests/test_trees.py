@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import KAPPA, spine_subtrees, spine_tree
-from renormforest.scaling import MultiIndex, ZERO_MI
+from conftest import KAPPA, KPZ, colored_trees, multiindices, spine_subtrees, spine_tree
+from renormforest.scaling import MultiIndex, ZERO_EXT, ZERO_MI
 from renormforest.trees import (
     DecoratedTree,
     StructureError,
@@ -14,6 +17,7 @@ from renormforest.trees import (
     poly,
     tree_product,
 )
+from tree_oracle import code, embedded_key, relabel_canonical, scan
 
 
 def test_homogeneity_examples(phi4, kpz):
@@ -161,3 +165,69 @@ def test_contract_colored(phi4):
     colored = t.with_(hat1=cherries[0])
     contracted = colored.contract_colored(table)
     assert contracted.canonical_code() == phi4.t1.canonical_code()
+
+
+# -- the per-tree indexes against linear scans and recursion --------------------
+
+
+def assert_indexes_match_scans(t: DecoratedTree):
+    for u in t.nodes | {max(t.nodes) + 1}:
+        assert t.node_dec(u) == scan(t.node_dec_items, u, ZERO_MI)
+        assert t.o_label(u) == scan(t.o_label_items, u, ZERO_EXT)
+    for e, ty in t.edge_items:
+        assert t.edge_type(e) == ty
+        assert t.edge_dec(e) == scan(t.edge_dec_items, e, ZERO_MI)
+    assert t.canonical_code() == code(t, t.root)
+    relabelled = relabel_canonical(t)
+    assert t.relabel_canonical() == relabelled
+    assert t.relabel_canonical().canonical_code() == code(relabelled, relabelled.root)
+
+
+@settings(max_examples=80, deadline=None)
+@given(colored_trees(), st.data())
+def test_indexed_tree_matches_scans(t, data):
+    """A random `with_` edit of a random colored tree: the dict lookups,
+    the bottom-up AHU codes and the embedded key agree with linear scans,
+    recursion and a key built from the arguments; `==`, equal keys and
+    equal hashes agree; the tree edited from is unchanged; and a coloring
+    that overlaps, or an o label off the color-1 forest, still raises."""
+    table = KPZ.table
+    other = data.draw(colored_trees(base=t))
+    parts = {
+        "node_dec": dict(other.node_dec_items),
+        "edge_dec": {e: data.draw(multiindices()) for e in t.kernel_edges(table)},
+        "hat1": other.hat1,
+        "hat2": other.hat2,
+        "o_label": dict(other.o_label_items),
+    }
+    edit = {k: parts[k] for k in data.draw(st.sets(st.sampled_from(sorted(parts))))}
+    args = {
+        "node_dec": dict(t.node_dec_items),
+        "edge_dec": dict(t.edge_dec_items),
+        "hat1": t.hat1,
+        "hat2": t.hat2,
+        "o_label": dict(t.o_label_items),
+        **edit,
+    }
+    key = t.embedded_key()
+    if args["hat1"].nodes & args["hat2"].nodes or not args["o_label"].keys() <= args["hat1"].nodes:
+        with pytest.raises(StructureError):
+            t.with_(**edit)
+        return
+    edited = t.with_(**edit)
+    fresh = DecoratedTree(t.root, t.edges, **args)
+    assert t.embedded_key() == key
+    assert edited.embedded_key() == embedded_key(t.root, t.edges, **args)
+    for tree in (t, edited, fresh):
+        assert_indexes_match_scans(tree)
+    trees = (t, edited, fresh, other)
+    for a, b in itertools.combinations(trees, 2):
+        same = a.embedded_key() == b.embedded_key()
+        assert (a == b) == same == (hash(a) == hash(b))
+    assert edited == fresh
+    # a second parent for a node is refused, with the edges replaced
+    if len(t.nodes) > 1:
+        c = max(t.nodes - {t.root})
+        x = min(t.nodes - {t.parent(c)})
+        with pytest.raises(StructureError):
+            edited.with_(edges={**edited.edges, (x, c): "t"})
