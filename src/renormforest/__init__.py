@@ -18,8 +18,8 @@ from .hopf import (
     delta_plus,
 )
 from .multiscale import EdgeUniverse, harvested_cuts, path_scale, safe_projection
-from .coalescence import TotalHomogeneity, enumerate_trees
-from .powercount import Certifier, CertificateInput, CumulantHomogeneity
+from .coalescence import enumerate_trees
+from .powercount import Certifier, CertificateInput
 from .integrands import chaos_classes
 from .workbench import Workbench, parse_config, report_emit
 

@@ -7,14 +7,12 @@ family of subsets of size >= 2 containing the full set is such a tree, the
 children of a cluster being its maximal proper sub-clusters together with
 its uncovered single vertices.  The poset has the root (full set) minimal.
 
-The module enumerates the trees on a vertex set, finds the cluster where a
-set of vertices joins, and carries the total homogeneities that weigh the
-internal nodes of every tree.
+The module enumerates the trees on a vertex set and finds the cluster where
+a set of vertices joins.
 """
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 Cluster = int  # bitmask over vertex indices
@@ -129,30 +127,3 @@ def ancestor(fam: Family, mask: int) -> Cluster:
     if c == mask and popcount(mask) == 1:
         return strict_join(fam, mask)
     return c
-
-
-# -- total homogeneities -----------------------------------------------------------
-
-
-class TotalHomogeneity:
-    """A rational weight on the internal nodes of every coalescence tree of
-    a fixed vertex set, represented functionally."""
-
-    def __init__(self, fn: Callable[[Family], dict[Cluster, Fraction]], label: str = ""):
-        self._fn = fn
-        self.label = label
-        self._cache: dict[Family, dict[Cluster, Fraction]] = {}
-
-    def on(self, fam: Family) -> dict[Cluster, Fraction]:
-        if fam not in self._cache:
-            raw = self._fn(fam)
-            self._cache[fam] = {c: Fraction(v) for c, v in raw.items() if v}
-        return self._cache[fam]
-
-    def total(self, fam: Family) -> Fraction:
-        return sum(self.on(fam).values(), Fraction(0))
-
-
-def const_at_root(n: int, value: Fraction) -> TotalHomogeneity:
-    full = full_mask(n)
-    return TotalHomogeneity(lambda fam: {full: Fraction(value)}, f"root({value})")

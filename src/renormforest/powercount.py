@@ -1,6 +1,10 @@
-"""Cumulant homogeneities, the per-tree analysis with the convergence
-theorem's hypotheses, and the power-counting certifier of the single-tree
-moment bounds."""
+"""The per-tree analysis with the convergence theorem's hypotheses, and the
+power-counting certifier of the single-tree moment bounds.
+
+Each allowed cumulant carries the cumulant homogeneity that puts all of
+-|t(B)|_s at the root of the coalescence tree of its arguments B; the
+hypotheses and the certificate read it in closed form (`rules.gain`,
+`higher_cum_check`, and one "up" entry per cumulant block)."""
 from __future__ import annotations
 
 import itertools
@@ -15,7 +19,6 @@ from . import forests as fo
 from .coalescence import (
     Cluster,
     Family,
-    TotalHomogeneity,
     ancestor,
     bits,
     enumerate_trees,
@@ -23,7 +26,7 @@ from .coalescence import (
     popcount,
 )
 from .forests import cut_enumerate, compatible_partition, nested_or_disjoint, omega
-from .rules import CumulantSet, jump, super_regularity, theorem_conditions
+from .rules import CumulantSet, gain, jump, subtree_hypotheses
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, SubForest
 
@@ -36,155 +39,25 @@ def fict_gain(table: TypeTable, block_types: Sequence[str]) -> int:
     return max(0, math.ceil(-tot - table.scaling.abs_s))
 
 
-class CumulantHomogeneity:
-    """A distribution of each allowed cumulant's homogeneity across the
-    coalescence scales of its arguments.
+def higher_cum_check(cum: CumulantSet) -> bool:
+    """Only second cumulants ever need renormalization: every allowed block
+    M has f(M) + |t(M)|_s + (|M|-1)|s| > 0.
 
-    `builder(types)` returns the total homogeneity on the coalescence trees
-    of the block's positions; the default concentrates -|t(B)|_s at the
-    root, which is consistent with the homogeneity assignment.
-    """
-
-    def __init__(
-        self,
-        cum: CumulantSet,
-        builder: Optional[Callable[[tuple[str, ...]], TotalHomogeneity]] = None,
-    ):
-        self.cum = cum
-        self.table = cum.table
-        self._builder = builder or self._default_builder
-        self._memo: dict[tuple[str, ...], TotalHomogeneity] = {}
-
-    def _default_builder(self, types: tuple[str, ...]) -> TotalHomogeneity:
-        total = -sum((self.table.hom(t) for t in types), Fraction(0))
-        return co.const_at_root(len(types), total)
-
-    def block(self, types: Sequence[str]) -> TotalHomogeneity:
-        key = tuple(types)
-        if key not in self._memo:
-            self._memo[key] = self._builder(key)
-        return self._memo[key]
-
-    # -- consistency ---------------------------------------------------------
-
-    def _block_type_tuples(self, max_arity: Optional[int] = None) -> list[tuple[str, ...]]:
-        noises = sorted(self.table.noise_types)
-        cap = max_arity or self.cum.max_arity
-        out = []
-        for m in range(2, cap + 1):
-            for combo in itertools.combinations_with_replacement(noises, m):
-                if self.cum.admits(combo):
-                    out.append(combo)
-        return out
-
-    def consistency_check(self) -> dict:
-        """Items 1-4: correct totals, the per-subset bounds, and the higher
-        cumulant margin."""
-        abs_s = self.table.scaling.abs_s
-        for types in self._block_type_tuples():
-            m = len(types)
-            hom = self.block(types)
-            trees = enumerate_trees(m)
-            t_total = sum((self.table.hom(t) for t in types), Fraction(0))
-            for fam in trees:
-                vals = hom.on(fam)
-                total = sum(vals.values(), Fraction(0))
-                if total != -t_total:
-                    return {"pass": False, "item": 1, "types": types, "tree": fam}
-                for r in range(1, m + 1):
-                    for sub in itertools.combinations(range(m), r):
-                        amask = sum(1 << i for i in sub)
-                        below = sum(
-                            (
-                                v
-                                for c, v in vals.items()
-                                if any((c & (1 << i)) for i in sub)
-                            ),
-                            Fraction(0),
-                        )
-                        t_a = sum((self.table.hom(types[i]) for i in sub), Fraction(0))
-                        if not below >= -t_a:
-                            return {"pass": False, "item": 2, "types": types, "tree": fam, "subset": sub}
-                for a in fam:
-                    part = sum(
-                        (v for c, v in vals.items() if (c & a) == c), Fraction(0)
-                    )
-                    t_a = sum(
-                        (self.table.hom(types[i]) for i in bits(a)), Fraction(0)
-                    )
-                    if not part <= -t_a:
-                        return {"pass": False, "item": 3, "types": types, "tree": fam, "node": a}
-                    if m >= 3 and popcount(a) <= 3:
-                        if not part < abs_s * (popcount(a) - 1):
-                            return {"pass": False, "item": 4, "types": types, "tree": fam, "node": a}
-        return {"pass": True}
-
-    # -- derived quantities -----------------------------------------------------
-
-    def ext_hom(
-        self, a_types: Sequence[str], pool_types: Iterable[str]
-    ) -> Optional[Fraction]:
-        """|t(A)|_{s,c,D}: the worst homogeneity attributed to the noises of
-        A when they coalesce inside a larger cumulant with partners drawn
-        from the pool's type set.  Returns 0 when A is not an allowed block
-        and None when no admissible extension exists (an impossible
-        scenario, treated as +infinity by callers)."""
-        a = tuple(sorted(a_types))
-        if not self.cum.admits(a):
-            return Fraction(0)
-        pool = sorted(set(pool_types))
-        best: Optional[Fraction] = None
-        amask = sum(1 << i for i in range(len(a)))
-        for n_extra in range(1, max(0, self.cum.max_arity - len(a)) + 1):
-            for extra in itertools.combinations_with_replacement(pool, n_extra):
-                types = a + extra
-                if not self.cum.admits(types):
-                    continue
-                hom = self.block(types)
-                for fam in enumerate_trees(len(types)):
-                    if amask not in fam:
-                        continue
-                    vals = hom.on(fam)
-                    part = -sum(
-                        (v for c, v in vals.items() if (c & amask) == c), Fraction(0)
-                    )
-                    if best is None or part < best:
-                        best = part
-        return best
-
-    def gain(self, a_types: Sequence[str], pool_types: Iterable[str]) -> Optional[Fraction]:
-        """h_{c,D}(A): the minimum homogeneity gain over nonempty subsets of
-        A participating in an external cumulant; 0 on the empty set, None
-        when every scenario is impossible."""
-        a = list(a_types)
-        if not a:
-            return Fraction(0)
-        best: Optional[Fraction] = None
-        for r in range(1, len(a) + 1):
-            for sub in set(itertools.combinations(sorted(a), r)):
-                ext = self.ext_hom(sub, pool_types)
-                if ext is None:
-                    continue
-                t_b = sum((self.table.hom(t) for t in sub), Fraction(0))
-                v = ext - t_b
-                if best is None or v < best:
-                    best = v
-        return best
-
-    def higher_cum_check(self, pool_types: Optional[Iterable[str]] = None) -> dict:
-        """Only second cumulants ever need renormalization: for every
-        allowed block M, min(|t(M)|_{s,c,D}, f(M)+|t(M)|_s) + (|M|-1)|s| > 0."""
-        abs_s = self.table.scaling.abs_s
-        pool = sorted(set(pool_types or self.table.noise_types))
-        for types in self._block_type_tuples():
-            t_m = sum((self.table.hom(t) for t in types), Fraction(0))
-            ext = self.ext_hom(types, pool)
-            cands = [Fraction(fict_gain(self.table, types)) + t_m]
-            if ext is not None:
-                cands.append(ext)
-            if not min(cands) + (len(types) - 1) * abs_s > 0:
-                return {"pass": False, "types": types}
-        return {"pass": True}
+    The theorem asks min(|t(M)|_{s,c,D}, f(M) + |t(M)|_s) + (|M|-1)|s| > 0.
+    Under the cumulant homogeneity that puts all of -|t(M)|_s at the root,
+    |t(M)|_{s,c,D} is 0 when M extends to a larger allowed block and
+    +infinity otherwise, and a 0 there never decides the inequality because
+    (|M|-1)|s| > 0.  For |M| >= 3, f(M) is 0 and `CumulantSet` already
+    requires |t(M)|_s > (1-|M|)|s|, so only pairs can fail."""
+    table = cum.table
+    noises = sorted(table.noise_types)
+    for m in range(2, cum.max_arity + 1):
+        for types in itertools.combinations_with_replacement(noises, m):
+            if cum.admits(types):
+                t_m = sum((table.hom(x) for x in types), Fraction(0))
+                if not fict_gain(table, types) + t_m + (m - 1) * table.scaling.abs_s > 0:
+                    return False
+    return True
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -244,19 +117,12 @@ class TreeAnalysis:
 
     @cached_property
     def failed_hypotheses(self) -> tuple[str, ...]:
-        """The names of the theorem's per-tree hypotheses that fail:
-        subtree power counting ("super_regularity", with the cumulant
-        homogeneity's gain for non-Gaussian noise) and, for Gaussian noise,
-        the three subtree bullets ("theorem_conditions")."""
-        if self.cum.mode == "gaussian":
-            checks = {
-                "super_regularity": super_regularity(self.tree, self.cum),
-                "theorem_conditions": theorem_conditions(self.tree, self.cum),
-            }
-        else:
-            ch = CumulantHomogeneity(self.cum)
-            checks = {"super_regularity": super_regularity(self.tree, self.cum, "cumulant", ch)}
-        return tuple(name for name, rep in checks.items() if not rep["pass"])
+        """The names of the theorem's per-tree hypotheses that fail, from
+        `rules.subtree_hypotheses`: subtree power counting
+        ("super_regularity") and, for Gaussian noise, the three subtree
+        bullets ("theorem_conditions")."""
+        failed = subtree_hypotheses(self.tree, self.cum)
+        return tuple(name for name, subtrees in failed.items() if subtrees)
 
 
 class Analyses:
@@ -275,16 +141,13 @@ class Analyses:
 
     @cached_property
     def failed_cumulant_hypotheses(self) -> tuple[str, ...]:
-        """The names of the checks of the default cumulant homogeneity that
-        fail: its consistency ("consistency_check") and the margin that
-        leaves only second cumulants to renormalize ("higher_cum_check").
-        They depend on the cumulant set alone."""
-        ch = CumulantHomogeneity(self.cum)
-        checks = {
-            "consistency_check": ch.consistency_check(),
-            "higher_cum_check": ch.higher_cum_check(),
-        }
-        return tuple(name for name, rep in checks.items() if not rep["pass"])
+        """The names of the hypotheses on the cumulant set that fail: the
+        margin that leaves only second cumulants to renormalize
+        ("higher_cum_check").  The consistency of the root-concentrated
+        cumulant homogeneity follows from the noise homogeneities being
+        negative and from the arity bound of `CumulantSet`, so it is not
+        checked here."""
+        return () if higher_cum_check(self.cum) else ("higher_cum_check",)
 
 
 # -- the certifier -------------------------------------------------------------------
@@ -315,13 +178,11 @@ class Certifier:
         self,
         table: TypeTable,
         cum: CumulantSet,
-        ch: Optional[CumulantHomogeneity] = None,
         vertex_cap: int = 9,
         analysis: Optional[Analyses] = None,
     ):
         self.table = table
         self.cum = cum
-        self.ch = ch or CumulantHomogeneity(cum)
         self.vertex_cap = vertex_cap
         self.analysis = analysis if analysis is not None else Analyses(table, cum)
 
@@ -396,11 +257,14 @@ class Certifier:
 
     def wick_contributions(self, ci: CertificateInput, built: dict) -> list:
         """Flat description of the moment integrand's total homogeneity:
-        kernel growth, lifted cumulant weights, contracted-tree divergences,
-        the second-cumulant renormalization gain, and the cut factors.
+        kernel growth, cumulant weights, contracted-tree divergences, the
+        second-cumulant renormalization gain, and the cut factors.
 
-        Each entry is ("up", mask, value), ("lift", positions, block hom) or
-        ("fict", mask, value); `_subset_tables` sums them per vertex subset.
+        Each entry is ("up", mask, value), placed at the deepest cluster that
+        holds the mask, or ("fict", mask, value); `_subset_tables` sums them
+        per vertex subset.  Each cumulant block B of the partition outside
+        the contracted forest puts -|t(B)|_s at the cluster where its
+        vertices join.
         """
         t, table = ci.tree, self.table
         index, qhat = built["index"], built["qhat"]
@@ -415,11 +279,11 @@ class Certifier:
                 continue
             leaves = sorted(block)
             types = tuple(t.leaf_type(u, table) for u in leaves)
-            positions = [index[u] for u in leaves]
-            parts.append(("lift", tuple(positions), self.ch.block(types)))
+            mask = _mask(index[u] for u in leaves)
+            parts.append(("up", mask, -sum((table.hom(x) for x in types), Fraction(0))))
             f = fict_gain(table, types)
             if f > 0:
-                parts.append(("fict", _mask(positions), Fraction(f)))
+                parts.append(("fict", mask, Fraction(f)))
         for s in built["maximal"]:
             r = index[qhat(t.restrict(s).root)]
             parts.append(("up", 1 << r, omega(t, s, table)))
@@ -521,36 +385,24 @@ class Certifier:
     # ---- hypothesis checks
 
     def _subset_tables(self, ci: CertificateInput, built: dict):
-        """Per-subset data for the inequality checks.  With the default
-        root-concentrated cumulant homogeneity the partial sums below a node
-        depend only on the node's leaf set, so the whole certificate reduces
-        to one check per vertex subset."""
-        t, table = ci.tree, self.table
+        """Per-subset data for the inequality checks.  Every entry sits at
+        the cluster where its mask joins, so the partial sums below a node
+        depend only on the node's leaf set, and the whole certificate
+        reduces to one check per vertex subset."""
         n = len(built["verts"])
-        index = built["index"]
         parts = self.wick_contributions(ci, built)
         ups: list[tuple[int, Fraction]] = []
-        lifts: list[tuple[int, Fraction]] = []
         ficts: dict[int, Fraction] = {}
-        for kind, data, value in parts:
+        for kind, mask, value in parts:
             if kind == "up":
-                ups.append((data, value))
-            elif kind == "fict":
-                ficts[data] = ficts.get(data, Fraction(0)) + value
+                ups.append((mask, value))
             else:
-                positions = data
-                lifts.append((_mask(positions), value.total(enumerate_trees(len(positions))[0])))
-        total = (
-            sum((v for _, v in ups), Fraction(0))
-            + sum((v for _, v in lifts), Fraction(0))
-        )
+                ficts[mask] = ficts.get(mask, Fraction(0)) + value
+        total = sum((v for _, v in ups), Fraction(0))
         base: dict[int, Fraction] = {}
         for a in range(1, 1 << n):
             acc = Fraction(0)
             for m, v in ups:
-                if (m & a) == m:
-                    acc += v
-            for m, v in lifts:
                 if (m & a) == m:
                     acc += v
             if a in ficts:
@@ -574,20 +426,14 @@ class Certifier:
         star_rho = (1 << 0) | (1 << index[built["qhat"](ci.tree.root)])
         half = Fraction(abs_s, 2)
         pool = sorted({types_of[i] for i in wick_idx})
-        gain_memo: dict[tuple, Optional[Fraction]] = {}
-        jump_memo: dict[tuple, Optional[Fraction]] = {}
+        brackets: dict[tuple, Fraction] = {}
 
         def bracket(ext_types: tuple[str, ...]) -> Fraction:
-            cands = [half]
-            if ext_types not in gain_memo:
-                gain_memo[ext_types] = self.ch.gain(ext_types, pool)
-            if gain_memo[ext_types] is not None:
-                cands.append(gain_memo[ext_types])
-            if ext_types not in jump_memo:
-                jump_memo[ext_types] = jump(self.cum, pool, ext_types)
-            if jump_memo[ext_types] is not None:
-                cands.append(jump_memo[ext_types])
-            return min(cands)
+            if ext_types not in brackets:
+                b = min(half, gain(self.table, ext_types))
+                j = jump(self.cum, pool, ext_types)
+                brackets[ext_types] = b if j is None else min(b, j)
+            return brackets[ext_types]
 
         base, total = self._subset_tables(ci, built)
         alpha = total - (n - 1) * abs_s
@@ -622,11 +468,10 @@ class Certifier:
         violated node only fails the certificate when some realizable
         coalescence tree contains it.
 
-        With the default (root-concentrated) cumulant homogeneity the
-        inequalities are evaluated per vertex subset and only failing
-        subsets trigger the tree search, which walks the connected
-        coalescence trees containing the subset and returns the first one
-        the interval's scale constraints can realize.
+        The inequalities are evaluated per vertex subset (`_subset_tables`)
+        and only failing subsets trigger the tree search, which walks the
+        connected coalescence trees containing the subset and returns the
+        first one the interval's scale constraints can realize.
         """
         built = self.build(ci)
         alpha, failures = self._failures(ci, built)

@@ -86,13 +86,14 @@ class CumulantSet:
     table: TypeTable
     mode: str = "gaussian"
     explicit: frozenset[tuple[str, ...]] = frozenset()
-    max_arity_cap: int = 8
 
     def __post_init__(self):
         if self.mode not in ("gaussian", "explicit"):
             raise ValueError("mode must be 'gaussian' or 'explicit'")
         blocks = frozenset(tuple(sorted(b)) for b in self.explicit)
         object.__setattr__(self, "explicit", blocks)
+        if self.mode == "gaussian" and blocks:
+            raise ValueError("gaussian mode allows every pair and takes no blocks")
         if self.mode == "explicit":
             noises = set(self.table.noise_types)
             abs_s = self.table.scaling.abs_s
@@ -210,6 +211,21 @@ def jump(
             if feasible(c_types):
                 best = value
     return best
+
+
+def gain(table: TypeTable, block_types: Sequence[str]) -> Fraction:
+    """h_{c,D}(A): the least homogeneity gained when noises of A coalesce
+    inside a cumulant with partners outside them, under the cumulant
+    homogeneity that puts all of -|t(C)|_s at the root of the coalescence
+    tree of each allowed block C.
+
+    A nonempty B inside A gains |t(B)|_{s,c,D} - |t(B)|_s.  The first term
+    is 0 when B is no allowed block, or when an allowed block extends B
+    (its homogeneity then sits at its root, above B), and +infinity when B
+    is an allowed block that no allowed block extends.  Noise homogeneities
+    are negative, so the least gain is that of one noise alone: -max over u
+    in A of |t(u)|_s, and 0 when A is empty."""
+    return min((-table.hom(x) for x in block_types), default=Fraction(0))
 
 
 # -- subcriticality -----------------------------------------------------------
@@ -458,97 +474,54 @@ def eligible_subtrees(t: DecoratedTree, table: TypeTable) -> list[SubForest]:
     return t.all_subtrees(table, min_true_nodes=2)
 
 
-def super_regularity(
-    t: DecoratedTree,
-    cum: CumulantSet,
-    variant: str = "plain",
-    ch=None,
-) -> dict:
-    """Check strengthened subtree power counting.
+def subtree_hypotheses(
+    t: DecoratedTree, cum: CumulantSet
+) -> dict[str, list[tuple[SubForest, Fraction]]]:
+    """The convergence theorem's per-tree hypotheses, checked in one walk
+    over the subtrees S with |N(S)| > 1.  Each hypothesis maps to the
+    (S, |S^0_e|_s) of the subtrees that fail it.
 
-    plain variant: for every subtree S with |N(S)| > 1 and L(S) nonempty,
-        |S^0_e|_s + min(|s|/2, min_u -|t(u)|_s, j_{L(T)}(L(S))) > 0.
-    cumulant variant: for every subtree S with |N(S)| > 1,
-        |S^0_e|_s + min(|s|/2, h_{c,L(T)}(L(S)), j_{L(T)}(L(S))) > 0,
-    where h is the homogeneity-gain of a consistent cumulant homogeneity
-    (an object with a .gain(block_types, pool_types) method).
+    "super_regularity", strengthened subtree power counting:
+        |S^0_e|_s + min(|s|/2, h(L(S)), j_{L(T)}(L(S))) > 0,
+    with h the gain of the cumulant homogeneity (`gain`) and j the `jump`.
+    Under Gaussian noise it is checked only where L(S) is nonempty.
+
+    "theorem_conditions", the three subtree bullets of the Gaussian
+    theorem, checked under Gaussian noise only:
+        |S^0_e|_s + |t(A)|_s + |A||s| > 0 for every typed set A with types
+            drawn from t(L(T)), |A| in {1, 2} and |A| + |L(S)| even;
+        |S^0_e|_s - |t(u)|_s > 0 for every u in L(S);
+        |S^0_e|_s > -|s|/2.
     """
     table = cum.table
-    if variant not in ("plain", "cumulant"):
-        raise ValueError("variant must be 'plain' or 'cumulant'")
-    if variant == "cumulant" and ch is None:
-        raise ValueError("cumulant variant needs a cumulant homogeneity")
-    half = Fraction(table.scaling.abs_s, 2)
-    ambient_leaf_types = sorted(t.leaf_type(u, table) for u in t.leaf_nodes(table))
-    rows = []
-    ok = True
-    for sf in eligible_subtrees(t, table):
-        piece = t.restrict(sf)
-        leaves = sorted(piece.leaf_nodes(table))
-        leaf_types = [piece.leaf_type(u, table) for u in leaves]
-        if variant == "plain" and not leaves:
-            continue
-        base = zero_node_hom(t, sf, table)
-        candidates = [half]
-        if variant == "plain":
-            candidates.extend(-table.hom(ty) for ty in leaf_types)
-        else:
-            candidates.append(ch.gain(leaf_types, ambient_leaf_types))
-        j = jump(cum, ambient_leaf_types, leaf_types)
-        if j is not None:
-            candidates.append(j)
-        margin = base + min(candidates)
-        passed = margin > 0
-        ok = ok and passed
-        rows.append(
-            {
-                "subtree": sf,
-                "zero_hom": base,
-                "margin": margin,
-                "pass": passed,
-            }
-        )
-    failing = [r for r in rows if not r["pass"]]
-    return {"pass": ok, "rows": rows, "failing": failing}
-
-
-def theorem_conditions(t: DecoratedTree, cum: CumulantSet) -> dict:
-    """The three subtree bullet conditions of the Gaussian convergence
-    theorem, checked for every subtree S with |N(S)| >= 2."""
-    table = cum.table
     abs_s = table.scaling.abs_s
-    ambient_types = sorted(set(t.leaf_type(u, table) for u in t.leaf_nodes(table)))
-    rows = []
-    ok = True
+    half = Fraction(abs_s, 2)
+    gaussian = cum.mode == "gaussian"
+    ambient = sorted(t.leaf_type(u, table) for u in t.leaf_nodes(table))
+    # the least |t(u)|_s + |s| over the ambient types; |A| copies of it are
+    # the worst typed set A of the first bullet
+    worst = min((table.hom(x) + abs_s for x in ambient), default=None)
+    failed: dict[str, list[tuple[SubForest, Fraction]]] = {"super_regularity": []}
+    if gaussian:
+        failed["theorem_conditions"] = []
     for sf in eligible_subtrees(t, table):
         piece = t.restrict(sf)
-        leaves = sorted(piece.leaf_nodes(table))
+        leaf_types = [piece.leaf_type(u, table) for u in sorted(piece.leaf_nodes(table))]
         base = zero_node_hom(t, sf, table)
-        # bullet 1: worst typed set A (types from t(L(T)) as a set, |A|+|L(S)| even)
-        bullet1 = True
-        if ambient_types:
-            parity = len(leaves) % 2
-            worst = None
-            for size in (1, 2):
-                if (size + len(leaves)) % 2 != 0:
-                    continue
-                for combo in itertools.combinations_with_replacement(ambient_types, size):
-                    v = sum((table.hom(x) for x in combo), Fraction(0)) + size * abs_s
-                    worst = v if worst is None or v < worst else worst
-            if worst is not None:
-                bullet1 = base + worst > 0
-        # bullet 2: per-leaf margin
-        bullet2 = all(base - table.hom(piece.leaf_type(u, table)) > 0 for u in leaves)
-        # bullet 3
-        bullet3 = base > Fraction(-abs_s, 2)
-        passed = bullet1 and bullet2 and bullet3
-        ok = ok and passed
-        rows.append(
-            {
-                "subtree": sf,
-                "zero_hom": base,
-                "bullets": (bullet1, bullet2, bullet3),
-                "pass": passed,
-            }
-        )
-    return {"pass": ok, "rows": rows, "failing": [r for r in rows if not r["pass"]]}
+        if leaf_types or not gaussian:
+            margin = min(half, gain(table, leaf_types))
+            j = jump(cum, ambient, leaf_types)
+            if j is not None:
+                margin = min(margin, j)
+            if not base + margin > 0:
+                failed["super_regularity"].append((sf, base))
+        if gaussian:
+            size = 2 - len(leaf_types) % 2
+            bullets = (
+                worst is None or base + size * worst > 0,
+                all(base - table.hom(ty) > 0 for ty in leaf_types),
+                base > -half,
+            )
+            if not all(bullets):
+                failed["theorem_conditions"].append((sf, base))
+    return failed

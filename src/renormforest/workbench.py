@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -30,12 +30,9 @@ class ConfigError(ValueError):
 class WorkbenchConfig:
     scaling: ScalingSpec
     table: TypeTable
-    kappa: Fraction
     cum: CumulantSet
     rule: RuleSpec
     caps: dict
-    output: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
 DEFAULT_CAPS = {
@@ -46,6 +43,9 @@ DEFAULT_CAPS = {
     "cutoff": "0",
     "poly_sdeg_bound": 0,
 }
+# the fields a configuration may set, at the top level and under "cumulants"
+CONFIG_FIELDS = ("scaling", "types", "cumulants", "rule", "caps")
+CUMULANT_FIELDS = ("mode", "blocks")
 
 
 def parse_config(document: str) -> WorkbenchConfig:
@@ -55,67 +55,72 @@ def parse_config(document: str) -> WorkbenchConfig:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"malformed JSON at byte {exc.pos}: {exc.msg}"])
-    problems: list[str] = []
-
-    def need(key, where, obj):
-        if key not in obj:
-            problems.append(f"missing field {where}.{key}")
-            return None
-        return obj[key]
-
     if not isinstance(data, dict):
         raise ConfigError(["top level must be an object"])
-    sc_raw = need("scaling", "$", data) or {}
+    problems: list[str] = [f"unknown field {k}" for k in sorted(set(data) - set(CONFIG_FIELDS))]
+
+    def section(obj: dict, key: str, where: str, required: bool = True) -> dict:
+        """obj[key], which must be an object; {} when it is not or is
+        missing."""
+        if key not in obj:
+            if required:
+                problems.append(f"missing field {where}.{key}")
+            return {}
+        if not isinstance(obj[key], dict):
+            problems.append(f"{where}.{key} must be an object")
+            return {}
+        return obj[key]
+
+    sc_raw = section(data, "scaling", "$")
     d = sc_raw.get("d")
     s = sc_raw.get("s")
     if d is None:
         problems.append("missing field scaling.d")
+    elif not _is_int(d):
+        problems.append(f"scaling.d must be an integer, got {d!r}")
     if s is None:
         problems.append("missing field scaling.s")
-    types_raw = need("types", "$", data) or {}
-    kern = types_raw.get("kernels")
-    noi = types_raw.get("noises")
-    if kern is None:
-        problems.append("missing field types.kernels")
-    if noi is None:
-        problems.append("missing field types.noises")
-    kappa_raw = data.get("kappa", "1/100")
-    cum_raw = data.get("cumulants", {"mode": "gaussian"})
-    rule_raw = need("rule", "$", data) or {}
-    if "productions" not in rule_raw:
-        problems.append("missing field rule.productions")
+    elif not _is_list(s, _is_int):
+        problems.append(f"scaling.s must be a list of integers, got {s!r}")
+    types_raw = section(data, "types", "$")
+    kern = _rationals(section(types_raw, "kernels", "types"), "types.kernels", problems)
+    noi = _rationals(section(types_raw, "noises", "types"), "types.noises", problems)
+    cum_raw = section(data, "cumulants", "$", required=False)
+    problems += [
+        f"unknown field cumulants.{k}" for k in sorted(set(cum_raw) - set(CUMULANT_FIELDS))
+    ]
+    blocks = cum_raw.get("blocks", [])
+    if not _is_list(blocks, lambda b: _is_list(b, _is_str)):
+        problems.append("cumulants.blocks must be a list of lists of type names")
+    rule_raw = section(data, "rule", "$")
+    prods_raw = section(rule_raw, "productions", "rule")
+    for t, ps in prods_raw.items():
+        if not _is_list(ps, lambda p: _is_list(p, _is_entry)):
+            problems.append(
+                f"rule.productions.{t} must be a list of productions, each a list of "
+                "type names or [type name, derivative list] pairs"
+            )
+    standalone = rule_raw.get("standalone_noises", [])
+    if not _is_list(standalone, _is_str):
+        problems.append("rule.standalone_noises must be a list of type names")
     if problems:
         raise ConfigError(problems)
 
     try:
-        scaling = ScalingSpec(int(d), tuple(int(x) for x in s))
-    except (TypeError, ValueError) as exc:
+        scaling = ScalingSpec(d, tuple(s))
+    except ValueError as exc:
         problems.append(f"scaling: {exc}")
         raise ConfigError(problems)
     try:
-        table = TypeTable(
-            scaling,
-            kernel_types={k: Fraction(v) for k, v in kern.items()},
-            noise_types={k: Fraction(v) for k, v in noi.items()},
-        )
-    except (ValueError, KeyError) as exc:
+        table = TypeTable(scaling, kernel_types=kern, noise_types=noi)
+    except ValueError as exc:
         problems.append(f"types: {exc}")
         raise ConfigError(problems)
-    try:
-        kappa = Fraction(kappa_raw)
-        if kappa <= 0:
-            problems.append("kappa must be positive")
-    except ValueError:
-        problems.append(f"kappa: not a rational: {kappa_raw!r}")
-        kappa = Fraction(1, 100)
     try:
         cum = CumulantSet(
             table,
             mode=cum_raw.get("mode", "gaussian"),
-            explicit=frozenset(
-                tuple(sorted(b)) for b in cum_raw.get("blocks", [])
-            ),
-            max_arity_cap=int(cum_raw.get("max_arity", 8)),
+            explicit=frozenset(tuple(sorted(b)) for b in blocks),
         )
     except ValueError as exc:
         problems.append(f"cumulants: {exc}")
@@ -129,16 +134,10 @@ def parse_config(document: str) -> WorkbenchConfig:
 
     try:
         prods = {
-            t: frozenset(
-                production(*(parse_entry(e) for e in p)) for p in ps
-            )
-            for t, ps in rule_raw["productions"].items()
+            t: frozenset(production(*(parse_entry(e) for e in p)) for p in ps)
+            for t, ps in prods_raw.items()
         }
-        rule = RuleSpec(
-            table,
-            productions=prods,
-            standalone_noises=tuple(rule_raw.get("standalone_noises", ())),
-        )
+        rule = RuleSpec(table, productions=prods, standalone_noises=tuple(standalone))
     except (ValueError, KeyError) as exc:
         problems.append(f"rule: {exc}")
         rule = None
@@ -162,16 +161,42 @@ def parse_config(document: str) -> WorkbenchConfig:
     caps = _check_caps(caps, problems)
     if problems:
         raise ConfigError(problems)
-    return WorkbenchConfig(
-        scaling=scaling,
-        table=table,
-        kappa=kappa,
-        cum=cum,
-        rule=rule,
-        caps=caps,
-        output=data.get("output", {}),
-        raw=data,
+    return WorkbenchConfig(scaling=scaling, table=table, cum=cum, rule=rule, caps=caps)
+
+
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def _is_int(x) -> bool:
+    return type(x) is int  # a bool or a float is no integer
+
+
+def _is_list(x, each) -> bool:
+    return isinstance(x, list) and all(each(y) for y in x)
+
+
+def _is_entry(x) -> bool:
+    """A production entry: a type name, or [type name, derivative list]."""
+    return _is_str(x) or (
+        isinstance(x, list) and len(x) == 2 and _is_str(x[0]) and _is_list(x[1], _is_int)
     )
+
+
+def _rational(v, where: str, problems: list[str]) -> Optional[Fraction]:
+    """An exact rational given as a JSON integer or string; None, with a
+    problem, for anything else (a bool or a float is no exact rational)."""
+    try:
+        if type(v) not in (int, str):
+            raise ValueError(v)
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        problems.append(f"{where} must be an exact rational, got {v!r}")
+        return None
+
+
+def _rationals(obj: dict, where: str, problems: list[str]) -> dict[str, Fraction]:
+    return {k: _rational(v, f"{where}.{k}", problems) for k, v in obj.items()}
 
 
 def _check_caps(caps: dict, problems: list[str]) -> dict:
@@ -182,13 +207,10 @@ def _check_caps(caps: dict, problems: list[str]) -> dict:
         if k not in DEFAULT_CAPS:
             problems.append(f"unknown cap caps.{k}")
         elif k == "cutoff":
-            try:
-                if type(v) not in (int, str):  # a bool or a float is no exact rational
-                    raise ValueError(v)
-                out[k] = Fraction(v)
-            except ValueError:
-                problems.append(f"caps.cutoff must be an exact rational, got {v!r}")
-        elif type(v) is not int:
+            cutoff = _rational(v, "caps.cutoff", problems)
+            if cutoff is not None:
+                out[k] = cutoff
+        elif not _is_int(v):
             problems.append(f"caps.{k} must be an integer, got {v!r}")
         elif k == "poly_sdeg_bound" and v < 0:
             problems.append(f"caps.{k} must not be negative")

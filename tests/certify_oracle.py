@@ -15,9 +15,9 @@ node by node; it checks the per-subset tables the certifier sums instead.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
-from coalescence_oracle import children_blocks, grand_ancestor, restrict_tree
+from coalescence_oracle import children_blocks, grand_ancestor
 from renormforest.coalescence import (
     Cluster,
     Family,
@@ -273,15 +273,6 @@ def witness(cert: Certifier, ci: CertificateInput):
 # -- the certificate's homogeneity on one tree ---------------------------------------
 
 
-def tomask(cluster: int, positions: Sequence[int]) -> int:
-    """The cluster as a mask over the positions, in their order."""
-    out = 0
-    for i, p in enumerate(positions):
-        if cluster >> p & 1:
-            out |= 1 << i
-    return out
-
-
 def evaluate_hom(parts: list, fam: Family, n: int) -> dict[Cluster, Fraction]:
     """The total homogeneity of `Certifier.wick_contributions` on one
     coalescence tree, placed node by node; `Certifier._subset_tables`
@@ -300,13 +291,4 @@ def evaluate_hom(parts: list, fam: Family, n: int) -> dict[Cluster, Fraction]:
             if a == data:  # the block coalesces alone
                 add(grand_ancestor(fam, full, data), value)
                 add(a, -value)
-        else:  # lifted block homogeneity through tree restriction
-            positions = data
-            fam_b, iota = restrict_tree(fam, sum(1 << p for p in positions))
-            block_fam = frozenset(tomask(c, positions) for c in fam_b)
-            vals = value.on(block_fam)
-            for c in fam_b:
-                v = vals.get(tomask(c, positions), Fraction(0))
-                if v:
-                    add(iota[c], v)
     return {c: v for c, v in out.items() if v}

@@ -1,5 +1,5 @@
-"""The command line: exit codes, malformed caps and scale documents, and
-output that does not depend on the hash seed."""
+"""The command line: exit codes, malformed configurations, caps and scale
+documents, and output that does not depend on the hash seed."""
 import json
 import os
 import subprocess
@@ -7,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import KPZ_BASIS, PHI4_BASIS
 from renormforest import cli
+from renormforest.workbench import ConfigError, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {"kpz": KPZ_BASIS, "phi4_3": PHI4_BASIS}
@@ -57,6 +60,99 @@ def test_malformed_caps_are_config_errors(caps, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
+
+
+def with_changes(model: str, **changes) -> dict:
+    """A shipped configuration with fields set; a key "a.b" names field b
+    of section a."""
+    config = json.loads(Path(config_path(model)).read_text())
+    for key, value in changes.items():
+        *path, last = key.split(".")
+        section = config
+        for k in path:
+            section = section[k]
+        section[last] = value
+    return config
+
+
+MALFORMED_CONFIGS = {
+    "cumulants-not-an-object": with_changes("kpz", cumulants=[]),
+    "kernels-not-an-object": with_changes("kpz", **{"types.kernels": []}),
+    "null-noise-homogeneity": with_changes("kpz", **{"types.noises.l": None}),
+    "float-noise-homogeneity": with_changes("kpz", **{"types.noises.l": -1.51}),
+    "blocks-not-a-list": with_changes("kpz", cumulants={"mode": "explicit", "blocks": 5}),
+    "block-not-a-list": with_changes("kpz", cumulants={"mode": "explicit", "blocks": ["ll"]}),
+    "blocks-with-gaussian-mode": with_changes(
+        "kpz", cumulants={"mode": "gaussian", "blocks": [["l", "l"], ["l", "l", "l"]]}
+    ),
+    "standalone-noises-not-a-list": with_changes("kpz", **{"rule.standalone_noises": 5}),
+    "productions-not-an-object": with_changes("kpz", **{"rule.productions": []}),
+    "production-entry-malformed": with_changes("kpz", **{"rule.productions.t": [[5]]}),
+    "scaling-not-an-object": with_changes("kpz", scaling=[2]),
+    "float-dimension": with_changes("kpz", **{"scaling.d": 2.5}),
+    "scaling-vector-a-string": with_changes("kpz", **{"scaling.s": "21"}),
+    "unknown-field-kappa": with_changes("kpz", kappa="1/100"),
+    "null-kappa": with_changes("kpz", kappa=None),
+    "unknown-field-output": with_changes("kpz", output={}),
+    "unknown-cumulants-field-max-arity": with_changes(
+        "kpz", cumulants={"mode": "gaussian", "max_arity": 2}
+    ),
+    "null-max-arity": with_changes("kpz", cumulants={"mode": "gaussian", "max_arity": None}),
+}
+
+
+@pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_configs_are_config_errors(config, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path), "generate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+def config_fields(value, path=()):
+    """The path of every field and list item below a configuration value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, sub in items:
+        yield path + (key,)
+        yield from config_fields(sub, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-3, 3)
+    | st.sampled_from(["l", "t", "-3/2", "1/0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["l", "t", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_changed_field_parses_or_is_a_config_error(data):
+    """Replacing any one field of a shipped configuration by any JSON value
+    gives a configuration or a ConfigError, never another exception."""
+    for model in sorted(CONFIGS):
+        config = json.loads(Path(config_path(model)).read_text())
+        *path, last = data.draw(st.sampled_from(list(config_fields(config))))
+        section = config
+        for k in path:
+            section = section[k]
+        section[last] = data.draw(JSON_VALUES)
+        try:
+            parse_config(json.dumps(config))
+        except ConfigError:
+            pass
 
 
 def run_with_hash_seed(seed: str, args: list[str], returncode: int = 0) -> bytes:

@@ -3,12 +3,11 @@ names every failed hypothesis under "hypotheses" and sets "pass" to false,
 and it checks each hypothesis at most once per tree (or per cumulant set)
 and Workbench."""
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from renormforest import coalescence, powercount
+from renormforest import powercount
 from renormforest.workbench import Workbench, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,22 +64,6 @@ def test_higher_cumulant_margin_fails_without_kappa():
     assert report["hypotheses"] == ["higher_cum_check"]
 
 
-def test_inconsistent_cumulant_homogeneity(monkeypatch):
-    """A configuration cannot break the consistency of the default cumulant
-    homogeneity (noise homogeneities are negative and blocks of three or
-    more obey the arity bound), so a builder that misplaces the total
-    breaks it here."""
-
-    def off_by_one(self, types):
-        total = -sum((self.table.hom(t) for t in types), Fraction(0))
-        return coalescence.const_at_root(len(types), total + 1)
-
-    monkeypatch.setattr(powercount.CumulantHomogeneity, "_default_builder", off_by_one)
-    report = workbench("kpz").cmd_certify("T1")
-    assert report["pass"] is False
-    assert report["hypotheses"] == ["consistency_check"]
-
-
 def test_hypotheses_are_checked_once_per_workbench(monkeypatch):
     calls = {}
 
@@ -93,18 +76,12 @@ def test_hypotheses_are_checked_once_per_workbench(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(powercount, "super_regularity")
-    counted(powercount, "theorem_conditions")
-    counted(powercount.CumulantHomogeneity, "consistency_check")
-    counted(powercount.CumulantHomogeneity, "higher_cum_check")
+    # one walk over a tree's subtrees checks both per-tree hypotheses
+    counted(powercount, "subtree_hypotheses")
+    counted(powercount, "higher_cum_check")
     wb = workbench("kpz")
     trees = [f"T{i}" for i in range(len(wb.basis()))][:6]
     for _ in range(2):
         for tid in trees:
             assert wb.cmd_certify(tid)["pass"] is True
-    assert calls == {
-        "consistency_check": 1,
-        "higher_cum_check": 1,
-        "super_regularity": len(trees),
-        "theorem_conditions": len(trees),
-    }
+    assert calls == {"higher_cum_check": 1, "subtree_hypotheses": len(trees)}

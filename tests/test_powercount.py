@@ -1,17 +1,22 @@
+import itertools
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certify_oracle import evaluate_hom
 from conftest import KAPPA, Phi4
+from cumulant_oracle import CumulantHomogeneity
 from renormforest.coalescence import enumerate_trees
 from renormforest.forests import div_enumerate
 from renormforest.powercount import (
     Certifier,
     CertificateInput,
-    CumulantHomogeneity,
     fict_gain,
+    higher_cum_check,
     trees_containing,
 )
-from renormforest.rules import CumulantSet
+from renormforest.rules import CumulantSet, gain
 from renormforest.scaling import ScalingSpec, TypeTable
 
 
@@ -21,7 +26,7 @@ def test_default_consistency(phi4):
     # item 1 verbatim: the total equals minus the block homogeneity
     block = ch.block(("Xi", "Xi"))
     for fam in enumerate_trees(2):
-        assert block.total(fam) == -2 * (Fraction(-5, 2) - KAPPA)
+        assert sum(block(fam).values()) == -2 * (Fraction(-5, 2) - KAPPA)
 
 
 def test_fict_gain_values(phi4, kpz):
@@ -43,10 +48,12 @@ def test_ext_hom_and_gain_gaussian(phi4):
     # a singleton is not an allowed block: attributed homogeneity zero
     assert ch.ext_hom(("Xi",), ["Xi"]) == 0
     # gain of a single noise: 0 - |t| = 5/2 + kappa
-    assert ch.gain(("Xi",), ["Xi"]) == Fraction(5, 2) + KAPPA
-    assert ch.gain((), ["Xi"]) == 0
+    for g in (gain(phi4.table, ("Xi",)), ch.gain(("Xi",), ["Xi"])):
+        assert g == Fraction(5, 2) + KAPPA
+    assert gain(phi4.table, ()) == ch.gain((), ["Xi"]) == 0
     # of a pair: the singleton branch wins, the pair branch is impossible
-    assert ch.gain(("Xi", "Xi"), ["Xi"]) == Fraction(5, 2) + KAPPA
+    for g in (gain(phi4.table, ("Xi", "Xi")), ch.gain(("Xi", "Xi"), ["Xi"])):
+        assert g == Fraction(5, 2) + KAPPA
 
 
 def test_ext_hom_explicit_triples():
@@ -57,12 +64,70 @@ def test_ext_hom_explicit_triples():
     # a pair extends to a triple: the root-mass layout attributes zero to
     # any proper cluster
     assert ch.ext_hom(("l", "l"), ["l"]) == 0
+    assert higher_cum_check(cum)
     assert ch.higher_cum_check()["pass"]
     assert ch.consistency_check()["pass"]
 
 
 def test_higher_cum_check(phi4):
+    assert higher_cum_check(phi4.cum)
     assert CumulantHomogeneity(phi4.cum).higher_cum_check()["pass"]
+    # at |Xi| = -5/2 a pair sits at -|s| exactly and gains nothing
+    assert not higher_cum_check(Phi4(xi_hom=Fraction(-5, 2)).cum)
+
+
+@st.composite
+def cumulant_sets(draw):
+    """A random scaling, one to three noise types with homogeneities in
+    (-|s|, 0), and a Gaussian or an explicit subset-closed cumulant set of
+    arity at most 4 with every same-type pair; None when the explicit set
+    breaks the arity bound that `CumulantSet` enforces."""
+    s = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    scaling = ScalingSpec(len(s), tuple(s))
+    abs_s = scaling.abs_s
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    homs = {x: -Fraction(draw(st.integers(1, 11)), 12) * abs_s for x in names}
+    table = TypeTable(scaling, kernel_types={"k": Fraction(1)}, noise_types=homs)
+    if draw(st.booleans()):
+        return CumulantSet(table, "gaussian")
+    multisets = [
+        m for r in (2, 3, 4) for m in itertools.combinations_with_replacement(names, r)
+    ]
+    picked = draw(st.lists(st.sampled_from(multisets), max_size=4))
+    blocks = {(x, x) for x in names}
+    for m in picked:
+        for r in range(2, len(m) + 1):
+            blocks |= set(itertools.combinations(m, r))
+    try:
+        return CumulantSet(table, "explicit", frozenset(blocks))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(cumulant_sets(), st.data())
+def test_closed_forms_match_the_tree_enumeration(cum, data):
+    """The closed-form gain and higher-cumulant margin equal the
+    tree-enumerating ones; the enumerated extended homogeneity is 0 except
+    on an allowed block that no allowed block extends, where it is +infinity
+    (None); and the root-concentrated homogeneity is consistent on every
+    cumulant set the constructors accept."""
+    if cum is None:
+        return
+    ch = CumulantHomogeneity(cum)
+    noises = sorted(cum.table.noise_types)
+    assert ch.consistency_check() == {"pass": True}
+    assert higher_cum_check(cum) == ch.higher_cum_check()["pass"]
+    for _ in range(4):
+        a = tuple(sorted(data.draw(st.lists(st.sampled_from(noises), max_size=4))))
+        pool = data.draw(st.lists(st.sampled_from(noises), max_size=3, unique=True))
+        assert gain(cum.table, a) == ch.gain(a, pool)
+        extends = any(
+            cum.admits(a + extra)
+            for n in range(1, cum.max_arity - len(a) + 1)
+            for extra in itertools.combinations_with_replacement(sorted(pool), n)
+        )
+        assert ch.ext_hom(a, pool) == (None if cum.admits(a) and not extends else 0)
 
 
 def _ci(setting, t, wick, pi, forest=frozenset()):

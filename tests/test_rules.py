@@ -9,11 +9,11 @@ from renormforest.rules import (
     RuleSpec,
     SubcriticalityError,
     check_subcritical,
+    eligible_subtrees,
     generate_trees,
     jump,
     production,
-    super_regularity,
-    theorem_conditions,
+    subtree_hypotheses,
 )
 from renormforest.scaling import ScalingSpec, TypeTable
 from renormforest.workbench import format_tree, frac_str
@@ -77,11 +77,14 @@ def test_subcriticality():
 
 
 def test_super_regularity_phi4(phi4):
-    rep = super_regularity(phi4.t111, phi4.cum)
-    assert rep["pass"]
-    assert len(rep["rows"]) >= 3
+    assert len(eligible_subtrees(phi4.t111, phi4.table)) >= 3
+    assert subtree_hypotheses(phi4.t111, phi4.cum)["super_regularity"] == []
     # a lone noise has no eligible subtree
-    assert super_regularity(phi4.xi, phi4.cum)["rows"] == []
+    assert eligible_subtrees(phi4.xi, phi4.table) == []
+    assert subtree_hypotheses(phi4.xi, phi4.cum) == {
+        "super_regularity": [],
+        "theorem_conditions": [],
+    }
 
 
 def test_super_regularity_failure():
@@ -89,21 +92,18 @@ def test_super_regularity_failure():
     # (zero-label homogeneity -3, jump gain 2); the two-noise cherry still
     # clears its margin there and first fails at |Xi| = -7/2
     bad = Phi4(xi_hom=Fraction(-3))
-    rep = super_regularity(bad.t111, bad.cum)
-    assert not rep["pass"]
-    assert {r["zero_hom"] for r in rep["failing"]} == {Fraction(-3)}
+    failing = subtree_hypotheses(bad.t111, bad.cum)["super_regularity"]
+    assert {zero_hom for _, zero_hom in failing} == {Fraction(-3)}
     worse = Phi4(xi_hom=Fraction(-7, 2))
-    rep2 = super_regularity(worse.t11, worse.cum)
-    assert not rep2["pass"]
-    assert Fraction(-3) in {r["zero_hom"] for r in rep2["failing"]}
+    failing2 = subtree_hypotheses(worse.t11, worse.cum)["super_regularity"]
+    assert Fraction(-3) in {zero_hom for _, zero_hom in failing2}
 
 
 def test_theorem_conditions(phi4, kpz):
-    assert theorem_conditions(phi4.t131, phi4.cum)["pass"]
-    assert theorem_conditions(kpz.t211, kpz.cum)["pass"]
+    assert subtree_hypotheses(phi4.t131, phi4.cum)["theorem_conditions"] == []
+    assert subtree_hypotheses(kpz.t211, kpz.cum)["theorem_conditions"] == []
     worse = Phi4(xi_hom=Fraction(-5, 2) - Fraction(1, 4))
-    rep = theorem_conditions(worse.t131, worse.cum)
-    assert not rep["pass"]
+    assert subtree_hypotheses(worse.t131, worse.cum)["theorem_conditions"]
 
 
 def test_cumulant_set_invariants(phi4):
