@@ -328,7 +328,7 @@ def sigma_negative(t: DecoratedTree, forest: ForestOfSubtrees) -> tuple:
     return tuple(sorted(pieces))
 
 
-def cuts_avoiding(t: DecoratedTree, cuts: Sequence[EdgeKey], forest: ForestOfSubtrees) -> list[EdgeKey]:
+def cuts_avoiding(cuts: Sequence[EdgeKey], forest: ForestOfSubtrees) -> list[EdgeKey]:
     """C_F: the positive cuts not lying in any member of the forest."""
     used: set[EdgeKey] = set()
     for s in forest:

@@ -616,12 +616,10 @@ class CountertermMonomial:
     coefficient: Fraction
     constants: tuple[str, ...]
     residual: DecoratedTree
-    expansion: tuple = ()
 
 
 @dataclass(frozen=True)
 class CountertermReport:
-    base: DecoratedTree
     monomials: tuple[CountertermMonomial, ...]
 
 
@@ -637,7 +635,7 @@ def counterterm_report(
 
     Counterterm constants attach per extracted iso class; a class whose
     nested expansion is the bare expectation appears as C[.], one with
-    genuine nested corrections as C'[.] with its expansion recorded.
+    genuine nested corrections as C'[.].
     `candidates` is the tree's list of effective divergent subtrees, when
     the caller has it.
     """
@@ -658,7 +656,6 @@ def counterterm_report(
     for key, g in sorted(groups.items(), key=lambda kv: repr(kv[0])):
         pieces = g["pieces"]
         names_out = []
-        expansions = []
         dead = False
         for code, p in pieces:
             expansion = rc.of(p, code)
@@ -667,7 +664,6 @@ def counterterm_report(
                 break
             is_bare = len(expansion) == 1 and expansion.coeff((code,)) == -1
             names_out.append(_label_for(code, names, renormalized=not is_bare))
-            expansions.append(tuple(sorted(expansion.items(), key=lambda kv: repr(kv[0]))))
         if dead:
             continue
         sign = Fraction(-1) ** len(pieces)
@@ -676,11 +672,10 @@ def counterterm_report(
                 coefficient=g["coeff"] * sign,
                 constants=tuple(sorted(names_out)),
                 residual=g["residual"],
-                expansion=tuple(expansions),
             )
         )
     monomials.sort(key=lambda m: (len(m.constants), m.constants, repr(m.residual.canonical_code())))
-    return CountertermReport(base=t, monomials=tuple(monomials))
+    return CountertermReport(monomials=tuple(monomials))
 
 
 def _label_for(code: tuple, names: Optional[dict], renormalized: bool) -> str:

@@ -31,7 +31,7 @@ def chaos_classes(analysis: TreeAnalysis) -> list[ChaosClass]:
         forests = forests_compatible_with(t, table, univ, pi)
         cut_sets = []
         for f in forests:
-            free = cuts_avoiding(t, all_cuts, f)
+            free = cuts_avoiding(all_cuts, f)
             cut_sets.append(
                 tuple(
                     frozenset(c)

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .forests import CutSet, ForestOfSubtrees, forest_children, subtree_lt
+from .forests import CutSet, ForestOfSubtrees, cuts_avoiding, forest_children, subtree_lt
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, StructureError, SubForest
 
@@ -180,13 +180,8 @@ def harvested_cuts(
 ) -> CutSet:
     """G^n(F): positive cuts outside F whose kernel would beat the best
     route to the basepoint, restricted to the cuts avoiding the forest."""
-    used: set[EdgeKey] = set()
-    for s in forest:
-        used |= s.edges
     out = set()
-    for e in cuts:
-        if e in used:
-            continue
+    for e in cuts_avoiding(cuts, forest):
         if path_scale(eu, STAR, e[0], forest, n) > path_scale(eu, e[0], e[1], forest, n):
             out.add(e)
     return frozenset(out)

@@ -25,7 +25,8 @@ from .coalescence import (
     full_mask,
     popcount,
 )
-from .forests import cut_enumerate, compatible_partition, nested_or_disjoint, omega
+from . import multiscale as ms
+from .forests import cut_enumerate, compatible_partition
 from .rules import CumulantSet, gain, jump, subtree_hypotheses
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, SubForest
@@ -155,24 +156,19 @@ class Analyses:
 
 @dataclass(frozen=True)
 class CertificateInput:
-    """One chaos class of one tree with an interval of forests and cuts:
-    b(M) is the contracted forest, s(M) its fully-renormalized part, and
-    (s(G), delta(G)) the plainly-renormalized and cancellation-harvested
-    cuts."""
+    """One chaos class of one tree: the noises kept in the Wick product and
+    the partition of the other leaves into cumulant blocks."""
 
     tree: DecoratedTree
     wick: frozenset[int]  # L~: noises kept in the Wick product
     pi: frozenset[frozenset[int]]
-    m_small: frozenset[SubForest]
-    m_big: frozenset[SubForest]
-    g_small: frozenset[EdgeKey]
-    g_big: frozenset[EdgeKey]
 
 
 class Certifier:
-    """Builds the quotient multigraph and the total homogeneity of the
-    single-tree moment bound, then checks the integrability and large-scale
-    decay inequalities over every realizable coalescence tree."""
+    """Builds the multigraph K(T) + E_pi + E_star of a chaos class on
+    `multiscale.EdgeUniverse` and the total homogeneity of the single-tree
+    moment bound, then checks the integrability and large-scale decay
+    inequalities over every realizable coalescence tree."""
 
     def __init__(
         self,
@@ -186,97 +182,40 @@ class Certifier:
         self.vertex_cap = vertex_cap
         self.analysis = analysis if analysis is not None else Analyses(table, cum)
 
-    # ---- construction of the quotient data
+    # ---- construction of the multigraph
 
     def build(self, ci: CertificateInput) -> dict:
-        t, table = ci.tree, self.table
-        maxb = sorted(ci.m_big, key=lambda s: s.sort_key())
-        maximal = [
-            s
-            for s in maxb
-            if not any(s != x and s.nodes <= x.nodes for x in maxb)
-        ]
-        interior: set[int] = set()
-        roots: dict[SubForest, int] = {}
-        for s in maximal:
-            piece = t.restrict(s)
-            r = piece.root
-            roots[s] = r
-            interior |= set(piece.true_nodes(table)) - {r}
-        true = sorted(t.true_nodes(table))
-        verts = ["*"] + [u for u in true if u not in interior]
+        """Vertex 0 is the basepoint, then the true nodes in order; `masks`
+        maps each edge tag of the universe to the bitmask of its endpoints."""
+        eu = ms.EdgeUniverse(ci.tree, self.table, ci.pi)
+        verts = [ms.STAR] + sorted(ci.tree.true_nodes(self.table))
         if len(verts) > self.vertex_cap:
             raise co.CoalescenceCap(
                 f"quotient vertex count {len(verts)} exceeds the cap {self.vertex_cap}"
             )
         index = {v: i for i, v in enumerate(verts)}
-
-        def qhat(u: int) -> int:
-            for s in maximal:
-                if u in s.nodes and u in t.restrict(s).true_nodes(table):
-                    return roots[s]
-            return u
-
-        kernel_left = [
-            e
-            for e in t.kernel_edges(table)
-            if not any(
-                (e[0] in s.nodes and e[1] in s.nodes) or e[0] in s.nodes
-                for s in maximal
-            )
-        ]
-        k_down = [
-            e
-            for e in t.kernel_edges(table)
-            if any(e[0] in s.nodes and e[1] not in s.nodes for s in maximal)
-        ]
-        edges: list[tuple[str, object, frozenset[int]]] = []
-        for e in kernel_left + k_down:
-            edges.append(("K", e, frozenset({index[qhat(e[0])], index[qhat(e[1])]})))
-        leaves_left = {
-            u
-            for u in t.leaf_nodes(table)
-            if not any(u in s.nodes for s in maximal)
-        }
-        for block in ci.pi:
-            if set(block) <= leaves_left:
-                for a, b in itertools.combinations(sorted(block), 2):
-                    edges.append(("pi", (a, b), frozenset({index[a], index[b]})))
-        for u in verts[1:]:
-            edges.append(("star", u, frozenset({0, index[u]})))
-        return {
-            "verts": verts,
-            "index": index,
-            "qhat": qhat,
-            "edges": edges,
-            "maximal": maximal,
-            "kernel_left": kernel_left,
-            "k_down": k_down,
-            "leaves_left": leaves_left,
-        }
+        masks = {tag: _mask(index[v] for v in eu.endpoints(tag)) for tag in eu.all_tags()}
+        return {"universe": eu, "verts": verts, "index": index, "masks": masks}
 
     def wick_contributions(self, ci: CertificateInput, built: dict) -> list:
         """Flat description of the moment integrand's total homogeneity:
-        kernel growth, cumulant weights, contracted-tree divergences, the
-        second-cumulant renormalization gain, and the cut factors.
+        node polynomial weights, cumulant weights, the second-cumulant
+        renormalization gain, and kernel growth.
 
         Each entry is ("up", mask, value), placed at the deepest cluster that
         holds the mask, or ("fict", mask, value); `_subset_tables` sums them
-        per vertex subset.  Each cumulant block B of the partition outside
-        the contracted forest puts -|t(B)|_s at the cluster where its
-        vertices join.
+        per vertex subset.  Each cumulant block B of the partition puts
+        -|t(B)|_s at the cluster where its vertices join.
         """
         t, table = ci.tree, self.table
-        index, qhat = built["index"], built["qhat"]
+        index, masks = built["index"], built["masks"]
         abs_s = table.scaling.abs_s
         parts: list = []
         for u in sorted(t.true_nodes(table)):
             d = t.node_dec(u).sdeg(table.scaling)
             if d:
-                parts.append(("up", (1 << 0) | (1 << index[qhat(u)]), Fraction(-d)))
+                parts.append(("up", masks[("star", u)], Fraction(-d)))
         for block in ci.pi:
-            if not set(block) <= built["leaves_left"]:
-                continue
             leaves = sorted(block)
             types = tuple(t.leaf_type(u, table) for u in leaves)
             mask = _mask(index[u] for u in leaves)
@@ -284,99 +223,59 @@ class Certifier:
             f = fict_gain(table, types)
             if f > 0:
                 parts.append(("fict", mask, Fraction(f)))
-        for s in built["maximal"]:
-            r = index[qhat(t.restrict(s).root)]
-            parts.append(("up", 1 << r, omega(t, s, table)))
-        cuts = dict(self.analysis(t).cuts)
-        d_cuts = set(ci.g_small)
-        s_cuts = set(ci.g_big) - set(ci.g_small)
-        star = 1 << 0
-        for e in built["kernel_left"] + built["k_down"]:
+        for e in t.kernel_edges(table):
             h = Fraction(abs_s) - table.hom(t.edge_type(e)) + t.edge_dec(e).sdeg(table.scaling)
-            child = 1 << index[qhat(e[1])]
-            parent = 1 << index[qhat(e[0])]
-            if e in s_cuts:
-                gamma = Fraction(cuts[e])
-                parts.append(("up", child | star, h + gamma - 1))
-                parts.append(("up", star | parent, 1 - gamma))
-            else:
-                if e in d_cuts:
-                    gamma = Fraction(cuts[e])
-                    parts.append(("up", child | parent, h + gamma))
-                    parts.append(("up", star | parent, -gamma))
-                else:
-                    parts.append(("up", child | parent, h))
+            parts.append(("up", masks[("K", e)], h))
         return parts
 
-    # ---- realizability of a coalescence tree under the interval's scales
+    # ---- realizability of a coalescence tree under the scale constraints
 
     def _interval_plan(self, ci: CertificateInput, built: dict):
-        """The scale-order constraints the interval places on every labeled
-        tree, reduced to vertex masks of the quotient so that a candidate
-        tree only has to look up the joins `ancestor(fam, mask)`:
+        """The scale-order constraints on every labeled tree, reduced to
+        vertex masks so that a candidate tree only has to look up the joins
+        `ancestor(fam, mask)`:
 
-        - `cuts`: per positive cut outside m_big, (star_pair, edge_pair,
-          harvested).  A kernel route can never beat the join of its
+        - `cuts`: per positive cut e = (p, c), (star_pair, edge_pair), the
+          masks of the basepoint edge of p and of e itself.  Every cut must
+          lie outside G^n(F).  A kernel route can never beat the join of its
           endpoints and the basepoint route never drops below its direct
-          edge, so comparing the two join clusters captures the
-          harvested/unharvested dichotomy at the rank level.
-        - `subtrees`: per divergence that lies within no member of m_big,
-          is nested or disjoint with each and has internal and external
-          edges, (internal masks, external masks): some internal join must
-          sit at or above some external one.
+          edge, so this puts the basepoint join at or below the edge join.
+        - `subtrees`: per divergence compatible with the partition that has
+          internal and external edges (`multiscale.internal_tags`,
+          `external_tags`), (internal masks, external masks): some internal
+          join must sit at or above some external one.
         - `masks`: every mask the two lists name.
 
         Comparisons sit at the cluster-rank level with ties resolved
         favorably, reflecting the bounded in-window jitter of individual
         edge scales."""
         t, table = ci.tree, self.table
-        index, qhat, edges = built["index"], built["qhat"], built["edges"]
-        big = frozenset(ci.m_big)
-        tag_mask = {(kind, data): _mask(endmask) for kind, data, endmask in edges}
-        used_edges: set = set()
-        for s in big:
-            used_edges |= s.edges
-        cuts = []
+        eu, masks = built["universe"], built["masks"]
         analysis = self.analysis(t)
-        for e, _ in analysis.cuts:
-            if e not in used_edges:
-                top, bottom = 1 << index[qhat(e[0])], 1 << index[qhat(e[1])]
-                harvested = e in ci.g_big and e not in ci.g_small
-                cuts.append(((1 << 0) | top, top | bottom, harvested))
+        cuts = [(masks[("star", e[0])], masks[("K", e)]) for e, _ in analysis.cuts]
         # the scale machinery needs every power-counting divergence: a
         # subtree with a vanishing counterterm still gets its scale-local
         # Taylor reorganization, so the universe here is the full one
         subtrees = []
         for s, _ in analysis.all_divergences:
-            # the quotient keeps no edge inside an m_big member, so no divergence within one has any
-            if any(s.nodes <= x.nodes or not nested_or_disjoint(s, x) for x in big):
-                continue
             if not compatible_partition(t, table, frozenset([s]), ci.pi):
                 continue
-            piece = t.restrict(s)
-            truen = piece.true_nodes(table)
-            own = {("K", e) for e in piece.kernel_edges(table)}
-            own |= {("pi", d) for k, d, _ in edges if k == "pi" and d[0] in truen and d[1] in truen}
-            qmask = _mask(index[qhat(u)] for u in truen)
-            ints = sorted({tag_mask[tg] for tg in own if tg in tag_mask})
-            exts = sorted({m for tg, m in tag_mask.items() if m & qmask and tg not in own})
+            ints = sorted({masks[tag] for tag in ms.internal_tags(eu, s)})
+            exts = sorted({masks[tag] for tag in ms.external_tags(eu, s)})
             if ints and exts:
                 subtrees.append((ints, exts))
-        masks = {m for c in cuts for m in c[:2]} | {
+        plan_masks = {m for c in cuts for m in c} | {
             m for ints, exts in subtrees for m in ints + exts
         }
-        return masks, cuts, subtrees
+        return plan_masks, cuts, subtrees
 
     @staticmethod
     def _realizable(plan, fam: Family) -> bool:
-        """Does some labeling of the tree satisfy the interval's plan?"""
+        """Does some labeling of the tree satisfy the plan?"""
         masks, cuts, subtrees = plan
         up = {m: ancestor(fam, m) for m in masks}
-        atoms: set[tuple[Cluster, Cluster]] = set()
+        atoms = {(up[star_pair], up[edge_pair]) for star_pair, edge_pair in cuts}
         disjunctions: list[list[tuple[Cluster, Cluster]]] = []
-        for star_pair, edge_pair, harvested in cuts:
-            a_star, a_edge = up[star_pair], up[edge_pair]
-            atoms.add((a_edge, a_star) if harvested else (a_star, a_edge))
         for ints, exts in subtrees:
             j_int, j_ext = {up[m] for m in ints}, {up[m] for m in exts}
             disjunctions.append(sorted({(ci_, ce) for ci_ in j_int for ce in j_ext}))
@@ -417,13 +316,9 @@ class Certifier:
         n = len(built["verts"])
         index = built["index"]
         abs_s = self.table.scaling.abs_s
-        wick_idx = {index[u] for u in sorted(ci.wick) if u in index}
-        types_of = {
-            index[u]: ci.tree.leaf_type(u, self.table)
-            for u in sorted(ci.wick)
-            if u in index
-        }
-        star_rho = (1 << 0) | (1 << index[built["qhat"](ci.tree.root)])
+        types_of = {index[u]: ci.tree.leaf_type(u, self.table) for u in sorted(ci.wick)}
+        wick_idx = set(types_of)
+        star_rho = built["masks"][("star", ci.tree.root)]
         half = Fraction(abs_s, 2)
         pool = sorted({types_of[i] for i in wick_idx})
         brackets: dict[tuple, Fraction] = {}
@@ -471,7 +366,7 @@ class Certifier:
         The inequalities are evaluated per vertex subset (`_subset_tables`)
         and only failing subsets trigger the tree search, which walks the
         connected coalescence trees containing the subset and returns the
-        first one the interval's scale constraints can realize.
+        first one the scale constraints can realize.
         """
         built = self.build(ci)
         alpha, failures = self._failures(ci, built)
@@ -481,7 +376,7 @@ class Certifier:
         # a failing subset matters only when some realizable tree realizes it
         n = len(built["verts"])
         plan = self._interval_plan(ci, built)
-        prune = connected_split(built["edges"])
+        prune = connected_split(built["masks"].values())
         realizable: dict[Family, bool] = {}
         pruned = 0
         for violation in failures:
@@ -554,11 +449,12 @@ def _feasible(fam: Family, atoms: Iterable, disjunctions: list) -> bool:
     return all(add(reach, c, d) for c, d in atoms) and dfs(0, reach)
 
 
-def connected_split(edges: Sequence[tuple]) -> Callable[[int, list[int]], bool]:
+def connected_split(edge_masks: Iterable[int]) -> Callable[[int, list[int]], bool]:
     """The prune of the certificate search: a cluster may split into blocks
-    only when the quotient edges inside the cluster connect the blocks, as
-    in the coalescence tree of a connected multigraph."""
-    edge_masks = [_mask(endmask) for _, _, endmask in edges]
+    only when the multigraph's edges (given by their endpoint masks) inside
+    the cluster connect the blocks, as in the coalescence tree of a
+    connected multigraph."""
+    edge_masks = list(edge_masks)
 
     def prune(cluster: int, blocks: list[int]) -> bool:
         parent = list(range(len(blocks)))

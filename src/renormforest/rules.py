@@ -469,11 +469,6 @@ def _assemble(
 # -- side conditions ------------------------------------------------------------
 
 
-def eligible_subtrees(t: DecoratedTree, table: TypeTable) -> list[SubForest]:
-    """Subtrees S with |N(S)| > 1 (true nodes)."""
-    return t.all_subtrees(table, min_true_nodes=2)
-
-
 def subtree_hypotheses(
     t: DecoratedTree, cum: CumulantSet
 ) -> dict[str, list[tuple[SubForest, Fraction]]]:
@@ -504,7 +499,7 @@ def subtree_hypotheses(
     failed: dict[str, list[tuple[SubForest, Fraction]]] = {"super_regularity": []}
     if gaussian:
         failed["theorem_conditions"] = []
-    for sf in eligible_subtrees(t, table):
+    for sf in t.all_subtrees(table, min_true_nodes=2):
         piece = t.restrict(sf)
         leaf_types = [piece.leaf_type(u, table) for u in sorted(piece.leaf_nodes(table))]
         base = zero_node_hom(t, sf, table)

@@ -415,18 +415,13 @@ class DecoratedTree:
     def full_subforest(self) -> SubForest:
         return SubForest(self.nodes, frozenset(e for e, _ in self._edges))
 
-    def all_subtrees(
-        self, table: TypeTable, min_true_nodes: int = 1, include_trivial: bool = False
-    ) -> list[SubForest]:
+    def all_subtrees(self, table: TypeTable, min_true_nodes: int = 1) -> list[SubForest]:
         """Every connected edge-subset with its induced node set.
 
         Note (disappearing noises): a leaf node of the ambient tree may be a
         non-leaf true node of the subtree when its noise edge is omitted.
         """
         out: list[SubForest] = []
-        if include_trivial:
-            for u in sorted(self.true_nodes(table)):
-                out.append(SubForest(frozenset([u]), frozenset()))
         edge_list = [e for e, _ in self._edges]
         n = len(edge_list)
         # grow connected edge sets from each top edge; enumerate by bitmask of

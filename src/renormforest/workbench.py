@@ -353,16 +353,7 @@ class Workbench:
         rows = []
         ok = True
         for wick, pi in self.analysis(t).gaussian_classes:
-            ci = CertificateInput(
-                tree=t,
-                wick=wick,
-                pi=pi,
-                m_small=frozenset(),
-                m_big=frozenset(),
-                g_small=frozenset(),
-                g_big=frozenset(),
-            )
-            res = cert.certify(ci)
+            res = cert.certify(CertificateInput(tree=t, wick=wick, pi=pi))
             rows.append(
                 {
                     "wick": sorted(wick),
@@ -502,7 +493,10 @@ def _sigma_indices(sel: str, tree_id: str, count: int) -> list[int]:
     for x in sel.split(","):
         if x == "":
             continue
-        i = _as_int(x, "sigma selection")
+        try:
+            i = int(x)
+        except ValueError:
+            raise ConfigError([f"sigma selection is not an integer: {x!r}"]) from None
         if not 0 <= i < count:
             raise ConfigError(
                 [f"sigma selection {i} is outside 0..{count - 1}: "
@@ -513,10 +507,11 @@ def _sigma_indices(sel: str, tree_id: str, count: int) -> list[int]:
 
 
 def _as_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError([f"{what} is not an integer: {value!r}"]) from None
+    """A JSON integer of a scale-assignment document; a float, a bool or a
+    numeric string is none."""
+    if not _is_int(value):
+        raise ConfigError([f"{what} is not an integer: {value!r}"])
+    return value
 
 
 def _violation_row(v):

@@ -1,7 +1,7 @@
 """Test-only oracle for the realizability search of `powercount.Certifier`.
 
-These are the search's first implementation: the interval's scale-order
-constraints rebuilt from the tree for every candidate coalescence tree, a
+These are the search's first implementation: the scale-order constraints
+rebuilt from the tree for every candidate coalescence tree, a
 Kosaraju SCC over all cluster pairs at every node of the feasibility search,
 and coalescence trees assembled in full before the connectivity filter.  They
 make no use of the per-certificate plan, the incremental reachability rows or
@@ -27,15 +27,8 @@ from renormforest.coalescence import (
     full_mask,
     popcount,
 )
-from renormforest.forests import (
-    compatible_partition,
-    cut_enumerate,
-    div_enumerate,
-    forest_children,
-    nested_or_disjoint,
-)
+from renormforest.forests import compatible_partition, cut_enumerate, div_enumerate
 from renormforest.powercount import CertificateInput, Certifier, connected_split
-from renormforest.trees import SubForest
 
 
 def div_universe(cert: Certifier, ci: CertificateInput) -> list:
@@ -49,80 +42,48 @@ def div_universe(cert: Certifier, ci: CertificateInput) -> list:
     ]
 
 
-def interval_conditions(
-    cert: Certifier, ci: CertificateInput, built: dict, univ: list, fam: Family
-):
-    """Conjunctive atoms LE(c, d) (rank c <= rank d) and disjunctive atom
-    groups (at least one must hold) of the interval on one labeled tree."""
+def edge_masks(cert: Certifier, ci: CertificateInput) -> tuple[dict, dict]:
+    """The multigraph K(T) + E_pi + E_star of the class, rebuilt from the
+    tree: the vertex index of each true node (0 is the basepoint, then the
+    true nodes in order) and the bitmask of the endpoints of each tagged
+    edge."""
     t, table = ci.tree, cert.table
-    index, qhat = built["index"], built["qhat"]
-    edges = built["edges"]
-    big = frozenset(ci.m_big)
+    index = {u: i for i, u in enumerate(sorted(t.true_nodes(table)), start=1)}
+    out = {("K", e): 1 << index[e[0]] | 1 << index[e[1]] for e in t.kernel_edges(table)}
+    for block in ci.pi:
+        for a in block:
+            for b in block:
+                if a < b:
+                    out[("pi", (a, b))] = 1 << index[a] | 1 << index[b]
+    for u, i in index.items():
+        out[("star", u)] = 1 | 1 << i
+    return index, out
 
-    def subtree_tags(s: SubForest) -> set:
-        piece = t.restrict(s)
-        truen = piece.true_nodes(table)
-        out = {("K", e) for e in piece.kernel_edges(table)}
-        for kind, data, _ in edges:
-            if kind == "pi" and data[0] in truen and data[1] in truen:
-                out.add((kind, data))
-        return out
 
-    tag_mask = {}
-    for kind, data, endmask in edges:
-        m = 0
-        for i in endmask:
-            m |= 1 << i
-        tag_mask[(kind, data)] = m
+def scale_conditions(cert: Certifier, ci: CertificateInput, univ: list, fam: Family):
+    """Conjunctive atoms LE(c, d) (rank c <= rank d) and disjunctive atom
+    groups (at least one must hold) of the scale constraints on one labeled
+    tree.  A subtree's edges come from `DecoratedTree.restrict`."""
+    t, table = ci.tree, cert.table
+    index, tag_mask = edge_masks(cert, ci)
 
     def joins(tags) -> list[Cluster]:
-        return sorted({ancestor(fam, tag_mask[tg]) for tg in tags if tg in tag_mask})
-
-    def int_ext_joins(s: SubForest, forest: frozenset):
-        internal = subtree_tags(s)
-        for c in forest_children(forest, s):
-            internal -= subtree_tags(c)
-        truen = t.restrict(s).true_nodes(table)
-        qset = {index[qhat(u)] for u in truen}
-        incident = {(k, d) for k, d, endmask in edges if endmask & frozenset(qset)}
-        above = [x for x in forest if s != x and s.nodes <= x.nodes]
-        if above:
-            anc_internal = subtree_tags(min(above, key=lambda x: len(x.nodes)))
-        else:
-            anc_internal = {(k, d) for k, d, _ in edges}
-        ext = (incident - subtree_tags(s)) & anc_internal
-        return joins(internal), joins(ext)
+        return sorted({ancestor(fam, tag_mask[tg]) for tg in tags})
 
     atoms_conj: set[tuple[Cluster, Cluster]] = set()
     disjunctions: list[list[tuple[Cluster, Cluster]]] = []
-    used_edges: set = set()
-    for s in big:
-        used_edges |= s.edges
     for e, _ in cut_enumerate(t, table):
-        if e in used_edges:
-            continue
-        star_pair = (1 << 0) | (1 << index[qhat(e[0])])
-        edge_pair = (1 << index[qhat(e[0])]) | (1 << index[qhat(e[1])])
-        a_star = ancestor(fam, star_pair)
-        a_edge = ancestor(fam, edge_pair)
-        if e in ci.g_big and e not in ci.g_small:
-            atoms_conj.add((a_edge, a_star))
-        else:
-            atoms_conj.add((a_star, a_edge))
+        atoms_conj.add((ancestor(fam, tag_mask[("star", e[0])]), ancestor(fam, tag_mask[("K", e)])))
     for s in univ:
-        in_big = s in big
-        if not in_big and not all(nested_or_disjoint(s, x) for x in big):
-            continue
-        ints, exts = int_ext_joins(s, big | frozenset([s]))
-        if not ints or not exts:
-            continue
-        if in_big and s not in ci.m_small:
-            for ci_ in ints:
-                for ce in exts:
-                    atoms_conj.add((ce, ci_))
-        else:
-            group = sorted({(ci_, ce) for ci_ in ints for ce in exts})
-            disjunctions.append(group)
+        piece = t.restrict(s)
+        truen = piece.true_nodes(table)
+        own = {("K", e) for e in piece.kernel_edges(table)}
+        own |= {tg for tg in tag_mask if tg[0] == "pi" and set(tg[1]) <= truen}
+        qmask = sum(1 << index[u] for u in truen)
+        incident = {tg for tg, m in tag_mask.items() if m & qmask}
+        ints, exts = joins(own), joins(incident - own)
+        if ints and exts:
+            disjunctions.append(sorted({(ci_, ce) for ci_ in ints for ce in exts}))
     return atoms_conj, disjunctions
 
 
@@ -249,10 +210,8 @@ def trees_containing(
                 yield fam
 
 
-def realizable(
-    cert: Certifier, ci: CertificateInput, built: dict, univ: list, fam: Family
-) -> bool:
-    return feasible(fam, *interval_conditions(cert, ci, built, univ, fam))
+def realizable(cert: Certifier, ci: CertificateInput, univ: list, fam: Family) -> bool:
+    return feasible(fam, *scale_conditions(cert, ci, univ, fam))
 
 
 def witness(cert: Certifier, ci: CertificateInput):
@@ -262,10 +221,10 @@ def witness(cert: Certifier, ci: CertificateInput):
     _, failures = cert._failures(ci, built)
     n = len(built["verts"])
     univ = div_universe(cert, ci)
-    prune = connected_split(built["edges"])
+    prune = connected_split(edge_masks(cert, ci)[1].values())
     for violation in failures:
         for fam in trees_containing(n, violation[1], prune, cap=cert.vertex_cap):
-            if realizable(cert, ci, built, univ, fam):
+            if realizable(cert, ci, univ, fam):
                 return violation, fam
     return None
 

@@ -1,18 +1,18 @@
 """The certificate search against its first implementation
-(`certify_oracle`): the per-certificate interval plan, the incremental
+(`certify_oracle`): the per-certificate plan, the incremental
 feasibility check and the pruned enumeration of coalescence trees must give
 the same realizability, the same trees in the same order and the same
 witnesses."""
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certify_oracle as oracle
-from conftest import Kpz, Phi4
+from conftest import Phi4
 from renormforest.coalescence import enumerate_trees, full_mask, popcount
-from renormforest.forests import div_enumerate
 from renormforest.powercount import (
     Certifier,
     CertificateInput,
@@ -20,92 +20,69 @@ from renormforest.powercount import (
     connected_split,
     trees_containing,
 )
+from renormforest.workbench import Workbench, parse_config
 
-PHI4, KPZ = Phi4(), Kpz()
+PHI4 = Phi4()
+KPZ = Workbench(
+    parse_config(
+        (Path(__file__).resolve().parent.parent / "configs" / "kpz.json").read_text(
+            encoding="utf-8"
+        )
+    )
+)
 
 
-def divergence(setting, t, nodes):
-    """The power-counting divergence of t on the given node set."""
-    for s, _ in div_enumerate(t, setting.table, setting.cum, effective=False):
-        if s.nodes == frozenset(nodes):
-            return s
-    raise KeyError(nodes)
-
-
-def certificate(setting, t, wick, pi, small=(), big=(), g_small=(), g_big=()):
+def certificate(t, wick, pi):
     return CertificateInput(
-        tree=t,
-        wick=frozenset(wick),
-        pi=frozenset(frozenset(b) for b in pi),
-        m_small=frozenset(divergence(setting, t, s) for s in small),
-        m_big=frozenset(divergence(setting, t, s) for s in big),
-        g_small=frozenset(g_small),
-        g_big=frozenset(g_big),
+        tree=t, wick=frozenset(wick), pi=frozenset(frozenset(b) for b in pi)
     )
 
 
-# KPZ t211 has one positive cut, (0, 3); its leaves are 1, 4, 7 and 9
-CUT = (0, 3)
+# chaos classes of at most six vertices in which the scale constraints rule
+# some coalescence trees out: (setting, tree, Wick set, pairs, cuts, subtrees)
+# with the plan's cut and subtree constraint counts
 CASES = {
-    # the shape cmd_certify uses: an empty interval
-    "phi4-111-empty": (PHI4, PHI4.t111, [6], [(2, 4)], {}),
-    "kpz-211-contracted": (
-        KPZ, KPZ.t211, [], [(1, 4), (7, 9)], {"big": [[3, 4, 5, 6, 7, 8]]}
-    ),
-    # m_small strictly inside m_big, the cut harvested (in g_big only)
-    "kpz-211-harvested": (
-        KPZ, KPZ.t211, [], [(1, 4), (7, 9)],
-        {"small": [[0, 1, 2]], "big": [[0, 1, 2], [6, 7, 8, 9, 10]], "g_big": [CUT]},
-    ),
-    # the same interval with the cut plainly renormalized
-    "kpz-211-unharvested": (
-        KPZ, KPZ.t211, [], [(1, 7), (4, 9)],
-        {
-            "small": [[0, 1, 2]],
-            "big": [[0, 1, 2], [6, 7, 8, 9, 10]],
-            "g_small": [CUT],
-            "g_big": [CUT],
-        },
-    ),
-    "kpz-211-nested": (
-        KPZ, KPZ.t211, [], [(1, 4), (7, 9)],
-        {"small": [[6, 7, 8]], "big": [[6, 7, 8], [3, 6, 7, 8, 9, 10]], "g_big": [CUT]},
-    ),
-    # six quotient vertices, four subtree constraints
-    "kpz-211-disjoint": (
-        KPZ, KPZ.t211, [], [(1, 4), (7, 9)],
-        {"big": [[0, 1, 2], [6, 7, 8]], "g_big": [CUT]},
-    ),
+    "phi4-111-empty": (PHI4, PHI4.t111, [5], [(1, 3)], 0, 1),
+    # 170 of 236 trees realizable
+    "kpz-T3-wick": (KPZ.config, KPZ.tree_by_id("T3"), [1, 4], [], 1, 0),
+    # 144 of 236
+    "kpz-T3-pair": (KPZ.config, KPZ.tree_by_id("T3"), [], [(1, 4)], 1, 1),
+    # 198 of 236
+    "kpz-T4-pair": (KPZ.config, KPZ.tree_by_id("T4"), [], [(2, 4)], 0, 2),
+    # 2 472 of 2 752
+    "kpz-T5-wick-pair": (KPZ.config, KPZ.tree_by_id("T5"), [1], [(4, 6)], 0, 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_realizability_matches_oracle_on_every_tree(case):
-    setting, t, wick, pi, interval = CASES[case]
-    ci = certificate(setting, t, wick, pi, **interval)
+    setting, t, wick, pi, n_cuts, n_subtrees = CASES[case]
+    ci = certificate(t, wick, pi)
     cert = Certifier(setting.table, setting.cum)
     built = cert.build(ci)
     n = len(built["verts"])
     assert 4 <= n <= 6
     plan = cert._interval_plan(ci, built)
+    assert (len(plan[1]), len(plan[2])) == (n_cuts, n_subtrees)
     univ = oracle.div_universe(cert, ci)
     verdicts = set()
     for fam in enumerate_trees(n):
         got = cert._realizable(plan, fam)
-        assert got == oracle.realizable(cert, ci, built, univ, fam), fam
+        assert got == oracle.realizable(cert, ci, univ, fam), fam
         verdicts.add(got)
     assert True in verdicts
-    if interval:  # the interval's scale constraints rule some trees out
-        assert False in verdicts
+    assert False in verdicts
 
 
-def test_harvested_cut_reaches_the_plan():
-    setting, t, wick, pi, interval = CASES["kpz-211-harvested"]
-    ci = certificate(setting, t, wick, pi, **interval)
+def test_cut_and_subtree_reach_the_plan():
+    """KPZ T3 with its two leaves paired: the positive cut and the one
+    divergence compatible with the pair each constrain the scales."""
+    setting, t, wick, pi, _, _ = CASES["kpz-T3-pair"]
+    ci = certificate(t, wick, pi)
     cert = Certifier(setting.table, setting.cum)
     _, cuts, subtrees = cert._interval_plan(ci, cert.build(ci))
-    assert [harvested for _, _, harvested in cuts] == [True]
-    assert subtrees
+    assert len(cuts) == 1
+    assert len(subtrees) == 1
 
 
 def bad_noise_certificates():
@@ -113,10 +90,10 @@ def bad_noise_certificates():
     fail, so the search has a witness to find."""
     bad = Phi4(xi_hom=Fraction(-3))
     lv = sorted(bad.t111.leaf_nodes(bad.table))
-    yield bad, certificate(bad, bad.t111, [lv[2]], [(lv[0], lv[1])])
-    yield bad, certificate(bad, bad.t111, [lv[0]], [(lv[1], lv[2])])
+    yield bad, certificate(bad.t111, [lv[2]], [(lv[0], lv[1])])
+    yield bad, certificate(bad.t111, [lv[0]], [(lv[1], lv[2])])
     lv = sorted(bad.t11.leaf_nodes(bad.table))
-    yield bad, certificate(bad, bad.t11, [], [(lv[0], lv[1])])
+    yield bad, certificate(bad.t11, [], [(lv[0], lv[1])])
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -170,7 +147,7 @@ def pruned_searches(draw):
     cluster = draw(st.integers(1, full_mask(n)).filter(lambda c: popcount(c) >= 2))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.sets(vertex, min_size=2, max_size=2), max_size=8))
-    edges = [("e", i, frozenset(p)) for i, p in enumerate(pairs)]
+    edges = [sum(1 << v for v in p) for p in pairs]
     return n, cluster, edges
 
 

@@ -227,6 +227,9 @@ def test_project(tmp_path, capsys):
         json.dumps({"pi": [[1, 3], [1]], "scales": dict(KPZ_T2_SCALES, **{"pi:1,3": 1})}),
         json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, **{"K:0,1": -5})}),
         json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, **{"star:0": 10**6})}),
+        json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, **{"K:0,1": 3.9})}),
+        json.dumps({"pi": [[True, 3]], "scales": dict(KPZ_T2_SCALES, **{"pi:1,3": 1})}),
+        json.dumps({"pi": [[1.5, 3]], "scales": dict(KPZ_T2_SCALES, **{"pi:1,3": 1})}),
     ],
     ids=[
         "missing-file",
@@ -242,6 +245,9 @@ def test_project(tmp_path, capsys):
         "repeated-leaf",
         "negative-scale",
         "scale-above-range",
+        "float-scale",
+        "bool-leaf",
+        "float-leaf",
     ],
 )
 def test_bad_scales_are_input_errors(doc, tmp_path, capsys):

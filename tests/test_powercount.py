@@ -8,7 +8,6 @@ from certify_oracle import evaluate_hom
 from conftest import KAPPA, Phi4
 from cumulant_oracle import CumulantHomogeneity
 from renormforest.coalescence import enumerate_trees
-from renormforest.forests import div_enumerate
 from renormforest.powercount import (
     Certifier,
     CertificateInput,
@@ -130,15 +129,9 @@ def test_closed_forms_match_the_tree_enumeration(cum, data):
         assert ch.ext_hom(a, pool) == (None if cum.admits(a) and not extends else 0)
 
 
-def _ci(setting, t, wick, pi, forest=frozenset()):
+def _ci(setting, t, wick, pi):
     return CertificateInput(
-        tree=t,
-        wick=frozenset(wick),
-        pi=frozenset(frozenset(b) for b in pi),
-        m_small=frozenset(forest),
-        m_big=frozenset(forest),
-        g_small=frozenset(),
-        g_big=frozenset(),
+        tree=t, wick=frozenset(wick), pi=frozenset(frozenset(b) for b in pi)
     )
 
 
@@ -183,18 +176,6 @@ def test_certify_131_all_classes(phi4):
             res = cert.certify(_ci(phi4, phi4.t131, [wick], p))
             assert res["pass"], (wick, p, res)
             assert res["alpha"] == Fraction(-7) + 4 * KAPPA
-
-
-def test_certify_211_scenario3(kpz):
-    t, table, cum = kpz.t211, kpz.table, kpz.cum
-    divs = div_enumerate(t, table, cum)
-    s2 = [s for s, w in divs if t.root in s.nodes and len(s.edges) == 5][0]
-    s2_leaves = sorted(t.restrict(s2).leaf_nodes(table))
-    wick = [u for u in t.leaf_nodes(table) if u not in s2_leaves]
-    cert = Certifier(table, cum)
-    res = cert.certify(_ci(kpz, t, wick, [tuple(s2_leaves)], forest={s2}))
-    assert res["pass"]
-    assert res["alpha"] < 0
 
 
 def test_certify_flips_on_bad_noise():

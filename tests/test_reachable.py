@@ -1,7 +1,8 @@
 """Every function and method in `src/renormforest` is an entry point (a
 command, a name the benchmark drives, or a public tree-building or antipode
-entry) or is referenced by name from code an entry point reaches.  The check
-is static: it parses the modules and runs none of them."""
+entry) or is referenced by name from code an entry point reaches, and every
+field of a dataclass there is read somewhere there.  The checks are static:
+they parse the modules and run none of them."""
 import ast
 from pathlib import Path
 
@@ -111,3 +112,34 @@ def test_entry_points_exist():
         _, defs = scan(ast.parse(path.read_text(encoding="utf-8")))
         defined |= {f"{path.stem}.{qual}" for qual, _, _ in defs}
     assert ENTRY_POINTS <= defined
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields() -> list[str]:
+    """Dataclass fields of `src/renormforest` that no attribute read there
+    names.  A name read anywhere counts for every field of that name."""
+    fields = []
+    read: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+                fields += [
+                    (f"{path.stem}.{node.name}.{sub.target.id}", sub.target.id)
+                    for sub in node.body
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+                ]
+    return sorted(qual for qual, name in fields if name not in read)
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []

@@ -9,7 +9,6 @@ from renormforest.rules import (
     RuleSpec,
     SubcriticalityError,
     check_subcritical,
-    eligible_subtrees,
     generate_trees,
     jump,
     production,
@@ -77,10 +76,10 @@ def test_subcriticality():
 
 
 def test_super_regularity_phi4(phi4):
-    assert len(eligible_subtrees(phi4.t111, phi4.table)) >= 3
+    assert len(phi4.t111.all_subtrees(phi4.table, min_true_nodes=2)) >= 3
     assert subtree_hypotheses(phi4.t111, phi4.cum)["super_regularity"] == []
     # a lone noise has no eligible subtree
-    assert eligible_subtrees(phi4.xi, phi4.table) == []
+    assert phi4.xi.all_subtrees(phi4.table, min_true_nodes=2) == []
     assert subtree_hypotheses(phi4.xi, phi4.cum) == {
         "super_regularity": [],
         "theorem_conditions": [],
