@@ -7,8 +7,9 @@ family of subsets of size >= 2 containing the full set is such a tree, the
 children of a cluster being its maximal proper sub-clusters together with
 its uncovered single vertices.  The poset has the root (full set) minimal.
 
-The module enumerates the trees on a vertex set and finds the cluster where
-a set of vertices joins.
+The module holds the bitmask helpers of the certificate, its vertex cap, and
+the enumeration of the trees on a vertex set, which only the tests' witness
+search and the benchmark's tracing reach.
 """
 from __future__ import annotations
 
@@ -93,37 +94,3 @@ def enumerate_trees(n: int, cap: int = 9, prune: Optional[Callable[[int, list[in
         return out
 
     return rec(full_mask(n))
-
-
-def join(fam: Family, mask: int) -> Cluster:
-    """f^: the smallest cluster containing the mask (the deepest common
-    proper ancestor of its vertices)."""
-    best = None
-    for c in fam:
-        if (c & mask) == mask and (best is None or popcount(c) < popcount(best)):
-            best = c
-    if best is None:
-        raise ValueError("mask not contained in the vertex set")
-    return best
-
-
-def strict_join(fam: Family, mask: int) -> Cluster:
-    """The smallest cluster *strictly* containing the mask; for a single
-    vertex this is its parent cluster, for a set it agrees with join unless
-    the set is itself a cluster."""
-    best = None
-    for c in fam:
-        if (c & mask) == mask and c != mask and (best is None or popcount(c) < popcount(best)):
-            best = c
-    if best is None:
-        raise ValueError("mask has no proper ancestor")
-    return best
-
-
-def ancestor(fam: Family, mask: int) -> Cluster:
-    """f^(up): deepest internal node containing all of mask, with singleton
-    masks bumped to their parent (a leaf is not an internal node)."""
-    c = join(fam, mask)
-    if c == mask and popcount(mask) == 1:
-        return strict_join(fam, mask)
-    return c

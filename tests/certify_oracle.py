@@ -1,13 +1,20 @@
-"""Test-only oracle for the realizability search of `powercount.Certifier`.
+"""Test-only oracles for `powercount.Certifier`: the coalescence-tree search
+that the certifier's per-subset decision (`Certifier._witnessed`) replaced,
+and that search's first implementation.
 
-These are the search's first implementation: the scale-order constraints
-rebuilt from the tree for every candidate coalescence tree, a
-Kosaraju SCC over all cluster pairs at every node of the feasibility search,
-and coalescence trees assembled in full before the connectivity filter.  They
-make no use of the per-certificate plan, the incremental reachability rows or
-the pruned enumeration, so they check all three.  The oracle costs a few
-milliseconds per candidate tree (2 752 trees on six vertices); keep its
-cases small.
+- `witness_search` is the search the certifier ran: for a failing vertex
+  subset it walks the coalescence trees containing the subset
+  (`powercount.trees_containing` under the `connected_split` prune) and
+  checks each against the per-certificate plan (`plan_realizable`, the
+  plan's masks looked up in the tree and decided by `incremental_feasible`).
+- `scale_conditions`, `feasible`, `trees_containing` and `witness` are the
+  search's first implementation: the scale-order constraints rebuilt from
+  the tree for every candidate tree, a Kosaraju SCC over all cluster pairs at
+  every node of the feasibility search, and coalescence trees assembled in
+  full before the connectivity filter.  They check the plan, the
+  incremental rows and the pruned enumeration.  The first implementation
+  costs a few milliseconds per candidate tree (2 752 trees on six vertices);
+  keep its cases small.
 
 `evaluate_hom` places the certificate's homogeneity on one coalescence tree
 node by node; it checks the per-subset tables the certifier sums instead.
@@ -17,18 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from coalescence_oracle import children_blocks, grand_ancestor
-from renormforest.coalescence import (
-    Cluster,
-    Family,
-    ancestor,
-    bits,
-    enumerate_trees,
-    full_mask,
-    popcount,
-)
+from coalescence_oracle import ancestor, children_blocks, grand_ancestor
+from renormforest.coalescence import Cluster, Family, bits, enumerate_trees, full_mask, popcount
 from renormforest.forests import compatible_partition, cut_enumerate, div_enumerate
-from renormforest.powercount import CertificateInput, Certifier, connected_split
+from renormforest.powercount import (
+    CertificateInput,
+    Certifier,
+    connected_split,
+    trees_containing as pruned_trees_containing,
+)
 
 
 def div_universe(cert: Certifier, ci: CertificateInput) -> list:
@@ -226,6 +230,86 @@ def witness(cert: Certifier, ci: CertificateInput):
         for fam in trees_containing(n, violation[1], prune, cap=cert.vertex_cap):
             if realizable(cert, ci, univ, fam):
                 return violation, fam
+    return None
+
+
+# -- the search the certifier ran ------------------------------------------------
+
+
+def incremental_feasible(fam: Family, atoms: Iterable, disjunctions: list) -> bool:
+    """Is there a labeling of the tree's clusters with the given LE-atoms
+    (LE(c, d): rank c <= rank d) and at least one atom of each disjunction?
+
+    Ranks strictly increase into smaller clusters, so a constraint set is
+    feasible iff no cluster reaches a cluster strictly containing it in the
+    graph of LE and containment edges.  `reach[i]` is the bitmask of the
+    clusters reachable from cluster i, starting from the strict
+    containments (already transitive).  Adding LE(c, d) ORs
+    `reach[d] | bit(d)` into every row that reaches c, c's own included, so
+    the rows stay transitively closed, and only those rows can turn
+    infeasible.  The depth-first search over the disjunctions passes a
+    copied row list down each branch; a group one of whose atoms already
+    holds adds nothing and is passed over.
+    """
+    clusters = sorted(fam)
+    pos = {c: i for i, c in enumerate(clusters)}
+    above = [0] * len(clusters)
+    reach = [0] * len(clusters)
+    for i, c in enumerate(clusters):
+        for j, d in enumerate(clusters):
+            if c != d and (d & c) == d:  # d strictly inside c
+                reach[i] |= 1 << j
+                above[j] |= 1 << i
+
+    def add(rows: list[int], c: Cluster, d: Cluster) -> bool:
+        ic, id_ = pos[c], pos[d]
+        gain = rows[id_] | (1 << id_)
+        for i, row in enumerate(rows):
+            if i == ic or row >> ic & 1:
+                rows[i] = row | gain
+                if rows[i] & above[i]:
+                    return False
+        return True
+
+    def dfs(idx: int, rows: list[int]) -> bool:
+        if idx == len(disjunctions):
+            return True
+        group = disjunctions[idx]
+        if any(c == d or rows[pos[c]] >> pos[d] & 1 for c, d in group):
+            return dfs(idx + 1, rows)
+        for c, d in group:
+            branch = list(rows)
+            if add(branch, c, d) and dfs(idx + 1, branch):
+                return True
+        return False
+
+    return all(add(reach, c, d) for c, d in atoms) and dfs(0, reach)
+
+
+def plan_realizable(plan, fam: Family) -> bool:
+    """Does some labeling of the tree satisfy the plan of
+    `Certifier._interval_plan`?  Each mask is looked up at the cluster
+    where it joins (`ancestor`)."""
+    cuts, subtrees = plan
+    masks = {m for cut in cuts for m in cut} | {m for ints, exts in subtrees for m in ints + exts}
+    up = {m: ancestor(fam, m) for m in masks}
+    atoms = {(up[star], up[edge]) for star, edge in cuts}
+    disjunctions = []
+    for ints, exts in subtrees:
+        j_int, j_ext = {up[m] for m in ints}, {up[m] for m in exts}
+        disjunctions.append(sorted({(c, d) for c in j_int for d in j_ext}))
+    return incremental_feasible(fam, atoms, disjunctions)
+
+
+def witness_search(n: int, masks, plan, a: int, memo: dict) -> Optional[Family]:
+    """The first coalescence tree containing the vertex subset `a` that
+    the plan realizes, or None; `memo` keeps the verdicts per tree
+    across the subsets of one certificate."""
+    for fam in pruned_trees_containing(n, a, connected_split(masks)):
+        if fam not in memo:
+            memo[fam] = plan_realizable(plan, fam)
+        if memo[fam]:
+            return fam
     return None
 
 

@@ -3,6 +3,9 @@ as in `renormforest.coalescence`).
 
 - `build_coalescence` builds the labelled tree of a multigraph under a scale
   assignment, the input of the worked examples;
+- `join`, `strict_join` and `ancestor` find the cluster where a set of
+  vertices joins, the lookups of the tests' witness search
+  (`certify_oracle`);
 - `children_blocks`, `grand_ancestor` and `restrict_tree` walk a tree the
   slow way, cluster by cluster; `certify_oracle` rebuilds the certificate's
   homogeneity on each tree with them.
@@ -11,16 +14,41 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from renormforest.coalescence import (
-    Cluster,
-    Family,
-    ancestor,
-    bits,
-    full_mask,
-    join,
-    popcount,
-    strict_join,
-)
+from renormforest.coalescence import Cluster, Family, bits, full_mask, popcount
+
+
+def join(fam: Family, mask: int) -> Cluster:
+    """f^: the smallest cluster containing the mask (the deepest common
+    proper ancestor of its vertices)."""
+    best = None
+    for c in fam:
+        if (c & mask) == mask and (best is None or popcount(c) < popcount(best)):
+            best = c
+    if best is None:
+        raise ValueError("mask not contained in the vertex set")
+    return best
+
+
+def strict_join(fam: Family, mask: int) -> Cluster:
+    """The smallest cluster *strictly* containing the mask; for a single
+    vertex this is its parent cluster, for a set it agrees with join unless
+    the set is itself a cluster."""
+    best = None
+    for c in fam:
+        if (c & mask) == mask and c != mask and (best is None or popcount(c) < popcount(best)):
+            best = c
+    if best is None:
+        raise ValueError("mask has no proper ancestor")
+    return best
+
+
+def ancestor(fam: Family, mask: int) -> Cluster:
+    """f^(up): deepest internal node containing all of mask, with singleton
+    masks bumped to their parent (a leaf is not an internal node)."""
+    c = join(fam, mask)
+    if c == mask and popcount(mask) == 1:
+        return strict_join(fam, mask)
+    return c
 
 
 def children_blocks(fam: Family, cluster: Cluster) -> list[Cluster]:

@@ -3,13 +3,16 @@ trees used across the suite, and hypothesis strategies for random KPZ-typed
 trees, plain and colored."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from renormforest.rules import CumulantSet, RuleSpec, production
 from renormforest.scaling import ExtLabel, MultiIndex, ScalingSpec, TypeTable, ZERO_MI
+from renormforest.workbench import Workbench, parse_config
 from renormforest.trees import (
     EMPTY_SUBFOREST,
     DecoratedTree,
@@ -191,6 +194,31 @@ BPHZ_TERMS = {
     "kpz": (2, 4, 24, 48, 48, 416, 5760, 3456),
     "phi4_3": (2, 4, 24, 208, 1728, 2496, 28544),
 }
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Each model's shipped noise homogeneity and two rougher ones, as (model,
+# homogeneity); the rougher ones fail the theorem's hypotheses and some
+# certificates on some trees.
+CERTIFY_VARIANTS = [
+    ("phi4_3", "-251/100"),
+    ("phi4_3", "-11/4"),
+    ("phi4_3", "-3"),
+    ("kpz", "-151/100"),
+    ("kpz", "-7/4"),
+    ("kpz", "-19/10"),
+]
+
+
+def variant_workbench(model: str, noise: str) -> Workbench:
+    """A shipped configuration with another noise homogeneity and its basis
+    cut at seven edges."""
+    config = json.loads((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8"))
+    (name,) = config["types"]["noises"]
+    config["types"]["noises"][name] = noise
+    config["caps"]["max_edges"] = 7
+    return Workbench(parse_config(json.dumps(config)))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
 """The slow paths that `hopf` replaced, kept as test oracles: extractions
-found by scanning every edge subset of the tree and splitting it into
-components, the negative antipode of a forest as a fold of slotwise
+built from every connected edge set of the tree rather than from the listed
+divergent subtrees, the negative antipode of a forest as a fold of slotwise
 tensor products and key maps, and the recentering bounds found by building
 a probe tree and restricting it to each dangling up-tree."""
 from __future__ import annotations
@@ -46,11 +46,35 @@ def map_keys(s: FormalSum, fn: Callable[[Hashable], Hashable]) -> FormalSum:
     return FormalSum((fn(k), v) for k, v in s.items())
 
 
-def all_edge_subsets(t: DecoratedTree) -> Iterator[frozenset[EdgeKey]]:
-    edges = [e for e, _ in t.edge_items]
-    for r in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, r):
-            yield frozenset(combo)
+def connected_edge_sets(t: DecoratedTree) -> Iterator[frozenset[EdgeKey]]:
+    """Every nonempty connected edge set of the tree, once each: by its top
+    node r, each child edge of r either left out or taken together with a
+    (possibly empty) connected edge set hanging from the child."""
+    hanging: dict[int, list[frozenset[EdgeKey]]] = {}
+
+    def from_node(u: int) -> list[frozenset[EdgeKey]]:
+        if u not in hanging:
+            out = [frozenset()]
+            for e in t.children(u):
+                out += [acc | {e} | below for acc in out for below in from_node(e[1])]
+            hanging[u] = out
+        return hanging[u]
+
+    for r in sorted(t.nodes):
+        yield from (edges for edges in from_node(r) if edges)
+
+
+def node_disjoint_families(pieces: list[SubForest]) -> Iterator[list[SubForest]]:
+    """Every family of pairwise node-disjoint pieces, the empty one included."""
+
+    def rec(start: int, used: frozenset[int]) -> Iterator[list[SubForest]]:
+        yield []
+        for i in range(start, len(pieces)):
+            if not pieces[i].nodes & used:
+                for rest in rec(i + 1, used | pieces[i].nodes):
+                    yield [pieces[i]] + rest
+
+    return rec(0, frozenset())
 
 
 def extractions(
@@ -59,41 +83,43 @@ def extractions(
     proper: bool = False,
     vanishing: Optional[CumulantSet] = None,
 ) -> Iterator[tuple[SubForest, Fraction, list[DecoratedTree], dict, dict]]:
-    """`hopf._extractions` by the scan of all 2^|E| edge subsets: each
-    subset whose components all pass the filters is extracted, and each
-    component is decorated again for every subset that contains it."""
+    """`hopf._extractions` without `div_enumerate`: every connected edge set
+    of the tree is a candidate piece, kept when its omega (the budget for
+    e_G) is positive, when it is not the whole tree under `proper` and when
+    its constant does not vanish under `vanishing`; each family of pairwise
+    node-disjoint kept pieces is extracted with every choice of their
+    decorations."""
     full_edges = frozenset(e for e, _ in t.edge_items)
-    for edge_set in all_edge_subsets(t):
-        sub = SubForest(frozenset(itertools.chain.from_iterable(edge_set)), edge_set)
-        comps = t.subforest_components(sub) if edge_set else []
-        if proper and any(c.edges == full_edges for c in comps):
+    options: dict[SubForest, list] = {}
+    for edges in connected_edge_sets(t):
+        c = SubForest(frozenset(itertools.chain.from_iterable(edges)), edges)
+        budget = -zero_node_hom(t, c, table)
+        if budget <= 0 or (proper and edges == full_edges):
             continue
-        if vanishing is not None and not all(
-            irreducible_partition_exists(t, c, vanishing) for c in comps
-        ):
+        if vanishing is not None and not irreducible_partition_exists(t, c, vanishing):
             continue
-        options = []
-        for c in comps:
-            budget = -zero_node_hom(t, c, table)
-            if budget <= 0:
-                break
-            boundary = _boundary(t, c.nodes, edge_set, table)
-            options.append(list(_extraction_decorations(t, table, c, budget, boundary)))
-        else:
-            for chosen in itertools.product(*options):
-                coeff = Fraction(1)
-                pieces = []
-                ndec_all: dict[int, MultiIndex] = {}
-                edec_all: dict[EdgeKey, MultiIndex] = {}
-                for c, (nd, ed, cf) in zip(comps, chosen):
-                    coeff *= cf
-                    labels = dict(nd)
-                    for u, k in _chi(ed).items():
-                        labels[u] = labels.get(u, ZERO_MI) + k
-                    pieces.append(t.restrict(c).with_(node_dec=labels))
-                    ndec_all.update(nd)
-                    edec_all.update(ed)
-                yield sub, coeff, pieces, ndec_all, edec_all
+        boundary = _boundary(t, c.nodes, c.edges, table)
+        bare = t.restrict(c)
+        options[c] = []
+        for nd, ed, cf in _extraction_decorations(t, table, c, budget, boundary):
+            labels = dict(nd)
+            for u, k in _chi(ed).items():
+                labels[u] = labels.get(u, ZERO_MI) + k
+            options[c].append((nd, ed, cf, bare.with_(node_dec=labels)))
+    for comps in node_disjoint_families(list(options)):
+        sub = SubForest(
+            frozenset().union(*(c.nodes for c in comps)),
+            frozenset().union(*(c.edges for c in comps)),
+        )
+        for chosen in itertools.product(*(options[c] for c in comps)):
+            coeff = Fraction(1)
+            ndec_all: dict[int, MultiIndex] = {}
+            edec_all: dict[EdgeKey, MultiIndex] = {}
+            for nd, ed, cf, _ in chosen:
+                coeff *= cf
+                ndec_all.update(nd)
+                edec_all.update(ed)
+            yield sub, coeff, [piece for *_, piece in chosen], ndec_all, edec_all
 
 
 class AntipodeMinusFold:
@@ -141,12 +167,20 @@ def antipode_minus_fold(
 def extraction_multiset(rows) -> Counter:
     """Extraction rows as a multiset that ignores the order of the rows and
     of the pieces within a row: (G, coefficient, the pieces' embedded keys,
-    n_G, e_G) with their multiplicities."""
+    n_G, e_G) with their multiplicities.  Rows repeat their G and their
+    pieces, so the key of each distinct one is written out once."""
+    keys: dict = {}
+
+    def key(x, write):
+        if x not in keys:
+            keys[x] = write(x)
+        return keys[x]
+
     return Counter(
         (
-            g.sort_key(),
+            key(g, SubForest.sort_key),
             coeff,
-            tuple(sorted(repr(p.embedded_key()) for p in pieces)),
+            tuple(sorted(key(p, lambda p: repr(p.embedded_key())) for p in pieces)),
             tuple(sorted(nd.items())),
             tuple(sorted(ed.items())),
         )
@@ -155,9 +189,10 @@ def extraction_multiset(rows) -> Counter:
 
 
 def extraction_multisets(t: DecoratedTree, table: TypeTable, **kw) -> tuple[Counter, Counter]:
-    """The multisets of the rows of `hopf._extractions` and of the scan.
-    At most one row more than the scan yields is read from `_extractions`,
-    so a surplus shows without enumerating a runaway product."""
+    """The multisets of the rows of `hopf._extractions` and of the oracle's
+    `extractions`.  At most one row more than the oracle yields is read
+    from `_extractions`, so a surplus shows without enumerating a runaway
+    product."""
     want = list(extractions(t, table, **kw))
     got = itertools.islice(_extractions(t, table, **kw), len(want) + 1)
     return extraction_multiset(got), extraction_multiset(want)

@@ -99,8 +99,9 @@ def test_edge_weight_omega_equals_zero_node_hom(t):
 @given(decorated_trees())
 def test_extractions_match_edge_subset_scan(t):
     """The random edge decorations lower the kernel edges' weights, so the
-    candidates' omega, and with them the budgets for e_G, vary.  The scan
-    makes up most of the time: a tree of 10 edges can take a second."""
+    candidates' omega, and with them the budgets for e_G, vary.  The oracle
+    lists every connected edge set of the tree, not the divergent subtrees
+    that `div_enumerate` lists."""
     for kw in ({}, {"proper": True}, {"vanishing": KPZ.cum}):
         got, want = extraction_multisets(t, KPZ.table, **kw)
         assert got == want, kw

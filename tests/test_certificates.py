@@ -1,17 +1,21 @@
 """The power-counting certificate of every basis tree of both shipped
-models.  At kappa = 1/100 both models are subcritical, so the convergence
-theorem says every chaos class of every tree passes.
+models, and of every basis tree of the rougher-noise variants.  At
+kappa = 1/100 both models are subcritical, so the convergence theorem says
+every chaos class of every shipped tree passes.
 
-The digests were recorded on the code that rebuilt the interval constraints
-for every candidate coalescence tree and assembled every tree before
-filtering, so the current search is checked against that code's output."""
+The digests were recorded on the code that searched the coalescence trees
+containing each failing vertex subset for one the scale constraints realize
+(the basis pins on that search's first implementation, which rebuilt the
+interval constraints for every candidate tree and assembled every tree
+before filtering), so the per-subset decision is checked against the
+search's output: alpha, the violation rows and the failed hypotheses."""
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from conftest import BPHZ_TERMS
+from conftest import BPHZ_TERMS, CERTIFY_VARIANTS, variant_workbench
 from renormforest.workbench import Workbench, parse_config, report_emit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,3 +61,67 @@ def test_every_certificate_passes(workbenches, model, tree_id):
     assert body["classes"]
     assert all(row["pass"] and row["violation"] is None for row in body["classes"])
     assert hashlib.sha256(report.encode()).hexdigest() == PINS[f"{model}/{tree_id}"]
+
+
+# sha256 of the emitted certify report of each basis tree (T0, T1, ...) of
+# each variant of `conftest.CERTIFY_VARIANTS`, its basis cut at seven edges
+VARIANT_PINS = {
+    ("phi4_3", "-251/100"): (
+        "6d7c5c79390b53bdfe7261ba2f2e6724235ed3362faef65463c89d130918d116",
+        "ac068d32adf0df95d3575731fa5186ffb0d3856b1eba125a0e229bf7f8cbac07",
+        "1880d04470c874bbc8fd45ab431809849447699133541b0619804d347c9319d7",
+        "27e94bda43c80f41b65b359eab69261618a12d1b8cd6a28bb49ee666797d6620",
+    ),
+    ("phi4_3", "-11/4"): (
+        "6d7c5c79390b53bdfe7261ba2f2e6724235ed3362faef65463c89d130918d116",
+        "ac068d32adf0df95d3575731fa5186ffb0d3856b1eba125a0e229bf7f8cbac07",
+        "ab60332bc5c18dbd4928c621bdaee532f5b318b521e9b2268cc8f5d757180caa",
+        "fdd8f65b302509ec91803ad0ac487ca554d65c61ff93d9c7d8c659b1e8b85347",
+        "07e8931a62d7ec410b20959fbe4b393f8099e6d8c545f99a9fccc510f3a8fcbc",
+        "a8778af323ba3f3de2553ec2d9050ccea34c00669c6a0cc84b538c61595047fa",
+        "7f48c48119c1e40d1b9e7227dcd2b5e694cfe45907d1b7b592844397f1b6a09b",
+    ),
+    ("phi4_3", "-3"): (
+        "e3a4ac32c0484652687a720f7cfc3ebf6e2c360ac26994527983d69bb393fdc5",
+        "f81cc19d678b17bc6debc62d078c2271cb7c5d61543cab1608d446aed72e3acc",
+        "c9230be5d60fdc1a1e3f6db062ab2675b40f473e2105816bf6b2caf93e58d5a1",
+        "b1818df0049f9704c60632970167a2687328441bcc446fa5261395a70816c0c7",
+        "57f2d1ec8d9e558055d4a03d850a6b230f0a684e5e51c635e8b7fe7001b19c3b",
+        "d6eacec06ab26a145a6ab71e0a3b450ca8c37e2f905b56897bcb4ad5c8ae30be",
+        "d12e9a3577b21769cdab50b5e4b2ea37f14ff23144cab9bfdbdf75bb51e7d3a8",
+    ),
+    ("kpz", "-151/100"): (
+        "4ffa6c445391ead042f09e13be8bd60ecb8087e1e64d220bb3a443fcdd9cc086",
+        "fe3312075f3ab69993f15c8e39cb8c3b84a80f6361eb17d6f05644c7ea0f5aad",
+        "58ccb7256134f6bdf41d0b5328a4225cb1e0109121beabd0e4bf1f7c26b65002",
+        "849a442f1a0936776cd3f6094f176da66895e525f5b8a5d942d1a6742720d717",
+        "1057da0faaeefb90e3871d52e2bdbe5e293bd243de4baaa7c61bb29ab5b13913",
+        "bc99e1eb62d1a7857f386c2287b47e4a49af5d5b60bdfef33a396c5fd7586e06",
+    ),
+    ("kpz", "-7/4"): (
+        "4ffa6c445391ead042f09e13be8bd60ecb8087e1e64d220bb3a443fcdd9cc086",
+        "fe3312075f3ab69993f15c8e39cb8c3b84a80f6361eb17d6f05644c7ea0f5aad",
+        "c4daca9c3f23e33b445b59c9f101c4622b6bd43e526a75be3cd0f22d6b756245",
+        "3f5e000ff07885f3f6b37058be0d728cfde4cc88d22e7661537ac8a7f3ffa19b",
+        "d0c2acde719524ea8ee6f82e7a67da61bcc90fa76bd19cdbe6a4fdfa8ca05bc5",
+        "2d657db479d0e9052a3f3903aeb5760e64756bdbdec7416cd0e657f7e301b106",
+    ),
+    ("kpz", "-19/10"): (
+        "4ffa6c445391ead042f09e13be8bd60ecb8087e1e64d220bb3a443fcdd9cc086",
+        "fe3312075f3ab69993f15c8e39cb8c3b84a80f6361eb17d6f05644c7ea0f5aad",
+        "20937cd8924e481e9bf312a4d979859d694aa7a78ee9ebe48522ced6f6b8a00e",
+        "dbb8ea342957c170d83df29744242aba116fd80174492a8f748b9368afa5ad01",
+        "6fc409209e27b228ffd47b297bedd3190ff0554131d0f5dffab036ab0c9d02da",
+        "dbc78afa754f18ad5a2207e40a5017f6ef6db1413769079edf484d13f664244b",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", CERTIFY_VARIANTS, ids=["/".join(v) for v in CERTIFY_VARIANTS])
+def test_variant_certificates_are_pinned(variant):
+    wb = variant_workbench(*variant)
+    got = tuple(
+        hashlib.sha256(report_emit(wb.cmd_certify(f"T{i}")).encode()).hexdigest()
+        for i in range(len(wb.basis()))
+    )
+    assert got == VARIANT_PINS[variant]

@@ -1,41 +1,42 @@
-"""The certificate search against its first implementation
-(`certify_oracle`): the per-certificate plan, the incremental
-feasibility check and the pruned enumeration of coalescence trees must give
-the same realizability, the same trees in the same order and the same
-witnesses."""
+"""The certifier's per-subset decision (`Certifier._witnessed`) against the
+coalescence-tree search it replaced (`certify_oracle.witness_search`): on
+every failing vertex subset of every chaos class of the basis trees, of
+rougher-noise variants and of random plans, a subset is witnessed exactly
+when the search finds a realizable tree containing it, and then the flat
+tree {full, subset} is realizable.  The search's plan, incremental
+feasibility and pruned enumeration are checked in turn against their first
+implementation."""
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import certify_oracle as oracle
-from conftest import Phi4
+from conftest import BPHZ_TERMS, CERTIFY_VARIANTS, Phi4, variant_workbench
 from renormforest.coalescence import enumerate_trees, full_mask, popcount
 from renormforest.powercount import (
     Certifier,
     CertificateInput,
-    _feasible,
     connected_split,
     trees_containing,
 )
 from renormforest.workbench import Workbench, parse_config
 
+ROOT = Path(__file__).resolve().parent.parent
 PHI4 = Phi4()
-KPZ = Workbench(
-    parse_config(
-        (Path(__file__).resolve().parent.parent / "configs" / "kpz.json").read_text(
-            encoding="utf-8"
-        )
-    )
-)
+KPZ = Workbench(parse_config((ROOT / "configs" / "kpz.json").read_text(encoding="utf-8")))
 
 
 def certificate(t, wick, pi):
     return CertificateInput(
         tree=t, wick=frozenset(wick), pi=frozenset(frozenset(b) for b in pi)
     )
+
+
+def mask(*vs):
+    return sum(1 << v for v in vs)
 
 
 # chaos classes of at most six vertices in which the scale constraints rule
@@ -56,6 +57,8 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_realizability_matches_oracle_on_every_tree(case):
+    """The plan, looked up in each tree, realizes the same trees as the
+    scale constraints rebuilt from the tree."""
     setting, t, wick, pi, n_cuts, n_subtrees = CASES[case]
     ci = certificate(t, wick, pi)
     cert = Certifier(setting.table, setting.cum)
@@ -63,11 +66,11 @@ def test_realizability_matches_oracle_on_every_tree(case):
     n = len(built["verts"])
     assert 4 <= n <= 6
     plan = cert._interval_plan(ci, built)
-    assert (len(plan[1]), len(plan[2])) == (n_cuts, n_subtrees)
+    assert (len(plan[0]), len(plan[1])) == (n_cuts, n_subtrees)
     univ = oracle.div_universe(cert, ci)
     verdicts = set()
     for fam in enumerate_trees(n):
-        got = cert._realizable(plan, fam)
+        got = oracle.plan_realizable(plan, fam)
         assert got == oracle.realizable(cert, ci, univ, fam), fam
         verdicts.add(got)
     assert True in verdicts
@@ -80,9 +83,90 @@ def test_cut_and_subtree_reach_the_plan():
     setting, t, wick, pi, _, _ = CASES["kpz-T3-pair"]
     ci = certificate(t, wick, pi)
     cert = Certifier(setting.table, setting.cum)
-    _, cuts, subtrees = cert._interval_plan(ci, cert.build(ci))
+    cuts, subtrees = cert._interval_plan(ci, cert.build(ci))
     assert len(cuts) == 1
     assert len(subtrees) == 1
+
+
+def compare_with_search(cert: Certifier, ci: CertificateInput) -> tuple[int, int]:
+    """Decide every failing subset of the class both ways and check that
+    `certify` reports the first witnessed one; (witnessed, refuted)."""
+    built = cert.build(ci)
+    _, failures = cert._failures(ci, built)
+    n = len(built["verts"])
+    masks = list(built["masks"].values())
+    plan = cert._interval_plan(ci, built)
+    connected = connected_split(masks)
+    memo: dict = {}
+    witnessed = []
+    for violation in failures:
+        a = violation[1]
+        found = oracle.witness_search(n, masks, plan, a, memo)
+        assert cert._witnessed(plan, connected, a) == (found is not None), violation
+        if found is not None:
+            assert a in found
+            flat = frozenset({full_mask(n), a})
+            assert oracle.plan_realizable(plan, flat)
+            assert oracle.realizable(cert, ci, oracle.div_universe(cert, ci), flat)
+            witnessed.append(violation)
+    res = cert.certify(ci)
+    assert res["pass"] == (not witnessed)
+    assert res.get("violation") == (witnessed[0] if witnessed else None)
+    return len(witnessed), len(failures) - len(witnessed)
+
+
+def compare_every_class(wb: Workbench, tree_id: str) -> tuple[int, int]:
+    t = wb.tree_by_id(tree_id)
+    cert = Certifier(wb.config.table, wb.config.cum, analysis=wb.analysis)
+    witnessed = refuted = 0
+    for wick, pi in wb.analysis(t).gaussian_classes:
+        w, r = compare_with_search(cert, CertificateInput(tree=t, wick=wick, pi=pi))
+        witnessed, refuted = witnessed + w, refuted + r
+    return witnessed, refuted
+
+
+# the failing subsets over all chaos classes of each basis tree; the search
+# refutes every one of them, as the convergence theorem says
+BASIS_FAILURES = {
+    "kpz": (0, 0, 1, 2, 2, 4, 17, 11),
+    "phi4_3": (0, 0, 1, 3, 19, 13, 39),
+}
+TREES = [(m, f"T{i}") for m in sorted(BPHZ_TERMS) for i in range(len(BPHZ_TERMS[m]))]
+
+
+@pytest.fixture(scope="module")
+def workbenches():
+    return {
+        m: Workbench(parse_config((ROOT / "configs" / f"{m}.json").read_text(encoding="utf-8")))
+        for m in BPHZ_TERMS
+    }
+
+
+@pytest.mark.parametrize("model,tree_id", TREES, ids=[f"{m}-{t}" for m, t in TREES])
+def test_local_decision_matches_search_on_basis_trees(workbenches, model, tree_id):
+    got = compare_every_class(workbenches[model], tree_id)
+    assert got == (0, BASIS_FAILURES[model][int(tree_id[1:])])
+
+
+# (witnessed, refuted) failing subsets over every class of every basis tree
+VARIANT_FAILURES = {
+    ("phi4_3", "-251/100"): (0, 4),
+    ("phi4_3", "-11/4"): (8, 17),
+    ("phi4_3", "-3"): (32, 15),
+    ("kpz", "-151/100"): (0, 9),
+    ("kpz", "-7/4"): (7, 9),
+    ("kpz", "-19/10"): (7, 9),
+}
+
+
+@pytest.mark.parametrize("variant", CERTIFY_VARIANTS, ids=["/".join(v) for v in CERTIFY_VARIANTS])
+def test_local_decision_matches_search_on_variants(variant):
+    wb = variant_workbench(*variant)
+    witnessed = refuted = 0
+    for i in range(len(wb.basis())):
+        w, r = compare_every_class(wb, f"T{i}")
+        witnessed, refuted = witnessed + w, refuted + r
+    assert (witnessed, refuted) == VARIANT_FAILURES[variant]
 
 
 def bad_noise_certificates():
@@ -98,11 +182,65 @@ def bad_noise_certificates():
 
 @pytest.mark.parametrize("index", range(3))
 def test_certify_witness_matches_oracle(index):
+    """The violation is the one the search's first implementation finds
+    first, and every failing subset is decided as the search decides it."""
     bad, ci = list(bad_noise_certificates())[index]
     cert = Certifier(bad.table, bad.cum)
+    witnessed, _ = compare_with_search(cert, ci)
+    assert witnessed
     res = cert.certify(ci)
     assert not res["pass"]
-    assert (res["violation"], res["tree"]) == oracle.witness(cert, ci)
+    violation, fam = oracle.witness(cert, ci)
+    assert res["violation"] == violation
+    assert violation[1] in fam
+
+
+@st.composite
+def plans(draw):
+    """A multigraph on n <= 6 vertices and a plan of the shape
+    `_interval_plan` produces: a basepoint edge {0, v} to every other
+    vertex; cuts whose basepoint pair {0, p} and edge pair {p, c} share p;
+    divergences whose external masks meet the vertices their internal
+    masks cover.  Every mask the plan names is an edge of the multigraph.
+    Then a vertex subset of at least two vertices."""
+    n = draw(st.integers(2, 6))
+    true = st.integers(1, n - 1)
+    edges = [mask(0, v) for v in range(1, n)]
+    edges += draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=2).map(
+        lambda p: mask(*p)), max_size=4))
+    cuts = []
+    if n >= 3:
+        for p, c in draw(st.lists(st.tuples(true, true).filter(lambda e: e[0] != e[1]), max_size=3)):
+            cuts.append((mask(0, p), mask(p, c)))
+    subtrees, covers = [], []
+    if n >= 3:
+        for _ in range(draw(st.integers(0, 3))):
+            ints = draw(st.lists(st.sets(true, min_size=2, max_size=2), min_size=1, max_size=3))
+            cover = sorted(set().union(*ints))
+            exts = draw(st.lists(
+                st.tuples(st.sampled_from(cover), st.integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]),
+                min_size=1, max_size=3,
+            ))
+            subtrees.append((sorted({mask(*p) for p in ints}), sorted({mask(*e) for e in exts})))
+            covers.append(mask(*cover))
+    edges += [m for c in cuts for m in c]
+    edges += [m for ints, exts in subtrees for m in ints + exts]
+    # a subset that holds some divergence's internal masks now and then,
+    # where the divergence can refute it
+    a = draw(st.integers(0, full_mask(n))) | draw(st.sampled_from([0] + covers))
+    assume(popcount(a) >= 2)
+    return n, edges, (cuts, subtrees), a
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans())
+def test_local_decision_matches_search_on_random_plans(case):
+    n, edges, plan, a = case
+    found = oracle.witness_search(n, edges, plan, a, {})
+    assert Certifier._witnessed(plan, connected_split(edges), a) == (found is not None)
+    if found is not None:
+        assert oracle.plan_realizable(plan, frozenset({full_mask(n), a}))
 
 
 @st.composite
@@ -121,7 +259,8 @@ def constraint_sets(draw):
 @given(constraint_sets())
 def test_incremental_feasibility_matches_kosaraju(case):
     fam, atoms, disjunctions = case
-    assert _feasible(fam, atoms, disjunctions) == oracle.feasible(fam, atoms, disjunctions)
+    got = oracle.incremental_feasible(fam, atoms, disjunctions)
+    assert got == oracle.feasible(fam, set(atoms), disjunctions)
 
 
 def test_feasibility_closes_every_row_that_reaches_a_new_edge():
@@ -137,7 +276,7 @@ def test_feasibility_closes_every_row_that_reaches_a_new_edge():
         ([], [[(3, 24)], [(24, 7)]], False),
         ([], [[(3, 24)], [(24, 7), (7, 24)]], True),
     ]:
-        assert _feasible(fam, atoms, disjunctions) is want
+        assert oracle.incremental_feasible(fam, atoms, disjunctions) is want
         assert oracle.feasible(fam, set(atoms), disjunctions) is want
 
 

@@ -287,11 +287,15 @@ def test_certify_unknown_tree(capsys, monkeypatch):
 
 
 def test_certify_independent_of_hash_seed():
-    """KPZ T5 has failing subsets, so the coalescence-tree search runs."""
-    args = ["-m", "renormforest.cli", "--config", config_path("kpz"), "certify", "T5"]
-    outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["pass"] is True
+    """KPZ T5, KPZ T6 and phi4_3 T6 have failing vertex subsets (4, 17 and
+    39 over their chaos classes), so the certifier builds the scale
+    constraints of those classes and decides each failing subset against
+    them."""
+    for model, tree_id in (("kpz", "T5"), ("kpz", "T6"), ("phi4_3", "T6")):
+        args = ["-m", "renormforest.cli", "--config", config_path(model), "certify", tree_id]
+        outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["pass"] is True
 
 
 def test_certify_fails_on_broken_hypotheses(tmp_path):

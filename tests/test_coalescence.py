@@ -4,6 +4,7 @@ import random
 import pytest
 
 from coalescence_oracle import (
+    ancestor,
     build_coalescence,
     children_blocks,
     grand_ancestor,
@@ -12,7 +13,6 @@ from coalescence_oracle import (
 )
 from renormforest.coalescence import (
     CoalescenceCap,
-    ancestor,
     enumerate_trees,
     full_mask,
     popcount,

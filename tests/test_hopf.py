@@ -183,8 +183,9 @@ def workbenches():
 @pytest.mark.parametrize("model,tree_id", TREES, ids=[f"{m}-{t}" for m, t in TREES])
 def test_extractions_match_edge_subset_scan(workbenches, model, tree_id):
     """The extractions built from the listed divergent subtrees are those
-    of the scan over every edge subset, as a multiset of (G, coefficient,
-    pieces, n_G, e_G): plain, proper, and with the vanishing filter."""
+    built from every connected edge set of the tree, as a multiset of (G,
+    coefficient, pieces, n_G, e_G): plain, proper, and with the vanishing
+    filter."""
     wb = workbenches[model]
     t, table, cum = wb.tree_by_id(tree_id), wb.config.table, wb.config.cum
     for kw in ({}, {"proper": True}, {"vanishing": cum}):

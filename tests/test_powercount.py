@@ -4,10 +4,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certify_oracle import evaluate_hom
+from certify_oracle import div_universe, evaluate_hom, realizable
 from conftest import KAPPA, Phi4
 from cumulant_oracle import CumulantHomogeneity
-from renormforest.coalescence import enumerate_trees
+from renormforest.coalescence import enumerate_trees, full_mask
 from renormforest.powercount import (
     Certifier,
     CertificateInput,
@@ -182,10 +182,14 @@ def test_certify_flips_on_bad_noise():
     bad = Phi4(xi_hom=Fraction(-3))
     lv = sorted(bad.t111.leaf_nodes(bad.table))
     cert = Certifier(bad.table, bad.cum)
-    res = cert.certify(_ci(bad, bad.t111, [lv[2]], [(lv[0], lv[1])]))
+    ci = _ci(bad, bad.t111, [lv[2]], [(lv[0], lv[1])])
+    res = cert.certify(ci)
     assert not res["pass"]
-    assert res["violation"][0] in ("integrability", "decay")
-    assert res["tree"] is not None  # the realizable witness
+    kind, a, _, _ = res["violation"]
+    assert kind in ("integrability", "decay")
+    # the coarsest coalescence tree through the violated subset realizes it
+    n = len(cert.build(ci)["verts"])
+    assert realizable(cert, ci, div_universe(cert, ci), frozenset({full_mask(n), a}))
 
 
 def test_subset_reduction_matches_tree_scan(phi4):

@@ -2,11 +2,15 @@
 command, a name the benchmark drives, or a public tree-building or antipode
 entry) or is referenced by name from code an entry point reaches, and every
 field of a dataclass there is read somewhere there.  The checks are static:
-they parse the modules and run none of them."""
+they parse the modules and run none of them.  Last, every name the
+benchmark's tracing patches still exists."""
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "renormforest"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "renormforest"
 
 ENTRY_POINTS = {
     "cli.main",
@@ -27,6 +31,8 @@ ENTRY_POINTS = {
     "trees.DecoratedTree.restrict",
     "trees.DecoratedTree.leaf_nodes",
     "powercount.Certifier.certify",
+    # no command searches coalescence trees any more: only the benchmark's
+    # tracing (and the tests' witness search) reaches this one
     "powercount.trees_containing",
     "forests.cut_enumerate",
     "forests.div_enumerate",
@@ -143,3 +149,24 @@ def unread_fields() -> list[str]:
 
 def test_every_dataclass_field_is_read():
     assert unread_fields() == []
+
+
+def load_benchmark_module(name: str):
+    """A module of `perfbench/`, loaded by path (its dataclasses look the
+    module up in `sys.modules`)."""
+    qualified = f"perfbench_{name}"
+    spec = importlib.util.spec_from_file_location(qualified, ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[qualified] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_patch_targets_exist():
+    """`perfbench/run.py --trace 1` wraps program functions by name; a
+    deleted or renamed one raises a KeyError there, and here first."""
+    harness, workloads = load_benchmark_module("harness"), load_benchmark_module("workloads")
+    tracer = harness.Tracer()
+    try:
+        workloads.install_tracing(tracer, workloads.load_program())
+    finally:
+        tracer.unpatch_all()
