@@ -24,6 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("generate", help="emit the tree basis with homogeneities")
     r = sub.add_parser("renormalize", help="emit the counterterm report of a tree")
     r.add_argument("tree_id")
+    b = sub.add_parser("bphz", help="emit the BPHZ expansion of a tree, one row per term")
+    b.add_argument("tree_id")
     c = sub.add_parser("certify", help="run the power-counting certificates of a tree")
     c.add_argument("tree_id")
     pj = sub.add_parser("project", help="emit safe-forest and harvested-cut tables")
@@ -62,6 +64,8 @@ def main(argv=None) -> int:
             result = wb.cmd_generate()
         elif args.command == "renormalize":
             result = wb.cmd_renormalize(args.tree_id)
+        elif args.command == "bphz":
+            result = wb.cmd_bphz(args.tree_id)
         elif args.command == "certify":
             result = wb.cmd_certify(args.tree_id)
         elif args.command == "project":

@@ -1,46 +1,80 @@
 """Exact-rational formal linear combinations.
 
-A `FormalSum` maps canonical hashable keys to nonzero `Fraction` coefficients.
-Tensor terms are represented by tuples of per-slot keys.  Coefficients that
-are already `Fraction`s are kept as they are; others are converted.
+A `FormalSum` maps canonical hashable keys to nonzero exact coefficients: an
+`int` where the coefficient is integral, a `Fraction` (denominator > 1) only
+where it is not.  Other coefficients (a bool, an integral `Fraction`) are
+converted on the way in, so an integral `Fraction` is stored as its
+numerator; a float raises TypeError.  Tensor terms are represented by tuples
+of per-slot keys.
 """
 from __future__ import annotations
 
+import itertools
+import numbers
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Union
+
+Coefficient = Union[int, Fraction]
+
+
+def exact(c) -> Coefficient:
+    """`c` as an `int` when it is integral, else as a `Fraction`; a float
+    is no exact coefficient and raises TypeError."""
+    if type(c) is not int:
+        if type(c) is not Fraction:
+            if not isinstance(c, numbers.Rational):
+                raise TypeError(f"inexact coefficient {c!r}")
+            c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def exact_div(c: Coefficient, n: int) -> Coefficient:
+    """c / n for a positive `int` n, exactly: the `int` quotient when n
+    divides c, else a `Fraction`."""
+    if type(c) is int and not c % n:
+        return c // n
+    return exact(Fraction(c, n))
 
 
 class FormalSum:
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Hashable, Fraction] | Iterable[tuple[Hashable, Fraction]] = ()):
+    def __init__(self, terms: Mapping[Hashable, Coefficient] | Iterable[tuple[Hashable, Coefficient]] = ()):
         acc: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, coeff in items:
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
-            if coeff:
-                total = acc.get(key)
-                acc[key] = total = coeff if total is None else total + coeff
-                if not total:
+            if type(coeff) is not int:
+                coeff = exact(coeff)
+            if not coeff:
+                continue
+            total = acc.get(key)
+            if total is not None:
+                coeff += total
+                if type(coeff) is not int:
+                    coeff = exact(coeff)
+                if not coeff:
                     del acc[key]
+                    continue
+            acc[key] = coeff
         self._terms = acc
 
     @classmethod
     def single(cls, key: Hashable, coeff=1) -> "FormalSum":
-        return cls([(key, Fraction(coeff))])
+        return cls([(key, coeff)])
 
     @classmethod
     def zero(cls) -> "FormalSum":
         return cls()
 
-    def items(self) -> Iterator[tuple[Hashable, Fraction]]:
+    def items(self) -> Iterator[tuple[Hashable, Coefficient]]:
         """The terms in no canonical order: callers that emit them sort by
         a canonical key of their own."""
         return iter(self._terms.items())
 
-    def coeff(self, key: Hashable) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coeff(self, key: Hashable) -> Coefficient:
+        return self._terms.get(key, 0)
 
     def keys(self):
         return self._terms.keys()
@@ -52,24 +86,16 @@ class FormalSum:
         return len(self._terms)
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        acc = dict(self._terms)
-        for k, v in other._terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + v
-            if not acc[k]:
-                del acc[k]
-        out = FormalSum.zero()
-        out._terms = acc
-        return out
+        return FormalSum(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "FormalSum":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return FormalSum.zero()
+        scalar = exact(scalar)
         out = FormalSum.zero()
-        out._terms = {k: scalar * v for k, v in self._terms.items()}
+        if scalar:
+            out._terms = {k: exact(scalar * v) for k, v in self._terms.items()}
         return out
 
     def __eq__(self, other) -> bool:

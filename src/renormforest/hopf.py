@@ -3,7 +3,10 @@ expansion, and grouped counterterm reports.
 
 Terms live inside a fixed ambient tree: every slot entry is a
 `DecoratedTree` whose node ids are ambient ids (so embedded i-trees compare
-literally), possibly colored.  Formal sums carry exact rational coefficients.
+literally), possibly colored.  Formal sums carry exact coefficients: the
+structure constants are integers (binomials and signs) up to the 1/k! of an
+edge decoration k, so a coefficient is an `int` unless such a factorial
+leaves a remainder, and then a `Fraction`.
 
 An extraction takes a forest of pairwise disjoint subtrees that lie in X_-
 once decorated.  The candidate subtrees are the divergent ones that
@@ -27,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .forests import div_enumerate, irreducible_partition_exists
-from .formal import FormalSum
+from .formal import Coefficient, FormalSum, exact, exact_div
 from .rules import CumulantSet
 from .scaling import (
     ExtLabel,
@@ -97,7 +100,7 @@ def _extraction_decorations(
     comp: SubForest,
     omega: Fraction,
     boundary: Sequence[EdgeKey],
-) -> Iterator[tuple[dict[int, MultiIndex], dict[EdgeKey, MultiIndex], Fraction]]:
+) -> Iterator[tuple[dict[int, MultiIndex], dict[EdgeKey, MultiIndex], Coefficient]]:
     """Node labels n_G on a divergent subtree and edge labels e_G on its
     boundary edges keeping the extracted tree in X_-: root label zero and
     homogeneity strictly negative, so their total s-degree stays strictly
@@ -109,7 +112,7 @@ def _extraction_decorations(
     # boundary edges at the root force e_G = 0 there; they are skipped
     edge_slots = [e for e in sorted(boundary) if e[0] != root]
 
-    def rec(slots: list, remaining: Fraction, ndec: dict, edec: dict, coeff: Fraction):
+    def rec(slots: list, remaining: Fraction, ndec: dict, edec: dict, coeff: Coefficient):
         if not slots:
             yield dict(ndec), dict(edec), coeff
             return
@@ -120,7 +123,7 @@ def _extraction_decorations(
                 if d < remaining:
                     if not k.is_zero():
                         ndec[slot] = k
-                    c = Fraction(binom_mi(t.node_dec(slot), k))
+                    c = binom_mi(t.node_dec(slot), k)
                     yield from rec(rest, remaining - d, ndec, edec, coeff * c)
                     ndec.pop(slot, None)
         else:
@@ -132,11 +135,11 @@ def _extraction_decorations(
                     remaining - Fraction(k.sdeg(table.scaling)),
                     ndec,
                     edec,
-                    coeff / k.factorial(),
+                    exact_div(coeff, k.factorial()),
                 )
                 edec.pop(slot, None)
 
-    yield from rec(node_slots + edge_slots, omega, {}, {}, Fraction(1))
+    yield from rec(node_slots + edge_slots, omega, {}, {}, 1)
 
 
 def _boundary(t: DecoratedTree, nodes: frozenset[int], edges: frozenset[EdgeKey], table: TypeTable) -> list[EdgeKey]:
@@ -151,7 +154,7 @@ def _extractions(
     proper: bool = False,
     vanishing: Optional[CumulantSet] = None,
     candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
-) -> Iterator[tuple[SubForest, Fraction, list[DecoratedTree], dict, dict]]:
+) -> Iterator[tuple[SubForest, Coefficient, list[DecoratedTree], dict, dict]]:
     """Every extraction of a forest of pairwise node-disjoint candidates
     from an uncolored tree, with every choice of decorations n_G, e_G.
 
@@ -182,7 +185,7 @@ def _extractions(
         ]
         options.append((c, decorated))
 
-    def families(start: int, g: SubForest, coeff: Fraction, pieces: list, nd: dict, ed: dict):
+    def families(start: int, g: SubForest, coeff: Coefficient, pieces: list, nd: dict, ed: dict):
         yield g, coeff, pieces, nd, ed
         for i in range(start, len(options)):
             c, decorated = options[i]
@@ -194,7 +197,7 @@ def _extractions(
                     i + 1, grown, coeff * coeff_c, pieces + [piece], {**nd, **nd_c}, {**ed, **ed_c}
                 )
 
-    yield from families(0, SubForest.empty(), Fraction(1), [], {}, {})
+    yield from families(0, SubForest.empty(), 1, [], {}, {})
 
 
 def _remainder(
@@ -376,7 +379,7 @@ def _dangle_headroom(
     return out
 
 
-def _choices(slots: list, options: Callable[[Hashable], list]) -> Iterator[tuple[dict, Fraction]]:
+def _choices(slots: list, options: Callable[[Hashable], list]) -> Iterator[tuple[dict, Coefficient]]:
     """Every labelling of `slots` by one (label, coefficient) pair of
     `options(slot)` per slot: (the nonzero labels, product of the
     coefficients), the first slot varying slowest."""
@@ -385,7 +388,7 @@ def _choices(slots: list, options: Callable[[Hashable], list]) -> Iterator[tuple
         yield labels, math.prod(c for _, c in chosen)
 
 
-def _node_choices(piece: DecoratedTree, slots: list[int]) -> Iterator[tuple[dict, Fraction]]:
+def _node_choices(piece: DecoratedTree, slots: list[int]) -> Iterator[tuple[dict, int]]:
     """Every split of the node labels on `slots` between the recentered
     piece and the remainder: (the piece's labels, binomial coefficient)."""
     n = piece.node_dec
@@ -394,12 +397,12 @@ def _node_choices(piece: DecoratedTree, slots: list[int]) -> Iterator[tuple[dict
 
 def _edge_choices(
     slots: list[EdgeKey], headroom: dict[EdgeKey, Fraction], table: TypeTable
-) -> Iterator[tuple[dict, Fraction]]:
+) -> Iterator[tuple[dict, Coefficient]]:
     """Every edge labelling of `slots` whose s-degree stays strictly below
     each edge's headroom: (labels, 1 / product of the factorials)."""
     return _choices(
         slots,
-        lambda e: [(k, Fraction(1, k.factorial())) for k in multiindices_below(table.scaling, headroom[e])],
+        lambda e: [(k, exact_div(1, k.factorial())) for k in multiindices_below(table.scaling, headroom[e])],
     )
 
 
@@ -544,14 +547,19 @@ def antipode_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
 # -- the full expansion and the report ---------------------------------------------
 
 
-def bphz_expansion(t: DecoratedTree, table: TypeTable) -> FormalSum:
+def bphz_expansion(
+    t: DecoratedTree,
+    table: TypeTable,
+    candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
+) -> FormalSum:
     """(A_- (x) id (x) A_+)(id (x) Delta_+) Delta_- applied to an uncolored
     tree: a three-slot formal sum (counterterm forest, observed piece,
-    recentering forest)."""
+    recentering forest).  `candidates` is the tree's list of divergent
+    subtrees, effective or not, when the caller has it."""
     anti_minus = _AntipodeMinus(table)
     anti_plus = _AntipodePlus(table)
     terms = []
-    for (extracted, remainder), c1 in delta_minus(t, table).items():
+    for (extracted, remainder), c1 in delta_minus(t, table, candidates=candidates).items():
         left = anti_minus.forest(extracted)
         for (mid, rec_piece), c2 in delta_plus(remainder, table).items():
             right = anti_plus.run(rec_piece)
@@ -613,7 +621,7 @@ class _RenormalizedConstant:
 
 @dataclass(frozen=True)
 class CountertermMonomial:
-    coefficient: Fraction
+    coefficient: Coefficient
     constants: tuple[str, ...]
     residual: DecoratedTree
 
@@ -649,7 +657,7 @@ def counterterm_report(
         codes = [p.relabel_canonical().canonical_code() for p in extracted]
         key = (residual.canonical_code(), tuple(sorted(codes)))
         g = groups.setdefault(
-            key, {"residual": residual, "pieces": list(zip(codes, extracted)), "coeff": Fraction(0)}
+            key, {"residual": residual, "pieces": list(zip(codes, extracted)), "coeff": 0}
         )
         g["coeff"] += coeff
     monomials = []
@@ -666,10 +674,10 @@ def counterterm_report(
             names_out.append(_label_for(code, names, renormalized=not is_bare))
         if dead:
             continue
-        sign = Fraction(-1) ** len(pieces)
+        sign = (-1) ** len(pieces)
         monomials.append(
             CountertermMonomial(
-                coefficient=g["coeff"] * sign,
+                coefficient=exact(g["coeff"] * sign),
                 constants=tuple(sorted(names_out)),
                 residual=g["residual"],
             )

@@ -10,7 +10,8 @@ from typing import Optional
 
 from . import forests as fo
 from . import multiscale as ms
-from .hopf import counterterm_report
+from .formal import Coefficient
+from .hopf import bphz_expansion, counterterm_report
 from .integrands import chaos_classes
 from .powercount import Analyses, Certifier, CertificateInput
 from .rules import CumulantSet, RuleSpec, generate_trees, production
@@ -255,7 +256,7 @@ def format_tree(t: DecoratedTree, table: TypeTable) -> str:
     return fmt(t.root)
 
 
-def frac_str(x: Fraction) -> str:
+def frac_str(x: Coefficient) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -339,6 +340,32 @@ class Workbench:
             "command": "renormalize",
             "tree": format_tree(t, table),
             "terms": monos,
+        }
+
+    def cmd_bphz(self, tree_id: str) -> dict:
+        """The three-slot BPHZ expansion of a tree, one row per term: the
+        embedded keys of (counterterm forest, observed piece, recentering
+        forest), a space, then the coefficient; the rows sorted.  The tree's
+        divergent subtrees are listed under the configured `max_div`."""
+        t = self.tree_by_id(tree_id)
+        bp = bphz_expansion(t, self.config.table, candidates=self.analysis(t).all_divergences)
+        rows = sorted(
+            repr(
+                (
+                    tuple(p.embedded_key() for p in left),
+                    mid.embedded_key(),
+                    tuple(p.embedded_key() for p in right),
+                )
+            )
+            + " "
+            + frac_str(c)
+            for (left, mid, right), c in bp.items()
+        )
+        return {
+            "command": "bphz",
+            "tree": format_tree(t, self.config.table),
+            "term_count": len(rows),
+            "terms": rows,
         }
 
     def cmd_certify(self, tree_id: str) -> dict:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KPZ_BASIS, PHI4_BASIS
+from conftest import BPHZ_TERMS, KPZ_BASIS, PHI4_BASIS
 from renormforest import cli
 from renormforest.workbench import ConfigError, parse_config
 
@@ -298,6 +298,26 @@ def test_certify_independent_of_hash_seed():
         assert json.loads(outputs[0])["pass"] is True
 
 
+def test_bphz_independent_of_hash_seed():
+    """The expansion is a dict keyed by trees; its rows are sorted before
+    they are emitted, so the report is the same bytes under every hash
+    seed."""
+    args = ["-m", "renormforest.cli", "--config", config_path("kpz"), "bphz", "T5"]
+    outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1", "2")]
+    assert outputs[0] == outputs[1] == outputs[2]
+    report = json.loads(outputs[0])
+    assert report["command"] == "bphz"
+    assert report["term_count"] == len(report["terms"]) == BPHZ_TERMS["kpz"][5]
+
+
+def test_bphz_unknown_tree(capsys, monkeypatch):
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    assert cli.main(["--config", config_path("kpz"), "bphz", "T9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_certify_fails_on_broken_hypotheses(tmp_path):
     """At |Xi| = -3 the higher-cumulant margin fails for the model and
     subtree power counting for I(Xi)^3: exit 1, all three named, and the
@@ -328,6 +348,16 @@ def test_renormalize_over_the_divergence_cap(capsys, monkeypatch):
     decompose, under the same cap."""
     monkeypatch.setenv("RENORMFOREST_CAPS", '{"max_div": 1}')
     assert cli.main(["--config", config_path("phi4_3"), "renormalize", "T3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the cap" in captured.err
+
+
+def test_bphz_over_the_divergence_cap(capsys, monkeypatch):
+    """bphz extracts from every divergent subtree of the tree, effective or
+    not, listed under the same cap as decompose's."""
+    monkeypatch.setenv("RENORMFOREST_CAPS", '{"max_div": 1}')
+    assert cli.main(["--config", config_path("phi4_3"), "bphz", "T3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the cap" in captured.err

@@ -2,15 +2,16 @@
 shipped models, pinned by term count and by digest.
 
 The digests were recorded on the code that summed each expansion by
-repeated `FormalSum` additions, before the extraction loops were merged, so
-the current code is checked against that code's output."""
+repeated `FormalSum` additions, before the extraction loops were merged, and
+that held every coefficient as a `Fraction`, so the current code is checked
+against that code's output.  The expansion is read from the `bphz` command,
+whose rows are the ones the digest hashes."""
 import hashlib
 from pathlib import Path
 
 import pytest
 
 from conftest import BPHZ_TERMS
-from renormforest.hopf import bphz_expansion
 from renormforest.workbench import Workbench, parse_config, report_emit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,22 +45,11 @@ def workbenches():
     }
 
 
-def expansion_digest(bp) -> str:
-    """sha256 over the terms as (embedded keys of the three slots, coefficient),
-    sorted, so that it does not depend on the order of the terms."""
-    rows = sorted(
-        repr(
-            (
-                tuple(p.embedded_key() for p in left),
-                mid.embedded_key(),
-                tuple(p.embedded_key() for p in right),
-            )
-        )
-        + " "
-        + str(c)
-        for (left, mid, right), c in bp.items()
-    )
-    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+def expansion_digest(report: dict) -> str:
+    """sha256 over the `bphz` report's rows: each term as (embedded keys of
+    the three slots, coefficient), sorted, so that it does not depend on the
+    order of the terms."""
+    return hashlib.sha256("\n".join(report["terms"]).encode()).hexdigest()
 
 
 def test_pins_cover_every_basis_tree(workbenches):
@@ -72,8 +62,8 @@ def test_pins_cover_every_basis_tree(workbenches):
 def test_bphz_and_renormalize_pinned(workbenches, model, tree_id):
     wb = workbenches[model]
     want_expansion, want_report = PINS[f"{model}/{tree_id}"]
-    bp = bphz_expansion(wb.tree_by_id(tree_id), wb.config.table)
-    assert len(bp) == BPHZ_TERMS[model][int(tree_id[1:])]
-    assert expansion_digest(bp) == want_expansion
+    expansion = wb.cmd_bphz(tree_id)
+    assert expansion["term_count"] == len(expansion["terms"]) == BPHZ_TERMS[model][int(tree_id[1:])]
+    assert expansion_digest(expansion) == want_expansion
     report = report_emit(wb.cmd_renormalize(tree_id))
     assert hashlib.sha256(report.encode()).hexdigest() == want_report

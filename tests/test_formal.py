@@ -1,10 +1,14 @@
 """Property tests for `FormalSum`: building from pairs agrees with the fold
-of single terms it replaced, cancelled keys are dropped, and the tensor
-product of the test oracle `hopf_oracle.tensor` is bilinear."""
+of single terms it replaced, cancelled keys are dropped, the tensor
+product of the test oracle `hopf_oracle.tensor` is bilinear, and the mixed
+`int`/`Fraction` coefficients agree by value with the all-`Fraction` oracle
+`formal_oracle.FractionSum`."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+from formal_oracle import FractionSum, stored_exactly
 from hopf_oracle import tensor
 from renormforest.formal import FormalSum
 
@@ -12,6 +16,14 @@ from renormforest.formal import FormalSum
 keys = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda k: k[: k[0] % 3])
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 pairs = st.lists(st.tuples(keys, coeffs), max_size=12)
+# ints, bools, and Fractions over denominators 1, 2 and 4, so that integral
+# Fractions such as Fraction(4, 2) occur as inputs and as sums of halves
+mixed = st.one_of(
+    st.integers(-4, 4),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4])),
+)
+mixed_pairs = st.lists(st.tuples(keys, mixed), max_size=12)
 
 
 def folded(terms) -> FormalSum:
@@ -46,3 +58,27 @@ def test_tensor_bilinear(a, b, c, q):
     assert tensor(fa, fb + fc) == tensor(fa, fb) + tensor(fa, fc)
     assert tensor(q * fa, fb) == q * tensor(fa, fb) == tensor(fa, q * fb)
     assert tensor(fa, FormalSum.zero()).is_zero()
+
+
+@given(mixed_pairs, mixed_pairs, mixed, keys)
+def test_mixed_coefficients_match_fraction_oracle(a, b, q, key):
+    fa, fb = FormalSum(a), FormalSum(b)
+    oa, ob = FractionSum(a), FractionSum(b)
+    for got, want in (
+        (fa, oa),
+        (FormalSum.single(key, q), FractionSum.single(key, q)),
+        (fa + fb, oa + ob),
+        (fa - fb, oa - ob),
+        (q * fa, q * oa),
+    ):
+        assert dict(got.items()) == dict(want.items())
+        assert all(stored_exactly(c) for _, c in got.items())
+        assert all(got.coeff(k) == c for k, c in want.items())
+    assert type(fa.coeff(("missing",))) is int
+
+
+def test_inexact_coefficients_rejected():
+    with pytest.raises(TypeError):
+        FormalSum([((), 0.5)])
+    with pytest.raises(TypeError):
+        0.5 * FormalSum.single(())

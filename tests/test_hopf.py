@@ -2,10 +2,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import hopf_oracle
-from conftest import BPHZ_TERMS, KPZ, colored_trees
+from conftest import BPHZ_TERMS, KPZ, colored_trees, decorated_trees
 from forest_oracle import (
     depth,
     down_tree,
@@ -15,6 +15,7 @@ from forest_oracle import (
     undecorated_forest_shape,
     up_tree,
 )
+from formal_oracle import stored_exactly
 from generation_oracle import conforms
 from hopf_oracle import (
     extraction_multisets,
@@ -46,6 +47,7 @@ from renormforest.hopf import (
 from renormforest.scaling import MultiIndex, ZERO_MI
 from renormforest.trees import (
     EMPTY_SUBFOREST,
+    DecoratedTree,
     SubForest,
     integrate,
     poly,
@@ -490,3 +492,35 @@ def test_coaction_outputs_reconform(phi4):
             assert conforms(phi4.rule, p.relabel_canonical())
         contracted = remainder.contract_colored(phi4.table).relabel_canonical()
         assert conforms(phi4.rule, contracted)
+
+
+# t(l t(l)) with no decorations: extracting the subtree on (0, 1), (0, 100)
+# and (1, 101) leaves the boundary edge (1, 2) the label k of two derivatives
+# in the second coordinate, with k! = 2, so coefficients of 1/2 occur
+HALF_TREE = DecoratedTree(
+    root=0, edges={(0, 1): "t", (0, 100): "l", (1, 2): "t", (1, 101): "l"}, table=KPZ.table
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(decorated_trees(max_edges=7))
+@example(HALF_TREE)
+def test_coefficients_are_int_or_proper_fraction(t):
+    """Delta_-, Delta_+ on each of its remainders and the full expansion.
+    The expansion grows much faster than Delta_-: a drawn tree whose Delta_-
+    has 300 terms expands to 2.5 million terms in over a minute.  So the
+    expansion is built where Delta_- has at most 60 terms (about 0.3 s)."""
+    table = KPZ.table
+    dm = delta_minus(t, table)
+    sums = [dm] + [delta_plus(remainder, table) for (_, remainder), _ in dm.items()]
+    if len(dm) <= 60:
+        sums.append(bphz_expansion(t, table))
+    for s in sums:
+        assert all(stored_exactly(c) for _, c in s.items())
+
+
+def test_expansion_with_half_coefficients():
+    bp = bphz_expansion(HALF_TREE, KPZ.table)
+    assert len(bp) == 116
+    assert {c for _, c in bp.items()} == {1, -1, Fraction(1, 2), Fraction(-1, 2)}
+    assert any(type(c) is Fraction for _, c in bp.items())

@@ -16,6 +16,7 @@ ENTRY_POINTS = {
     "cli.main",
     "workbench.Workbench.cmd_generate",
     "workbench.Workbench.cmd_renormalize",
+    "workbench.Workbench.cmd_bphz",
     "workbench.Workbench.cmd_certify",
     "workbench.Workbench.cmd_project",
     "workbench.Workbench.cmd_decompose",
@@ -25,7 +26,6 @@ ENTRY_POINTS = {
     "workbench.report_emit",
     "rules.generate_trees",
     "hopf.counterterm_report",
-    "hopf.bphz_expansion",
     "integrands.chaos_classes",
     "trees.DecoratedTree.canonical_code",
     "trees.DecoratedTree.restrict",
