@@ -9,14 +9,7 @@ from .trees import DecoratedTree, SubForest, integrate, noise, poly, tree_produc
 from .formal import FormalSum
 from .rules import CumulantSet, RuleSpec, check_subcritical, generate_trees, production
 from .forests import div_enumerate, cut_enumerate, sigma_negative
-from .hopf import (
-    antipode_minus,
-    antipode_plus,
-    bphz_expansion,
-    counterterm_report,
-    delta_minus,
-    delta_plus,
-)
+from .hopf import bphz_expansion, counterterm_report, delta_minus, delta_plus
 from .multiscale import EdgeUniverse, harvested_cuts, path_scale, safe_projection
 from .coalescence import enumerate_trees
 from .powercount import Certifier, CertificateInput

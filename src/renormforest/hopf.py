@@ -8,17 +8,16 @@ structure constants are integers (binomials and signs) up to the 1/k! of an
 edge decoration k, so a coefficient is an `int` unless such a factorial
 leaves a remainder, and then a `Fraction`.
 
-An extraction takes a forest of pairwise disjoint subtrees that lie in X_-
-once decorated.  The candidate subtrees are the divergent ones that
-`forests.div_enumerate` lists (or the caller's list of them, under the
-caller's cap), and each candidate's decorations are enumerated once per tree.
-The negative antipode is multiplicative: it is one product over a forest's
-pieces.
-
-Recentering a piece around a rooted subtree S changes no label above S, so
-the bound on each boundary edge's decoration, and the X_+ test of each
-dangling tree, read the piece's up-tree table (`trees.up_hom_table`), built
-once per piece by `delta_plus` and by the positive antipode.
+Each enumeration is written once.  Delta_- and A_- extract forests of
+pairwise disjoint candidate subtrees (`_extractions`); the candidates are a
+list of divergent subtrees as `forests.div_enumerate` lists them, every one
+by default, the effective ones where the caller passes them.  Each
+candidate's decorations are enumerated once per tree, and A_- is one
+product over a forest's pieces.  Delta_+ and A_+ recenter a piece around
+rooted subtrees (`_recenterings`), which `DecoratedTree.rooted_edge_sets`
+lists.  Recentering changes no label above the subtree, so the bound on
+each boundary edge's decoration, and the X_+ test of each dangling tree,
+read the piece's up-tree table (`trees.up_hom_table`), built once per piece.
 """
 from __future__ import annotations
 
@@ -152,19 +151,17 @@ def _extractions(
     t: DecoratedTree,
     table: TypeTable,
     proper: bool = False,
-    vanishing: Optional[CumulantSet] = None,
     candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
 ) -> Iterator[tuple[SubForest, Coefficient, list[DecoratedTree], dict, dict]]:
     """Every extraction of a forest of pairwise node-disjoint candidates
     from an uncolored tree, with every choice of decorations n_G, e_G.
 
-    The candidates are the subtrees that `div_enumerate` lists, under its
-    default cap: connected, with omega > 0 and, with `vanishing`, with a
-    renormalization constant that does not vanish identically (the lone
-    noise, odd pairings, pendant-cancelled patterns).  A caller that has
-    already listed them, as (subtree, omega) pairs in that order and under
-    its own cap, passes them as `candidates`.  With `proper`, the whole tree
-    is no candidate (the antipode's recursion).  Each candidate's
+    The candidates are (subtree, omega) pairs in `div_enumerate`'s order:
+    by default every connected subtree with omega > 0, under
+    `div_enumerate`'s default cap.  A caller that extracts only the subtrees
+    whose renormalization constant does not vanish identically, or that
+    lists them under its own cap, passes its list.  With `proper`, the whole
+    tree is no candidate (the antipode's recursion).  Each candidate's
     decorations are enumerated once, and its extracted pieces are built once.
 
     Yields (G, coefficient, extracted pieces in candidate order, n_G, e_G);
@@ -173,7 +170,7 @@ def _extractions(
     full_edges = frozenset(e for e, _ in t.edge_items)
     options = []
     if candidates is None:
-        candidates = div_enumerate(t, table, vanishing, effective=vanishing is not None)
+        candidates = div_enumerate(t, table, effective=False)
     for c, omega in candidates:
         if proper and c.edges == full_edges:
             continue
@@ -228,25 +225,20 @@ def _remainder(
 def delta_minus(
     t: DecoratedTree,
     table: TypeTable,
-    vanishing: Optional[CumulantSet] = None,
     candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
 ) -> FormalSum:
     """The extraction coaction on an uncolored tree: a sum of
     (extracted forest, colored remainder) pairs.
 
-    Every subforest whose components each pass the X_- filter is extracted.
-    With `vanishing` given, components whose renormalization constant
-    vanishes identically are dropped as well (the lone noise, odd pairings,
-    pendant-cancelled patterns).  `candidates` is the list of divergent
-    subtrees, when the caller has it (see `_extractions`).
+    Every forest of candidates is extracted with every decoration that keeps
+    its components in X_-.  The candidates are every divergent subtree by
+    default, or the caller's list of them (see `_extractions`).
     """
     if t.has_coloring():
         raise ValueError("the negative coaction acts on uncolored trees")
     return FormalSum(
         ((sorted_pieces(pieces), _remainder(t, sub, nd, ed, o_label=True)), coeff)
-        for sub, coeff, pieces, nd, ed in _extractions(
-            t, table, vanishing=vanishing, candidates=candidates
-        )
+        for sub, coeff, pieces, nd, ed in _extractions(t, table, candidates=candidates)
     )
 
 
@@ -264,9 +256,10 @@ def _product(factors: Sequence[FormalSum], key: Callable[[list], Hashable]) -> F
 
 
 class _AntipodeMinus:
-    def __init__(self, table: TypeTable, vanishing: Optional[CumulantSet] = None):
+    """A_- on forests of X_- trees, memoized per tree: colored forests."""
+
+    def __init__(self, table: TypeTable):
         self.table = table
-        self.vanishing = vanishing
         self.memo: dict[DecoratedTree, FormalSum] = {}
 
     def forest(self, pieces: Sequence[DecoratedTree], extra: tuple = ()) -> FormalSum:
@@ -283,9 +276,7 @@ class _AntipodeMinus:
         if not in_X_minus(piece, self.table):
             raise ValueError("negative antipode applied outside X_-")
         terms = []
-        for sub, coeff, pieces, nd, ed in _extractions(
-            piece, self.table, proper=True, vanishing=self.vanishing
-        ):
+        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, proper=True):
             residual = _remainder(piece, sub, nd, ed, o_label=False)
             terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (residual,)).items())
         result = FormalSum(terms)
@@ -293,59 +284,23 @@ class _AntipodeMinus:
         return result
 
 
-def antipode_minus(
-    pieces: Sequence[DecoratedTree],
-    table: TypeTable,
-    vanishing: Optional[CumulantSet] = None,
-) -> FormalSum:
-    """Recursive counterterm map on a forest of X_- trees: a formal sum of
-    colored forests (1 slot)."""
-    return _AntipodeMinus(table, vanishing).forest(pieces)
-
-
 # -- positive coaction and antipode ------------------------------------------------
 
 
-def _rooted_subtrees(t: DecoratedTree, table: TypeTable) -> Iterator[SubForest]:
-    """Subtrees containing the root, determined by their kernel edges: the
-    noise edges ride along with their parent nodes (a noise is an attribute
-    of its node, so recentering can never strand one).  Includes the trivial
-    root-only subtree."""
-    kernels = set(t.kernel_edges(table))
-    children = {
-        u: tuple(e for e in t.children(u) if e in kernels) for u in t.nodes
-    }
-
-    def close(acc: frozenset[EdgeKey]) -> SubForest:
-        nodes = set(itertools.chain.from_iterable(acc)) | {t.root}
-        edges = set(acc)
-        for e, ty in t.edge_items:
-            if e not in kernels and e[0] in nodes:
-                edges.add(e)
-                nodes.add(e[1])
-        return SubForest(frozenset(nodes), frozenset(edges))
-
-    def rec(frontier: list[EdgeKey], acc: frozenset[EdgeKey]):
-        if not frontier:
-            yield close(acc)
-            return
-        e, rest = frontier[0], frontier[1:]
-        yield from rec(rest, acc)  # skip e and its whole branch
-        yield from rec(rest + list(children[e[1]]), acc | {e})
-
-    yield from rec(list(children[t.root]), frozenset())
-
-
 def _admissible_rooted(piece: DecoratedTree, table: TypeTable) -> Iterator[SubForest]:
-    """A_2: rooted subtrees S such that every color-1 component is contained
-    in S or disjoint from it."""
+    """A_2: subtrees S containing the root, the trivial one included, such
+    that every color-1 component is contained in S or disjoint from it.  S
+    is determined by its kernel edges: the noise edges ride along with their
+    parent nodes (a noise is an attribute of its node, so recentering can
+    never strand one)."""
     comps = piece.subforest_components(piece.hat1)
-    for sf in _rooted_subtrees(piece, table):
-        if all(
-            not c.nodes & sf.nodes or (c.nodes <= sf.nodes and c.edges <= sf.edges)
-            for c in comps
-        ):
-            yield sf
+    noises = piece.noise_edges(table)
+    for acc in piece.rooted_edge_sets(piece.root, frozenset(piece.kernel_edges(table))):
+        nodes = {piece.root, *itertools.chain.from_iterable(acc)}
+        edges = acc.union(e for e in noises if e[0] in nodes)
+        nodes = frozenset(nodes.union(c for _, c in edges))
+        if all(not c.nodes & nodes or (c.nodes <= nodes and c.edges <= edges) for c in comps):
+            yield SubForest(nodes, edges)
 
 
 def _plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[SubForest, SubForest]:
@@ -406,16 +361,28 @@ def _edge_choices(
     )
 
 
-def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
-    """The recentering coaction on a tree of color <= 1: a sum of
-    (rooted piece, recentered remainder) pairs, the remainder filtered to
-    X_+."""
-    if piece.hat2.nodes:
-        raise ValueError("the positive coaction acts on trees of color <= 1")
+def _color2_labels(piece: DecoratedTree, table: TypeTable) -> dict[int, MultiIndex]:
+    """n^: the node labels of the color-2 part, on its true nodes."""
     fict = piece.fictitious_nodes(table)
-    up = up_hom_table(piece, table)
-    terms = []
-    for s in _admissible_rooted(piece, table):
+    return {u: k for u, k in piece.node_dec_items if u in piece.hat2.nodes and u not in fict}
+
+
+def _recenterings(
+    piece: DecoratedTree,
+    table: TypeTable,
+    up: dict[EdgeKey, Fraction],
+    subtrees: Iterable[SubForest],
+) -> Iterator[tuple[DecoratedTree, Coefficient, DecoratedTree]]:
+    """The piece recentered around each S of `subtrees` (rooted, holding the
+    color-2 part), with every split of the node labels and every labelling
+    e_S of S's boundary edges that keeps the dangling trees positive (read
+    from the up-tree table `up`).  Yields (left piece, coefficient,
+    remainder): the left piece is S with the node labels n_S + chi(e_S),
+    where n_S takes part of each uncolored label in S and all of the color-2
+    labels n^, which the remainder gives up."""
+    fict = piece.fictitious_nodes(table)
+    nhat = _color2_labels(piece, table)
+    for s in subtrees:
         boundary = _boundary(piece, s.nodes, s.edges, table)
         headroom = _dangle_headroom(boundary, up)
         if headroom is None:
@@ -424,24 +391,40 @@ def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
         olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
         plain = piece.restrict(s)
         node_slots = [
-            u for u in sorted(s.nodes - fict) if not piece.node_dec(u).is_zero()
+            u for u in sorted(s.nodes - fict - piece.hat2.nodes) if not piece.node_dec(u).is_zero()
         ]
-        for nd, base_coeff in _node_choices(piece, node_slots):
-            rem_ndec = _shifted(piece.node_dec_items, minus=nd.items())
-            for ed, edge_coeff in _edge_choices(boundary, headroom, table):
-                left = plain.with_(node_dec=_shifted(nd, plus=_chi(ed).items()))
-                right = piece.with_(
+        for nd, coeff_n in _node_choices(piece, node_slots):
+            n_s = {**nd, **nhat}
+            rem_ndec = _shifted(piece.node_dec_items, minus=n_s.items())
+            for ed, coeff_e in _edge_choices(boundary, headroom, table):
+                remainder = piece.with_(
                     node_dec=rem_ndec,
                     edge_dec=_shifted(piece.edge_dec_items, plus=ed.items()),
                     hat1=hat1,
                     hat2=hat2,
                     o_label=olabel,
                 )
-                terms.append(((left, right), base_coeff * edge_coeff))
-    return FormalSum(terms)
+                left = plain.with_(node_dec=_shifted(n_s, plus=_chi(ed).items()))
+                yield left, coeff_n * coeff_e, remainder
+
+
+def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
+    """The recentering coaction on a tree of color <= 1: a sum of
+    (rooted piece, recentered remainder) pairs, the remainder filtered to
+    X_+."""
+    if piece.hat2.nodes:
+        raise ValueError("the positive coaction acts on trees of color <= 1")
+    return FormalSum(
+        ((left, remainder), coeff)
+        for left, coeff, remainder in _recenterings(
+            piece, table, up_hom_table(piece, table), _admissible_rooted(piece, table)
+        )
+    )
 
 
 class _AntipodePlus:
+    """A_+ on trees of X_+, memoized per tree: forests."""
+
     def __init__(self, table: TypeTable):
         self.table = table
         self.memo: dict[DecoratedTree, FormalSum] = {}
@@ -466,60 +449,27 @@ class _AntipodePlus:
         f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
         f_headroom = _dangle_headroom(f_slots, up)
         outer_sign = (-1) ** len(f_slots)
-        fict = piece.fictitious_nodes(t)
-        nhat = {u: k for u, k in piece.node_dec_items if u in piece.hat2.nodes and u not in fict}
-        deg_nhat = sum(k.degree() for k in nhat.values())
+        deg_nhat = sum(k.degree() for k in _color2_labels(piece, t).values())
         f_choices = [
             (ed_f, _chi(ed_f), coeff_f)
             for ed_f, coeff_f in _edge_choices(f_slots, f_headroom, t)
         ]
         terms = []
-        for s in self._abar2(piece, f_slots):
-            boundary_s = _boundary(piece, s.nodes, s.edges, t)
-            headroom = _dangle_headroom(boundary_s, up)
-            if headroom is None:
-                continue
-            hat1, hat2 = _plus_colored(piece, s)
-            olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
-            plain = piece.restrict(s)
-            node_slots = [
-                u
-                for u in sorted(s.nodes - fict - piece.hat2.nodes)
-                if not piece.node_dec(u).is_zero()
-            ]
-            for nd, coeff_n in _node_choices(piece, node_slots):
-                rem_ndec = _shifted(
-                    piece.node_dec_items, minus=itertools.chain(nd.items(), nhat.items())
+        for left_s, coeff_s, remainder in _recenterings(piece, t, up, self._abar2(piece, f_slots)):
+            # within the headroom every dangling tree of S stays positive, so
+            # the remainder lies in X_+
+            right = self.run(remainder)
+            for ed_f, chi_f, coeff_f in f_choices:
+                inner_sign = (-1) ** (deg_nhat + sum(k.degree() for k in chi_f.values()))
+                # S holds every f slot (see `_abar2`)
+                left = left_s.with_(
+                    node_dec=_shifted(left_s.node_dec_items, plus=chi_f.items()),
+                    edge_dec=_shifted(left_s.edge_dec_items, plus=ed_f.items()),
+                    o_label={},
                 )
-                for ed_s, coeff_s in _edge_choices(boundary_s, headroom, t):
-                    # within the headroom every dangling tree of S stays
-                    # positive, so the remainder lies in X_+
-                    right = self.run(
-                        piece.with_(
-                            node_dec=rem_ndec,
-                            edge_dec=_shifted(piece.edge_dec_items, plus=ed_s.items()),
-                            hat1=hat1,
-                            hat2=hat2,
-                            o_label=olabel,
-                        )
-                    )
-                    chi_s = _chi(ed_s)
-                    for ed_f, chi_f, coeff_f in f_choices:
-                        inner_sign = (-1) ** (
-                            deg_nhat + sum(k.degree() for k in chi_f.values())
-                        )
-                        left_labels = _shifted(
-                            nd, plus=itertools.chain(nhat.items(), chi_s.items(), chi_f.items())
-                        )
-                        left_edec = {}
-                        for e in s.edges:
-                            k = piece.edge_dec(e) + ed_f.get(e, ZERO_MI)
-                            if not k.is_zero():
-                                left_edec[e] = k
-                        left = plain.with_(node_dec=left_labels, edge_dec=left_edec, o_label={})
-                        coeff = outer_sign * inner_sign * coeff_n * coeff_s * coeff_f
-                        for (inner,), c in right.items():
-                            terms.append(((sorted_pieces(inner + (left,)),), coeff * c))
+                coeff = outer_sign * inner_sign * coeff_s * coeff_f
+                for (inner,), c in right.items():
+                    terms.append(((sorted_pieces(inner + (left,)),), coeff * c))
         result = FormalSum(terms)
         self.memo[piece] = result
         return result
@@ -537,11 +487,6 @@ class _AntipodePlus:
                 continue
             if all(e in s.edges for e in dangling):
                 yield s
-
-
-def antipode_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
-    """Recursive recentering map on a tree of X_+: a formal sum of forests."""
-    return _AntipodePlus(table).run(piece)
 
 
 # -- the full expansion and the report ---------------------------------------------
@@ -644,12 +589,15 @@ def counterterm_report(
     Counterterm constants attach per extracted iso class; a class whose
     nested expansion is the bare expectation appears as C[.], one with
     genuine nested corrections as C'[.].
-    `candidates` is the tree's list of effective divergent subtrees, when
-    the caller has it.
+    The extractions run over the effective divergent subtrees:
+    `candidates` when the caller has listed them, else `div_enumerate`'s
+    list under its default cap.
     """
     rc = _RenormalizedConstant(table, cum)
     groups: dict[tuple, dict] = {}
-    dm = delta_minus(t, table, vanishing=cum, candidates=candidates)
+    if candidates is None:
+        candidates = div_enumerate(t, table, cum)
+    dm = delta_minus(t, table, candidates=candidates)
     for (extracted, remainder), coeff in dm.items():
         if not extracted:
             continue

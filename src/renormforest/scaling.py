@@ -107,6 +107,13 @@ class MultiIndex:
     def __le__(self, other: "MultiIndex") -> bool:
         return all(v <= other.get(i) for i, v in self._entries)
 
+    def __lt__(self, other: "MultiIndex") -> bool:
+        """Lexicographic on the coordinate vectors (a missing entry is 0): a
+        total order that extends the componentwise `<=`, so that the keys of
+        trees whose labels differ at a node sort."""
+        idx = sorted({i for i, _ in self._entries} | {i for i, _ in other._entries})
+        return [self.get(i) for i in idx] < [other.get(i) for i in idx]
+
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiIndex) and self._entries == other._entries
 

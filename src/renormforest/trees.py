@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .scaling import ExtLabel, MultiIndex, TypeTable, ZERO_EXT, ZERO_MI
 
@@ -415,46 +415,43 @@ class DecoratedTree:
     def full_subforest(self) -> SubForest:
         return SubForest(self.nodes, frozenset(e for e, _ in self._edges))
 
+    def rooted_edge_sets(
+        self, r: int, edges: Optional[frozenset[EdgeKey]] = None
+    ) -> Iterator[frozenset[EdgeKey]]:
+        """Every connected set of edges (of `edges`, all by default) whose
+        top node is r, the empty set first.  Each edge of the frontier is
+        either left out with its whole branch or taken, and then its child's
+        edges join the frontier."""
+        children = {
+            u: [e for e in kids if edges is None or e in edges] for u, kids in self._children.items()
+        }
+
+        def rec(frontier: list[EdgeKey], acc: frozenset[EdgeKey]):
+            if not frontier:
+                yield acc
+                return
+            e, rest = frontier[0], frontier[1:]
+            yield from rec(rest, acc)
+            yield from rec(rest + children[e[1]], acc | {e})
+
+        return rec(children[r], frozenset())
+
     def all_subtrees(self, table: TypeTable, min_true_nodes: int = 1) -> list[SubForest]:
-        """Every connected edge-subset with its induced node set.
+        """Every nonempty connected edge set with its induced node set, each
+        listed once from its top node, with at least `min_true_nodes` true
+        nodes; sorted by `SubForest.sort_key`.
 
         Note (disappearing noises): a leaf node of the ambient tree may be a
         non-leaf true node of the subtree when its noise edge is omitted.
         """
-        out: list[SubForest] = []
-        edge_list = [e for e, _ in self._edges]
-        n = len(edge_list)
-        # grow connected edge sets from each top edge; enumerate by bitmask of
-        # adjacency-connected subsets (fine at workbench sizes, <= ~12 edges)
-        index = {e: i for i, e in enumerate(edge_list)}
-        adj: dict[int, set[int]] = {i: set() for i in range(n)}
-        for i, e in enumerate(edge_list):
-            for j, f in enumerate(edge_list):
-                if i != j and (set(e) & set(f)):
-                    adj[i].add(j)
-        seen_masks: set[int] = set()
-
-        def grow(mask: int, frontier: set[int], min_new: int):
-            if mask in seen_masks:
-                return
-            seen_masks.add(mask)
-            sel = [edge_list[i] for i in range(n) if mask >> i & 1]
-            nodes = frozenset(itertools.chain.from_iterable(sel))
-            sf = SubForest(nodes, frozenset(sel))
-            fict = {c for (p, c) in sel if table.is_noise(self.edge_type((p, c)))}
-            if len(nodes - fict) >= min_true_nodes:
-                out.append(sf)
-            for j in sorted(frontier):
-                if j < min_new:
-                    continue
-                grow(mask | (1 << j), (frontier | adj[j]) - {j}, min_new)
-
-        for i in range(n):
-            grow(1 << i, adj[i] - set(range(i + 1)), i + 1)
-        # grow() with min_new prevents revisits of the same set from different
-        # seeds; dedupe defensively anyway
-        uniq = {sf.sort_key(): sf for sf in out}
-        return [uniq[k] for k in sorted(uniq)]
+        fict = self.fictitious_nodes(table)
+        out = []
+        for r in self._children:
+            for edges in self.rooted_edge_sets(r):
+                nodes = frozenset(itertools.chain.from_iterable(edges))
+                if edges and len(nodes - fict) >= min_true_nodes:
+                    out.append(SubForest(nodes, edges))
+        return sorted(out, key=SubForest.sort_key)
 
     def contract_colored(self, table: TypeTable) -> "DecoratedTree":
         """Collapse the color-1 components to their roots and drop the

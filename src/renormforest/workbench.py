@@ -349,16 +349,20 @@ class Workbench:
         divergent subtrees are listed under the configured `max_div`."""
         t = self.tree_by_id(tree_id)
         bp = bphz_expansion(t, self.config.table, candidates=self.analysis(t).all_divergences)
+        # the same pieces recur across the rows: each one's key is written
+        # once, and each row is the `repr` of its tuple of keys, assembled
+        keys: dict[DecoratedTree, str] = {}
+
+        def key(p: DecoratedTree) -> str:
+            if p not in keys:
+                keys[p] = repr(p.embedded_key())
+            return keys[p]
+
+        def forest(ps: tuple) -> str:
+            return "(" + ", ".join(map(key, ps)) + ("," if len(ps) == 1 else "") + ")"
+
         rows = sorted(
-            repr(
-                (
-                    tuple(p.embedded_key() for p in left),
-                    mid.embedded_key(),
-                    tuple(p.embedded_key() for p in right),
-                )
-            )
-            + " "
-            + frac_str(c)
+            f"({forest(left)}, {key(mid)}, {forest(right)}) {frac_str(c)}"
             for (left, mid, right), c in bp.items()
         )
         return {

@@ -130,16 +130,17 @@ def decorated_trees(draw, max_edges: int = 10):
 
 
 @st.composite
-def colored_trees(draw, max_edges: int = 8, base: DecoratedTree = None):
+def colored_trees(draw, max_edges: int = 8, base: DecoratedTree = None, max_label: int = 2):
     """A `decorated_trees` tree (or `base`) with new random node labels,
-    on fictitious nodes too (where homogeneities ignore them), and a random
+    entries at most `max_label`, on fictitious nodes too (where
+    homogeneities ignore them), and a random
     coloring: possibly a rooted color-2 subtree,
     grown from the root by random kernel edges with the noise edges of its
     nodes riding along, and node-disjoint color-1 components outside it,
     whose nodes may carry random extended labels o."""
     t = draw(decorated_trees(max_edges)) if base is None else base
     table = KPZ.table
-    ndec = {u: draw(multiindices(2)) for u in draw(st.sets(st.sampled_from(sorted(t.nodes))))}
+    ndec = {u: draw(multiindices(max_label)) for u in draw(st.sets(st.sampled_from(sorted(t.nodes))))}
     hat2 = EMPTY_SUBFOREST
     if draw(st.booleans()):
         nodes, edges = {t.root}, set()

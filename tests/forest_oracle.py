@@ -5,8 +5,8 @@ with the same maximal members, each seen through its layered i-forest
 `forests.sigma_negative`; the positive antipode of a tree with one cut is a
 sum over the cut sets with that minimal layer, each seen through the
 positive cutting construction `sigma_positive` below.  No command builds
-these families, so they live here, where the tests of `antipode_minus` and
-`antipode_plus` compare the antipodes' output shapes against them.
+these families, so they live here, where the tests of `hopf._AntipodeMinus`
+and `hopf._AntipodePlus` compare the antipodes' output shapes against them.
 """
 from __future__ import annotations
 

@@ -1,8 +1,9 @@
 """The slow paths that `hopf` replaced, kept as test oracles: extractions
 built from every connected edge set of the tree rather than from the listed
 divergent subtrees, the negative antipode of a forest as a fold of slotwise
-tensor products and key maps, and the recentering bounds found by building
-a probe tree and restricting it to each dangling up-tree."""
+tensor products and key maps, the recentering bounds found by building a
+probe tree and restricting it to each dangling up-tree, and Delta_+ and the
+positive antipode each with its own recentering loop."""
 from __future__ import annotations
 
 import itertools
@@ -12,13 +13,15 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from forest_oracle import dangling_trees, up_tree
-from renormforest.forests import irreducible_partition_exists
+from renormforest.forests import div_enumerate, irreducible_partition_exists
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
     _admissible_rooted,
     _AntipodePlus,
     _boundary,
     _chi,
+    _dangle_headroom,
+    _edge_choices,
     _extraction_decorations,
     _extractions,
     _node_choices,
@@ -32,7 +35,7 @@ from renormforest.hopf import (
 )
 from renormforest.rules import CumulantSet
 from renormforest.scaling import ExtLabel, MultiIndex, TypeTable, ZERO_MI
-from renormforest.trees import DecoratedTree, EdgeKey, SubForest, zero_node_hom
+from renormforest.trees import DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
 
 
 def tensor(a: FormalSum, b: FormalSum) -> FormalSum:
@@ -127,9 +130,8 @@ class AntipodeMinusFold:
     forest's value folded one piece at a time through `tensor` and
     `map_keys`."""
 
-    def __init__(self, table: TypeTable, vanishing: Optional[CumulantSet] = None):
+    def __init__(self, table: TypeTable):
         self.table = table
-        self.vanishing = vanishing
         self.memo: dict[DecoratedTree, FormalSum] = {}
 
     def forest(self, pieces: Sequence[DecoratedTree]) -> FormalSum:
@@ -145,9 +147,7 @@ class AntipodeMinusFold:
         if not in_X_minus(piece, self.table):
             raise ValueError("negative antipode applied outside X_-")
         terms = []
-        for sub, coeff, pieces, nd, ed in extractions(
-            piece, self.table, proper=True, vanishing=self.vanishing
-        ):
+        for sub, coeff, pieces, nd, ed in extractions(piece, self.table, proper=True):
             residual = _remainder(piece, sub, nd, ed, o_label=False)
             for (inner,), c in self.forest(pieces).items():
                 terms.append(((sorted_pieces(inner + (residual,)),), -coeff * c))
@@ -156,12 +156,8 @@ class AntipodeMinusFold:
         return result
 
 
-def antipode_minus_fold(
-    pieces: Sequence[DecoratedTree],
-    table: TypeTable,
-    vanishing: Optional[CumulantSet] = None,
-) -> FormalSum:
-    return AntipodeMinusFold(table, vanishing).forest(pieces)
+def antipode_minus_fold(pieces: Sequence[DecoratedTree], table: TypeTable) -> FormalSum:
+    return AntipodeMinusFold(table).forest(pieces)
 
 
 def extraction_multiset(rows) -> Counter:
@@ -188,13 +184,21 @@ def extraction_multiset(rows) -> Counter:
     )
 
 
-def extraction_multisets(t: DecoratedTree, table: TypeTable, **kw) -> tuple[Counter, Counter]:
+def extraction_multisets(
+    t: DecoratedTree,
+    table: TypeTable,
+    proper: bool = False,
+    vanishing: Optional[CumulantSet] = None,
+) -> tuple[Counter, Counter]:
     """The multisets of the rows of `hopf._extractions` and of the oracle's
-    `extractions`.  At most one row more than the oracle yields is read
-    from `_extractions`, so a surplus shows without enumerating a runaway
-    product."""
-    want = list(extractions(t, table, **kw))
-    got = itertools.islice(_extractions(t, table, **kw), len(want) + 1)
+    `extractions`.  With `vanishing`, `_extractions` is given the effective
+    divergent subtrees that `div_enumerate` lists, and the oracle filters
+    its edge sets itself.  At most one row more than the oracle yields is
+    read from `_extractions`, so a surplus shows without enumerating a
+    runaway product."""
+    want = list(extractions(t, table, proper, vanishing))
+    candidates = None if vanishing is None else div_enumerate(t, table, vanishing)
+    got = itertools.islice(_extractions(t, table, proper, candidates), len(want) + 1)
     return extraction_multiset(got), extraction_multiset(want)
 
 
@@ -302,3 +306,113 @@ def recentering_cases(t: DecoratedTree, table: TypeTable) -> Iterator[tuple[Deco
     for piece in anti_plus.memo:
         for s in abar2(piece, table):
             yield piece, s
+
+
+# -- Delta_+ and the positive antipode, each with its own recentering loop ----------
+
+
+def delta_plus_loop(piece: DecoratedTree, table: TypeTable) -> FormalSum:
+    """`hopf.delta_plus` as it was written before the positive antipode
+    shared its loop over the recentered subtrees."""
+    fict = piece.fictitious_nodes(table)
+    up = up_hom_table(piece, table)
+    terms = []
+    for s in _admissible_rooted(piece, table):
+        boundary = _boundary(piece, s.nodes, s.edges, table)
+        headroom = _dangle_headroom(boundary, up)
+        if headroom is None:
+            continue
+        hat1, hat2 = _plus_colored(piece, s)
+        olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
+        plain = piece.restrict(s)
+        node_slots = [u for u in sorted(s.nodes - fict) if not piece.node_dec(u).is_zero()]
+        for nd, base_coeff in _node_choices(piece, node_slots):
+            rem_ndec = _shifted(piece.node_dec_items, minus=nd.items())
+            for ed, edge_coeff in _edge_choices(boundary, headroom, table):
+                left = plain.with_(node_dec=_shifted(nd, plus=_chi(ed).items()))
+                right = piece.with_(
+                    node_dec=rem_ndec,
+                    edge_dec=_shifted(piece.edge_dec_items, plus=ed.items()),
+                    hat1=hat1,
+                    hat2=hat2,
+                    o_label=olabel,
+                )
+                terms.append(((left, right), base_coeff * edge_coeff))
+    return FormalSum(terms)
+
+
+class AntipodePlusLoop:
+    """`hopf._AntipodePlus` as it was written before it shared its loop
+    over the recentered subtrees with Delta_+; the subtrees come from the
+    probe-based `abar2`."""
+
+    def __init__(self, table: TypeTable):
+        self.table = table
+        self.memo: dict[DecoratedTree, FormalSum] = {}
+
+    def run(self, piece: DecoratedTree) -> FormalSum:
+        if piece in self.memo:
+            return self.memo[piece]
+        t = self.table
+        up = up_hom_table(piece, t)
+        full_edges = frozenset(e for e, _ in piece.edge_items)
+        if not (full_edges - piece.hat2.edges):
+            sign = (-1) ** sum(k.degree() for _, k in piece.node_dec_items)
+            res = FormalSum.single(((piece.with_(o_label={}),),), sign)
+            self.memo[piece] = res
+            return res
+        f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
+        f_headroom = _dangle_headroom(f_slots, up)
+        outer_sign = (-1) ** len(f_slots)
+        fict = piece.fictitious_nodes(t)
+        nhat = {u: k for u, k in piece.node_dec_items if u in piece.hat2.nodes and u not in fict}
+        deg_nhat = sum(k.degree() for k in nhat.values())
+        f_choices = [
+            (ed_f, _chi(ed_f), coeff_f) for ed_f, coeff_f in _edge_choices(f_slots, f_headroom, t)
+        ]
+        terms = []
+        for s in abar2(piece, t):
+            boundary_s = _boundary(piece, s.nodes, s.edges, t)
+            headroom = _dangle_headroom(boundary_s, up)
+            if headroom is None:
+                continue
+            hat1, hat2 = _plus_colored(piece, s)
+            olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
+            plain = piece.restrict(s)
+            node_slots = [
+                u
+                for u in sorted(s.nodes - fict - piece.hat2.nodes)
+                if not piece.node_dec(u).is_zero()
+            ]
+            for nd, coeff_n in _node_choices(piece, node_slots):
+                rem_ndec = _shifted(
+                    piece.node_dec_items, minus=itertools.chain(nd.items(), nhat.items())
+                )
+                for ed_s, coeff_s in _edge_choices(boundary_s, headroom, t):
+                    right = self.run(
+                        piece.with_(
+                            node_dec=rem_ndec,
+                            edge_dec=_shifted(piece.edge_dec_items, plus=ed_s.items()),
+                            hat1=hat1,
+                            hat2=hat2,
+                            o_label=olabel,
+                        )
+                    )
+                    chi_s = _chi(ed_s)
+                    for ed_f, chi_f, coeff_f in f_choices:
+                        inner_sign = (-1) ** (deg_nhat + sum(k.degree() for k in chi_f.values()))
+                        left_labels = _shifted(
+                            nd, plus=itertools.chain(nhat.items(), chi_s.items(), chi_f.items())
+                        )
+                        left_edec = {}
+                        for e in s.edges:
+                            k = piece.edge_dec(e) + ed_f.get(e, ZERO_MI)
+                            if not k.is_zero():
+                                left_edec[e] = k
+                        left = plain.with_(node_dec=left_labels, edge_dec=left_edec, o_label={})
+                        coeff = outer_sign * inner_sign * coeff_n * coeff_s * coeff_f
+                        for (inner,), c in right.items():
+                            terms.append(((sorted_pieces(inner + (left,)),), coeff * c))
+        result = FormalSum(terms)
+        self.memo[piece] = result
+        return result

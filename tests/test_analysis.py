@@ -20,7 +20,7 @@ from renormforest.forests import (
     irreducible_partition_exists,
     leaf_partitions,
 )
-from renormforest.hopf import antipode_minus, delta_minus
+from renormforest.hopf import _AntipodeMinus, delta_minus
 from renormforest.multiscale import EdgeUniverse
 from renormforest.powercount import TreeAnalysis
 from renormforest.trees import zero_node_hom
@@ -112,8 +112,7 @@ def test_extractions_match_edge_subset_scan(t):
 def test_antipode_minus_matches_tensor_fold(t, data):
     """On a forest of X_- pieces extracted from a random tree (pieces whose
     node labels come from chi(e_G)), the product over the pieces equals the
-    fold of tensor products, with and without the vanishing filter.  The
-    trees have at most seven edges and the forests at most four: with the
+    fold of tensor products.  The trees have at most seven edges and the forests at most four: with the
     random decorations' budgets a piece of five edges can have an antipode
     of 30 000 terms, which takes seconds on each side."""
     table = KPZ.table
@@ -127,8 +126,7 @@ def test_antipode_minus_matches_tensor_fold(t, data):
         key=lambda f: (-len(f), repr([p.embedded_key() for p in f])),
     )
     forest = data.draw(st.sampled_from(forests))
-    vanishing = data.draw(st.sampled_from([None, KPZ.cum]))
-    assert antipode_minus(forest, table, vanishing) == antipode_minus_fold(forest, table, vanishing)
+    assert _AntipodeMinus(table).forest(forest) == antipode_minus_fold(forest, table)
 
 
 # -- warm and cold reports -----------------------------------------------------

@@ -301,13 +301,15 @@ def test_certify_independent_of_hash_seed():
 def test_bphz_independent_of_hash_seed():
     """The expansion is a dict keyed by trees; its rows are sorted before
     they are emitted, so the report is the same bytes under every hash
-    seed."""
-    args = ["-m", "renormforest.cli", "--config", config_path("kpz"), "bphz", "T5"]
-    outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1", "2")]
-    assert outputs[0] == outputs[1] == outputs[2]
-    report = json.loads(outputs[0])
-    assert report["command"] == "bphz"
-    assert report["term_count"] == len(report["terms"]) == BPHZ_TERMS["kpz"][5]
+    seed.  phi4_3 T6 is the largest expansion, whose rows are assembled
+    from the keys of 761 distinct pieces."""
+    for model, tree_id, seeds in (("kpz", "T5", "012"), ("phi4_3", "T6", "01")):
+        args = ["-m", "renormforest.cli", "--config", config_path(model), "bphz", tree_id]
+        outputs = [run_with_hash_seed(seed, args) for seed in seeds]
+        assert all(out == outputs[0] for out in outputs)
+        report = json.loads(outputs[0])
+        assert report["command"] == "bphz"
+        assert report["term_count"] == len(report["terms"]) == BPHZ_TERMS[model][int(tree_id[1:])]
 
 
 def test_bphz_unknown_tree(capsys, monkeypatch):

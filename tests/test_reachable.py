@@ -1,7 +1,7 @@
 """Every function and method in `src/renormforest` is an entry point (a
-command, a name the benchmark drives, or a public tree-building or antipode
-entry) or is referenced by name from code an entry point reaches, and every
-field of a dataclass there is read somewhere there.  The checks are static:
+command, a name the benchmark drives, or a public tree-building entry) or
+is referenced by name from code an entry point reaches, and every field of
+a dataclass there is read somewhere there.  The checks are static:
 they parse the modules and run none of them.  Last, every name the
 benchmark's tracing patches still exists."""
 import ast
@@ -43,10 +43,7 @@ ENTRY_POINTS = {
     "multiscale.EdgeUniverse.random_assignment",
     "formal.FormalSum.keys",
     "formal.FormalSum.coeff",
-    # public entries: the twisted antipodes that bphz_expansion runs, and
-    # tree building beside `noise` and `poly`
-    "hopf.antipode_minus",
-    "hopf.antipode_plus",
+    # public entries: tree building beside `noise` and `poly`
     "trees.integrate",
     "trees.tree_product",
 }

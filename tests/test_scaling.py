@@ -90,3 +90,24 @@ def test_multiindex_addition_commutes(a, b):
     assert x + y == y + x
     sc = ScalingSpec(4, (2, 1, 1, 1))
     assert (x + y).sdeg(sc) == x.sdeg(sc) + y.sdeg(sc)
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 3), st.integers(0, 3), max_size=4).map(MultiIndex),
+        min_size=2,
+        max_size=6,
+    )
+)
+def test_multiindex_order_extends_componentwise(ks):
+    """`<` is a total order on multi-indices that sorts mixed labels and
+    extends the componentwise `<=`."""
+    ordered = sorted(ks)
+    assert all(not b < a for a, b in zip(ordered, ordered[1:]))
+    for a in ks:
+        for b in ks:
+            assert (a < b) + (b < a) + (a == b) == 1
+            if a <= b:
+                assert not b < a
+    assert MultiIndex({1: 1}) < MultiIndex({0: 1, 1: 1})
+    assert MultiIndex({1: 1}) < MultiIndex({0: 1})

@@ -1,12 +1,23 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KAPPA, KPZ, colored_trees, multiindices, spine_subtrees, spine_tree
+import tree_oracle
+from conftest import (
+    BPHZ_TERMS,
+    KAPPA,
+    KPZ,
+    colored_trees,
+    decorated_trees,
+    multiindices,
+    spine_subtrees,
+    spine_tree,
+)
 from renormforest.scaling import MultiIndex, ZERO_EXT, ZERO_MI
 from renormforest.trees import (
     DecoratedTree,
@@ -17,7 +28,10 @@ from renormforest.trees import (
     poly,
     tree_product,
 )
+from renormforest.workbench import Workbench, parse_config
 from tree_oracle import code, embedded_key, relabel_canonical, scan
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_homogeneity_examples(phi4, kpz):
@@ -125,6 +139,31 @@ def test_all_subtrees_contains_worked_subtrees(kpz):
             divs_expected += 1
     assert divs_expected >= 1
     assert t.full_subforest().sort_key() in got
+
+
+def assert_all_subtrees_match_oracle(t: DecoratedTree, table):
+    for min_true_nodes in (1, 2):
+        got = t.all_subtrees(table, min_true_nodes)
+        assert got == tree_oracle.all_subtrees(t, table, min_true_nodes), min_true_nodes
+
+
+def test_all_subtrees_matches_oracle_on_basis_trees():
+    """The same list in the same order as the bitmask growth, on the 15
+    basis trees of both models."""
+    seen = 0
+    for model in sorted(BPHZ_TERMS):
+        text = (ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")
+        wb = Workbench(parse_config(text))
+        for t in wb.basis():
+            assert_all_subtrees_match_oracle(t, wb.config.table)
+            seen += 1
+    assert seen == 15
+
+
+@settings(max_examples=60, deadline=None)
+@given(decorated_trees())
+def test_all_subtrees_matches_oracle_on_random_trees(t):
+    assert_all_subtrees_match_oracle(t, KPZ.table)
 
 
 def test_disappearing_noises(kpz):

@@ -1,10 +1,12 @@
 """The linear scans and recursive canonical forms that the per-tree indexes
-of `DecoratedTree` replaced, kept as test oracles."""
+of `DecoratedTree` replaced, and the bitmask growth of connected edge sets
+that its rooted edge-set recursion replaced, kept as test oracles."""
 from __future__ import annotations
 
+import itertools
 from typing import Mapping
 
-from renormforest.scaling import ZERO_EXT, ZERO_MI
+from renormforest.scaling import TypeTable, ZERO_EXT, ZERO_MI
 from renormforest.trees import DecoratedTree, EdgeKey, SubForest
 
 
@@ -76,3 +78,38 @@ def embedded_key(
         sub(hat2),
         labels(o_label),
     )
+
+
+def all_subtrees(t: DecoratedTree, table: TypeTable, min_true_nodes: int = 1) -> list[SubForest]:
+    """`DecoratedTree.all_subtrees` as it was: connected edge sets grown
+    edge by edge over an edge adjacency, as bitmasks with a seen set, and
+    deduplicated before they are sorted."""
+    out: list[SubForest] = []
+    edge_list = [e for e, _ in t.edge_items]
+    n = len(edge_list)
+    adj: dict[int, set[int]] = {i: set() for i in range(n)}
+    for i, e in enumerate(edge_list):
+        for j, f in enumerate(edge_list):
+            if i != j and (set(e) & set(f)):
+                adj[i].add(j)
+    seen_masks: set[int] = set()
+
+    def grow(mask: int, frontier: set[int], min_new: int):
+        if mask in seen_masks:
+            return
+        seen_masks.add(mask)
+        sel = [edge_list[i] for i in range(n) if mask >> i & 1]
+        nodes = frozenset(itertools.chain.from_iterable(sel))
+        sf = SubForest(nodes, frozenset(sel))
+        fict = {c for (p, c) in sel if table.is_noise(t.edge_type((p, c)))}
+        if len(nodes - fict) >= min_true_nodes:
+            out.append(sf)
+        for j in sorted(frontier):
+            if j < min_new:
+                continue
+            grow(mask | (1 << j), (frontier | adj[j]) - {j}, min_new)
+
+    for i in range(n):
+        grow(1 << i, adj[i] - set(range(i + 1)), i + 1)
+    uniq = {sf.sort_key(): sf for sf in out}
+    return [uniq[k] for k in sorted(uniq)]
