@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .coalescence import CoalescenceCap
 from .forests import CapExceeded
 from .workbench import ConfigError, Workbench, parse_config, report_emit
 
@@ -74,7 +73,7 @@ def main(argv=None) -> int:
             result = wb.cmd_decompose(args.tree_id)
         else:
             result = wb.cmd_export_dot(args.object_id)
-    except (CapExceeded, CoalescenceCap) as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
     except KeyError as exc:

@@ -16,12 +16,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Optional
 
+from .forests import CapExceeded
+
 Cluster = int  # bitmask over vertex indices
 Family = frozenset  # frozenset[Cluster], laminar, contains the full mask
-
-
-class CoalescenceCap(RuntimeError):
-    pass
 
 
 def popcount(x: int) -> int:
@@ -64,7 +62,7 @@ def enumerate_trees(n: int, cap: int = 9, prune: Optional[Callable[[int, list[in
     if n < 2:
         raise ValueError("need at least two vertices")
     if n > cap:
-        raise CoalescenceCap(
+        raise CapExceeded(
             f"{n} vertices exceeds the cap {cap}; the tree count grows like "
             "the ordered-partition numbers (660032 already at 9 vertices)"
         )

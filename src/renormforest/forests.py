@@ -6,11 +6,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .rules import CumulantSet
 from .scaling import TypeTable
-from .trees import DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
+from .trees import EMPTY_SUBFOREST, DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
 
 ForestOfSubtrees = frozenset  # frozenset[SubForest], pairwise nested-or-disjoint
 CutSet = frozenset  # frozenset[EdgeKey], subset of the positive cuts
@@ -111,34 +111,23 @@ def irreducible_partition_exists(
 
 
 def div_enumerate(
-    t: DecoratedTree,
-    table: TypeTable,
-    cum: Optional[CumulantSet] = None,
-    effective: bool = True,
-    cap: int = 4096,
+    t: DecoratedTree, table: TypeTable, cap: int = 4096
 ) -> list[tuple[SubForest, Fraction]]:
-    """Superficially divergent subtrees with their omega.
-
-    With `effective=True` (the default, requires `cum`) subtrees whose
-    renormalization constant vanishes identically are dropped; this is the
-    ground set used by the forest machinery.
-    """
-    if effective and cum is None:
-        raise ValueError("effective enumeration needs the cumulant set")
+    """Superficially divergent subtrees with their omega > 0, sorted like
+    `all_subtrees`.  Those whose renormalization constant vanishes
+    identically are listed too; `irreducible_partition_exists` tells them
+    apart."""
     weight = {
         e: table.hom(ty) - t.edge_dec(e).sdeg(table.scaling) for e, ty in t.edge_items
     }
     out = []
-    for sf in t.all_subtrees(table, min_true_nodes=1):
+    for sf in t.all_subtrees():
         w = -sum((weight[e] for e in sf.edges), Fraction(0))
-        if w <= 0:
-            continue
-        if effective and not irreducible_partition_exists(t, sf, cum):
-            continue
-        out.append((sf, w))
+        if w > 0:
+            out.append((sf, w))
     if len(out) > cap:
         raise CapExceeded(f"|Div| = {len(out)} exceeds the cap {cap}")
-    return sorted(out, key=lambda p: p[0].sort_key())
+    return out
 
 
 # -- positive cuts -------------------------------------------------------------
@@ -235,11 +224,11 @@ def leaf_partitions(
     t: DecoratedTree,
     table: TypeTable,
     cum: CumulantSet,
-    ground: Optional[Iterable[int]] = None,
+    ground: Iterable[int],
 ) -> list[frozenset[frozenset[int]]]:
     """Admissible full partitions of the given leaf nodes into cumulant
     blocks (no singletons)."""
-    leaves = sorted(t.leaf_nodes(table) if ground is None else ground)
+    leaves = sorted(ground)
     types = [t.leaf_type(u, table) for u in leaves]
     out = []
     for part in cum.partitions_of(types):
@@ -296,16 +285,13 @@ def _union_subforests(sfs: Iterable[SubForest]) -> SubForest:
 UndecoratedPiece = tuple  # (nodes, edges, hat1 key, hat2 key), sorted tuples
 
 
-def undecorated_piece(
-    sf: SubForest, hat1: SubForest = None, hat2: SubForest = None
-) -> UndecoratedPiece:
-    h1 = hat1 or SubForest.empty()
-    h2 = hat2 or SubForest.empty()
+def undecorated_piece(sf: SubForest, hat1: SubForest) -> UndecoratedPiece:
+    """The piece of a layered i-forest, which has no color 2."""
     return (
         tuple(sorted(sf.nodes)),
         tuple(sorted(sf.edges)),
-        h1.sort_key(),
-        h2.sort_key(),
+        hat1.sort_key(),
+        EMPTY_SUBFOREST.sort_key(),
     )
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
-from .forests import div_enumerate, irreducible_partition_exists
+from . import forests as fo
+from .forests import irreducible_partition_exists
 from .formal import Coefficient, FormalSum, exact, exact_div
 from .rules import CumulantSet
 from .scaling import (
@@ -53,22 +54,19 @@ def sorted_pieces(pieces: Iterable[DecoratedTree]) -> PieceForest:
 
 
 def in_X_minus(piece: DecoratedTree, table: TypeTable) -> bool:
-    """Uncolored tree with a vanishing root label and |.|_- < 0."""
+    """Uncolored tree with a vanishing root label and |.|_- < 0 (on an
+    uncolored tree |.|_- is the plain homogeneity)."""
     if piece.has_coloring():
         return False
-    return piece.node_dec(piece.root).is_zero() and piece.homogeneity(table, "minus") < 0
+    return piece.node_dec(piece.root).is_zero() and piece.homogeneity(table) < 0
 
 
-def in_X_plus(
-    piece: DecoratedTree, table: TypeTable, up: Optional[dict[EdgeKey, Fraction]] = None
-) -> bool:
+def in_X_plus(piece: DecoratedTree, table: TypeTable, up: dict[EdgeKey, Fraction]) -> bool:
     """Color-2 part nonempty and every dangling tree has positive
     root-recentered |.|_+ homogeneity, read from the piece's up-tree table
-    `up` (built here when the caller has none)."""
+    `up`."""
     if not piece.hat2.nodes:
         return False
-    if up is None:
-        up = up_hom_table(piece, table)
     return all(up[e] > 0 for e in _boundary(piece, piece.hat2.nodes, piece.hat2.edges, table))
 
 
@@ -170,7 +168,7 @@ def _extractions(
     full_edges = frozenset(e for e, _ in t.edge_items)
     options = []
     if candidates is None:
-        candidates = div_enumerate(t, table, effective=False)
+        candidates = fo.div_enumerate(t, table)
     for c, omega in candidates:
         if proper and c.edges == full_edges:
             continue
@@ -436,10 +434,11 @@ class _AntipodePlus:
         up = up_hom_table(piece, t)
         if not in_X_plus(piece, t, up):
             raise ValueError("positive antipode applied outside X_+")
+        # the sign counts the color-2 labels n^, which sit on true nodes
+        deg_nhat = sum(k.degree() for k in _color2_labels(piece, t).values())
         full_edges = frozenset(e for e, _ in piece.edge_items)
         if not (full_edges - piece.hat2.edges):
-            sign = (-1) ** sum(k.degree() for _, k in piece.node_dec_items)
-            res = FormalSum.single(((piece.with_(o_label={}),),), sign)
+            res = FormalSum.single(((piece.with_(o_label={}),),), (-1) ** deg_nhat)
             self.memo[piece] = res
             return res
         # f decorations sit on the kernel edges leaving the color-2 part, at
@@ -449,7 +448,6 @@ class _AntipodePlus:
         f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
         f_headroom = _dangle_headroom(f_slots, up)
         outer_sign = (-1) ** len(f_slots)
-        deg_nhat = sum(k.degree() for k in _color2_labels(piece, t).values())
         f_choices = [
             (ed_f, _chi(ed_f), coeff_f)
             for ed_f, coeff_f in _edge_choices(f_slots, f_headroom, t)
@@ -580,8 +578,8 @@ def counterterm_report(
     t: DecoratedTree,
     table: TypeTable,
     cum: CumulantSet,
+    candidates: Sequence[tuple[SubForest, Fraction]],
     names: Optional[dict] = None,
-    candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
 ) -> CountertermReport:
     """Group the renormalized expansion of an uncolored tree into
     counterterm monomials: (constant product, exact coefficient, residual).
@@ -589,14 +587,11 @@ def counterterm_report(
     Counterterm constants attach per extracted iso class; a class whose
     nested expansion is the bare expectation appears as C[.], one with
     genuine nested corrections as C'[.].
-    The extractions run over the effective divergent subtrees:
-    `candidates` when the caller has listed them, else `div_enumerate`'s
-    list under its default cap.
+    The extractions run over `candidates`, the tree's effective divergent
+    subtrees (`TreeAnalysis.divergences`).
     """
     rc = _RenormalizedConstant(table, cum)
     groups: dict[tuple, dict] = {}
-    if candidates is None:
-        candidates = div_enumerate(t, table, cum)
     dm = delta_minus(t, table, candidates=candidates)
     for (extracted, remainder), coeff in dm.items():
         if not extracted:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import coalescence as co
 from . import forests as fo
 from .coalescence import Family, bits, enumerate_trees, full_mask, popcount
 from . import multiscale as ms
@@ -66,10 +65,11 @@ def _mask(vertices: Iterable[int]) -> int:
 @dataclass(frozen=True, eq=False)
 class TreeAnalysis:
     """The power-counting facts of one tree that every command reads: its
-    divergent subtrees with their omega, both the effective ones (nonvanishing
-    counterterm) and the full universe, its positive cuts with their Taylor
-    order gamma, its Gaussian chaos classes (Wick set, leaf partition) and
-    the convergence theorem's hypotheses on its subtrees that fail.
+    divergent subtrees with their omega, listed once under the cap
+    `max_div`, and the effective ones among them (nonvanishing counterterm),
+    its positive cuts with their Taylor order gamma, its Gaussian chaos
+    classes (Wick set, leaf partition) and the convergence theorem's
+    hypotheses on its subtrees that fail.
 
     They depend only on the tree, the type table and the cumulant set, not on
     a partition or on scales.  Each is computed on first use and then kept;
@@ -78,16 +78,17 @@ class TreeAnalysis:
     tree: DecoratedTree
     table: TypeTable
     cum: CumulantSet
-    max_div: int = 4096
-
-    @cached_property
-    def divergences(self) -> tuple[tuple[SubForest, Fraction], ...]:
-        return tuple(fo.div_enumerate(self.tree, self.table, self.cum, cap=self.max_div))
+    max_div: int
 
     @cached_property
     def all_divergences(self) -> tuple[tuple[SubForest, Fraction], ...]:
+        return tuple(fo.div_enumerate(self.tree, self.table, cap=self.max_div))
+
+    @cached_property
+    def divergences(self) -> tuple[tuple[SubForest, Fraction], ...]:
         return tuple(
-            fo.div_enumerate(self.tree, self.table, self.cum, effective=False, cap=self.max_div)
+            d for d in self.all_divergences
+            if fo.irreducible_partition_exists(self.tree, d[0], self.cum)
         )
 
     @cached_property
@@ -122,7 +123,7 @@ class Analyses:
     """One TreeAnalysis per tree, made on first request, and the hypotheses
     on the cumulant set, checked on first request."""
 
-    def __init__(self, table: TypeTable, cum: CumulantSet, max_div: int = 4096):
+    def __init__(self, table: TypeTable, cum: CumulantSet, max_div: int):
         self.table, self.cum, self.max_div = table, cum, max_div
         self._by_tree: dict[DecoratedTree, TreeAnalysis] = {}
 
@@ -163,17 +164,10 @@ class Certifier:
     inequalities on every vertex subset that some realizable coalescence
     tree contains."""
 
-    def __init__(
-        self,
-        table: TypeTable,
-        cum: CumulantSet,
-        vertex_cap: int = 9,
-        analysis: Optional[Analyses] = None,
-    ):
-        self.table = table
-        self.cum = cum
+    def __init__(self, analysis: Analyses, vertex_cap: int):
+        self.analysis = analysis
+        self.table, self.cum = analysis.table, analysis.cum
         self.vertex_cap = vertex_cap
-        self.analysis = analysis if analysis is not None else Analyses(table, cum)
 
     # ---- construction of the multigraph
 
@@ -183,7 +177,7 @@ class Certifier:
         eu = ms.EdgeUniverse(ci.tree, self.table, ci.pi)
         verts = [ms.STAR] + sorted(ci.tree.true_nodes(self.table))
         if len(verts) > self.vertex_cap:
-            raise co.CoalescenceCap(
+            raise fo.CapExceeded(
                 f"quotient vertex count {len(verts)} exceeds the cap {self.vertex_cap}"
             )
         index = {v: i for i, v in enumerate(verts)}

@@ -231,12 +231,16 @@ def gain(table: TypeTable, block_types: Sequence[str]) -> Fraction:
 # -- subcriticality -----------------------------------------------------------
 
 
-def check_subcritical(rule: RuleSpec, iterations: int = 60) -> dict:
+SUBCRITICAL_ITERATIONS = 60
+
+
+def check_subcritical(rule: RuleSpec) -> dict:
     """Fixpoint test on the minimal attainable homogeneity per kernel type.
 
     Iterates a(t) -> |t|_s + min over productions of the summed entry
     regularities; passes when the (monotone decreasing) iteration
-    stabilizes, fails when it keeps dropping.
+    stabilizes, fails when it keeps dropping for SUBCRITICAL_ITERATIONS
+    rounds.
     """
     table = rule.table
     kernels = sorted(rule.productions)
@@ -257,7 +261,7 @@ def check_subcritical(rule: RuleSpec, iterations: int = 60) -> dict:
         a[t] = min(vals) if vals else table.hom(t)
     history = [dict(a)]
     offender: Optional[tuple[str, Production]] = None
-    for _ in range(iterations):
+    for _ in range(SUBCRITICAL_ITERATIONS):
         nxt: dict[str, Fraction] = {}
         for t in kernels:
             best = None
@@ -496,10 +500,13 @@ def subtree_hypotheses(
     # the least |t(u)|_s + |s| over the ambient types; |A| copies of it are
     # the worst typed set A of the first bullet
     worst = min((table.hom(x) + abs_s for x in ambient), default=None)
+    fict = t.fictitious_nodes(table)
     failed: dict[str, list[tuple[SubForest, Fraction]]] = {"super_regularity": []}
     if gaussian:
         failed["theorem_conditions"] = []
-    for sf in t.all_subtrees(table, min_true_nodes=2):
+    for sf in t.all_subtrees():
+        if len(sf.nodes - fict) < 2:
+            continue
         piece = t.restrict(sf)
         leaf_types = [piece.leaf_type(u, table) for u in sorted(piece.leaf_nodes(table))]
         base = zero_node_hom(t, sf, table)

@@ -59,7 +59,7 @@ class DecoratedTree:
     hash and `==` are derived from it.  The AHU codes of all nodes are
     computed together, bottom-up, on the first call that needs one.  `with_`
     shares the sorted edges and the children and parent maps of the tree it
-    starts from unless it is given new edges."""
+    starts from."""
 
     __slots__ = (
         "root", "_edges", "_types", "_children", "_parent",  # the shape
@@ -237,23 +237,19 @@ class DecoratedTree:
     def has_coloring(self) -> bool:
         return not (self.hat1.is_empty() and self.hat2.is_empty())
 
-    def with_(self, *, edges=None, table: Optional[TypeTable] = None, check: bool = True, **labels):
+    def with_(self, **labels):
         """This tree with some of `node_dec`, `edge_dec`, `hat1`, `hat2` and
-        `o_label` replaced.  Without new `edges` the result shares this
-        tree's sorted edges and children and parent maps, and is checked all
-        the same."""
+        `o_label` replaced.  The result shares this tree's sorted edges and
+        children and parent maps, and is checked all the same."""
         labels = {
             "node_dec": self._nd, "edge_dec": self._ed, "hat1": self.hat1, "hat2": self.hat2,
             "o_label": self._ol, **labels,
         }
-        if edges is not None:
-            return DecoratedTree(self.root, edges, table=table, check=check, **labels)
         out = object.__new__(DecoratedTree)
         out.root, out._edges, out._types = self.root, self._edges, self._types
         out._children, out._parent = self._children, self._parent
         out._label(**labels)
-        if check:
-            out._check(table)
+        out._check(None)
         return out
 
     def __eq__(self, other) -> bool:
@@ -271,22 +267,14 @@ class DecoratedTree:
 
     # -- homogeneities -----------------------------------------------------
 
-    def homogeneity(self, table: TypeTable, mode: str = "plain") -> Fraction:
-        """|.|_s (plain), |.|_- (minus) or |.|_+ (plus) of this tree."""
+    def homogeneity(self, table: TypeTable) -> Fraction:
+        """|.|_s of this tree: the edges and the node labels of its true
+        nodes."""
         total = Fraction(0)
         for e, t in self._edges:
-            if mode == "minus" and self.color_of_edge(e) != 0:
-                continue
-            if mode == "plus" and self.color_of_edge(e) == 2:
-                continue
             total += table.hom(t) - Fraction(self.edge_dec(e).sdeg(table.scaling))
-        fict = self.fictitious_nodes(table)
-        for u in self.nodes - fict:
-            if mode == "plus" and self.color_of_node(u) == 2:
-                continue
+        for u in self.true_nodes(table):
             total += Fraction(self.node_dec(u).sdeg(table.scaling))
-            if mode == "plus":
-                total += table.hom_ext(self.o_label(u))
         return total
 
     # -- canonical forms ---------------------------------------------------
@@ -436,21 +424,19 @@ class DecoratedTree:
 
         return rec(children[r], frozenset())
 
-    def all_subtrees(self, table: TypeTable, min_true_nodes: int = 1) -> list[SubForest]:
+    def all_subtrees(self) -> list[SubForest]:
         """Every nonempty connected edge set with its induced node set, each
-        listed once from its top node, with at least `min_true_nodes` true
-        nodes; sorted by `SubForest.sort_key`.
+        listed once from its top node; sorted by `SubForest.sort_key`.  The
+        top node is a true node, since a fictitious node has no child.
 
         Note (disappearing noises): a leaf node of the ambient tree may be a
         non-leaf true node of the subtree when its noise edge is omitted.
         """
-        fict = self.fictitious_nodes(table)
         out = []
         for r in self._children:
             for edges in self.rooted_edge_sets(r):
-                nodes = frozenset(itertools.chain.from_iterable(edges))
-                if edges and len(nodes - fict) >= min_true_nodes:
-                    out.append(SubForest(nodes, edges))
+                if edges:
+                    out.append(SubForest(frozenset(itertools.chain.from_iterable(edges)), edges))
         return sorted(out, key=SubForest.sort_key)
 
     def contract_colored(self, table: TypeTable) -> "DecoratedTree":

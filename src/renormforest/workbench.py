@@ -321,9 +321,7 @@ class Workbench:
         table = self.config.table
         t = self.tree_by_id(tree_id)
         names = self.name_map()
-        rep = counterterm_report(
-            t, table, self.config.cum, names=names, candidates=self.analysis(t).divergences
-        )
+        rep = counterterm_report(t, table, self.config.cum, self.analysis(t).divergences, names=names)
         monos = []
         for m in rep.monomials:
             monos.append(
@@ -373,14 +371,9 @@ class Workbench:
         }
 
     def cmd_certify(self, tree_id: str) -> dict:
-        table, cum = self.config.table, self.config.cum
+        table = self.config.table
         t = self.tree_by_id(tree_id)
-        cert = Certifier(
-            table,
-            cum,
-            vertex_cap=self.config.caps["max_coalescence_vertices"],
-            analysis=self.analysis,
-        )
+        cert = Certifier(self.analysis, self.config.caps["max_coalescence_vertices"])
         rows = []
         ok = True
         for wick, pi in self.analysis(t).gaussian_classes:
@@ -493,7 +486,7 @@ class Workbench:
             sigma = fo.sigma_negative(t, forest)
             return sigma_to_dot(t, table, sigma)
         t = self.tree_by_id(object_id)
-        return tree_to_dot(t, table, name="tree")
+        return tree_to_dot(t, table)
 
 
 def _parse_scales(doc: str) -> tuple[frozenset, dict]:
@@ -584,8 +577,8 @@ def _node_style(color: int, is_root: bool) -> str:
     return (", " + ", ".join(style)) if style else ""
 
 
-def tree_to_dot(t: DecoratedTree, table: TypeTable, name: str = "tree") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=circle, width=0.3];']
+def tree_to_dot(t: DecoratedTree, table: TypeTable) -> str:
+    lines = ["digraph tree {", "  rankdir=BT;", '  node [shape=circle, width=0.3];']
     for u in sorted(t.nodes):
         color = t.color_of_node(u)
         lines.append(
@@ -604,9 +597,9 @@ def tree_to_dot(t: DecoratedTree, table: TypeTable, name: str = "tree") -> str:
     return "\n".join(lines) + "\n"
 
 
-def sigma_to_dot(t: DecoratedTree, table: TypeTable, sigma: tuple, name: str = "sigma") -> str:
+def sigma_to_dot(t: DecoratedTree, table: TypeTable, sigma: tuple) -> str:
     """A multi-cluster digraph for an i-forest given as undecorated pieces."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=circle, width=0.3];']
+    lines = ["digraph sigma {", "  rankdir=BT;", '  node [shape=circle, width=0.3];']
     for i, (nodes, edges, hat1, hat2) in enumerate(sigma):
         h1_nodes = set(hat1[0])
         h2_nodes = set(hat2[0])

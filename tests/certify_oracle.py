@@ -38,7 +38,7 @@ from renormforest.powercount import (
 def div_universe(cert: Certifier, ci: CertificateInput) -> list:
     """Every power-counting divergence compatible with the partition; the
     certifier once kept it in a memo per (tree, partition)."""
-    univ = div_enumerate(ci.tree, cert.table, cert.cum, effective=False)
+    univ = div_enumerate(ci.tree, cert.table)
     return [
         s
         for s, _ in univ

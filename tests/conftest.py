@@ -4,15 +4,18 @@ trees, plain and colored."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from renormforest.multiscale import EdgeUniverse
+from renormforest.powercount import Analyses, Certifier
 from renormforest.rules import CumulantSet, RuleSpec, production
 from renormforest.scaling import ExtLabel, MultiIndex, ScalingSpec, TypeTable, ZERO_MI
-from renormforest.workbench import Workbench, parse_config
+from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
 from renormforest.trees import (
     EMPTY_SUBFOREST,
     DecoratedTree,
@@ -104,6 +107,32 @@ class Kpz:
 
 KPZ = Kpz()
 KPZ_DIMS = len(KPZ.scaling.s)
+MAX_DIV = DEFAULT_CAPS["max_div"]
+
+
+def analyses(setting) -> Analyses:
+    """The per-tree analyses of a setting (`Phi4`, `Kpz`) under the default
+    divergence cap."""
+    return Analyses(setting.table, setting.cum, MAX_DIV)
+
+
+def certifier(setting) -> Certifier:
+    """A setting's certifier under the default caps."""
+    return Certifier(analyses(setting), DEFAULT_CAPS["max_coalescence_vertices"])
+
+
+def project_docs(wb: Workbench, tree_id: str, rng: random.Random) -> list[str]:
+    """One scale document per Gaussian class of the tree."""
+    t = wb.tree_by_id(tree_id)
+    docs = []
+    for _, pi in wb.analysis(t).gaussian_classes:
+        eu = EdgeUniverse(t, wb.config.table, pi)
+        scales = {}
+        for (kind, data), n in eu.random_assignment(rng).items():
+            key = f"star:{data}" if kind == "star" else f"{kind}:{data[0]},{data[1]}"
+            scales[key] = n
+        docs.append(json.dumps({"pi": sorted(sorted(b) for b in pi), "scales": scales}))
+    return docs
 
 
 def multiindices(max_entry: int = 1):
@@ -150,7 +179,7 @@ def colored_trees(draw, max_edges: int = 8, base: DecoratedTree = None, max_labe
                     nodes.add(e[1])
                     edges.add(e)
         hat2 = SubForest(frozenset(nodes), frozenset(edges))
-    outside = [s for s in t.all_subtrees(table) if not s.nodes & hat2.nodes]
+    outside = [s for s in t.all_subtrees() if not s.nodes & hat2.nodes]
     comps: list[SubForest] = []
     if outside:
         for s in draw(st.lists(st.sampled_from(outside), max_size=3)):
@@ -165,7 +194,7 @@ def colored_trees(draw, max_edges: int = 8, base: DecoratedTree = None, max_labe
         for u in draw(st.sets(st.sampled_from(sorted(hat1.nodes)))):
             zd = {draw(st.integers(0, KPZ_DIMS - 1)): draw(st.integers(1, 2))}
             olabel[u] = ExtLabel(zd, {"t": draw(st.integers(0, 1))})
-    return t.with_(node_dec=ndec, hat1=hat1, hat2=hat2, o_label=olabel, table=table)
+    return t.with_(node_dec=ndec, hat1=hat1, hat2=hat2, o_label=olabel)
 
 
 # The known tree bases of the two models below cutoff 0, as

@@ -20,11 +20,17 @@ from renormforest.forests import (
     depth_sets,
     forest_maximal,
     subtree_lt,
-    undecorated_piece,
 )
 from renormforest.hopf import in_X_minus, in_X_plus
 from renormforest.scaling import TypeTable
-from renormforest.trees import DecoratedTree, EdgeKey, StructureError, SubForest
+from renormforest.trees import (
+    EMPTY_SUBFOREST,
+    DecoratedTree,
+    EdgeKey,
+    StructureError,
+    SubForest,
+    up_hom_table,
+)
 
 
 def up_tree(t: DecoratedTree, e: EdgeKey) -> SubForest:
@@ -51,7 +57,18 @@ def dangling_trees(t: DecoratedTree, base: SubForest, table: TypeTable) -> list[
 
 
 def membership(piece: DecoratedTree, table: TypeTable) -> dict:
-    return {"in_X_minus": in_X_minus(piece, table), "in_X_plus": in_X_plus(piece, table)}
+    return {
+        "in_X_minus": in_X_minus(piece, table),
+        "in_X_plus": in_X_plus(piece, table, up_hom_table(piece, table)),
+    }
+
+
+def undecorated_piece(
+    sf: SubForest, hat1: SubForest = EMPTY_SUBFOREST, hat2: SubForest = EMPTY_SUBFOREST
+) -> tuple:
+    """`forests.undecorated_piece` with a color-2 part, which the
+    positive cutting construction colors."""
+    return (tuple(sorted(sf.nodes)), tuple(sorted(sf.edges)), hat1.sort_key(), hat2.sort_key())
 
 
 def undecorated_forest_shape(pieces: Sequence[DecoratedTree]) -> tuple:

@@ -12,8 +12,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
+from conftest import MAX_DIV
 from forest_oracle import dangling_trees, up_tree
-from renormforest.forests import div_enumerate, irreducible_partition_exists
+from renormforest.forests import irreducible_partition_exists
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
     _admissible_rooted,
@@ -33,6 +34,7 @@ from renormforest.hopf import (
     in_X_minus,
     sorted_pieces,
 )
+from renormforest.powercount import TreeAnalysis
 from renormforest.rules import CumulantSet
 from renormforest.scaling import ExtLabel, MultiIndex, TypeTable, ZERO_MI
 from renormforest.trees import DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
@@ -192,12 +194,12 @@ def extraction_multisets(
 ) -> tuple[Counter, Counter]:
     """The multisets of the rows of `hopf._extractions` and of the oracle's
     `extractions`.  With `vanishing`, `_extractions` is given the effective
-    divergent subtrees that `div_enumerate` lists, and the oracle filters
+    divergent subtrees of `TreeAnalysis.divergences`, and the oracle filters
     its edge sets itself.  At most one row more than the oracle yields is
     read from `_extractions`, so a surplus shows without enumerating a
     runaway product."""
     want = list(extractions(t, table, proper, vanishing))
-    candidates = None if vanishing is None else div_enumerate(t, table, vanishing)
+    candidates = None if vanishing is None else TreeAnalysis(t, table, vanishing, MAX_DIV).divergences
     got = itertools.islice(_extractions(t, table, proper, candidates), len(want) + 1)
     return extraction_multiset(got), extraction_multiset(want)
 
@@ -205,11 +207,25 @@ def extraction_multisets(
 # -- recentering bounds by probe trees ----------------------------------------------
 
 
+def plus_homogeneity(piece: DecoratedTree, table: TypeTable) -> Fraction:
+    """|.|_+ of a tree: its edges and the node labels n and o of its true
+    nodes, leaving out the color-2 edges and nodes."""
+    total = Fraction(0)
+    for e, t in piece.edge_items:
+        if piece.color_of_edge(e) != 2:
+            total += table.hom(t) - Fraction(piece.edge_dec(e).sdeg(table.scaling))
+    for u in piece.true_nodes(table):
+        if piece.color_of_node(u) != 2:
+            total += Fraction(piece.node_dec(u).sdeg(table.scaling))
+            total += table.hom_ext(piece.o_label(u))
+    return total
+
+
 def recentered_plus_hom(piece: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
     """|.|_+ of the restriction to `sf`, its root's node label dropped
     unless the root has color 2."""
     sub = piece.restrict(sf)
-    total = sub.homogeneity(table, "plus")
+    total = plus_homogeneity(sub, table)
     if sub.color_of_node(sub.root) != 2:
         total -= Fraction(sub.node_dec(sub.root).sdeg(table.scaling))
     return total
@@ -220,7 +236,7 @@ def recentered_up_hom(t: DecoratedTree, e: EdgeKey, table: TypeTable) -> Fractio
     node label suppressed."""
     sf = up_tree(t, e)
     piece = t.restrict(sf)
-    total = piece.homogeneity(table, "plus")
+    total = plus_homogeneity(piece, table)
     total -= Fraction(piece.node_dec(piece.root).sdeg(table.scaling))
     return total
 
@@ -355,18 +371,18 @@ class AntipodePlusLoop:
             return self.memo[piece]
         t = self.table
         up = up_hom_table(piece, t)
+        fict = piece.fictitious_nodes(t)
+        nhat = {u: k for u, k in piece.node_dec_items if u in piece.hat2.nodes and u not in fict}
+        deg_nhat = sum(k.degree() for k in nhat.values())
         full_edges = frozenset(e for e, _ in piece.edge_items)
         if not (full_edges - piece.hat2.edges):
-            sign = (-1) ** sum(k.degree() for _, k in piece.node_dec_items)
-            res = FormalSum.single(((piece.with_(o_label={}),),), sign)
+            # the sign (-1)^|n^| counts the color-2 labels of true nodes only
+            res = FormalSum.single(((piece.with_(o_label={}),),), (-1) ** deg_nhat)
             self.memo[piece] = res
             return res
         f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
         f_headroom = _dangle_headroom(f_slots, up)
         outer_sign = (-1) ** len(f_slots)
-        fict = piece.fictitious_nodes(t)
-        nhat = {u: k for u, k in piece.node_dec_items if u in piece.hat2.nodes and u not in fict}
-        deg_nhat = sum(k.degree() for k in nhat.values())
         f_choices = [
             (ed_f, _chi(ed_f), coeff_f) for ed_f, coeff_f in _edge_choices(f_slots, f_headroom, t)
         ]

@@ -5,14 +5,13 @@ the edge-subset scan and tensor fold they replaced, on random decorated
 trees, and reports that do not depend on what a Workbench has already
 analysed."""
 import itertools
-import json
 import random
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BPHZ_TERMS, KPZ, decorated_trees
+from conftest import BPHZ_TERMS, KPZ, MAX_DIV, decorated_trees, project_docs
 from hopf_oracle import antipode_minus_fold, extraction_multisets
 from renormforest.forests import (
     cut_enumerate,
@@ -21,7 +20,6 @@ from renormforest.forests import (
     leaf_partitions,
 )
 from renormforest.hopf import _AntipodeMinus, delta_minus
-from renormforest.multiscale import EdgeUniverse
 from renormforest.powercount import TreeAnalysis
 from renormforest.trees import zero_node_hom
 from renormforest.workbench import Workbench, parse_config, report_emit
@@ -38,7 +36,7 @@ def div_oracle(t, table, cum, effective):
     """`div_enumerate` as it was: omega from the per-subtree zero-node
     homogeneity."""
     out = []
-    for sf in t.all_subtrees(table, min_true_nodes=1):
+    for sf in t.all_subtrees():
         w = -zero_node_hom(t, sf, table)
         if w <= 0:
             continue
@@ -67,7 +65,7 @@ def test_analysis_equals_direct_enumerations():
         wb = workbench(model)
         table, cum = wb.config.table, wb.config.cum
         for t in wb.basis():
-            a = TreeAnalysis(t, table, cum)
+            a = TreeAnalysis(t, table, cum, MAX_DIV)
             assert list(a.divergences) == div_oracle(t, table, cum, effective=True)
             assert list(a.all_divergences) == div_oracle(t, table, cum, effective=False)
             assert list(a.cuts) == cut_enumerate(t, table)
@@ -89,7 +87,7 @@ def test_analysis_is_lazy():
 @given(decorated_trees())
 def test_edge_weight_omega_equals_zero_node_hom(t):
     table = KPZ.table
-    got = div_enumerate(t, table, effective=False)
+    got = div_enumerate(t, table)
     assert got == div_oracle(t, table, KPZ.cum, effective=False)
     for sf, w in got:
         assert w == -zero_node_hom(t, sf, table)
@@ -134,20 +132,6 @@ def test_antipode_minus_matches_tensor_fold(t, data):
 # certify and renormalize take seconds on phi4_3 T4-T6 and kpz T6/T7, and
 # milliseconds on the trees before them
 CHEAP = {"kpz": 6, "phi4_3": 4}
-
-
-def project_docs(wb: Workbench, tree_id: str, rng: random.Random) -> list[str]:
-    """One scale document per Gaussian class of the tree."""
-    t = wb.tree_by_id(tree_id)
-    docs = []
-    for _, pi in TreeAnalysis(t, wb.config.table, wb.config.cum).gaussian_classes:
-        eu = EdgeUniverse(t, wb.config.table, pi)
-        scales = {}
-        for (kind, data), n in eu.random_assignment(rng).items():
-            key = f"star:{data}" if kind == "star" else f"{kind}:{data[0]},{data[1]}"
-            scales[key] = n
-        docs.append(json.dumps({"pi": sorted(sorted(b) for b in pi), "scales": scales}))
-    return docs
 
 
 def requests(model: str) -> list[tuple]:

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import certify_oracle as oracle
-from conftest import BPHZ_TERMS, CERTIFY_VARIANTS, Phi4, variant_workbench
+from conftest import BPHZ_TERMS, CERTIFY_VARIANTS, Phi4, certifier, variant_workbench
 from renormforest.coalescence import enumerate_trees, full_mask, popcount
 from renormforest.powercount import (
     Certifier,
@@ -61,7 +61,7 @@ def test_realizability_matches_oracle_on_every_tree(case):
     scale constraints rebuilt from the tree."""
     setting, t, wick, pi, n_cuts, n_subtrees = CASES[case]
     ci = certificate(t, wick, pi)
-    cert = Certifier(setting.table, setting.cum)
+    cert = certifier(setting)
     built = cert.build(ci)
     n = len(built["verts"])
     assert 4 <= n <= 6
@@ -82,7 +82,7 @@ def test_cut_and_subtree_reach_the_plan():
     divergence compatible with the pair each constrain the scales."""
     setting, t, wick, pi, _, _ = CASES["kpz-T3-pair"]
     ci = certificate(t, wick, pi)
-    cert = Certifier(setting.table, setting.cum)
+    cert = certifier(setting)
     cuts, subtrees = cert._interval_plan(ci, cert.build(ci))
     assert len(cuts) == 1
     assert len(subtrees) == 1
@@ -117,7 +117,7 @@ def compare_with_search(cert: Certifier, ci: CertificateInput) -> tuple[int, int
 
 def compare_every_class(wb: Workbench, tree_id: str) -> tuple[int, int]:
     t = wb.tree_by_id(tree_id)
-    cert = Certifier(wb.config.table, wb.config.cum, analysis=wb.analysis)
+    cert = Certifier(wb.analysis, wb.config.caps["max_coalescence_vertices"])
     witnessed = refuted = 0
     for wick, pi in wb.analysis(t).gaussian_classes:
         w, r = compare_with_search(cert, CertificateInput(tree=t, wick=wick, pi=pi))
@@ -185,7 +185,7 @@ def test_certify_witness_matches_oracle(index):
     """The violation is the one the search's first implementation finds
     first, and every failing subset is decided as the search decides it."""
     bad, ci = list(bad_noise_certificates())[index]
-    cert = Certifier(bad.table, bad.cum)
+    cert = certifier(bad)
     witnessed, _ = compare_with_search(cert, ci)
     assert witnessed
     res = cert.certify(ci)

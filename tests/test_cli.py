@@ -2,6 +2,7 @@
 documents, and output that does not depend on the hash seed."""
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BPHZ_TERMS, KPZ_BASIS, PHI4_BASIS
+from conftest import BPHZ_TERMS, KPZ_BASIS, PHI4_BASIS, project_docs
 from renormforest import cli
-from renormforest.workbench import ConfigError, parse_config
+from renormforest.workbench import ConfigError, Workbench, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {"kpz": KPZ_BASIS, "phi4_3": PHI4_BASIS}
@@ -187,7 +188,8 @@ from pathlib import Path
 from renormforest.hopf import counterterm_report
 from renormforest.workbench import Workbench, parse_config
 wb = Workbench(parse_config(Path("configs/phi4_3.json").read_text()))
-rep = counterterm_report(wb.tree_by_id("T3"), wb.config.table, wb.config.cum)
+t = wb.tree_by_id("T3")
+rep = counterterm_report(t, wb.config.table, wb.config.cum, wb.analysis(t).divergences)
 print([m.constants for m in rep.monomials])
 """
 
@@ -312,6 +314,23 @@ def test_bphz_independent_of_hash_seed():
         assert report["term_count"] == len(report["terms"]) == BPHZ_TERMS[model][int(tree_id[1:])]
 
 
+def test_decompose_and_project_independent_of_hash_seed(tmp_path):
+    """`decompose` of phi4_3 T6 lists the forests of its chaos classes, and
+    `project` of KPZ T5 with one scale document lists its divergent
+    subtrees, forests and harvested cuts, all built from sets."""
+    wb = Workbench(parse_config(Path(config_path("kpz")).read_text()))
+    path = tmp_path / "scales.json"
+    path.write_text(project_docs(wb, "T5", random.Random(5))[0])
+    for model, command in (
+        ("phi4_3", ["decompose", "T6"]),
+        ("kpz", ["project", "T5", "--scales", str(path)]),
+    ):
+        args = ["-m", "renormforest.cli", "--config", config_path(model)] + command
+        outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["command"] == command[0]
+
+
 def test_bphz_unknown_tree(capsys, monkeypatch):
     monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
     assert cli.main(["--config", config_path("kpz"), "bphz", "T9"]) == 2
@@ -337,7 +356,7 @@ def test_certify_fails_on_broken_hypotheses(tmp_path):
 
 
 def test_decompose_over_the_divergence_cap(capsys, monkeypatch):
-    """phi4_3 T3 has three effective divergent subtrees."""
+    """phi4_3 T3 has ten divergent subtrees, three of them effective."""
     monkeypatch.setenv("RENORMFOREST_CAPS", '{"max_div": 1}')
     assert cli.main(["--config", config_path("phi4_3"), "decompose", "T3"]) == 3
     captured = capsys.readouterr()
@@ -363,6 +382,19 @@ def test_bphz_over_the_divergence_cap(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the cap" in captured.err
+
+
+@pytest.mark.parametrize("command", [["renormalize", "T3"], ["decompose", "T3"], ["export-dot", "T3:sigma:0"]])
+def test_effective_divergences_come_from_the_capped_list(command, capsys, monkeypatch):
+    """The effective divergent subtrees are a filter of the full list, and
+    the cap `max_div` bounds the full list: phi4_3 T3 has ten divergent
+    subtrees, three of them effective, so under a cap of 5 every command
+    that reads them exits 3, as bphz, certify and project do."""
+    monkeypatch.setenv("RENORMFOREST_CAPS", '{"max_div": 5}')
+    assert cli.main(["--config", config_path("phi4_3")] + command) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cap exceeded: |Div| = 10 exceeds the cap 5\n"
 
 
 def test_export_dot_sigma(capsys, monkeypatch):

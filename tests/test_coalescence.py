@@ -11,12 +11,8 @@ from coalescence_oracle import (
     labelings_consistent,
     restrict_tree,
 )
-from renormforest.coalescence import (
-    CoalescenceCap,
-    enumerate_trees,
-    full_mask,
-    popcount,
-)
+from renormforest.coalescence import enumerate_trees, full_mask, popcount
+from renormforest.forests import CapExceeded
 
 
 def M(*vs):
@@ -41,7 +37,7 @@ def test_tree_counts():
     assert len(enumerate_trees(2)) == 1
     assert len(enumerate_trees(3)) == 4
     assert len(enumerate_trees(4)) == 26
-    with pytest.raises(CoalescenceCap):
+    with pytest.raises(CapExceeded):
         enumerate_trees(10)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import KAPPA, spine_subtrees, spine_tree
+from conftest import KAPPA, analyses, spine_subtrees, spine_tree
 from forest_oracle import (
     cut_depth,
     cut_depth_sets,
@@ -41,14 +41,14 @@ def test_kpz_effective_divergences(kpz):
     """The effective set: the top cherry, the two-level chains, the mirror,
     and the tree itself; the noise-dropping pattern and odd counts are
     filtered by the vanishing rule."""
-    t, table, cum = kpz.t211, kpz.table, kpz.cum
-    divs = div_enumerate(t, table, cum)
+    t, table = kpz.t211, kpz.table
+    divs = analyses(kpz)(t).divergences
     omegas = sorted(str(w) for _, w in divs)
     assert len(divs) == 5
     assert omegas.count(str(2 * KAPPA)) == 3
     assert str(1 + 2 * KAPPA) in omegas
     assert str(4 * KAPPA) in omegas
-    full = div_enumerate(t, table, cum, effective=False)
+    full = div_enumerate(t, table)
     assert len(full) > len(divs)
     # the dropped-noise chain is power-counting divergent but ineffective
     fake = [
@@ -60,7 +60,7 @@ def test_kpz_effective_divergences(kpz):
 
 
 def test_div_of_lone_noise(phi4):
-    assert div_enumerate(phi4.xi, phi4.table, phi4.cum) == []
+    assert analyses(phi4)(phi4.xi).divergences == ()
     assert cut_enumerate(phi4.xi, phi4.table) == []
 
 
@@ -68,7 +68,7 @@ def test_pendant_rule(phi4):
     """Within the big tree: the double cherry survives (cross pairings are
     irreducible), the one-sided four-noise pattern does not."""
     t, table, cum = phi4.t131, phi4.table, phi4.cum
-    full = div_enumerate(t, table, cum, effective=False)
+    full = div_enumerate(t, table)
     nine = [s for s, w in full if len(s.edges) == 9 and t.root in s.nodes]
     assert len(nine) == 5  # 3 balanced + 2 one-sided
     effective = [s for s in nine if irreducible_partition_exists(t, s, cum)]
@@ -140,8 +140,8 @@ def test_sigma_negative_layers(phi4):
 
 def test_kpz_scenario_forests(kpz):
     """The seven admissible class patterns of the chain tree."""
-    t, table, cum = kpz.t211, kpz.table, kpz.cum
-    univ = [s for s, _ in div_enumerate(t, table, cum)]
+    t, table = kpz.t211, kpz.table
+    univ = [s for s, _ in analyses(kpz)(t).divergences]
     leaves = sorted(t.leaf_nodes(table))
 
     def hops(u):

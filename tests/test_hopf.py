@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hopf_oracle
-from conftest import BPHZ_TERMS, KPZ, colored_trees, decorated_trees
+from conftest import BPHZ_TERMS, KPZ, analyses, colored_trees, decorated_trees
 from forest_oracle import (
     depth,
     down_tree,
@@ -64,7 +64,7 @@ TREES = [(m, f"T{i}") for m in sorted(BPHZ_TERMS) for i in range(len(BPHZ_TERMS[
 def cherry_subtrees(t, table):
     return [
         s
-        for s in t.all_subtrees(table, min_true_nodes=2)
+        for s in t.all_subtrees()
         if len(t.restrict(s).leaf_nodes(table)) == 2
         and len(t.restrict(s).kernel_edges(table)) == 2
         and len(s.edges) == 4
@@ -87,11 +87,11 @@ def test_x_plus_dangling(kpz):
     table = kpz.table
     e = cut_enumerate(t, table)[0][0]
     base = down_tree(t, [e])
-    colored = t.with_(hat2=base)
-    assert in_X_plus(colored, table)
+    up = up_hom_table(t, table)
+    assert in_X_plus(t.with_(hat2=base), table, up)
     # coloring just the root leaves a negative dangling tree
     root_only = SubForest(frozenset({t.root}), frozenset())
-    assert not in_X_plus(t.with_(hat2=root_only), table)
+    assert not in_X_plus(t.with_(hat2=root_only), table, up)
 
 
 def test_delta_minus_unit(phi4):
@@ -107,7 +107,7 @@ def test_delta_minus_triple_filtered(phi4):
     extractions are materialized, each with coefficient 1 and no boundary
     decorations; they share one iso class."""
     t = phi4.t111
-    dm = delta_minus(t, phi4.table, candidates=div_enumerate(t, phi4.table, phi4.cum))
+    dm = delta_minus(t, phi4.table, candidates=analyses(phi4)(t).divergences)
     terms = list(dm.items())
     assert len(terms) == 4
     nontrivial = [(k, c) for k, c in terms if k[0]]
@@ -143,7 +143,7 @@ def test_delta_minus_triple_faithful(phi4):
 
 def test_delta_minus_131_forest_extraction(phi4):
     t = phi4.t131
-    dm = delta_minus(t, phi4.table, candidates=div_enumerate(t, phi4.table, phi4.cum))
+    dm = delta_minus(t, phi4.table, candidates=analyses(phi4)(t).divergences)
     shapes = sorted(
         tuple(sorted(len(p.edge_items) for p in k[0])) for k, _ in dm.items()
     )
@@ -199,7 +199,7 @@ def test_extractions_match_edge_subset_scan(workbenches, model, tree_id):
     for kw in ({}, {"proper": True}, {"vanishing": cum}):
         got, want = extraction_multisets(t, table, **kw)
         assert got == want, kw
-    for kw in ({}, {"proper": True}, {"candidates": div_enumerate(t, table, cum)}):
+    for kw in ({}, {"proper": True}, {"candidates": wb.analysis(t).divergences}):
         assert next(_extractions(t, table, **kw))[2] == [], kw  # the empty forest comes first
 
 
@@ -217,7 +217,7 @@ def assert_x_plus_matches_probe(piece, table):
     """X_+ membership, the bounds on the f decorations at the foot of the
     dangling trees and the positive antipode's recentered subtrees equal
     their probe-based versions."""
-    assert in_X_plus(piece, table) == hopf_oracle.in_X_plus(piece, table)
+    assert in_X_plus(piece, table, up_hom_table(piece, table)) == hopf_oracle.in_X_plus(piece, table)
     f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, table))
     probe = {e: recentered_plus_hom(piece, up_tree(piece, e), table) for e in f_slots}
     got = _dangle_headroom(f_slots, up_hom_table(piece, table))
@@ -318,13 +318,29 @@ def test_antipode_plus_matches_own_loop(piece, data):
     Every piece the antipode runs on in the expansions of the basis trees
     (phi4_3 T6 left out for time) admits one: its table stays below 1."""
     table = KPZ.table
-    if not (piece.hat2.nodes and in_X_plus(piece, table)):
+    if not (piece.hat2.nodes and in_X_plus(piece, table, up_hom_table(piece, table))):
         dp = delta_plus(piece.with_(hat2=EMPTY_SUBFOREST), table)
         remainders = sorted((r for _, r in dp.keys()), key=lambda r: repr(r.embedded_key()))
         piece = data.draw(st.sampled_from(remainders))
     up = up_hom_table(piece, table).values()
     assume(math.prod(max(1, len(multiindices_below(table.scaling, h))) for h in up) <= 100)
     assert _AntipodePlus(table).run(piece) == hopf_oracle.AntipodePlusLoop(table).run(piece)
+
+
+def test_antipode_plus_signs_only_true_node_labels():
+    """The color-2 labels n^ sit on true nodes, so a label on a fictitious
+    node gives A_+ no sign: A_+ of `HAT2_LABELS` equals A_+ of the same
+    piece without the label on the noise's node 100, term by term once that
+    label is stripped from the output pieces that carry it."""
+    table = KPZ.table
+
+    def strip(p: DecoratedTree) -> DecoratedTree:
+        return p.with_(node_dec={u: k for u, k in p.node_dec_items if u != 100})
+
+    out = _AntipodePlus(table).run(HAT2_LABELS)
+    assert len(out) == 612
+    stripped = FormalSum(((sorted_pieces(map(strip, forest)),), c) for (forest,), c in out.items())
+    assert stripped == _AntipodePlus(table).run(strip(HAT2_LABELS))
 
 
 def test_antipode_nested_four_noise(phi4):
@@ -337,7 +353,7 @@ def test_antipode_nested_four_noise(phi4):
     table = phi4.table
     four = [
         s
-        for s, w in div_enumerate(t, table, phi4.cum)
+        for s, w in analyses(phi4)(t).divergences
         if len(s.edges) == 9 and t.root in s.nodes
     ][0]
     piece = t.restrict(four)
@@ -358,7 +374,7 @@ def test_negative_forest_expansion(phi4, kpz):
     forests with prescribed maximal members is the identity."""
     for setting, tree in ((phi4, phi4.t111), (kpz, kpz.t211)):
         table = setting.table
-        divs = [s for s, _ in div_enumerate(tree, table, setting.cum, effective=False)]
+        divs = [s for s, _ in div_enumerate(tree, table)]
         for f_max in [frozenset([divs[-1]])] + [
             frozenset([s]) for s in divs if len(s.edges) >= 4
         ][:2]:
@@ -520,8 +536,14 @@ def test_bphz_expansion_smoke(phi4):
     assert len(bp) >= len(dm)
 
 
+def report(setting, t):
+    """The counterterm report of `t`, extracted from its effective
+    divergent subtrees."""
+    return counterterm_report(t, setting.table, setting.cum, analyses(setting)(t).divergences)
+
+
 def test_report_111(phi4):
-    rep = counterterm_report(phi4.t111, phi4.table, phi4.cum)
+    rep = report(phi4, phi4.t111)
     assert len(rep.monomials) == 1
     m = rep.monomials[0]
     assert m.coefficient == -3
@@ -530,7 +552,7 @@ def test_report_111(phi4):
 
 
 def test_report_131(phi4):
-    rep = counterterm_report(phi4.t131, phi4.table, phi4.cum)
+    rep = report(phi4, phi4.t131)
     assert len(rep.monomials) == 4
     t10 = integrate("I", ZERO_MI, phi4.t1, phi4.table)
     t30 = integrate("I", ZERO_MI, phi4.t111, phi4.table)
@@ -550,14 +572,14 @@ def test_report_131(phi4):
 
 
 def test_report_xi(phi4):
-    rep = counterterm_report(phi4.xi, phi4.table, phi4.cum)
+    rep = report(phi4, phi4.xi)
     assert rep.monomials == ()
 
 
 def test_coaction_outputs_reconform(phi4):
     """Completeness probe: the plain shapes appearing in coaction outputs
     conform to the generating rule."""
-    dm = delta_minus(phi4.t111, phi4.table, candidates=div_enumerate(phi4.t111, phi4.table, phi4.cum))
+    dm = delta_minus(phi4.t111, phi4.table, candidates=analyses(phi4)(phi4.t111).divergences)
     for (extracted, remainder), _ in dm.items():
         for p in extracted:
             assert conforms(phi4.rule, p.relabel_canonical())

@@ -1,9 +1,9 @@
+from conftest import analyses
 from renormforest.integrands import chaos_classes
-from renormforest.powercount import TreeAnalysis
 
 
 def test_chaos_classes_211(kpz):
-    classes = chaos_classes(TreeAnalysis(kpz.t211, kpz.table, kpz.cum))
+    classes = chaos_classes(analyses(kpz)(kpz.t211))
     assert len(classes) == 10
     by_wick = {}
     for c in classes:

@@ -27,7 +27,7 @@ from renormforest.trees import StructureError
 
 
 def _setup(kpz, pi_blocks=None):
-    t, table, cum = kpz.t211, kpz.table, kpz.cum
+    t, table = kpz.t211, kpz.table
     leaves = sorted(t.leaf_nodes(table))
 
     def hops(u):
@@ -44,7 +44,7 @@ def _setup(kpz, pi_blocks=None):
         pi_blocks = [(v3, v4)]
     pi = frozenset(frozenset(b) for b in pi_blocks)
     eu = EdgeUniverse(t, table, pi)
-    univ = [s for s, _ in div_enumerate(t, table, cum, effective=False)]
+    univ = [s for s, _ in div_enumerate(t, table)]
     compat = forests_compatible_with(t, table, univ, pi)
     return t, table, eu, univ, compat, (v1, v2, v3, v4)
 
@@ -162,7 +162,7 @@ def random_setting(rng, phi4, kpz):
             if ps:
                 subsets.append(rng.choice(ps))
     pi = rng.choice(subsets) if subsets else frozenset()
-    return t, table, cum, pi
+    return t, table, pi
 
 
 def test_property_suite(phi4, kpz):
@@ -173,9 +173,9 @@ def test_property_suite(phi4, kpz):
     rng = random.Random(20260809)
     draws = 0
     while draws < 500:
-        t, table, cum, pi = random_setting(rng, phi4, kpz)
+        t, table, pi = random_setting(rng, phi4, kpz)
         eu = EdgeUniverse(t, table, pi)
-        univ = [s for s, _ in div_enumerate(t, table, cum, effective=False)]
+        univ = [s for s, _ in div_enumerate(t, table)]
         compat = forests_compatible_with(t, table, univ, pi)
         cuts = [e for e, _ in cut_enumerate(t, table)]
         n = eu.random_assignment(rng, 0, 64)
@@ -231,11 +231,11 @@ def test_reorganize_kpz_counts(kpz):
 
 
 def test_reorganize_phi4_cover(phi4):
-    t, table, cum = phi4.t131, phi4.table, phi4.cum
+    t, table = phi4.t131, phi4.table
     leaves = sorted(t.leaf_nodes(table))
     pi = frozenset({frozenset(leaves[1:3]), frozenset(leaves[3:5])})
     eu = EdgeUniverse(t, table, pi)
-    univ = [s for s, _ in div_enumerate(t, table, cum, effective=False)]
+    univ = [s for s, _ in div_enumerate(t, table)]
     compat = forests_compatible_with(t, table, univ, pi)
     cuts = [e for e, _ in cut_enumerate(t, table)]
     rng = random.Random(7)

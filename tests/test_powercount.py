@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certify_oracle import div_universe, evaluate_hom, realizable
-from conftest import KAPPA, Phi4
+from conftest import KAPPA, Phi4, certifier
 from cumulant_oracle import CumulantHomogeneity
 from renormforest.coalescence import enumerate_trees, full_mask
 from renormforest.powercount import (
-    Certifier,
     CertificateInput,
     fict_gain,
     higher_cum_check,
@@ -137,7 +136,7 @@ def _ci(setting, t, wick, pi):
 
 def test_certify_111(phi4):
     lv = sorted(phi4.t111.leaf_nodes(phi4.table))
-    cert = Certifier(phi4.table, phi4.cum)
+    cert = certifier(phi4)
     res = cert.certify(_ci(phi4, phi4.t111, [lv[2]], [(lv[0], lv[1])]))
     assert res["pass"]
     assert res["alpha"] < 0
@@ -147,7 +146,7 @@ def test_certify_111(phi4):
 def test_certify_degenerate_two_vertices(phi4):
     """Just the root and the basepoint: the order is -|s| and there is
     nothing to violate."""
-    cert = Certifier(phi4.table, phi4.cum)
+    cert = certifier(phi4)
     t = phi4.t1
     lv = sorted(t.leaf_nodes(phi4.table))
     # wick the only noise: no pairs; the quotient keeps the root, the leaf
@@ -158,7 +157,7 @@ def test_certify_degenerate_two_vertices(phi4):
 
 
 def test_certify_131_all_classes(phi4):
-    cert = Certifier(phi4.table, phi4.cum)
+    cert = certifier(phi4)
     lv = sorted(phi4.t131.leaf_nodes(phi4.table))
 
     def pairings(xs):
@@ -181,7 +180,7 @@ def test_certify_131_all_classes(phi4):
 def test_certify_flips_on_bad_noise():
     bad = Phi4(xi_hom=Fraction(-3))
     lv = sorted(bad.t111.leaf_nodes(bad.table))
-    cert = Certifier(bad.table, bad.cum)
+    cert = certifier(bad)
     ci = _ci(bad, bad.t111, [lv[2]], [(lv[0], lv[1])])
     res = cert.certify(ci)
     assert not res["pass"]
@@ -197,7 +196,7 @@ def test_subset_reduction_matches_tree_scan(phi4):
     the assembled homogeneity on every coalescence tree."""
     lv = sorted(phi4.t111.leaf_nodes(phi4.table))
     ci = _ci(phi4, phi4.t111, [lv[2]], [(lv[0], lv[1])])
-    cert = Certifier(phi4.table, phi4.cum)
+    cert = certifier(phi4)
     built = cert.build(ci)
     n = len(built["verts"])
     parts = cert.wick_contributions(ci, built)

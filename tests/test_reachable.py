@@ -1,9 +1,10 @@
 """Every function and method in `src/renormforest` is an entry point (a
 command, a name the benchmark drives, or a public tree-building entry) or
 is referenced by name from code an entry point reaches, and every field of
-a dataclass there is read somewhere there.  The checks are static:
+a dataclass there is read somewhere there.  These checks are static:
 they parse the modules and run none of them.  Last, every name the
-benchmark's tracing patches still exists."""
+benchmark's tracing patches still exists, and the benchmark's canonical
+requests still give their recorded outputs."""
 import ast
 import importlib.util
 import sys
@@ -167,3 +168,18 @@ def test_benchmark_patch_targets_exist():
         workloads.install_tracing(tracer, workloads.load_program())
     finally:
         tracer.unpatch_all()
+
+
+def test_benchmark_canonical_requests_replay():
+    """Every workload's canonical requests, the warm-up pass that
+    `perfbench/run.py` checks, run through the program's current signatures
+    and give the outputs recorded in `perfbench/expected.json`."""
+    workloads = load_benchmark_module("workloads")
+    prog = workloads.load_program()
+    wbs = workloads.setup(prog)
+    problems = workloads.check_basis(wbs)
+    expected = workloads.load_expected()
+    for name in workloads.WORKLOADS:
+        for req in workloads.make_workload(name, prog, wbs).canonical():
+            problems += workloads.check(req, workloads.execute(prog, wbs, req), expected)
+    assert problems == []

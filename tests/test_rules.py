@@ -22,6 +22,13 @@ def named(basis, table):
     return [(format_tree(t, table), frac_str(t.homogeneity(table))) for t in basis]
 
 
+def eligible_subtrees(t, table):
+    """The subtrees with at least two true nodes, which the hypotheses
+    check."""
+    fict = t.fictitious_nodes(table)
+    return [s for s in t.all_subtrees() if len(s.nodes - fict) >= 2]
+
+
 def test_phi4_generation(phi4):
     basis = generate_trees(phi4.rule, Fraction(0), 11)
     assert named(basis, phi4.table) == PHI4_BASIS
@@ -49,7 +56,7 @@ def test_generation_closed_under_subtrees(phi4):
     basis = generate_trees(phi4.rule, Fraction(0), 9)
     codes = {t.canonical_code() for t in basis}
     for t in basis:
-        for sf in t.all_subtrees(phi4.table):
+        for sf in t.all_subtrees():
             piece = t.restrict(sf).relabel_canonical()
             if piece.homogeneity(phi4.table) < 0 and conforms(phi4.rule, piece):
                 assert piece.canonical_code() in codes
@@ -76,10 +83,10 @@ def test_subcriticality():
 
 
 def test_super_regularity_phi4(phi4):
-    assert len(phi4.t111.all_subtrees(phi4.table, min_true_nodes=2)) >= 3
+    assert len(eligible_subtrees(phi4.t111, phi4.table)) >= 3
     assert subtree_hypotheses(phi4.t111, phi4.cum)["super_regularity"] == []
     # a lone noise has no eligible subtree
-    assert phi4.xi.all_subtrees(phi4.table, min_true_nodes=2) == []
+    assert eligible_subtrees(phi4.xi, phi4.table) == []
     assert subtree_hypotheses(phi4.xi, phi4.cum) == {
         "super_regularity": [],
         "theorem_conditions": [],

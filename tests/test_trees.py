@@ -29,6 +29,7 @@ from renormforest.trees import (
     tree_product,
 )
 from renormforest.workbench import Workbench, parse_config
+from hopf_oracle import plus_homogeneity
 from tree_oracle import code, embedded_key, relabel_canonical, scan
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,10 +86,10 @@ def test_integrate_shifts_homogeneity(phi4):
 
 
 def test_modes_agree_without_coloring(phi4):
+    """Without a coloring, |.|_+ (the oracle's) and |.|_- (which
+    `hopf.in_X_minus` reads only on uncolored trees) are |.|_s."""
     for t in (phi4.t1, phi4.t111, phi4.t131):
-        plain = t.homogeneity(phi4.table, "plain")
-        assert t.homogeneity(phi4.table, "minus") == plain
-        assert t.homogeneity(phi4.table, "plus") == plain
+        assert plus_homogeneity(t, phi4.table) == t.homogeneity(phi4.table)
 
 
 def test_canonical_form_invariance(phi4):
@@ -125,11 +126,10 @@ def test_all_subtrees_contains_worked_subtrees(kpz):
     exhaustive enumeration."""
     t = kpz.t211
     table = kpz.table
-    got = {s.sort_key() for s in t.all_subtrees(table)}
+    got = {s.sort_key() for s in t.all_subtrees()}
     divs_expected = 0
     # the top cherry: one node with both noise branches
-    leaves = sorted(t.leaf_nodes(table))
-    for s in t.all_subtrees(table):
+    for s in t.all_subtrees():
         piece = t.restrict(s)
         if (
             len(piece.kernel_edges(table)) == 2
@@ -142,9 +142,14 @@ def test_all_subtrees_contains_worked_subtrees(kpz):
 
 
 def assert_all_subtrees_match_oracle(t: DecoratedTree, table):
-    for min_true_nodes in (1, 2):
-        got = t.all_subtrees(table, min_true_nodes)
-        assert got == tree_oracle.all_subtrees(t, table, min_true_nodes), min_true_nodes
+    """The oracle's list with no filter, which is also its list of the
+    subtrees with a true node (a fictitious node has no child), and the
+    subtrees with two true nodes, which the hypotheses check."""
+    got = t.all_subtrees()
+    assert got == tree_oracle.all_subtrees(t, table, 0) == tree_oracle.all_subtrees(t, table, 1)
+    fict = t.fictitious_nodes(table)
+    two = [s for s in got if len(s.nodes - fict) >= 2]
+    assert two == tree_oracle.all_subtrees(t, table, 2)
 
 
 def test_all_subtrees_matches_oracle_on_basis_trees():
@@ -172,7 +177,7 @@ def test_disappearing_noises(kpz):
     t = kpz.t211
     table = kpz.table
     found = False
-    for s in t.all_subtrees(table):
+    for s in t.all_subtrees():
         piece = t.restrict(s)
         ambient_leaves = t.leaf_nodes(table)
         for u in piece.true_nodes(table):
@@ -196,7 +201,7 @@ def test_contract_colored(phi4):
     table = phi4.table
     cherries = [
         s
-        for s in t.all_subtrees(table, min_true_nodes=2)
+        for s in t.all_subtrees()
         if len(t.restrict(s).leaf_nodes(table)) == 2
         and t.root in s.nodes
         and len(s.edges) == 4
@@ -264,9 +269,9 @@ def test_indexed_tree_matches_scans(t, data):
         same = a.embedded_key() == b.embedded_key()
         assert (a == b) == same == (hash(a) == hash(b))
     assert edited == fresh
-    # a second parent for a node is refused, with the edges replaced
+    # a second parent for a node is refused
     if len(t.nodes) > 1:
         c = max(t.nodes - {t.root})
         x = min(t.nodes - {t.parent(c)})
         with pytest.raises(StructureError):
-            edited.with_(edges={**edited.edges, (x, c): "t"})
+            DecoratedTree(edited.root, {**edited.edges, (x, c): "t"}, **args)
