@@ -9,6 +9,7 @@ import argparse
 import sys
 
 from .forests import CapExceeded
+from .rules import SubcriticalityError
 from .workbench import ConfigError, Workbench, parse_config, report_emit
 
 
@@ -78,6 +79,9 @@ def main(argv=None) -> int:
         return 3
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SubcriticalityError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         for problem in exc.problems:

@@ -11,13 +11,18 @@ leaves a remainder, and then a `Fraction`.
 Each enumeration is written once.  Delta_- and A_- extract forests of
 pairwise disjoint candidate subtrees (`_extractions`); the candidates are a
 list of divergent subtrees as `forests.div_enumerate` lists them, every one
-by default, the effective ones where the caller passes them.  Each
+by default, the effective ones where the caller passes them.  An expansion
+lists its tree's divergent subtrees once, and A_- reads those of each piece
+off that full list: the entries whose edges lie inside the piece.  Each
 candidate's decorations are enumerated once per tree, and A_- is one
 product over a forest's pieces.  Delta_+ and A_+ recenter a piece around
-rooted subtrees (`_recenterings`), which `DecoratedTree.rooted_edge_sets`
-lists.  Recentering changes no label above the subtree, so the bound on
-each boundary edge's decoration, and the X_+ test of each dangling tree,
-read the piece's up-tree table (`trees.up_hom_table`), built once per piece.
+rooted subtrees (`_recenterings`).  Every piece they recenter is a `with_`
+copy of the expanded tree, so the shared shape lists the rooted subtrees and
+their boundaries once (`DecoratedTree.rooted_subtrees`), and each piece only
+filters them by its color-1 components, found once per piece.  Recentering
+changes no label above the subtree, so the bound on each boundary edge's
+decoration, and the X_+ test of each dangling tree, read the piece's
+up-tree table (`trees.up_hom_table`), built once per piece.
 """
 from __future__ import annotations
 
@@ -165,7 +170,7 @@ def _extractions(
     Yields (G, coefficient, extracted pieces in candidate order, n_G, e_G);
     the empty forest comes first, with no pieces.
     """
-    full_edges = frozenset(e for e, _ in t.edge_items)
+    full_edges = t.edge_set
     options = []
     if candidates is None:
         candidates = fo.div_enumerate(t, table)
@@ -254,10 +259,16 @@ def _product(factors: Sequence[FormalSum], key: Callable[[list], Hashable]) -> F
 
 
 class _AntipodeMinus:
-    """A_- on forests of X_- trees, memoized per tree: colored forests."""
+    """A_- on forests of X_- trees, memoized per tree: colored forests.
 
-    def __init__(self, table: TypeTable):
+    Every piece is a piece of one ambient tree, with the ambient's edges and
+    edge labels, and omega reads nothing but those.  So the divergent
+    subtrees of a piece are the entries of the ambient's full list `listed`
+    (`div_enumerate`'s, in its order) whose edges lie inside the piece."""
+
+    def __init__(self, table: TypeTable, listed: Sequence[tuple[SubForest, Fraction]]):
         self.table = table
+        self.listed = listed
         self.memo: dict[DecoratedTree, FormalSum] = {}
 
     def forest(self, pieces: Sequence[DecoratedTree], extra: tuple = ()) -> FormalSum:
@@ -273,8 +284,9 @@ class _AntipodeMinus:
             return self.memo[piece]
         if not in_X_minus(piece, self.table):
             raise ValueError("negative antipode applied outside X_-")
+        inside = [(c, w) for c, w in self.listed if c.edges <= piece.edge_set]
         terms = []
-        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, proper=True):
+        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, True, inside):
             residual = _remainder(piece, sub, nd, ed, o_label=False)
             terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (residual,)).items())
         result = FormalSum(terms)
@@ -285,27 +297,28 @@ class _AntipodeMinus:
 # -- positive coaction and antipode ------------------------------------------------
 
 
-def _admissible_rooted(piece: DecoratedTree, table: TypeTable) -> Iterator[SubForest]:
+def _admissible_rooted(
+    piece: DecoratedTree, table: TypeTable
+) -> list[tuple[SubForest, tuple[EdgeKey, ...]]]:
     """A_2: subtrees S containing the root, the trivial one included, such
-    that every color-1 component is contained in S or disjoint from it.  S
-    is determined by its kernel edges: the noise edges ride along with their
-    parent nodes (a noise is an attribute of its node, so recentering can
-    never strand one)."""
-    comps = piece.subforest_components(piece.hat1)
-    noises = piece.noise_edges(table)
-    for acc in piece.rooted_edge_sets(piece.root, frozenset(piece.kernel_edges(table))):
-        nodes = {piece.root, *itertools.chain.from_iterable(acc)}
-        edges = acc.union(e for e in noises if e[0] in nodes)
-        nodes = frozenset(nodes.union(c for _, c in edges))
-        if all(not c.nodes & nodes or (c.nodes <= nodes and c.edges <= edges) for c in comps):
-            yield SubForest(nodes, edges)
+    that every color-1 component is contained in S or disjoint from it,
+    each with its boundary.  They are the shape's rooted subtrees
+    (`DecoratedTree.rooted_subtrees`, with the noise edges riding along with
+    their parent nodes, so recentering can never strand one), filtered by
+    the piece's color-1 components."""
+    comps = piece.hat1_components()
+    return [
+        (s, boundary)
+        for s, boundary in piece.rooted_subtrees(table)
+        if all(not c.nodes & s.nodes or (c.nodes <= s.nodes and c.edges <= s.edges) for c in comps)
+    ]
 
 
 def _plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[SubForest, SubForest]:
     """New coloring [hat1 \\ S]_1 + [S]_2 after recentering around S."""
     keep_nodes: set[int] = set()
     keep_edges: set[EdgeKey] = set()
-    for c in piece.subforest_components(piece.hat1):
+    for c in piece.hat1_components():
         if not (c.nodes <= s.nodes):
             keep_nodes |= c.nodes
             keep_edges |= c.edges
@@ -369,19 +382,18 @@ def _recenterings(
     piece: DecoratedTree,
     table: TypeTable,
     up: dict[EdgeKey, Fraction],
-    subtrees: Iterable[SubForest],
+    subtrees: Iterable[tuple[SubForest, tuple[EdgeKey, ...]]],
 ) -> Iterator[tuple[DecoratedTree, Coefficient, DecoratedTree]]:
     """The piece recentered around each S of `subtrees` (rooted, holding the
-    color-2 part), with every split of the node labels and every labelling
-    e_S of S's boundary edges that keeps the dangling trees positive (read
-    from the up-tree table `up`).  Yields (left piece, coefficient,
-    remainder): the left piece is S with the node labels n_S + chi(e_S),
-    where n_S takes part of each uncolored label in S and all of the color-2
-    labels n^, which the remainder gives up."""
+    color-2 part, given with its boundary), with every split of the node
+    labels and every labelling e_S of S's boundary edges that keeps the
+    dangling trees positive (read from the up-tree table `up`).  Yields
+    (left piece, coefficient, remainder): the left piece is S with the node
+    labels n_S + chi(e_S), where n_S takes part of each uncolored label in S
+    and all of the color-2 labels n^, which the remainder gives up."""
     fict = piece.fictitious_nodes(table)
     nhat = _color2_labels(piece, table)
-    for s in subtrees:
-        boundary = _boundary(piece, s.nodes, s.edges, table)
+    for s, boundary in subtrees:
         headroom = _dangle_headroom(boundary, up)
         if headroom is None:
             continue
@@ -436,8 +448,7 @@ class _AntipodePlus:
             raise ValueError("positive antipode applied outside X_+")
         # the sign counts the color-2 labels n^, which sit on true nodes
         deg_nhat = sum(k.degree() for k in _color2_labels(piece, t).values())
-        full_edges = frozenset(e for e, _ in piece.edge_items)
-        if not (full_edges - piece.hat2.edges):
+        if not (piece.edge_set - piece.hat2.edges):
             res = FormalSum.single(((piece.with_(o_label={}),),), (-1) ** deg_nhat)
             self.memo[piece] = res
             return res
@@ -472,11 +483,14 @@ class _AntipodePlus:
         self.memo[piece] = result
         return result
 
-    def _abar2(self, piece: DecoratedTree, dangling: list[EdgeKey]) -> Iterator[SubForest]:
-        """Admissible rooted subtrees that strictly grow the color-2 part
-        and meet every dangling tree, that is, contain the edge at its foot
-        (a rooted subtree holding any edge of T_>=(e) holds e)."""
-        for s in _admissible_rooted(piece, self.table):
+    def _abar2(
+        self, piece: DecoratedTree, dangling: list[EdgeKey]
+    ) -> Iterator[tuple[SubForest, tuple[EdgeKey, ...]]]:
+        """Admissible rooted subtrees, with their boundaries, that strictly
+        grow the color-2 part and meet every dangling tree, that is, contain
+        the edge at its foot (a rooted subtree holding any edge of T_>=(e)
+        holds e)."""
+        for s, boundary in _admissible_rooted(piece, self.table):
             if not (piece.hat2.nodes <= s.nodes and piece.hat2.edges <= s.edges):
                 continue
             if s.edges == piece.hat2.edges:
@@ -484,7 +498,7 @@ class _AntipodePlus:
                 # recentered subtree must strictly grow the color-2 part
                 continue
             if all(e in s.edges for e in dangling):
-                yield s
+                yield s, boundary
 
 
 # -- the full expansion and the report ---------------------------------------------
@@ -497,12 +511,18 @@ def bphz_expansion(
 ) -> FormalSum:
     """(A_- (x) id (x) A_+)(id (x) Delta_+) Delta_- applied to an uncolored
     tree: a three-slot formal sum (counterterm forest, observed piece,
-    recentering forest).  `candidates` is the tree's list of divergent
-    subtrees, effective or not, when the caller has it."""
-    anti_minus = _AntipodeMinus(table)
+    recentering forest).  `candidates` is the tree's full list of divergent
+    subtrees, as `forests.div_enumerate` lists them, when the caller has it;
+    it must be the full list, effective or not, because A_- reads each
+    piece's divergent subtrees from it.  The tree's divergent subtrees are
+    listed once per expansion, and its rooted subtrees once per expansion
+    too: every remainder of Delta_- and every piece of Delta_+ and A_+ is a
+    `with_` copy of the tree, and so shares its shape."""
+    listed = fo.div_enumerate(t, table) if candidates is None else candidates
+    anti_minus = _AntipodeMinus(table, listed)
     anti_plus = _AntipodePlus(table)
     terms = []
-    for (extracted, remainder), c1 in delta_minus(t, table, candidates=candidates).items():
+    for (extracted, remainder), c1 in delta_minus(t, table, candidates=listed).items():
         left = anti_minus.forest(extracted)
         for (mid, rec_piece), c2 in delta_plus(remainder, table).items():
             right = anti_plus.run(rec_piece)

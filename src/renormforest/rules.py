@@ -325,10 +325,7 @@ def generate_trees(
     scaling = table.scaling
     cutoff = Fraction(cutoff)
     if require_subcritical and not check_subcritical(rule)["pass"]:
-        raise SubcriticalityError(
-            "rule failed the subcriticality fixpoint test; pass "
-            "require_subcritical=False to override"
-        )
+        raise SubcriticalityError("the rule failed the subcriticality fixpoint test")
     labels = (
         [ZERO_MI]
         if poly_sdeg_bound <= 0

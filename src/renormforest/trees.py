@@ -49,22 +49,113 @@ class StructureError(ValueError):
     """A node/edge set does not describe a well-formed (sub)tree."""
 
 
+class _Shape:
+    """The root, the sorted typed edges and the children and parent maps
+    that a tree shares with every `with_` copy of it, and the facts that
+    follow from them alone, each worked out on first use: that the shape
+    passed the structure check, the `top_down` order, the node and edge
+    sets, and per type table the kernel edges, noise edges, fictitious nodes
+    and rooted subtrees (`_TableFacts`)."""
+
+    __slots__ = (
+        "root", "edges", "types", "children", "parent",
+        "checked", "_order", "_nodes", "_edge_set", "_by_table",
+    )
+
+    def __init__(self, root: int, edges: Mapping[EdgeKey, str]):
+        self.root = int(root)
+        self.edges = tuple(sorted(((int(p), int(c)), str(t)) for (p, c), t in dict(edges).items()))
+        self.types = dict(self.edges)
+        children: dict[int, list[EdgeKey]] = {}
+        parent: dict[int, int] = {}
+        for (p, c), _ in self.edges:
+            children.setdefault(p, []).append((p, c))
+            children.setdefault(c, [])
+            if c in parent:
+                raise StructureError(f"node {c} has two parents")
+            parent[c] = p
+        children.setdefault(self.root, [])
+        self.children = {u: tuple(v) for u, v in children.items()}
+        self.parent = parent
+        self.checked = False
+        self._order: Optional[tuple[int, ...]] = None
+        self._nodes: Optional[frozenset[int]] = None
+        self._edge_set: Optional[frozenset[EdgeKey]] = None
+        # keyed by id: the entry holds its table, so the id stays its own
+        self._by_table: dict[int, tuple[TypeTable, _TableFacts]] = {}
+
+    def check(self):
+        """A rooted tree: no edge into the root, every node reached from
+        it.  Run once per shape."""
+        if self.checked:
+            return
+        if self.root in self.parent:
+            raise StructureError("root has an incoming edge")
+        # with one parent per node, connected means reached from the root
+        cut_off = self.children.keys() - set(self.top_down())
+        if cut_off:
+            raise StructureError(f"node {min(cut_off)} not connected to the root")
+        self.checked = True
+
+    def top_down(self) -> tuple[int, ...]:
+        if self._order is None:
+            order = [self.root]
+            for u in order:  # the list grows while it is read
+                order.extend(c for _, c in self.children[u])
+            self._order = tuple(order)
+        return self._order
+
+    def nodes(self) -> frozenset[int]:
+        if self._nodes is None:
+            self._nodes = frozenset(self.children)
+        return self._nodes
+
+    def edge_set(self) -> frozenset[EdgeKey]:
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.types)
+        return self._edge_set
+
+    def facts(self, table: TypeTable) -> "_TableFacts":
+        entry = self._by_table.get(id(table))
+        if entry is None:
+            entry = self._by_table[id(table)] = (table, _TableFacts(self.edges, table))
+        return entry[1]
+
+
+class _TableFacts:
+    """What a shape is under one type table; `rooted` is filled by
+    `DecoratedTree.rooted_subtrees`."""
+
+    __slots__ = ("kernel", "noise", "fictitious", "rooted")
+
+    def __init__(self, edges: tuple[tuple[EdgeKey, str], ...], table: TypeTable):
+        self.kernel = tuple(e for e, t in edges if table.is_kernel(t))
+        self.noise = tuple(e for e, t in edges if table.is_noise(t))
+        self.fictitious = frozenset(c for _, c in self.noise)
+        self.rooted: Optional[tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]] = None
+
+
 class DecoratedTree:
     """Typed rooted tree with node labels n, edge labels e, an optional
     coloring (hat1, hat2) and an extended label o on the color-1 nodes.
 
-    Each tree is indexed once.  `__init__` builds the edge types, node
-    labels, edge labels and o labels as dicts (O(1) lookups) beside the
-    sorted tuples that make up `embedded_key`; the key is built once, and the
-    hash and `==` are derived from it.  The AHU codes of all nodes are
-    computed together, bottom-up, on the first call that needs one.  `with_`
-    shares the sorted edges and the children and parent maps of the tree it
-    starts from."""
+    Each tree is indexed once.  Its shape (root, sorted typed edges,
+    children and parent maps) is a `_Shape`, which `with_` shares: every
+    relabelled or recolored copy of a tree, such as each remainder of
+    Delta_- and each piece of Delta_+ and A_+, reads the shape's facts (the
+    structure check, `top_down`, the kernel and noise edges, fictitious
+    nodes and rooted subtrees of a type table) where the first copy to ask
+    worked them out, and `with_` checks only the new labels.  `__init__`
+    builds the node labels, edge labels and o labels as dicts (O(1)
+    lookups) beside the sorted tuples that make up `embedded_key`; the key
+    is built once, and the hash and `==` are derived from it.  The AHU codes
+    of all nodes are computed together, bottom-up, and the components of
+    the color-1 forest, each on the first call that needs them."""
 
     __slots__ = (
-        "root", "_edges", "_types", "_children", "_parent",  # the shape
+        "root", "_shape",  # root: the shape's, read often enough to keep beside it
         "_ndec", "_nd", "_edec", "_ed", "hat1", "hat2", "_olabel", "_ol",  # labels, coloring
-        "_key", "_hash", "_codes",
+        "_key", "_hash", "_codes", "_hat1_comps",
     )
 
     def __init__(
@@ -79,23 +170,14 @@ class DecoratedTree:
         table: Optional[TypeTable] = None,
         check: bool = True,
     ):
-        self.root = int(root)
-        self._edges = tuple(sorted(((int(p), int(c)), str(t)) for (p, c), t in dict(edges).items()))
-        self._types = dict(self._edges)
-        children: dict[int, list[EdgeKey]] = {}
-        parent: dict[int, int] = {}
-        for (p, c), _ in self._edges:
-            children.setdefault(p, []).append((p, c))
-            children.setdefault(c, [])
-            if c in parent:
-                raise StructureError(f"node {c} has two parents")
-            parent[c] = p
-        children.setdefault(self.root, [])
-        self._children = {u: tuple(v) for u, v in children.items()}
-        self._parent = parent
+        self._shape = _Shape(root, edges)
+        self.root = self._shape.root
         self._label(node_dec, edge_dec, hat1, hat2, o_label)
         if check:
-            self._check(table)
+            self._shape.check()
+            if table is not None:
+                self._check_types(table)
+            self._check_labels()
 
     def _label(self, node_dec, edge_dec, hat1: SubForest, hat2: SubForest, o_label):
         """Set the labels and the coloring, their dicts, the embedded key
@@ -111,7 +193,7 @@ class DecoratedTree:
         self._key = (
             "emb",
             self.root,
-            self._edges,
+            self._shape.edges,
             self._ndec,
             self._edec,
             hat1.sort_key(),
@@ -120,27 +202,23 @@ class DecoratedTree:
         )
         self._hash = hash(self._key)
         self._codes: Optional[dict[int, tuple]] = None
+        self._hat1_comps: Optional[list[SubForest]] = None
 
     # -- structure ---------------------------------------------------------
 
-    def _check(self, table: Optional[TypeTable]):
-        if self.root in self._parent:
-            raise StructureError("root has an incoming edge")
-        # with one parent per node, connected means reached from the root
-        cut_off = self._children.keys() - set(self.top_down())
-        if cut_off:
-            raise StructureError(f"node {min(cut_off)} not connected to the root")
-        if table is not None:
-            seen_noise_parent: set[int] = set()
-            for (p, c), t in self._edges:
-                if table.is_noise(t):
-                    if self._children[c]:
-                        raise StructureError("noise edges must be maximal")
-                    if p in seen_noise_parent:
-                        raise StructureError("two noise edges share a parent")
-                    seen_noise_parent.add(p)
-                elif not table.is_kernel(t):
-                    raise KeyError(f"unknown type {t!r}")
+    def _check_types(self, table: TypeTable):
+        seen_noise_parent: set[int] = set()
+        for (p, c), t in self._shape.edges:
+            if table.is_noise(t):
+                if self._shape.children[c]:
+                    raise StructureError("noise edges must be maximal")
+                if p in seen_noise_parent:
+                    raise StructureError("two noise edges share a parent")
+                seen_noise_parent.add(p)
+            elif not table.is_kernel(t):
+                raise KeyError(f"unknown type {t!r}")
+
+    def _check_labels(self):
         h1n, h2n = self.hat1.nodes, self.hat2.nodes
         if h1n & h2n:
             raise StructureError("colorings hat1 and hat2 overlap")
@@ -150,15 +228,19 @@ class DecoratedTree:
 
     @property
     def edges(self) -> dict[EdgeKey, str]:
-        return dict(self._types)
+        return dict(self._shape.types)
 
     @property
     def edge_items(self) -> tuple[tuple[EdgeKey, str], ...]:
-        return self._edges
+        return self._shape.edges
 
     @property
     def nodes(self) -> frozenset[int]:
-        return frozenset(self._children)
+        return self._shape.nodes()
+
+    @property
+    def edge_set(self) -> frozenset[EdgeKey]:
+        return self._shape.edge_set()
 
     def node_dec(self, u: int) -> MultiIndex:
         return self._nd.get(u, ZERO_MI)
@@ -182,29 +264,26 @@ class DecoratedTree:
         return self._olabel
 
     def children(self, u: int) -> tuple[EdgeKey, ...]:
-        return self._children.get(u, ())
+        return self._shape.children.get(u, ())
 
     def parent(self, u: int) -> Optional[int]:
-        return self._parent.get(u)
+        return self._shape.parent.get(u)
 
     def edge_type(self, e: EdgeKey) -> str:
-        return self._types[e]
+        return self._shape.types[e]
 
-    def top_down(self) -> list[int]:
+    def top_down(self) -> tuple[int, ...]:
         """The nodes breadth first from the root: each after its parent."""
-        order = [self.root]
-        for u in order:  # the list grows while it is read
-            order.extend(c for _, c in self._children[u])
-        return order
+        return self._shape.top_down()
 
-    def noise_edges(self, table: TypeTable) -> list[EdgeKey]:
-        return [e for e, t in self._edges if table.is_noise(t)]
+    def noise_edges(self, table: TypeTable) -> tuple[EdgeKey, ...]:
+        return self._shape.facts(table).noise
 
-    def kernel_edges(self, table: TypeTable) -> list[EdgeKey]:
-        return [e for e, t in self._edges if table.is_kernel(t)]
+    def kernel_edges(self, table: TypeTable) -> tuple[EdgeKey, ...]:
+        return self._shape.facts(table).kernel
 
     def fictitious_nodes(self, table: TypeTable) -> frozenset[int]:
-        return frozenset(c for (p, c), t in self._edges if table.is_noise(t))
+        return self._shape.facts(table).fictitious
 
     def true_nodes(self, table: TypeTable) -> frozenset[int]:
         """N(T): all nodes except the fictitious endpoints of noise edges."""
@@ -212,12 +291,12 @@ class DecoratedTree:
 
     def leaf_nodes(self, table: TypeTable) -> frozenset[int]:
         """L(T): parents of noise edges, with their inherited noise types."""
-        return frozenset(p for (p, c), t in self._edges if table.is_noise(t))
+        return frozenset(p for p, _ in self.noise_edges(table))
 
     def leaf_type(self, u: int, table: TypeTable) -> str:
         for e in self.children(u):
-            if table.is_noise(self._types[e]):
-                return self._types[e]
+            if table.is_noise(self._shape.types[e]):
+                return self._shape.types[e]
         raise KeyError(f"node {u} carries no noise edge")
 
     def color_of_node(self, u: int) -> int:
@@ -237,19 +316,26 @@ class DecoratedTree:
     def has_coloring(self) -> bool:
         return not (self.hat1.is_empty() and self.hat2.is_empty())
 
+    def hat1_components(self) -> list[SubForest]:
+        """The connected components of the color-1 forest, found on first
+        use."""
+        if self._hat1_comps is None:
+            self._hat1_comps = self.subforest_components(self.hat1)
+        return self._hat1_comps
+
     def with_(self, **labels):
         """This tree with some of `node_dec`, `edge_dec`, `hat1`, `hat2` and
-        `o_label` replaced.  The result shares this tree's sorted edges and
-        children and parent maps, and is checked all the same."""
+        `o_label` replaced.  The result shares this tree's shape; the shape
+        is checked once, the new labels every time."""
         labels = {
             "node_dec": self._nd, "edge_dec": self._ed, "hat1": self.hat1, "hat2": self.hat2,
             "o_label": self._ol, **labels,
         }
         out = object.__new__(DecoratedTree)
-        out.root, out._edges, out._types = self.root, self._edges, self._types
-        out._children, out._parent = self._children, self._parent
+        out.root, out._shape = self.root, self._shape
         out._label(**labels)
-        out._check(None)
+        out._shape.check()
+        out._check_labels()
         return out
 
     def __eq__(self, other) -> bool:
@@ -263,7 +349,7 @@ class DecoratedTree:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"DecoratedTree(root={self.root}, edges={len(self._edges)})"
+        return f"DecoratedTree(root={self.root}, edges={len(self._shape.edges)})"
 
     # -- homogeneities -----------------------------------------------------
 
@@ -271,7 +357,7 @@ class DecoratedTree:
         """|.|_s of this tree: the edges and the node labels of its true
         nodes."""
         total = Fraction(0)
-        for e, t in self._edges:
+        for e, t in self._shape.edges:
             total += table.hom(t) - Fraction(self.edge_dec(e).sdeg(table.scaling))
         for u in self.true_nodes(table):
             total += Fraction(self.node_dec(u).sdeg(table.scaling))
@@ -280,19 +366,20 @@ class DecoratedTree:
     # -- canonical forms ---------------------------------------------------
 
     def _edge_code(self, e: EdgeKey, codes: dict[int, tuple]) -> tuple:
-        return (self._types[e], self.edge_dec(e).entries, self.color_of_edge(e), codes[e[1]])
+        return (self._shape.types[e], self.edge_dec(e).entries, self.color_of_edge(e), codes[e[1]])
 
     def _node_codes(self) -> dict[int, tuple]:
         """The AHU code of every node, built bottom-up on first use."""
         if self._codes is None:
             codes: dict[int, tuple] = {}
+            children = self._shape.children
             for u in reversed(self.top_down()):
                 o = self.o_label(u)
                 codes[u] = (
                     self.node_dec(u).entries,
                     self.color_of_node(u),
                     (o.zd, o.types),
-                    tuple(sorted(self._edge_code(e, codes) for e in self._children[u])),
+                    tuple(sorted(self._edge_code(e, codes) for e in children[u])),
                 )
             self._codes = codes
         return self._codes
@@ -316,7 +403,7 @@ class DecoratedTree:
         while stack:  # preorder, children in the order of their codes
             u = stack.pop()
             ren[u] = len(ren)
-            kids = sorted(self._children[u], key=lambda e: self._edge_code(e, codes))
+            kids = sorted(self._shape.children[u], key=lambda e: self._edge_code(e, codes))
             stack.extend(c for _, c in reversed(kids))
         out = self.relabel(ren)
         out._codes = {ren[u]: code for u, code in codes.items()}
@@ -325,7 +412,7 @@ class DecoratedTree:
     def relabel(self, ren: Mapping[int, int]) -> "DecoratedTree":
         return DecoratedTree(
             root=ren[self.root],
-            edges={(ren[p], ren[c]): t for (p, c), t in self._edges},
+            edges={(ren[p], ren[c]): t for (p, c), t in self._shape.edges},
             node_dec={ren[u]: k for u, k in self._ndec},
             edge_dec={(ren[p], ren[c]): k for (p, c), k in self._edec},
             hat1=SubForest(
@@ -391,7 +478,7 @@ class DecoratedTree:
         root = self.subtree_root(sf)
         return DecoratedTree(
             root=root,
-            edges={e: t for e, t in self._edges if e in sf.edges},
+            edges={e: t for e, t in self._shape.edges if e in sf.edges},
             node_dec={u: k for u, k in self._ndec if u in sf.nodes},
             edge_dec={e: k for e, k in self._edec if e in sf.edges},
             hat1=SubForest(self.hat1.nodes & sf.nodes, self.hat1.edges & sf.edges),
@@ -401,7 +488,7 @@ class DecoratedTree:
         )
 
     def full_subforest(self) -> SubForest:
-        return SubForest(self.nodes, frozenset(e for e, _ in self._edges))
+        return SubForest(self.nodes, self.edge_set)
 
     def rooted_edge_sets(
         self, r: int, edges: Optional[frozenset[EdgeKey]] = None
@@ -411,7 +498,8 @@ class DecoratedTree:
         either left out with its whole branch or taken, and then its child's
         edges join the frontier."""
         children = {
-            u: [e for e in kids if edges is None or e in edges] for u, kids in self._children.items()
+            u: [e for e in kids if edges is None or e in edges]
+            for u, kids in self._shape.children.items()
         }
 
         def rec(frontier: list[EdgeKey], acc: frozenset[EdgeKey]):
@@ -424,6 +512,24 @@ class DecoratedTree:
 
         return rec(children[r], frozenset())
 
+    def rooted_subtrees(self, table: TypeTable) -> tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]:
+        """Every subtree S holding the root, the trivial one included, with
+        its boundary: the kernel edges outside S whose parent lies in S.  S
+        is determined by its kernel edges; the noise edges ride along with
+        their parent nodes (a noise is an attribute of its node).  Listed in
+        `rooted_edge_sets` order, once per shape and table."""
+        facts = self._shape.facts(table)
+        if facts.rooted is None:
+            out = []
+            for acc in self.rooted_edge_sets(self.root, frozenset(facts.kernel)):
+                nodes = {self.root, *itertools.chain.from_iterable(acc)}
+                edges = acc.union(e for e in facts.noise if e[0] in nodes)
+                nodes = frozenset(nodes.union(c for _, c in edges))
+                boundary = tuple(e for e in facts.kernel if e not in edges and e[0] in nodes)
+                out.append((SubForest(nodes, edges), boundary))
+            facts.rooted = tuple(out)
+        return facts.rooted
+
     def all_subtrees(self) -> list[SubForest]:
         """Every nonempty connected edge set with its induced node set, each
         listed once from its top node; sorted by `SubForest.sort_key`.  The
@@ -433,7 +539,7 @@ class DecoratedTree:
         non-leaf true node of the subtree when its noise edge is omitted.
         """
         out = []
-        for r in self._children:
+        for r in self._shape.children:
             for edges in self.rooted_edge_sets(r):
                 if edges:
                     out.append(SubForest(frozenset(itertools.chain.from_iterable(edges)), edges))
@@ -447,7 +553,7 @@ class DecoratedTree:
         extended label o is discarded.  The result is a plain decorated tree.
         """
         gv: dict[int, int] = {}
-        for comp in self.subforest_components(self.hat1):
+        for comp in self.hat1_components():
             r = self.subtree_root(comp)
             for u in comp.nodes:
                 gv[u] = r
@@ -457,7 +563,7 @@ class DecoratedTree:
             gv.setdefault(u, u)
         new_edges = {}
         new_edec = {}
-        for e, t in self._edges:
+        for e, t in self._shape.edges:
             if e in self.hat1.edges or e in self.hat2.edges:
                 continue
             p, c = gv[e[0]], gv[e[1]]

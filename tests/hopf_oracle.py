@@ -1,7 +1,8 @@
 """The slow paths that `hopf` replaced, kept as test oracles: extractions
 built from every connected edge set of the tree rather than from the listed
 divergent subtrees, the negative antipode of a forest as a fold of slotwise
-tensor products and key maps, the recentering bounds found by building a
+tensor products and key maps, the negative antipode listing the divergent
+subtrees of every piece it visits, the recentering bounds found by building a
 probe tree and restricting it to each dangling up-tree, and Delta_+ and the
 positive antipode each with its own recentering loop."""
 from __future__ import annotations
@@ -27,6 +28,7 @@ from renormforest.hopf import (
     _extractions,
     _node_choices,
     _plus_colored,
+    _product,
     _remainder,
     _shifted,
     delta_minus,
@@ -160,6 +162,36 @@ class AntipodeMinusFold:
 
 def antipode_minus_fold(pieces: Sequence[DecoratedTree], table: TypeTable) -> FormalSum:
     return AntipodeMinusFold(table).forest(pieces)
+
+
+class AntipodeMinusPerPiece:
+    """`hopf._AntipodeMinus` as it was before it read each piece's divergent
+    subtrees off the ambient tree's list: `_extractions` lists them anew for
+    every piece, with `div_enumerate`.  `memo` holds every piece the
+    recursion visited."""
+
+    def __init__(self, table: TypeTable):
+        self.table = table
+        self.memo: dict[DecoratedTree, FormalSum] = {}
+
+    def forest(self, pieces: Sequence[DecoratedTree], extra: tuple = ()) -> FormalSum:
+        return _product(
+            [self.tree(p) for p in pieces],
+            lambda keys: (sorted_pieces(itertools.chain(extra, *(k for (k,) in keys))),),
+        )
+
+    def tree(self, piece: DecoratedTree) -> FormalSum:
+        if piece in self.memo:
+            return self.memo[piece]
+        if not in_X_minus(piece, self.table):
+            raise ValueError("negative antipode applied outside X_-")
+        terms = []
+        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, proper=True):
+            residual = _remainder(piece, sub, nd, ed, o_label=False)
+            terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (residual,)).items())
+        result = FormalSum(terms)
+        self.memo[piece] = result
+        return result
 
 
 def extraction_multiset(rows) -> Counter:
@@ -300,7 +332,7 @@ def abar2(piece: DecoratedTree, table: TypeTable) -> list[SubForest]:
     danglers = dangling_trees(piece, piece.hat2, table)
     return [
         s
-        for s in _admissible_rooted(piece, table)
+        for s, _ in _admissible_rooted(piece, table)
         if piece.hat2.nodes <= s.nodes
         and piece.hat2.edges <= s.edges
         and s.edges != piece.hat2.edges
@@ -315,7 +347,7 @@ def recentering_cases(t: DecoratedTree, table: TypeTable) -> Iterator[tuple[Deco
     runs on, with its recentered subtrees."""
     anti_plus = _AntipodePlus(table)
     for _, remainder in delta_minus(t, table).keys():
-        for s in _admissible_rooted(remainder, table):
+        for s, _ in _admissible_rooted(remainder, table):
             yield remainder, s
         for _, rec_piece in delta_plus(remainder, table).keys():
             anti_plus.run(rec_piece)
@@ -333,7 +365,7 @@ def delta_plus_loop(piece: DecoratedTree, table: TypeTable) -> FormalSum:
     fict = piece.fictitious_nodes(table)
     up = up_hom_table(piece, table)
     terms = []
-    for s in _admissible_rooted(piece, table):
+    for s, _ in _admissible_rooted(piece, table):
         boundary = _boundary(piece, s.nodes, s.edges, table)
         headroom = _dangle_headroom(boundary, up)
         if headroom is None:

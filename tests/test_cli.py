@@ -113,6 +113,20 @@ def test_malformed_configs_are_config_errors(config, tmp_path, capsys, monkeypat
     assert captured.err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("command", [["generate"], ["bphz", "T0"]])
+def test_supercritical_config_is_a_config_error(command, tmp_path, capsys, monkeypatch):
+    """phi4_3 with |Xi| = -4 fails the subcriticality test: the basis is
+    never built, and the command exits 2 with a config error that names no
+    Python parameter."""
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(with_changes("phi4_3", **{"types.noises": {"Xi": "-4"}})))
+    assert cli.main(["--config", str(path), *command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: the rule failed the subcriticality fixpoint test\n"
+
+
 def config_fields(value, path=()):
     """The path of every field and list item below a configuration value."""
     if isinstance(value, dict):

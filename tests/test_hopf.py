@@ -28,6 +28,7 @@ from hopf_oracle import (
     recentering_cases,
     tensor,
 )
+from renormforest import forests as fo
 from renormforest.forests import cut_enumerate, div_enumerate, sigma_negative
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
@@ -157,9 +158,10 @@ def test_antipode_minus_base_and_cherry(phi4):
     -cherry and to 11 terms that extract its lone and planted noises: the
     antipode extracts every divergent subtree, vanishing constants
     included."""
-    assert _AntipodeMinus(phi4.table).forest(()) == FormalSum.single(((),))
+    anti_minus = _AntipodeMinus(phi4.table, div_enumerate(phi4.t111, phi4.table))
+    assert anti_minus.forest(()) == FormalSum.single(((),))
     cherry_piece = phi4.t111.restrict(cherry_subtrees(phi4.t111, phi4.table)[0])
-    out = _AntipodeMinus(phi4.table).forest((cherry_piece,))
+    out = anti_minus.forest((cherry_piece,))
     assert len(out) == 12
     assert out.coeff(((cherry_piece,),)) == -1
 
@@ -173,9 +175,10 @@ def test_antipode_minus_multiplicative(phi4):
         c for c in cherries if t.root not in c.nodes
     ][:1]
     pieces = tuple(t.restrict(s) for s in pair)
-    both = _AntipodeMinus(table).forest(pieces)
-    a = _AntipodeMinus(table).forest((pieces[0],))
-    b = _AntipodeMinus(table).forest((pieces[1],))
+    listed = div_enumerate(t, table)
+    both = _AntipodeMinus(table, listed).forest(pieces)
+    a = _AntipodeMinus(table, listed).forest((pieces[0],))
+    b = _AntipodeMinus(table, listed).forest((pieces[1],))
     merged = map_keys(tensor(a, b), lambda k: (sorted_pieces(k[0] + k[1]),))
     assert both == merged
 
@@ -186,6 +189,78 @@ def workbenches():
         m: Workbench(parse_config((ROOT / "configs" / f"{m}.json").read_text(encoding="utf-8")))
         for m in BPHZ_TERMS
     }
+
+
+def assert_listed_antipode_matches_per_piece(t, table, forests):
+    """A_- reading each piece's divergent subtrees off the full list of `t`
+    equals the oracle that lists them anew for each piece, on every forest
+    of `forests`; and for every piece the oracle's recursion visits, the
+    entries of the list inside the piece are `div_enumerate` of the piece,
+    in the same order."""
+    listed = div_enumerate(t, table)
+    anti_minus, oracle = _AntipodeMinus(table, listed), hopf_oracle.AntipodeMinusPerPiece(table)
+    for forest in forests:
+        assert anti_minus.forest(forest) == oracle.forest(forest)
+    for piece in oracle.memo:
+        assert [(c, w) for c, w in listed if c.edges <= piece.edge_set] == div_enumerate(piece, table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(decorated_trees(max_edges=7), st.data())
+def test_listed_antipode_matches_per_piece_listing(t, data):
+    """One forest that Delta_- extracts from a random tree, drawn as in
+    `test_antipode_minus_matches_tensor_fold`: forests of at most four edges
+    in all, from trees of at most seven.  Checking every piece of at most
+    four edges instead took 75 s on one drawn tree of ten edges, whose 701
+    such pieces carry the random decorations' budgets."""
+    table = KPZ.table
+    forests = sorted(
+        {
+            extracted
+            for (extracted, _), _ in delta_minus(t, table).items()
+            if sum(len(p.edge_items) for p in extracted) <= 4
+        },
+        key=lambda f: (-len(f), repr([p.embedded_key() for p in f])),
+    )
+    assert_listed_antipode_matches_per_piece(t, table, [data.draw(st.sampled_from(forests))])
+
+
+@pytest.mark.parametrize("model,tree_id", TREES, ids=[f"{m}-{t}" for m, t in TREES])
+def test_listed_antipode_matches_per_piece_listing_on_basis_trees(workbenches, model, tree_id):
+    """Every forest that the expansion of a basis tree extracts."""
+    wb = workbenches[model]
+    t, table = wb.tree_by_id(tree_id), wb.config.table
+    forests = {extracted for (extracted, _), _ in delta_minus(t, table).items()}
+    assert_listed_antipode_matches_per_piece(t, table, forests)
+
+
+def test_expansion_lists_divergences_and_rooted_subtrees_once(workbenches, monkeypatch):
+    """On a freshly built copy of KPZ T5, whose shape has worked out
+    nothing yet, `bphz_expansion` lists the tree's divergent subtrees once
+    (`all_subtrees` calls `rooted_edge_sets` once per node) and its rooted
+    subtrees once, however many pieces the antipodes and Delta_+ visit."""
+    wb = workbenches["kpz"]
+    table, basis = wb.config.table, wb.tree_by_id("T5")
+    t = DecoratedTree(
+        basis.root, basis.edges, dict(basis.node_dec_items), dict(basis.edge_dec_items), table=table
+    )
+    div_calls, rooted_calls = [], []
+    div_enumerate, rooted_edge_sets = fo.div_enumerate, DecoratedTree.rooted_edge_sets
+
+    def counted_div_enumerate(tree, *args):
+        div_calls.append(tree)
+        return div_enumerate(tree, *args)
+
+    def counted_rooted_edge_sets(tree, r, *args):
+        rooted_calls.append((r, args))
+        return rooted_edge_sets(tree, r, *args)
+
+    monkeypatch.setattr(fo, "div_enumerate", counted_div_enumerate)
+    monkeypatch.setattr(DecoratedTree, "rooted_edge_sets", counted_rooted_edge_sets)
+    assert len(bphz_expansion(t, table)) == BPHZ_TERMS["kpz"][5]
+    assert div_calls == [t]
+    assert [r for r, args in rooted_calls if args] == [t.root]
+    assert len(rooted_calls) == len(t.nodes) + 1
 
 
 @pytest.mark.parametrize("model,tree_id", TREES, ids=[f"{m}-{t}" for m, t in TREES])
@@ -222,7 +297,9 @@ def assert_x_plus_matches_probe(piece, table):
     probe = {e: recentered_plus_hom(piece, up_tree(piece, e), table) for e in f_slots}
     got = _dangle_headroom(f_slots, up_hom_table(piece, table))
     assert got == (probe if all(h > 0 for h in probe.values()) else None)
-    assert list(_AntipodePlus(table)._abar2(piece, f_slots)) == hopf_oracle.abar2(piece, table)
+    abar2 = list(_AntipodePlus(table)._abar2(piece, f_slots))
+    assert [s for s, _ in abar2] == hopf_oracle.abar2(piece, table)
+    assert all(list(b) == _boundary(piece, s.nodes, s.edges, table) for s, b in abar2)
 
 
 def test_recentering_bounds_match_probe_trees(workbenches):
@@ -252,7 +329,7 @@ def test_recentering_bounds_match_probe_on_random_trees(piece):
     table = KPZ.table
     if piece.hat2.nodes:
         assert_x_plus_matches_probe(piece, table)
-    for s in _admissible_rooted(piece, table):
+    for s, _ in _admissible_rooted(piece, table):
         if piece.hat2.nodes <= s.nodes and piece.hat2.edges <= s.edges:
             assert_headroom_matches_probe(piece, s, table)
     plain = piece.with_(hat1=EMPTY_SUBFOREST, hat2=EMPTY_SUBFOREST, o_label={})
@@ -385,7 +462,7 @@ def test_negative_forest_expansion(phi4, kpz):
             )
             if not all(in_X_minus(p, table) for p in pieces):
                 continue
-            out = _AntipodeMinus(table).forest(pieces)
+            out = _AntipodeMinus(table, div_enumerate(tree, table)).forest(pieces)
             allowed = {
                 sigma_negative(tree, g): g for g in forests_with_max(divs, f_max)
             }

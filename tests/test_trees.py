@@ -29,7 +29,7 @@ from renormforest.trees import (
     tree_product,
 )
 from renormforest.workbench import Workbench, parse_config
-from hopf_oracle import plus_homogeneity
+from hopf_oracle import connected_edge_sets, plus_homogeneity
 from tree_oracle import code, embedded_key, relabel_canonical, scan
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -275,3 +275,122 @@ def test_indexed_tree_matches_scans(t, data):
         x = min(t.nodes - {t.parent(c)})
         with pytest.raises(StructureError):
             DecoratedTree(edited.root, {**edited.edges, (x, c): "t"}, **args)
+
+
+# -- the shape a tree shares with its `with_` copies ----------------------------
+
+
+def shape_facts(t: DecoratedTree, table) -> tuple:
+    return (
+        t.top_down(),
+        t.nodes,
+        t.edge_set,
+        t.kernel_edges(table),
+        t.noise_edges(table),
+        t.fictitious_nodes(table),
+        t.rooted_subtrees(table),
+    )
+
+
+def rooted_subtrees_oracle(t: DecoratedTree, table) -> set:
+    """(nodes, edges, boundary) of every subtree that holds the root and
+    every noise edge of its nodes, from every connected edge set; the
+    boundary is the kernel edges outside it whose parent lies in it."""
+    noise = {e for e, ty in t.edge_items if table.is_noise(ty)}
+    out = set()
+    for edges in itertools.chain([frozenset()], connected_edge_sets(t)):
+        ends = frozenset(itertools.chain.from_iterable(edges))
+        if edges and t.root not in ends:
+            continue
+        nodes = ends | {t.root}
+        if any(e not in edges for e in noise if e[0] in nodes):
+            continue
+        boundary = tuple(
+            e for e, ty in t.edge_items if table.is_kernel(ty) and e not in edges and e[0] in nodes
+        )
+        out.add((nodes, edges, boundary))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(colored_trees(), st.data())
+def test_shape_facts_of_a_copy_match_a_fresh_tree(t, data):
+    """A random `with_` edit of a random colored tree, whose shape has or
+    has not worked out its facts first: the copy's `top_down`, node and
+    edge sets, kernel and noise edges, fictitious nodes and rooted subtrees
+    equal those of a freshly built equal tree and those of scans, and its
+    color-1 components are `subforest_components` of its color-1 forest."""
+    table = KPZ.table
+    if data.draw(st.booleans()):
+        shape_facts(t, table)
+    other = data.draw(colored_trees(base=t))
+    parts = {
+        "node_dec": {"node_dec": dict(other.node_dec_items)},
+        "edge_dec": {"edge_dec": {e: data.draw(multiindices()) for e in t.kernel_edges(table)}},
+        "coloring": {"hat1": other.hat1, "hat2": other.hat2, "o_label": dict(other.o_label_items)},
+    }
+    edit = {}
+    for name in data.draw(st.sets(st.sampled_from(sorted(parts)))):
+        edit.update(parts[name])
+    edited = t.with_(**edit)
+    fresh = DecoratedTree(
+        t.root,
+        t.edges,
+        **{
+            "node_dec": dict(t.node_dec_items),
+            "edge_dec": dict(t.edge_dec_items),
+            "hat1": t.hat1,
+            "hat2": t.hat2,
+            "o_label": dict(t.o_label_items),
+            **edit,
+        },
+        table=table,
+    )
+    assert edited == fresh
+    assert shape_facts(edited, table) == shape_facts(fresh, table)
+    order = edited.top_down()
+    assert sorted(order) == sorted(fresh.nodes)
+    assert all(order.index(p) < order.index(c) for (p, c), _ in fresh.edge_items)
+    assert edited.edge_set == frozenset(fresh.edges)
+    assert edited.kernel_edges(table) == tuple(e for e, ty in fresh.edge_items if ty == "t")
+    assert edited.noise_edges(table) == tuple(e for e, ty in fresh.edge_items if ty == "l")
+    assert edited.fictitious_nodes(table) == frozenset(c for (_, c), ty in fresh.edge_items if ty == "l")
+    rooted = [(s.nodes, s.edges, b) for s, b in edited.rooted_subtrees(table)]
+    assert len(set(rooted)) == len(rooted)
+    assert set(rooted) == rooted_subtrees_oracle(fresh, table)
+    assert edited.hat1_components() == fresh.subforest_components(fresh.hat1)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [{(0, 1): "t", (2, 3): "t"}, {(1, 0): "t"}],
+    ids=["disconnected", "edge-into-root"],
+)
+def test_with_checks_an_unchecked_shape(edges):
+    """A malformed shape built with check=False is refused by `with_`, the
+    first time and again after."""
+    t = DecoratedTree(root=0, edges=edges, check=False)
+    for _ in range(2):
+        with pytest.raises(StructureError):
+            t.with_(node_dec={0: MultiIndex({0: 1})})
+
+
+def test_shape_facts_are_kept_per_table(phi4):
+    """One shape read under KPZ's table and under phi4_3's, in turn and
+    through two trees that share it: each table gets its own kernel and
+    noise edges, fictitious nodes and rooted subtrees."""
+    kpz, phi = KPZ.table, phi4.table
+    t = DecoratedTree(root=0, edges={(0, 1): "t", (1, 2): "l", (0, 3): "I", (3, 4): "Xi"}, check=False)
+    copy = t.with_(node_dec={1: MultiIndex({0: 1})})
+    want = {
+        "kpz": (((0, 1),), ((1, 2),), {2}, [({0}, set(), ((0, 1),)), ({0, 1, 2}, {(0, 1), (1, 2)}, ())]),
+        "phi": (((0, 3),), ((3, 4),), {4}, [({0}, set(), ((0, 3),)), ({0, 3, 4}, {(0, 3), (3, 4)}, ())]),
+    }
+    tables = {"kpz": kpz, "phi": phi}
+    for tree, name in ((t, "kpz"), (copy, "phi"), (copy, "kpz"), (t, "phi")):
+        table = tables[name]
+        kernel, noise_edges, fictitious, rooted = want[name]
+        assert tree.kernel_edges(table) == kernel
+        assert tree.noise_edges(table) == noise_edges
+        assert tree.fictitious_nodes(table) == fictitious
+        assert [(s.nodes, s.edges, b) for s, b in tree.rooted_subtrees(table)] == rooted
