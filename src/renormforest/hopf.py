@@ -9,20 +9,21 @@ edge decoration k, so a coefficient is an `int` unless such a factorial
 leaves a remainder, and then a `Fraction`.
 
 Each enumeration is written once.  Delta_- and A_- extract forests of
-pairwise disjoint candidate subtrees (`_extractions`); the candidates are a
-list of divergent subtrees as `forests.div_enumerate` lists them, every one
-by default, the effective ones where the caller passes them.  An expansion
-lists its tree's divergent subtrees once, and A_- reads those of each piece
-off that full list: the entries whose edges lie inside the piece.  Each
-candidate's decorations are enumerated once per tree, and A_- is one
-product over a forest's pieces.  Delta_+ and A_+ recenter a piece around
-rooted subtrees (`_recenterings`).  Every piece they recenter is a `with_`
-copy of the expanded tree, so the shared shape lists the rooted subtrees and
-their boundaries once (`DecoratedTree.rooted_subtrees`), and each piece only
-filters them by its color-1 components, found once per piece.  Recentering
-changes no label above the subtree, so the bound on each boundary edge's
-decoration, and the X_+ test of each dangling tree, read the piece's
-up-tree table (`trees.up_hom_table`), built once per piece.
+pairwise disjoint candidate subtrees (`_extractions`); the candidates are
+the caller's list of the tree's divergent subtrees: every one for the
+expansion, the effective ones for the counterterm report, whose constants
+are the BPHZ character l = E Pi A_- of the extracted pieces.  The list is
+made once per tree, and A_- reads those of each piece off it: the entries
+whose edges lie inside the piece.  Each candidate's decorations are
+enumerated once per tree, and A_- is one product over a forest's pieces.
+Delta_+ and A_+ recenter a piece around rooted subtrees (`_recenterings`).
+Every piece they recenter is a `with_` copy of the expanded tree, so the
+shared shape lists the rooted subtrees and their boundaries once
+(`DecoratedTree.rooted_subtrees`), and each piece only filters them by its
+color-1 components, found once per piece.  Recentering changes no label
+above the subtree, so the bound on each boundary edge's decoration, and the
+X_+ test of each dangling tree, read the piece's up-tree table
+(`trees.up_hom_table`), built once per piece.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from . import forests as fo
-from .forests import irreducible_partition_exists
 from .formal import Coefficient, FormalSum, exact, exact_div
 from .rules import CumulantSet
 from .scaling import (
@@ -153,27 +153,26 @@ def _boundary(t: DecoratedTree, nodes: frozenset[int], edges: frozenset[EdgeKey]
 def _extractions(
     t: DecoratedTree,
     table: TypeTable,
+    candidates: Sequence[tuple[SubForest, Fraction]],
     proper: bool = False,
-    candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
 ) -> Iterator[tuple[SubForest, Coefficient, list[DecoratedTree], dict, dict]]:
     """Every extraction of a forest of pairwise node-disjoint candidates
     from an uncolored tree, with every choice of decorations n_G, e_G.
 
-    The candidates are (subtree, omega) pairs in `div_enumerate`'s order:
-    by default every connected subtree with omega > 0, under
-    `div_enumerate`'s default cap.  A caller that extracts only the subtrees
-    whose renormalization constant does not vanish identically, or that
-    lists them under its own cap, passes its list.  With `proper`, the whole
-    tree is no candidate (the antipode's recursion).  Each candidate's
-    decorations are enumerated once, and its extracted pieces are built once.
+    The candidates are divergent subtrees of the tree, as (subtree, omega)
+    pairs in `div_enumerate`'s order: any list of them, such as every one
+    (`TreeAnalysis.all_divergences`) or the effective ones, whose
+    renormalization constant does not vanish identically
+    (`TreeAnalysis.divergences`).  Exactly the listed subtrees are
+    extracted.  With `proper`, the whole tree is no candidate (the
+    antipode's recursion).  Each candidate's decorations are enumerated
+    once, and its extracted pieces are built once.
 
     Yields (G, coefficient, extracted pieces in candidate order, n_G, e_G);
     the empty forest comes first, with no pieces.
     """
     full_edges = t.edge_set
     options = []
-    if candidates is None:
-        candidates = fo.div_enumerate(t, table)
     for c, omega in candidates:
         if proper and c.edges == full_edges:
             continue
@@ -228,20 +227,20 @@ def _remainder(
 def delta_minus(
     t: DecoratedTree,
     table: TypeTable,
-    candidates: Optional[Sequence[tuple[SubForest, Fraction]]] = None,
+    candidates: Sequence[tuple[SubForest, Fraction]],
 ) -> FormalSum:
     """The extraction coaction on an uncolored tree: a sum of
     (extracted forest, colored remainder) pairs.
 
-    Every forest of candidates is extracted with every decoration that keeps
-    its components in X_-.  The candidates are every divergent subtree by
-    default, or the caller's list of them (see `_extractions`).
+    Every forest of candidates, the caller's list of the tree's divergent
+    subtrees (see `_extractions`), is extracted with every decoration that
+    keeps its components in X_-.
     """
     if t.has_coloring():
         raise ValueError("the negative coaction acts on uncolored trees")
     return FormalSum(
         ((sorted_pieces(pieces), _remainder(t, sub, nd, ed, o_label=True)), coeff)
-        for sub, coeff, pieces, nd, ed in _extractions(t, table, candidates=candidates)
+        for sub, coeff, pieces, nd, ed in _extractions(t, table, candidates)
     )
 
 
@@ -262,9 +261,13 @@ class _AntipodeMinus:
     """A_- on forests of X_- trees, memoized per tree: colored forests.
 
     Every piece is a piece of one ambient tree, with the ambient's edges and
-    edge labels, and omega reads nothing but those.  So the divergent
-    subtrees of a piece are the entries of the ambient's full list `listed`
-    (`div_enumerate`'s, in its order) whose edges lie inside the piece."""
+    edge labels.  `listed` is a list of the ambient's divergent subtrees, in
+    `div_enumerate`'s order, and A_- extracts from a piece exactly the
+    entries whose edges lie inside it.  Omega reads nothing but edges and
+    edge labels, and neither does effectiveness
+    (`forests.irreducible_partition_exists`).  So given every divergent
+    subtree of the ambient, A_- extracts every divergent subtree of each
+    piece; given the effective ones, every effective one."""
 
     def __init__(self, table: TypeTable, listed: Sequence[tuple[SubForest, Fraction]]):
         self.table = table
@@ -286,7 +289,7 @@ class _AntipodeMinus:
             raise ValueError("negative antipode applied outside X_-")
         inside = [(c, w) for c, w in self.listed if c.edges <= piece.edge_set]
         terms = []
-        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, True, inside):
+        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, inside, proper=True):
             residual = _remainder(piece, sub, nd, ed, o_label=False)
             terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (residual,)).items())
         result = FormalSum(terms)
@@ -545,41 +548,16 @@ def _bare_constant_key(piece: DecoratedTree, table: TypeTable, cum: CumulantSet)
     return plain.canonical_code()
 
 
-class _RenormalizedConstant:
-    """Evaluation of the expectation of the negative antipode of a divergent
-    tree, as a formal combination of opaque expectation symbols.
-
-    Applies the vanishing filter recursively: an extracted class whose
-    admissible partitions are all pendant-reducible contributes zero.
-    """
-
-    def __init__(self, table: TypeTable, cum: CumulantSet):
-        self.table = table
-        self.cum = cum
-        self.memo: dict[tuple, FormalSum] = {}
-
-    def of(self, piece: DecoratedTree, code: Optional[tuple] = None) -> FormalSum:
-        """The expansion of one piece; `code` is its canonical code, when
-        the caller already has it."""
-        if code is None:
-            code = piece.relabel_canonical().canonical_code()
-        if code in self.memo:
-            return self.memo[code]
-        terms = []
-        if irreducible_partition_exists(piece, piece.full_subforest(), self.cum):
-            for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, proper=True):
-                factors = [self.of(p) for p in pieces]
-                if any(f.is_zero() for f in factors):
-                    continue
-                residual = _remainder(piece, sub, nd, ed, o_label=False)
-                ckey = _bare_constant_key(residual, self.table, self.cum)
-                if ckey is None:
-                    continue
-                product = _product(factors, lambda keys: tuple(sorted(itertools.chain((ckey,), *keys))))
-                terms.extend((k, -coeff * c) for k, c in product.items())
-        res = FormalSum(terms)
-        self.memo[code] = res
-        return res
+def _expectation(forests: FormalSum, table: TypeTable, cum: CumulantSet) -> FormalSum:
+    """E Pi on the output of A_-: each colored forest becomes the sorted
+    keys of its trees' contracted expectation symbols, and a forest with a
+    vanishing symbol is dropped."""
+    terms = []
+    for (forest,), c in forests.items():
+        keys = [_bare_constant_key(p, table, cum) for p in forest]
+        if None not in keys:
+            terms.append((tuple(sorted(keys)), c))
+    return FormalSum(terms)
 
 
 @dataclass(frozen=True)
@@ -604,15 +582,19 @@ def counterterm_report(
     """Group the renormalized expansion of an uncolored tree into
     counterterm monomials: (constant product, exact coefficient, residual).
 
-    Counterterm constants attach per extracted iso class; a class whose
-    nested expansion is the bare expectation appears as C[.], one with
-    genuine nested corrections as C'[.].
-    The extractions run over `candidates`, the tree's effective divergent
-    subtrees (`TreeAnalysis.divergences`).
+    Counterterm constants attach per extracted iso class: the BPHZ
+    character l = E Pi A_- of the piece.  A class whose constant is the
+    bare expectation appears as C[.], one with genuine nested corrections
+    as C'[.]; a monomial with a vanishing constant is left out.
+    Delta_- and A_- both extract from `candidates`, the tree's effective
+    divergent subtrees (`TreeAnalysis.divergences`).  The constant of any
+    other divergent subtree vanishes (every admissible partition of its
+    noises is pendant-reducible), and so does every term of A_- that
+    extracts one, which `_expectation` cannot tell.
     """
-    rc = _RenormalizedConstant(table, cum)
+    anti_minus = _AntipodeMinus(table, candidates)
     groups: dict[tuple, dict] = {}
-    dm = delta_minus(t, table, candidates=candidates)
+    dm = delta_minus(t, table, candidates)
     for (extracted, remainder), coeff in dm.items():
         if not extracted:
             continue
@@ -629,7 +611,7 @@ def counterterm_report(
         names_out = []
         dead = False
         for code, p in pieces:
-            expansion = rc.of(p, code)
+            expansion = _expectation(anti_minus.tree(p), table, cum)
             if expansion.is_zero():
                 dead = True
                 break

@@ -487,9 +487,6 @@ class DecoratedTree:
             check=False,
         )
 
-    def full_subforest(self) -> SubForest:
-        return SubForest(self.nodes, self.edge_set)
-
     def rooted_edge_sets(
         self, r: int, edges: Optional[frozenset[EdgeKey]] = None
     ) -> Iterator[frozenset[EdgeKey]]:

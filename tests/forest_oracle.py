@@ -206,7 +206,7 @@ def sigma_positive(
         if set(cuts) & s.edges:
             raise StructureError("forest must avoid the cut set")
     if not cuts:
-        full = t.full_subforest()
+        full = SubForest(t.nodes, t.edge_set)
         return (undecorated_piece(full, hat2=full),)
     levels = cut_depth_sets(t, cuts)
     k = len(levels)

@@ -2,30 +2,35 @@
 built from every connected edge set of the tree rather than from the listed
 divergent subtrees, the negative antipode of a forest as a fold of slotwise
 tensor products and key maps, the negative antipode listing the divergent
-subtrees of every piece it visits, the recentering bounds found by building a
+subtrees of every piece it visits, the counterterm constants by their own
+recursion with a vanishing filter and the counterterm report built on them,
+the recentering bounds found by building a
 probe tree and restricting it to each dangling up-tree, and Delta_+ and the
 positive antipode each with its own recentering loop."""
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from conftest import MAX_DIV
 from forest_oracle import dangling_trees, up_tree
-from renormforest.forests import irreducible_partition_exists
-from renormforest.formal import FormalSum
+from renormforest.forests import div_enumerate, irreducible_partition_exists
+from renormforest.formal import FormalSum, exact
 from renormforest.hopf import (
+    CountertermMonomial,
+    CountertermReport,
     _admissible_rooted,
     _AntipodePlus,
+    _bare_constant_key,
     _boundary,
     _chi,
     _dangle_headroom,
     _edge_choices,
     _extraction_decorations,
     _extractions,
+    _label_for,
     _node_choices,
     _plus_colored,
     _product,
@@ -84,18 +89,18 @@ def node_disjoint_families(pieces: list[SubForest]) -> Iterator[list[SubForest]]
     return rec(0, frozenset())
 
 
-def extractions(
+def extraction_options(
     t: DecoratedTree,
     table: TypeTable,
     proper: bool = False,
     vanishing: Optional[CumulantSet] = None,
-) -> Iterator[tuple[SubForest, Fraction, list[DecoratedTree], dict, dict]]:
-    """`hopf._extractions` without `div_enumerate`: every connected edge set
-    of the tree is a candidate piece, kept when its omega (the budget for
-    e_G) is positive, when it is not the whole tree under `proper` and when
-    its constant does not vanish under `vanishing`; each family of pairwise
-    node-disjoint kept pieces is extracted with every choice of their
-    decorations."""
+) -> dict[SubForest, list[tuple[dict, dict, Fraction, DecoratedTree]]]:
+    """The pieces `hopf._extractions` may extract, found without
+    `div_enumerate`: every connected edge set of the tree, kept when its
+    omega (the budget for e_G) is positive, when it is not the whole tree
+    under `proper` and when its constant does not vanish under `vanishing`;
+    each kept piece with its decoration options (n_G, e_G, coefficient,
+    extracted piece)."""
     full_edges = frozenset(e for e, _ in t.edge_items)
     options: dict[SubForest, list] = {}
     for edges in connected_edge_sets(t):
@@ -113,11 +118,28 @@ def extractions(
             for u, k in _chi(ed).items():
                 labels[u] = labels.get(u, ZERO_MI) + k
             options[c].append((nd, ed, cf, bare.with_(node_dec=labels)))
+    return options
+
+
+def union(comps: Sequence[SubForest]) -> SubForest:
+    return SubForest(
+        frozenset().union(*(c.nodes for c in comps)),
+        frozenset().union(*(c.edges for c in comps)),
+    )
+
+
+def extractions(
+    t: DecoratedTree,
+    table: TypeTable,
+    proper: bool = False,
+    vanishing: Optional[CumulantSet] = None,
+) -> Iterator[tuple[SubForest, Fraction, list[DecoratedTree], dict, dict]]:
+    """`hopf._extractions` without `div_enumerate`: each family of pairwise
+    node-disjoint pieces of `extraction_options` is extracted with every
+    choice of their decorations."""
+    options = extraction_options(t, table, proper, vanishing)
     for comps in node_disjoint_families(list(options)):
-        sub = SubForest(
-            frozenset().union(*(c.nodes for c in comps)),
-            frozenset().union(*(c.edges for c in comps)),
-        )
+        sub = union(comps)
         for chosen in itertools.product(*(options[c] for c in comps)):
             coeff = Fraction(1)
             ndec_all: dict[int, MultiIndex] = {}
@@ -127,6 +149,76 @@ def extractions(
                 ndec_all.update(nd)
                 edec_all.update(ed)
             yield sub, coeff, [piece for *_, piece in chosen], ndec_all, edec_all
+
+
+def assert_extractions_match(
+    t: DecoratedTree,
+    table: TypeTable,
+    proper: bool = False,
+    vanishing: Optional[CumulantSet] = None,
+) -> None:
+    """The rows of `hopf._extractions` are those of the oracle's
+    `extractions`, checked family by family without building the oracle's
+    rows.  `_extractions` is given every divergent subtree, or with
+    `vanishing` the effective ones of `TreeAnalysis.divergences`, against
+    which the oracle filters its edge sets itself.
+
+    Every row (G, coefficient, pieces, n_G, e_G) splits into one
+    decoration option of the oracle per component of G: the pieces are the
+    components of one oracle family, each component's labels in n_G (on its
+    nodes) and e_G (on the edges leaving it) are an option's, no other label
+    is set, and the coefficient and each piece are the options'.  The rows
+    of a family split into distinct choices, and their number is the
+    product of the sizes of the family's options.  So the families are
+    equal, a one-piece family's rows are exactly its candidate's options,
+    and every family's rows are the product of its candidates' options.  At
+    most one row more than the oracle counts is read, so a surplus shows
+    without enumerating a runaway product."""
+    options = extraction_options(t, table, proper, vanishing)
+    slots = {
+        c: (sorted(c.nodes), sorted(_boundary(t, c.nodes, c.edges, table))) for c in options
+    }
+
+    def choice(c: SubForest, nd: dict, ed: dict) -> tuple:
+        nodes, edges = slots[c]
+        return tuple(map(nd.get, nodes)), tuple(map(ed.get, edges))
+
+    # per candidate: its choice of labels -> (option index, coefficient,
+    # piece, number of labels set)
+    choices = {
+        c: {
+            choice(c, nd, ed): (i, exact(cf), piece, len(nd) + len(ed))
+            for i, (nd, ed, cf, piece) in enumerate(opts)
+        }
+        for c, opts in options.items()
+    }
+    assert all(len(choices[c]) == len(opts) for c, opts in options.items())
+    # per family G: its components by their top node
+    families = {
+        union(comps): {t.subtree_root(c): c for c in comps}
+        for comps in node_disjoint_families(list(options))
+    }
+    sizes = {
+        g: math.prod(len(options[c]) for c in comps.values()) for g, comps in families.items()
+    }
+    if vanishing is None:
+        candidates = div_enumerate(t, table)
+    else:
+        candidates = TreeAnalysis(t, table, vanishing, MAX_DIV).divergences
+    rows = _extractions(t, table, candidates, proper)
+    seen: dict[SubForest, set] = {g: set() for g in families}
+    for g, coeff, pieces, nd, ed in itertools.islice(rows, sum(sizes.values()) + 1):
+        comps = families.get(g)
+        assert comps is not None and sorted(p.root for p in pieces) == sorted(comps), g
+        want = [choices[comps[p.root]].get(choice(comps[p.root], nd, ed)) for p in pieces]
+        assert None not in want, (g, nd, ed)
+        assert sum(n for *_, n in want) == len(nd) + len(ed)
+        assert all(piece == p for (_, _, piece, _), p in zip(want, pieces))
+        assert coeff == math.prod(cf for _, cf, *_ in want)
+        split = tuple(i for i, *_ in want)
+        assert split not in seen[g], (g, nd, ed)
+        seen[g].add(split)
+    assert {g: len(x) for g, x in seen.items()} == sizes
 
 
 class AntipodeMinusFold:
@@ -186,7 +278,8 @@ class AntipodeMinusPerPiece:
         if not in_X_minus(piece, self.table):
             raise ValueError("negative antipode applied outside X_-")
         terms = []
-        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, proper=True):
+        listed = div_enumerate(piece, self.table)
+        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, listed, proper=True):
             residual = _remainder(piece, sub, nd, ed, o_label=False)
             terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (residual,)).items())
         result = FormalSum(terms)
@@ -194,46 +287,95 @@ class AntipodeMinusPerPiece:
         return result
 
 
-def extraction_multiset(rows) -> Counter:
-    """Extraction rows as a multiset that ignores the order of the rows and
-    of the pieces within a row: (G, coefficient, the pieces' embedded keys,
-    n_G, e_G) with their multiplicities.  Rows repeat their G and their
-    pieces, so the key of each distinct one is written out once."""
-    keys: dict = {}
+class RenormalizedConstant:
+    """`hopf._RenormalizedConstant` as it was before the counterterm report
+    computed each constant as E Pi A_- through `hopf._AntipodeMinus`: its
+    own recursion, which lists the divergent subtrees of every piece anew
+    and zeroes a piece whose constant vanishes, memoized per canonical code.
+    Its sums are keyed like `hopf._expectation`'s.
 
-    def key(x, write):
-        if x not in keys:
-            keys[x] = write(x)
-        return keys[x]
+    Evaluation of the expectation of the negative antipode of a divergent
+    tree, as a formal combination of opaque expectation symbols.
 
-    return Counter(
-        (
-            key(g, SubForest.sort_key),
-            coeff,
-            tuple(sorted(key(p, lambda p: repr(p.embedded_key())) for p in pieces)),
-            tuple(sorted(nd.items())),
-            tuple(sorted(ed.items())),
-        )
-        for g, coeff, pieces, nd, ed in rows
-    )
+    Applies the vanishing filter recursively: an extracted class whose
+    admissible partitions are all pendant-reducible contributes zero.
+    """
+
+    def __init__(self, table: TypeTable, cum: CumulantSet):
+        self.table = table
+        self.cum = cum
+        self.memo: dict[tuple, FormalSum] = {}
+
+    def of(self, piece: DecoratedTree, code: Optional[tuple] = None) -> FormalSum:
+        """The expansion of one piece; `code` is its canonical code, when
+        the caller already has it."""
+        if code is None:
+            code = piece.relabel_canonical().canonical_code()
+        if code in self.memo:
+            return self.memo[code]
+        terms = []
+        if irreducible_partition_exists(piece, SubForest(piece.nodes, piece.edge_set), self.cum):
+            listed = div_enumerate(piece, self.table)
+            for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, listed, proper=True):
+                factors = [self.of(p) for p in pieces]
+                if any(f.is_zero() for f in factors):
+                    continue
+                residual = _remainder(piece, sub, nd, ed, o_label=False)
+                ckey = _bare_constant_key(residual, self.table, self.cum)
+                if ckey is None:
+                    continue
+                product = _product(factors, lambda keys: tuple(sorted(itertools.chain((ckey,), *keys))))
+                terms.extend((k, -coeff * c) for k, c in product.items())
+        res = FormalSum(terms)
+        self.memo[code] = res
+        return res
 
 
-def extraction_multisets(
+def counterterm_report(
     t: DecoratedTree,
     table: TypeTable,
-    proper: bool = False,
-    vanishing: Optional[CumulantSet] = None,
-) -> tuple[Counter, Counter]:
-    """The multisets of the rows of `hopf._extractions` and of the oracle's
-    `extractions`.  With `vanishing`, `_extractions` is given the effective
-    divergent subtrees of `TreeAnalysis.divergences`, and the oracle filters
-    its edge sets itself.  At most one row more than the oracle yields is
-    read from `_extractions`, so a surplus shows without enumerating a
-    runaway product."""
-    want = list(extractions(t, table, proper, vanishing))
-    candidates = None if vanishing is None else TreeAnalysis(t, table, vanishing, MAX_DIV).divergences
-    got = itertools.islice(_extractions(t, table, proper, candidates), len(want) + 1)
-    return extraction_multiset(got), extraction_multiset(want)
+    cum: CumulantSet,
+    candidates: Sequence[tuple[SubForest, Fraction]],
+) -> CountertermReport:
+    """`hopf.counterterm_report` as it was before it computed each constant
+    as E Pi A_-: the constants come from `RenormalizedConstant`."""
+    rc = RenormalizedConstant(table, cum)
+    groups: dict[tuple, dict] = {}
+    dm = delta_minus(t, table, candidates=candidates)
+    for (extracted, remainder), coeff in dm.items():
+        if not extracted:
+            continue
+        residual = remainder.contract_colored(table).relabel_canonical()
+        codes = [p.relabel_canonical().canonical_code() for p in extracted]
+        key = (residual.canonical_code(), tuple(sorted(codes)))
+        g = groups.setdefault(
+            key, {"residual": residual, "pieces": list(zip(codes, extracted)), "coeff": 0}
+        )
+        g["coeff"] += coeff
+    monomials = []
+    for key, g in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+        pieces = g["pieces"]
+        names_out = []
+        dead = False
+        for code, p in pieces:
+            expansion = rc.of(p, code)
+            if expansion.is_zero():
+                dead = True
+                break
+            is_bare = len(expansion) == 1 and expansion.coeff((code,)) == -1
+            names_out.append(_label_for(code, None, renormalized=not is_bare))
+        if dead:
+            continue
+        sign = (-1) ** len(pieces)
+        monomials.append(
+            CountertermMonomial(
+                coefficient=exact(g["coeff"] * sign),
+                constants=tuple(sorted(names_out)),
+                residual=g["residual"],
+            )
+        )
+    monomials.sort(key=lambda m: (len(m.constants), m.constants, repr(m.residual.canonical_code())))
+    return CountertermReport(monomials=tuple(monomials))
 
 
 # -- recentering bounds by probe trees ----------------------------------------------
@@ -346,7 +488,7 @@ def recentering_cases(t: DecoratedTree, table: TypeTable) -> Iterator[tuple[Deco
     rooted subtrees (`delta_plus`), then each piece the positive antipode
     runs on, with its recentered subtrees."""
     anti_plus = _AntipodePlus(table)
-    for _, remainder in delta_minus(t, table).keys():
+    for _, remainder in delta_minus(t, table, div_enumerate(t, table)).keys():
         for s, _ in _admissible_rooted(remainder, table):
             yield remainder, s
         for _, rec_piece in delta_plus(remainder, table).keys():

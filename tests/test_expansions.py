@@ -7,6 +7,7 @@ that held every coefficient as a `Fraction`, so the current code is checked
 against that code's output.  The expansion is read from the `bphz` command,
 whose rows are the ones the digest hashes."""
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,30 @@ PINS = {
     "phi4_3/T5": ("636d5bfb665091d605f4e7a592488cca15ff143f88275e7d8bae9980cc408663", "8b4f6105bc177ec2b5ec65453718886fcb500edb1e6069c8bcce5ed3a857d879"),
     "phi4_3/T6": ("e08834b558d979675e93790a9319ccd95890be889575e79ddd7f5c9f783b39c8", "b690d28d8db99dcf84d44786649c7e3488e38d830d7a81956666c41dbe04f899"),
 }
+
+# sha256 of the renormalize report of every basis tree under explicit
+# cumulants of the model's noise up to arity four (pairs, triples and
+# quadruples), recorded on the code that computed each counterterm constant
+# by its own recursion with a vanishing filter, before the report computed
+# it as E Pi A_-.  They differ from the Gaussian reports on KPZ T5 and T6
+# and on phi4_3 T3, T5 and T6.
+CUMULANTS_TO_FOUR_PINS = {
+    "kpz/T0": "ee427aad09ed875ae4a4805e35fbdd9ea378d5f4575c352f66d9490de9f3f414",
+    "kpz/T1": "898a55699283b6012052faf7fc4faeaddec68c517ead124751ca2152d229080e",
+    "kpz/T2": "24bddb18a667c4175afd48cdaea90164ca400ff5557d37c17534b382bf41a42c",
+    "kpz/T3": "f05aca47640908e9066e113e086615dcd74dc2ed918c735645856f940247bfd4",
+    "kpz/T4": "dc1a7540ed049974c55bbb20ba4f66d6456c134aff3b850f251de66e03cb798d",
+    "kpz/T5": "5880f03d08c58538ba7fda8f8baa175c65bbd81dd0943cef9d86d5cc88fdcabd",
+    "kpz/T6": "127e0befaa53dce43daed5360db35d02f9e7e470372aef27366046e5dfeb7aa2",
+    "kpz/T7": "2abb349c832a0c268483df367ac000c75d3e967b8765c0a0dd3cebbc2ee7abd0",
+    "phi4_3/T0": "109ded5611c30378914e82b4b08ed4f0be229837dbb8e6e960729263fdfac051",
+    "phi4_3/T1": "5fd7ff01a38120d1848de07020c41718a1a08482ca059862133a41e6b0f43805",
+    "phi4_3/T2": "418ea704481bbf5170602886e0c192a4f5f71d896d1f5f37e5c7cd3a165cb333",
+    "phi4_3/T3": "15f4fb06c489d7d980050bb7923453c85bc3c745a5dfdd0170866363b6f4b095",
+    "phi4_3/T4": "1d3aa8c6a286ece8a3094c390f2787d6bb436ab3951dad902763de1bcb093032",
+    "phi4_3/T5": "43125cdcd195780e31c24f85148289dfa126ed7c7afcc53383890b7e2164b26a",
+    "phi4_3/T6": "2cef0abd5f7a36eb07861b6a22b4f78fda910a3a220e6a1c18c704e08aad4ad9",
+}
 TREES = [(m, f"T{i}") for m in sorted(BPHZ_TERMS) for i in range(len(BPHZ_TERMS[m]))]
 
 
@@ -53,7 +78,7 @@ def expansion_digest(report: dict) -> str:
 
 
 def test_pins_cover_every_basis_tree(workbenches):
-    assert sorted(PINS) == sorted(f"{m}/{t}" for m, t in TREES)
+    assert sorted(PINS) == sorted(CUMULANTS_TO_FOUR_PINS) == sorted(f"{m}/{t}" for m, t in TREES)
     for m, wb in workbenches.items():
         assert len(wb.basis()) == len(BPHZ_TERMS[m])
 
@@ -67,3 +92,23 @@ def test_bphz_and_renormalize_pinned(workbenches, model, tree_id):
     assert expansion_digest(expansion) == want_expansion
     report = report_emit(wb.cmd_renormalize(tree_id))
     assert hashlib.sha256(report.encode()).hexdigest() == want_report
+
+
+@pytest.fixture(scope="module")
+def workbenches_to_four():
+    """The shipped models with explicit cumulants of their noise up to
+    arity four."""
+    out = {}
+    for m in BPHZ_TERMS:
+        config = json.loads((ROOT / "configs" / f"{m}.json").read_text(encoding="utf-8"))
+        (noise,) = config["types"]["noises"]
+        config["cumulants"] = {"mode": "explicit", "blocks": [[noise] * k for k in (2, 3, 4)]}
+        out[m] = Workbench(parse_config(json.dumps(config)))
+    return out
+
+
+@pytest.mark.parametrize("model,tree_id", TREES, ids=[f"{m}-{t}" for m, t in TREES])
+def test_renormalize_with_cumulants_to_four_pinned(workbenches_to_four, model, tree_id):
+    report = report_emit(workbenches_to_four[model].cmd_renormalize(tree_id))
+    want = CUMULANTS_TO_FOUR_PINS[f"{model}/{tree_id}"]
+    assert hashlib.sha256(report.encode()).hexdigest() == want

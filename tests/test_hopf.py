@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hopf_oracle
-from conftest import BPHZ_TERMS, KPZ, analyses, colored_trees, decorated_trees
+from conftest import BPHZ_TERMS, KPZ, MAX_DIV, analyses, colored_trees, decorated_trees
 from forest_oracle import (
     depth,
     down_tree,
@@ -20,7 +20,7 @@ from forest_oracle import (
 from formal_oracle import stored_exactly
 from generation_oracle import conforms
 from hopf_oracle import (
-    extraction_multisets,
+    assert_extractions_match,
     map_keys,
     probe_headrooms,
     recentered_plus_hom,
@@ -37,6 +37,7 @@ from renormforest.hopf import (
     _AntipodePlus,
     _boundary,
     _dangle_headroom,
+    _expectation,
     _extractions,
     bphz_expansion,
     counterterm_report,
@@ -46,6 +47,8 @@ from renormforest.hopf import (
     in_X_plus,
     sorted_pieces,
 )
+from renormforest.powercount import TreeAnalysis
+from renormforest.rules import CumulantSet
 from renormforest.scaling import MultiIndex, ZERO_MI, multiindices_below
 from renormforest.trees import (
     EMPTY_SUBFOREST,
@@ -79,7 +82,7 @@ def test_membership(phi4):
     piece = t.restrict(cherry)
     assert in_X_minus(piece, table)
     assert not in_X_minus(piece.with_(node_dec={piece.root: MultiIndex({0: 1})}), table)
-    full = t.full_subforest()
+    full = SubForest(t.nodes, t.edge_set)
     assert membership(t.with_(hat2=full), table)["in_X_plus"]
 
 
@@ -96,7 +99,7 @@ def test_x_plus_dangling(kpz):
 
 
 def test_delta_minus_unit(phi4):
-    dm = delta_minus(phi4.xi, phi4.table)
+    dm = delta_minus(phi4.xi, phi4.table, div_enumerate(phi4.xi, phi4.table))
     # only the empty extraction survives the projection for a lone noise?
     # no: the noise itself is extractable; the unit term is always present
     keys = dict(dm.items())
@@ -120,7 +123,7 @@ def test_delta_minus_triple_filtered(phi4):
         piece = extracted[0]
         assert piece.node_dec_items == ()  # no chi e_G labels survive
         classes.add(piece.relabel_canonical().canonical_code())
-        assert remainder.hat1 == piece.full_subforest()
+        assert remainder.hat1 == SubForest(piece.nodes, piece.edge_set)
     assert len(classes) == 1
     assert classes == {phi4.t11.canonical_code()}
 
@@ -130,7 +133,7 @@ def test_delta_minus_triple_faithful(phi4):
     components: lone noises, planted noises, cherries, their disjoint
     products, and the full tree."""
     t = phi4.t111
-    dm = delta_minus(t, phi4.table)
+    dm = delta_minus(t, phi4.table, div_enumerate(t, phi4.table))
     assert len(dm) == 27
     sizes = sorted(
         tuple(sorted(len(p.edge_items) for p in k[0])) for k, _ in dm.items()
@@ -217,7 +220,7 @@ def test_listed_antipode_matches_per_piece_listing(t, data):
     forests = sorted(
         {
             extracted
-            for (extracted, _), _ in delta_minus(t, table).items()
+            for (extracted, _), _ in delta_minus(t, table, div_enumerate(t, table)).items()
             if sum(len(p.edge_items) for p in extracted) <= 4
         },
         key=lambda f: (-len(f), repr([p.embedded_key() for p in f])),
@@ -230,7 +233,8 @@ def test_listed_antipode_matches_per_piece_listing_on_basis_trees(workbenches, m
     """Every forest that the expansion of a basis tree extracts."""
     wb = workbenches[model]
     t, table = wb.tree_by_id(tree_id), wb.config.table
-    forests = {extracted for (extracted, _), _ in delta_minus(t, table).items()}
+    dm = delta_minus(t, table, div_enumerate(t, table))
+    forests = {extracted for (extracted, _), _ in dm.items()}
     assert_listed_antipode_matches_per_piece(t, table, forests)
 
 
@@ -266,16 +270,19 @@ def test_expansion_lists_divergences_and_rooted_subtrees_once(workbenches, monke
 @pytest.mark.parametrize("model,tree_id", TREES, ids=[f"{m}-{t}" for m, t in TREES])
 def test_extractions_match_edge_subset_scan(workbenches, model, tree_id):
     """The extractions built from the listed divergent subtrees are those
-    built from every connected edge set of the tree, as a multiset of (G,
-    coefficient, pieces, n_G, e_G): plain, proper, and from the effective
-    ones against the oracle's vanishing filter."""
+    built from every connected edge set of the tree, family by family:
+    plain, proper, and from the effective ones against the oracle's
+    vanishing filter."""
     wb = workbenches[model]
     t, table, cum = wb.tree_by_id(tree_id), wb.config.table, wb.config.cum
     for kw in ({}, {"proper": True}, {"vanishing": cum}):
-        got, want = extraction_multisets(t, table, **kw)
-        assert got == want, kw
-    for kw in ({}, {"proper": True}, {"candidates": wb.analysis(t).divergences}):
-        assert next(_extractions(t, table, **kw))[2] == [], kw  # the empty forest comes first
+        assert_extractions_match(t, table, **kw)
+    a = wb.analysis(t)
+    for candidates, proper in (
+        (a.all_divergences, False), (a.all_divergences, True), (a.divergences, False)
+    ):
+        # the empty forest comes first
+        assert next(_extractions(t, table, candidates, proper))[2] == [], (len(candidates), proper)
 
 
 # -- recentering bounds against probe trees ------------------------------------------
@@ -421,22 +428,17 @@ def test_antipode_plus_signs_only_true_node_labels():
 
 
 def test_antipode_nested_four_noise(phi4):
-    """Two-level recursion on the four-noise subtree: expanding the
-    expectations gives the bare symbol, two single-cherry corrections, and
-    the double-cherry correction with alternating signs."""
-    from renormforest.hopf import _RenormalizedConstant
-
+    """Two-level recursion on the four-noise subtree: E Pi A_- of it, A_-
+    extracting the effective divergent subtrees, gives the bare symbol, two
+    single-cherry corrections, and the double-cherry correction with
+    alternating signs."""
     t = phi4.t131
     table = phi4.table
-    four = [
-        s
-        for s, w in analyses(phi4)(t).divergences
-        if len(s.edges) == 9 and t.root in s.nodes
-    ][0]
+    divergences = analyses(phi4)(t).divergences
+    four = [s for s, w in divergences if len(s.edges) == 9 and t.root in s.nodes][0]
     piece = t.restrict(four)
-    rc = _RenormalizedConstant(table, phi4.cum)
-    expansion = rc.of(piece)
-    coeffs = sorted(expansion.items(), key=lambda kv: len(kv[0][0]))
+    expansion = _expectation(_AntipodeMinus(table, divergences).tree(piece), table, phi4.cum)
+    assert len(expansion) == 4
     by_len = {}
     for key, coeff in expansion.items():
         by_len.setdefault(len(key), []).append(coeff)
@@ -521,7 +523,7 @@ def test_delta_plus_binomial(phi4):
 
 def test_antipode_plus_base(phi4):
     t = phi4.t11
-    full = t.full_subforest()
+    full = SubForest(t.nodes, t.edge_set)
     colored = t.with_(hat2=full, node_dec={t.root: MultiIndex({1: 1})})
     out = _AntipodePlus(phi4.table).run(colored)
     ((pieces,), coeff) = next(iter(out.items()))
@@ -609,7 +611,7 @@ def test_bphz_expansion_smoke(phi4):
             assert p.node_dec(p.root).is_zero() or p.hat1.nodes
         assert all(isinstance(x, tuple) for x in (left, right))
     # slot filters: left components came from X_-; right from X_+ recursion
-    dm = delta_minus(phi4.t111, phi4.table)
+    dm = delta_minus(phi4.t111, phi4.table, div_enumerate(phi4.t111, phi4.table))
     assert len(bp) >= len(dm)
 
 
@@ -653,6 +655,99 @@ def test_report_xi(phi4):
     assert rep.monomials == ()
 
 
+def cumulants_to_four(table):
+    """Explicit cumulants of the one noise type of `table`: its pairs,
+    triples and quadruples (both models meet the bound on each at kappa =
+    1/100)."""
+    (noise,) = table.noise_types
+    return CumulantSet(table, "explicit", frozenset((noise,) * m for m in (2, 3, 4)))
+
+
+def assert_constants_match_own_recursion(t, table, cum):
+    """For every piece that Delta_- extracts from the effective divergent
+    subtrees of `t`, the report's constant E Pi A_- (A_- extracting the
+    same list) equals the constant of the oracle's own recursion, which
+    lists each piece's divergent subtrees anew and zeroes the vanishing
+    ones; and the report equals the one built from the oracle's constants.
+    Returns the number of pieces whose A_- has more than one forest."""
+    divergences = TreeAnalysis(t, table, cum, MAX_DIV).divergences
+    anti_minus = _AntipodeMinus(table, divergences)
+    oracle = hopf_oracle.RenormalizedConstant(table, cum)
+    nested = 0
+    dm = delta_minus(t, table, divergences)
+    for piece in {p for (extracted, _), _ in dm.items() for p in extracted}:
+        forests = anti_minus.tree(piece)
+        assert _expectation(forests, table, cum) == oracle.of(piece)
+        nested += len(forests) > 1
+    want = hopf_oracle.counterterm_report(t, table, cum, divergences)
+    assert counterterm_report(t, table, cum, divergences) == want
+    return nested
+
+
+def test_constants_match_own_recursion_on_basis_trees(workbenches):
+    """Every basis tree, under its model's Gaussian cumulants and under
+    cumulants up to arity four.  The comparison reaches pieces whose A_-
+    extracts a proper subtree, more of them under the higher cumulants: per
+    model, cumulant set and tree, the number of such pieces."""
+    got = {}
+    for model, wb in sorted(workbenches.items()):
+        table = wb.config.table
+        for name, cum in (("gaussian", wb.config.cum), ("to four", cumulants_to_four(table))):
+            got[model, name] = [
+                assert_constants_match_own_recursion(t, table, cum) for t in wb.basis()
+            ]
+    assert got == {
+        ("kpz", "gaussian"): [0, 0, 0, 0, 0, 0, 1, 1],
+        ("kpz", "to four"): [0, 0, 0, 0, 0, 1, 2, 1],
+        ("phi4_3", "gaussian"): [0, 0, 0, 0, 1, 0, 3],
+        ("phi4_3", "to four"): [0, 0, 0, 1, 1, 2, 7],
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(decorated_trees(max_edges=7))
+def test_constants_match_own_recursion(t):
+    """On a random tree, whose edge decorations change which subtrees are
+    divergent and leave room for decorations of the extracted pieces, under
+    KPZ's Gaussian cumulants and under cumulants up to arity four.
+
+    A tree is checked under a cumulant set where its Delta_- from the
+    effective subtrees has at most 30 terms.  The antipodes grow with the
+    decorations' budgets: on one drawn tree of seven edges whose Delta_-
+    has 194 terms under arity-four cumulants, the check ran for more than
+    20 s, and one piece's A_- alone had 31 815 forests.  With the bound,
+    40 trees took 0.5-6 s at the seeds tried."""
+    for cum in (KPZ.cum, cumulants_to_four(KPZ.table)):
+        divergences = TreeAnalysis(t, KPZ.table, cum, MAX_DIV).divergences
+        if len(delta_minus(t, KPZ.table, divergences)) <= 30:
+            assert_constants_match_own_recursion(t, KPZ.table, cum)
+
+
+def test_report_lists_no_divergences(workbenches, monkeypatch):
+    """On a freshly built copy of phi4_3 T3, whose shape has worked out
+    nothing yet, `counterterm_report` given the tree's effective divergent
+    subtrees lists none itself: A_- reads each piece's off that list.  The
+    report is the one of the basis tree."""
+    wb = workbenches["phi4_3"]
+    table, cum, basis = wb.config.table, wb.config.cum, wb.tree_by_id("T3")
+    want = counterterm_report(basis, table, cum, wb.analysis(basis).divergences)
+    t = DecoratedTree(
+        basis.root, basis.edges, dict(basis.node_dec_items), dict(basis.edge_dec_items), table=table
+    )
+    divergences = TreeAnalysis(t, table, cum, MAX_DIV).divergences
+    calls = []
+    div_enumerate = fo.div_enumerate
+
+    def counted_div_enumerate(tree, *args, **kwargs):
+        calls.append(tree)
+        return div_enumerate(tree, *args, **kwargs)
+
+    monkeypatch.setattr(fo, "div_enumerate", counted_div_enumerate)
+    got = counterterm_report(t, table, cum, divergences)
+    assert calls == []
+    assert len(got.monomials) == 1 and got == want
+
+
 def test_coaction_outputs_reconform(phi4):
     """Completeness probe: the plain shapes appearing in coaction outputs
     conform to the generating rule."""
@@ -681,7 +776,7 @@ def test_coefficients_are_int_or_proper_fraction(t):
     has 300 terms expands to 2.5 million terms in over a minute.  So the
     expansion is built where Delta_- has at most 60 terms (about 0.3 s)."""
     table = KPZ.table
-    dm = delta_minus(t, table)
+    dm = delta_minus(t, table, div_enumerate(t, table))
     sums = [dm] + [delta_plus(remainder, table) for (_, remainder), _ in dm.items()]
     if len(dm) <= 60:
         sums.append(bphz_expansion(t, table))
