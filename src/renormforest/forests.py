@@ -20,11 +20,6 @@ class CapExceeded(RuntimeError):
     """An exhaustive enumeration would exceed a configured cap."""
 
 
-def omega(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
-    """Degree of divergence: omega(S) = -|S^0_e|_s."""
-    return -zero_node_hom(t, sf, table)
-
-
 # -- effective divergences -----------------------------------------------------
 #
 # A power-counting divergent subtree whose renormalization constant vanishes
@@ -236,23 +231,11 @@ def leaf_partitions(
     return out
 
 
-def compatible_partition(
-    t: DecoratedTree, table: TypeTable, forest: ForestOfSubtrees, pi: frozenset
-) -> bool:
-    """A forest and a partition are compatible when each member's leaf set
-    is a union of blocks."""
-    covered: set[int] = set()
-    for b in pi:
-        covered |= set(b)
-    noise = set(t.noise_edges(table))
-    for s in forest:
-        ls = {p for p, c in s.edges & noise}  # the leaves of the piece s
-        if not ls <= covered:
-            return False
-        for b in pi:
-            if set(b) & ls and not set(b) <= ls:
-                return False
-    return True
+def compatible_partition(t: DecoratedTree, table: TypeTable, s: SubForest, pi: frozenset) -> bool:
+    """A subtree and a partition are compatible when the subtree's leaf set
+    is a union of blocks (a forest is compatible when each member is)."""
+    ls = {p for p, c in s.edges & set(t.noise_edges(table))}  # the leaves of s
+    return ls <= set().union(*pi) and all(b <= ls for b in pi if b & ls)
 
 
 def forests_compatible_with(
@@ -265,7 +248,7 @@ def forests_compatible_with(
     keep = [
         s
         for s in universe
-        if compatible_partition(t, table, frozenset([s]), pi)
+        if compatible_partition(t, table, s, pi)
     ]
     return all_forests(keep)
 

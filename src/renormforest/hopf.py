@@ -16,6 +16,9 @@ are the BPHZ character l = E Pi A_- of the extracted pieces.  The list is
 made once per tree, and A_- reads those of each piece off it: the entries
 whose edges lie inside the piece.  Each candidate's decorations are
 enumerated once per tree, and A_- is one product over a forest's pieces.
+A_- maps each residual tree through a symbol as it goes: the identity for
+the expansion, and E Pi, the canonical code of the contracted expectation
+symbol, for the report, whose terms with a vanishing symbol drop out.
 Delta_+ and A_+ recenter a piece around rooted subtrees (`_recenterings`).
 Every piece they recenter is a `with_` copy of the expanded tree, so the
 shared shape lists the rooted subtrees and their boundaries once
@@ -47,13 +50,6 @@ from .scaling import (
     submultiindices,
 )
 from .trees import DecoratedTree, EdgeKey, SubForest, up_hom_table
-
-PieceForest = tuple  # sorted tuple of DecoratedTree
-
-
-def sorted_pieces(pieces: Iterable[DecoratedTree]) -> PieceForest:
-    return tuple(sorted(pieces, key=lambda p: p.embedded_key()))
-
 
 # -- membership ----------------------------------------------------------------
 
@@ -239,7 +235,7 @@ def delta_minus(
     if t.has_coloring():
         raise ValueError("the negative coaction acts on uncolored trees")
     return FormalSum(
-        ((sorted_pieces(pieces), _remainder(t, sub, nd, ed, o_label=True)), coeff)
+        ((tuple(sorted(pieces)), _remainder(t, sub, nd, ed, o_label=True)), coeff)
         for sub, coeff, pieces, nd, ed in _extractions(t, table, candidates)
     )
 
@@ -258,7 +254,8 @@ def _product(factors: Sequence[FormalSum], key: Callable[[list], Hashable]) -> F
 
 
 class _AntipodeMinus:
-    """A_- on forests of X_- trees, memoized per tree: colored forests.
+    """A_- on forests of X_- trees, memoized per tree, with `symbol` applied
+    to every output tree: sums over sorted tuples of symbols.
 
     Every piece is a piece of one ambient tree, with the ambient's edges and
     edge labels.  `listed` is a list of the ambient's divergent subtrees, in
@@ -267,19 +264,31 @@ class _AntipodeMinus:
     edge labels, and neither does effectiveness
     (`forests.irreducible_partition_exists`).  So given every divergent
     subtree of the ambient, A_- extracts every divergent subtree of each
-    piece; given the effective ones, every effective one."""
+    piece; given the effective ones, every effective one.
 
-    def __init__(self, table: TypeTable, listed: Sequence[tuple[SubForest, Fraction]]):
+    Every output tree is the residual of one step of the recursion, and a
+    character (E Pi, say) is multiplicative over a forest's trees and zero
+    on a forest with a vanishing tree.  So `symbol` maps each residual as
+    the recursion makes it, to None where its symbol vanishes, which drops
+    the term; the identity gives A_- itself."""
+
+    def __init__(
+        self,
+        table: TypeTable,
+        listed: Sequence[tuple[SubForest, Fraction]],
+        symbol: Callable[[DecoratedTree], Optional[Hashable]],
+    ):
         self.table = table
         self.listed = listed
+        self.symbol = symbol
         self.memo: dict[DecoratedTree, FormalSum] = {}
 
     def forest(self, pieces: Sequence[DecoratedTree], extra: tuple = ()) -> FormalSum:
         """A_- on a forest, one product over its pieces (A_- is
-        multiplicative); the trees in `extra` join every output forest."""
+        multiplicative); the symbols in `extra` join every output forest."""
         return _product(
             [self.tree(p) for p in pieces],
-            lambda keys: (sorted_pieces(itertools.chain(extra, *(k for (k,) in keys))),),
+            lambda keys: (tuple(sorted(itertools.chain(extra, *(k for (k,) in keys)))),),
         )
 
     def tree(self, piece: DecoratedTree) -> FormalSum:
@@ -290,8 +299,9 @@ class _AntipodeMinus:
         inside = [(c, w) for c, w in self.listed if c.edges <= piece.edge_set]
         terms = []
         for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, inside, proper=True):
-            residual = _remainder(piece, sub, nd, ed, o_label=False)
-            terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (residual,)).items())
+            symbol = self.symbol(_remainder(piece, sub, nd, ed, o_label=False))
+            if symbol is not None:
+                terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (symbol,)).items())
         result = FormalSum(terms)
         self.memo[piece] = result
         return result
@@ -481,7 +491,7 @@ class _AntipodePlus:
                 )
                 coeff = outer_sign * inner_sign * coeff_s * coeff_f
                 for (inner,), c in right.items():
-                    terms.append(((sorted_pieces(inner + (left,)),), coeff * c))
+                    terms.append(((tuple(sorted(inner + (left,))),), coeff * c))
         result = FormalSum(terms)
         self.memo[piece] = result
         return result
@@ -522,7 +532,7 @@ def bphz_expansion(
     too: every remainder of Delta_- and every piece of Delta_+ and A_+ is a
     `with_` copy of the tree, and so shares its shape."""
     listed = fo.div_enumerate(t, table) if candidates is None else candidates
-    anti_minus = _AntipodeMinus(table, listed)
+    anti_minus = _AntipodeMinus(table, listed, lambda p: p)
     anti_plus = _AntipodePlus(table)
     terms = []
     for (extracted, remainder), c1 in delta_minus(t, table, candidates=listed).items():
@@ -548,18 +558,6 @@ def _bare_constant_key(piece: DecoratedTree, table: TypeTable, cum: CumulantSet)
     return plain.canonical_code()
 
 
-def _expectation(forests: FormalSum, table: TypeTable, cum: CumulantSet) -> FormalSum:
-    """E Pi on the output of A_-: each colored forest becomes the sorted
-    keys of its trees' contracted expectation symbols, and a forest with a
-    vanishing symbol is dropped."""
-    terms = []
-    for (forest,), c in forests.items():
-        keys = [_bare_constant_key(p, table, cum) for p in forest]
-        if None not in keys:
-            terms.append((tuple(sorted(keys)), c))
-    return FormalSum(terms)
-
-
 @dataclass(frozen=True)
 class CountertermMonomial:
     coefficient: Coefficient
@@ -583,16 +581,18 @@ def counterterm_report(
     counterterm monomials: (constant product, exact coefficient, residual).
 
     Counterterm constants attach per extracted iso class: the BPHZ
-    character l = E Pi A_- of the piece.  A class whose constant is the
-    bare expectation appears as C[.], one with genuine nested corrections
-    as C'[.]; a monomial with a vanishing constant is left out.
+    character l = E Pi A_- of the piece, with E Pi (`_bare_constant_key`)
+    applied to each residual inside A_-'s recursion.  A class whose
+    constant is the bare expectation appears as C[.], one with genuine
+    nested corrections as C'[.]; a monomial with a vanishing constant is
+    left out.
     Delta_- and A_- both extract from `candidates`, the tree's effective
     divergent subtrees (`TreeAnalysis.divergences`).  The constant of any
     other divergent subtree vanishes (every admissible partition of its
     noises is pendant-reducible), and so does every term of A_- that
-    extracts one, which `_expectation` cannot tell.
+    extracts one, which the symbols alone cannot tell.
     """
-    anti_minus = _AntipodeMinus(table, candidates)
+    anti_minus = _AntipodeMinus(table, candidates, lambda p: _bare_constant_key(p, table, cum))
     groups: dict[tuple, dict] = {}
     dm = delta_minus(t, table, candidates)
     for (extracted, remainder), coeff in dm.items():
@@ -611,11 +611,11 @@ def counterterm_report(
         names_out = []
         dead = False
         for code, p in pieces:
-            expansion = _expectation(anti_minus.tree(p), table, cum)
+            expansion = anti_minus.tree(p)
             if expansion.is_zero():
                 dead = True
                 break
-            is_bare = len(expansion) == 1 and expansion.coeff((code,)) == -1
+            is_bare = len(expansion) == 1 and expansion.coeff(((code,),)) == -1
             names_out.append(_label_for(code, names, renormalized=not is_bare))
         if dead:
             continue

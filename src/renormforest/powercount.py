@@ -247,7 +247,7 @@ class Certifier:
         # Taylor reorganization, so the universe here is the full one
         subtrees = []
         for s, _ in analysis.all_divergences:
-            if not compatible_partition(t, table, frozenset([s]), ci.pi):
+            if not compatible_partition(t, table, s, ci.pi):
                 continue
             ints = sorted({masks[tag] for tag in ms.internal_tags(eu, s)})
             exts = sorted({masks[tag] for tag in ms.external_tags(eu, s)})

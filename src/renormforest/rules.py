@@ -259,7 +259,6 @@ def check_subcritical(rule: RuleSpec) -> dict:
                     table.hom(t) + sum((entry_value(e, {}) for e in p), Fraction(0))
                 )
         a[t] = min(vals) if vals else table.hom(t)
-    history = [dict(a)]
     offender: Optional[tuple[str, Production]] = None
     for _ in range(SUBCRITICAL_ITERATIONS):
         nxt: dict[str, Fraction] = {}
@@ -274,15 +273,9 @@ def check_subcritical(rule: RuleSpec) -> dict:
             if nxt[t] < a[t]:
                 offender = (t, best_p)
         if nxt == a:
-            return {"pass": True, "fixpoint": a, "history": history}
+            return {"pass": True}
         a = nxt
-        history.append(dict(a))
-    return {
-        "pass": False,
-        "fixpoint": a,
-        "history": history,
-        "offender": offender,
-    }
+    return {"pass": False, "offender": offender}
 
 
 # -- tree generation -----------------------------------------------------------

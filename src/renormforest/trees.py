@@ -348,6 +348,10 @@ class DecoratedTree:
     def __hash__(self) -> int:
         return self._hash
 
+    def __lt__(self, other: "DecoratedTree") -> bool:
+        """The order of the embedded keys, so that a forest's trees sort."""
+        return self._key < other._key
+
     def __repr__(self) -> str:
         return f"DecoratedTree(root={self.root}, edges={len(self._shape.edges)})"
 

@@ -425,7 +425,7 @@ class Workbench:
         compat = [
             s
             for s, _ in analysis.all_divergences
-            if fo.compatible_partition(t, table, frozenset([s]), pi)
+            if fo.compatible_partition(t, table, s, pi)
         ]
         family = fo.all_forests(compat, cap=caps["max_div"])
         cuts = [e for e, _ in analysis.cuts]

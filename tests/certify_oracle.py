@@ -42,7 +42,7 @@ def div_universe(cert: Certifier, ci: CertificateInput) -> list:
     return [
         s
         for s, _ in univ
-        if compatible_partition(ci.tree, cert.table, frozenset([s]), ci.pi)
+        if compatible_partition(ci.tree, cert.table, s, ci.pi)
     ]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from conftest import MAX_DIV
 from forest_oracle import dangling_trees, up_tree
@@ -39,7 +39,6 @@ from renormforest.hopf import (
     delta_minus,
     delta_plus,
     in_X_minus,
-    sorted_pieces,
 )
 from renormforest.powercount import TreeAnalysis
 from renormforest.rules import CumulantSet
@@ -56,6 +55,10 @@ def tensor(a: FormalSum, b: FormalSum) -> FormalSum:
 
 def map_keys(s: FormalSum, fn: Callable[[Hashable], Hashable]) -> FormalSum:
     return FormalSum((fn(k), v) for k, v in s.items())
+
+
+def sorted_pieces(pieces: Iterable[DecoratedTree]) -> tuple:
+    return tuple(sorted(pieces, key=lambda p: p.embedded_key()))
 
 
 def connected_edge_sets(t: DecoratedTree) -> Iterator[frozenset[EdgeKey]]:
@@ -292,7 +295,8 @@ class RenormalizedConstant:
     computed each constant as E Pi A_- through `hopf._AntipodeMinus`: its
     own recursion, which lists the divergent subtrees of every piece anew
     and zeroes a piece whose constant vanishes, memoized per canonical code.
-    Its sums are keyed like `hopf._expectation`'s.
+    Its sums are keyed by the sorted codes of the symbols, as those of the
+    report's `hopf._AntipodeMinus` are once their 1-tuples are unwrapped.
 
     Evaluation of the expectation of the negative antipode of a divergent
     tree, as a formal combination of opaque expectation symbols.

@@ -124,7 +124,7 @@ def test_antipode_minus_matches_tensor_fold(t, data):
         key=lambda f: (-len(f), repr([p.embedded_key() for p in f])),
     )
     forest = data.draw(st.sampled_from(forests))
-    assert _AntipodeMinus(table, listed).forest(forest) == antipode_minus_fold(forest, table)
+    assert _AntipodeMinus(table, listed, lambda p: p).forest(forest) == antipode_minus_fold(forest, table)
 
 
 # -- warm and cold reports -----------------------------------------------------

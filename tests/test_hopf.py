@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -26,9 +27,11 @@ from hopf_oracle import (
     recentered_plus_hom,
     recentered_up_hom,
     recentering_cases,
+    sorted_pieces,
     tensor,
 )
 from renormforest import forests as fo
+from renormforest import hopf
 from renormforest.forests import cut_enumerate, div_enumerate, sigma_negative
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
@@ -36,8 +39,8 @@ from renormforest.hopf import (
     _AntipodeMinus,
     _AntipodePlus,
     _boundary,
+    _bare_constant_key,
     _dangle_headroom,
-    _expectation,
     _extractions,
     bphz_expansion,
     counterterm_report,
@@ -45,7 +48,6 @@ from renormforest.hopf import (
     delta_plus,
     in_X_minus,
     in_X_plus,
-    sorted_pieces,
 )
 from renormforest.powercount import TreeAnalysis
 from renormforest.rules import CumulantSet
@@ -161,7 +163,7 @@ def test_antipode_minus_base_and_cherry(phi4):
     -cherry and to 11 terms that extract its lone and planted noises: the
     antipode extracts every divergent subtree, vanishing constants
     included."""
-    anti_minus = _AntipodeMinus(phi4.table, div_enumerate(phi4.t111, phi4.table))
+    anti_minus = _AntipodeMinus(phi4.table, div_enumerate(phi4.t111, phi4.table), lambda p: p)
     assert anti_minus.forest(()) == FormalSum.single(((),))
     cherry_piece = phi4.t111.restrict(cherry_subtrees(phi4.t111, phi4.table)[0])
     out = anti_minus.forest((cherry_piece,))
@@ -179,9 +181,9 @@ def test_antipode_minus_multiplicative(phi4):
     ][:1]
     pieces = tuple(t.restrict(s) for s in pair)
     listed = div_enumerate(t, table)
-    both = _AntipodeMinus(table, listed).forest(pieces)
-    a = _AntipodeMinus(table, listed).forest((pieces[0],))
-    b = _AntipodeMinus(table, listed).forest((pieces[1],))
+    both = _AntipodeMinus(table, listed, lambda p: p).forest(pieces)
+    a = _AntipodeMinus(table, listed, lambda p: p).forest((pieces[0],))
+    b = _AntipodeMinus(table, listed, lambda p: p).forest((pieces[1],))
     merged = map_keys(tensor(a, b), lambda k: (sorted_pieces(k[0] + k[1]),))
     assert both == merged
 
@@ -201,7 +203,8 @@ def assert_listed_antipode_matches_per_piece(t, table, forests):
     entries of the list inside the piece are `div_enumerate` of the piece,
     in the same order."""
     listed = div_enumerate(t, table)
-    anti_minus, oracle = _AntipodeMinus(table, listed), hopf_oracle.AntipodeMinusPerPiece(table)
+    anti_minus = _AntipodeMinus(table, listed, lambda p: p)
+    oracle = hopf_oracle.AntipodeMinusPerPiece(table)
     for forest in forests:
         assert anti_minus.forest(forest) == oracle.forest(forest)
     for piece in oracle.memo:
@@ -427,6 +430,12 @@ def test_antipode_plus_signs_only_true_node_labels():
     assert stripped == _AntipodePlus(table).run(strip(HAT2_LABELS))
 
 
+def expectation_antipode(table, cum, listed):
+    """A_- with E Pi applied to each residual, as the counterterm report
+    builds it: sums over sorted tuples of expectation symbols."""
+    return _AntipodeMinus(table, listed, lambda p: _bare_constant_key(p, table, cum))
+
+
 def test_antipode_nested_four_noise(phi4):
     """Two-level recursion on the four-noise subtree: E Pi A_- of it, A_-
     extracting the effective divergent subtrees, gives the bare symbol, two
@@ -437,10 +446,10 @@ def test_antipode_nested_four_noise(phi4):
     divergences = analyses(phi4)(t).divergences
     four = [s for s, w in divergences if len(s.edges) == 9 and t.root in s.nodes][0]
     piece = t.restrict(four)
-    expansion = _expectation(_AntipodeMinus(table, divergences).tree(piece), table, phi4.cum)
+    expansion = expectation_antipode(table, phi4.cum, divergences).tree(piece)
     assert len(expansion) == 4
     by_len = {}
-    for key, coeff in expansion.items():
+    for (key,), coeff in expansion.items():
         by_len.setdefault(len(key), []).append(coeff)
     # -C[four] + C[<11>]C[chain] + C[<11>]C[branch] - C[<11>]^2 C[edge]
     assert by_len[1] == [-1]
@@ -464,7 +473,7 @@ def test_negative_forest_expansion(phi4, kpz):
             )
             if not all(in_X_minus(p, table) for p in pieces):
                 continue
-            out = _AntipodeMinus(table, div_enumerate(tree, table)).forest(pieces)
+            out = _AntipodeMinus(table, div_enumerate(tree, table), lambda p: p).forest(pieces)
             allowed = {
                 sigma_negative(tree, g): g for g in forests_with_max(divs, f_max)
             }
@@ -669,16 +678,18 @@ def assert_constants_match_own_recursion(t, table, cum):
     same list) equals the constant of the oracle's own recursion, which
     lists each piece's divergent subtrees anew and zeroes the vanishing
     ones; and the report equals the one built from the oracle's constants.
-    Returns the number of pieces whose A_- has more than one forest."""
+    Returns the number of pieces whose tree-valued A_- has more than one
+    forest."""
     divergences = TreeAnalysis(t, table, cum, MAX_DIV).divergences
-    anti_minus = _AntipodeMinus(table, divergences)
+    anti_minus = _AntipodeMinus(table, divergences, lambda p: p)
+    expectation = expectation_antipode(table, cum, divergences)
     oracle = hopf_oracle.RenormalizedConstant(table, cum)
     nested = 0
     dm = delta_minus(t, table, divergences)
     for piece in {p for (extracted, _), _ in dm.items() for p in extracted}:
-        forests = anti_minus.tree(piece)
-        assert _expectation(forests, table, cum) == oracle.of(piece)
-        nested += len(forests) > 1
+        constant = FormalSum((key, c) for (key,), c in expectation.tree(piece).items())
+        assert constant == oracle.of(piece)
+        nested += len(anti_minus.tree(piece)) > 1
     want = hopf_oracle.counterterm_report(t, table, cum, divergences)
     assert counterterm_report(t, table, cum, divergences) == want
     return nested
@@ -712,15 +723,73 @@ def test_constants_match_own_recursion(t):
     KPZ's Gaussian cumulants and under cumulants up to arity four.
 
     A tree is checked under a cumulant set where its Delta_- from the
-    effective subtrees has at most 30 terms.  The antipodes grow with the
-    decorations' budgets: on one drawn tree of seven edges whose Delta_-
-    has 194 terms under arity-four cumulants, the check ran for more than
-    20 s, and one piece's A_- alone had 31 815 forests.  With the bound,
-    40 trees took 0.5-6 s at the seeds tried."""
+    effective subtrees has at most 30 terms.  The bound protects the
+    oracles' time, not the report's: the tree-valued A_- that counts the
+    nested pieces and the oracle's own recursion grow with the decorations'
+    budgets (one piece's tree-valued A_- can have 31 815 forests, see
+    `test_report_on_decorated_tree_pinned`).  With the bound at 200, 40
+    trees at hypothesis seed 2 took 20.1 s, of which the reports took
+    2.3 s; with the bound at 30, 40 trees took 1.5-4.2 s at seeds 0-2."""
     for cum in (KPZ.cum, cumulants_to_four(KPZ.table)):
         divergences = TreeAnalysis(t, KPZ.table, cum, MAX_DIV).divergences
         if len(delta_minus(t, KPZ.table, divergences)) <= 30:
             assert_constants_match_own_recursion(t, KPZ.table, cum)
+
+
+# a KPZ-typed tree of seven edges: kernel edges 0 -> 1, 1 -> 2 and 1 -> 3,
+# each decorated (1, 1), which leaves the extracted pieces room for many
+# decorations, and a noise l at each of the nodes 0-3
+DECORATED_FORK = DecoratedTree(
+    root=0,
+    edges={
+        (0, 1): "t", (1, 2): "t", (1, 3): "t",
+        (0, 100): "l", (1, 101): "l", (2, 102): "l", (3, 103): "l",
+    },
+    edge_dec={e: MultiIndex({0: 1, 1: 1}) for e in ((0, 1), (1, 2), (1, 3))},
+    table=KPZ.table,
+)
+
+
+def test_report_on_decorated_tree_pinned():
+    """The report of `DECORATED_FORK` under cumulants up to arity four,
+    pinned as the sha256 of its (coefficient, constants, residual code)
+    rows.  The pin was recorded on the code that built each piece's
+    tree-valued A_- before applying E Pi to it: there, one piece's A_- had
+    31 815 forests that E Pi maps to 717 symbol keys, and the report took
+    about 20 s.  With E Pi applied inside the recursion no memoized sum
+    holds more than those 717 terms."""
+    table, cum = KPZ.table, cumulants_to_four(KPZ.table)
+    t = DECORATED_FORK
+    divergences = TreeAnalysis(t, table, cum, MAX_DIV).divergences
+    rows = [
+        (str(m.coefficient), m.constants, repr(m.residual.canonical_code()))
+        for m in counterterm_report(t, table, cum, divergences).monomials
+    ]
+    assert len(rows) == 101
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "43a8d222ee6ce6f1993b4fe0dda6846848460740deaf61ea6e1975cfeacc0945"
+    expectation = expectation_antipode(table, cum, divergences)
+    for (extracted, _), _ in delta_minus(t, table, divergences).items():
+        expectation.forest(extracted)
+    assert max(len(s) for s in expectation.memo.values()) <= 717
+
+
+def test_reports_key_each_residual_once(workbenches, monkeypatch):
+    """E Pi maps each residual tree of A_-'s recursion to its symbol once:
+    the 15 Gaussian reports make 36 `_bare_constant_key` calls.  Applied to
+    A_-'s output forests, E Pi made 60, one per forest a residual appears
+    in."""
+    calls = []
+    bare_constant_key = hopf._bare_constant_key
+
+    def counted(piece, table, cum):
+        calls.append(piece)
+        return bare_constant_key(piece, table, cum)
+
+    monkeypatch.setattr(hopf, "_bare_constant_key", counted)
+    for model, tree_id in TREES:
+        workbenches[model].cmd_renormalize(tree_id)
+    assert len(calls) == 36
 
 
 def test_report_lists_no_divergences(workbenches, monkeypatch):

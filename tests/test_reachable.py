@@ -74,10 +74,17 @@ def scan(tree: ast.Module):
 
 
 def names_in(node: ast.AST) -> set[str]:
+    """The names and attribute names that `node` references.  A plain name
+    that the node binds itself, as a parameter or an assigned local, refers
+    to that binding and not to a function of the same name, so it is left
+    out; attribute names are kept."""
+    bound = {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)} | {
+        n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
     return {
-        n.id if isinstance(n, ast.Name) else n.attr
+        n.attr if isinstance(n, ast.Attribute) else n.id
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and n.id not in bound)
     }
 
 
