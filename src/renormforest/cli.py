@@ -78,7 +78,7 @@ def main(argv=None) -> int:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except SubcriticalityError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,13 +8,16 @@ structure constants are integers (binomials and signs) up to the 1/k! of an
 edge decoration k, so a coefficient is an `int` unless such a factorial
 leaves a remainder, and then a `Fraction`.
 
-Each enumeration is written once.  Delta_- and A_- extract forests of
+Each enumeration is written once.  Every labelling, of the decorations
+n_G, e_G that keep an extracted piece in X_- and of the node splits and
+boundary decorations of a recentering, is one product of per-slot options
+(`_choices`).  Delta_- and A_- extract forests of
 pairwise disjoint candidate subtrees (`_extractions`); the candidates are
 the caller's list of the tree's divergent subtrees: every one for the
 expansion, the effective ones for the counterterm report, whose constants
 are the BPHZ character l = E Pi A_- of the extracted pieces.  The list is
 made once per tree, and A_- reads those of each piece off it: the entries
-whose edges lie inside the piece.  Each candidate's decorations are
+whose edges lie strictly inside the piece.  Each candidate's decorations are
 enumerated once per tree, and A_- is one product over a forest's pieces.
 A_- maps each residual tree through a symbol as it goes: the identity for
 the expansion, and E Pi, the canonical code of the contracted expectation
@@ -71,6 +74,42 @@ def in_X_plus(piece: DecoratedTree, table: TypeTable, up: dict[EdgeKey, Fraction
     return all(up[e] > 0 for e in _boundary(piece, piece.hat2.nodes, piece.hat2.edges, table))
 
 
+# -- labellings -----------------------------------------------------------------
+
+
+def _choices(slots: list, options: Callable[[Hashable], list]) -> Iterator[tuple[dict, Coefficient]]:
+    """Every labelling of `slots` by one (label, coefficient) pair of
+    `options(slot)` per slot: (the nonzero labels, product of the
+    coefficients), the first slot varying slowest."""
+    for chosen in itertools.product(*(options(x) for x in slots)):
+        labels = {x: k for x, (k, _) in zip(slots, chosen) if not k.is_zero()}
+        yield labels, math.prod(c for _, c in chosen)
+
+
+def _node_choices(piece: DecoratedTree, slots: list[int]) -> Iterator[tuple[dict, int]]:
+    """Every split of the node labels on `slots` between a piece (extracted
+    or recentered) and the remainder: (the piece's labels, binomial
+    coefficient)."""
+    n = piece.node_dec
+    return _choices(slots, lambda u: [(k, binom_mi(n(u), k)) for k in submultiindices(n(u))])
+
+
+def _edge_choices(
+    slots: list[EdgeKey], headroom: dict[EdgeKey, Fraction], table: TypeTable
+) -> Iterator[tuple[dict, Coefficient]]:
+    """Every edge labelling of `slots` whose s-degree stays strictly below
+    each edge's headroom: (labels, 1 / product of the factorials).
+
+    Delta_+ and A_+ pass the piece's up-tree table (`trees.up_hom_table`)
+    as the headroom.  Recentering changes no label above the recentered
+    subtree, so a decoration on a boundary edge e keeps the dangling tree
+    T_>=(e) positive exactly while its s-degree stays below up[e]."""
+    return _choices(
+        slots,
+        lambda e: [(k, exact_div(1, k.factorial())) for k in multiindices_below(table.scaling, headroom[e])],
+    )
+
+
 # -- negative coaction ----------------------------------------------------------
 
 
@@ -103,41 +142,18 @@ def _extraction_decorations(
     boundary edges keeping the extracted tree in X_-: root label zero and
     homogeneity strictly negative, so their total s-degree stays strictly
     below the subtree's degree of divergence `omega` > 0 (as `div_enumerate`
-    lists it).  Yields (n_G, e_G, combinatorial coefficient)."""
+    lists it).  They are the labellings of `_node_choices` x `_edge_choices`
+    within that total.  Yields (n_G, e_G, combinatorial coefficient)."""
     root = t.subtree_root(comp)
     fict = {c for (p, c) in comp.edges if table.is_noise(t.edge_type((p, c)))}
     node_slots = [u for u in sorted(comp.nodes - fict) if u != root and not t.node_dec(u).is_zero()]
     # boundary edges at the root force e_G = 0 there; they are skipped
     edge_slots = [e for e in sorted(boundary) if e[0] != root]
-
-    def rec(slots: list, remaining: Fraction, ndec: dict, edec: dict, coeff: Coefficient):
-        if not slots:
-            yield dict(ndec), dict(edec), coeff
-            return
-        slot, rest = slots[0], slots[1:]
-        if isinstance(slot, int):
-            for k in submultiindices(t.node_dec(slot)):
-                d = Fraction(k.sdeg(table.scaling))
-                if d < remaining:
-                    if not k.is_zero():
-                        ndec[slot] = k
-                    c = binom_mi(t.node_dec(slot), k)
-                    yield from rec(rest, remaining - d, ndec, edec, coeff * c)
-                    ndec.pop(slot, None)
-        else:
-            for k in multiindices_below(table.scaling, remaining):
-                if not k.is_zero():
-                    edec[slot] = k
-                yield from rec(
-                    rest,
-                    remaining - Fraction(k.sdeg(table.scaling)),
-                    ndec,
-                    edec,
-                    exact_div(coeff, k.factorial()),
-                )
-                edec.pop(slot, None)
-
-    yield from rec(node_slots + edge_slots, omega, {}, {}, 1)
+    scaling = table.scaling
+    edge_choices = _edge_choices(edge_slots, dict.fromkeys(edge_slots, omega), table)
+    for (nd, coeff_n), (ed, coeff_e) in itertools.product(_node_choices(t, node_slots), edge_choices):
+        if sum(k.sdeg(scaling) for k in itertools.chain(nd.values(), ed.values())) < omega:
+            yield nd, ed, coeff_n * coeff_e
 
 
 def _boundary(t: DecoratedTree, nodes: frozenset[int], edges: frozenset[EdgeKey], table: TypeTable) -> list[EdgeKey]:
@@ -150,7 +166,6 @@ def _extractions(
     t: DecoratedTree,
     table: TypeTable,
     candidates: Sequence[tuple[SubForest, Fraction]],
-    proper: bool = False,
 ) -> Iterator[tuple[SubForest, Coefficient, list[DecoratedTree], dict, dict]]:
     """Every extraction of a forest of pairwise node-disjoint candidates
     from an uncolored tree, with every choice of decorations n_G, e_G.
@@ -159,19 +174,16 @@ def _extractions(
     pairs in `div_enumerate`'s order: any list of them, such as every one
     (`TreeAnalysis.all_divergences`) or the effective ones, whose
     renormalization constant does not vanish identically
-    (`TreeAnalysis.divergences`).  Exactly the listed subtrees are
-    extracted.  With `proper`, the whole tree is no candidate (the
-    antipode's recursion).  Each candidate's decorations are enumerated
-    once, and its extracted pieces are built once.
+    (`TreeAnalysis.divergences`), or those strictly inside a piece (the
+    antipode's recursion, which never extracts the whole piece).  Exactly
+    the listed subtrees are extracted.  Each candidate's decorations are
+    enumerated once, and its extracted pieces are built once.
 
     Yields (G, coefficient, extracted pieces in candidate order, n_G, e_G);
     the empty forest comes first, with no pieces.
     """
-    full_edges = t.edge_set
     options = []
     for c, omega in candidates:
-        if proper and c.edges == full_edges:
-            continue
         plain = t.restrict(c)
         boundary = _boundary(t, c.nodes, c.edges, table)
         decorated = [
@@ -296,9 +308,9 @@ class _AntipodeMinus:
             return self.memo[piece]
         if not in_X_minus(piece, self.table):
             raise ValueError("negative antipode applied outside X_-")
-        inside = [(c, w) for c, w in self.listed if c.edges <= piece.edge_set]
+        inside = [(c, w) for c, w in self.listed if c.edges < piece.edge_set]
         terms = []
-        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, inside, proper=True):
+        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, inside):
             symbol = self.symbol(_remainder(piece, sub, nd, ed, o_label=False))
             if symbol is not None:
                 terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (symbol,)).items())
@@ -341,50 +353,6 @@ def _plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[SubForest, SubFor
     )
 
 
-def _dangle_headroom(
-    boundary: Iterable[EdgeKey], up: dict[EdgeKey, Fraction]
-) -> Optional[dict[EdgeKey, Fraction]]:
-    """For each boundary edge e of a recentered subtree, the strict upper
-    bound on the extra s-degree its decoration may carry while the dangling
-    tree T_>=(e) keeps positive recentered homogeneity: `up[e]` from the
-    piece's up-tree table, since recentering changes no label above the
-    subtree.  None when some dangling tree already fails at zero
-    decoration."""
-    out: dict[EdgeKey, Fraction] = {}
-    for e in boundary:
-        if up[e] <= 0:
-            return None
-        out[e] = up[e]
-    return out
-
-
-def _choices(slots: list, options: Callable[[Hashable], list]) -> Iterator[tuple[dict, Coefficient]]:
-    """Every labelling of `slots` by one (label, coefficient) pair of
-    `options(slot)` per slot: (the nonzero labels, product of the
-    coefficients), the first slot varying slowest."""
-    for chosen in itertools.product(*(options(x) for x in slots)):
-        labels = {x: k for x, (k, _) in zip(slots, chosen) if not k.is_zero()}
-        yield labels, math.prod(c for _, c in chosen)
-
-
-def _node_choices(piece: DecoratedTree, slots: list[int]) -> Iterator[tuple[dict, int]]:
-    """Every split of the node labels on `slots` between the recentered
-    piece and the remainder: (the piece's labels, binomial coefficient)."""
-    n = piece.node_dec
-    return _choices(slots, lambda u: [(k, binom_mi(n(u), k)) for k in submultiindices(n(u))])
-
-
-def _edge_choices(
-    slots: list[EdgeKey], headroom: dict[EdgeKey, Fraction], table: TypeTable
-) -> Iterator[tuple[dict, Coefficient]]:
-    """Every edge labelling of `slots` whose s-degree stays strictly below
-    each edge's headroom: (labels, 1 / product of the factorials)."""
-    return _choices(
-        slots,
-        lambda e: [(k, exact_div(1, k.factorial())) for k in multiindices_below(table.scaling, headroom[e])],
-    )
-
-
 def _color2_labels(piece: DecoratedTree, table: TypeTable) -> dict[int, MultiIndex]:
     """n^: the node labels of the color-2 part, on its true nodes."""
     fict = piece.fictitious_nodes(table)
@@ -400,15 +368,15 @@ def _recenterings(
     """The piece recentered around each S of `subtrees` (rooted, holding the
     color-2 part, given with its boundary), with every split of the node
     labels and every labelling e_S of S's boundary edges that keeps the
-    dangling trees positive (read from the up-tree table `up`).  Yields
+    dangling trees positive (the up-tree table `up` is the headroom of each
+    boundary edge, and S is skipped where some entry is not positive).  Yields
     (left piece, coefficient, remainder): the left piece is S with the node
     labels n_S + chi(e_S), where n_S takes part of each uncolored label in S
     and all of the color-2 labels n^, which the remainder gives up."""
     fict = piece.fictitious_nodes(table)
     nhat = _color2_labels(piece, table)
     for s, boundary in subtrees:
-        headroom = _dangle_headroom(boundary, up)
-        if headroom is None:
+        if any(up[e] <= 0 for e in boundary):
             continue
         hat1, hat2 = _plus_colored(piece, s)
         olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
@@ -419,7 +387,7 @@ def _recenterings(
         for nd, coeff_n in _node_choices(piece, node_slots):
             n_s = {**nd, **nhat}
             rem_ndec = _shifted(piece.node_dec_items, minus=n_s.items())
-            for ed, coeff_e in _edge_choices(boundary, headroom, table):
+            for ed, coeff_e in _edge_choices(boundary, up, table):
                 remainder = piece.with_(
                     node_dec=rem_ndec,
                     edge_dec=_shifted(piece.edge_dec_items, plus=ed.items()),
@@ -468,14 +436,10 @@ class _AntipodePlus:
         # f decorations sit on the kernel edges leaving the color-2 part, at
         # the foot of its dangling trees, and must keep the *input* piece in
         # X_+; each such edge trunks its own dangling tree, so the bounds
-        # decouple.
+        # decouple, and `in_X_plus` has found each up-tree entry positive.
         f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
-        f_headroom = _dangle_headroom(f_slots, up)
         outer_sign = (-1) ** len(f_slots)
-        f_choices = [
-            (ed_f, _chi(ed_f), coeff_f)
-            for ed_f, coeff_f in _edge_choices(f_slots, f_headroom, t)
-        ]
+        f_choices = [(ed_f, _chi(ed_f), coeff_f) for ed_f, coeff_f in _edge_choices(f_slots, up, t)]
         terms = []
         for left_s, coeff_s, remainder in _recenterings(piece, t, up, self._abar2(piece, f_slots)):
             # within the headroom every dangling tree of S stays positive, so

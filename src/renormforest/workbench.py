@@ -267,6 +267,7 @@ class Workbench:
     def __init__(self, config: WorkbenchConfig):
         self.config = config
         self._basis: Optional[list[DecoratedTree]] = None
+        self._names: Optional[dict] = None
         # per-tree divergences, cuts and chaos classes, each built on first use
         self.analysis = Analyses(config.table, config.cum, config.caps["max_div"])
 
@@ -287,19 +288,22 @@ class Workbench:
             try:
                 idx = int(tree_id[1:])
             except ValueError:
-                raise KeyError(tree_id)
+                idx = -1
             if 0 <= idx < len(basis):
                 return basis[idx]
+        names = self.name_map()
         for t in basis:
-            if format_tree(t, self.config.table) == tree_id:
+            if names[t.canonical_code()] == tree_id:
                 return t
         raise KeyError(f"unknown tree id {tree_id!r}; run `generate` to list ids")
 
     def name_map(self) -> dict:
-        return {
-            t.canonical_code(): format_tree(t, self.config.table)
-            for t in self.basis()
-        }
+        """The formatted name of each basis tree, by canonical code; built
+        on first use."""
+        if self._names is None:
+            table = self.config.table
+            self._names = {t.canonical_code(): format_tree(t, table) for t in self.basis()}
+        return self._names
 
     # -- commands
 
@@ -410,6 +414,11 @@ class Workbench:
             raise ConfigError(
                 [f"scale assignment pi names nodes that are not leaves of {tree_id}: {unknown}"]
             )
+        for block in sorted(sorted(b) for b in pi):
+            if not self.config.cum.admits([t.leaf_type(u, table) for u in block]):
+                raise ConfigError(
+                    [f"scale assignment pi block {block} is not admitted by the cumulant set"]
+                )
         eu = ms.EdgeUniverse(t, table, pi)
         n = {}
         for tag in eu.all_tags():

@@ -6,7 +6,9 @@ subtrees of every piece it visits, the counterterm constants by their own
 recursion with a vanishing filter and the counterterm report built on them,
 the recentering bounds found by building a
 probe tree and restricting it to each dangling up-tree, and Delta_+ and the
-positive antipode each with its own recentering loop."""
+positive antipode each with its own recentering loop.  The decorations of an
+extraction come from their own budget recursion, and the loops' bounds on
+the boundary decorations from their own copy of the up-tree table."""
 from __future__ import annotations
 
 import itertools
@@ -17,7 +19,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 from conftest import MAX_DIV
 from forest_oracle import dangling_trees, up_tree
 from renormforest.forests import div_enumerate, irreducible_partition_exists
-from renormforest.formal import FormalSum, exact
+from renormforest.formal import Coefficient, FormalSum, exact, exact_div
 from renormforest.hopf import (
     CountertermMonomial,
     CountertermReport,
@@ -26,9 +28,7 @@ from renormforest.hopf import (
     _bare_constant_key,
     _boundary,
     _chi,
-    _dangle_headroom,
     _edge_choices,
-    _extraction_decorations,
     _extractions,
     _label_for,
     _node_choices,
@@ -42,7 +42,15 @@ from renormforest.hopf import (
 )
 from renormforest.powercount import TreeAnalysis
 from renormforest.rules import CumulantSet
-from renormforest.scaling import ExtLabel, MultiIndex, TypeTable, ZERO_MI
+from renormforest.scaling import (
+    ExtLabel,
+    MultiIndex,
+    TypeTable,
+    ZERO_MI,
+    binom_mi,
+    multiindices_below,
+    submultiindices,
+)
 from renormforest.trees import DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
 
 
@@ -92,6 +100,74 @@ def node_disjoint_families(pieces: list[SubForest]) -> Iterator[list[SubForest]]
     return rec(0, frozenset())
 
 
+def extraction_decorations(
+    t: DecoratedTree,
+    table: TypeTable,
+    comp: SubForest,
+    omega: Fraction,
+    boundary: Sequence[EdgeKey],
+) -> Iterator[tuple[dict[int, MultiIndex], dict[EdgeKey, MultiIndex], Coefficient]]:
+    """`hopf._extraction_decorations` as it was before it took the product
+    of the node and edge choices: a recursion over the slots, node slots
+    first, that spends the budget `omega` as it goes.  Yields (n_G, e_G,
+    combinatorial coefficient)."""
+    root = t.subtree_root(comp)
+    fict = {c for (p, c) in comp.edges if table.is_noise(t.edge_type((p, c)))}
+    node_slots = [u for u in sorted(comp.nodes - fict) if u != root and not t.node_dec(u).is_zero()]
+    # boundary edges at the root force e_G = 0 there; they are skipped
+    edge_slots = [e for e in sorted(boundary) if e[0] != root]
+
+    def rec(slots: list, remaining: Fraction, ndec: dict, edec: dict, coeff: Coefficient):
+        if not slots:
+            yield dict(ndec), dict(edec), coeff
+            return
+        slot, rest = slots[0], slots[1:]
+        if isinstance(slot, int):
+            for k in submultiindices(t.node_dec(slot)):
+                d = Fraction(k.sdeg(table.scaling))
+                if d < remaining:
+                    if not k.is_zero():
+                        ndec[slot] = k
+                    c = binom_mi(t.node_dec(slot), k)
+                    yield from rec(rest, remaining - d, ndec, edec, coeff * c)
+                    ndec.pop(slot, None)
+        else:
+            for k in multiindices_below(table.scaling, remaining):
+                if not k.is_zero():
+                    edec[slot] = k
+                yield from rec(
+                    rest,
+                    remaining - Fraction(k.sdeg(table.scaling)),
+                    ndec,
+                    edec,
+                    exact_div(coeff, k.factorial()),
+                )
+                edec.pop(slot, None)
+
+    yield from rec(node_slots + edge_slots, omega, {}, {}, 1)
+
+
+def strictly_inside(
+    listed: Sequence[tuple[SubForest, Fraction]], piece: DecoratedTree
+) -> list[tuple[SubForest, Fraction]]:
+    """The entries of `listed` whose edges lie strictly inside the piece:
+    what the negative antipode's recursion extracts from it."""
+    return [(c, w) for c, w in listed if c.edges < piece.edge_set]
+
+
+def up_headroom(
+    boundary: Iterable[EdgeKey], up: dict[EdgeKey, Fraction]
+) -> Optional[dict[EdgeKey, Fraction]]:
+    """The up-tree entry of each boundary edge, or None when one is not
+    positive (some dangling tree already fails at zero decoration)."""
+    out: dict[EdgeKey, Fraction] = {}
+    for e in boundary:
+        if up[e] <= 0:
+            return None
+        out[e] = up[e]
+    return out
+
+
 def extraction_options(
     t: DecoratedTree,
     table: TypeTable,
@@ -116,7 +192,7 @@ def extraction_options(
         boundary = _boundary(t, c.nodes, c.edges, table)
         bare = t.restrict(c)
         options[c] = []
-        for nd, ed, cf in _extraction_decorations(t, table, c, budget, boundary):
+        for nd, ed, cf in extraction_decorations(t, table, c, budget, boundary):
             labels = dict(nd)
             for u, k in _chi(ed).items():
                 labels[u] = labels.get(u, ZERO_MI) + k
@@ -208,7 +284,9 @@ def assert_extractions_match(
         candidates = div_enumerate(t, table)
     else:
         candidates = TreeAnalysis(t, table, vanishing, MAX_DIV).divergences
-    rows = _extractions(t, table, candidates, proper)
+    if proper:
+        candidates = strictly_inside(candidates, t)
+    rows = _extractions(t, table, candidates)
     seen: dict[SubForest, set] = {g: set() for g in families}
     for g, coeff, pieces, nd, ed in itertools.islice(rows, sum(sizes.values()) + 1):
         comps = families.get(g)
@@ -281,8 +359,8 @@ class AntipodeMinusPerPiece:
         if not in_X_minus(piece, self.table):
             raise ValueError("negative antipode applied outside X_-")
         terms = []
-        listed = div_enumerate(piece, self.table)
-        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, listed, proper=True):
+        listed = strictly_inside(div_enumerate(piece, self.table), piece)
+        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, listed):
             residual = _remainder(piece, sub, nd, ed, o_label=False)
             terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (residual,)).items())
         result = FormalSum(terms)
@@ -319,8 +397,8 @@ class RenormalizedConstant:
             return self.memo[code]
         terms = []
         if irreducible_partition_exists(piece, SubForest(piece.nodes, piece.edge_set), self.cum):
-            listed = div_enumerate(piece, self.table)
-            for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, listed, proper=True):
+            listed = strictly_inside(div_enumerate(piece, self.table), piece)
+            for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, listed):
                 factors = [self.of(p) for p in pieces]
                 if any(f.is_zero() for f in factors):
                     continue
@@ -513,7 +591,7 @@ def delta_plus_loop(piece: DecoratedTree, table: TypeTable) -> FormalSum:
     terms = []
     for s, _ in _admissible_rooted(piece, table):
         boundary = _boundary(piece, s.nodes, s.edges, table)
-        headroom = _dangle_headroom(boundary, up)
+        headroom = up_headroom(boundary, up)
         if headroom is None:
             continue
         hat1, hat2 = _plus_colored(piece, s)
@@ -559,7 +637,7 @@ class AntipodePlusLoop:
             self.memo[piece] = res
             return res
         f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
-        f_headroom = _dangle_headroom(f_slots, up)
+        f_headroom = up_headroom(f_slots, up)
         outer_sign = (-1) ** len(f_slots)
         f_choices = [
             (ed_f, _chi(ed_f), coeff_f) for ed_f, coeff_f in _edge_choices(f_slots, f_headroom, t)
@@ -567,7 +645,7 @@ class AntipodePlusLoop:
         terms = []
         for s in abar2(piece, t):
             boundary_s = _boundary(piece, s.nodes, s.edges, t)
-            headroom = _dangle_headroom(boundary_s, up)
+            headroom = up_headroom(boundary_s, up)
             if headroom is None:
                 continue
             hat1, hat2 = _plus_colored(piece, s)

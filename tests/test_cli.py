@@ -246,6 +246,11 @@ def test_project(tmp_path, capsys):
         json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, **{"K:0,1": 3.9})}),
         json.dumps({"pi": [[True, 3]], "scales": dict(KPZ_T2_SCALES, **{"pi:1,3": 1})}),
         json.dumps({"pi": [[1.5, 3]], "scales": dict(KPZ_T2_SCALES, **{"pi:1,3": 1})}),
+        # a lone noise is a divergent subtree compatible with a singleton
+        # block, which no cumulant admits
+        json.dumps({"pi": [[1], [3]], "scales": KPZ_T2_SCALES}),
+        json.dumps({"pi": [[1]], "scales": KPZ_T2_SCALES}),
+        json.dumps({"pi": [[]], "scales": KPZ_T2_SCALES}),
     ],
     ids=[
         "missing-file",
@@ -264,6 +269,9 @@ def test_project(tmp_path, capsys):
         "float-scale",
         "bool-leaf",
         "float-leaf",
+        "singleton-blocks",
+        "one-singleton-block",
+        "empty-block",
     ],
 )
 def test_bad_scales_are_input_errors(doc, tmp_path, capsys):
@@ -294,12 +302,15 @@ def test_certify_over_the_vertex_cap(capsys, monkeypatch):
     assert captured.err == "cap exceeded: quotient vertex count 6 exceeds the cap 3\n"
 
 
-def test_certify_unknown_tree(capsys, monkeypatch):
+@pytest.mark.parametrize("tree_id", ["T9", "T", "Tx"])
+def test_certify_unknown_tree(tree_id, capsys, monkeypatch):
+    """An id out of range, one with no index and one with a bad index get
+    the same message, without the quotes a KeyError adds."""
     monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
-    assert cli.main(["--config", config_path("kpz"), "certify", "T9"]) == 2
+    assert cli.main(["--config", config_path("kpz"), "certify", tree_id]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err == f"error: unknown tree id '{tree_id}'; run `generate` to list ids\n"
 
 
 def test_certify_independent_of_hash_seed():

@@ -8,7 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hopf_oracle
-from conftest import BPHZ_TERMS, KPZ, MAX_DIV, analyses, colored_trees, decorated_trees
+from conftest import (
+    BPHZ_TERMS,
+    KPZ,
+    MAX_DIV,
+    analyses,
+    colored_trees,
+    decorated_trees,
+    multiindices,
+)
 from forest_oracle import (
     depth,
     down_tree,
@@ -28,6 +36,7 @@ from hopf_oracle import (
     recentered_up_hom,
     recentering_cases,
     sorted_pieces,
+    strictly_inside,
     tensor,
 )
 from renormforest import forests as fo
@@ -40,7 +49,7 @@ from renormforest.hopf import (
     _AntipodePlus,
     _boundary,
     _bare_constant_key,
-    _dangle_headroom,
+    _extraction_decorations,
     _extractions,
     bphz_expansion,
     counterterm_report,
@@ -281,20 +290,45 @@ def test_extractions_match_edge_subset_scan(workbenches, model, tree_id):
     for kw in ({}, {"proper": True}, {"vanishing": cum}):
         assert_extractions_match(t, table, **kw)
     a = wb.analysis(t)
-    for candidates, proper in (
-        (a.all_divergences, False), (a.all_divergences, True), (a.divergences, False)
-    ):
+    for candidates in (a.all_divergences, strictly_inside(a.all_divergences, t), a.divergences):
         # the empty forest comes first
-        assert next(_extractions(t, table, candidates, proper))[2] == [], (len(candidates), proper)
+        assert next(_extractions(t, table, candidates))[2] == [], len(candidates)
+
+
+def test_extraction_decorations_match_budget_recursion():
+    """On random trees with random node labels on their true nodes, the
+    product of node and edge choices gives, for every divergent subtree,
+    the rows of the budget recursion it replaced, in the same order and with
+    equal coefficients.  The count of rows carrying node labels and edge
+    labels shows both kinds of slot were reached."""
+    table = KPZ.table
+    reached = {"node": 0, "edge": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(decorated_trees(max_edges=8), st.data())
+    def check(t, data):
+        labelled = data.draw(st.sets(st.sampled_from(sorted(t.true_nodes(table)))))
+        t = t.with_(node_dec={u: data.draw(multiindices(2)) for u in labelled})
+        for c, omega in div_enumerate(t, table):
+            boundary = _boundary(t, c.nodes, c.edges, table)
+            rows = list(_extraction_decorations(t, table, c, omega, boundary))
+            assert rows == list(hopf_oracle.extraction_decorations(t, table, c, omega, boundary))
+            reached["node"] += sum(1 for nd, _, _ in rows if nd)
+            reached["edge"] += sum(1 for _, ed, _ in rows if ed)
+
+    check()
+    assert reached["node"] and reached["edge"], reached
 
 
 # -- recentering bounds against probe trees ------------------------------------------
 
 
 def assert_headroom_matches_probe(piece, s, table):
-    """The headroom of S's boundary edges from the piece's up-tree table
-    equals the probe's, for every split of S's node labels."""
-    want = _dangle_headroom(_boundary(piece, s.nodes, s.edges, table), up_hom_table(piece, table))
+    """The piece's up-tree table on S's boundary edges equals the probe's
+    headroom, for every split of S's node labels: both skip S when an entry
+    is not positive."""
+    boundary = _boundary(piece, s.nodes, s.edges, table)
+    want = hopf_oracle.up_headroom(boundary, up_hom_table(piece, table))
     assert all(h == want for h in probe_headrooms(piece, s, table))
 
 
@@ -305,8 +339,8 @@ def assert_x_plus_matches_probe(piece, table):
     assert in_X_plus(piece, table, up_hom_table(piece, table)) == hopf_oracle.in_X_plus(piece, table)
     f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, table))
     probe = {e: recentered_plus_hom(piece, up_tree(piece, e), table) for e in f_slots}
-    got = _dangle_headroom(f_slots, up_hom_table(piece, table))
-    assert got == (probe if all(h > 0 for h in probe.values()) else None)
+    up = up_hom_table(piece, table)
+    assert {e: up[e] for e in f_slots} == probe
     abar2 = list(_AntipodePlus(table)._abar2(piece, f_slots))
     assert [s for s, _ in abar2] == hopf_oracle.abar2(piece, table)
     assert all(list(b) == _boundary(piece, s.nodes, s.edges, table) for s, b in abar2)

@@ -1,7 +1,8 @@
 """Every function and method in `src/renormforest` is an entry point (a
 command, a name the benchmark drives, or a public tree-building entry) or
 is referenced by name from code an entry point reaches, and every field of
-a dataclass there is read somewhere there.  These checks are static:
+a dataclass there is read somewhere there, and the count of defaulted
+parameters there does not grow.  These checks are static:
 they parse the modules and run none of them.  Last, every name the
 benchmark's tracing patches still exists, and the benchmark's canonical
 requests still give their recorded outputs."""
@@ -154,6 +155,34 @@ def unread_fields() -> list[str]:
 
 def test_every_dataclass_field_is_read():
     assert unread_fields() == []
+
+
+def defaulted_parameters() -> int:
+    """The positional and keyword defaults of every `def` and `lambda` in
+    `src/renormforest`, and the defaulted fields of its dataclasses."""
+    count = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+                count += sum(
+                    isinstance(sub, ast.AnnAssign) and sub.value is not None for sub in node.body
+                )
+    return count
+
+
+# the count of defaulted parameters may only fall
+MAX_DEFAULTED_PARAMETERS = 36
+
+
+def test_defaulted_parameters_do_not_grow():
+    count = defaulted_parameters()
+    assert count <= MAX_DEFAULTED_PARAMETERS, (
+        f"{count} defaulted parameters in src/, above {MAX_DEFAULTED_PARAMETERS}: a default "
+        "stays only where callers in src/ or perfbench/ need different values, and a change "
+        "that raises the count says why in CHANGES.md"
+    )
 
 
 def load_benchmark_module(name: str):
