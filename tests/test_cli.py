@@ -302,15 +302,26 @@ def test_certify_over_the_vertex_cap(capsys, monkeypatch):
     assert captured.err == "cap exceeded: quotient vertex count 6 exceeds the cap 3\n"
 
 
-@pytest.mark.parametrize("tree_id", ["T9", "T", "Tx"])
-def test_certify_unknown_tree(tree_id, capsys, monkeypatch):
-    """An id out of range, one with no index and one with a bad index get
-    the same message, without the quotes a KeyError adds."""
-    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+def _assert_unknown_tree(tree_id, capsys):
     assert cli.main(["--config", config_path("kpz"), "certify", tree_id]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: unknown tree id '{tree_id}'; run `generate` to list ids\n"
+
+
+def test_certify_unknown_tree(capsys, monkeypatch):
+    """An id out of range gets a plain message, without the quotes a
+    KeyError adds."""
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    _assert_unknown_tree("T9", capsys)
+
+
+@pytest.mark.parametrize("tree_id", ["T", "Tx"])
+def test_certify_malformed_tree_id(tree_id, capsys, monkeypatch):
+    """An id with no index and one with a bad index get the same message
+    as an id out of range."""
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    _assert_unknown_tree(tree_id, capsys)
 
 
 def test_certify_independent_of_hash_seed():
