@@ -32,57 +32,33 @@ class CapExceeded(RuntimeError):
 # Filtering on this criterion reproduces the worked renormalization tables.
 
 
-def _span_of_block(t: DecoratedTree, sf: SubForest, leaves: Sequence[int]) -> SubForest:
-    """Minimal connected subtree of the subtree `sf` containing the noise
-    edges of the given leaf nodes."""
-    piece_nodes = sf.nodes
-    paths: list[list[int]] = []
-    for u in leaves:
-        path = [u]
-        v = u
-        while True:
-            p = t.parent(v)
-            if p is None or v not in piece_nodes or (p, v) not in sf.edges:
-                break
-            path.append(p)
-            v = p
-        paths.append(path)
-    common = set(paths[0])
-    for p in paths[1:]:
-        common &= set(p)
-    # each path runs deepest-first, so the first common node is the join
-    lca = next(v for v in paths[0] if v in common)
-    nodes: set[int] = set()
-    for path in paths:
-        for v in path:
-            nodes.add(v)
-            if v == lca:
-                break
-    nodes.add(lca)
-    edges = {e for e in sf.edges if e[0] in nodes and e[1] in nodes}
-    noise_edges = {e for e in sf.edges if e[0] in set(leaves)}
-    for p, c in noise_edges:
-        nodes.add(c)
-    edges |= noise_edges
-    return SubForest(frozenset(nodes), frozenset(edges))
-
-
 def _block_pendant_reducible(
     t: DecoratedTree, sf: SubForest, block: Sequence[int], table: TypeTable
 ) -> bool:
-    span = _span_of_block(t, sf, block)
-    if span.edges == sf.edges:
-        return False
-    piece = t.restrict(span)
-    span_leaves = piece.leaf_nodes(table)
-    if span_leaves != frozenset(block):
-        return False
-    root = t.subtree_root(span)
-    interior = span.nodes - {root}
-    for e in sf.edges - span.edges:
-        if e[0] in interior:
-            return False
-    return zero_node_hom(t, span, table) < 0
+    """The block's span, the connected subtree of `sf` joining the block's
+    leaves with every edge of `sf` out of them (their noise edges, and a
+    kernel edge out of one of them too), is a proper part of `sf`, no other
+    edge of `sf` leaves the span below the join, and the span's zero-label
+    homogeneity is negative."""
+    top = t.subtree_root(sf)
+    paths = []
+    for u in block:
+        path = [u]
+        while path[-1] != top:
+            path.append(t.parent(path[-1]))
+        paths.append(path)
+    common = set(paths[0]).intersection(*paths[1:])
+    # each path runs deepest-first, so the first common node is the join
+    join = next(v for v in paths[0] if v in common)
+    below = {v for path in paths for v in path[: path.index(join)]}
+    out_of_leaves = [e for e in sf.edges if e[0] in block]
+    interior = below.union(c for _, c in out_of_leaves)
+    edges = frozenset({(t.parent(v), v) for v in below}.union(out_of_leaves))
+    return (
+        edges != sf.edges
+        and not any(p in interior for p, _ in sf.edges - edges)
+        and zero_node_hom(t, SubForest(frozenset(interior | {join}), edges), table) < 0
+    )
 
 
 def irreducible_partition_exists(
@@ -91,18 +67,11 @@ def irreducible_partition_exists(
     """True when some admissible full partition of the subtree's noises has
     no pendant-reducible block (see module comment)."""
     table = cum.table
-    piece = t.restrict(sf)
-    leaves = sorted(piece.leaf_nodes(table))
-    types = [piece.leaf_type(u, table) for u in leaves]
-    if not leaves:
-        return False
-    for part in cum.partitions_of(types):
-        if not any(
-            _block_pendant_reducible(t, sf, [leaves[i] for i in block], table)
-            for block in part
-        ):
-            return True
-    return False
+    leaves = sorted(t.leaves_of(sf, table))
+    return bool(leaves) and any(
+        not any(_block_pendant_reducible(t, sf, [leaves[i] for i in block], table) for block in part)
+        for part in cum.partitions_of([t.leaf_type(u, table) for u in leaves])
+    )
 
 
 def div_enumerate(
@@ -189,7 +158,7 @@ def depth_sets(forest: ForestOfSubtrees) -> list[frozenset]:
     return out
 
 
-def all_forests(universe: Sequence[SubForest], cap: int = 200000) -> list[ForestOfSubtrees]:
+def all_forests(universe: Sequence[SubForest], cap: int) -> list[ForestOfSubtrees]:
     """Every subset of `universe` that is a forest of subtrees."""
     uni = sorted(universe, key=lambda s: s.sort_key())
     n = len(uni)
@@ -234,7 +203,7 @@ def leaf_partitions(
 def compatible_partition(t: DecoratedTree, table: TypeTable, s: SubForest, pi: frozenset) -> bool:
     """A subtree and a partition are compatible when the subtree's leaf set
     is a union of blocks (a forest is compatible when each member is)."""
-    ls = {p for p, c in s.edges & set(t.noise_edges(table))}  # the leaves of s
+    ls = t.leaves_of(s, table)
     return ls <= set().union(*pi) and all(b <= ls for b in pi if b & ls)
 
 
@@ -243,14 +212,16 @@ def forests_compatible_with(
     table: TypeTable,
     universe: Sequence[SubForest],
     pi: frozenset,
+    cap: int,
 ) -> list[ForestOfSubtrees]:
-    """F_pi over the given divergent-subtree universe."""
+    """F_pi over the given divergent-subtree universe, at most `cap`
+    forests (`all_forests`)."""
     keep = [
         s
         for s in universe
         if compatible_partition(t, table, s, pi)
     ]
-    return all_forests(keep)
+    return all_forests(keep, cap)
 
 
 # -- sigma constructions ---------------------------------------------------------

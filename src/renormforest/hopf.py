@@ -149,6 +149,9 @@ def _extraction_decorations(
     node_slots = [u for u in sorted(comp.nodes - fict) if u != root and not t.node_dec(u).is_zero()]
     # boundary edges at the root force e_G = 0 there; they are skipped
     edge_slots = [e for e in sorted(boundary) if e[0] != root]
+    if not node_slots and not edge_slots:  # the one labelling: all zero, below omega > 0
+        yield {}, {}, 1
+        return
     scaling = table.scaling
     edge_choices = _edge_choices(edge_slots, dict.fromkeys(edge_slots, omega), table)
     for (nd, coeff_n), (ed, coeff_e) in itertools.product(_node_choices(t, node_slots), edge_choices):

@@ -28,7 +28,7 @@ def chaos_classes(analysis: TreeAnalysis) -> list[ChaosClass]:
     all_cuts = [e for e, _ in analysis.cuts]
     out = []
     for wick, pi in analysis.gaussian_classes:
-        forests = forests_compatible_with(t, table, univ, pi)
+        forests = forests_compatible_with(t, table, univ, pi, analysis.max_div)
         cut_sets = []
         for f in forests:
             free = cuts_avoiding(all_cuts, f)

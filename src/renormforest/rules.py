@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .scaling import MultiIndex, TypeTable, ZERO_MI, multiindices_below
-from .trees import DecoratedTree, SubForest, noise, poly, zero_node_hom
+from .trees import DecoratedTree, SubForest, graft, noise, poly, zero_node_hom
 
 # An entry of a production: (type name, derivative decoration).
 Entry = tuple[str, MultiIndex]
@@ -286,7 +286,6 @@ def generate_trees(
     cutoff: Fraction,
     max_edges: int,
     poly_sdeg_bound: int = 0,
-    require_subcritical: bool = True,
 ) -> list[DecoratedTree]:
     """All rule-conforming trees with homogeneity < cutoff and at most
     `max_edges` edges, deduplicated up to isomorphism and sorted by (edge
@@ -312,13 +311,14 @@ def generate_trees(
     homogeneity >= cutoff, and every kept tree is checked exactly, so the
     result is the same set as filtering all conforming trees at the root.
     For a subcritical rule the bounded search is finite however large
-    `max_edges` is, because only finitely many trees lie below any cutoff.
+    `max_edges` is, because only finitely many trees lie below any cutoff;
+    the rule is not checked here (`Workbench.basis` checks it).  Each tree
+    is grafted (`trees.graft`) from its root's label and production and the
+    planted subtrees the search chose for the production's kernel entries.
     """
     table = rule.table
     scaling = table.scaling
     cutoff = Fraction(cutoff)
-    if require_subcritical and not check_subcritical(rule)["pass"]:
-        raise SubcriticalityError("the rule failed the subcriticality fixpoint test")
     labels = (
         [ZERO_MI]
         if poly_sdeg_bound <= 0
@@ -381,7 +381,7 @@ def generate_trees(
         for p in rule.allowed_contents(incoming):
             if len(p) > budget:
                 continue
-            noise_entries = [e for e in p if table.is_noise(e[0])]
+            noises = [(name, k, None, None) for name, k in p if table.is_noise(name)]
             kernel_entries = [e for e in p if table.is_kernel(e[0])]
             kernels = kernel_names(p)
             fixed = entries_hom(p)
@@ -404,9 +404,10 @@ def generate_trees(
                     acc.pop()
 
             for hom, subs in branches(0, budget - len(p), fixed, []):
+                planted = noises + [(name, k, sub, sub.root) for (name, k), sub in zip(kernel_entries, subs)]
                 for lab, lab_hom in label_homs:
                     if hom + lab_hom < bound:
-                        t = _assemble(table, lab, noise_entries, kernel_entries, subs)
+                        t = graft(lab, planted)
                         out[t.canonical_code()] = (hom + lab_hom, t)
         cache[key] = list(out.values())
         return cache[key]
@@ -423,41 +424,6 @@ def generate_trees(
     for _, t in gen(None, max_edges, cutoff):
         basis[t.canonical_code()] = t
     return sorted(basis.values(), key=lambda t: (len(t.edge_items), t.canonical_code()))
-
-
-def _assemble(
-    table: TypeTable,
-    label: MultiIndex,
-    noise_entries: Sequence[Entry],
-    kernel_entries: Sequence[Entry],
-    subs: Sequence[DecoratedTree],
-) -> DecoratedTree:
-    edges: dict[tuple[int, int], str] = {}
-    edec: dict[tuple[int, int], MultiIndex] = {}
-    ndec: dict[int, MultiIndex] = {}
-    if not label.is_zero():
-        ndec[0] = label
-    nxt = 1
-    for name, k in noise_entries:
-        edges[(0, nxt)] = name
-        if not k.is_zero():
-            edec[(0, nxt)] = k
-        nxt += 1
-    for (name, k), sub in zip(kernel_entries, subs):
-        shifted = sub.shift_ids(nxt)
-        edges[(0, shifted.root)] = name
-        if not k.is_zero():
-            edec[(0, shifted.root)] = k
-        for e, t in shifted.edge_items:
-            edges[e] = t
-            kk = shifted.edge_dec(e)
-            if not kk.is_zero():
-                edec[e] = kk
-        for u, kk in shifted.node_dec_items:
-            ndec[u] = kk
-        nxt = shifted.max_id() + 1
-    out = DecoratedTree(root=0, edges=edges, node_dec=ndec, edge_dec=edec, check=False)
-    return out.relabel_canonical()
 
 
 # -- side conditions ------------------------------------------------------------
@@ -497,8 +463,7 @@ def subtree_hypotheses(
     for sf in t.all_subtrees():
         if len(sf.nodes - fict) < 2:
             continue
-        piece = t.restrict(sf)
-        leaf_types = [piece.leaf_type(u, table) for u in sorted(piece.leaf_nodes(table))]
+        leaf_types = [t.leaf_type(u, table) for u in sorted(t.leaves_of(sf, table))]
         base = zero_node_hom(t, sf, table)
         if leaf_types or not gaussian:
             margin = min(half, gain(table, leaf_types))

@@ -5,13 +5,22 @@ ambient tree, subtrees and i-forest components are referenced through the
 ambient's ids, so two components are "the same embedded object" exactly when
 their node/edge sets and decorations coincide literally.  Isomorphism of
 abstract (embedding-erased) trees is decided by an AHU-style canonical code.
+
+Every copy of a tree is made by one primitive, `DecoratedTree._copy`, which
+renames the edges, labels, coloring and o labels of the nodes a renaming
+maps: `relabel` renames all of them and `restrict` keeps those of one
+subtree under their own ids.  New trees are built as the rule builds them,
+by planting trees under edges: `graft` puts copies of subtrees, and noise
+leaves, under a fresh root, and the planted tree I_k(tau) (`integrate`), the
+tree product (`tree_product`) and every tree of `rules.generate_trees` are
+one graft each.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .scaling import ExtLabel, MultiIndex, TypeTable, ZERO_EXT, ZERO_MI
 
@@ -135,6 +144,17 @@ class _TableFacts:
         self.rooted: Optional[tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]] = None
 
 
+def _normalized(labels, key) -> tuple[dict, tuple]:
+    """The nonzero labels of a mapping (or of its items) with their keys
+    cast by `key`: as a dict and as its sorted items."""
+    out = {key(x): k for x, k in dict(labels).items() if not k.is_zero()}
+    return out, tuple(sorted(out.items()))
+
+
+def _edge_key(e) -> EdgeKey:
+    return int(e[0]), int(e[1])
+
+
 class DecoratedTree:
     """Typed rooted tree with node labels n, edge labels e, an optional
     coloring (hat1, hat2) and an extended label o on the color-1 nodes.
@@ -172,22 +192,21 @@ class DecoratedTree:
     ):
         self._shape = _Shape(root, edges)
         self.root = self._shape.root
-        self._label(node_dec, edge_dec, hat1, hat2, o_label)
+        self._label(
+            _normalized(node_dec, int), _normalized(edge_dec, _edge_key), hat1, hat2,
+            _normalized(o_label, int),
+        )
         if check:
             self._shape.check()
             if table is not None:
                 self._check_types(table)
             self._check_labels()
 
-    def _label(self, node_dec, edge_dec, hat1: SubForest, hat2: SubForest, o_label):
-        """Set the labels and the coloring, their dicts, the embedded key
-        and the hash; the AHU codes are left to the first use."""
-        self._nd = {int(u): k for u, k in dict(node_dec).items() if not k.is_zero()}
-        self._ed = {(int(p), int(c)): k for (p, c), k in dict(edge_dec).items() if not k.is_zero()}
-        self._ol = {int(u): v for u, v in dict(o_label).items() if not v.is_zero()}
-        self._ndec = tuple(sorted(self._nd.items()))
-        self._edec = tuple(sorted(self._ed.items()))
-        self._olabel = tuple(sorted(self._ol.items()))
+    def _label(self, nd, ed, hat1: SubForest, hat2: SubForest, ol):
+        """Set the labels, each given as a dict and its sorted items
+        (`_normalized`), the coloring, the embedded key and the hash; the
+        AHU codes are left to the first use."""
+        (self._nd, self._ndec), (self._ed, self._edec), (self._ol, self._olabel) = nd, ed, ol
         self.hat1 = hat1
         self.hat2 = hat2
         self._key = (
@@ -325,17 +344,21 @@ class DecoratedTree:
 
     def with_(self, **labels):
         """This tree with some of `node_dec`, `edge_dec`, `hat1`, `hat2` and
-        `o_label` replaced.  The result shares this tree's shape; the shape
-        is checked once, the new labels every time."""
-        labels = {
-            "node_dec": self._nd, "edge_dec": self._ed, "hat1": self.hat1, "hat2": self.hat2,
-            "o_label": self._ol, **labels,
-        }
+        `o_label` replaced.  The result shares this tree's shape and the
+        labels it keeps; the shape is checked once, and only the labels
+        passed are normalized and checked."""
+        nd = _normalized(labels.pop("node_dec"), int) if "node_dec" in labels else (self._nd, self._ndec)
+        ed = _normalized(labels.pop("edge_dec"), _edge_key) if "edge_dec" in labels else (self._ed, self._edec)
+        ol = _normalized(labels.pop("o_label"), int) if "o_label" in labels else (self._ol, self._olabel)
+        hat1, hat2 = labels.pop("hat1", self.hat1), labels.pop("hat2", self.hat2)
+        if labels:
+            raise TypeError(f"with_() got unknown labels {sorted(labels)}")
         out = object.__new__(DecoratedTree)
         out.root, out._shape = self.root, self._shape
-        out._label(**labels)
+        out._label(nd, ed, hat1, hat2, ol)
         out._shape.check()
-        out._check_labels()
+        if hat1 is not self.hat1 or hat2 is not self.hat2 or ol[0] is not self._ol:
+            out._check_labels()
         return out
 
     def __eq__(self, other) -> bool:
@@ -414,28 +437,29 @@ class DecoratedTree:
         return out
 
     def relabel(self, ren: Mapping[int, int]) -> "DecoratedTree":
-        return DecoratedTree(
-            root=ren[self.root],
-            edges={(ren[p], ren[c]): t for (p, c), t in self._shape.edges},
-            node_dec={ren[u]: k for u, k in self._ndec},
-            edge_dec={(ren[p], ren[c]): k for (p, c), k in self._edec},
-            hat1=SubForest(
-                frozenset(ren[u] for u in self.hat1.nodes),
-                frozenset((ren[p], ren[c]) for p, c in self.hat1.edges),
-            ),
-            hat2=SubForest(
-                frozenset(ren[u] for u in self.hat2.nodes),
-                frozenset((ren[p], ren[c]) for p, c in self.hat2.edges),
-            ),
-            o_label={ren[u]: v for u, v in self._olabel},
-            check=False,
+        return DecoratedTree(ren[self.root], *self._copy(ren), check=False)
+
+    def _copy(self, ren: Mapping[int, int]) -> tuple:
+        """The edges, node labels, edge labels, coloring and o labels among
+        the nodes that `ren` maps, renamed by `ren`: the arguments after the
+        root of the tree they make."""
+
+        def nodes(items):
+            return {ren[u]: v for u, v in items if u in ren}
+
+        def edges(items):
+            return {(ren[p], ren[c]): v for (p, c), v in items if p in ren and c in ren}
+
+        def colored(sf: SubForest) -> SubForest:
+            return SubForest(
+                frozenset(ren[u] for u in sf.nodes if u in ren),
+                frozenset((ren[p], ren[c]) for p, c in sf.edges if p in ren and c in ren),
+            )
+
+        return (
+            edges(self._shape.edges), nodes(self._ndec), edges(self._edec),
+            colored(self.hat1), colored(self.hat2), nodes(self._olabel),
         )
-
-    def shift_ids(self, offset: int) -> "DecoratedTree":
-        return self.relabel({u: u + offset for u in self.nodes})
-
-    def max_id(self) -> int:
-        return max(self.nodes)
 
     # -- subforest machinery -----------------------------------------------
 
@@ -479,17 +503,12 @@ class DecoratedTree:
     def restrict(self, sf: SubForest) -> "DecoratedTree":
         """The decorated colored tree induced on one connected subforest
         (decorations, coloring and o restricted, per the paper's convention)."""
-        root = self.subtree_root(sf)
-        return DecoratedTree(
-            root=root,
-            edges={e: t for e, t in self._shape.edges if e in sf.edges},
-            node_dec={u: k for u, k in self._ndec if u in sf.nodes},
-            edge_dec={e: k for e, k in self._edec if e in sf.edges},
-            hat1=SubForest(self.hat1.nodes & sf.nodes, self.hat1.edges & sf.edges),
-            hat2=SubForest(self.hat2.nodes & sf.nodes, self.hat2.edges & sf.edges),
-            o_label={u: v for u, v in self._olabel if u in sf.nodes},
-            check=False,
-        )
+        ren = dict(zip(sf.nodes, sf.nodes))
+        return DecoratedTree(self.subtree_root(sf), *self._copy(ren), check=False)
+
+    def leaves_of(self, sf: SubForest, table: TypeTable) -> frozenset[int]:
+        """L(S): the nodes whose noise edge lies in the subforest."""
+        return frozenset(p for p, c in self.noise_edges(table) if (p, c) in sf.edges)
 
     def rooted_edge_sets(
         self, r: int, edges: Optional[frozenset[EdgeKey]] = None
@@ -637,48 +656,43 @@ def noise(name: str) -> DecoratedTree:
     return DecoratedTree(root=0, edges={(0, 1): name})
 
 
+def graft(
+    label: MultiIndex, branches: Iterable[tuple[str, MultiIndex, Optional[DecoratedTree], Optional[int]]]
+) -> DecoratedTree:
+    """A fresh root with node label `label` and one edge per branch (type,
+    k, tree, top): an edge of that type and decoration k down to a copy of
+    `tree` from its node `top` down, or to a fresh leaf when `tree` is None
+    (a noise), in the canonical labelling.  The branches' colorings and o
+    labels are not carried over."""
+    edges: dict[EdgeKey, str] = {}
+    node_dec = {0: label}
+    edge_dec: dict[EdgeKey, MultiIndex] = {}
+    fresh = 1
+    for name, k, tree, top in branches:
+        edges[(0, fresh)], edge_dec[(0, fresh)] = name, k
+        below = [top]
+        if tree is not None:
+            for u in below:  # the list grows while it is read
+                below.extend(c for _, c in tree.children(u))
+            ren = dict(zip(below, itertools.count(fresh)))
+            for part, copied in zip((edges, node_dec, edge_dec), tree._copy(ren)):
+                part.update(copied)
+        fresh += len(below)
+    return DecoratedTree(0, edges, node_dec, edge_dec, check=False).relabel_canonical()
+
+
 def integrate(name: str, k: MultiIndex, tree: DecoratedTree, table: TypeTable) -> DecoratedTree:
     """Attach a fresh root above `tree` by an edge of kernel type `name`
     with edge decoration k."""
     if not table.is_kernel(name):
         raise ValueError(f"cannot integrate against non-kernel type {name!r}")
-    shifted = tree.shift_ids(1)
-    edges = dict(shifted.edges)
-    edges[(0, shifted.root)] = name
-    edec = {e: shifted.edge_dec(e) for e, _ in shifted.edge_items}
-    if not k.is_zero():
-        edec[(0, shifted.root)] = k
-    out = DecoratedTree(
-        root=0,
-        edges=edges,
-        node_dec={u: kk for u, kk in shifted.node_dec_items},
-        edge_dec=edec,
-        check=False,
-    )
-    return out.relabel_canonical()
+    return graft(ZERO_MI, [(name, k, tree, tree.root)])
 
 
 def tree_product(*trees: DecoratedTree) -> DecoratedTree:
     """Identify the roots; the merged root's label is the sum of the old
-    root labels.  Node ids are made disjoint internally."""
-    if not trees:
-        return poly()
-    acc = trees[0]
-    for t in trees[1:]:
-        other = t.shift_ids(acc.max_id() + 1)
-        edges = dict(acc.edges)
-        ndec = {u: k for u, k in acc.node_dec_items}
-        edec = {e: k for e, k in acc.edge_dec_items}
-        ren = {other.root: acc.root}
-        for u in other.nodes:
-            ren.setdefault(u, u)
-        for (p, c), ty in other.edges.items():
-            edges[(ren[p], ren[c])] = ty
-            k = other.edge_dec((p, c))
-            if not k.is_zero():
-                edec[(ren[p], ren[c])] = k
-        for u, k in other.node_dec_items:
-            tgt = ren[u]
-            ndec[tgt] = ndec.get(tgt, ZERO_MI) + k
-        acc = DecoratedTree(root=acc.root, edges=edges, node_dec=ndec, edge_dec=edec, check=False)
-    return acc.relabel_canonical()
+    root labels."""
+    return graft(
+        sum((t.node_dec(t.root) for t in trees), ZERO_MI),
+        [(t.edge_type(e), t.edge_dec(e), t, e[1]) for t in trees for e in t.children(t.root)],
+    )

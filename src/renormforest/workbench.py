@@ -14,7 +14,8 @@ from .formal import Coefficient
 from .hopf import bphz_expansion, counterterm_report
 from .integrands import chaos_classes
 from .powercount import Analyses, Certifier, CertificateInput
-from .rules import CumulantSet, RuleSpec, generate_trees, production
+from .rules import CumulantSet, RuleSpec, SubcriticalityError, check_subcritical
+from .rules import generate_trees, production
 from .scaling import MultiIndex, ScalingSpec, TypeTable
 from .trees import DecoratedTree, SubForest
 
@@ -274,6 +275,8 @@ class Workbench:
     def basis(self) -> list[DecoratedTree]:
         if self._basis is None:
             caps = self.config.caps
+            if not check_subcritical(self.config.rule)["pass"]:
+                raise SubcriticalityError("the rule failed the subcriticality fixpoint test")
             self._basis = generate_trees(
                 self.config.rule,
                 caps["cutoff"],

@@ -23,6 +23,7 @@ from renormforest.forests import (
 )
 from renormforest.hopf import in_X_minus, in_X_plus
 from renormforest.scaling import TypeTable
+from tree_oracle import restrict
 from renormforest.trees import (
     EMPTY_SUBFOREST,
     DecoratedTree,
@@ -30,7 +31,9 @@ from renormforest.trees import (
     StructureError,
     SubForest,
     up_hom_table,
+    zero_node_hom,
 )
+from renormforest.workbench import DEFAULT_CAPS
 
 
 def up_tree(t: DecoratedTree, e: EdgeKey) -> SubForest:
@@ -107,7 +110,7 @@ def forests_with_max(
         if any(subtree_lt(s, m) for m in maximal)
     ]
     out = []
-    for g in all_forests(inside):
+    for g in all_forests(inside, DEFAULT_CAPS["max_div"]):
         cand = frozenset(maximal | g)
         if forest_maximal(cand) == frozenset(maximal):
             out.append(cand)
@@ -227,3 +230,52 @@ def sigma_positive(
             )
         )
     return tuple(sorted(pieces))
+
+
+# -- pendant-reducible blocks -------------------------------------------------------
+
+
+def span_of_block(t: DecoratedTree, sf: SubForest, leaves: Sequence[int]) -> SubForest:
+    """The span of a block as `forests` first built it: the path of each
+    leaf up inside `sf` to the join, and every edge of `sf` out of a leaf."""
+    paths: list[list[int]] = []
+    for u in leaves:
+        path = [u]
+        v = u
+        while True:
+            p = t.parent(v)
+            if p is None or v not in sf.nodes or (p, v) not in sf.edges:
+                break
+            path.append(p)
+            v = p
+        paths.append(path)
+    common = set(paths[0])
+    for p in paths[1:]:
+        common &= set(p)
+    lca = next(v for v in paths[0] if v in common)
+    nodes: set[int] = set()
+    for path in paths:
+        for v in path:
+            nodes.add(v)
+            if v == lca:
+                break
+    edges = {e for e in sf.edges if e[0] in nodes and e[1] in nodes}
+    out_of_leaves = {e for e in sf.edges if e[0] in set(leaves)}
+    nodes.update(c for _, c in out_of_leaves)
+    return SubForest(frozenset(nodes), frozenset(edges | out_of_leaves))
+
+
+def block_pendant_reducible(
+    t: DecoratedTree, sf: SubForest, block: Sequence[int], table: TypeTable
+) -> bool:
+    """`forests._block_pendant_reducible` as first written: the span
+    restricted to a tree to read its leaves, and its root looked up."""
+    span = span_of_block(t, sf, block)
+    if span.edges == sf.edges:
+        return False
+    if restrict(t, span).leaf_nodes(table) != frozenset(block):
+        return False
+    interior = span.nodes - {t.subtree_root(span)}
+    if any(e[0] in interior for e in sf.edges - span.edges):
+        return False
+    return zero_node_hom(t, span, table) < 0

@@ -1,7 +1,8 @@
 """Test-only oracles for `rules.generate_trees`: the exhaustive enumerator,
 and `conforms`, which checks a tree against the rule node by node.
 
-The enumerator assembles and canonically relabels every rule-conforming tree up to
+The enumerator assembles (`tree_oracle.assemble`, not the generator's
+`trees.graft`) and canonically relabels every rule-conforming tree up to
 `max_edges` and only then filters by homogeneity at the root, so it makes no
 use of the bound the branch-and-bound generator prunes with.  Its cost grows
 with the number of conforming trees (tens of thousands for phi4_3 at eleven
@@ -12,14 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from renormforest.rules import (
-    RuleSpec,
-    SubcriticalityError,
-    _assemble,
-    check_subcritical,
-)
+from renormforest.rules import RuleSpec
 from renormforest.scaling import ZERO_MI, multiindices_below
 from renormforest.trees import DecoratedTree, noise, poly
+from tree_oracle import assemble
 
 
 def exhaustive_trees(
@@ -27,13 +24,10 @@ def exhaustive_trees(
     cutoff: Fraction,
     max_edges: int,
     poly_sdeg_bound: int = 0,
-    require_subcritical: bool = True,
 ) -> list[DecoratedTree]:
     """Same contract as `generate_trees`, by enumerating all trees first."""
     table = rule.table
     cutoff = Fraction(cutoff)
-    if require_subcritical and not check_subcritical(rule)["pass"]:
-        raise SubcriticalityError("rule failed the subcriticality fixpoint test")
     labels = (
         [ZERO_MI]
         if poly_sdeg_bound <= 0
@@ -70,7 +64,7 @@ def exhaustive_trees(
 
             for subs in branches(0, budget - len(noise_entries), []):
                 for lab in labels:
-                    t = _assemble(table, lab, noise_entries, kernel_entries, subs)
+                    t = assemble(lab, noise_entries, kernel_entries, subs)
                     out[t.canonical_code()] = t
         res = sorted(out.values(), key=lambda t: (len(t.edge_items), t.canonical_code()))
         cache[key] = res

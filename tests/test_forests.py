@@ -2,9 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import KAPPA, analyses, spine_subtrees, spine_tree
+from conftest import KAPPA, KPZ, analyses, decorated_trees, spine_subtrees, spine_tree
 from forest_oracle import (
+    block_pendant_reducible,
     cut_depth,
     cut_depth_sets,
     depth,
@@ -17,6 +19,7 @@ from forest_oracle import (
 from multiscale_oracle import Interval, is_interval_of
 from renormforest.forests import (
     CapExceeded,
+    _block_pendant_reducible,
     all_forests,
     cut_enumerate,
     depth_sets,
@@ -26,7 +29,9 @@ from renormforest.forests import (
     is_forest_of_subtrees,
     sigma_negative,
 )
+from renormforest.rules import CumulantSet
 from renormforest.trees import DecoratedTree, SubForest
+from renormforest.workbench import DEFAULT_CAPS
 
 
 def test_kpz_cut_set(kpz):
@@ -156,7 +161,7 @@ def test_kpz_scenario_forests(kpz):
 
     def f_pi(blocks):
         pi = frozenset(frozenset(b) for b in blocks)
-        return forests_compatible_with(t, table, univ, pi)
+        return forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
 
     assert len(f_pi([])) == 1
     assert len(f_pi([(v3, v4)])) == 2
@@ -231,3 +236,19 @@ def test_forest_cap():
     ]
     with pytest.raises(CapExceeded):
         all_forests(subs, cap=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(decorated_trees(max_edges=9))
+def test_pendant_reducible_matches_oracle(t):
+    """On random KPZ-typed trees, under cumulants of arity two to four:
+    every block of every admissible partition of every subtree's leaves is
+    pendant-reducible exactly when the first-written check says so."""
+    table = KPZ.table
+    cum = CumulantSet(table, "explicit", frozenset(("l",) * m for m in (2, 3, 4)))
+    for s in t.all_subtrees():
+        leaves = sorted(t.leaves_of(s, table))
+        for part in cum.partitions_of(["l"] * len(leaves)):
+            for block in part:
+                b = [leaves[i] for i in block]
+                assert _block_pendant_reducible(t, s, b, table) == block_pendant_reducible(t, s, b, table)

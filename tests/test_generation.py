@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Kpz, Phi4
+from conftest import ROOT, Kpz, Phi4
 from generation_oracle import conforms, exhaustive_trees
 from renormforest.rules import RuleSpec, generate_trees, production
 from renormforest.scaling import ScalingSpec, TypeTable
+from renormforest.trees import DecoratedTree
+from renormforest.workbench import Workbench, parse_config
 
 MODELS = {"phi4": Phi4(), "kpz": Kpz()}
 
@@ -47,9 +49,7 @@ def test_matches_oracle_with_labels(kpz, max_edges):
 def test_matches_oracle_supercritical(max_edges):
     rule = supercritical_rule()
     for cutoff in (Fraction(0), Fraction(1), Fraction(2)):
-        got = generate_trees(rule, cutoff, max_edges, require_subcritical=False)
-        want = exhaustive_trees(rule, cutoff, max_edges, require_subcritical=False)
-        assert got == want
+        assert generate_trees(rule, cutoff, max_edges) == exhaustive_trees(rule, cutoff, max_edges)
 
 
 def test_matches_oracle_empty_rule(phi4):
@@ -78,3 +78,21 @@ def test_generation_invariants(model, cutoff, max_edges):
     assert len(set(codes)) == len(codes)
     bigger = set(generate_trees(m.rule, cutoff, max_edges + 1))
     assert set(basis) <= bigger
+
+
+def test_setup_builds_few_trees(monkeypatch):
+    """Setting up both shipped bases builds at most 142 trees: each tree the
+    generator grafts is built once and relabelled once, and the planted
+    subtrees are copied into it without a tree of their own (231 when each
+    was first shifted into a tree of its own)."""
+    built = []
+    init = DecoratedTree.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DecoratedTree, "__init__", counted)
+    for model in ("kpz", "phi4_3"):
+        Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8"))).basis()
+    assert len(built) <= 142

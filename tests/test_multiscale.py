@@ -24,6 +24,7 @@ from renormforest.multiscale import (
     safe_projection,
 )
 from renormforest.trees import StructureError
+from renormforest.workbench import DEFAULT_CAPS
 
 
 def _setup(kpz, pi_blocks=None):
@@ -45,7 +46,7 @@ def _setup(kpz, pi_blocks=None):
     pi = frozenset(frozenset(b) for b in pi_blocks)
     eu = EdgeUniverse(t, table, pi)
     univ = [s for s, _ in div_enumerate(t, table)]
-    compat = forests_compatible_with(t, table, univ, pi)
+    compat = forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
     return t, table, eu, univ, compat, (v1, v2, v3, v4)
 
 
@@ -176,7 +177,7 @@ def test_property_suite(phi4, kpz):
         t, table, pi = random_setting(rng, phi4, kpz)
         eu = EdgeUniverse(t, table, pi)
         univ = [s for s, _ in div_enumerate(t, table)]
-        compat = forests_compatible_with(t, table, univ, pi)
+        compat = forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
         cuts = [e for e, _ in cut_enumerate(t, table)]
         n = eu.random_assignment(rng, 0, 64)
         f = frozenset(rng.choice(compat))
@@ -217,7 +218,7 @@ def test_reorganize_kpz_counts(kpz):
     t, table, eu0, univ, compat0, (v1, v2, v3, v4) = _setup(kpz)
     pi = frozenset({frozenset({v2, v3})})
     eu = EdgeUniverse(t, table, pi)
-    compat = forests_compatible_with(t, table, univ, pi)
+    compat = forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
     cuts = [e for e, _ in cut_enumerate(t, table)]
     rng = random.Random(99)
     for _ in range(100):
@@ -236,7 +237,7 @@ def test_reorganize_phi4_cover(phi4):
     pi = frozenset({frozenset(leaves[1:3]), frozenset(leaves[3:5])})
     eu = EdgeUniverse(t, table, pi)
     univ = [s for s, _ in div_enumerate(t, table)]
-    compat = forests_compatible_with(t, table, univ, pi)
+    compat = forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
     cuts = [e for e, _ in cut_enumerate(t, table)]
     rng = random.Random(7)
     for _ in range(10):

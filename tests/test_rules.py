@@ -15,7 +15,7 @@ from renormforest.rules import (
     subtree_hypotheses,
 )
 from renormforest.scaling import ScalingSpec, TypeTable
-from renormforest.workbench import format_tree, frac_str
+from renormforest.workbench import DEFAULT_CAPS, Workbench, WorkbenchConfig, format_tree, frac_str
 
 
 def named(basis, table):
@@ -78,8 +78,9 @@ def test_subcriticality():
     # no productions: vacuous pass
     empty = RuleSpec(table, productions={})
     assert check_subcritical(empty)["pass"]
+    config = WorkbenchConfig(sc, table, CumulantSet(table, "gaussian"), rule, DEFAULT_CAPS)
     with pytest.raises(SubcriticalityError):
-        generate_trees(rule, Fraction(0), 6)
+        Workbench(config).basis()
 
 
 def test_super_regularity_phi4(phi4):

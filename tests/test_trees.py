@@ -18,6 +18,7 @@ from conftest import (
     spine_subtrees,
     spine_tree,
 )
+from renormforest import trees
 from renormforest.scaling import MultiIndex, ZERO_EXT, ZERO_MI
 from renormforest.trees import (
     DecoratedTree,
@@ -394,3 +395,72 @@ def test_shape_facts_are_kept_per_table(phi4):
         assert tree.noise_edges(table) == noise_edges
         assert tree.fictitious_nodes(table) == fictitious
         assert [(s.nodes, s.edges, b) for s, b in tree.rooted_subtrees(table)] == rooted
+
+
+# -- every copy through `_copy` and `graft` ----------------------------------------
+
+
+@st.composite
+def labelled_trees(draw, max_edges: int = 5):
+    """A `decorated_trees` tree with random node labels, on its root too."""
+    t = draw(decorated_trees(max_edges))
+    nodes = draw(st.sets(st.sampled_from(sorted(t.nodes))))
+    return t.with_(node_dec={u: draw(multiindices()) for u in nodes})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(labelled_trees(), max_size=3), multiindices())
+def test_graft_matches_the_hand_written_copies(factors, k):
+    """`integrate` and `tree_product`, one `graft` each, build the trees
+    that the hand-written copies they replaced build, compared by embedded
+    key: the planted tree of each factor, the product of all of them (its
+    root label the sum of theirs), and the planted product."""
+    table = KPZ.table
+    for t in factors:
+        want = tree_oracle.integrate("t", k, t, table)
+        assert integrate("t", k, t, table).embedded_key() == want.embedded_key()
+    product = tree_product(*factors)
+    assert product.embedded_key() == tree_oracle.tree_product(*factors).embedded_key()
+    want = tree_oracle.integrate("t", k, product, table)
+    assert integrate("t", k, product, table).embedded_key() == want.embedded_key()
+
+
+@settings(max_examples=80, deadline=None)
+@given(colored_trees(), st.data())
+def test_copy_matches_the_hand_written_copies(t, data):
+    """`relabel` and `restrict`, one `_copy` each, carry the node and edge
+    labels, the coloring and the o labels as the hand-written copies they
+    replaced did, compared by embedded key: under a random renaming, and on
+    every subtree and every single node.  The leaves of each subtree are
+    those of its restriction."""
+    table = KPZ.table
+    ids = sorted(t.nodes)
+    ren = dict(zip(ids, data.draw(st.permutations([u + 1000 for u in ids]))))
+    assert t.relabel(ren).embedded_key() == tree_oracle.relabel(t, ren).embedded_key()
+    singles = [SubForest(frozenset({u}), frozenset()) for u in ids]
+    for s in t.all_subtrees() + singles:
+        piece = t.restrict(s)
+        assert piece.embedded_key() == tree_oracle.restrict(t, s).embedded_key()
+        assert t.leaves_of(s, table) == piece.leaf_nodes(table)
+
+
+def test_with_normalizes_only_the_labels_passed(monkeypatch):
+    """A `with_` copy shares the labels it keeps with the tree it is made
+    from and normalizes only those it is passed; a label it does not know
+    is refused."""
+    calls = []
+    normalized = trees._normalized
+
+    def counted(labels, key):
+        calls.append(labels)
+        return normalized(labels, key)
+
+    k = MultiIndex({0: 1})
+    t = DecoratedTree(0, {(0, 1): "t", (1, 2): "l"}, edge_dec={(0, 1): k}, table=KPZ.table)
+    monkeypatch.setattr(trees, "_normalized", counted)
+    copy = t.with_(node_dec={1: k})
+    assert len(calls) == 1
+    assert copy.edge_dec_items is t.edge_dec_items and copy.o_label_items is t.o_label_items
+    assert copy == DecoratedTree(0, t.edges, {1: k}, {(0, 1): k})
+    with pytest.raises(TypeError):
+        t.with_(node_labels={})

@@ -1,13 +1,16 @@
 """The linear scans and recursive canonical forms that the per-tree indexes
-of `DecoratedTree` replaced, and the bitmask growth of connected edge sets
-that its rooted edge-set recursion replaced, kept as test oracles."""
+of `DecoratedTree` replaced, the bitmask growth of connected edge sets that
+its rooted edge-set recursion replaced, and the hand-written copies
+(`relabel`, `restrict`, `integrate`, `tree_product` and the generator's
+`assemble`) that `DecoratedTree._copy` and `trees.graft` replaced, kept as
+test oracles."""
 from __future__ import annotations
 
 import itertools
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from renormforest.scaling import TypeTable, ZERO_EXT, ZERO_MI
-from renormforest.trees import DecoratedTree, EdgeKey, SubForest
+from renormforest.scaling import MultiIndex, TypeTable, ZERO_EXT, ZERO_MI
+from renormforest.trees import DecoratedTree, EdgeKey, SubForest, poly
 
 
 def scan(items, key, default=None):
@@ -47,7 +50,7 @@ def relabel_canonical(t: DecoratedTree) -> DecoratedTree:
             visit(e[1])
 
     visit(t.root)
-    return t.relabel({u: i for i, u in enumerate(order)})
+    return relabel(t, {u: i for i, u in enumerate(order)})
 
 
 def embedded_key(
@@ -113,3 +116,121 @@ def all_subtrees(t: DecoratedTree, table: TypeTable, min_true_nodes: int = 1) ->
         grow(1 << i, adj[i] - set(range(i + 1)), i + 1)
     uniq = {sf.sort_key(): sf for sf in out}
     return [uniq[k] for k in sorted(uniq)]
+
+
+# -- the hand-written copies ---------------------------------------------------
+
+
+def relabel(t: DecoratedTree, ren: Mapping[int, int]) -> DecoratedTree:
+    return DecoratedTree(
+        root=ren[t.root],
+        edges={(ren[p], ren[c]): ty for (p, c), ty in t.edge_items},
+        node_dec={ren[u]: k for u, k in t.node_dec_items},
+        edge_dec={(ren[p], ren[c]): k for (p, c), k in t.edge_dec_items},
+        hat1=SubForest(
+            frozenset(ren[u] for u in t.hat1.nodes),
+            frozenset((ren[p], ren[c]) for p, c in t.hat1.edges),
+        ),
+        hat2=SubForest(
+            frozenset(ren[u] for u in t.hat2.nodes),
+            frozenset((ren[p], ren[c]) for p, c in t.hat2.edges),
+        ),
+        o_label={ren[u]: v for u, v in t.o_label_items},
+        check=False,
+    )
+
+
+def restrict(t: DecoratedTree, sf: SubForest) -> DecoratedTree:
+    return DecoratedTree(
+        root=t.subtree_root(sf),
+        edges={e: ty for e, ty in t.edge_items if e in sf.edges},
+        node_dec={u: k for u, k in t.node_dec_items if u in sf.nodes},
+        edge_dec={e: k for e, k in t.edge_dec_items if e in sf.edges},
+        hat1=SubForest(t.hat1.nodes & sf.nodes, t.hat1.edges & sf.edges),
+        hat2=SubForest(t.hat2.nodes & sf.nodes, t.hat2.edges & sf.edges),
+        o_label={u: v for u, v in t.o_label_items if u in sf.nodes},
+        check=False,
+    )
+
+
+def shift_ids(t: DecoratedTree, offset: int) -> DecoratedTree:
+    return relabel(t, {u: u + offset for u in t.nodes})
+
+
+def integrate(name: str, k: MultiIndex, tree: DecoratedTree, table: TypeTable) -> DecoratedTree:
+    if not table.is_kernel(name):
+        raise ValueError(f"cannot integrate against non-kernel type {name!r}")
+    shifted = shift_ids(tree, 1)
+    edges = dict(shifted.edges)
+    edges[(0, shifted.root)] = name
+    edec = {e: shifted.edge_dec(e) for e, _ in shifted.edge_items}
+    if not k.is_zero():
+        edec[(0, shifted.root)] = k
+    out = DecoratedTree(
+        root=0,
+        edges=edges,
+        node_dec={u: kk for u, kk in shifted.node_dec_items},
+        edge_dec=edec,
+        check=False,
+    )
+    return relabel_canonical(out)
+
+
+def tree_product(*trees: DecoratedTree) -> DecoratedTree:
+    if not trees:
+        return poly()
+    acc = trees[0]
+    for t in trees[1:]:
+        other = shift_ids(t, max(acc.nodes) + 1)
+        edges = dict(acc.edges)
+        ndec = {u: k for u, k in acc.node_dec_items}
+        edec = {e: k for e, k in acc.edge_dec_items}
+        ren = {other.root: acc.root}
+        for u in other.nodes:
+            ren.setdefault(u, u)
+        for (p, c), ty in other.edges.items():
+            edges[(ren[p], ren[c])] = ty
+            k = other.edge_dec((p, c))
+            if not k.is_zero():
+                edec[(ren[p], ren[c])] = k
+        for u, k in other.node_dec_items:
+            tgt = ren[u]
+            ndec[tgt] = ndec.get(tgt, ZERO_MI) + k
+        acc = DecoratedTree(root=acc.root, edges=edges, node_dec=ndec, edge_dec=edec, check=False)
+    return relabel_canonical(acc)
+
+
+def assemble(
+    label: MultiIndex,
+    noise_entries: Sequence[tuple[str, MultiIndex]],
+    kernel_entries: Sequence[tuple[str, MultiIndex]],
+    subs: Sequence[DecoratedTree],
+) -> DecoratedTree:
+    """The tree of a root with node label `label`, one noise edge per noise
+    entry and one kernel edge per kernel entry down to its planted subtree."""
+    edges: dict[tuple[int, int], str] = {}
+    edec: dict[tuple[int, int], MultiIndex] = {}
+    ndec: dict[int, MultiIndex] = {}
+    if not label.is_zero():
+        ndec[0] = label
+    nxt = 1
+    for name, k in noise_entries:
+        edges[(0, nxt)] = name
+        if not k.is_zero():
+            edec[(0, nxt)] = k
+        nxt += 1
+    for (name, k), sub in zip(kernel_entries, subs):
+        shifted = shift_ids(sub, nxt)
+        edges[(0, shifted.root)] = name
+        if not k.is_zero():
+            edec[(0, shifted.root)] = k
+        for e, t in shifted.edge_items:
+            edges[e] = t
+            kk = shifted.edge_dec(e)
+            if not kk.is_zero():
+                edec[e] = kk
+        for u, kk in shifted.node_dec_items:
+            ndec[u] = kk
+        nxt = max(shifted.nodes) + 1
+    out = DecoratedTree(root=0, edges=edges, node_dec=ndec, edge_dec=edec, check=False)
+    return relabel_canonical(out)
