@@ -131,6 +131,14 @@ def _shifted(labels, plus=(), minus=()) -> dict:
     return out
 
 
+def _piece(plain: DecoratedTree, nd: dict, ed: dict) -> DecoratedTree:
+    """The restricted tree `plain` with the node labels nd + chi(ed): `plain`
+    itself where these and its own are all zero."""
+    if not (nd or ed or plain.node_dec_items):
+        return plain
+    return plain.with_(node_dec=_shifted(nd, plus=_chi(ed).items()))
+
+
 def _extraction_decorations(
     t: DecoratedTree,
     table: TypeTable,
@@ -145,8 +153,7 @@ def _extraction_decorations(
     lists it).  They are the labellings of `_node_choices` x `_edge_choices`
     within that total.  Yields (n_G, e_G, combinatorial coefficient)."""
     root = t.subtree_root(comp)
-    fict = {c for (p, c) in comp.edges if table.is_noise(t.edge_type((p, c)))}
-    node_slots = [u for u in sorted(comp.nodes - fict) if u != root and not t.node_dec(u).is_zero()]
+    node_slots = [u for u in sorted(comp.nodes & t.true_nodes(table) - {root}) if not t.node_dec(u).is_zero()]
     # boundary edges at the root force e_G = 0 there; they are skipped
     edge_slots = [e for e in sorted(boundary) if e[0] != root]
     if not node_slots and not edge_slots:  # the one labelling: all zero, below omega > 0
@@ -190,7 +197,7 @@ def _extractions(
         plain = t.restrict(c)
         boundary = _boundary(t, c.nodes, c.edges, table)
         decorated = [
-            (plain.with_(node_dec=_shifted(nd, plus=_chi(ed).items())), nd, ed, coeff)
+            (_piece(plain, nd, ed), nd, ed, coeff)
             for nd, ed, coeff in _extraction_decorations(t, table, c, omega, boundary)
         ]
         options.append((c, decorated))
@@ -220,19 +227,17 @@ def _remainder(
     """What an extraction leaves: n_G subtracted from the node labels, e_G
     added to the edge labels, the extracted subforest colored 1.  With
     `o_label`, o records n_G + chi(e_G) on the extracted nodes (the
-    coaction); the antipode's recursion carries no o-label."""
-    olabel = {}
-    if o_label:
-        olabel = {
-            u: ExtLabel.from_multiindex(k)
-            for u, k in _shifted(ndec_g, plus=_chi(edec_g).items()).items()
-        }
-    return t.with_(
-        node_dec=_shifted(t.node_dec_items, minus=ndec_g.items()),
-        edge_dec=_shifted(t.edge_dec_items, plus=edec_g.items()),
-        hat1=extracted,
-        o_label=olabel,
-    )
+    coaction); the antipode's recursion carries no o-label.  Only the labels
+    that change are passed to `with_` (`t` is uncolored: it has no o label)."""
+    labels = {"hat1": extracted}
+    if ndec_g:
+        labels["node_dec"] = _shifted(t.node_dec_items, minus=ndec_g.items())
+    if edec_g:
+        labels["edge_dec"] = _shifted(t.edge_dec_items, plus=edec_g.items())
+    if o_label and (ndec_g or edec_g):
+        o = _shifted(ndec_g, plus=_chi(edec_g).items())
+        labels["o_label"] = {u: ExtLabel.from_multiindex(k) for u, k in o.items()}
+    return t.with_(**labels)
 
 
 def delta_minus(
@@ -382,23 +387,21 @@ def _recenterings(
         if any(up[e] <= 0 for e in boundary):
             continue
         hat1, hat2 = _plus_colored(piece, s)
+        colored = {"hat1": hat1, "hat2": hat2}
         olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
+        if len(olabel) < len(piece.o_label_items):  # S takes some o labels
+            colored["o_label"] = olabel
         plain = piece.restrict(s)
         node_slots = [
             u for u in sorted(s.nodes - fict - piece.hat2.nodes) if not piece.node_dec(u).is_zero()
         ]
         for nd, coeff_n in _node_choices(piece, node_slots):
             n_s = {**nd, **nhat}
-            rem_ndec = _shifted(piece.node_dec_items, minus=n_s.items())
+            node_shift = {"node_dec": _shifted(piece.node_dec_items, minus=n_s.items())} if n_s else {}
             for ed, coeff_e in _edge_choices(boundary, up, table):
-                remainder = piece.with_(
-                    node_dec=rem_ndec,
-                    edge_dec=_shifted(piece.edge_dec_items, plus=ed.items()),
-                    hat1=hat1,
-                    hat2=hat2,
-                    o_label=olabel,
-                )
-                left = plain.with_(node_dec=_shifted(n_s, plus=_chi(ed).items()))
+                edge_shift = {"edge_dec": _shifted(piece.edge_dec_items, plus=ed.items())} if ed else {}
+                remainder = piece.with_(**colored, **node_shift, **edge_shift)
+                left = _piece(plain, n_s, ed)
                 yield left, coeff_n * coeff_e, remainder
 
 
@@ -433,7 +436,8 @@ class _AntipodePlus:
         # the sign counts the color-2 labels n^, which sit on true nodes
         deg_nhat = sum(k.degree() for k in _color2_labels(piece, t).values())
         if not (piece.edge_set - piece.hat2.edges):
-            res = FormalSum.single(((piece.with_(o_label={}),),), (-1) ** deg_nhat)
+            bare = piece.with_(o_label={}) if piece.o_label_items else piece
+            res = FormalSum.single(((bare,),), (-1) ** deg_nhat)
             self.memo[piece] = res
             return res
         # f decorations sit on the kernel edges leaving the color-2 part, at
@@ -450,12 +454,12 @@ class _AntipodePlus:
             right = self.run(remainder)
             for ed_f, chi_f, coeff_f in f_choices:
                 inner_sign = (-1) ** (deg_nhat + sum(k.degree() for k in chi_f.values()))
-                # S holds every f slot (see `_abar2`)
-                left = left_s.with_(
-                    node_dec=_shifted(left_s.node_dec_items, plus=chi_f.items()),
-                    edge_dec=_shifted(left_s.edge_dec_items, plus=ed_f.items()),
-                    o_label={},
-                )
+                # S holds every f slot (see `_abar2`); its o labels drop
+                labels = {"o_label": {}} if left_s.o_label_items else {}
+                if ed_f:
+                    labels["node_dec"] = _shifted(left_s.node_dec_items, plus=chi_f.items())
+                    labels["edge_dec"] = _shifted(left_s.edge_dec_items, plus=ed_f.items())
+                left = left_s.with_(**labels)
                 coeff = outer_sign * inner_sign * coeff_s * coeff_f
                 for (inner,), c in right.items():
                     terms.append(((tuple(sorted(inner + (left,))),), coeff * c))
@@ -517,9 +521,8 @@ def bphz_expansion(
 def _bare_constant_key(piece: DecoratedTree, table: TypeTable, cum: CumulantSet):
     """Canonical key of the contracted expectation symbol; None when the
     symbol vanishes (noises admit no full partition into cumulant blocks)."""
-    plain = piece.contract_colored(table).relabel_canonical()
-    leaves = sorted(plain.leaf_nodes(table))
-    types = [plain.leaf_type(u, table) for u in leaves]
+    plain = piece.contract_colored(table)
+    types = [plain.leaf_type(u, table) for u in sorted(plain.leaf_nodes(table))]
     if not cum.admits_full_partition(types):
         return None
     return plain.canonical_code()
@@ -566,7 +569,7 @@ def counterterm_report(
         if not extracted:
             continue
         residual = remainder.contract_colored(table).relabel_canonical()
-        codes = [p.relabel_canonical().canonical_code() for p in extracted]
+        codes = [p.canonical_code() for p in extracted]
         key = (residual.canonical_code(), tuple(sorted(codes)))
         g = groups.setdefault(
             key, {"residual": residual, "pieces": list(zip(codes, extracted)), "coeff": 0}

@@ -18,7 +18,7 @@ from . import forests as fo
 from .coalescence import Family, bits, enumerate_trees, full_mask, popcount
 from . import multiscale as ms
 from .forests import cut_enumerate, compatible_partition
-from .rules import CumulantSet, gain, jump, subtree_hypotheses
+from .rules import CumulantSet, margin, subtree_hypotheses
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, SubForest
 
@@ -321,16 +321,8 @@ class Certifier:
         types_of = {index[u]: ci.tree.leaf_type(u, self.table) for u in sorted(ci.wick)}
         wick_idx = set(types_of)
         star_rho = built["masks"][("star", ci.tree.root)]
-        half = Fraction(abs_s, 2)
         pool = sorted({types_of[i] for i in wick_idx})
         brackets: dict[tuple, Fraction] = {}
-
-        def bracket(ext_types: tuple[str, ...]) -> Fraction:
-            if ext_types not in brackets:
-                b = min(half, gain(self.table, ext_types))
-                j = jump(self.cum, pool, ext_types)
-                brackets[ext_types] = b if j is None else min(b, j)
-            return brackets[ext_types]
 
         base, total = self._subset_tables(ci, built)
         alpha = total - (n - 1) * abs_s
@@ -344,7 +336,9 @@ class Certifier:
                 (self.table.hom(x) for x in ext_types), Fraction(0)
             )
             if not a & 1:
-                rhs += bracket(ext_types)
+                if ext_types not in brackets:
+                    brackets[ext_types] = margin(self.cum, pool, ext_types)
+                rhs += brackets[ext_types]
             if not base[a] < rhs:
                 failures.append(("integrability", a, base[a], rhs))
                 continue

@@ -228,6 +228,16 @@ def gain(table: TypeTable, block_types: Sequence[str]) -> Fraction:
     return min((-table.hom(x) for x in block_types), default=Fraction(0))
 
 
+def margin(cum: CumulantSet, pool_types: Iterable[str], block_types: Sequence[str]) -> Fraction:
+    """min(|s|/2, h(A), j(A)) for the noises A of `block_types`: h the `gain`
+    and j the `jump` with partners from `pool_types`, left out where there is
+    none.  Subtree power counting and the certificate add it to the bound."""
+    table = cum.table
+    j = jump(cum, pool_types, block_types)
+    m = min(Fraction(table.scaling.abs_s, 2), gain(table, block_types))
+    return m if j is None else min(m, j)
+
+
 # -- subcriticality -----------------------------------------------------------
 
 
@@ -465,13 +475,8 @@ def subtree_hypotheses(
             continue
         leaf_types = [t.leaf_type(u, table) for u in sorted(t.leaves_of(sf, table))]
         base = zero_node_hom(t, sf, table)
-        if leaf_types or not gaussian:
-            margin = min(half, gain(table, leaf_types))
-            j = jump(cum, ambient, leaf_types)
-            if j is not None:
-                margin = min(margin, j)
-            if not base + margin > 0:
-                failed["super_regularity"].append((sf, base))
+        if (leaf_types or not gaussian) and not base + margin(cum, ambient, leaf_types) > 0:
+            failed["super_regularity"].append((sf, base))
         if gaussian:
             size = 2 - len(leaf_types) % 2
             bullets = (

@@ -6,6 +6,10 @@ ambient's ids, so two components are "the same embedded object" exactly when
 their node/edge sets and decorations coincide literally.  Isomorphism of
 abstract (embedding-erased) trees is decided by an AHU-style canonical code.
 
+Each tree is checked, and its shape (`_Shape`) indexed, when it is made; its
+`with_` copies share the shape.  Its AHU codes, its color-1 components and
+its facts under a type table stay lazy, because most trees never read them.
+
 Every copy of a tree is made by one primitive, `DecoratedTree._copy`, which
 renames the edges, labels, coloring and o labels of the nodes a renaming
 maps: `relabel` renames all of them and `restrict` keeps those of one
@@ -59,17 +63,13 @@ class StructureError(ValueError):
 
 
 class _Shape:
-    """The root, the sorted typed edges and the children and parent maps
-    that a tree shares with every `with_` copy of it, and the facts that
-    follow from them alone, each worked out on first use: that the shape
-    passed the structure check, the `top_down` order, the node and edge
-    sets, and per type table the kernel edges, noise edges, fictitious nodes
-    and rooted subtrees (`_TableFacts`)."""
+    """The root, the sorted typed edges, the children and parent maps, the
+    `top_down` order and the node and edge sets that a tree shares with
+    every `with_` copy of it, all built, and the shape checked to be a
+    rooted tree, when it is made.  Its facts under a type table
+    (`_TableFacts`) are worked out on the first read under that table."""
 
-    __slots__ = (
-        "root", "edges", "types", "children", "parent",
-        "checked", "_order", "_nodes", "_edge_set", "_by_table",
-    )
+    __slots__ = ("root", "edges", "types", "children", "parent", "order", "nodes", "edge_set", "_by_table")
 
     def __init__(self, root: int, edges: Mapping[EdgeKey, str]):
         self.root = int(root)
@@ -84,63 +84,43 @@ class _Shape:
                 raise StructureError(f"node {c} has two parents")
             parent[c] = p
         children.setdefault(self.root, [])
+        if self.root in parent:
+            raise StructureError("root has an incoming edge")
+        order = [self.root]
+        for u in order:  # the list grows while it is read
+            order.extend(c for _, c in children[u])
+        # with one parent per node, connected means reached from the root
+        if len(order) < len(children):
+            raise StructureError(f"node {min(children.keys() - set(order))} not connected to the root")
         self.children = {u: tuple(v) for u, v in children.items()}
         self.parent = parent
-        self.checked = False
-        self._order: Optional[tuple[int, ...]] = None
-        self._nodes: Optional[frozenset[int]] = None
-        self._edge_set: Optional[frozenset[EdgeKey]] = None
+        self.order = tuple(order)
+        self.nodes = frozenset(children)
+        self.edge_set = frozenset(self.types)
         # keyed by id: the entry holds its table, so the id stays its own
         self._by_table: dict[int, tuple[TypeTable, _TableFacts]] = {}
-
-    def check(self):
-        """A rooted tree: no edge into the root, every node reached from
-        it.  Run once per shape."""
-        if self.checked:
-            return
-        if self.root in self.parent:
-            raise StructureError("root has an incoming edge")
-        # with one parent per node, connected means reached from the root
-        cut_off = self.children.keys() - set(self.top_down())
-        if cut_off:
-            raise StructureError(f"node {min(cut_off)} not connected to the root")
-        self.checked = True
-
-    def top_down(self) -> tuple[int, ...]:
-        if self._order is None:
-            order = [self.root]
-            for u in order:  # the list grows while it is read
-                order.extend(c for _, c in self.children[u])
-            self._order = tuple(order)
-        return self._order
-
-    def nodes(self) -> frozenset[int]:
-        if self._nodes is None:
-            self._nodes = frozenset(self.children)
-        return self._nodes
-
-    def edge_set(self) -> frozenset[EdgeKey]:
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.types)
-        return self._edge_set
 
     def facts(self, table: TypeTable) -> "_TableFacts":
         entry = self._by_table.get(id(table))
         if entry is None:
-            entry = self._by_table[id(table)] = (table, _TableFacts(self.edges, table))
+            entry = self._by_table[id(table)] = (table, _TableFacts(self, table))
         return entry[1]
 
 
 class _TableFacts:
-    """What a shape is under one type table; `rooted` is filled by
-    `DecoratedTree.rooted_subtrees`."""
+    """What a shape is under one type table: its kernel and noise edges,
+    fictitious nodes, true nodes N(T), leaves L(T) and the noise type of
+    each leaf; `rooted` is filled by `DecoratedTree.rooted_subtrees`."""
 
-    __slots__ = ("kernel", "noise", "fictitious", "rooted")
+    __slots__ = ("kernel", "noise", "fictitious", "true", "leaf_types", "leaves", "rooted")
 
-    def __init__(self, edges: tuple[tuple[EdgeKey, str], ...], table: TypeTable):
-        self.kernel = tuple(e for e, t in edges if table.is_kernel(t))
-        self.noise = tuple(e for e, t in edges if table.is_noise(t))
+    def __init__(self, shape: _Shape, table: TypeTable):
+        self.kernel = tuple(e for e, t in shape.edges if table.is_kernel(t))
+        self.noise = tuple(e for e, t in shape.edges if table.is_noise(t))
         self.fictitious = frozenset(c for _, c in self.noise)
+        self.true = shape.nodes - self.fictitious
+        self.leaf_types = {p: shape.types[(p, c)] for p, c in self.noise}
+        self.leaves = frozenset(self.leaf_types)
         self.rooted: Optional[tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]] = None
 
 
@@ -159,18 +139,20 @@ class DecoratedTree:
     """Typed rooted tree with node labels n, edge labels e, an optional
     coloring (hat1, hat2) and an extended label o on the color-1 nodes.
 
-    Each tree is indexed once.  Its shape (root, sorted typed edges,
-    children and parent maps) is a `_Shape`, which `with_` shares: every
+    Each tree is indexed and checked once, when it is made.  Its shape
+    (root, sorted typed edges, children and parent maps, `top_down` order,
+    node and edge sets) is a `_Shape`, which `with_` shares: every
     relabelled or recolored copy of a tree, such as each remainder of
-    Delta_- and each piece of Delta_+ and A_+, reads the shape's facts (the
-    structure check, `top_down`, the kernel and noise edges, fictitious
-    nodes and rooted subtrees of a type table) where the first copy to ask
-    worked them out, and `with_` checks only the new labels.  `__init__`
-    builds the node labels, edge labels and o labels as dicts (O(1)
-    lookups) beside the sorted tuples that make up `embedded_key`; the key
-    is built once, and the hash and `==` are derived from it.  The AHU codes
-    of all nodes are computed together, bottom-up, and the components of
-    the color-1 forest, each on the first call that needs them."""
+    Delta_- and each piece of Delta_+ and A_+, reads the shape's facts, and
+    those of a type table (kernel and noise edges, fictitious and true
+    nodes, leaves and their noise types, rooted subtrees) where the first
+    copy to ask worked them out, and `with_` checks only the new labels.
+    `__init__` builds the node labels, edge labels and o labels as dicts
+    (O(1) lookups) beside the sorted tuples that make up `embedded_key`; the
+    key is built once, and the hash and `==` are derived from it.  The AHU
+    codes of all nodes (computed together, bottom-up), the components of the
+    color-1 forest and the facts of a type table stay lazy, worked out on the
+    first call that needs them, because most trees never read them."""
 
     __slots__ = (
         "root", "_shape",  # root: the shape's, read often enough to keep beside it
@@ -188,7 +170,6 @@ class DecoratedTree:
         hat2: SubForest = EMPTY_SUBFOREST,
         o_label: Mapping[int, ExtLabel] = (),
         table: Optional[TypeTable] = None,
-        check: bool = True,
     ):
         self._shape = _Shape(root, edges)
         self.root = self._shape.root
@@ -196,11 +177,9 @@ class DecoratedTree:
             _normalized(node_dec, int), _normalized(edge_dec, _edge_key), hat1, hat2,
             _normalized(o_label, int),
         )
-        if check:
-            self._shape.check()
-            if table is not None:
-                self._check_types(table)
-            self._check_labels()
+        if table is not None:
+            self._check_types(table)
+        self._check_labels()
 
     def _label(self, nd, ed, hat1: SubForest, hat2: SubForest, ol):
         """Set the labels, each given as a dict and its sorted items
@@ -255,11 +234,11 @@ class DecoratedTree:
 
     @property
     def nodes(self) -> frozenset[int]:
-        return self._shape.nodes()
+        return self._shape.nodes
 
     @property
     def edge_set(self) -> frozenset[EdgeKey]:
-        return self._shape.edge_set()
+        return self._shape.edge_set
 
     def node_dec(self, u: int) -> MultiIndex:
         return self._nd.get(u, ZERO_MI)
@@ -293,7 +272,7 @@ class DecoratedTree:
 
     def top_down(self) -> tuple[int, ...]:
         """The nodes breadth first from the root: each after its parent."""
-        return self._shape.top_down()
+        return self._shape.order
 
     def noise_edges(self, table: TypeTable) -> tuple[EdgeKey, ...]:
         return self._shape.facts(table).noise
@@ -306,17 +285,17 @@ class DecoratedTree:
 
     def true_nodes(self, table: TypeTable) -> frozenset[int]:
         """N(T): all nodes except the fictitious endpoints of noise edges."""
-        return self.nodes - self.fictitious_nodes(table)
+        return self._shape.facts(table).true
 
     def leaf_nodes(self, table: TypeTable) -> frozenset[int]:
         """L(T): parents of noise edges, with their inherited noise types."""
-        return frozenset(p for p, _ in self.noise_edges(table))
+        return self._shape.facts(table).leaves
 
     def leaf_type(self, u: int, table: TypeTable) -> str:
-        for e in self.children(u):
-            if table.is_noise(self._shape.types[e]):
-                return self._shape.types[e]
-        raise KeyError(f"node {u} carries no noise edge")
+        ty = self._shape.facts(table).leaf_types.get(u)
+        if ty is None:
+            raise KeyError(f"node {u} carries no noise edge")
+        return ty
 
     def color_of_node(self, u: int) -> int:
         if u in self.hat2.nodes:
@@ -344,9 +323,9 @@ class DecoratedTree:
 
     def with_(self, **labels):
         """This tree with some of `node_dec`, `edge_dec`, `hat1`, `hat2` and
-        `o_label` replaced.  The result shares this tree's shape and the
-        labels it keeps; the shape is checked once, and only the labels
-        passed are normalized and checked."""
+        `o_label` replaced.  The result shares this tree's shape, checked
+        when it was made, and the labels it keeps; only the labels passed
+        are normalized and checked."""
         nd = _normalized(labels.pop("node_dec"), int) if "node_dec" in labels else (self._nd, self._ndec)
         ed = _normalized(labels.pop("edge_dec"), _edge_key) if "edge_dec" in labels else (self._ed, self._edec)
         ol = _normalized(labels.pop("o_label"), int) if "o_label" in labels else (self._ol, self._olabel)
@@ -356,7 +335,6 @@ class DecoratedTree:
         out = object.__new__(DecoratedTree)
         out.root, out._shape = self.root, self._shape
         out._label(nd, ed, hat1, hat2, ol)
-        out._shape.check()
         if hat1 is not self.hat1 or hat2 is not self.hat2 or ol[0] is not self._ol:
             out._check_labels()
         return out
@@ -437,7 +415,7 @@ class DecoratedTree:
         return out
 
     def relabel(self, ren: Mapping[int, int]) -> "DecoratedTree":
-        return DecoratedTree(ren[self.root], *self._copy(ren), check=False)
+        return DecoratedTree(ren[self.root], *self._copy(ren))
 
     def _copy(self, ren: Mapping[int, int]) -> tuple:
         """The edges, node labels, edge labels, coloring and o labels among
@@ -504,7 +482,7 @@ class DecoratedTree:
         """The decorated colored tree induced on one connected subforest
         (decorations, coloring and o restricted, per the paper's convention)."""
         ren = dict(zip(sf.nodes, sf.nodes))
-        return DecoratedTree(self.subtree_root(sf), *self._copy(ren), check=False)
+        return DecoratedTree(self.subtree_root(sf), *self._copy(ren))
 
     def leaves_of(self, sf: SubForest, table: TypeTable) -> frozenset[int]:
         """L(S): the nodes whose noise edge lies in the subforest."""
@@ -592,17 +570,14 @@ class DecoratedTree:
             if not k.is_zero():
                 new_edec[(p, c)] = k
         new_ndec: dict[int, MultiIndex] = {}
-        fict = self.fictitious_nodes(table)
-        for u in self.nodes - fict:
+        for u in self.true_nodes(table):
             k = self.node_dec(u)
             if not k.is_zero():
                 tgt = gv[u]
                 new_ndec[tgt] = new_ndec.get(tgt, ZERO_MI) + k
         keep = set(itertools.chain.from_iterable(new_edges)) | {gv[self.root]}
         new_ndec = {u: k for u, k in new_ndec.items() if u in keep}
-        return DecoratedTree(
-            root=gv[self.root], edges=new_edges, node_dec=new_ndec, edge_dec=new_edec, check=False
-        )
+        return DecoratedTree(root=gv[self.root], edges=new_edges, node_dec=new_ndec, edge_dec=new_edec)
 
 
 def zero_node_hom(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
@@ -678,7 +653,7 @@ def graft(
             for part, copied in zip((edges, node_dec, edge_dec), tree._copy(ren)):
                 part.update(copied)
         fresh += len(below)
-    return DecoratedTree(0, edges, node_dec, edge_dec, check=False).relabel_canonical()
+    return DecoratedTree(0, edges, node_dec, edge_dec).relabel_canonical()
 
 
 def integrate(name: str, k: MultiIndex, tree: DecoratedTree, table: TypeTable) -> DecoratedTree:

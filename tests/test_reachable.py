@@ -173,7 +173,7 @@ def defaulted_parameters() -> int:
 
 
 # the count of defaulted parameters may only fall
-MAX_DEFAULTED_PARAMETERS = 34
+MAX_DEFAULTED_PARAMETERS = 33
 
 
 def test_defaulted_parameters_do_not_grow():

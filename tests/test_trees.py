@@ -215,10 +215,18 @@ def test_contract_colored(phi4):
 # -- the per-tree indexes against linear scans and recursion --------------------
 
 
-def assert_indexes_match_scans(t: DecoratedTree):
+def assert_indexes_match_scans(t: DecoratedTree, table):
+    types = tree_oracle.leaf_types(t, table)
+    assert t.true_nodes(table) == tree_oracle.true_nodes(t, table)
+    assert t.leaf_nodes(table) == set(types)
     for u in t.nodes | {max(t.nodes) + 1}:
         assert t.node_dec(u) == scan(t.node_dec_items, u, ZERO_MI)
         assert t.o_label(u) == scan(t.o_label_items, u, ZERO_EXT)
+        if u in types:
+            assert t.leaf_type(u, table) == types[u]
+        else:
+            with pytest.raises(KeyError, match=f"node {u} carries no noise edge"):
+                t.leaf_type(u, table)
     for e, ty in t.edge_items:
         assert t.edge_type(e) == ty
         assert t.edge_dec(e) == scan(t.edge_dec_items, e, ZERO_MI)
@@ -232,7 +240,8 @@ def assert_indexes_match_scans(t: DecoratedTree):
 @given(colored_trees(), st.data())
 def test_indexed_tree_matches_scans(t, data):
     """A random `with_` edit of a random colored tree: the dict lookups,
-    the bottom-up AHU codes and the embedded key agree with linear scans,
+    the true nodes, the leaves and their noise types, the bottom-up AHU
+    codes and the embedded key agree with linear scans,
     recursion and a key built from the arguments; `==`, equal keys and
     equal hashes agree; the tree edited from is unchanged; and a coloring
     that overlaps, or an o label off the color-1 forest, still raises."""
@@ -264,7 +273,7 @@ def test_indexed_tree_matches_scans(t, data):
     assert t.embedded_key() == key
     assert edited.embedded_key() == embedded_key(t.root, t.edges, **args)
     for tree in (t, edited, fresh):
-        assert_indexes_match_scans(tree)
+        assert_indexes_match_scans(tree, table)
     trees = (t, edited, fresh, other)
     for a, b in itertools.combinations(trees, 2):
         same = a.embedded_key() == b.embedded_key()
@@ -368,12 +377,10 @@ def test_shape_facts_of_a_copy_match_a_fresh_tree(t, data):
     ids=["disconnected", "edge-into-root"],
 )
 def test_with_checks_an_unchecked_shape(edges):
-    """A malformed shape built with check=False is refused by `with_`, the
-    first time and again after."""
-    t = DecoratedTree(root=0, edges=edges, check=False)
-    for _ in range(2):
-        with pytest.raises(StructureError):
-            t.with_(node_dec={0: MultiIndex({0: 1})})
+    """A malformed shape is refused when the tree is built, so no `with_`
+    copy of it is ever made."""
+    with pytest.raises(StructureError):
+        DecoratedTree(root=0, edges=edges)
 
 
 def test_shape_facts_are_kept_per_table(phi4):
@@ -381,7 +388,7 @@ def test_shape_facts_are_kept_per_table(phi4):
     through two trees that share it: each table gets its own kernel and
     noise edges, fictitious nodes and rooted subtrees."""
     kpz, phi = KPZ.table, phi4.table
-    t = DecoratedTree(root=0, edges={(0, 1): "t", (1, 2): "l", (0, 3): "I", (3, 4): "Xi"}, check=False)
+    t = DecoratedTree(root=0, edges={(0, 1): "t", (1, 2): "l", (0, 3): "I", (3, 4): "Xi"})
     copy = t.with_(node_dec={1: MultiIndex({0: 1})})
     want = {
         "kpz": (((0, 1),), ((1, 2),), {2}, [({0}, set(), ((0, 1),)), ({0, 1, 2}, {(0, 1), (1, 2)}, ())]),

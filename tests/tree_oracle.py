@@ -1,5 +1,6 @@
 """The linear scans and recursive canonical forms that the per-tree indexes
-of `DecoratedTree` replaced, the bitmask growth of connected edge sets that
+of `DecoratedTree` replaced (node and edge labels, AHU codes, true nodes,
+leaves and their noise types), the bitmask growth of connected edge sets that
 its rooted edge-set recursion replaced, and the hand-written copies
 (`relabel`, `restrict`, `integrate`, `tree_product` and the generator's
 `assemble`) that `DecoratedTree._copy` and `trees.graft` replaced, kept as
@@ -19,6 +20,23 @@ def scan(items, key, default=None):
         if k == key:
             return v
     return default
+
+
+def true_nodes(t: DecoratedTree, table: TypeTable) -> set[int]:
+    """N(T): the nodes that are no child of a noise edge, by a scan."""
+    return {u for u in t.nodes if not any(c == u and table.is_noise(ty) for (_, c), ty in t.edge_items)}
+
+
+def leaf_types(t: DecoratedTree, table: TypeTable) -> dict[int, str]:
+    """The type of the first noise edge under each node that has one, by a
+    scan of the node's children."""
+    out = {}
+    for u in t.nodes:
+        for e in t.children(u):
+            if table.is_noise(t.edge_type(e)):
+                out[u] = t.edge_type(e)
+                break
+    return out
 
 
 def _edge_code(t: DecoratedTree, e: EdgeKey) -> tuple:
@@ -136,7 +154,6 @@ def relabel(t: DecoratedTree, ren: Mapping[int, int]) -> DecoratedTree:
             frozenset((ren[p], ren[c]) for p, c in t.hat2.edges),
         ),
         o_label={ren[u]: v for u, v in t.o_label_items},
-        check=False,
     )
 
 
@@ -149,7 +166,6 @@ def restrict(t: DecoratedTree, sf: SubForest) -> DecoratedTree:
         hat1=SubForest(t.hat1.nodes & sf.nodes, t.hat1.edges & sf.edges),
         hat2=SubForest(t.hat2.nodes & sf.nodes, t.hat2.edges & sf.edges),
         o_label={u: v for u, v in t.o_label_items if u in sf.nodes},
-        check=False,
     )
 
 
@@ -171,7 +187,6 @@ def integrate(name: str, k: MultiIndex, tree: DecoratedTree, table: TypeTable) -
         edges=edges,
         node_dec={u: kk for u, kk in shifted.node_dec_items},
         edge_dec=edec,
-        check=False,
     )
     return relabel_canonical(out)
 
@@ -196,7 +211,7 @@ def tree_product(*trees: DecoratedTree) -> DecoratedTree:
         for u, k in other.node_dec_items:
             tgt = ren[u]
             ndec[tgt] = ndec.get(tgt, ZERO_MI) + k
-        acc = DecoratedTree(root=acc.root, edges=edges, node_dec=ndec, edge_dec=edec, check=False)
+        acc = DecoratedTree(root=acc.root, edges=edges, node_dec=ndec, edge_dec=edec)
     return relabel_canonical(acc)
 
 
@@ -232,5 +247,5 @@ def assemble(
         for u, kk in shifted.node_dec_items:
             ndec[u] = kk
         nxt = max(shifted.nodes) + 1
-    out = DecoratedTree(root=0, edges=edges, node_dec=ndec, edge_dec=edec, check=False)
+    out = DecoratedTree(root=0, edges=edges, node_dec=ndec, edge_dec=edec)
     return relabel_canonical(out)
