@@ -29,7 +29,11 @@ shared shape lists the rooted subtrees and their boundaries once
 color-1 components, found once per piece.  Recentering changes no label
 above the subtree, so the bound on each boundary edge's decoration, and the
 X_+ test of each dangling tree, read the piece's up-tree table
-(`trees.up_hom_table`), built once per piece.
+(`trees.up_hom_table`): the shape's label-free table, worked out once per
+shape, with the piece's own labels added.  Every piece that Delta_- and A_-
+extract, and every left piece of Delta_+ and A_+, is a restriction of the
+expanded tree, and all restrictions to one subforest share one shape
+(`DecoratedTree.restrict`), built once with its facts.
 """
 from __future__ import annotations
 
@@ -263,16 +267,6 @@ def delta_minus(
 # -- negative twisted antipode ----------------------------------------------------
 
 
-def _product(factors: Sequence[FormalSum], key: Callable[[list], Hashable]) -> FormalSum:
-    """The product of formal sums: each output term takes one term from
-    every factor, its key is `key` of their keys and its coefficient the
-    product of theirs."""
-    return FormalSum(
-        (key([k for k, _ in chosen]), math.prod(c for _, c in chosen))
-        for chosen in itertools.product(*(f.items() for f in factors))
-    )
-
-
 class _AntipodeMinus:
     """A_- on forests of X_- trees, memoized per tree, with `symbol` applied
     to every output tree: sums over sorted tuples of symbols.
@@ -305,11 +299,21 @@ class _AntipodeMinus:
 
     def forest(self, pieces: Sequence[DecoratedTree], extra: tuple = ()) -> FormalSum:
         """A_- on a forest, one product over its pieces (A_- is
-        multiplicative); the symbols in `extra` join every output forest."""
-        return _product(
-            [self.tree(p) for p in pieces],
-            lambda keys: (tuple(sorted(itertools.chain(extra, *(k for (k,) in keys)))),),
-        )
+        multiplicative); the symbols in `extra` join every output forest.
+        A forest of one piece and no extra symbols is that piece's memo."""
+        if len(pieces) == 1 and not extra:
+            return self.tree(pieces[0])
+        return FormalSum(self._terms(pieces, extra, 1))
+
+    def _terms(
+        self, pieces: Sequence[DecoratedTree], extra: tuple, scale: Coefficient
+    ) -> Iterator[tuple[tuple, Coefficient]]:
+        """The terms of `scale` times A_- on a forest, unsummed: one term of
+        each piece's sum per output term, keyed by the sorted symbols of
+        them and of `extra`."""
+        for chosen in itertools.product(*(self.tree(p).items() for p in pieces)):
+            keys = itertools.chain(extra, *(k for (k,), _ in chosen))
+            yield (tuple(sorted(keys)),), scale * math.prod(c for _, c in chosen)
 
     def tree(self, piece: DecoratedTree) -> FormalSum:
         if piece in self.memo:
@@ -321,7 +325,7 @@ class _AntipodeMinus:
         for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, inside):
             symbol = self.symbol(_remainder(piece, sub, nd, ed, o_label=False))
             if symbol is not None:
-                terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (symbol,)).items())
+                terms.extend(self._terms(pieces, (symbol,), -coeff))
         result = FormalSum(terms)
         self.memo[piece] = result
         return result

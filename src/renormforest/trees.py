@@ -7,13 +7,16 @@ their node/edge sets and decorations coincide literally.  Isomorphism of
 abstract (embedding-erased) trees is decided by an AHU-style canonical code.
 
 Each tree is checked, and its shape (`_Shape`) indexed, when it is made; its
-`with_` copies share the shape.  Its AHU codes, its color-1 components and
-its facts under a type table stay lazy, because most trees never read them.
+`with_` copies share the shape.  Its restrictions to one connected subforest
+(`restrict`) share that subforest's sub-shape, which the ambient shape builds
+and checks once, for itself and for every piece of it, and they keep the
+tree's labels there.  Its AHU codes, its color-1 components and its facts
+under a type table stay lazy, because most trees never read them.
 
-Every copy of a tree is made by one primitive, `DecoratedTree._copy`, which
-renames the edges, labels, coloring and o labels of the nodes a renaming
-maps: `relabel` renames all of them and `restrict` keeps those of one
-subtree under their own ids.  New trees are built as the rule builds them,
+Every copy of a tree under new ids is made by one primitive,
+`DecoratedTree._copy`, which renames the edges, labels, coloring and o
+labels of the nodes a renaming maps (`relabel` renames all of them).  New
+trees are built as the rule builds them,
 by planting trees under edges: `graft` puts copies of subtrees, and noise
 leaves, under a fresh root, and the planted tree I_k(tau) (`integrate`), the
 tree product (`tree_product`) and every tree of `rules.generate_trees` are
@@ -67,11 +70,16 @@ class _Shape:
     `top_down` order and the node and edge sets that a tree shares with
     every `with_` copy of it, all built, and the shape checked to be a
     rooted tree, when it is made.  Its facts under a type table
-    (`_TableFacts`) are worked out on the first read under that table."""
+    (`_TableFacts`) are worked out on the first read under that table.
 
-    __slots__ = ("root", "edges", "types", "children", "parent", "order", "nodes", "edge_set", "_by_table")
+    The shape of each connected subforest that a tree of this shape is
+    restricted to (`sub`) is built once, too, and kept in `subs`, which the
+    ambient shape shares with all its restrictions: a subforest restricted
+    from the ambient tree or from any piece of it has one shape."""
 
-    def __init__(self, root: int, edges: Mapping[EdgeKey, str]):
+    __slots__ = ("root", "edges", "types", "children", "parent", "order", "nodes", "edge_set", "_by_table", "subs")
+
+    def __init__(self, root: int, edges: Mapping[EdgeKey, str], subs: dict):
         self.root = int(root)
         self.edges = tuple(sorted(((int(p), int(c)), str(t)) for (p, c), t in dict(edges).items()))
         self.types = dict(self.edges)
@@ -99,6 +107,7 @@ class _Shape:
         self.edge_set = frozenset(self.types)
         # keyed by id: the entry holds its table, so the id stays its own
         self._by_table: dict[int, tuple[TypeTable, _TableFacts]] = {}
+        self.subs: dict[SubForest, _Shape] = subs
 
     def facts(self, table: TypeTable) -> "_TableFacts":
         entry = self._by_table.get(id(table))
@@ -106,13 +115,28 @@ class _Shape:
             entry = self._by_table[id(table)] = (table, _TableFacts(self, table))
         return entry[1]
 
+    def sub(self, sf: SubForest) -> "_Shape":
+        """The shape of the connected subforest `sf` of this shape: rooted
+        at its top node, with the edges among its nodes.  A subforest with a
+        node outside this shape is refused."""
+        nodes = sf.nodes
+        if not nodes <= self.nodes:
+            raise StructureError("subforest references unknown nodes")
+        shape = self.subs.get(sf)
+        if shape is None:
+            edges = {e: t for e, t in self.edges if e[0] in nodes and e[1] in nodes}
+            shape = self.subs[sf] = _Shape(DecoratedTree.subtree_root(sf), edges, self.subs)
+        return shape
+
 
 class _TableFacts:
     """What a shape is under one type table: its kernel and noise edges,
     fictitious nodes, true nodes N(T), leaves L(T) and the noise type of
-    each leaf; `rooted` is filled by `DecoratedTree.rooted_subtrees`."""
+    each leaf.  `rooted` is filled by `DecoratedTree.rooted_subtrees`, and
+    `up`, the label-free up-tree table (for every edge, the homogeneities of
+    it and of every edge above it summed), by `up_hom_table`."""
 
-    __slots__ = ("kernel", "noise", "fictitious", "true", "leaf_types", "leaves", "rooted")
+    __slots__ = ("kernel", "noise", "fictitious", "true", "leaf_types", "leaves", "up", "rooted")
 
     def __init__(self, shape: _Shape, table: TypeTable):
         self.kernel = tuple(e for e, t in shape.edges if table.is_kernel(t))
@@ -121,6 +145,7 @@ class _TableFacts:
         self.true = shape.nodes - self.fictitious
         self.leaf_types = {p: shape.types[(p, c)] for p, c in self.noise}
         self.leaves = frozenset(self.leaf_types)
+        self.up: Optional[dict[EdgeKey, Fraction]] = None
         self.rooted: Optional[tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]] = None
 
 
@@ -145,8 +170,12 @@ class DecoratedTree:
     relabelled or recolored copy of a tree, such as each remainder of
     Delta_- and each piece of Delta_+ and A_+, reads the shape's facts, and
     those of a type table (kernel and noise edges, fictitious and true
-    nodes, leaves and their noise types, rooted subtrees) where the first
-    copy to ask worked them out, and `with_` checks only the new labels.
+    nodes, leaves and their noise types, rooted subtrees, the label-free
+    up-tree table) where the first copy to ask worked them out, and `with_`
+    checks only the new labels.  Every restriction to one subforest, such
+    as each piece that Delta_- and A_- extract and each left piece of
+    Delta_+ and A_+, shares that subforest's sub-shape and its facts in the
+    same way (`restrict`).
     `__init__` builds the node labels, edge labels and o labels as dicts
     (O(1) lookups) beside the sorted tuples that make up `embedded_key`; the
     key is built once, and the hash and `==` are derived from it.  The AHU
@@ -171,7 +200,7 @@ class DecoratedTree:
         o_label: Mapping[int, ExtLabel] = (),
         table: Optional[TypeTable] = None,
     ):
-        self._shape = _Shape(root, edges)
+        self._shape = _Shape(root, edges, {})
         self.root = self._shape.root
         self._label(
             _normalized(node_dec, int), _normalized(edge_dec, _edge_key), hat1, hat2,
@@ -470,7 +499,8 @@ class DecoratedTree:
             )
         return comps
 
-    def subtree_root(self, sf: SubForest) -> int:
+    @staticmethod
+    def subtree_root(sf: SubForest) -> int:
         """Root of a connected subforest: its unique minimal node."""
         targets = {c for _, c in sf.edges}
         roots = [u for u in sf.nodes if u not in targets]
@@ -480,9 +510,29 @@ class DecoratedTree:
 
     def restrict(self, sf: SubForest) -> "DecoratedTree":
         """The decorated colored tree induced on one connected subforest
-        (decorations, coloring and o restricted, per the paper's convention)."""
-        ren = dict(zip(sf.nodes, sf.nodes))
-        return DecoratedTree(self.subtree_root(sf), *self._copy(ren))
+        (decorations, coloring and o restricted, per the paper's convention).
+        Its shape is the subforest's, built once (`_Shape.sub`), and it keeps
+        the labels and the coloring of this tree among the shape's nodes and
+        edges, which need no check again."""
+        shape = self._shape.sub(sf)
+        nodes, edges = shape.nodes, shape.edge_set
+
+        def kept(items, keys) -> tuple[dict, tuple]:
+            items = tuple(x for x in items if x[0] in keys)
+            return dict(items), items
+
+        def colored(h: SubForest) -> SubForest:
+            if h.is_empty():
+                return h
+            return SubForest(h.nodes & nodes, frozenset(e for e in h.edges if e[0] in nodes and e[1] in nodes))
+
+        out = object.__new__(DecoratedTree)
+        out.root, out._shape = shape.root, shape
+        out._label(
+            kept(self._ndec, nodes), kept(self._edec, edges), colored(self.hat1), colored(self.hat2),
+            kept(self._olabel, nodes),
+        )
+        return out
 
     def leaves_of(self, sf: SubForest, table: TypeTable) -> frozenset[int]:
         """L(S): the nodes whose noise edge lies in the subforest."""
@@ -591,30 +641,42 @@ def zero_node_hom(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction
 def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
     """|T_>=(e)|_+ with the labels n and o of its root dropped, for every
     edge e = (p, c): the edge e and every edge above it, and the node labels
-    and o labels of the true nodes from c up.  One bottom-up pass over the
-    tree.  Color 2 is not looked at, so an entry is that homogeneity where
-    nothing above p has color 2: on uncolored trees, and at the foot of the
-    dangling trees of a rooted color-2 part, the entries that are read."""
+    and o labels of the true nodes from c up.  A copy of the shape's
+    label-free table (`_TableFacts.up`) with each nonzero label added along
+    its path to the root: a node's n and o to the edges below it, an edge's
+    -|e| to it and the edges below it.  Color 2 is not looked at, so an entry
+    is that homogeneity where nothing above p has color 2: on uncolored
+    trees, and at the foot of the dangling trees of a rooted color-2 part,
+    the entries that are read."""
     scaling = table.scaling
-    fict = t.fictitious_nodes(table)
-    above: dict[int, Fraction] = {}
-    out: dict[EdgeKey, Fraction] = {}
-    for u in reversed(t.top_down()):
-        h = _ZERO
-        if u not in fict:
-            k, o = t.node_dec(u), t.o_label(u)
-            if not k.is_zero():
-                h += k.sdeg(scaling)
-            if not o.is_zero():
-                h += table.hom_ext(o)
-        for e in t.children(u):
-            w = above[e[1]] + table.hom(t.edge_type(e))
-            k = t.edge_dec(e)
-            if not k.is_zero():
-                w -= k.sdeg(scaling)
-            out[e] = w
-            h += w
-        above[u] = h
+    shape = t._shape
+    facts, parent = shape.facts(table), shape.parent
+    if facts.up is None:  # one bottom-up pass per shape and table
+        above: dict[int, Fraction] = {}
+        facts.up = {}
+        for u in reversed(shape.order):
+            h = _ZERO
+            for e in shape.children[u]:
+                facts.up[e] = w = above[e[1]] + table.hom(shape.types[e])
+                h += w
+            above[u] = h
+    out = dict(facts.up)
+
+    def add(u: int, h):
+        while u in parent:
+            p = parent[u]
+            out[(p, u)] += h
+            u = p
+
+    for u, k in t.node_dec_items:
+        if u in parent and u not in facts.fictitious:
+            add(u, k.sdeg(scaling))
+    for u, o in t.o_label_items:
+        if u in parent and u not in facts.fictitious:
+            add(u, table.hom_ext(o))
+    for e, k in t.edge_dec_items:
+        if e in out:
+            add(e[1], -k.sdeg(scaling))
     return out
 
 

@@ -1,7 +1,8 @@
 """The slow paths that `hopf` replaced, kept as test oracles: extractions
 built from every connected edge set of the tree rather than from the listed
 divergent subtrees, the negative antipode of a forest as a fold of slotwise
-tensor products and key maps, the negative antipode listing the divergent
+tensor products and key maps, the product of formal sums that the negative
+antipode summed each forest into, the negative antipode listing the divergent
 subtrees of every piece it visits, the counterterm constants by their own
 recursion with a vanishing filter and the counterterm report built on them,
 the recentering bounds found by building a
@@ -33,7 +34,6 @@ from renormforest.hopf import (
     _label_for,
     _node_choices,
     _plus_colored,
-    _product,
     _remainder,
     _shifted,
     delta_minus,
@@ -52,6 +52,17 @@ from renormforest.scaling import (
     submultiindices,
 )
 from renormforest.trees import DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
+
+
+def _product(factors: Sequence[FormalSum], key: Callable[[list], Hashable]) -> FormalSum:
+    """The product of formal sums, as `hopf._AntipodeMinus.forest` took it
+    before it consumed the product terms unsummed: each output term takes
+    one term from every factor, its key is `key` of their keys and its
+    coefficient the product of theirs."""
+    return FormalSum(
+        (key([k for k, _ in chosen]), math.prod(c for _, c in chosen))
+        for chosen in itertools.product(*(f.items() for f in factors))
+    )
 
 
 def tensor(a: FormalSum, b: FormalSum) -> FormalSum:

@@ -40,7 +40,7 @@ from hopf_oracle import (
     tensor,
 )
 from renormforest import forests as fo
-from renormforest import hopf
+from renormforest import hopf, trees
 from renormforest.forests import cut_enumerate, div_enumerate, sigma_negative
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
@@ -277,6 +277,34 @@ def test_expansion_lists_divergences_and_rooted_subtrees_once(workbenches, monke
     assert div_calls == [t]
     assert [r for r, args in rooted_calls if args] == [t.root]
     assert len(rooted_calls) == len(t.nodes) + 1
+
+
+def test_expansion_builds_each_restricted_shape_once(workbenches, monkeypatch):
+    """On a freshly built copy of KPZ T5, `bphz_expansion` builds one shape
+    per distinct subforest that it restricts the tree or a piece of it to,
+    however many pieces restrict it: every piece of Delta_-, A_-, Delta_+
+    and A_+ shares the sub-shape of its subforest."""
+    wb = workbenches["kpz"]
+    table, basis = wb.config.table, wb.tree_by_id("T5")
+    t = DecoratedTree(
+        basis.root, basis.edges, dict(basis.node_dec_items), dict(basis.edge_dec_items), table=table
+    )
+    built, restricted = [], []
+    shape_init, restrict = trees._Shape.__init__, DecoratedTree.restrict
+
+    def counted_init(shape, *args):
+        built.append(args[0])
+        shape_init(shape, *args)
+
+    def counted_restrict(tree, sf):
+        restricted.append(sf)
+        return restrict(tree, sf)
+
+    monkeypatch.setattr(trees._Shape, "__init__", counted_init)
+    monkeypatch.setattr(DecoratedTree, "restrict", counted_restrict)
+    assert len(bphz_expansion(t, table)) == BPHZ_TERMS["kpz"][5]
+    assert len(restricted) > len(set(restricted))
+    assert len(built) == len(set(restricted))
 
 
 @pytest.mark.parametrize("model,tree_id", TREES, ids=[f"{m}-{t}" for m, t in TREES])

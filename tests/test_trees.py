@@ -451,6 +451,74 @@ def test_copy_matches_the_hand_written_copies(t, data):
         assert t.leaves_of(s, table) == piece.leaf_nodes(table)
 
 
+def table_facts(t: DecoratedTree, table) -> dict:
+    """Every field of the tree's `_TableFacts`, each filled first."""
+    t.rooted_subtrees(table)
+    trees.up_hom_table(t, table)
+    facts = t._shape.facts(table)
+    return {name: getattr(facts, name) for name in facts.__slots__}
+
+
+def assert_same_tree(piece: DecoratedTree, fresh: DecoratedTree, table):
+    assert piece.embedded_key() == fresh.embedded_key()
+    assert piece == fresh and hash(piece) == hash(fresh)
+    assert piece.canonical_code() == fresh.canonical_code()
+    assert table_facts(piece, table) == table_facts(fresh, table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(colored_trees(), st.data())
+def test_restrict_matches_a_fresh_build(t, data):
+    """Restricted to every subtree and to every rooted subtree, a random
+    colored tree with node, edge and o labels, or a random `with_` copy of
+    it that shares its sub-shapes, gives the tree a fresh build of the
+    restriction gives: the same embedded key, `==`, hash, canonical code
+    and facts under the type table.  So does a restriction of a drawn
+    piece to each of the piece's own subtrees, whose sub-shapes are those
+    of the ambient tree."""
+    table = KPZ.table
+    if data.draw(st.booleans()):
+        t = t.with_(node_dec=dict(data.draw(colored_trees(base=t)).node_dec_items))
+    subtrees = t.all_subtrees() + [s for s, _ in t.rooted_subtrees(table)]
+    for s in subtrees:
+        assert_same_tree(t.restrict(s), tree_oracle.restrict_fresh(t, s), table)
+    piece = t.restrict(data.draw(st.sampled_from(subtrees)))
+    for s in piece.all_subtrees():
+        assert_same_tree(piece.restrict(s), tree_oracle.restrict_fresh(piece, s), table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(colored_trees(), st.data())
+def test_up_hom_table_matches_one_bottom_up_pass(t, data):
+    """The up-tree table of a random colored tree with node, edge and o
+    labels, and of its restriction to a drawn subtree, equals the one
+    bottom-up pass over its labels, edge by edge; a caller that changes
+    the table it was handed changes no later table."""
+    table = KPZ.table
+    piece = t.restrict(data.draw(st.sampled_from(t.all_subtrees()))) if t.edge_items else t
+    for tree in (t, piece):
+        up = trees.up_hom_table(tree, table)
+        assert up == tree_oracle.up_hom_table(tree, table)
+        for e in up:
+            up[e] += 1
+        assert trees.up_hom_table(tree, table) == tree_oracle.up_hom_table(tree, table)
+
+
+def test_restrictions_share_one_sub_shape(phi4):
+    """One subforest restricted from two `with_` copies of a tree, and from
+    a piece of it that holds the subforest, has one shape, built once; a
+    piece that does not hold it refuses it."""
+    t = spine_tree(phi4.table)
+    subs = spine_subtrees(t)
+    big, small = subs["S2"], subs["S3"]  # S3 lies inside S2
+    copy = t.with_(node_dec={1: MultiIndex({0: 1})})
+    shape = t.restrict(small)._shape
+    assert copy.restrict(small)._shape is shape
+    assert t.restrict(big).restrict(small)._shape is shape
+    with pytest.raises(StructureError):
+        t.restrict(small).restrict(big)
+
+
 def test_with_normalizes_only_the_labels_passed(monkeypatch):
     """A `with_` copy shares the labels it keeps with the tree it is made
     from and normalizes only those it is passed; a label it does not know

@@ -1,13 +1,17 @@
 """The linear scans and recursive canonical forms that the per-tree indexes
 of `DecoratedTree` replaced (node and edge labels, AHU codes, true nodes,
 leaves and their noise types), the bitmask growth of connected edge sets that
-its rooted edge-set recursion replaced, and the hand-written copies
-(`relabel`, `restrict`, `integrate`, `tree_product` and the generator's
-`assemble`) that `DecoratedTree._copy` and `trees.graft` replaced, kept as
+its rooted edge-set recursion replaced, the hand-written copies (`relabel`,
+`restrict`, `integrate`, `tree_product` and the generator's `assemble`) that
+`DecoratedTree._copy` and `trees.graft` replaced, the restriction that built
+a fresh tree, shape and all, where `DecoratedTree.restrict` now shares one
+shape per subforest, and the one bottom-up pass over the labels that
+`trees.up_hom_table` replaced with a label-free table per shape, kept as
 test oracles."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from renormforest.scaling import MultiIndex, TypeTable, ZERO_EXT, ZERO_MI
@@ -167,6 +171,38 @@ def restrict(t: DecoratedTree, sf: SubForest) -> DecoratedTree:
         hat2=SubForest(t.hat2.nodes & sf.nodes, t.hat2.edges & sf.edges),
         o_label={u: v for u, v in t.o_label_items if u in sf.nodes},
     )
+
+
+def restrict_fresh(t: DecoratedTree, sf: SubForest) -> DecoratedTree:
+    """A tree built from scratch, its shape with it, from one `_copy` of
+    the subforest's nodes under their own ids."""
+    return DecoratedTree(t.subtree_root(sf), *t._copy(dict(zip(sf.nodes, sf.nodes))))
+
+
+def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
+    """|T_>=(e)|_+ with the labels n and o of its root dropped, for every
+    edge e, by one bottom-up pass over the tree and its labels."""
+    scaling = table.scaling
+    fict = t.fictitious_nodes(table)
+    above: dict[int, Fraction] = {}
+    out: dict[EdgeKey, Fraction] = {}
+    for u in reversed(t.top_down()):
+        h = Fraction(0)
+        if u not in fict:
+            k, o = t.node_dec(u), t.o_label(u)
+            if not k.is_zero():
+                h += k.sdeg(scaling)
+            if not o.is_zero():
+                h += table.hom_ext(o)
+        for e in t.children(u):
+            w = above[e[1]] + table.hom(t.edge_type(e))
+            k = t.edge_dec(e)
+            if not k.is_zero():
+                w -= k.sdeg(scaling)
+            out[e] = w
+            h += w
+        above[u] = h
+    return out
 
 
 def shift_ids(t: DecoratedTree, offset: int) -> DecoratedTree:
