@@ -4,6 +4,8 @@ bullet list)."""
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -322,30 +324,42 @@ def generate_trees(
     result is the same set as filtering all conforming trees at the root.
     For a subcritical rule the bounded search is finite however large
     `max_edges` is, because only finitely many trees lie below any cutoff;
-    the rule is not checked here (`Workbench.basis` checks it).  Each tree
-    is grafted (`trees.graft`) from its root's label and production and the
-    planted subtrees the search chose for the production's kernel entries.
+    the rule is not checked here (`Workbench.basis` checks it).
+
+    The search adds and compares ints: every homogeneity is counted in
+    units of 1/den, with den the lcm of the denominators of the cutoff and
+    of the type homogeneities (s-degrees are ints), which is exact.  Each
+    tree is grafted (`trees.graft`) from its root's label and production and
+    the planted subtrees the search chose for the production's kernel
+    entries, once per call: the graft is keyed by the label and the multiset
+    of branches, so another budget, bound or order of equal branches that
+    asks for the same tree gets the one already built.
     """
     table = rule.table
     scaling = table.scaling
     cutoff = Fraction(cutoff)
+    den = math.lcm(
+        cutoff.denominator,
+        *(h.denominator for h in (*table.kernel_types.values(), *table.noise_types.values())),
+    )
+    cut = int(cutoff * den)
     labels = (
         [ZERO_MI]
         if poly_sdeg_bound <= 0
         else multiindices_below(scaling, Fraction(poly_sdeg_bound) + 1)
     )
-    label_homs = [(lab, Fraction(lab.sdeg(scaling))) for lab in labels]
+    label_homs = [(lab, lab.sdeg(scaling) * den) for lab in labels]
+    productions = rule.allowed_contents(None)
+    # per production: its entries' summed homogeneity and its kernel types
+    entries_hom = {
+        p: sum(int(table.hom(n) * den) - k.sdeg(scaling) * den for n, k in p) for p in productions
+    }
+    kernel_names = {p: tuple(name for name, _ in p if table.is_kernel(name)) for p in productions}
 
-    def entries_hom(entries: Iterable[Entry]) -> Fraction:
-        return sum((table.hom(n) - k.sdeg(scaling) for n, k in entries), Fraction(0))
+    least_memo: dict[tuple[str, int], Optional[int]] = {}
+    spread_memo: dict[tuple[tuple[str, ...], int], Optional[int]] = {}
 
-    least_memo: dict[tuple[str, int], Optional[Fraction]] = {}
-    spread_memo: dict[tuple[tuple[str, ...], int], Optional[Fraction]] = {}
-
-    def kernel_names(p: Production) -> tuple[str, ...]:
-        return tuple(name for name, _ in p if table.is_kernel(name))
-
-    def least(kernel: str, budget: int) -> Optional[Fraction]:
+    def least(kernel: str, budget: int) -> Optional[int]:
         """Least homogeneity of a planted tree for `kernel` with at most
         `budget` edges; None when there is no such tree."""
         key = (kernel, budget)
@@ -353,18 +367,18 @@ def generate_trees(
             best = None
             for p in rule.allowed_contents(kernel):
                 if len(p) <= budget:
-                    rest = spread(kernel_names(p), budget - len(p))
+                    rest = spread(kernel_names[p], budget - len(p))
                     if rest is not None:
-                        v = entries_hom(p) + rest
+                        v = entries_hom[p] + rest
                         best = v if best is None or v < best else best
             least_memo[key] = best
         return least_memo[key]
 
-    def spread(kernels: tuple[str, ...], budget: int) -> Optional[Fraction]:
+    def spread(kernels: tuple[str, ...], budget: int) -> Optional[int]:
         """Least summed homogeneity of planted subtrees, one for each of
         `kernels`, sharing at most `budget` edges."""
         if not kernels:
-            return Fraction(0)
+            return 0
         key = (kernels, budget)
         if key not in spread_memo:
             best = None
@@ -376,32 +390,32 @@ def generate_trees(
             spread_memo[key] = best
         return spread_memo[key]
 
-    cache: dict[tuple[Optional[str], int, Fraction], list[tuple[Fraction, DecoratedTree]]] = {}
+    # each grafted tree, by its root label and multiset of branches
+    grafted: dict[tuple, DecoratedTree] = {}
+    cache: dict[tuple[Optional[str], int, int], list[tuple[int, DecoratedTree]]] = {}
 
-    def gen(
-        incoming: Optional[str], budget: int, bound: Fraction
-    ) -> list[tuple[Fraction, DecoratedTree]]:
+    def gen(incoming: Optional[str], budget: int, bound: int) -> list[tuple[int, DecoratedTree]]:
         """(homogeneity, tree) for every planted tree with root content
         allowed for `incoming`, at most `budget` edges and homogeneity
         below `bound`."""
         key = (incoming, budget, bound)
         if key in cache:
             return cache[key]
-        out: dict[tuple, tuple[Fraction, DecoratedTree]] = {}
+        out: dict[tuple, tuple[int, DecoratedTree]] = {}
         for p in rule.allowed_contents(incoming):
             if len(p) > budget:
                 continue
             noises = [(name, k, None, None) for name, k in p if table.is_noise(name)]
             kernel_entries = [e for e in p if table.is_kernel(e[0])]
-            kernels = kernel_names(p)
-            fixed = entries_hom(p)
+            kernels = kernel_names[p]
+            fixed = entries_hom[p]
             floor = spread(kernels, budget - len(p))
             if floor is None or fixed + floor >= bound:
                 continue
 
             # fill the kernel branches in turn; `left` edges remain for the
             # subtrees of branches idx, idx+1, ...
-            def branches(idx: int, left: int, hom: Fraction, acc: list[DecoratedTree]):
+            def branches(idx: int, left: int, hom: int, acc: list[DecoratedTree]):
                 if idx == len(kernel_entries):
                     yield hom, list(acc)
                     return
@@ -415,23 +429,26 @@ def generate_trees(
 
             for hom, subs in branches(0, budget - len(p), fixed, []):
                 planted = noises + [(name, k, sub, sub.root) for (name, k), sub in zip(kernel_entries, subs)]
+                multiset = frozenset(Counter(planted).items())
                 for lab, lab_hom in label_homs:
                     if hom + lab_hom < bound:
-                        t = graft(lab, planted)
+                        if (lab, multiset) not in grafted:
+                            grafted[lab, multiset] = graft(lab, planted)
+                        t = grafted[lab, multiset]
                         out[t.canonical_code()] = (hom + lab_hom, t)
         cache[key] = list(out.values())
         return cache[key]
 
     basis: dict[tuple, DecoratedTree] = {}
     for lab, lab_hom in label_homs:
-        if lab_hom < cutoff:
+        if lab_hom < cut:
             t = poly(lab)
             basis[t.canonical_code()] = t
     for ln in rule.standalone_noises:
         t = noise(ln)
         if t.homogeneity(table) < cutoff:
             basis[t.canonical_code()] = t
-    for _, t in gen(None, max_edges, cutoff):
+    for _, t in gen(None, max_edges, cut):
         basis[t.canonical_code()] = t
     return sorted(basis.values(), key=lambda t: (len(t.edge_items), t.canonical_code()))
 

@@ -182,11 +182,12 @@ def run_with_hash_seed(seed: str, args: list[str], returncode: int = 0) -> bytes
 
 
 def test_generate_independent_of_hash_seed():
-    """`generate`, `renormalize` of a tree with counterterms, and
+    """`generate` of each model, `renormalize` of a tree with counterterms, and
     `renormalize` of the deepest tree of each model, whose extractions come
     in the order `div_enumerate` sorts its subtrees."""
     for model, command in (
         ("phi4_3", ["generate"]),
+        ("kpz", ["generate"]),
         ("phi4_3", ["renormalize", "T3"]),
         ("phi4_3", ["renormalize", "T6"]),
         ("kpz", ["renormalize", "T6"]),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import renormforest.rules
 from conftest import ROOT, Kpz, Phi4
 from generation_oracle import conforms, exhaustive_trees
 from renormforest.rules import RuleSpec, generate_trees, production
@@ -61,6 +62,42 @@ def test_matches_oracle_empty_rule(phi4):
 CUTOFFS = [Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)]
 
 
+def with_noise_hom(rule: RuleSpec, hom: Fraction) -> RuleSpec:
+    """The rule with its one noise type at homogeneity `hom`."""
+    table = rule.table
+    (name,) = table.noise_types
+    table = TypeTable(table.scaling, kernel_types=table.kernel_types, noise_types={name: hom})
+    return RuleSpec(table, rule.productions, rule.standalone_noises)
+
+
+@st.composite
+def noise_homs(draw, abs_s: int) -> Fraction:
+    """p/q inside (-|s|, 0) with q <= 12."""
+    q = draw(st.integers(min_value=1, max_value=12))
+    return Fraction(draw(st.integers(min_value=1 - abs_s * q, max_value=-1)), q)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    data=st.data(),
+    model=st.sampled_from(sorted(MODELS)),
+    cutoff=st.sampled_from(CUTOFFS),
+    poly_sdeg_bound=st.sampled_from([0, 1]),
+)
+def test_matches_oracle_any_denominators(data, model, cutoff, poly_sdeg_bound):
+    """The generator counts homogeneities in integer units of the common
+    denominator of the cutoff and the type homogeneities; any denominator
+    of either must give the oracle's basis.  The oracle's cost grows with
+    the labelled trees it enumerates (about a minute for phi4 at 5 edges with
+    labels), so labelled cases stop at 3 edges."""
+    max_edges = data.draw(st.integers(min_value=1, max_value=3 if poly_sdeg_bound else 5))
+    rule = MODELS[model].rule
+    hom = data.draw(noise_homs(rule.table.scaling.abs_s))
+    rule = with_noise_hom(rule, hom)
+    got = generate_trees(rule, cutoff, max_edges, poly_sdeg_bound)
+    assert got == exhaustive_trees(rule, cutoff, max_edges, poly_sdeg_bound)
+
+
 @settings(deadline=None, max_examples=25)
 @given(
     model=st.sampled_from(sorted(MODELS)),
@@ -81,10 +118,11 @@ def test_generation_invariants(model, cutoff, max_edges):
 
 
 def test_setup_builds_few_trees(monkeypatch):
-    """Setting up both shipped bases builds at most 142 trees: each tree the
-    generator grafts is built once and relabelled once, and the planted
-    subtrees are copied into it without a tree of their own (231 when each
-    was first shifted into a tree of its own)."""
+    """Setting up both shipped bases grafts each of its 15 distinct trees
+    once and builds at most 32 trees: the graft and its canonical relabelling
+    per grafted tree, and the two bare noises (142 trees and 70 grafts when
+    a tree was grafted again for every budget, bound and order of equal
+    branches that asked for it)."""
     built = []
     init = DecoratedTree.__init__
 
@@ -92,7 +130,16 @@ def test_setup_builds_few_trees(monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
+    grafts = []
+    graft = renormforest.rules.graft
+
+    def counted_graft(*args):
+        grafts.append(args)
+        return graft(*args)
+
     monkeypatch.setattr(DecoratedTree, "__init__", counted)
+    monkeypatch.setattr(renormforest.rules, "graft", counted_graft)
     for model in ("kpz", "phi4_3"):
         Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8"))).basis()
-    assert len(built) <= 142
+    assert len(grafts) <= 15
+    assert len(built) <= 32
