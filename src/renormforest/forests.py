@@ -1,16 +1,17 @@
-"""Divergent subtrees, positive cuts, forests of subtrees, the layered
-i-forests of the negative twisted antipode, and the leaf partitions that
-forests must be compatible with."""
+"""Divergent subtrees, positive cuts, forests of subtrees and their parent
+map (`forest_parents`: A_F, and through it C_F and the maximal members),
+the layered i-forests of the negative twisted antipode, and the leaf
+partitions that forests must be compatible with."""
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .rules import CumulantSet
 from .scaling import TypeTable
-from .trees import EMPTY_SUBFOREST, DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
+from .trees import DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
 
 ForestOfSubtrees = frozenset  # frozenset[SubForest], pairwise nested-or-disjoint
 CutSet = frozenset  # frozenset[EdgeKey], subset of the positive cuts
@@ -131,31 +132,17 @@ def subtree_lt(a: SubForest, b: SubForest) -> bool:
     return a != b and a.nodes <= b.nodes
 
 
-def forest_children(forest: ForestOfSubtrees, s: SubForest) -> frozenset:
-    """C_F(S): maximal members strictly below S."""
-    below = [x for x in forest if subtree_lt(x, s)]
-    return frozenset(
-        x for x in below if not any(x != y and subtree_lt(x, y) for y in below)
-    )
-
-
-def forest_maximal(forest: ForestOfSubtrees) -> frozenset:
-    return frozenset(
-        x for x in forest if not any(x != y and subtree_lt(x, y) for y in forest)
-    )
-
-
-def depth_sets(forest: ForestOfSubtrees) -> list[frozenset]:
-    """[D_1, D_2, ...]: generations of the forest, maximal members first."""
-    out = []
-    level = forest_maximal(forest)
-    while level:
-        out.append(level)
-        nxt: set[SubForest] = set()
-        for s in level:
-            nxt |= forest_children(forest, s)
-        level = frozenset(nxt)
-    return out
+def forest_parents(forest: ForestOfSubtrees) -> dict[SubForest, Optional[SubForest]]:
+    """A_F as a map: each member to the smallest member strictly above it,
+    None for a maximal member.  C_F(S) is the members whose parent is S.
+    The members strictly above one member contain it, so they form a chain:
+    visited largest first, the last of them visited is the parent."""
+    parents: dict[SubForest, Optional[SubForest]] = {}
+    seen: list[SubForest] = []
+    for s in sorted(forest, key=lambda x: (-len(x.nodes), x.sort_key())):
+        parents[s] = next((a for a in reversed(seen) if subtree_lt(s, a)), None)
+        seen.append(s)
+    return parents
 
 
 def all_forests(universe: Sequence[SubForest], cap: int) -> list[ForestOfSubtrees]:
@@ -227,45 +214,20 @@ def forests_compatible_with(
 # -- sigma constructions ---------------------------------------------------------
 
 
-def _union_subforests(sfs: Iterable[SubForest]) -> SubForest:
-    nodes: set[int] = set()
-    edges: set[EdgeKey] = set()
-    for s in sfs:
-        nodes |= s.nodes
-        edges |= s.edges
-    return SubForest(frozenset(nodes), frozenset(edges))
-
-
-UndecoratedPiece = tuple  # (nodes, edges, hat1 key, hat2 key), sorted tuples
-
-
-def undecorated_piece(sf: SubForest, hat1: SubForest) -> UndecoratedPiece:
-    """The piece of a layered i-forest, which has no color 2."""
-    return (
-        tuple(sorted(sf.nodes)),
-        tuple(sorted(sf.edges)),
-        hat1.sort_key(),
-        EMPTY_SUBFOREST.sort_key(),
-    )
-
-
-def sigma_negative(t: DecoratedTree, forest: ForestOfSubtrees) -> tuple:
-    """The layered i-forest sigma_F: for k = depth..1 the components of
-    D_k(F), each colored by [D_{k+1}(F)]_1.  Returned as a sorted tuple of
-    undecorated pieces; the empty forest gives ()."""
-    levels = depth_sets(forest)
-    pieces: list[UndecoratedPiece] = []
-    for k, level in enumerate(levels):
-        below = levels[k + 1] if k + 1 < len(levels) else frozenset()
-        paint = _union_subforests(below)
-        for s in sorted(level, key=lambda x: x.sort_key()):
-            pieces.append(
-                undecorated_piece(
-                    s,
-                    hat1=SubForest(paint.nodes & s.nodes, paint.edges & s.edges),
-                )
-            )
-    return tuple(sorted(pieces))
+def sigma_negative(t: DecoratedTree, forest: ForestOfSubtrees) -> tuple[DecoratedTree, ...]:
+    """The layered i-forest sigma_F: each member S as a piece of its own,
+    colored by [C_F(S)]_1.  The generations of F are disjoint, and the next
+    generation inside S is exactly C_F(S).  Sorted by `SubForest.sort_key`;
+    the empty forest gives ()."""
+    parents = forest_parents(forest)
+    pieces = []
+    for s in sorted(forest, key=SubForest.sort_key):
+        kids = [c for c, p in parents.items() if p == s]
+        hat1 = SubForest(
+            frozenset().union(*(c.nodes for c in kids)), frozenset().union(*(c.edges for c in kids))
+        )
+        pieces.append(t.restrict(s).with_(hat1=hat1))
+    return tuple(pieces)
 
 
 def cuts_avoiding(cuts: Sequence[EdgeKey], forest: ForestOfSubtrees) -> list[EdgeKey]:

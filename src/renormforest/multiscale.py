@@ -1,5 +1,6 @@
-"""Scale assignments on the edge universe, internal/external scales, the
-safe-forest projection, path scales, and the harvested-cut rule."""
+"""Scale assignments on the edge universe, internal/external scales read
+off a forest's parent map (`forests.forest_parents`), the safe-forest
+projection, path scales, and the harvested-cut rule."""
 from __future__ import annotations
 
 import itertools
@@ -7,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .forests import CutSet, ForestOfSubtrees, cuts_avoiding, forest_children, subtree_lt
+from .forests import CutSet, ForestOfSubtrees, cuts_avoiding, forest_parents
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, StructureError, SubForest
 
@@ -86,28 +87,25 @@ def external_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
     return incident_tags(eu, s) - internal_tags(eu, s)
 
 
-def immediate_ancestor(forest: ForestOfSubtrees, s: SubForest) -> Optional[SubForest]:
-    """A_F(S): the minimal member strictly above S; None encodes the whole
-    ambient universe."""
-    above = [x for x in forest if subtree_lt(s, x)]
-    if not above:
-        return None
-    return min(above, key=lambda x: (len(x.nodes), x.sort_key()))
-
-
 def int_ext(
     eu: EdgeUniverse,
     s: SubForest,
-    forest: ForestOfSubtrees,
+    parents: Mapping[SubForest, Optional[SubForest]],
     n: Mapping[EdgeTag, int],
 ) -> tuple[int, int]:
-    """(int_F(S), ext_F(S)) for a member (or compatible subtree) S."""
+    """(int_F(S), ext_F(S)) for a member S of a forest F, given F's parent
+    map (`forest_parents`): the least scale of S's internal edges outside
+    its children C_F(S), the members whose parent is S, and the greatest
+    scale of its external edges inside its parent A_F(S), which for a
+    maximal member is the whole edge universe.  For a compatible subtree S
+    outside F, pass the map of F + {S}."""
     internal = internal_tags(eu, s)
-    for child in forest_children(forest, s):
-        internal = internal - internal_tags(eu, child)
+    for child, parent in parents.items():
+        if parent == s:
+            internal = internal - internal_tags(eu, child)
     if not internal:
         raise StructureError("no internal edges left for the subtree")
-    anc = immediate_ancestor(forest, s)
+    anc = parents[s]
     if anc is None:
         anc_internal = frozenset(eu.all_tags())
     else:
@@ -125,10 +123,11 @@ def safe_projection(
     eu: EdgeUniverse, forest: ForestOfSubtrees, n: Mapping[EdgeTag, int]
 ) -> ForestOfSubtrees:
     """P^n[F]: the members whose internal scale does not exceed their
-    external scale (computed mod F)."""
+    external scale (computed mod F, on F's parent map built once)."""
+    parents = forest_parents(forest)
     safe = []
     for s in forest:
-        i, e = int_ext(eu, s, forest, n)
+        i, e = int_ext(eu, s, parents, n)
         if i <= e:
             safe.append(s)
     return frozenset(safe)

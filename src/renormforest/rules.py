@@ -54,11 +54,16 @@ class RuleSpec:
         for t in prods:
             if not self.table.is_kernel(t):
                 raise ValueError(f"productions must be keyed by kernel types, got {t!r}")
+        d = self.table.scaling.d
         for t, ps in prods.items():
             for p in ps:
-                for name, _ in p:
+                for name, k in p:
                     if not (self.table.is_kernel(name) or self.table.is_noise(name)):
                         raise KeyError(f"production references unknown type {name!r}")
+                    if any(i >= d for i, _ in k.entries):
+                        raise ValueError(
+                            f"production of {t!r} derives {name!r} along a coordinate outside [0, {d})"
+                        )
                 if sum(1 for name, _ in p if self.table.is_noise(name)) > 1:
                     raise ValueError("a production may carry at most one noise entry")
         for t in self.standalone_noises:

@@ -471,33 +471,27 @@ class DecoratedTree:
     # -- subforest machinery -----------------------------------------------
 
     def subforest_components(self, sf: SubForest) -> list[SubForest]:
-        """Connected components of a subforest, each again a SubForest."""
-        if not (sf.nodes <= self.nodes):
-            raise StructureError("subforest references unknown nodes")
+        """Connected components of a subforest, each again a SubForest, in
+        the order of their smallest nodes: one top-down pass, in which a
+        node joins its parent's component when the edge between them is in
+        the subforest."""
+        if not (sf.nodes <= self.nodes and sf.edges <= self.edge_set):
+            raise StructureError("subforest references unknown nodes or edges")
         for p, c in sf.edges:
             if p not in sf.nodes or c not in sf.nodes:
                 raise StructureError("dangling edge in subforest")
-        adj: dict[int, set[int]] = {u: set() for u in sf.nodes}
-        for p, c in sf.edges:
-            adj[p].add(c)
-            adj[c].add(p)
-        seen: set[int] = set()
-        comps = []
+        top: dict[int, int] = {}  # each node of sf to the top node of its component
+        for u in self._shape.order:  # top-down: a node's parent comes first
+            if u in sf.nodes:
+                p = self._shape.parent.get(u)
+                top[u] = top[p] if (p, u) in sf.edges else u
+        comps: dict[int, set[int]] = {}
         for u in sorted(sf.nodes):
-            if u in seen:
-                continue
-            stack, comp = [u], set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(adj[v] - comp)
-            seen |= comp
-            comps.append(
-                SubForest(frozenset(comp), frozenset(e for e in sf.edges if e[0] in comp))
-            )
-        return comps
+            comps.setdefault(top[u], set()).add(u)
+        return [
+            SubForest(frozenset(comp), frozenset(e for e in sf.edges if e[0] in comp))
+            for comp in comps.values()
+        ]
 
     @staticmethod
     def subtree_root(sf: SubForest) -> int:

@@ -286,14 +286,12 @@ class Workbench:
         return self._basis
 
     def tree_by_id(self, tree_id: str) -> DecoratedTree:
+        """The basis tree of an id as `generate` prints it: T and its index
+        written plainly, or its formatted tree."""
         basis = self.basis()
-        if tree_id.startswith("T"):
-            try:
-                idx = int(tree_id[1:])
-            except ValueError:
-                idx = -1
-            if 0 <= idx < len(basis):
-                return basis[idx]
+        for i, t in enumerate(basis):
+            if tree_id == f"T{i}":
+                return t
         names = self.name_map()
         for t in basis:
             if names[t.canonical_code()] == tree_id:
@@ -423,9 +421,12 @@ class Workbench:
                     [f"scale assignment pi block {block} is not admitted by the cumulant set"]
                 )
         eu = ms.EdgeUniverse(t, table, pi)
+        tags = {_tag_str(tag): tag for tag in eu.all_tags()}
+        stray = sorted(given.keys() - tags.keys())
+        if stray:
+            raise ConfigError([f"scale assignment names edges outside the edge universe: {stray}"])
         n = {}
-        for tag in eu.all_tags():
-            key = _tag_str(tag)
+        for key, tag in tags.items():
             if key not in given:
                 raise ConfigError([f"scale assignment missing edge {key}"])
             n[tag] = _as_int(given[key], f"scale of edge {key}")
@@ -495,8 +496,7 @@ class Workbench:
                 raise ConfigError(
                     [f"sigma selection {sel!r} of {tree_id} is not nested or disjoint"]
                 )
-            sigma = fo.sigma_negative(t, forest)
-            return sigma_to_dot(t, table, sigma)
+            return sigma_to_dot(table, fo.sigma_negative(t, forest))
         t = self.tree_by_id(object_id)
         return tree_to_dot(t, table)
 
@@ -578,64 +578,35 @@ def _sf_str(s: SubForest) -> str:
 # -- DOT export --------------------------------------------------------------------
 
 
-def _node_style(color: int, is_root: bool) -> str:
-    style = []
-    if color == 1:
-        style.append('style=filled, fillcolor="lightblue"')
-    elif color == 2:
-        style.append('style=filled, fillcolor="lightcoral"')
-    if is_root:
-        style.append("penwidth=3")
-    return (", " + ", ".join(style)) if style else ""
+def _dot_lines(t: DecoratedTree, table: TypeTable, indent: str, prefix: str) -> list[str]:
+    """The DOT nodes and edges of a colored tree, each node named by
+    `prefix`, "n" and its id: color 1 blue, color 2 red, noise edges dashed,
+    the root drawn thick."""
+    fill = {1: ', style=filled, fillcolor="lightblue"', 2: ', style=filled, fillcolor="lightcoral"'}
+    stroke = {1: ', color="blue"', 2: ', color="red"'}
+    lines = []
+    for u in sorted(t.nodes):
+        style = fill.get(t.color_of_node(u), "") + (", penwidth=3" if u == t.root else "")
+        lines.append(f'{indent}{prefix}n{u} [label="{u}"{style}];')
+    for e, ty in t.edge_items:
+        style = (", style=dashed" if table.is_noise(ty) else "") + stroke.get(t.color_of_edge(e), "")
+        lines.append(f'{indent}{prefix}n{e[0]} -> {prefix}n{e[1]} [label="{ty}"{style}];')
+    return lines
 
 
 def tree_to_dot(t: DecoratedTree, table: TypeTable) -> str:
     lines = ["digraph tree {", "  rankdir=BT;", '  node [shape=circle, width=0.3];']
-    for u in sorted(t.nodes):
-        color = t.color_of_node(u)
-        lines.append(
-            f'  n{u} [label="{u}"{_node_style(color, u == t.root)}];'
-        )
-    for e, ty in t.edge_items:
-        attrs = [f'label="{ty}"']
-        if table.is_noise(ty):
-            attrs.append("style=dashed")
-        if t.color_of_edge(e) == 1:
-            attrs.append('color="blue"')
-        elif t.color_of_edge(e) == 2:
-            attrs.append('color="red"')
-        lines.append(f"  n{e[0]} -> n{e[1]} [{', '.join(attrs)}];")
+    lines += _dot_lines(t, table, "  ", "")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def sigma_to_dot(t: DecoratedTree, table: TypeTable, sigma: tuple) -> str:
-    """A multi-cluster digraph for an i-forest given as undecorated pieces."""
+def sigma_to_dot(table: TypeTable, sigma: tuple[DecoratedTree, ...]) -> str:
+    """A multi-cluster digraph for an i-forest, one cluster per piece."""
     lines = ["digraph sigma {", "  rankdir=BT;", '  node [shape=circle, width=0.3];']
-    for i, (nodes, edges, hat1, hat2) in enumerate(sigma):
-        h1_nodes = set(hat1[0])
-        h2_nodes = set(hat2[0])
-        h1_edges = set(hat1[1])
-        h2_edges = set(hat2[1])
-        targets = {c for _, c in edges}
-        roots = [u for u in nodes if u not in targets]
-        lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="component {i}";')
-        for u in nodes:
-            color = 2 if u in h2_nodes else (1 if u in h1_nodes else 0)
-            lines.append(
-                f'    c{i}n{u} [label="{u}"{_node_style(color, u in roots)}];'
-            )
-        for e in edges:
-            ty = t.edge_type(e)
-            attrs = [f'label="{ty}"']
-            if table.is_noise(ty):
-                attrs.append("style=dashed")
-            if e in h2_edges:
-                attrs.append('color="red"')
-            elif e in h1_edges:
-                attrs.append('color="blue"')
-            lines.append(f"    c{i}n{e[0]} -> c{i}n{e[1]} [{', '.join(attrs)}];")
+    for i, piece in enumerate(sigma):
+        lines += [f"  subgraph cluster_{i} {{", f'    label="component {i}";']
+        lines += _dot_lines(piece, table, "    ", f"c{i}")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,26 +1,24 @@
-"""Test-only reference constructions for the twisted antipodes of `hopf`.
+"""Test-only reference constructions for forests of subtrees and for the
+twisted antipodes of `hopf`.
 
-The negative antipode of a forest of divergences is a sum over the forests
-with the same maximal members, each seen through its layered i-forest
-`forests.sigma_negative`; the positive antipode of a tree with one cut is a
-sum over the cut sets with that minimal layer, each seen through the
-positive cutting construction `sigma_positive` below.  No command builds
-these families, so they live here, where the tests of `hopf._AntipodeMinus`
-and `hopf._AntipodePlus` compare the antipodes' output shapes against them.
+The scans below (`forest_children`, `forest_maximal`, `depth_sets`,
+`immediate_ancestor`) and the tuple-based `sigma_negative` are how `forests`
+and `multiscale` first worked out C_F, the maximal members, the generations,
+A_F and the layered i-forest sigma_F, each by scanning the forest; the
+tests compare `forests.forest_parents` and `forests.sigma_negative` against
+them.  The negative antipode of a forest of divergences is a sum over the
+forests with the same maximal members, each seen through its layered
+i-forest; the positive antipode of a tree with one cut is a sum over the
+cut sets with that minimal layer, each seen through the positive cutting
+construction `sigma_positive` below.  No command builds these families, so
+they live here, where the tests of `hopf._AntipodeMinus` and
+`hopf._AntipodePlus` compare the antipodes' output shapes against them.
 """
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from renormforest.forests import (
-    CutSet,
-    ForestOfSubtrees,
-    _union_subforests,
-    all_forests,
-    depth_sets,
-    forest_maximal,
-    subtree_lt,
-)
+from renormforest.forests import CutSet, ForestOfSubtrees, all_forests, subtree_lt
 from renormforest.hopf import in_X_minus, in_X_plus
 from renormforest.scaling import TypeTable
 from tree_oracle import restrict
@@ -69,8 +67,8 @@ def membership(piece: DecoratedTree, table: TypeTable) -> dict:
 def undecorated_piece(
     sf: SubForest, hat1: SubForest = EMPTY_SUBFOREST, hat2: SubForest = EMPTY_SUBFOREST
 ) -> tuple:
-    """`forests.undecorated_piece` with a color-2 part, which the
-    positive cutting construction colors."""
+    """A piece of an i-forest as sorted tuples: its nodes, its edges and
+    the sort keys of its color-1 and color-2 parts."""
     return (tuple(sorted(sf.nodes)), tuple(sorted(sf.edges)), hat1.sort_key(), hat2.sort_key())
 
 
@@ -88,6 +86,73 @@ def undecorated_forest_shape(pieces: Sequence[DecoratedTree]) -> tuple:
             )
         )
     return tuple(sorted(out))
+
+
+# -- forests of subtrees by scanning -------------------------------------------------
+
+
+def forest_children(forest: ForestOfSubtrees, s: SubForest) -> frozenset:
+    """C_F(S): maximal members strictly below S."""
+    below = [x for x in forest if subtree_lt(x, s)]
+    return frozenset(
+        x for x in below if not any(x != y and subtree_lt(x, y) for y in below)
+    )
+
+
+def forest_maximal(forest: ForestOfSubtrees) -> frozenset:
+    return frozenset(
+        x for x in forest if not any(x != y and subtree_lt(x, y) for y in forest)
+    )
+
+
+def depth_sets(forest: ForestOfSubtrees) -> list[frozenset]:
+    """[D_1, D_2, ...]: generations of the forest, maximal members first."""
+    out = []
+    level = forest_maximal(forest)
+    while level:
+        out.append(level)
+        nxt: set[SubForest] = set()
+        for s in level:
+            nxt |= forest_children(forest, s)
+        level = frozenset(nxt)
+    return out
+
+
+def immediate_ancestor(forest: ForestOfSubtrees, s: SubForest) -> Optional[SubForest]:
+    """A_F(S): the minimal member strictly above S; None encodes the whole
+    ambient universe."""
+    above = [x for x in forest if subtree_lt(s, x)]
+    if not above:
+        return None
+    return min(above, key=lambda x: (len(x.nodes), x.sort_key()))
+
+
+def _union_subforests(sfs: Iterable[SubForest]) -> SubForest:
+    nodes: set[int] = set()
+    edges: set[EdgeKey] = set()
+    for s in sfs:
+        nodes |= s.nodes
+        edges |= s.edges
+    return SubForest(frozenset(nodes), frozenset(edges))
+
+
+def sigma_negative(t: DecoratedTree, forest: ForestOfSubtrees) -> tuple:
+    """The layered i-forest sigma_F: for k = depth..1 the components of
+    D_k(F), each colored by [D_{k+1}(F)]_1.  Returned as a sorted tuple of
+    undecorated pieces; the empty forest gives ()."""
+    levels = depth_sets(forest)
+    pieces: list[tuple] = []
+    for k, level in enumerate(levels):
+        below = levels[k + 1] if k + 1 < len(levels) else frozenset()
+        paint = _union_subforests(below)
+        for s in sorted(level, key=lambda x: x.sort_key()):
+            pieces.append(
+                undecorated_piece(
+                    s,
+                    hat1=SubForest(paint.nodes & s.nodes, paint.edges & s.edges),
+                )
+            )
+    return tuple(sorted(pieces))
 
 
 # -- forests with prescribed maximal members ----------------------------------------

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from renormforest.forests import ForestOfSubtrees, nested_or_disjoint
+from renormforest.forests import ForestOfSubtrees, forest_parents, nested_or_disjoint
 from renormforest.multiscale import (
     INF,
     EdgeTag,
@@ -76,7 +76,7 @@ def dangerous_extension(
             continue
         if not all(nested_or_disjoint(s, x) for x in safe):
             continue
-        i, e = int_ext(eu, s, frozenset(safe | {s}), n)
+        i, e = int_ext(eu, s, forest_parents(safe | {s}), n)
         if i > e:
             out.add(s)
     return frozenset(out)

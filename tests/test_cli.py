@@ -99,6 +99,9 @@ MALFORMED_CONFIGS = {
         "kpz", cumulants={"mode": "gaussian", "max_arity": 2}
     ),
     "null-max-arity": with_changes("kpz", cumulants={"mode": "gaussian", "max_arity": None}),
+    "derivative-beyond-dimension": with_changes(
+        "kpz", **{"rule.productions.t": [["t", "t"], ["t"], [], ["l"], [["t", [0, 0, 1]], "t"]]}
+    ),
 }
 
 
@@ -252,6 +255,8 @@ def test_project(tmp_path, capsys):
         json.dumps({"pi": [[1], [3]], "scales": KPZ_T2_SCALES}),
         json.dumps({"pi": [[1]], "scales": KPZ_T2_SCALES}),
         json.dumps({"pi": [[]], "scales": KPZ_T2_SCALES}),
+        json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, **{"K:99,98": 1})}),
+        json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, bogus=1)}),
     ],
     ids=[
         "missing-file",
@@ -273,6 +278,8 @@ def test_project(tmp_path, capsys):
         "singleton-blocks",
         "one-singleton-block",
         "empty-block",
+        "unknown-edge",
+        "not-an-edge",
     ],
 )
 def test_bad_scales_are_input_errors(doc, tmp_path, capsys):
@@ -317,10 +324,11 @@ def test_certify_unknown_tree(capsys, monkeypatch):
     _assert_unknown_tree("T9", capsys)
 
 
-@pytest.mark.parametrize("tree_id", ["T", "Tx"])
+@pytest.mark.parametrize("tree_id", ["T", "Tx", "T+3", "T 3", "T3 ", "T\u0663", "T03", "T-0", "T0_1"])
 def test_certify_malformed_tree_id(tree_id, capsys, monkeypatch):
     """An id with no index and one with a bad index get the same message
-    as an id out of range."""
+    as an id out of range; an index is read only as `generate` writes it,
+    so no sign, space, leading zero, underscore or non-ASCII digit."""
     monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
     _assert_unknown_tree(tree_id, capsys)
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import KAPPA, KPZ, analyses, decorated_trees, spine_subtrees, spine_tree
+import forest_oracle as oracle
+from conftest import KAPPA, KPZ, ROOT, analyses, decorated_trees, spine_subtrees, spine_tree
 from forest_oracle import (
     block_pendant_reducible,
     cut_depth,
@@ -14,6 +16,7 @@ from forest_oracle import (
     edge_le,
     min_cuts,
     sigma_positive,
+    undecorated_forest_shape,
     up_tree,
 )
 from multiscale_oracle import Interval, is_interval_of
@@ -22,16 +25,17 @@ from renormforest.forests import (
     _block_pendant_reducible,
     all_forests,
     cut_enumerate,
-    depth_sets,
     div_enumerate,
+    forest_parents,
     forests_compatible_with,
     irreducible_partition_exists,
     is_forest_of_subtrees,
+    nested_or_disjoint,
     sigma_negative,
 )
 from renormforest.rules import CumulantSet
 from renormforest.trees import DecoratedTree, SubForest
-from renormforest.workbench import DEFAULT_CAPS
+from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
 
 
 def test_kpz_cut_set(kpz):
@@ -110,21 +114,17 @@ def test_spine_forest_listing(phi4):
 
 
 def test_spine_generations(phi4):
-    """The worked depth example."""
+    """The worked depth example, read off the parent map."""
     t = spine_tree(phi4.table)
     subs = spine_subtrees(t)
-    f = frozenset({subs["S1"], subs["S2"], subs["S3"]})
-    d = depth_sets(f)
-    assert d == [
-        frozenset({subs["S1"]}),
-        frozenset({subs["S2"]}),
-        frozenset({subs["S3"]}),
-    ]
+    s1, s2, s3, s5 = subs["S1"], subs["S2"], subs["S3"], subs["S5"]
+    f = frozenset({s1, s2, s3})
+    assert forest_parents(f) == {s1: None, s2: s1, s3: s2}
     assert depth(f) == 3
-    g = frozenset({subs["S2"], subs["S3"], subs["S5"]})
-    dg = depth_sets(g)
-    assert dg == [frozenset({subs["S2"], subs["S5"]}), frozenset({subs["S3"]})]
+    g = frozenset({s2, s3, s5})
+    assert forest_parents(g) == {s2: None, s5: None, s3: s2}
     assert depth(g) == 2
+    assert forest_parents(frozenset()) == {}
 
 
 def test_sigma_negative_layers(phi4):
@@ -134,13 +134,55 @@ def test_sigma_negative_layers(phi4):
     f = frozenset({subs["S1"], subs["S2"], subs["S3"]})
     sigma = sigma_negative(t, f)
     assert len(sigma) == 3  # one component per generation
-    by_nodes = {piece[0]: piece for piece in sigma}
-    s1 = by_nodes[tuple(sorted(subs["S1"].nodes))]
-    assert s1[2] == (tuple(sorted(subs["S2"].nodes)), tuple(sorted(subs["S2"].edges)))
-    s2 = by_nodes[tuple(sorted(subs["S2"].nodes))]
-    assert s2[2] == (tuple(sorted(subs["S3"].nodes)), tuple(sorted(subs["S3"].edges)))
-    s3 = by_nodes[tuple(sorted(subs["S3"].nodes))]
-    assert s3[2] == ((), ())
+    by_nodes = {piece.nodes: piece for piece in sigma}
+    assert by_nodes[subs["S1"].nodes].hat1 == subs["S2"]
+    assert by_nodes[subs["S2"].nodes].hat1 == subs["S3"]
+    assert by_nodes[subs["S3"].nodes].hat1.is_empty()
+
+
+def assert_parent_map_matches_oracle(t: DecoratedTree, forest: frozenset):
+    """The parent map gives the scans' A_F, C_F, maximal members and
+    generations, and sigma_F's pieces are the tuple-based construction's,
+    sorted by `SubForest.sort_key`."""
+    parents = forest_parents(forest)
+    assert parents.keys() == forest
+    levels: dict[int, set] = {}
+    for s in forest:
+        assert parents[s] == oracle.immediate_ancestor(forest, s)
+        assert {c for c, p in parents.items() if p == s} == oracle.forest_children(forest, s)
+        k, above = 0, parents[s]
+        while above is not None:
+            k, above = k + 1, parents[above]
+        levels.setdefault(k, set()).add(s)
+    assert {s for s, p in parents.items() if p is None} == oracle.forest_maximal(forest)
+    assert [levels[k] for k in range(len(levels))] == oracle.depth_sets(forest)
+    pieces = sigma_negative(t, forest)
+    assert undecorated_forest_shape(pieces) == oracle.sigma_negative(t, forest)
+    assert [SubForest(p.nodes, p.edge_set) for p in pieces] == sorted(forest, key=SubForest.sort_key)
+
+
+@pytest.mark.parametrize("model", ["kpz", "phi4_3"])
+def test_forest_parents_match_oracle_on_basis_forests(model):
+    """Every forest of the effective divergences of every basis tree."""
+    wb = Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")))
+    for t in wb.basis():
+        divs = [s for s, _ in wb.analysis(t).divergences]
+        for forest in all_forests(divs, DEFAULT_CAPS["max_div"]):
+            assert_parent_map_matches_oracle(t, forest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decorated_trees(), st.lists(st.integers(0, 10**6), max_size=8))
+def test_forest_parents_match_oracle_on_drawn_forests(t, picks):
+    """A forest drawn from the subtrees of a random tree: each pick joins
+    when it is nested in or disjoint from every member so far."""
+    subs = t.all_subtrees()
+    forest: set[SubForest] = set()
+    for i in picks:
+        s = subs[i % len(subs)]
+        if all(nested_or_disjoint(s, x) for x in forest):
+            forest.add(s)
+    assert_parent_map_matches_oracle(t, frozenset(forest))
 
 
 def test_kpz_scenario_forests(kpz):

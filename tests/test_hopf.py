@@ -537,7 +537,8 @@ def test_negative_forest_expansion(phi4, kpz):
                 continue
             out = _AntipodeMinus(table, div_enumerate(tree, table), lambda p: p).forest(pieces)
             allowed = {
-                sigma_negative(tree, g): g for g in forests_with_max(divs, f_max)
+                undecorated_forest_shape(sigma_negative(tree, g)): g
+                for g in forests_with_max(divs, f_max)
             }
             for (forest_key,), coeff in out.items():
                 shape = undecorated_forest_shape(forest_key)

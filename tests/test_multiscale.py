@@ -11,6 +11,7 @@ from multiscale_oracle import (
 from renormforest.forests import (
     cut_enumerate,
     div_enumerate,
+    forest_parents,
     forests_compatible_with,
     leaf_partitions,
     nested_or_disjoint,
@@ -54,7 +55,7 @@ def test_int_ext_constant(kpz):
     t, table, eu, univ, compat, _ = _setup(kpz)
     s = [x for x in univ if len(x.edges) == 4][0]
     n = {tag: 7 for tag in eu.all_tags()}
-    assert int_ext(eu, s, frozenset({s}), n) == (7, 7)
+    assert int_ext(eu, s, forest_parents(frozenset({s})), n) == (7, 7)
 
 
 def test_int_ext_dangerous(kpz):
@@ -78,7 +79,7 @@ def test_int_ext_dangerous(kpz):
     n[("K", internal[1])] = 9
     n[("K", internal[2])] = 8
     n[("pi", tuple(sorted((v2, v3))))] = 9
-    i, e = int_ext(eu, s3, frozenset({s3}), n)
+    i, e = int_ext(eu, s3, forest_parents(frozenset({s3})), n)
     assert (i, e) == (8, 5)
     assert safe_projection(eu, frozenset({s3}), n) == frozenset()
 
@@ -94,8 +95,8 @@ def test_int_ext_nested_exclusion(kpz):
     n = {tag: 3 for tag in eu.all_tags()}
     for e in t.restrict(cherry).kernel_edges(table):
         n[("K", e)] = 50
-    i_alone, _ = int_ext(eu, s_big, frozenset({s_big}), n)
-    i_nested, _ = int_ext(eu, s_big, frozenset({s_big, cherry}), n)
+    i_alone, _ = int_ext(eu, s_big, forest_parents(frozenset({s_big})), n)
+    i_nested, _ = int_ext(eu, s_big, forest_parents(frozenset({s_big, cherry})), n)
     assert i_alone == 3
     assert i_nested == 3 or i_nested >= i_alone
     # make every non-child edge high: the child's edges no longer count
@@ -103,8 +104,8 @@ def test_int_ext_nested_exclusion(kpz):
     for e in t.restrict(cherry).kernel_edges(table):
         n2[("K", e)] = 1
     n2[("pi", tuple(sorted((v3, v4))))] = 1
-    i2_alone, _ = int_ext(eu, s_big, frozenset({s_big}), n2)
-    i2_nested, _ = int_ext(eu, s_big, frozenset({s_big, cherry}), n2)
+    i2_alone, _ = int_ext(eu, s_big, forest_parents(frozenset({s_big})), n2)
+    i2_nested, _ = int_ext(eu, s_big, forest_parents(frozenset({s_big, cherry})), n2)
     assert i2_alone == 1
     assert i2_nested == 50
 
@@ -184,9 +185,11 @@ def test_property_suite(phi4, kpz):
         safe = safe_projection(eu, f, n)
         # idempotence
         assert safe_projection(eu, safe, n) == safe
-        # invariance: scales computed in F and in P[F] agree member-wise
+        # invariance: scales computed in F and in P[F] agree member-wise (a
+        # member of F outside P[F] is read in P[F] + {S})
+        parents = forest_parents(f)
         for s in f:
-            assert int_ext(eu, s, f, n) == int_ext(eu, s, safe, n)
+            assert int_ext(eu, s, parents, n) == int_ext(eu, s, forest_parents(safe | {s}), n)
         # pullback is the interval up to the dangerous extension
         compat_univ = [s for s in univ if s in {x for g in compat for x in g}]
         g_ext = dangerous_extension(eu, safe, compat_univ, n)
@@ -252,4 +255,4 @@ def test_int_ext_structural_error(phi4):
 
     lone = SubForest(frozenset({t.root}), frozenset())
     with pytest.raises(StructureError):
-        int_ext(eu, lone, frozenset({lone}), {tag: 0 for tag in eu.all_tags()})
+        int_ext(eu, lone, forest_parents(frozenset({lone})), {tag: 0 for tag in eu.all_tags()})

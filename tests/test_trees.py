@@ -120,6 +120,8 @@ def test_subforest_algebra(phi4):
     t = spine_tree(phi4.table)
     with pytest.raises(StructureError):
         t.subforest_components(SubForest(frozenset({0}), frozenset({(0, 1)})))
+    with pytest.raises(StructureError):  # nodes of the tree, an edge that is not
+        t.subforest_components(SubForest(frozenset({0, 2}), frozenset({(0, 2)})))
 
 
 def test_all_subtrees_contains_worked_subtrees(kpz):
