@@ -1,18 +1,30 @@
 """Scale assignments on the edge universe, internal/external scales read
 off a forest's parent map (`forests.forest_parents`), the safe-forest
-projection, path scales, and the harvested-cut rule."""
+projection, path scales, and the harvested-cut rule.
+
+The edge universe of a chaos class is the multigraph K(T) + E_pi + E_star
+on the basepoint `STAR` and the tree's true nodes, encoded once per class:
+`verts` lists `STAR` and then the true nodes in order, `index` gives each
+vertex's position there, `tags` lists the edge tags (kernel, then cumulant,
+then basepoint edges, each group sorted), and `masks` maps each tag to the
+bitmask of its endpoints' positions.  The certifier's vertex subsets and
+the scale rules here read the same encoding: for a connected subtree S,
+whose true nodes N(S) never include `STAR`, E^int(S) is the tags with both
+ends in N(S) and E^ext(S) those with exactly one, one mask test per tag."""
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .forests import CutSet, ForestOfSubtrees, cuts_avoiding, forest_parents
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, StructureError, SubForest
 
 STAR = "*"
+# Scales run over 0..SCALE_RANGE: the bound `project` checks (the
+# `scale_range` cap's default) and the range `random_assignment` draws from.
+SCALE_RANGE = 64
 
 # Edge tags: ("K", (p, c)) kernel edge, ("pi", (u, v)) cumulant edge within a
 # block, ("star", u) basepoint edge.  Tagging keeps duplicated node pairs
@@ -20,71 +32,49 @@ STAR = "*"
 EdgeTag = tuple
 
 
-@dataclass(frozen=True)
 class EdgeUniverse:
     """K(T) + E_pi + E_star for a tree and a partition of (some of) its
-    noises."""
+    noises, with its vertex order and endpoint masks."""
 
-    tree: DecoratedTree
-    table: TypeTable
-    pi: frozenset[frozenset[int]]
+    def __init__(self, tree: DecoratedTree, table: TypeTable, pi: frozenset[frozenset[int]]):
+        true = sorted(tree.true_nodes(table))
+        self.verts = (STAR, *true)
+        self.index = {v: i for i, v in enumerate(self.verts)}
+        pairs = (("pi", p) for block in pi for p in itertools.combinations(sorted(block), 2))
+        self.tags = (
+            *(("K", e) for e in sorted(tree.kernel_edges(table))),
+            *sorted(pairs),
+            *(("star", u) for u in true),
+        )
+        self.masks = {tag: self.node_mask(self.endpoints(tag)) for tag in self.tags}
 
-    def kernel_tags(self) -> list[EdgeTag]:
-        return [("K", e) for e in sorted(self.tree.kernel_edges(self.table))]
-
-    def pi_tags(self) -> list[EdgeTag]:
-        out = []
-        for block in self.pi:
-            for a, b in itertools.combinations(sorted(block), 2):
-                out.append(("pi", (a, b)))
-        return sorted(out)
-
-    def star_tags(self) -> list[EdgeTag]:
-        return [("star", u) for u in sorted(self.tree.true_nodes(self.table))]
-
-    def all_tags(self) -> list[EdgeTag]:
-        return self.kernel_tags() + self.pi_tags() + self.star_tags()
-
-    def endpoints(self, tag: EdgeTag) -> frozenset:
+    @staticmethod
+    def endpoints(tag: EdgeTag) -> frozenset:
         kind, data = tag
-        if kind == "K":
-            return frozenset(data)
-        if kind == "pi":
-            return frozenset(data)
-        return frozenset({STAR, data})
+        if kind == "star":
+            return frozenset({STAR, data})
+        return frozenset(data)
 
-    def random_assignment(self, rng: random.Random, lo: int = 0, hi: int = 64) -> dict:
-        return {tag: rng.randint(lo, hi) for tag in self.all_tags()}
+    def node_mask(self, nodes: Iterable) -> int:
+        """The bitmask of the vertices among the distinct `nodes`; a
+        fictitious node is no vertex and adds nothing."""
+        return sum(1 << self.index[v] for v in nodes if v in self.index)
 
-
-def _true_nodes(eu: EdgeUniverse, s: SubForest) -> frozenset[int]:
-    """N(S): the nodes of S except the fictitious ends of noise edges."""
-    return s.nodes - eu.tree.fictitious_nodes(eu.table)
+    def random_assignment(self, rng: random.Random, lo: int = 0, hi: int = SCALE_RANGE) -> dict:
+        return {tag: rng.randint(lo, hi) for tag in self.tags}
 
 
 def internal_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
-    """E^int(S): kernel edges of S plus cumulant edges within N(S)."""
-    true = _true_nodes(eu, s)
-    # an edge of S is a kernel edge exactly when its child is a true node
-    out = {("K", e) for e in s.edges if e[1] in true}
-    for tag in eu.pi_tags():
-        a, b = tag[1]
-        if a in true and b in true:
-            out.add(tag)
-    return frozenset(out)
-
-
-def incident_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
-    true = _true_nodes(eu, s)
-    out = set()
-    for tag in eu.all_tags():
-        if eu.endpoints(tag) & true:
-            out.add(tag)
-    return frozenset(out)
+    """E^int(S): the tags with both ends in N(S), that is the kernel edges
+    of S and the cumulant edges within N(S)."""
+    inside = eu.node_mask(s.nodes)
+    return frozenset(tag for tag, m in eu.masks.items() if m & inside == m)
 
 
 def external_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
-    return incident_tags(eu, s) - internal_tags(eu, s)
+    """E^ext(S): the tags with exactly one end in N(S)."""
+    inside = eu.node_mask(s.nodes)
+    return frozenset(tag for tag, m in eu.masks.items() if m & inside and m & inside != m)
 
 
 def int_ext(
@@ -107,7 +97,7 @@ def int_ext(
         raise StructureError("no internal edges left for the subtree")
     anc = parents[s]
     if anc is None:
-        anc_internal = frozenset(eu.all_tags())
+        anc_internal = frozenset(eu.tags)
     else:
         anc_internal = internal_tags(eu, anc)
     ext = external_tags(eu, s) & anc_internal
@@ -148,7 +138,7 @@ def path_scale(
     internal: set[EdgeTag] = set()
     for s in forest:
         internal |= internal_tags(eu, s)
-    weight = {tag: (INF if tag in internal else n[tag]) for tag in eu.all_tags()}
+    weight = {tag: (INF if tag in internal else n[tag]) for tag in eu.tags}
     # widest-path: maximize the minimum edge weight along the path
     best = {u: INF}
     frontier = [u]

@@ -52,13 +52,6 @@ def higher_cum_check(cum: CumulantSet) -> bool:
     return True
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    out = 0
-    for i in vertices:
-        out |= 1 << i
-    return out
-
-
 # -- the per-tree analysis -------------------------------------------------------------
 
 
@@ -158,11 +151,16 @@ class CertificateInput:
 
 
 class Certifier:
-    """Builds the multigraph K(T) + E_pi + E_star of a chaos class on
-    `multiscale.EdgeUniverse` and the total homogeneity of the single-tree
-    moment bound, then checks the integrability and large-scale decay
-    inequalities on every vertex subset that some realizable coalescence
-    tree contains."""
+    """Reads the multigraph K(T) + E_pi + E_star of a chaos class from
+    `multiscale.EdgeUniverse` and builds the total homogeneity of the
+    single-tree moment bound, then checks the integrability and large-scale
+    decay inequalities on every vertex subset that some realizable
+    coalescence tree contains.
+
+    Vertex subsets are bitmasks over the universe's `verts`: bit 0 is the
+    basepoint, then the true nodes in order, so a reported `cluster_mask`
+    names its vertices by these positions.  Every edge enters through its
+    endpoint mask in the universe's `masks`."""
 
     def __init__(self, analysis: Analyses, vertex_cap: int):
         self.analysis = analysis
@@ -171,20 +169,16 @@ class Certifier:
 
     # ---- construction of the multigraph
 
-    def build(self, ci: CertificateInput) -> dict:
-        """Vertex 0 is the basepoint, then the true nodes in order; `masks`
-        maps each edge tag of the universe to the bitmask of its endpoints."""
+    def build(self, ci: CertificateInput) -> ms.EdgeUniverse:
+        """The class's edge universe, within the vertex cap."""
         eu = ms.EdgeUniverse(ci.tree, self.table, ci.pi)
-        verts = [ms.STAR] + sorted(ci.tree.true_nodes(self.table))
-        if len(verts) > self.vertex_cap:
+        if len(eu.verts) > self.vertex_cap:
             raise fo.CapExceeded(
-                f"quotient vertex count {len(verts)} exceeds the cap {self.vertex_cap}"
+                f"quotient vertex count {len(eu.verts)} exceeds the cap {self.vertex_cap}"
             )
-        index = {v: i for i, v in enumerate(verts)}
-        masks = {tag: _mask(index[v] for v in eu.endpoints(tag)) for tag in eu.all_tags()}
-        return {"universe": eu, "verts": verts, "index": index, "masks": masks}
+        return eu
 
-    def wick_contributions(self, ci: CertificateInput, built: dict) -> list:
+    def wick_contributions(self, ci: CertificateInput, eu: ms.EdgeUniverse) -> list:
         """Flat description of the moment integrand's total homogeneity:
         node polynomial weights, cumulant weights, the second-cumulant
         renormalization gain, and kernel growth.
@@ -194,18 +188,17 @@ class Certifier:
         per vertex subset.  Each cumulant block B of the partition puts
         -|t(B)|_s at the cluster where its vertices join.
         """
-        t, table = ci.tree, self.table
-        index, masks = built["index"], built["masks"]
+        t, table, masks = ci.tree, self.table, eu.masks
         abs_s = table.scaling.abs_s
         parts: list = []
-        for u in sorted(t.true_nodes(table)):
+        for u in eu.verts[1:]:
             d = t.node_dec(u).sdeg(table.scaling)
             if d:
                 parts.append(("up", masks[("star", u)], Fraction(-d)))
         for block in ci.pi:
             leaves = sorted(block)
             types = tuple(t.leaf_type(u, table) for u in leaves)
-            mask = _mask(index[u] for u in leaves)
+            mask = eu.node_mask(leaves)
             parts.append(("up", mask, -sum((table.hom(x) for x in types), Fraction(0))))
             f = fict_gain(table, types)
             if f > 0:
@@ -217,7 +210,7 @@ class Certifier:
 
     # ---- the scale constraints of a coalescence tree
 
-    def _interval_plan(self, ci: CertificateInput, built: dict):
+    def _interval_plan(self, ci: CertificateInput, eu: ms.EdgeUniverse):
         """The scale-order constraints on every labeled coalescence tree,
         reduced to vertex masks.  A mask joins at the deepest cluster that
         holds it (a single vertex at its parent), and a labeling ranks the
@@ -238,8 +231,7 @@ class Certifier:
         Comparisons sit at the cluster-rank level with ties resolved
         favorably, reflecting the bounded in-window jitter of individual
         edge scales."""
-        t, table = ci.tree, self.table
-        eu, masks = built["universe"], built["masks"]
+        t, table, masks = ci.tree, self.table, eu.masks
         analysis = self.analysis(t)
         cuts = [(masks[("star", e[0])], masks[("K", e)]) for e, _ in analysis.cuts]
         # the scale machinery needs every power-counting divergence: a
@@ -285,13 +277,13 @@ class Certifier:
 
     # ---- hypothesis checks
 
-    def _subset_tables(self, ci: CertificateInput, built: dict):
+    def _subset_tables(self, ci: CertificateInput, eu: ms.EdgeUniverse):
         """Per-subset data for the inequality checks.  Every entry sits at
         the cluster where its mask joins, so the partial sums below a node
         depend only on the node's leaf set, and the whole certificate
         reduces to one check per vertex subset."""
-        n = len(built["verts"])
-        parts = self.wick_contributions(ci, built)
+        n = len(eu.verts)
+        parts = self.wick_contributions(ci, eu)
         ups: list[tuple[int, Fraction]] = []
         ficts: dict[int, Fraction] = {}
         for kind, mask, value in parts:
@@ -311,20 +303,19 @@ class Certifier:
             base[a] = acc
         return base, total
 
-    def _failures(self, ci: CertificateInput, built: dict):
+    def _failures(self, ci: CertificateInput, eu: ms.EdgeUniverse):
         """The order alpha and the vertex subsets that violate the
         integrability or the large-scale decay inequality, as (kind, subset,
         value, bound) in subset order."""
-        n = len(built["verts"])
-        index = built["index"]
+        n = len(eu.verts)
         abs_s = self.table.scaling.abs_s
-        types_of = {index[u]: ci.tree.leaf_type(u, self.table) for u in sorted(ci.wick)}
+        types_of = {eu.index[u]: ci.tree.leaf_type(u, self.table) for u in sorted(ci.wick)}
         wick_idx = set(types_of)
-        star_rho = built["masks"][("star", ci.tree.root)]
+        star_rho = eu.masks[("star", ci.tree.root)]
         pool = sorted({types_of[i] for i in wick_idx})
         brackets: dict[tuple, Fraction] = {}
 
-        base, total = self._subset_tables(ci, built)
+        base, total = self._subset_tables(ci, eu)
         alpha = total - (n - 1) * abs_s
         full = full_mask(n)
         failures = []
@@ -364,12 +355,12 @@ class Certifier:
         cluster (`_witnessed`); the first one that some realizable tree
         contains is the violation.
         """
-        built = self.build(ci)
-        alpha, failures = self._failures(ci, built)
+        eu = self.build(ci)
+        alpha, failures = self._failures(ci, eu)
         if not failures:
             return {"pass": True, "alpha": alpha, "failing_subsets": 0}
-        plan = self._interval_plan(ci, built)
-        connected = connected_split(built["masks"].values())
+        plan = self._interval_plan(ci, eu)
+        connected = connected_split(eu.masks.values())
         for violation in failures:
             if self._witnessed(plan, connected, violation[1]):
                 return {"pass": False, "alpha": alpha, "violation": violation}
@@ -418,8 +409,10 @@ def trees_containing(
     """Coalescence trees on n vertices that contain the given cluster.  No
     command searches them: `Certifier._witnessed` decides a subset at its
     own cluster, and the search is kept for the benchmark's tracing and as
-    the tests' witness search.  The trees are assembled from a tree inside the cluster and a tree on the quotient
-    (the cluster as one vertex), outer trees in the outer loop.
+    the tests' witness search.
+
+    The trees are assembled from a tree inside the cluster and a tree on the
+    quotient (the cluster as one vertex), outer trees in the outer loop.
 
     `prune(cluster, blocks)` is lifted into both enumerations, so a split is
     rejected before any family is built on it.  This is exact: in the

@@ -41,7 +41,7 @@ DEFAULT_CAPS = {
     "max_edges": 11,
     "max_div": 4096,
     "max_coalescence_vertices": 9,
-    "scale_range": 64,
+    "scale_range": ms.SCALE_RANGE,
     "cutoff": "0",
     "poly_sdeg_bound": 0,
 }
@@ -421,7 +421,7 @@ class Workbench:
                     [f"scale assignment pi block {block} is not admitted by the cumulant set"]
                 )
         eu = ms.EdgeUniverse(t, table, pi)
-        tags = {_tag_str(tag): tag for tag in eu.all_tags()}
+        tags = {_tag_str(tag): tag for tag in eu.tags}
         stray = sorted(given.keys() - tags.keys())
         if stray:
             raise ConfigError([f"scale assignment names edges outside the edge universe: {stray}"])
@@ -533,6 +533,10 @@ def _sigma_indices(sel: str, tree_id: str, count: int) -> list[int]:
             i = int(x)
         except ValueError:
             raise ConfigError([f"sigma selection is not an integer: {x!r}"]) from None
+        if not count:
+            raise ConfigError(
+                [f"sigma selection {i} is out of range: {tree_id} has no divergent subtrees"]
+            )
         if not 0 <= i < count:
             raise ConfigError(
                 [f"sigma selection {i} is outside 0..{count - 1}: "

@@ -223,7 +223,7 @@ def witness(cert: Certifier, ci: CertificateInput):
     (violation, tree), or None when every failure is pruned."""
     built = cert.build(ci)
     _, failures = cert._failures(ci, built)
-    n = len(built["verts"])
+    n = len(built.verts)
     univ = div_universe(cert, ci)
     prune = connected_split(edge_masks(cert, ci)[1].values())
     for violation in failures:

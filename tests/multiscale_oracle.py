@@ -1,7 +1,11 @@
 """Test-only oracles for `multiscale`.
 
-- `exhaustive_path_scale` enumerates every connecting edge set; it checks the
-  widest-path search of `path_scale`.
+- `TagScan` is the edge universe as first written: tag lists rebuilt and
+  every tag scanned on each call, a subtree's internal edges read from its
+  own edges.  It checks the tag order and vertex masks of `EdgeUniverse`
+  and the mask-based `internal_tags` and `external_tags`.
+- `exhaustive_path_scales` enumerates every edge set; it checks the
+  widest-path search of `path_scale` on every vertex pair.
 - `dangerous_extension` names the largest forest in the fibre of the safe
   projection over a safe forest, and `is_interval_of` checks that a fibre is
   the interval between the two.
@@ -22,6 +26,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from renormforest.forests import ForestOfSubtrees, forest_parents, nested_or_disjoint
 from renormforest.multiscale import (
     INF,
+    STAR,
     EdgeTag,
     EdgeUniverse,
     harvested_cuts,
@@ -29,36 +34,100 @@ from renormforest.multiscale import (
     internal_tags,
     safe_projection,
 )
-from renormforest.trees import EdgeKey, StructureError, SubForest
+from renormforest.scaling import TypeTable
+from renormforest.trees import DecoratedTree, EdgeKey, StructureError, SubForest
 
 
-def exhaustive_path_scale(
-    eu: EdgeUniverse, u, v, forest: ForestOfSubtrees, n: Mapping[EdgeTag, int]
-) -> float:
-    """Literal subset-enumeration oracle for the path scale."""
+@dataclass(frozen=True)
+class TagScan:
+    """K(T) + E_pi + E_star for a tree and a partition of (some of) its
+    noises, its tags listed and scanned anew on every call."""
+
+    tree: DecoratedTree
+    table: TypeTable
+    pi: frozenset[frozenset[int]]
+
+    def kernel_tags(self) -> list[EdgeTag]:
+        return [("K", e) for e in sorted(self.tree.kernel_edges(self.table))]
+
+    def pi_tags(self) -> list[EdgeTag]:
+        out = []
+        for block in self.pi:
+            for a, b in itertools.combinations(sorted(block), 2):
+                out.append(("pi", (a, b)))
+        return sorted(out)
+
+    def star_tags(self) -> list[EdgeTag]:
+        return [("star", u) for u in sorted(self.tree.true_nodes(self.table))]
+
+    def all_tags(self) -> list[EdgeTag]:
+        return self.kernel_tags() + self.pi_tags() + self.star_tags()
+
+    def endpoints(self, tag: EdgeTag) -> frozenset:
+        kind, data = tag
+        if kind == "star":
+            return frozenset({STAR, data})
+        return frozenset(data)
+
+    def true_nodes(self, s: SubForest) -> frozenset[int]:
+        """N(S): the nodes of S except the fictitious ends of noise edges."""
+        return s.nodes - self.tree.fictitious_nodes(self.table)
+
+    def internal_tags(self, s: SubForest) -> frozenset[EdgeTag]:
+        """E^int(S): kernel edges of S plus cumulant edges within N(S)."""
+        true = self.true_nodes(s)
+        # an edge of S is a kernel edge exactly when its child is a true node
+        out = {("K", e) for e in s.edges if e[1] in true}
+        for tag in self.pi_tags():
+            a, b = tag[1]
+            if a in true and b in true:
+                out.add(tag)
+        return frozenset(out)
+
+    def incident_tags(self, s: SubForest) -> frozenset[EdgeTag]:
+        true = self.true_nodes(s)
+        return frozenset(tag for tag in self.all_tags() if self.endpoints(tag) & true)
+
+    def external_tags(self, s: SubForest) -> frozenset[EdgeTag]:
+        return self.incident_tags(s) - self.internal_tags(s)
+
+
+def exhaustive_path_scales(
+    eu: EdgeUniverse, forest: ForestOfSubtrees, n: Mapping[EdgeTag, int]
+) -> dict[frozenset, float]:
+    """Literal subset-enumeration oracle for the path scale of every pair
+    of vertices, keyed by the pair: the best, over the edge sets that
+    connect the pair, of the set's least scale, with edges internal to the
+    forest at infinity, and -1 when no edge set connects it.  Each edge set
+    is split into its components (as vertex masks), and each component
+    keeps the best score of the sets it is a component of."""
     internal: set[EdgeTag] = set()
     for s in forest:
         internal |= internal_tags(eu, s)
-    tags = eu.all_tags()
-    best = -1.0
-    for r in range(1, len(tags) + 1):
-        for combo in itertools.combinations(tags, r):
-            # connectivity of u, v through the chosen edges
-            reach = {u}
-            grown = True
-            while grown:
-                grown = False
-                for tag in combo:
-                    pts = eu.endpoints(tag)
-                    if pts & reach and not pts <= reach:
-                        reach |= pts
-                        grown = True
-            if v not in reach:
-                continue
-            vals = [n[tag] for tag in combo if tag not in internal]
-            score = INF if not vals else min(vals)
-            best = max(best, score)
-    return best
+    masks = [eu.masks[tag] for tag in eu.tags]
+    vals = [INF if tag in internal else n[tag] for tag in eu.tags]
+    best_of: dict[int, float] = {}
+    for r in range(1, len(masks) + 1):
+        for combo in itertools.combinations(range(len(masks)), r):
+            score = min(vals[i] for i in combo)
+            comps: list[int] = []
+            for i in combo:
+                merged, rest = masks[i], []
+                for c in comps:
+                    if c & merged:
+                        merged |= c
+                    else:
+                        rest.append(c)
+                comps = rest + [merged]
+            for c in comps:
+                if best_of.get(c, -1.0) < score:
+                    best_of[c] = score
+    out = {}
+    for a, b in itertools.combinations(range(len(eu.verts)), 2):
+        pair = 1 << a | 1 << b
+        scores = [score for c, score in best_of.items() if c & pair == pair]
+        out[frozenset({eu.verts[a], eu.verts[b]})] = max(scores, default=-1.0)
+    return out
 
 
 def dangerous_extension(

@@ -63,7 +63,7 @@ def test_realizability_matches_oracle_on_every_tree(case):
     ci = certificate(t, wick, pi)
     cert = certifier(setting)
     built = cert.build(ci)
-    n = len(built["verts"])
+    n = len(built.verts)
     assert 4 <= n <= 6
     plan = cert._interval_plan(ci, built)
     assert (len(plan[0]), len(plan[1])) == (n_cuts, n_subtrees)
@@ -93,8 +93,8 @@ def compare_with_search(cert: Certifier, ci: CertificateInput) -> tuple[int, int
     `certify` reports the first witnessed one; (witnessed, refuted)."""
     built = cert.build(ci)
     _, failures = cert._failures(ci, built)
-    n = len(built["verts"])
-    masks = list(built["masks"].values())
+    n = len(built.verts)
+    masks = list(built.masks.values())
     plan = cert._interval_plan(ci, built)
     connected = connected_split(masks)
     memo: dict = {}

@@ -449,14 +449,20 @@ def test_export_dot_sigma(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "selection",
-    ["T4:sigma:99", "T4:sigma:x", "T4:sigma:-1", "T6:sigma:0,1,2,3,4,5,6"],
-    ids=["out-of-range", "not-an-integer", "negative", "not-a-forest"],
+    "model, selection, message",
+    [
+        ("phi4_3", "T4:sigma:99", "sigma selection 99 is outside 0..2: T4 has 3 divergent subtrees"),
+        ("phi4_3", "T4:sigma:x", "sigma selection is not an integer: 'x'"),
+        ("phi4_3", "T4:sigma:-1", "sigma selection -1 is outside 0..2: T4 has 3 divergent subtrees"),
+        ("phi4_3", "T6:sigma:0,1,2,3,4,5,6", "sigma selection '0,1,2,3,4,5,6' of T6 is not nested or disjoint"),
+        ("phi4_3", "T0:sigma:0", "sigma selection 0 is out of range: T0 has no divergent subtrees"),
+        ("kpz", "T0:sigma:0", "sigma selection 0 is out of range: T0 has no divergent subtrees"),
+    ],
+    ids=["out-of-range", "not-an-integer", "negative", "not-a-forest", "no-divergences", "no-divergences-kpz"],
 )
-def test_bad_sigma_selections_are_input_errors(selection, capsys, monkeypatch):
+def test_bad_sigma_selections_are_input_errors(model, selection, message, capsys, monkeypatch):
     monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
-    assert cli.main(["--config", config_path("phi4_3"), "export-dot", selection]) == 2
+    assert cli.main(["--config", config_path(model), "export-dot", selection]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: {message}\n"

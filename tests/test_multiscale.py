@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import KPZ, ROOT, decorated_trees
 from multiscale_oracle import (
+    TagScan,
     dangerous_extension,
-    exhaustive_path_scale,
+    exhaustive_path_scales,
     is_interval_of,
     reorganize,
 )
@@ -19,13 +23,15 @@ from renormforest.forests import (
 from renormforest.multiscale import (
     STAR,
     EdgeUniverse,
+    external_tags,
     harvested_cuts,
     int_ext,
+    internal_tags,
     path_scale,
     safe_projection,
 )
 from renormforest.trees import StructureError
-from renormforest.workbench import DEFAULT_CAPS
+from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
 
 
 def _setup(kpz, pi_blocks=None):
@@ -51,10 +57,44 @@ def _setup(kpz, pi_blocks=None):
     return t, table, eu, univ, compat, (v1, v2, v3, v4)
 
 
+def assert_matches_tag_scan(t, table, pi):
+    """The universe's tag order and endpoint masks, and its mask-based
+    internal and external edges of every subtree, equal the tag scan's."""
+    eu, scan = EdgeUniverse(t, table, pi), TagScan(t, table, pi)
+    assert list(eu.tags) == scan.all_tags()
+    assert eu.verts == (STAR, *sorted(t.true_nodes(table)))
+    for tag in eu.tags:
+        assert eu.masks[tag] == sum(1 << eu.verts.index(v) for v in scan.endpoints(tag))
+    for s in t.all_subtrees():
+        assert internal_tags(eu, s) == scan.internal_tags(s)
+        assert external_tags(eu, s) == scan.external_tags(s)
+
+
+@pytest.mark.parametrize("model", ["kpz", "phi4_3"])
+def test_edge_sets_match_tag_scan_on_basis_trees(model):
+    """Every basis tree, every admissible leaf partition of every Wick set,
+    every subtree."""
+    wb = Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")))
+    for t in wb.basis():
+        for pi in dict.fromkeys(pi for _, pi in wb.analysis(t).gaussian_classes):
+            assert_matches_tag_scan(t, wb.config.table, pi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_edge_sets_match_tag_scan_on_random_trees(data):
+    t = data.draw(decorated_trees())
+    leaves = sorted(t.leaf_nodes(KPZ.table))
+    paired = data.draw(st.lists(st.sampled_from(leaves), unique=True) if leaves else st.just([]))
+    pis = leaf_partitions(t, KPZ.table, KPZ.cum, ground=paired)
+    pi = data.draw(st.sampled_from(pis)) if pis else frozenset()
+    assert_matches_tag_scan(t, KPZ.table, pi)
+
+
 def test_int_ext_constant(kpz):
     t, table, eu, univ, compat, _ = _setup(kpz)
     s = [x for x in univ if len(x.edges) == 4][0]
-    n = {tag: 7 for tag in eu.all_tags()}
+    n = {tag: 7 for tag in eu.tags}
     assert int_ext(eu, s, forest_parents(frozenset({s})), n) == (7, 7)
 
 
@@ -74,7 +114,7 @@ def test_int_ext_dangerous(kpz):
     ][0]
     eu = EdgeUniverse(t, table, frozenset({frozenset({v2, v3})}))
     internal = sorted(e for e in t.restrict(s3).kernel_edges(table))
-    n = {tag: 5 for tag in eu.all_tags()}
+    n = {tag: 5 for tag in eu.tags}
     n[("K", internal[0])] = 9
     n[("K", internal[1])] = 9
     n[("K", internal[2])] = 8
@@ -92,7 +132,7 @@ def test_int_ext_nested_exclusion(kpz):
         s for s in univ if cherry.nodes < s.nodes and nested_or_disjoint(s, cherry)
     ]
     s_big = min(bigger, key=lambda s: len(s.nodes))
-    n = {tag: 3 for tag in eu.all_tags()}
+    n = {tag: 3 for tag in eu.tags}
     for e in t.restrict(cherry).kernel_edges(table):
         n[("K", e)] = 50
     i_alone, _ = int_ext(eu, s_big, forest_parents(frozenset({s_big})), n)
@@ -100,7 +140,7 @@ def test_int_ext_nested_exclusion(kpz):
     assert i_alone == 3
     assert i_nested == 3 or i_nested >= i_alone
     # make every non-child edge high: the child's edges no longer count
-    n2 = {tag: 50 for tag in eu.all_tags()}
+    n2 = {tag: 50 for tag in eu.tags}
     for e in t.restrict(cherry).kernel_edges(table):
         n2[("K", e)] = 1
     n2[("pi", tuple(sorted((v3, v4))))] = 1
@@ -112,7 +152,7 @@ def test_int_ext_nested_exclusion(kpz):
 
 def test_constant_scales_all_safe(kpz):
     t, table, eu, univ, compat, _ = _setup(kpz)
-    n = {tag: 11 for tag in eu.all_tags()}
+    n = {tag: 11 for tag in eu.tags}
     for f in compat:
         assert safe_projection(eu, f, n) == f
 
@@ -122,14 +162,13 @@ def test_path_scale_examples(kpz):
     rng = random.Random(5)
     n = eu.random_assignment(rng, 0, 9)
     verts = sorted(t.true_nodes(table)) + [STAR]
+    want = exhaustive_path_scales(eu, frozenset(), n)
     for _ in range(6):
         u, v = rng.sample(verts, 2)
-        assert path_scale(eu, u, v, frozenset(), n) == exhaustive_path_scale(
-            eu, u, v, frozenset(), n
-        )
+        assert path_scale(eu, u, v, frozenset(), n) == want[frozenset({u, v})]
     # two parallel routes: the wide one wins
     u = sorted(t.true_nodes(table))[0]
-    n2 = {tag: 0 for tag in eu.all_tags()}
+    n2 = {tag: 0 for tag in eu.tags}
     n2[("star", u)] = 9
     got = path_scale(eu, STAR, u, frozenset(), n2)
     assert got == 9
@@ -165,6 +204,30 @@ def random_setting(rng, phi4, kpz):
                 subsets.append(rng.choice(ps))
     pi = rng.choice(subsets) if subsets else frozenset()
     return t, table, pi
+
+
+def test_path_scale_matches_exhaustive_under_forests(phi4, kpz):
+    """The widest-path search against the subset enumeration, under a
+    non-empty compatible forest, on every vertex pair, among them the two
+    pairs `harvested_cuts` compares for each cut avoiding the forest.  The
+    enumeration doubles with each tag, so universes stay at 14 tags."""
+    rng = random.Random(20261019)
+    draws = 0
+    while draws < 30:
+        t, table, pi = random_setting(rng, phi4, kpz)
+        eu = EdgeUniverse(t, table, pi)
+        if len(eu.tags) > 14:
+            continue
+        univ = [s for s, _ in div_enumerate(t, table)]
+        compat = [f for f in forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"]) if f]
+        if not compat:
+            continue
+        f = frozenset(rng.choice(compat))
+        n = eu.random_assignment(rng, 0, 9)
+        want = exhaustive_path_scales(eu, f, n)
+        for pair, scale in want.items():
+            assert path_scale(eu, *sorted(pair, key=str), f, n) == scale
+        draws += 1
 
 
 def test_property_suite(phi4, kpz):
@@ -212,7 +275,7 @@ def test_property_suite(phi4, kpz):
 def test_reorganize_trivial(phi4):
     t = phi4.xi
     eu = EdgeUniverse(t, phi4.table, frozenset())
-    out = reorganize(eu, [frozenset()], [], {tag: 0 for tag in eu.all_tags()})
+    out = reorganize(eu, [frozenset()], [], {tag: 0 for tag in eu.tags})
     assert out["pairs"] == 1
     assert len(out["fibers"]) == 1
 
@@ -255,4 +318,4 @@ def test_int_ext_structural_error(phi4):
 
     lone = SubForest(frozenset({t.root}), frozenset())
     with pytest.raises(StructureError):
-        int_ext(eu, lone, forest_parents(frozenset({lone})), {tag: 0 for tag in eu.all_tags()})
+        int_ext(eu, lone, forest_parents(frozenset({lone})), {tag: 0 for tag in eu.tags})

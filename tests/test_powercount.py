@@ -187,7 +187,7 @@ def test_certify_flips_on_bad_noise():
     kind, a, _, _ = res["violation"]
     assert kind in ("integrability", "decay")
     # the coarsest coalescence tree through the violated subset realizes it
-    n = len(cert.build(ci)["verts"])
+    n = len(cert.build(ci).verts)
     assert realizable(cert, ci, div_universe(cert, ci), frozenset({full_mask(n), a}))
 
 
@@ -198,7 +198,7 @@ def test_subset_reduction_matches_tree_scan(phi4):
     ci = _ci(phi4, phi4.t111, [lv[2]], [(lv[0], lv[1])])
     cert = certifier(phi4)
     built = cert.build(ci)
-    n = len(built["verts"])
+    n = len(built.verts)
     parts = cert.wick_contributions(ci, built)
     base, total = cert._subset_tables(ci, built)
     for fam in enumerate_trees(n):

@@ -206,16 +206,55 @@ def test_benchmark_patch_targets_exist():
         tracer.unpatch_all()
 
 
+# The spans `perfbench/README.md` says each workload reaches: the set-up's,
+# which every workload pays, and each workload's own.  No command searches
+# coalescence trees, so `coalescence.trees_containing` reads 0 by design.
+SETUP_SPANS = ("workbench.parse_config", "rules.generate_trees")
+WORKLOAD_SPANS = {
+    "certify": ("powercount.certify", "powercount.cut_enumerate"),
+    "bphz": ("hopf.bphz_expansion", "hopf.counterterm_report"),
+    "project": (
+        "forests.div_enumerate",
+        "forests.all_forests",
+        "forests.leaf_partitions",
+        "multiscale.safe_projection",
+        "multiscale.harvested_cuts",
+        "integrands.chaos_classes",
+        "workbench.report_emit",
+    ),
+}
+UNREACHED_SPANS = ("coalescence.trees_containing",)
+
+
 def test_benchmark_canonical_requests_replay():
     """Every workload's canonical requests, the warm-up pass that
     `perfbench/run.py` checks, run through the program's current signatures
-    and give the outputs recorded in `perfbench/expected.json`."""
-    workloads = load_benchmark_module("workloads")
+    under the benchmark's tracing and give the outputs recorded in
+    `perfbench/expected.json`.  Each workload sets up afresh, so nothing it
+    reads was computed by another, and every span it reaches records a call
+    in its set-up or its pass: a call site that a refactor moves away from a
+    traced name drops its span here, not silently."""
+    harness, workloads = load_benchmark_module("harness"), load_benchmark_module("workloads")
+    listed = set(SETUP_SPANS).union(*WORKLOAD_SPANS.values(), UNREACHED_SPANS)
+    assert listed == set(workloads.SPANNED)
     prog = workloads.load_program()
-    wbs = workloads.setup(prog)
-    problems = workloads.check_basis(wbs)
     expected = workloads.load_expected()
+    problems, silent = [], []
     for name in workloads.WORKLOADS:
-        for req in workloads.make_workload(name, prog, wbs).canonical():
-            problems += workloads.check(req, workloads.execute(prog, wbs, req), expected)
+        tracer = harness.Tracer()
+        try:
+            workloads.install_tracing(tracer, prog)
+            wbs = workloads.setup(prog)
+            problems += workloads.check_basis(wbs)
+            silent += [f"setup: {s}" for s in SETUP_SPANS if not tracer.counts.get(s + "_calls")]
+            requests = workloads.make_workload(name, prog, wbs).canonical()
+            before = dict(tracer.counts)
+            for req in requests:
+                problems += workloads.check(req, workloads.execute(prog, wbs, req), expected)
+            calls = {s: tracer.counts.get(s + "_calls", 0) - before.get(s + "_calls", 0)
+                     for s in WORKLOAD_SPANS[name]}
+            silent += [f"{name}: {s}" for s, n in calls.items() if not n]
+        finally:
+            tracer.unpatch_all()
     assert problems == []
+    assert silent == []
