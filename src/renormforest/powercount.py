@@ -1,55 +1,24 @@
 """The per-tree analysis with the convergence theorem's hypotheses, and the
 power-counting certifier of the single-tree moment bounds.
 
-Each allowed cumulant carries the cumulant homogeneity that puts all of
--|t(B)|_s at the root of the coalescence tree of its arguments B; the
-hypotheses and the certificate read it in closed form (`rules.gain`,
-`higher_cum_check`, and one "up" entry per cumulant block)."""
+The certificate puts one "up" entry per cumulant block at the cluster where
+the block's vertices join; the closed forms of the cumulant homogeneity are
+in `rules`."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from . import forests as fo
 from .coalescence import Family, bits, enumerate_trees, full_mask, popcount
 from . import multiscale as ms
 from .forests import cut_enumerate, compatible_partition
-from .rules import CumulantSet, margin, subtree_hypotheses
+from .rules import CumulantSet, fict_gain, higher_cum_check, margin, subtree_hypotheses
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, SubForest
-
-
-def fict_gain(table: TypeTable, block_types: Sequence[str]) -> int:
-    """f(B): the Taylor order gained by renormalizing a second cumulant."""
-    if len(block_types) != 2:
-        return 0
-    tot = sum((table.hom(t) for t in block_types), Fraction(0))
-    return max(0, math.ceil(-tot - table.scaling.abs_s))
-
-
-def higher_cum_check(cum: CumulantSet) -> bool:
-    """Only second cumulants ever need renormalization: every allowed block
-    M has f(M) + |t(M)|_s + (|M|-1)|s| > 0.
-
-    The theorem asks min(|t(M)|_{s,c,D}, f(M) + |t(M)|_s) + (|M|-1)|s| > 0.
-    Under the cumulant homogeneity that puts all of -|t(M)|_s at the root,
-    |t(M)|_{s,c,D} is 0 when M extends to a larger allowed block and
-    +infinity otherwise, and a 0 there never decides the inequality because
-    (|M|-1)|s| > 0.  For |M| >= 3, f(M) is 0 and `CumulantSet` already
-    requires |t(M)|_s > (1-|M|)|s|, so only pairs can fail."""
-    table = cum.table
-    noises = sorted(table.noise_types)
-    for m in range(2, cum.max_arity + 1):
-        for types in itertools.combinations_with_replacement(noises, m):
-            if cum.admits(types):
-                t_m = sum((table.hom(x) for x in types), Fraction(0))
-                if not fict_gain(table, types) + t_m + (m - 1) * table.scaling.abs_s > 0:
-                    return False
-    return True
 
 
 # -- the per-tree analysis -------------------------------------------------------------

@@ -1,6 +1,12 @@
-"""SPDE rules: tree-basis generation, subcriticality, and the side conditions
-used by the convergence theorem (super-regularity and the Gaussian-case
-bullet list)."""
+"""SPDE rules: tree-basis generation, subcriticality, the cumulant model and
+the side conditions used by the convergence theorem (super-regularity and the
+Gaussian-case bullet list).
+
+Every closed form of the cumulant homogeneity, which puts all of -|t(B)|_s at
+the root of the coalescence tree of each allowed block B of a `CumulantSet`,
+lives here: the gain h (`gain`), the jump j (`jump`), the margin
+min(|s|/2, h, j) (`margin`), the second-cumulant gain f(B) (`fict_gain`) and
+the higher-cumulant condition (`higher_cum_check`)."""
 from __future__ import annotations
 
 import itertools
@@ -8,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .scaling import MultiIndex, TypeTable, ZERO_MI, multiindices_below
 from .trees import DecoratedTree, SubForest, graft, noise, poly, zero_node_hom
@@ -56,10 +62,10 @@ class RuleSpec:
                 raise ValueError(f"productions must be keyed by kernel types, got {t!r}")
         d = self.table.scaling.d
         for t, ps in prods.items():
-            for p in ps:
+            for p in sorted(ps, key=lambda q: [(name, k.entries) for name, k in q]):
                 for name, k in p:
                     if not (self.table.is_kernel(name) or self.table.is_noise(name)):
-                        raise KeyError(f"production references unknown type {name!r}")
+                        raise ValueError(f"production references unknown type {name!r}")
                     if any(i >= d for i, _ in k.entries):
                         raise ValueError(
                             f"production of {t!r} derives {name!r} along a coordinate outside [0, {d})"
@@ -83,11 +89,14 @@ class RuleSpec:
 class CumulantSet:
     """The set of joint cumulants allowed to be nonzero.
 
-    In gaussian mode every pair of noise types is allowed and nothing else.
-    Explicit mode lists typed multisets (as sorted tuples of type names); the
-    list must satisfy: arity >= 2, closure under sub-multisets of size >= 2,
-    all same-type pairs present, and for arity M >= 3 the homogeneity bound
-    |t([M])|_s > (1-M)|s|.
+    `__post_init__` lists them once, as `blocks`: the allowed typed
+    multisets, each a sorted tuple of type names, and `max_arity` is the
+    largest block size.  In gaussian mode the blocks are every pair of noise
+    types; explicit mode lists them in `explicit`.  Either list must
+    satisfy: arity >= 2, closure under sub-multisets of size >= 2, all
+    same-type pairs present, and for arity M >= 3 the homogeneity bound
+    |t([M])|_s > (1-M)|s|.  Gaussian pairs meet every condition.  `mode`
+    also selects the Gaussian subtree bullets of `subtree_hypotheses`.
     """
 
     table: TypeTable
@@ -97,76 +106,61 @@ class CumulantSet:
     def __post_init__(self):
         if self.mode not in ("gaussian", "explicit"):
             raise ValueError("mode must be 'gaussian' or 'explicit'")
-        blocks = frozenset(tuple(sorted(b)) for b in self.explicit)
-        object.__setattr__(self, "explicit", blocks)
-        if self.mode == "gaussian" and blocks:
+        explicit = frozenset(tuple(sorted(b)) for b in self.explicit)
+        if self.mode == "gaussian" and explicit:
             raise ValueError("gaussian mode allows every pair and takes no blocks")
-        if self.mode == "explicit":
-            noises = set(self.table.noise_types)
-            abs_s = self.table.scaling.abs_s
-            for b in blocks:
-                if len(b) < 2:
-                    raise ValueError("cumulant blocks must have arity >= 2")
-                for t in b:
-                    if t not in noises:
-                        raise ValueError(f"cumulant block uses non-noise type {t!r}")
-                if len(b) >= 3:
-                    tot = sum(self.table.hom(t) for t in b)
-                    if not tot > (1 - len(b)) * abs_s:
-                        raise ValueError(
-                            f"cumulant block {b} violates |t([M])|_s > (1-M)|s|"
-                        )
-            for b in blocks:
-                for size in range(2, len(b)):
-                    for sub in set(itertools.combinations(b, size)):
-                        if tuple(sorted(sub)) not in blocks:
-                            raise ValueError(
-                                f"cumulant set not closed under subsets: missing {sub}"
-                            )
-            for t in noises:
-                if (t, t) not in blocks:
-                    raise ValueError(f"same-type pair ({t},{t}) missing from cumulant set")
+        noises = sorted(self.table.noise_types)
+        blocks = (
+            frozenset(itertools.combinations_with_replacement(noises, 2))
+            if self.mode == "gaussian"
+            else explicit
+        )
+        object.__setattr__(self, "explicit", explicit)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "max_arity", max(map(len, blocks), default=2))
+        abs_s = self.table.scaling.abs_s
+        for b in sorted(blocks):
+            if len(b) < 2:
+                raise ValueError("cumulant blocks must have arity >= 2")
+            for t in b:
+                if t not in noises:
+                    raise ValueError(f"cumulant block uses non-noise type {t!r}")
+            if len(b) >= 3:
+                tot = sum(self.table.hom(t) for t in b)
+                if not tot > (1 - len(b)) * abs_s:
+                    raise ValueError(f"cumulant block {b} violates |t([M])|_s > (1-M)|s|")
+        for b in sorted(blocks):
+            for size in range(2, len(b)):
+                for sub in sorted(set(itertools.combinations(b, size))):
+                    if sub not in blocks:
+                        raise ValueError(f"cumulant set not closed under subsets: missing {sub}")
+        for t in noises:
+            if (t, t) not in blocks:
+                raise ValueError(f"same-type pair ({t},{t}) missing from cumulant set")
 
     def admits(self, block_types: Sequence[str]) -> bool:
-        b = tuple(sorted(block_types))
-        if len(b) < 2:
-            return False
-        if self.mode == "gaussian":
-            return len(b) == 2 and all(self.table.is_noise(t) for t in b)
-        return b in self.explicit
+        return tuple(sorted(block_types)) in self.blocks
 
-    @property
-    def max_arity(self) -> int:
-        if self.mode == "gaussian":
-            return 2
-        return max((len(b) for b in self.explicit), default=2)
+    def partitions_of(self, types: Sequence[str]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Every partition of positions 0..n-1 into allowed blocks, made
+        lazily.  Each block is led by its least position, and the blocks of
+        a partition come in the order of their leaders."""
 
-    def partitions_of(self, types: Sequence[str]) -> list[tuple[tuple[int, ...], ...]]:
-        """All partitions of positions 0..n-1 into admissible blocks."""
-        n = len(types)
-        out: list[tuple[tuple[int, ...], ...]] = []
-
-        def rec(remaining: tuple[int, ...], acc: list[tuple[int, ...]]):
+        def rec(remaining: tuple[int, ...], acc: tuple[tuple[int, ...], ...]):
             if not remaining:
-                out.append(tuple(sorted(acc)))
+                yield acc
                 return
             first, rest = remaining[0], remaining[1:]
-            for size in range(1, min(self.max_arity, len(remaining)) + 1):
+            for size in range(2, min(self.max_arity, len(remaining)) + 1):
                 for others in itertools.combinations(rest, size - 1):
                     block = (first,) + others
                     if self.admits([types[i] for i in block]):
-                        left = tuple(i for i in rest if i not in others)
-                        acc.append(block)
-                        rec(left, acc)
-                        acc.pop()
+                        yield from rec(tuple(i for i in rest if i not in others), acc + (block,))
 
-        rec(tuple(range(n)), [])
-        return out
+        return rec(tuple(range(len(types))), ())
 
     def admits_full_partition(self, types: Sequence[str]) -> bool:
-        if len(types) == 0:
-            return True
-        return bool(self.partitions_of(types))
+        return next(self.partitions_of(types), None) is not None
 
 
 def jump(
@@ -176,6 +170,8 @@ def jump(
     cumulants together with extra noises drawn (with repetition) from the
     type set of `pool_types`: the minimum of |t(C)|_s + |C|*|s| over nonempty
     C admitting a partition of C + B into allowed blocks, each meeting B.
+    With the positions of B placed first, those are the partitions of B + C
+    (`partitions_of`) in which every block's least position lies in B.
     Returns None when no such C exists.
     """
     table = cum.table
@@ -186,36 +182,15 @@ def jump(
         return None
     cap = max(1, (cum.max_arity - 1) * max(1, len(b)))
     best: Optional[Fraction] = None
-
-    def feasible(c_types: tuple[str, ...]) -> bool:
-        # elements: B-positions tagged True, C-positions tagged False
-        elems = [(t, True) for t in b] + [(t, False) for t in c_types]
-
-        def rec(remaining: tuple[int, ...]) -> bool:
-            if not remaining:
-                return True
-            b_positions = [i for i in remaining if elems[i][1]]
-            if not b_positions:
-                return False  # leftover C-elements cannot form B-meeting blocks
-            first = b_positions[0]
-            rest = tuple(i for i in remaining if i != first)
-            for size in range(2, min(cum.max_arity, len(remaining)) + 1):
-                for others in itertools.combinations(rest, size - 1):
-                    block = (first,) + others
-                    if cum.admits([elems[i][0] for i in block]):
-                        left = tuple(i for i in rest if i not in others)
-                        if rec(left):
-                            return True
-            return False
-
-        return rec(tuple(range(len(elems))))
-
     for size in range(1, cap + 1):
         for c_types in itertools.combinations_with_replacement(pool, size):
             value = sum((table.hom(t) for t in c_types), Fraction(0)) + size * abs_s
             if best is not None and value >= best:
                 continue
-            if feasible(c_types):
+            if any(
+                all(block[0] < len(b) for block in part)
+                for part in cum.partitions_of(b + c_types)
+            ):
                 best = value
     return best
 
@@ -243,6 +218,32 @@ def margin(cum: CumulantSet, pool_types: Iterable[str], block_types: Sequence[st
     j = jump(cum, pool_types, block_types)
     m = min(Fraction(table.scaling.abs_s, 2), gain(table, block_types))
     return m if j is None else min(m, j)
+
+
+def fict_gain(table: TypeTable, block_types: Sequence[str]) -> int:
+    """f(B): the Taylor order gained by renormalizing a second cumulant."""
+    if len(block_types) != 2:
+        return 0
+    tot = sum((table.hom(t) for t in block_types), Fraction(0))
+    return max(0, math.ceil(-tot - table.scaling.abs_s))
+
+
+def higher_cum_check(cum: CumulantSet) -> bool:
+    """Only second cumulants ever need renormalization: every allowed block
+    M has f(M) + |t(M)|_s + (|M|-1)|s| > 0.
+
+    The theorem asks min(|t(M)|_{s,c,D}, f(M) + |t(M)|_s) + (|M|-1)|s| > 0.
+    Under the cumulant homogeneity that puts all of -|t(M)|_s at the root,
+    |t(M)|_{s,c,D} is 0 when M extends to a larger allowed block and
+    +infinity otherwise, and a 0 there never decides the inequality because
+    (|M|-1)|s| > 0.  For |M| >= 3, f(M) is 0 and `CumulantSet` already
+    requires |t(M)|_s > (1-|M|)|s|, so only the pair blocks are checked."""
+    table = cum.table
+    return all(
+        fict_gain(table, b) + table.hom(b[0]) + table.hom(b[1]) + table.scaling.abs_s > 0
+        for b in cum.blocks
+        if len(b) == 2
+    )
 
 
 # -- subcriticality -----------------------------------------------------------
@@ -479,6 +480,16 @@ def subtree_hypotheses(
             drawn from t(L(T)), |A| in {1, 2} and |A| + |L(S)| even;
         |S^0_e|_s - |t(u)|_s > 0 for every u in L(S);
         |S^0_e|_s > -|s|/2.
+
+    Under Gaussian noise with every noise homogeneity in (-|s|, 0), the
+    bullets are super-regularity written out on a subtree with a noise: the
+    gain is the least -|t(u)|_s over u in L(S), and the jump is
+    (2 - |L(S)| mod 2) times the least |t(u)|_s + |s| over the ambient
+    types, since each extra noise pairs with a noise of L(S) and adds a
+    positive amount.  So such a subtree fails one exactly when it fails the
+    other.  They differ only on a noise-free subtree, where super-regularity
+    is skipped and the bullets ask |S^0_e|_s > -|s|/2 and |S^0_e|_s plus
+    twice that least amount > 0.
     """
     table = cum.table
     abs_s = table.scaling.abs_s

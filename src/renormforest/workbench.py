@@ -140,7 +140,7 @@ def parse_config(document: str) -> WorkbenchConfig:
             for t, ps in prods_raw.items()
         }
         rule = RuleSpec(table, productions=prods, standalone_noises=tuple(standalone))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         problems.append(f"rule: {exc}")
         rule = None
     caps = dict(DEFAULT_CAPS)

@@ -6,11 +6,17 @@ These are its first implementation: the homogeneity placed on every tree
 of a block's positions, and the extended homogeneity |t(A)|_{s,c,D}, the
 gain h_{c,D}(A), the higher-cumulant margin and the consistency items 1-4
 found by enumerating those trees.  `rules.gain` and
-`powercount.higher_cum_check` replace them with closed forms, and the
+`rules.higher_cum_check` replace them with closed forms, and the
 consistency check is not run by the program at all: it cannot fail on a
 `TypeTable` and `CumulantSet` their constructors accept.  Keep blocks to
 at most four arguments: there are 26 coalescence trees on four vertices and
 236 on five.
+
+`partitions_list` and `jump_recursion` are the first `partitions_of` and
+`jump`: the partitions built into a list, block sizes tried from 1, and the
+jump's feasibility decided by its own recursion over blocks meeting B.
+`rules` now enumerates the partitions lazily and reads the jump's
+feasibility off them.
 """
 from __future__ import annotations
 
@@ -19,8 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from renormforest.coalescence import Cluster, Family, bits, enumerate_trees, full_mask, popcount
-from renormforest.powercount import fict_gain
-from renormforest.rules import CumulantSet
+from renormforest.rules import CumulantSet, fict_gain
 
 
 class CumulantHomogeneity:
@@ -135,3 +140,74 @@ class CumulantHomogeneity:
             if not min(cands) + (len(types) - 1) * abs_s > 0:
                 return {"pass": False, "types": types}
         return {"pass": True}
+
+
+def partitions_list(cum: CumulantSet, types: Sequence[str]) -> list[tuple[tuple[int, ...], ...]]:
+    """All partitions of positions 0..n-1 into admissible blocks."""
+    n = len(types)
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def rec(remaining: tuple[int, ...], acc: list[tuple[int, ...]]):
+        if not remaining:
+            out.append(tuple(sorted(acc)))
+            return
+        first, rest = remaining[0], remaining[1:]
+        for size in range(1, min(cum.max_arity, len(remaining)) + 1):
+            for others in itertools.combinations(rest, size - 1):
+                block = (first,) + others
+                if cum.admits([types[i] for i in block]):
+                    left = tuple(i for i in rest if i not in others)
+                    acc.append(block)
+                    rec(left, acc)
+                    acc.pop()
+
+    rec(tuple(range(n)), [])
+    return out
+
+
+def jump_recursion(
+    cum: CumulantSet, pool_types: Iterable[str], block_types: Sequence[str]
+) -> Optional[Fraction]:
+    """The minimum of |t(C)|_s + |C|*|s| over nonempty C, drawn with
+    repetition from the pool's type set, admitting a partition of C + B into
+    allowed blocks, each meeting B; None when no such C exists."""
+    table = cum.table
+    abs_s = table.scaling.abs_s
+    pool = sorted(set(pool_types))
+    b = tuple(sorted(block_types))
+    if not pool:
+        return None
+    cap = max(1, (cum.max_arity - 1) * max(1, len(b)))
+    best: Optional[Fraction] = None
+
+    def feasible(c_types: tuple[str, ...]) -> bool:
+        # elements: B-positions tagged True, C-positions tagged False
+        elems = [(t, True) for t in b] + [(t, False) for t in c_types]
+
+        def rec(remaining: tuple[int, ...]) -> bool:
+            if not remaining:
+                return True
+            b_positions = [i for i in remaining if elems[i][1]]
+            if not b_positions:
+                return False  # leftover C-elements cannot form B-meeting blocks
+            first = b_positions[0]
+            rest = tuple(i for i in remaining if i != first)
+            for size in range(2, min(cum.max_arity, len(remaining)) + 1):
+                for others in itertools.combinations(rest, size - 1):
+                    block = (first,) + others
+                    if cum.admits([elems[i][0] for i in block]):
+                        left = tuple(i for i in rest if i not in others)
+                        if rec(left):
+                            return True
+            return False
+
+        return rec(tuple(range(len(elems))))
+
+    for size in range(1, cap + 1):
+        for c_types in itertools.combinations_with_replacement(pool, size):
+            value = sum((table.hom(t) for t in c_types), Fraction(0)) + size * abs_s
+            if best is not None and value >= best:
+                continue
+            if feasible(c_types):
+                best = value
+    return best

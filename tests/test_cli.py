@@ -173,15 +173,51 @@ def test_any_changed_field_parses_or_is_a_config_error(data):
             pass
 
 
-def run_with_hash_seed(seed: str, args: list[str], returncode: int = 0) -> bytes:
+def run_under_hash_seed(seed: str, args: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env.pop("RENORMFOREST_CAPS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run([sys.executable] + args, env=env, cwd=ROOT, capture_output=True)
+    return subprocess.run([sys.executable] + args, env=env, cwd=ROOT, capture_output=True)
+
+
+def run_with_hash_seed(seed: str, args: list[str], returncode: int = 0) -> bytes:
+    proc = run_under_hash_seed(seed, args)
     assert proc.returncode == returncode, proc.stderr
     return proc.stdout
+
+
+# configs with several violations of one kind; the one reported is the
+# first in sorted order
+SEVERAL_VIOLATIONS = {
+    "unknown-production-types": (
+        with_changes(
+            "kpz", **{"rule.productions.t": [["t", "t"], ["u"], ["v"], ["w"], ["x"], ["y"], ["l"]]}
+        ),
+        "config error: rule: production references unknown type 'u'\n",
+    ),
+    "blocks-over-the-arity-bound": (
+        with_changes(
+            "kpz",
+            **{"types.noises.l": "-5/2"},
+            cumulants={"mode": "explicit", "blocks": [["l", "l"], ["l"] * 3, ["l"] * 4]},
+        ),
+        "config error: cumulants: cumulant block ('l', 'l', 'l') violates |t([M])|_s > (1-M)|s|\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config, message", SEVERAL_VIOLATIONS.values(), ids=SEVERAL_VIOLATIONS.keys()
+)
+def test_config_errors_independent_of_hash_seed(config, message, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    args = ["-m", "renormforest.cli", "--config", str(path), "generate"]
+    for seed in "0123":
+        proc = run_under_hash_seed(seed, args)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
 
 
 def test_generate_independent_of_hash_seed():
@@ -340,6 +376,19 @@ def test_certify_independent_of_hash_seed():
     them."""
     for model, tree_id in (("kpz", "T5"), ("kpz", "T6"), ("phi4_3", "T6")):
         args = ["-m", "renormforest.cli", "--config", config_path(model), "certify", tree_id]
+        outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["pass"] is True
+
+
+def test_certify_under_explicit_cumulants_independent_of_hash_seed(tmp_path):
+    """KPZ with third cumulants allowed: the classes, partitions and jumps
+    read the explicit blocks."""
+    path = tmp_path / "kpz_l3.json"
+    cumulants = {"mode": "explicit", "blocks": [["l", "l"], ["l", "l", "l"]]}
+    path.write_text(json.dumps(with_changes("kpz", cumulants=cumulants)))
+    for tree_id in ("T2", "T3", "T4", "T5"):
+        args = ["-m", "renormforest.cli", "--config", str(path), "certify", tree_id]
         outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["pass"] is True

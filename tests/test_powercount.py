@@ -6,15 +6,10 @@ from hypothesis import strategies as st
 
 from certify_oracle import div_universe, evaluate_hom, realizable
 from conftest import KAPPA, Phi4, certifier
-from cumulant_oracle import CumulantHomogeneity
+from cumulant_oracle import CumulantHomogeneity, jump_recursion, partitions_list
 from renormforest.coalescence import enumerate_trees, full_mask
-from renormforest.powercount import (
-    CertificateInput,
-    fict_gain,
-    higher_cum_check,
-    trees_containing,
-)
-from renormforest.rules import CumulantSet, gain
+from renormforest.powercount import CertificateInput, trees_containing
+from renormforest.rules import CumulantSet, fict_gain, gain, higher_cum_check, jump
 from renormforest.scaling import ScalingSpec, TypeTable
 
 
@@ -126,6 +121,23 @@ def test_closed_forms_match_the_tree_enumeration(cum, data):
             for extra in itertools.combinations_with_replacement(sorted(pool), n)
         )
         assert ch.ext_hom(a, pool) == (None if cum.admits(a) and not extends else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cumulant_sets(), st.data())
+def test_partitions_and_jump_match_the_recursions(cum, data):
+    """The lazy partitions come in the order of the list-building recursion,
+    and the jump read off them equals the one found by its own recursion
+    over blocks meeting B, for blocks of up to four noises."""
+    if cum is None:
+        return
+    noises = sorted(cum.table.noise_types)
+    types = data.draw(st.lists(st.sampled_from(noises), max_size=6))
+    assert list(cum.partitions_of(types)) == partitions_list(cum, types)
+    for _ in range(4):
+        pool = data.draw(st.lists(st.sampled_from(noises), max_size=3))
+        block = data.draw(st.lists(st.sampled_from(noises), max_size=4))
+        assert jump(cum, pool, block) == jump_recursion(cum, pool, block)
 
 
 def _ci(setting, t, wick, pi):

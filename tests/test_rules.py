@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import KAPPA, KPZ_BASIS, PHI4_BASIS, Phi4
+from conftest import KAPPA, KPZ, KPZ_BASIS, PHI4_BASIS, Phi4, decorated_trees
 from generation_oracle import conforms
 from renormforest.rules import (
     CumulantSet,
@@ -113,6 +114,22 @@ def test_theorem_conditions(phi4, kpz):
     assert subtree_hypotheses(worse.t131, worse.cum)["theorem_conditions"]
 
 
+@settings(max_examples=50, deadline=None)
+@given(decorated_trees(max_edges=7))
+def test_gaussian_bullets_are_super_regularity_written_out(t):
+    """Under Gaussian noise with its homogeneity in (-|s|, 0), here every
+    -k/12 against |s| = 3, a subtree with a noise fails super-regularity
+    exactly when it fails the three Gaussian bullets, with the same
+    zero-label homogeneity."""
+    for twelfths in range(1, 36):
+        table = TypeTable(
+            KPZ.scaling, kernel_types={"t": Fraction(1)}, noise_types={"l": Fraction(-twelfths, 12)}
+        )
+        failed = subtree_hypotheses(t, CumulantSet(table, "gaussian"))
+        with_noise = [(sf, base) for sf, base in failed["theorem_conditions"] if t.leaves_of(sf, table)]
+        assert failed["super_regularity"] == with_noise
+
+
 def test_cumulant_set_invariants(phi4):
     with pytest.raises(ValueError):  # singleton block
         CumulantSet(phi4.table, "explicit", frozenset({("Xi",)}))
@@ -148,4 +165,4 @@ def test_gaussian_partitions(phi4):
     assert phi4.cum.admits_full_partition(["Xi", "Xi"])
     assert not phi4.cum.admits_full_partition(["Xi"])
     assert not phi4.cum.admits_full_partition(["Xi"] * 3)
-    assert len(phi4.cum.partitions_of(["Xi"] * 4)) == 3
+    assert len(list(phi4.cum.partitions_of(["Xi"] * 4))) == 3
