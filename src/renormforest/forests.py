@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 from .rules import CumulantSet
 from .scaling import TypeTable
-from .trees import DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
+from .trees import DecoratedTree, EdgeKey, SubForest, divergent_subtrees, up_hom_table, zero_node_hom
 
 ForestOfSubtrees = frozenset  # frozenset[SubForest], pairwise nested-or-disjoint
 CutSet = frozenset  # frozenset[EdgeKey], subset of the positive cuts
@@ -79,17 +79,11 @@ def div_enumerate(
     t: DecoratedTree, table: TypeTable, cap: int = 4096
 ) -> list[tuple[SubForest, Fraction]]:
     """Superficially divergent subtrees with their omega > 0, sorted like
-    `all_subtrees`.  Those whose renormalization constant vanishes
-    identically are listed too; `irreducible_partition_exists` tells them
-    apart."""
-    weight = {
-        e: table.hom(ty) - t.edge_dec(e).sdeg(table.scaling) for e, ty in t.edge_items
-    }
-    out = []
-    for sf in t.all_subtrees():
-        w = -sum((weight[e] for e in sf.edges), Fraction(0))
-        if w > 0:
-            out.append((sf, w))
+    `all_subtrees` (`trees.divergent_subtrees`, which reads every
+    subtree's omega off the shape).  Those whose renormalization constant
+    vanishes identically are listed too; `irreducible_partition_exists`
+    tells them apart."""
+    out = divergent_subtrees(t, table)
     if len(out) > cap:
         raise CapExceeded(f"|Div| = {len(out)} exceeds the cap {cap}")
     return out
@@ -217,16 +211,15 @@ def forests_compatible_with(
 def sigma_negative(t: DecoratedTree, forest: ForestOfSubtrees) -> tuple[DecoratedTree, ...]:
     """The layered i-forest sigma_F: each member S as a piece of its own,
     colored by [C_F(S)]_1.  The generations of F are disjoint, and the next
-    generation inside S is exactly C_F(S).  Sorted by `SubForest.sort_key`;
-    the empty forest gives ()."""
+    generation inside S is exactly C_F(S), so its members are the piece's
+    color-1 components, handed to it in `sort_key` order (which, for
+    disjoint subtrees, is the order of their smallest nodes).  Sorted by
+    `SubForest.sort_key`; the empty forest gives ()."""
     parents = forest_parents(forest)
     pieces = []
     for s in sorted(forest, key=SubForest.sort_key):
-        kids = [c for c, p in parents.items() if p == s]
-        hat1 = SubForest(
-            frozenset().union(*(c.nodes for c in kids)), frozenset().union(*(c.edges for c in kids))
-        )
-        pieces.append(t.restrict(s).with_(hat1=hat1))
+        kids = sorted((c for c, p in parents.items() if p == s), key=SubForest.sort_key)
+        pieces.append(t.restrict(s).with_(hat1=kids))
     return tuple(pieces)
 
 

@@ -22,15 +22,20 @@ enumerated once per tree, and A_- is one product over a forest's pieces.
 A_- maps each residual tree through a symbol as it goes: the identity for
 the expansion, and E Pi, the canonical code of the contracted expectation
 symbol, for the report, whose terms with a vanishing symbol drop out.
+Every remainder and residual of an extraction is handed its color-1
+components, the subtrees of the extracted pieces (`_components`), and every
+remainder of a recentering those it keeps (`_plus_colored`), so no colored
+tree that the expansion builds is scanned for them.
 Delta_+ and A_+ recenter a piece around rooted subtrees (`_recenterings`).
 Every piece they recenter is a `with_` copy of the expanded tree, so the
 shared shape lists the rooted subtrees and their boundaries once
 (`DecoratedTree.rooted_subtrees`), and each piece only filters them by its
-color-1 components, found once per piece.  Recentering changes no label
-above the subtree, so the bound on each boundary edge's decoration, and the
-X_+ test of each dangling tree, read the piece's up-tree table
-(`trees.up_hom_table`): the shape's label-free table, worked out once per
-shape, with the piece's own labels added.  Every piece that Delta_- and A_-
+color-1 components.  Recentering changes no label above the subtree, so the
+bound on each boundary edge's decoration, and the X_+ test of each dangling
+tree, read the piece's up-tree table (`trees.up_hom_table`): the shape's
+label-free table, worked out once per shape, with the piece's own labels
+added; a piece that A_+ finds colored 2 throughout has no dangling tree and
+needs only its sign, not the table.  Every piece that Delta_- and A_-
 extract, and every left piece of Delta_+ and A_+, is a restriction of the
 expanded tree, and all restrictions to one subforest share one shape
 (`DecoratedTree.restrict`), built once with its facts.
@@ -223,7 +228,7 @@ def _extractions(
 
 def _remainder(
     t: DecoratedTree,
-    extracted: SubForest,
+    extracted: SubForest | list[SubForest],
     ndec_g: dict[int, MultiIndex],
     edec_g: dict[EdgeKey, MultiIndex],
     o_label: bool,
@@ -232,7 +237,9 @@ def _remainder(
     added to the edge labels, the extracted subforest colored 1.  With
     `o_label`, o records n_G + chi(e_G) on the extracted nodes (the
     coaction); the antipode's recursion carries no o-label.  Only the labels
-    that change are passed to `with_` (`t` is uncolored: it has no o label)."""
+    that change are passed to `with_` (`t` is uncolored: it has no o label).
+    `extracted` is the subforest, or its components (`_components`), which
+    the remainder then keeps as its color-1 components."""
     labels = {"hat1": extracted}
     if ndec_g:
         labels["node_dec"] = _shifted(t.node_dec_items, minus=ndec_g.items())
@@ -242,6 +249,14 @@ def _remainder(
         o = _shifted(ndec_g, plus=_chi(edec_g).items())
         labels["o_label"] = {u: ExtLabel.from_multiindex(k) for u, k in o.items()}
     return t.with_(**labels)
+
+
+def _components(pieces: list[DecoratedTree]) -> list[SubForest]:
+    """The color-1 components an extraction leaves: the subtrees of its
+    pieces.  `_extractions` lists the pieces in candidate order, and
+    pairwise disjoint subtrees in `div_enumerate`'s order come in the order
+    of their smallest nodes."""
+    return [SubForest(p.nodes, p.edge_set) for p in pieces]
 
 
 def delta_minus(
@@ -259,8 +274,8 @@ def delta_minus(
     if t.has_coloring():
         raise ValueError("the negative coaction acts on uncolored trees")
     return FormalSum(
-        ((tuple(sorted(pieces)), _remainder(t, sub, nd, ed, o_label=True)), coeff)
-        for sub, coeff, pieces, nd, ed in _extractions(t, table, candidates)
+        ((tuple(sorted(pieces)), _remainder(t, _components(pieces), nd, ed, o_label=True)), coeff)
+        for _, coeff, pieces, nd, ed in _extractions(t, table, candidates)
     )
 
 
@@ -322,8 +337,8 @@ class _AntipodeMinus:
             raise ValueError("negative antipode applied outside X_-")
         inside = [(c, w) for c, w in self.listed if c.edges < piece.edge_set]
         terms = []
-        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, inside):
-            symbol = self.symbol(_remainder(piece, sub, nd, ed, o_label=False))
+        for _, coeff, pieces, nd, ed in _extractions(piece, self.table, inside):
+            symbol = self.symbol(_remainder(piece, _components(pieces), nd, ed, o_label=False))
             if symbol is not None:
                 terms.extend(self._terms(pieces, (symbol,), -coeff))
         result = FormalSum(terms)
@@ -351,18 +366,12 @@ def _admissible_rooted(
     ]
 
 
-def _plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[SubForest, SubForest]:
-    """New coloring [hat1 \\ S]_1 + [S]_2 after recentering around S."""
-    keep_nodes: set[int] = set()
-    keep_edges: set[EdgeKey] = set()
-    for c in piece.hat1_components():
-        if not (c.nodes <= s.nodes):
-            keep_nodes |= c.nodes
-            keep_edges |= c.edges
-    return (
-        SubForest(frozenset(keep_nodes), frozenset(keep_edges)),
-        SubForest(s.nodes | piece.hat2.nodes, s.edges | piece.hat2.edges),
-    )
+def _plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[list[SubForest], SubForest]:
+    """New coloring [hat1 \\ S]_1 + [S]_2 after recentering around an
+    admissible S: the color-1 components outside S, in their order, and the
+    color-2 part."""
+    kept = [c for c in piece.hat1_components() if not c.nodes <= s.nodes]
+    return kept, SubForest(s.nodes | piece.hat2.nodes, s.edges | piece.hat2.edges)
 
 
 def _color2_labels(piece: DecoratedTree, table: TypeTable) -> dict[int, MultiIndex]:
@@ -392,7 +401,8 @@ def _recenterings(
             continue
         hat1, hat2 = _plus_colored(piece, s)
         colored = {"hat1": hat1, "hat2": hat2}
-        olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
+        # o labels sit on color-1 nodes, and S holds a component or misses it
+        olabel = {u: v for u, v in piece.o_label_items if u not in s.nodes}
         if len(olabel) < len(piece.o_label_items):  # S takes some o labels
             colored["o_label"] = olabel
         plain = piece.restrict(s)
@@ -434,16 +444,18 @@ class _AntipodePlus:
         if piece in self.memo:
             return self.memo[piece]
         t = self.table
-        up = up_hom_table(piece, t)
-        if not in_X_plus(piece, t, up):
+        if not piece.hat2.nodes:
             raise ValueError("positive antipode applied outside X_+")
         # the sign counts the color-2 labels n^, which sit on true nodes
         deg_nhat = sum(k.degree() for k in _color2_labels(piece, t).values())
-        if not (piece.edge_set - piece.hat2.edges):
+        if not (piece.edge_set - piece.hat2.edges):  # no dangling tree: in X_+
             bare = piece.with_(o_label={}) if piece.o_label_items else piece
             res = FormalSum.single(((bare,),), (-1) ** deg_nhat)
             self.memo[piece] = res
             return res
+        up = up_hom_table(piece, t)
+        if not in_X_plus(piece, t, up):
+            raise ValueError("positive antipode applied outside X_+")
         # f decorations sit on the kernel edges leaving the color-2 part, at
         # the foot of its dangling trees, and must keep the *input* piece in
         # X_+; each such edge trunks its own dangling tree, so the bounds

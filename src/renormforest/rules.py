@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .scaling import MultiIndex, TypeTable, ZERO_MI, multiindices_below
-from .trees import DecoratedTree, SubForest, graft, noise, poly, zero_node_hom
+from .trees import DecoratedTree, SubForest, graft, noise, poly, subtree_omegas
 
 # An entry of a production: (type name, derivative decoration).
 Entry = tuple[str, MultiIndex]
@@ -503,11 +503,11 @@ def subtree_hypotheses(
     failed: dict[str, list[tuple[SubForest, Fraction]]] = {"super_regularity": []}
     if gaussian:
         failed["theorem_conditions"] = []
-    for sf in t.all_subtrees():
+    for sf, omega in subtree_omegas(t, table):
         if len(sf.nodes - fict) < 2:
             continue
         leaf_types = [t.leaf_type(u, table) for u in sorted(t.leaves_of(sf, table))]
-        base = zero_node_hom(t, sf, table)
+        base = -omega
         if (leaf_types or not gaussian) and not base + margin(cum, ambient, leaf_types) > 0:
             failed["super_regularity"].append((sf, base))
         if gaussian:

@@ -10,8 +10,9 @@ Each tree is checked, and its shape (`_Shape`) indexed, when it is made; its
 `with_` copies share the shape.  Its restrictions to one connected subforest
 (`restrict`) share that subforest's sub-shape, which the ambient shape builds
 and checks once, for itself and for every piece of it, and they keep the
-tree's labels there.  Its AHU codes, its color-1 components and its facts
-under a type table stay lazy, because most trees never read them.
+tree's labels there.  Its AHU codes, its color-1 components (unless the
+caller who colored it hands them to `with_`) and its facts under a type
+table stay lazy, because most trees never read them.
 
 Every copy of a tree under new ids is made by one primitive,
 `DecoratedTree._copy`, which renames the edges, labels, coloring and o
@@ -132,11 +133,20 @@ class _Shape:
 class _TableFacts:
     """What a shape is under one type table: its kernel and noise edges,
     fictitious nodes, true nodes N(T), leaves L(T) and the noise type of
-    each leaf.  `rooted` is filled by `DecoratedTree.rooted_subtrees`, and
-    `up`, the label-free up-tree table (for every edge, the homogeneities of
-    it and of every edge above it summed), by `up_hom_table`."""
+    each leaf.  The label-free facts are worked out on their first read,
+    to which their readers add a tree's own labels: `rooted` by
+    `DecoratedTree.rooted_subtrees`; `up`, the up-tree table (for every
+    edge, the homogeneities of it and of every edge above it summed), by
+    `up_hom_table`; `subtrees`, every connected subtree (as an edge mask)
+    with its omega_0 = -sum |t(e)|_s, and `divergent`, those with omega_0 >
+    0, by `trees._subtree_facts`; and `hom`, the homogeneity of the edges,
+    by `DecoratedTree.homogeneity`.  The omegas and `hom` sum the kernel and
+    noise edges: an edge of a type the table does not know is neither."""
 
-    __slots__ = ("kernel", "noise", "fictitious", "true", "leaf_types", "leaves", "up", "rooted")
+    __slots__ = (
+        "kernel", "noise", "fictitious", "true", "leaf_types", "leaves", "up", "rooted", "subtrees",
+        "divergent", "hom",
+    )
 
     def __init__(self, shape: _Shape, table: TypeTable):
         self.kernel = tuple(e for e, t in shape.edges if table.is_kernel(t))
@@ -147,6 +157,9 @@ class _TableFacts:
         self.leaves = frozenset(self.leaf_types)
         self.up: Optional[dict[EdgeKey, Fraction]] = None
         self.rooted: Optional[tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]] = None
+        self.subtrees: Optional[tuple[tuple[int, Fraction], ...]] = None
+        self.divergent: Optional[tuple[tuple[SubForest, Fraction], ...]] = None
+        self.hom: Optional[Fraction] = None
 
 
 def _normalized(labels, key) -> tuple[dict, tuple]:
@@ -171,17 +184,18 @@ class DecoratedTree:
     Delta_- and each piece of Delta_+ and A_+, reads the shape's facts, and
     those of a type table (kernel and noise edges, fictitious and true
     nodes, leaves and their noise types, rooted subtrees, the label-free
-    up-tree table) where the first copy to ask worked them out, and `with_`
-    checks only the new labels.  Every restriction to one subforest, such
-    as each piece that Delta_- and A_- extract and each left piece of
-    Delta_+ and A_+, shares that subforest's sub-shape and its facts in the
-    same way (`restrict`).
+    up-tree table, subtree omegas and homogeneity) where the first copy to
+    ask worked them out, and `with_` checks only the new labels.  Every
+    restriction to one subforest, such as each piece that Delta_- and A_-
+    extract and each left piece of Delta_+ and A_+, shares that subforest's
+    sub-shape and its facts in the same way (`restrict`).
     `__init__` builds the node labels, edge labels and o labels as dicts
     (O(1) lookups) beside the sorted tuples that make up `embedded_key`; the
     key is built once, and the hash and `==` are derived from it.  The AHU
     codes of all nodes (computed together, bottom-up), the components of the
-    color-1 forest and the facts of a type table stay lazy, worked out on the
-    first call that needs them, because most trees never read them."""
+    color-1 forest (unless `with_` was handed them) and the facts of a type
+    table stay lazy, worked out on the first call that needs them, because
+    most trees never read them."""
 
     __slots__ = (
         "root", "_shape",  # root: the shape's, read often enough to keep beside it
@@ -344,7 +358,8 @@ class DecoratedTree:
         return not (self.hat1.is_empty() and self.hat2.is_empty())
 
     def hat1_components(self) -> list[SubForest]:
-        """The connected components of the color-1 forest, found on first
+        """The connected components of the color-1 forest, in the order of
+        their smallest nodes: as `with_` was given them, or found on first
         use."""
         if self._hat1_comps is None:
             self._hat1_comps = self.subforest_components(self.hat1)
@@ -354,16 +369,29 @@ class DecoratedTree:
         """This tree with some of `node_dec`, `edge_dec`, `hat1`, `hat2` and
         `o_label` replaced.  The result shares this tree's shape, checked
         when it was made, and the labels it keeps; only the labels passed
-        are normalized and checked."""
+        are normalized and checked.  `hat1` is a subforest, or the list of
+        its connected components in the order of their smallest nodes (the
+        caller who built the coloring knows them), which the result then
+        keeps as its `hat1_components`."""
         nd = _normalized(labels.pop("node_dec"), int) if "node_dec" in labels else (self._nd, self._ndec)
         ed = _normalized(labels.pop("edge_dec"), _edge_key) if "edge_dec" in labels else (self._ed, self._edec)
         ol = _normalized(labels.pop("o_label"), int) if "o_label" in labels else (self._ol, self._olabel)
         hat1, hat2 = labels.pop("hat1", self.hat1), labels.pop("hat2", self.hat2)
         if labels:
             raise TypeError(f"with_() got unknown labels {sorted(labels)}")
+        comps = None
+        if not isinstance(hat1, SubForest):
+            comps = list(hat1)
+            if len(comps) < 2:  # no union to build
+                hat1 = comps[0] if comps else EMPTY_SUBFOREST
+            else:
+                hat1 = SubForest(
+                    frozenset().union(*(c.nodes for c in comps)), frozenset().union(*(c.edges for c in comps))
+                )
         out = object.__new__(DecoratedTree)
         out.root, out._shape = self.root, self._shape
         out._label(nd, ed, hat1, hat2, ol)
+        out._hat1_comps = comps
         if hat1 is not self.hat1 or hat2 is not self.hat2 or ol[0] is not self._ol:
             out._check_labels()
         return out
@@ -389,13 +417,16 @@ class DecoratedTree:
 
     def homogeneity(self, table: TypeTable) -> Fraction:
         """|.|_s of this tree: the edges and the node labels of its true
-        nodes."""
-        total = Fraction(0)
-        for e, t in self._shape.edges:
-            total += table.hom(t) - Fraction(self.edge_dec(e).sdeg(table.scaling))
-        for u in self.true_nodes(table):
-            total += Fraction(self.node_dec(u).sdeg(table.scaling))
-        return total
+        nodes.  The shape's label-free sum (`_TableFacts.hom`), worked out
+        once per shape and table, with this tree's own labels added."""
+        shape = self._shape
+        facts = shape.facts(table)
+        if facts.hom is None:
+            facts.hom = sum((table.hom(shape.types[e]) for e in facts.kernel + facts.noise), _ZERO)
+        scaling = table.scaling
+        edges = sum(k.sdeg(scaling) for e, k in self._edec if e in shape.types)
+        nodes = sum(k.sdeg(scaling) for u, k in self._ndec if u in facts.true)
+        return facts.hom - edges + nodes
 
     # -- canonical forms ---------------------------------------------------
 
@@ -630,6 +661,56 @@ def zero_node_hom(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction
     for e in sf.edges:
         total += table.hom(t.edge_type(e)) - Fraction(t.edge_dec(e).sdeg(table.scaling))
     return total
+
+
+def _subtree_facts(t: DecoratedTree, table: TypeTable) -> _TableFacts:
+    """The shape's facts under `table`, with its label-free `subtrees` and
+    `divergent` worked out: every connected subtree S, in `all_subtrees`
+    order, as (edge mask, omega_0), bit i of the mask standing for the i-th
+    of the shape's sorted edges, and those with omega_0 > 0 as (S,
+    omega_0).  The shape keeps masks, not subforests, for the rest, because
+    most subtrees are not divergent and few are ever built."""
+    shape = t._shape
+    facts = shape.facts(table)
+    if facts.subtrees is None:
+        bit = {e: 1 << i for i, (e, _) in enumerate(shape.edges)}
+        hom = {e: table.hom(shape.types[e]) for e in facts.kernel + facts.noise}
+        omegas = [(sf, -sum((hom[e] for e in sf.edges if e in hom), _ZERO)) for sf in t.all_subtrees()]
+        facts.subtrees = tuple((sum(bit[e] for e in sf.edges), w) for sf, w in omegas)
+        facts.divergent = tuple((sf, w) for sf, w in omegas if w > 0)
+    return facts
+
+
+def _omegas(t: DecoratedTree, table: TypeTable) -> Iterable[tuple[int, Fraction]]:
+    """(edge mask, omega) of every connected subtree: the shape's
+    label-free list with the tree's own edge labels added."""
+    facts = _subtree_facts(t, table)
+    if not t.edge_dec_items:
+        return facts.subtrees
+    bit = {e: 1 << i for i, (e, _) in enumerate(t._shape.edges)}
+    labels = [(bit[e], k.sdeg(table.scaling)) for e, k in t.edge_dec_items if e in bit]
+    return [(m, w + sum(d for b, d in labels if m & b)) for m, w in facts.subtrees]
+
+
+def _subtree(t: DecoratedTree, mask: int) -> SubForest:
+    """The connected subtree of the edges in `mask` (see `_omegas`)."""
+    edges = frozenset(e for i, (e, _) in enumerate(t._shape.edges) if mask >> i & 1)
+    return SubForest(frozenset(itertools.chain.from_iterable(edges)), edges)
+
+
+def subtree_omegas(t: DecoratedTree, table: TypeTable) -> list[tuple[SubForest, Fraction]]:
+    """Every connected subtree S of the tree, in `all_subtrees` order, with
+    its omega = -|S^0_e|_s: minus the homogeneity of its edges, each lowered
+    by the s-degree of its label."""
+    return [(_subtree(t, m), w) for m, w in _omegas(t, table)]
+
+
+def divergent_subtrees(t: DecoratedTree, table: TypeTable) -> list[tuple[SubForest, Fraction]]:
+    """The entries of `subtree_omegas` with omega > 0: on a tree without
+    edge labels, the shape's own list, built once."""
+    if not t.edge_dec_items:
+        return list(_subtree_facts(t, table).divergent)
+    return [(_subtree(t, m), w) for m, w in _omegas(t, table) if w > 0]
 
 
 def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:

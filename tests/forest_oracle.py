@@ -13,9 +13,13 @@ cut sets with that minimal layer, each seen through the positive cutting
 construction `sigma_positive` below.  No command builds these families, so
 they live here, where the tests of `hopf._AntipodeMinus` and
 `hopf._AntipodePlus` compare the antipodes' output shapes against them.
+`div_enumerate_scan` is `forests.div_enumerate` as it summed every subtree's
+omega anew on each call, before it read the shape's list
+(`trees.subtree_omegas`).
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from renormforest.forests import CutSet, ForestOfSubtrees, all_forests, subtree_lt
@@ -32,6 +36,18 @@ from renormforest.trees import (
     zero_node_hom,
 )
 from renormforest.workbench import DEFAULT_CAPS
+
+
+def div_enumerate_scan(t: DecoratedTree, table: TypeTable) -> list[tuple[SubForest, Fraction]]:
+    """The subtrees with omega > 0, in `all_subtrees` order, each omega
+    summed from the labelled edge weights."""
+    weight = {e: table.hom(ty) - t.edge_dec(e).sdeg(table.scaling) for e, ty in t.edge_items}
+    out = []
+    for sf in t.all_subtrees():
+        w = -sum((weight[e] for e in sf.edges), Fraction(0))
+        if w > 0:
+            out.append((sf, w))
+    return out
 
 
 def up_tree(t: DecoratedTree, e: EdgeKey) -> SubForest:

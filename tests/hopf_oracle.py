@@ -548,7 +548,8 @@ def probe_headrooms(piece: DecoratedTree, s: SubForest, table: TypeTable) -> lis
     the color-2 part, as `delta_plus` and the positive antipode made it
     (the color-2 part's labels all go to the recentered piece)."""
     fict = piece.fictitious_nodes(table)
-    hat1, hat2 = _plus_colored(piece, s)
+    kept, hat2 = _plus_colored(piece, s)
+    hat1 = union(kept)
     olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
     nhat = [(u, k) for u, k in piece.node_dec_items if u in piece.hat2.nodes - fict]
     slots = [
@@ -605,7 +606,8 @@ def delta_plus_loop(piece: DecoratedTree, table: TypeTable) -> FormalSum:
         headroom = up_headroom(boundary, up)
         if headroom is None:
             continue
-        hat1, hat2 = _plus_colored(piece, s)
+        kept, hat2 = _plus_colored(piece, s)
+        hat1 = union(kept)
         olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
         plain = piece.restrict(s)
         node_slots = [u for u in sorted(s.nodes - fict) if not piece.node_dec(u).is_zero()]
@@ -659,7 +661,8 @@ class AntipodePlusLoop:
             headroom = up_headroom(boundary_s, up)
             if headroom is None:
                 continue
-            hat1, hat2 = _plus_colored(piece, s)
+            kept, hat2 = _plus_colored(piece, s)
+            hat1 = union(kept)
             olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
             plain = piece.restrict(s)
             node_slots = [

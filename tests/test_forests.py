@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forest_oracle as oracle
-from conftest import KAPPA, KPZ, ROOT, analyses, decorated_trees, spine_subtrees, spine_tree
+from conftest import KAPPA, KPZ, ROOT, analyses, colored_trees, decorated_trees, spine_subtrees, spine_tree
 from forest_oracle import (
     block_pendant_reducible,
     cut_depth,
@@ -34,7 +34,7 @@ from renormforest.forests import (
     sigma_negative,
 )
 from renormforest.rules import CumulantSet
-from renormforest.trees import DecoratedTree, SubForest
+from renormforest.trees import DecoratedTree, SubForest, subtree_omegas, zero_node_hom
 from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
 
 
@@ -140,10 +140,39 @@ def test_sigma_negative_layers(phi4):
     assert by_nodes[subs["S3"].nodes].hat1.is_empty()
 
 
+def assert_divergences_match_scan(t: DecoratedTree, table) -> None:
+    """`subtree_omegas`, read off the shape's label-free list with the
+    tree's edge labels added, lists every subtree in `all_subtrees` order
+    with omega = -|S^0_e|_s, and `div_enumerate` lists those of the
+    per-call scan."""
+    omegas = subtree_omegas(t, table)
+    assert [sf for sf, _ in omegas] == t.all_subtrees()
+    assert all(type(w) is Fraction and w == -zero_node_hom(t, sf, table) for sf, w in omegas)
+    assert div_enumerate(t, table) == oracle.div_enumerate_scan(t, table)
+
+
+@pytest.mark.parametrize("model", ["kpz", "phi4_3"])
+def test_divergences_match_scan_on_basis_trees(model):
+    wb = Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")))
+    for t in wb.basis():
+        assert_divergences_match_scan(t, wb.config.table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(colored_trees(), st.booleans())
+def test_divergences_match_scan_on_labelled_trees(t, bare_first):
+    """A tree with edge and node labels and one without labels that shares
+    its shape, read in either order: the shape's list holds no labels."""
+    bare = t.with_(node_dec={}, edge_dec={})
+    for tree in (bare, t) if bare_first else (t, bare):
+        assert_divergences_match_scan(tree, KPZ.table)
+
+
 def assert_parent_map_matches_oracle(t: DecoratedTree, forest: frozenset):
     """The parent map gives the scans' A_F, C_F, maximal members and
     generations, and sigma_F's pieces are the tuple-based construction's,
-    sorted by `SubForest.sort_key`."""
+    sorted by `SubForest.sort_key`, each holding the color-1 components a
+    scan of its color-1 forest finds, in order."""
     parents = forest_parents(forest)
     assert parents.keys() == forest
     levels: dict[int, set] = {}
@@ -159,6 +188,7 @@ def assert_parent_map_matches_oracle(t: DecoratedTree, forest: frozenset):
     pieces = sigma_negative(t, forest)
     assert undecorated_forest_shape(pieces) == oracle.sigma_negative(t, forest)
     assert [SubForest(p.nodes, p.edge_set) for p in pieces] == sorted(forest, key=SubForest.sort_key)
+    assert all(p.hat1_components() == p.subforest_components(p.hat1) for p in pieces)
 
 
 @pytest.mark.parametrize("model", ["kpz", "phi4_3"])

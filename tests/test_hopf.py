@@ -109,6 +109,35 @@ def test_x_plus_dangling(kpz):
     assert not in_X_plus(t.with_(hat2=root_only), table, up)
 
 
+def test_expansion_pieces_refuse_trees_outside_their_domain(kpz):
+    """Each guard raises: Delta_- on a colored tree, Delta_+ on a tree with
+    color 2, A_- on pieces outside X_- (homogeneity 0, a root label, a
+    coloring), and A_+ on pieces without color 2 (the bare node among
+    them, which has no uncolored edge either) and on a piece whose dangling
+    tree is not positive."""
+    t, table = kpz.t211, kpz.table
+    root_only = SubForest(frozenset({t.root}), frozenset())
+    colored = t.with_(hat2=root_only)
+    with pytest.raises(ValueError, match="uncolored"):
+        delta_minus(colored, table, div_enumerate(t, table))
+    with pytest.raises(ValueError, match="color <= 1"):
+        delta_plus(colored, table)
+    outside_minus = (
+        poly(),
+        kpz.il.with_(node_dec={kpz.il.root: MultiIndex({0: 1})}),
+        kpz.il.with_(hat1=SubForest(frozenset({1, 2}), frozenset({(1, 2)}))),
+    )
+    for piece in outside_minus:
+        with pytest.raises(ValueError, match="outside X_-"):
+            _AntipodeMinus(table, [], lambda p: p).tree(piece)
+    # the root of t(l) colored 2 leaves the dangling tree t(l) of
+    # homogeneity -1/2 - kappa
+    il_root = kpz.il.with_(hat2=SubForest(frozenset({kpz.il.root}), frozenset()))
+    for piece in (poly(), kpz.il, t, il_root, colored):
+        with pytest.raises(ValueError, match="outside X_\\+"):
+            _AntipodePlus(table).run(piece)
+
+
 def test_delta_minus_unit(phi4):
     dm = delta_minus(phi4.xi, phi4.table, div_enumerate(phi4.xi, phi4.table))
     # only the empty extraction survives the projection for a lone noise?
@@ -321,6 +350,44 @@ def test_extractions_match_edge_subset_scan(workbenches, model, tree_id):
     for candidates in (a.all_divergences, strictly_inside(a.all_divergences, t), a.divergences):
         # the empty forest comes first
         assert next(_extractions(t, table, candidates))[2] == [], len(candidates)
+
+
+def handed_down(tree: DecoratedTree) -> DecoratedTree:
+    """`tree`, once it is shown to hold the color-1 components its
+    extraction or recentering handed it, without a scan, and that they are
+    those a scan of its color-1 forest finds, in order."""
+    assert tree._hat1_comps is not None
+    assert tree.hat1_components() == tree.subforest_components(tree.hat1)
+    return tree
+
+
+def delta_minus_remainders(t: DecoratedTree, table) -> FormalSum:
+    """Delta_- on `t`, each remainder and each remainder of Delta_+ on it
+    checked by `handed_down`."""
+    dm = delta_minus(t, table, div_enumerate(t, table))
+    for (_, remainder), _ in dm.items():
+        for (_, recentered), _ in delta_plus(handed_down(remainder), table).items():
+            handed_down(recentered)
+    return dm
+
+
+@pytest.mark.parametrize("model,tree_id", TREES, ids=[f"{m}-{t}" for m, t in TREES])
+def test_components_handed_down_match_scan_on_basis_trees(workbenches, model, tree_id):
+    """Every remainder of Delta_- and of Delta_+ on it, and every residual
+    of A_- on each extracted piece."""
+    t, table = workbenches[model].tree_by_id(tree_id), workbenches[model].config.table
+    anti_minus = _AntipodeMinus(table, div_enumerate(t, table), handed_down)
+    for (extracted, _), _ in delta_minus_remainders(t, table).items():
+        for piece in extracted:
+            anti_minus.tree(piece)
+
+
+@settings(max_examples=60, deadline=None)
+@given(decorated_trees(max_edges=7))
+def test_components_handed_down_match_scan_on_drawn_trees(t):
+    """Trees with edge labels, so that the extractions and recenterings
+    carry decorations."""
+    delta_minus_remainders(t, KPZ.table)
 
 
 def test_extraction_decorations_match_budget_recursion():

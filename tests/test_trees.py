@@ -174,6 +174,31 @@ def test_all_subtrees_matches_oracle_on_random_trees(t):
     assert_all_subtrees_match_oracle(t, KPZ.table)
 
 
+def test_homogeneity_matches_scan_on_basis_trees():
+    """The shape's label-free sum with the labels added, against the
+    per-call sum, on the 15 basis trees of both models and every piece of
+    each."""
+    for model in sorted(BPHZ_TERMS):
+        text = (ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")
+        wb = Workbench(parse_config(text))
+        table = wb.config.table
+        for t in wb.basis():
+            for piece in [t] + [t.restrict(s) for s in t.all_subtrees()]:
+                assert piece.homogeneity(table) == tree_oracle.homogeneity(piece, table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(colored_trees(), st.booleans())
+def test_homogeneity_matches_scan_on_labelled_trees(t, bare_first):
+    """Edge labels, and node labels on true and fictitious nodes, on a tree
+    and one without labels that shares its shape, read in either order."""
+    table = KPZ.table
+    bare = t.with_(node_dec={}, edge_dec={})
+    for tree in (bare, t) if bare_first else (t, bare):
+        h = tree.homogeneity(table)
+        assert type(h) is Fraction and h == tree_oracle.homogeneity(tree, table)
+
+
 def test_disappearing_noises(kpz):
     """A leaf node of the ambient tree can be a noise-free true node of a
     subtree when its noise edge is left out."""
@@ -388,22 +413,39 @@ def test_with_checks_an_unchecked_shape(edges):
 def test_shape_facts_are_kept_per_table(phi4):
     """One shape read under KPZ's table and under phi4_3's, in turn and
     through two trees that share it: each table gets its own kernel and
-    noise edges, fictitious nodes and rooted subtrees."""
+    noise edges, fictitious nodes, rooted subtrees, subtree omegas (in
+    `all_subtrees` order, by node set: (0, 1), (0, 1, 2), (0, 1, 2, 3), the
+    whole tree, (0, 1, 3), (0, 1, 3, 4), (0, 3), (0, 3, 4), (1, 2) and
+    (3, 4)) and homogeneity, to which `copy` adds the 2 of its node label.
+    The tree mixes both tables' types, and an edge of a type the table does
+    not know is neither kernel nor noise, so it counts for nothing."""
     kpz, phi = KPZ.table, phi4.table
     t = DecoratedTree(root=0, edges={(0, 1): "t", (1, 2): "l", (0, 3): "I", (3, 4): "Xi"})
     copy = t.with_(node_dec={1: MultiIndex({0: 1})})
+    f = Fraction
     want = {
-        "kpz": (((0, 1),), ((1, 2),), {2}, [({0}, set(), ((0, 1),)), ({0, 1, 2}, {(0, 1), (1, 2)}, ())]),
-        "phi": (((0, 3),), ((3, 4),), {4}, [({0}, set(), ((0, 3),)), ({0, 3, 4}, {(0, 3), (3, 4)}, ())]),
+        "kpz": (
+            ((0, 1),), ((1, 2),), {2}, [({0}, set(), ((0, 1),)), ({0, 1, 2}, {(0, 1), (1, 2)}, ())],
+            [-1, f(51, 100), f(51, 100), f(51, 100), -1, -1, 0, 0, f(151, 100), 0],
+        ),
+        "phi": (
+            ((0, 3),), ((3, 4),), {4}, [({0}, set(), ((0, 3),)), ({0, 3, 4}, {(0, 3), (3, 4)}, ())],
+            [0, 0, -2, f(51, 100), -2, f(51, 100), -2, f(51, 100), 0, f(251, 100)],
+        ),
     }
     tables = {"kpz": kpz, "phi": phi}
     for tree, name in ((t, "kpz"), (copy, "phi"), (copy, "kpz"), (t, "phi")):
         table = tables[name]
-        kernel, noise_edges, fictitious, rooted = want[name]
+        kernel, noise_edges, fictitious, rooted, omegas = want[name]
         assert tree.kernel_edges(table) == kernel
         assert tree.noise_edges(table) == noise_edges
         assert tree.fictitious_nodes(table) == fictitious
         assert [(s.nodes, s.edges, b) for s, b in tree.rooted_subtrees(table)] == rooted
+        assert trees.subtree_omegas(tree, table) == list(zip(t.all_subtrees(), omegas))
+        # a subtree of omega 0 is not divergent
+        want_div = [(s, w) for s, w in zip(t.all_subtrees(), omegas) if w > 0]
+        assert trees.divergent_subtrees(tree, table) == want_div
+        assert tree.homogeneity(table) == f(-51, 100) + (2 if tree is copy else 0)
 
 
 # -- every copy through `_copy` and `graft` ----------------------------------------

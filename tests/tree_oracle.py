@@ -5,8 +5,10 @@ its rooted edge-set recursion replaced, the hand-written copies (`relabel`,
 `restrict`, `integrate`, `tree_product` and the generator's `assemble`) that
 `DecoratedTree._copy` and `trees.graft` replaced, the restriction that built
 a fresh tree, shape and all, where `DecoratedTree.restrict` now shares one
-shape per subforest, and the one bottom-up pass over the labels that
-`trees.up_hom_table` replaced with a label-free table per shape, kept as
+shape per subforest, the one bottom-up pass over the labels that
+`trees.up_hom_table` replaced with a label-free table per shape, and the
+per-call `Fraction` sum over every edge and true node that
+`DecoratedTree.homogeneity` replaced with a label-free sum per shape, kept as
 test oracles."""
 from __future__ import annotations
 
@@ -203,6 +205,17 @@ def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
             h += w
         above[u] = h
     return out
+
+
+def homogeneity(t: DecoratedTree, table: TypeTable) -> Fraction:
+    """|.|_s summed anew: every edge with its label, and the node label of
+    every true node."""
+    total = Fraction(0)
+    for e, ty in t.edge_items:
+        total += table.hom(ty) - Fraction(t.edge_dec(e).sdeg(table.scaling))
+    for u in true_nodes(t, table):
+        total += Fraction(t.node_dec(u).sdeg(table.scaling))
+    return total
 
 
 def shift_ids(t: DecoratedTree, offset: int) -> DecoratedTree:
