@@ -49,15 +49,18 @@ class FormalSum:
                 coeff = exact(coeff)
             if not coeff:
                 continue
-            total = acc.get(key)
-            if total is not None:
+            # one hash of a new key: the dict grows where the key is new,
+            # and is touched again only to merge a repeated one
+            n = len(acc)
+            total = acc.setdefault(key, coeff)
+            if len(acc) == n:
                 coeff += total
                 if type(coeff) is not int:
                     coeff = exact(coeff)
-                if not coeff:
+                if coeff:
+                    acc[key] = coeff
+                else:
                     del acc[key]
-                    continue
-            acc[key] = coeff
         self._terms = acc
 
     @classmethod

@@ -22,6 +22,12 @@ enumerated once per tree, and A_- is one product over a forest's pieces.
 A_- maps each residual tree through a symbol as it goes: the identity for
 the expansion, and E Pi, the canonical code of the contracted expectation
 symbol, for the report, whose terms with a vanishing symbol drop out.
+The expansion reads A_- of the expanded tree T off T's own Delta_-: A_-(T)
+= -sum c_F A_-(F) R_F over the terms (F, R_F) of Delta_- T other than the
+extractions of T itself, each remainder R_F with its o labels dropped, so
+T's extractions are listed once (`bphz_expansion`); where T is not in X_-
+or not among its own listed divergent subtrees, A_- recurses as on any
+other piece.
 Every remainder and residual of an extraction is handed its color-1
 components, the subtrees of the extracted pieces (`_components`), and every
 remainder of a recentering those it keeps (`_plus_colored`), so no colored
@@ -253,10 +259,11 @@ def _remainder(
 
 def _components(pieces: list[DecoratedTree]) -> list[SubForest]:
     """The color-1 components an extraction leaves: the subtrees of its
-    pieces.  `_extractions` lists the pieces in candidate order, and
-    pairwise disjoint subtrees in `div_enumerate`'s order come in the order
-    of their smallest nodes."""
-    return [SubForest(p.nodes, p.edge_set) for p in pieces]
+    pieces, each the subforest that the piece's shape was restricted to
+    (`DecoratedTree.restricted_to`).  `_extractions` lists the pieces in
+    candidate order, and pairwise disjoint subtrees in `div_enumerate`'s
+    order come in the order of their smallest nodes."""
+    return [p.restricted_to for p in pieces]
 
 
 def delta_minus(
@@ -299,7 +306,10 @@ class _AntipodeMinus:
     character (E Pi, say) is multiplicative over a forest's trees and zero
     on a forest with a vanishing tree.  So `symbol` maps each residual as
     the recursion makes it, to None where its symbol vanishes, which drops
-    the term; the identity gives A_- itself."""
+    the term; the identity gives A_- itself.  A caller that has summed A_-
+    of a tree from terms it already holds hands it to `memo`, which the
+    recursion then reads (`bphz_expansion` does so for the expanded
+    tree)."""
 
     def __init__(
         self,
@@ -390,14 +400,18 @@ def _recenterings(
     color-2 part, given with its boundary), with every split of the node
     labels and every labelling e_S of S's boundary edges that keeps the
     dangling trees positive (the up-tree table `up` is the headroom of each
-    boundary edge, and S is skipped where some entry is not positive).  Yields
-    (left piece, coefficient, remainder): the left piece is S with the node
-    labels n_S + chi(e_S), where n_S takes part of each uncolored label in S
-    and all of the color-2 labels n^, which the remainder gives up."""
+    boundary edge, and S is skipped where its boundary holds an edge whose
+    entry is not positive).  Yields (left piece, coefficient, remainder):
+    the left piece is S with the node labels n_S + chi(e_S), where n_S takes
+    part of each uncolored label in S and all of the color-2 labels n^,
+    which the remainder gives up; S restricts the piece unless it is the
+    whole piece, whose restriction is the piece itself."""
     fict = piece.fictitious_nodes(table)
     nhat = _color2_labels(piece, table)
+    nonpositive = {e for e, h in up.items() if h <= 0}
+    whole = len(piece.edge_set)  # S holds edges of the piece only
     for s, boundary in subtrees:
-        if any(up[e] <= 0 for e in boundary):
+        if not nonpositive.isdisjoint(boundary):
             continue
         hat1, hat2 = _plus_colored(piece, s)
         colored = {"hat1": hat1, "hat2": hat2}
@@ -405,7 +419,7 @@ def _recenterings(
         olabel = {u: v for u, v in piece.o_label_items if u not in s.nodes}
         if len(olabel) < len(piece.o_label_items):  # S takes some o labels
             colored["o_label"] = olabel
-        plain = piece.restrict(s)
+        plain = piece if len(s.edges) == whole else piece.restrict(s)
         node_slots = [
             u for u in sorted(s.nodes - fict - piece.hat2.nodes) if not piece.node_dec(u).is_zero()
         ]
@@ -517,13 +531,39 @@ def bphz_expansion(
     piece's divergent subtrees from it.  The tree's divergent subtrees are
     listed once per expansion, and its rooted subtrees once per expansion
     too: every remainder of Delta_- and every piece of Delta_+ and A_+ is a
-    `with_` copy of the tree, and so shares its shape."""
+    `with_` copy of the tree, and so shares its shape.
+
+    A_-(T) of the tree itself is read off its own Delta_-: A_-(T) is
+    -sum c_F A_-(F) R_F over the terms (F, R_F) of Delta_- T with
+    coefficient c_F and F other than {T}, with the o labels of each
+    remainder R_F dropped (A_-'s recursion carries none).  So the terms are
+    walked once, those that extract T itself last: each other forest's
+    A_-(F) fills the left slot and adds its terms to A_-(T), which is then
+    handed to A_- before any piece equal to T asks for it, and T's
+    extractions are listed once.  Where T is not in X_- or is not among its
+    own listed divergent subtrees, nothing is summed, and A_- recurses on
+    every extracted piece."""
     listed = fo.div_enumerate(t, table) if candidates is None else candidates
     anti_minus = _AntipodeMinus(table, listed, lambda p: p)
     anti_plus = _AntipodePlus(table)
+    edges = len(t.edge_set)
+
+    def extracts_t(extracted: tuple) -> bool:
+        return len(extracted) == 1 and len(extracted[0].edge_set) == edges
+
+    # the extractions of T itself last, once the other forests have summed
+    # A_-(T); it is summed only where it is read, T in X_- and listed (the
+    # empty forest is always a row)
+    rows = sorted(delta_minus(t, table, candidates=listed).items(), key=lambda row: extracts_t(row[0][0]))
+    own = [] if extracts_t(rows[-1][0][0]) and in_X_minus(t, table) else None
     terms = []
-    for (extracted, remainder), c1 in delta_minus(t, table, candidates=listed).items():
+    for (extracted, remainder), c1 in rows:
+        if own is not None and extracts_t(extracted):
+            anti_minus.memo[t], own = FormalSum(own), None
         left = anti_minus.forest(extracted)
+        if own is not None:
+            residual = remainder.with_(o_label={}) if remainder.o_label_items else remainder
+            own.extend(((tuple(sorted(lkey + (residual,))),), -c1 * cl) for (lkey,), cl in left.items())
         for (mid, rec_piece), c2 in delta_plus(remainder, table).items():
             right = anti_plus.run(rec_piece)
             c12 = c1 * c2

@@ -73,16 +73,24 @@ class _Shape:
     rooted tree, when it is made.  Its facts under a type table
     (`_TableFacts`) are worked out on the first read under that table.
 
+    The root and edges are hashed once (`hash`), and every tree of the shape
+    hashes that value with its labels.
+
     The shape of each connected subforest that a tree of this shape is
     restricted to (`sub`) is built once, too, and kept in `subs`, which the
     ambient shape shares with all its restrictions: a subforest restricted
-    from the ambient tree or from any piece of it has one shape."""
+    from the ambient tree or from any piece of it has one shape, which keeps
+    that subforest (`forest`; None on the shape `DecoratedTree.__init__` builds)."""
 
-    __slots__ = ("root", "edges", "types", "children", "parent", "order", "nodes", "edge_set", "_by_table", "subs")
+    __slots__ = (
+        "root", "edges", "hash", "types", "children", "parent", "order", "nodes", "edge_set", "_by_table",
+        "subs", "forest",
+    )
 
-    def __init__(self, root: int, edges: Mapping[EdgeKey, str], subs: dict):
+    def __init__(self, root: int, edges: Mapping[EdgeKey, str], subs: dict, forest: Optional[SubForest]):
         self.root = int(root)
         self.edges = tuple(sorted(((int(p), int(c)), str(t)) for (p, c), t in dict(edges).items()))
+        self.hash = hash((self.root, self.edges))
         self.types = dict(self.edges)
         children: dict[int, list[EdgeKey]] = {}
         parent: dict[int, int] = {}
@@ -109,6 +117,7 @@ class _Shape:
         # keyed by id: the entry holds its table, so the id stays its own
         self._by_table: dict[int, tuple[TypeTable, _TableFacts]] = {}
         self.subs: dict[SubForest, _Shape] = subs
+        self.forest = forest
 
     def facts(self, table: TypeTable) -> "_TableFacts":
         entry = self._by_table.get(id(table))
@@ -126,7 +135,7 @@ class _Shape:
         shape = self.subs.get(sf)
         if shape is None:
             edges = {e: t for e, t in self.edges if e[0] in nodes and e[1] in nodes}
-            shape = self.subs[sf] = _Shape(DecoratedTree.subtree_root(sf), edges, self.subs)
+            shape = self.subs[sf] = _Shape(DecoratedTree.subtree_root(sf), edges, self.subs, sf)
         return shape
 
 
@@ -191,7 +200,8 @@ class DecoratedTree:
     sub-shape and its facts in the same way (`restrict`).
     `__init__` builds the node labels, edge labels and o labels as dicts
     (O(1) lookups) beside the sorted tuples that make up `embedded_key`; the
-    key is built once, and the hash and `==` are derived from it.  The AHU
+    key is built once and `==` compares it; the hash is the shape's (root
+    and edges, hashed once per shape) hashed with the labels.  The AHU
     codes of all nodes (computed together, bottom-up), the components of the
     color-1 forest (unless `with_` was handed them) and the facts of a type
     table stay lazy, worked out on the first call that needs them, because
@@ -214,7 +224,7 @@ class DecoratedTree:
         o_label: Mapping[int, ExtLabel] = (),
         table: Optional[TypeTable] = None,
     ):
-        self._shape = _Shape(root, edges, {})
+        self._shape = _Shape(root, edges, {}, None)
         self.root = self._shape.root
         self._label(
             _normalized(node_dec, int), _normalized(edge_dec, _edge_key), hat1, hat2,
@@ -226,22 +236,15 @@ class DecoratedTree:
 
     def _label(self, nd, ed, hat1: SubForest, hat2: SubForest, ol):
         """Set the labels, each given as a dict and its sorted items
-        (`_normalized`), the coloring, the embedded key and the hash; the
-        AHU codes are left to the first use."""
+        (`_normalized`), the coloring, the embedded key and the hash, which
+        takes the shape's own hash in place of its root and edges; the AHU
+        codes are left to the first use."""
         (self._nd, self._ndec), (self._ed, self._edec), (self._ol, self._olabel) = nd, ed, ol
         self.hat1 = hat1
         self.hat2 = hat2
-        self._key = (
-            "emb",
-            self.root,
-            self._shape.edges,
-            self._ndec,
-            self._edec,
-            hat1.sort_key(),
-            hat2.sort_key(),
-            self._olabel,
-        )
-        self._hash = hash(self._key)
+        h1, h2 = hat1.sort_key(), hat2.sort_key()
+        self._key = ("emb", self.root, self._shape.edges, self._ndec, self._edec, h1, h2, self._olabel)
+        self._hash = hash((self._shape.hash, self._ndec, self._edec, h1, h2, self._olabel))
         self._codes: Optional[dict[int, tuple]] = None
         self._hat1_comps: Optional[list[SubForest]] = None
 
@@ -282,6 +285,12 @@ class DecoratedTree:
     @property
     def edge_set(self) -> frozenset[EdgeKey]:
         return self._shape.edge_set
+
+    @property
+    def restricted_to(self) -> Optional[SubForest]:
+        """The subforest whose restriction this tree is (`restrict`), kept
+        by its shape; None on a tree that is no restriction."""
+        return self._shape.forest
 
     def node_dec(self, u: int) -> MultiIndex:
         return self._nd.get(u, ZERO_MI)

@@ -7,7 +7,9 @@ subtrees of every piece it visits, the counterterm constants by their own
 recursion with a vanishing filter and the counterterm report built on them,
 the recentering bounds found by building a
 probe tree and restricting it to each dangling up-tree, and Delta_+ and the
-positive antipode each with its own recentering loop.  The decorations of an
+positive antipode each with its own recentering loop, and the three-slot
+expansion whose negative antipode of the expanded tree goes through its own
+recursion.  The decorations of an
 extraction come from their own budget recursion, and the loops' bounds on
 the boundary decorations from their own copy of the up-tree table."""
 from __future__ import annotations
@@ -25,6 +27,7 @@ from renormforest.hopf import (
     CountertermMonomial,
     CountertermReport,
     _admissible_rooted,
+    _AntipodeMinus,
     _AntipodePlus,
     _bare_constant_key,
     _boundary,
@@ -702,3 +705,22 @@ class AntipodePlusLoop:
         result = FormalSum(terms)
         self.memo[piece] = result
         return result
+
+
+def bphz_expansion(t: DecoratedTree, table: TypeTable) -> FormalSum:
+    """`hopf.bphz_expansion` as it was before it read A_-(T) of the expanded
+    tree off its own Delta_-: every extracted forest, the tree itself
+    included, goes through `hopf._AntipodeMinus`'s recursion, which
+    extracts from the tree once more."""
+    listed = div_enumerate(t, table)
+    anti_minus = _AntipodeMinus(table, listed, lambda p: p)
+    anti_plus = _AntipodePlus(table)
+    terms = []
+    for (extracted, remainder), c1 in delta_minus(t, table, listed).items():
+        left = anti_minus.forest(extracted)
+        for (mid, rec_piece), c2 in delta_plus(remainder, table).items():
+            right = anti_plus.run(rec_piece)
+            for (lkey,), cl in left.items():
+                for (rkey,), cr in right.items():
+                    terms.append(((lkey, mid, rkey), c1 * c2 * cl * cr))
+    return FormalSum(terms)

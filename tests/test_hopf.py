@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -306,6 +307,35 @@ def test_expansion_lists_divergences_and_rooted_subtrees_once(workbenches, monke
     assert div_calls == [t]
     assert [r for r, args in rooted_calls if args] == [t.root]
     assert len(rooted_calls) == len(t.nodes) + 1
+
+
+def test_expansion_extracts_from_the_tree_once(workbenches, monkeypatch):
+    """On a freshly built copy of KPZ T5, `bphz_expansion` runs
+    `_extractions` on the tree once, for Delta_-, and reads A_-(T) off its
+    terms; and `_recenterings` never restricts a piece to its whole
+    subforest, whose restriction is the piece itself."""
+    wb = workbenches["kpz"]
+    table, basis = wb.config.table, wb.tree_by_id("T5")
+    t = DecoratedTree(
+        basis.root, basis.edges, dict(basis.node_dec_items), dict(basis.edge_dec_items), table=table
+    )
+    extracted_from, whole = [], []
+    extractions, restrict = hopf._extractions, DecoratedTree.restrict
+
+    def counted_extractions(tree, *args):
+        extracted_from.append(tree)
+        return extractions(tree, *args)
+
+    def counted_restrict(tree, sf):
+        if sys._getframe(1).f_code is hopf._recenterings.__code__ and sf.edges == tree.edge_set:
+            whole.append(sf)
+        return restrict(tree, sf)
+
+    monkeypatch.setattr(hopf, "_extractions", counted_extractions)
+    monkeypatch.setattr(DecoratedTree, "restrict", counted_restrict)
+    assert len(bphz_expansion(t, table)) == BPHZ_TERMS["kpz"][5]
+    assert extracted_from.count(t) == 1
+    assert whole == []
 
 
 def test_expansion_builds_each_restricted_shape_once(workbenches, monkeypatch):
@@ -981,6 +1011,20 @@ def test_coefficients_are_int_or_proper_fraction(t):
         sums.append(bphz_expansion(t, table))
     for s in sums:
         assert all(stored_exactly(c) for _, c in s.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(decorated_trees(max_edges=7))
+@example(HALF_TREE)
+def test_expansion_matches_own_recursion(t):
+    """The expansion, which reads A_-(T) of the tree off its own Delta_-,
+    equals the one whose A_-(T) goes through its own recursion.  HALF_TREE's
+    boundary decorations give remainders with o labels, which A_-(T) drops.
+    The expansion is built where Delta_- has at most 60 terms, as in
+    `test_coefficients_are_int_or_proper_fraction`."""
+    table = KPZ.table
+    assume(len(delta_minus(t, table, div_enumerate(t, table))) <= 60)
+    assert bphz_expansion(t, table) == hopf_oracle.bphz_expansion(t, table)
 
 
 def test_expansion_with_half_coefficients():

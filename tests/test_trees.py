@@ -548,6 +548,28 @@ def test_up_hom_table_matches_one_bottom_up_pass(t, data):
         assert trees.up_hom_table(tree, table) == tree_oracle.up_hom_table(tree, table)
 
 
+@settings(max_examples=60, deadline=None)
+@given(colored_trees())
+def test_equal_trees_hash_equal(t):
+    """A tree, its `with_` copies that keep its labels, its restriction to
+    its own full subforest and a tree rebuilt from its items compare equal,
+    with equal hashes: the hash reads the shape's, which `with_` shares and
+    which a restriction and a rebuild make anew."""
+    rebuilt = DecoratedTree(
+        t.root, t.edges, dict(t.node_dec_items), dict(t.edge_dec_items), t.hat1, t.hat2, dict(t.o_label_items)
+    )
+    copies = [
+        t.with_(),
+        t.with_(node_dec=dict(t.node_dec_items), edge_dec=dict(t.edge_dec_items), o_label=dict(t.o_label_items)),
+        t.with_(hat1=t.hat1_components(), hat2=t.hat2),
+        t.restrict(SubForest(t.nodes, t.edge_set)),
+        rebuilt,
+    ]
+    for copy in copies:
+        assert copy == t and hash(copy) == hash(t)
+    assert rebuilt._shape is not t._shape
+
+
 def test_restrictions_share_one_sub_shape(phi4):
     """One subforest restricted from two `with_` copies of a tree, and from
     a piece of it that holds the subforest, has one shape, built once; a
