@@ -29,7 +29,10 @@ T's extractions are listed once (`bphz_expansion`); where T is not in X_-
 or not among its own listed divergent subtrees, A_- recurses as on any
 other piece.
 Every remainder and residual of an extraction is handed its color-1
-components, the subtrees of the extracted pieces (`_components`), and every
+components, the subtrees that the extracted pieces keep
+(`DecoratedTree.restricted_to`; `_extractions` lists the pieces in candidate
+order, so pairwise disjoint subtrees in `div_enumerate`'s order come in the
+order of their smallest nodes), and every
 remainder of a recentering those it keeps (`_plus_colored`), so no colored
 tree that the expansion builds is scanned for them.
 Delta_+ and A_+ recenter a piece around rooted subtrees (`_recenterings`).
@@ -67,7 +70,7 @@ from .scaling import (
     multiindices_below,
     submultiindices,
 )
-from .trees import DecoratedTree, EdgeKey, SubForest, up_hom_table
+from .trees import DecoratedTree, EdgeKey, SubForest, _boundary, up_hom_table
 
 # -- membership ----------------------------------------------------------------
 
@@ -86,7 +89,7 @@ def in_X_plus(piece: DecoratedTree, table: TypeTable, up: dict[EdgeKey, Fraction
     `up`."""
     if not piece.hat2.nodes:
         return False
-    return all(up[e] > 0 for e in _boundary(piece, piece.hat2.nodes, piece.hat2.edges, table))
+    return all(up[e] > 0 for e in _boundary(piece.kernel_edges(table), piece.hat2))
 
 
 # -- labellings -----------------------------------------------------------------
@@ -181,17 +184,11 @@ def _extraction_decorations(
             yield nd, ed, coeff_n * coeff_e
 
 
-def _boundary(t: DecoratedTree, nodes: frozenset[int], edges: frozenset[EdgeKey], table: TypeTable) -> list[EdgeKey]:
-    """d(G,T): kernel edges outside G whose parent lies in G (edge
-    decorations live on the kernel edges only)."""
-    return [e for e in t.kernel_edges(table) if e not in edges and e[0] in nodes]
-
-
 def _extractions(
     t: DecoratedTree,
     table: TypeTable,
     candidates: Sequence[tuple[SubForest, Fraction]],
-) -> Iterator[tuple[SubForest, Coefficient, list[DecoratedTree], dict, dict]]:
+) -> Iterator[tuple[Coefficient, list[DecoratedTree], dict, dict]]:
     """Every extraction of a forest of pairwise node-disjoint candidates
     from an uncolored tree, with every choice of decorations n_G, e_G.
 
@@ -204,32 +201,33 @@ def _extractions(
     the listed subtrees are extracted.  Each candidate's decorations are
     enumerated once, and its extracted pieces are built once.
 
-    Yields (G, coefficient, extracted pieces in candidate order, n_G, e_G);
-    the empty forest comes first, with no pieces.
+    Yields (coefficient, extracted pieces in candidate order, n_G, e_G);
+    the empty forest comes first, with no pieces.  Each piece keeps its
+    subtree (`DecoratedTree.restricted_to`), so G is the union of theirs.
     """
     options = []
+    kernel = t.kernel_edges(table)
     for c, omega in candidates:
         plain = t.restrict(c)
-        boundary = _boundary(t, c.nodes, c.edges, table)
         decorated = [
             (_piece(plain, nd, ed), nd, ed, coeff)
-            for nd, ed, coeff in _extraction_decorations(t, table, c, omega, boundary)
+            for nd, ed, coeff in _extraction_decorations(t, table, c, omega, _boundary(kernel, c))
         ]
-        options.append((c, decorated))
+        options.append((c.nodes, decorated))
 
-    def families(start: int, g: SubForest, coeff: Coefficient, pieces: list, nd: dict, ed: dict):
-        yield g, coeff, pieces, nd, ed
+    def families(start: int, used: frozenset, coeff: Coefficient, pieces: list, nd: dict, ed: dict):
+        yield coeff, pieces, nd, ed
         for i in range(start, len(options)):
-            c, decorated = options[i]
-            if c.nodes & g.nodes:
+            nodes, decorated = options[i]
+            if nodes & used:
                 continue
-            grown = SubForest(g.nodes | c.nodes, g.edges | c.edges)
+            grown = used | nodes
             for piece, nd_c, ed_c, coeff_c in decorated:
                 yield from families(
                     i + 1, grown, coeff * coeff_c, pieces + [piece], {**nd, **nd_c}, {**ed, **ed_c}
                 )
 
-    yield from families(0, SubForest.empty(), 1, [], {}, {})
+    yield from families(0, frozenset(), 1, [], {}, {})
 
 
 def _remainder(
@@ -244,8 +242,8 @@ def _remainder(
     `o_label`, o records n_G + chi(e_G) on the extracted nodes (the
     coaction); the antipode's recursion carries no o-label.  Only the labels
     that change are passed to `with_` (`t` is uncolored: it has no o label).
-    `extracted` is the subforest, or its components (`_components`), which
-    the remainder then keeps as its color-1 components."""
+    `extracted` is the subforest, or its components, which the remainder
+    then keeps as its color-1 components."""
     labels = {"hat1": extracted}
     if ndec_g:
         labels["node_dec"] = _shifted(t.node_dec_items, minus=ndec_g.items())
@@ -255,15 +253,6 @@ def _remainder(
         o = _shifted(ndec_g, plus=_chi(edec_g).items())
         labels["o_label"] = {u: ExtLabel.from_multiindex(k) for u, k in o.items()}
     return t.with_(**labels)
-
-
-def _components(pieces: list[DecoratedTree]) -> list[SubForest]:
-    """The color-1 components an extraction leaves: the subtrees of its
-    pieces, each the subforest that the piece's shape was restricted to
-    (`DecoratedTree.restricted_to`).  `_extractions` lists the pieces in
-    candidate order, and pairwise disjoint subtrees in `div_enumerate`'s
-    order come in the order of their smallest nodes."""
-    return [p.restricted_to for p in pieces]
 
 
 def delta_minus(
@@ -281,8 +270,8 @@ def delta_minus(
     if t.has_coloring():
         raise ValueError("the negative coaction acts on uncolored trees")
     return FormalSum(
-        ((tuple(sorted(pieces)), _remainder(t, _components(pieces), nd, ed, o_label=True)), coeff)
-        for _, coeff, pieces, nd, ed in _extractions(t, table, candidates)
+        ((tuple(sorted(pieces)), _remainder(t, [p.restricted_to for p in pieces], nd, ed, o_label=True)), coeff)
+        for coeff, pieces, nd, ed in _extractions(t, table, candidates)
     )
 
 
@@ -322,13 +311,12 @@ class _AntipodeMinus:
         self.symbol = symbol
         self.memo: dict[DecoratedTree, FormalSum] = {}
 
-    def forest(self, pieces: Sequence[DecoratedTree], extra: tuple = ()) -> FormalSum:
+    def forest(self, pieces: Sequence[DecoratedTree]) -> FormalSum:
         """A_- on a forest, one product over its pieces (A_- is
-        multiplicative); the symbols in `extra` join every output forest.
-        A forest of one piece and no extra symbols is that piece's memo."""
-        if len(pieces) == 1 and not extra:
+        multiplicative).  A forest of one piece is that piece's memo."""
+        if len(pieces) == 1:
             return self.tree(pieces[0])
-        return FormalSum(self._terms(pieces, extra, 1))
+        return FormalSum(self._terms(pieces, (), 1))
 
     def _terms(
         self, pieces: Sequence[DecoratedTree], extra: tuple, scale: Coefficient
@@ -347,8 +335,8 @@ class _AntipodeMinus:
             raise ValueError("negative antipode applied outside X_-")
         inside = [(c, w) for c, w in self.listed if c.edges < piece.edge_set]
         terms = []
-        for _, coeff, pieces, nd, ed in _extractions(piece, self.table, inside):
-            symbol = self.symbol(_remainder(piece, _components(pieces), nd, ed, o_label=False))
+        for coeff, pieces, nd, ed in _extractions(piece, self.table, inside):
+            symbol = self.symbol(_remainder(piece, [p.restricted_to for p in pieces], nd, ed, o_label=False))
             if symbol is not None:
                 terms.extend(self._terms(pieces, (symbol,), -coeff))
         result = FormalSum(terms)
@@ -474,7 +462,7 @@ class _AntipodePlus:
         # the foot of its dangling trees, and must keep the *input* piece in
         # X_+; each such edge trunks its own dangling tree, so the bounds
         # decouple, and `in_X_plus` has found each up-tree entry positive.
-        f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
+        f_slots = sorted(_boundary(piece.kernel_edges(t), piece.hat2))
         outer_sign = (-1) ** len(f_slots)
         f_choices = [(ed_f, _chi(ed_f), coeff_f) for ed_f, coeff_f in _edge_choices(f_slots, up, t)]
         terms = []

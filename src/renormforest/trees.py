@@ -10,9 +10,18 @@ Each tree is checked, and its shape (`_Shape`) indexed, when it is made; its
 `with_` copies share the shape.  Its restrictions to one connected subforest
 (`restrict`) share that subforest's sub-shape, which the ambient shape builds
 and checks once, for itself and for every piece of it, and they keep the
-tree's labels there.  Its AHU codes, its color-1 components (unless the
-caller who colored it hands them to `with_`) and its facts under a type
-table stay lazy, because most trees never read them.
+tree's labels there.  Its AHU codes and its color-1 components (unless the
+caller who colored it hands them to `with_`) stay lazy, because most trees
+never read them.
+
+What a shape is under a type table, whatever its labels, is worked out in
+one class, `_TableFacts`, once per shape and table: kernel and noise edges,
+fictitious and true nodes, leaves and their noise types, and, read off one
+map `homs` of the edges' homogeneities (an edge of a type the table does not
+know counts for nothing), homogeneity, up-tree table, rooted subtrees with
+their boundaries and divergent subtrees.  A labelled sum adds only the
+tree's own labels: `DecoratedTree.homogeneity`, `up_hom_table`, and
+`zero_node_hom`, which `subtree_omegas` reads.
 
 Every copy of a tree under new ids is made by one primitive,
 `DecoratedTree._copy`, which renames the edges, labels, coloring and o
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -71,7 +81,9 @@ class _Shape:
     `top_down` order and the node and edge sets that a tree shares with
     every `with_` copy of it, all built, and the shape checked to be a
     rooted tree, when it is made.  Its facts under a type table
-    (`_TableFacts`) are worked out on the first read under that table.
+    (`_TableFacts`) are made on the first read under that table, and its
+    connected edge sets (`rooted_edge_sets`, `all_subtrees`) are listed
+    from its children map.
 
     The root and edges are hashed once (`hash`), and every tree of the shape
     hashes that value with its labels.
@@ -138,37 +150,94 @@ class _Shape:
             shape = self.subs[sf] = _Shape(DecoratedTree.subtree_root(sf), edges, self.subs, sf)
         return shape
 
+    def rooted_edge_sets(self, r: int, edges: frozenset[EdgeKey]) -> Iterator[frozenset[EdgeKey]]:
+        """Every connected set of `edges` whose top node is r, the empty set
+        first.  Each edge of the frontier is either left out with its whole
+        branch or taken, and then its child's edges join the frontier."""
+        children = {u: [e for e in kids if e in edges] for u, kids in self.children.items()}
+
+        def rec(frontier: list[EdgeKey], acc: frozenset[EdgeKey]):
+            if not frontier:
+                yield acc
+                return
+            e, rest = frontier[0], frontier[1:]
+            yield from rec(rest, acc)
+            yield from rec(rest + children[e[1]], acc | {e})
+
+        return rec(children[r], frozenset())
+
+    def all_subtrees(self) -> list[SubForest]:
+        """Every nonempty connected edge set with its induced node set, each
+        listed once from its top node; sorted by `SubForest.sort_key`."""
+        out = []
+        for r in self.children:
+            for edges in self.rooted_edge_sets(r, self.edge_set):
+                if edges:
+                    out.append(SubForest(frozenset(itertools.chain.from_iterable(edges)), edges))
+        return sorted(out, key=SubForest.sort_key)
+
 
 class _TableFacts:
-    """What a shape is under one type table: its kernel and noise edges,
-    fictitious nodes, true nodes N(T), leaves L(T) and the noise type of
-    each leaf.  The label-free facts are worked out on their first read,
-    to which their readers add a tree's own labels: `rooted` by
-    `DecoratedTree.rooted_subtrees`; `up`, the up-tree table (for every
-    edge, the homogeneities of it and of every edge above it summed), by
-    `up_hom_table`; `subtrees`, every connected subtree (as an edge mask)
-    with its omega_0 = -sum |t(e)|_s, and `divergent`, those with omega_0 >
-    0, by `trees._subtree_facts`; and `hom`, the homogeneity of the edges,
-    by `DecoratedTree.homogeneity`.  The omegas and `hom` sum the kernel and
-    noise edges: an edge of a type the table does not know is neither."""
-
-    __slots__ = (
-        "kernel", "noise", "fictitious", "true", "leaf_types", "leaves", "up", "rooted", "subtrees",
-        "divergent", "hom",
-    )
+    """What a shape is under one type table, each fact worked out here once;
+    a reader adds only a tree's own labels.  Made with it: the kernel and
+    noise edges, fictitious nodes, true nodes N(T), leaves L(T) with their
+    noise types, and `homs`, each edge's homogeneity (an edge of a type the
+    table does not know is neither kernel nor noise, and counts for
+    nothing).  On first read, from `homs`: `hom`, the edges' homogeneity;
+    `up`, the up-tree table (for every edge, the homogeneities of it and of
+    every edge above it summed); `rooted`, every subtree holding the root
+    with its boundary; and `divergent`, every connected subtree S with
+    omega_0 = -sum |t(e)|_s > 0, as (S, omega_0) in `all_subtrees` order."""
 
     def __init__(self, shape: _Shape, table: TypeTable):
+        self.shape = shape
         self.kernel = tuple(e for e, t in shape.edges if table.is_kernel(t))
         self.noise = tuple(e for e, t in shape.edges if table.is_noise(t))
         self.fictitious = frozenset(c for _, c in self.noise)
         self.true = shape.nodes - self.fictitious
         self.leaf_types = {p: shape.types[(p, c)] for p, c in self.noise}
         self.leaves = frozenset(self.leaf_types)
-        self.up: Optional[dict[EdgeKey, Fraction]] = None
-        self.rooted: Optional[tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]] = None
-        self.subtrees: Optional[tuple[tuple[int, Fraction], ...]] = None
-        self.divergent: Optional[tuple[tuple[SubForest, Fraction], ...]] = None
-        self.hom: Optional[Fraction] = None
+        known = frozenset(self.kernel + self.noise)
+        self.homs = {e: table.hom(t) if e in known else _ZERO for e, t in shape.edges}
+
+    @cached_property
+    def hom(self) -> Fraction:
+        return sum(self.homs.values(), _ZERO)
+
+    @cached_property
+    def up(self) -> dict[EdgeKey, Fraction]:
+        """One bottom-up pass."""
+        shape, up, above = self.shape, {}, {}
+        for u in reversed(shape.order):
+            h = _ZERO
+            for e in shape.children[u]:
+                up[e] = w = above[e[1]] + self.homs[e]
+                h += w
+            above[u] = h
+        return up
+
+    @cached_property
+    def rooted(self) -> tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]:
+        """S is determined by its kernel edges; the noise edges ride along
+        with their parent nodes (a noise is an attribute of its node)."""
+        shape, out = self.shape, []
+        for acc in shape.rooted_edge_sets(shape.root, frozenset(self.kernel)):
+            nodes = {shape.root, *itertools.chain.from_iterable(acc)}
+            edges = acc.union(e for e in self.noise if e[0] in nodes)
+            s = SubForest(frozenset(nodes.union(c for _, c in edges)), edges)
+            out.append((s, _boundary(self.kernel, s)))
+        return tuple(out)
+
+    @cached_property
+    def divergent(self) -> tuple[tuple[SubForest, Fraction], ...]:
+        omegas = ((s, -sum((self.homs[e] for e in s.edges), _ZERO)) for s in self.shape.all_subtrees())
+        return tuple((s, w) for s, w in omegas if w > 0)
+
+
+def _boundary(kernel: Iterable[EdgeKey], sf: SubForest) -> tuple[EdgeKey, ...]:
+    """d(S): the kernel edges outside S whose parent lies in S (edge
+    decorations live on the kernel edges only)."""
+    return tuple(e for e in kernel if e not in sf.edges and e[0] in sf.nodes)
 
 
 def _normalized(labels, key) -> tuple[dict, tuple]:
@@ -191,10 +260,8 @@ class DecoratedTree:
     node and edge sets) is a `_Shape`, which `with_` shares: every
     relabelled or recolored copy of a tree, such as each remainder of
     Delta_- and each piece of Delta_+ and A_+, reads the shape's facts, and
-    those of a type table (kernel and noise edges, fictitious and true
-    nodes, leaves and their noise types, rooted subtrees, the label-free
-    up-tree table, subtree omegas and homogeneity) where the first copy to
-    ask worked them out, and `with_` checks only the new labels.  Every
+    those of a type table (`_TableFacts`), where the first copy to ask
+    worked them out, and `with_` checks only the new labels.  Every
     restriction to one subforest, such as each piece that Delta_- and A_-
     extract and each left piece of Delta_+ and A_+, shares that subforest's
     sub-shape and its facts in the same way (`restrict`).
@@ -202,10 +269,10 @@ class DecoratedTree:
     (O(1) lookups) beside the sorted tuples that make up `embedded_key`; the
     key is built once and `==` compares it; the hash is the shape's (root
     and edges, hashed once per shape) hashed with the labels.  The AHU
-    codes of all nodes (computed together, bottom-up), the components of the
-    color-1 forest (unless `with_` was handed them) and the facts of a type
-    table stay lazy, worked out on the first call that needs them, because
-    most trees never read them."""
+    codes of all nodes (computed together, bottom-up) and the components of
+    the color-1 forest (unless `with_` was handed them) stay lazy, worked
+    out on the first call that needs them, because most trees never read
+    them."""
 
     __slots__ = (
         "root", "_shape",  # root: the shape's, read often enough to keep beside it
@@ -426,14 +493,11 @@ class DecoratedTree:
 
     def homogeneity(self, table: TypeTable) -> Fraction:
         """|.|_s of this tree: the edges and the node labels of its true
-        nodes.  The shape's label-free sum (`_TableFacts.hom`), worked out
-        once per shape and table, with this tree's own labels added."""
-        shape = self._shape
-        facts = shape.facts(table)
-        if facts.hom is None:
-            facts.hom = sum((table.hom(shape.types[e]) for e in facts.kernel + facts.noise), _ZERO)
+        nodes.  The shape's label-free sum (`_TableFacts.hom`) with this
+        tree's own labels added."""
+        facts = self._shape.facts(table)
         scaling = table.scaling
-        edges = sum(k.sdeg(scaling) for e, k in self._edec if e in shape.types)
+        edges = sum(k.sdeg(scaling) for e, k in self._edec if e in facts.homs)
         nodes = sum(k.sdeg(scaling) for u, k in self._ndec if u in facts.true)
         return facts.hom - edges + nodes
 
@@ -572,60 +636,20 @@ class DecoratedTree:
         """L(S): the nodes whose noise edge lies in the subforest."""
         return frozenset(p for p, c in self.noise_edges(table) if (p, c) in sf.edges)
 
-    def rooted_edge_sets(
-        self, r: int, edges: Optional[frozenset[EdgeKey]] = None
-    ) -> Iterator[frozenset[EdgeKey]]:
-        """Every connected set of edges (of `edges`, all by default) whose
-        top node is r, the empty set first.  Each edge of the frontier is
-        either left out with its whole branch or taken, and then its child's
-        edges join the frontier."""
-        children = {
-            u: [e for e in kids if edges is None or e in edges]
-            for u, kids in self._shape.children.items()
-        }
-
-        def rec(frontier: list[EdgeKey], acc: frozenset[EdgeKey]):
-            if not frontier:
-                yield acc
-                return
-            e, rest = frontier[0], frontier[1:]
-            yield from rec(rest, acc)
-            yield from rec(rest + children[e[1]], acc | {e})
-
-        return rec(children[r], frozenset())
-
     def rooted_subtrees(self, table: TypeTable) -> tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]:
         """Every subtree S holding the root, the trivial one included, with
-        its boundary: the kernel edges outside S whose parent lies in S.  S
-        is determined by its kernel edges; the noise edges ride along with
-        their parent nodes (a noise is an attribute of its node).  Listed in
-        `rooted_edge_sets` order, once per shape and table."""
-        facts = self._shape.facts(table)
-        if facts.rooted is None:
-            out = []
-            for acc in self.rooted_edge_sets(self.root, frozenset(facts.kernel)):
-                nodes = {self.root, *itertools.chain.from_iterable(acc)}
-                edges = acc.union(e for e in facts.noise if e[0] in nodes)
-                nodes = frozenset(nodes.union(c for _, c in edges))
-                boundary = tuple(e for e in facts.kernel if e not in edges and e[0] in nodes)
-                out.append((SubForest(nodes, edges), boundary))
-            facts.rooted = tuple(out)
-        return facts.rooted
+        its boundary (`_TableFacts.rooted`), in `_Shape.rooted_edge_sets`
+        order."""
+        return self._shape.facts(table).rooted
 
     def all_subtrees(self) -> list[SubForest]:
-        """Every nonempty connected edge set with its induced node set, each
-        listed once from its top node; sorted by `SubForest.sort_key`.  The
-        top node is a true node, since a fictitious node has no child.
+        """`_Shape.all_subtrees`.  The top node of each subtree is a true
+        node, since a fictitious node has no child.
 
         Note (disappearing noises): a leaf node of the ambient tree may be a
         non-leaf true node of the subtree when its noise edge is omitted.
         """
-        out = []
-        for r in self._shape.children:
-            for edges in self.rooted_edge_sets(r):
-                if edges:
-                    out.append(SubForest(frozenset(itertools.chain.from_iterable(edges)), edges))
-        return sorted(out, key=SubForest.sort_key)
+        return self._shape.all_subtrees()
 
     def contract_colored(self, table: TypeTable) -> "DecoratedTree":
         """Collapse the color-1 components to their roots and drop the
@@ -665,61 +689,25 @@ class DecoratedTree:
 
 
 def zero_node_hom(t: DecoratedTree, sf: SubForest, table: TypeTable) -> Fraction:
-    """|S^0_e|_s: the subtree's homogeneity with node labels dropped."""
-    total = Fraction(0)
-    for e in sf.edges:
-        total += table.hom(t.edge_type(e)) - Fraction(t.edge_dec(e).sdeg(table.scaling))
-    return total
-
-
-def _subtree_facts(t: DecoratedTree, table: TypeTable) -> _TableFacts:
-    """The shape's facts under `table`, with its label-free `subtrees` and
-    `divergent` worked out: every connected subtree S, in `all_subtrees`
-    order, as (edge mask, omega_0), bit i of the mask standing for the i-th
-    of the shape's sorted edges, and those with omega_0 > 0 as (S,
-    omega_0).  The shape keeps masks, not subforests, for the rest, because
-    most subtrees are not divergent and few are ever built."""
-    shape = t._shape
-    facts = shape.facts(table)
-    if facts.subtrees is None:
-        bit = {e: 1 << i for i, (e, _) in enumerate(shape.edges)}
-        hom = {e: table.hom(shape.types[e]) for e in facts.kernel + facts.noise}
-        omegas = [(sf, -sum((hom[e] for e in sf.edges if e in hom), _ZERO)) for sf in t.all_subtrees()]
-        facts.subtrees = tuple((sum(bit[e] for e in sf.edges), w) for sf, w in omegas)
-        facts.divergent = tuple((sf, w) for sf, w in omegas if w > 0)
-    return facts
-
-
-def _omegas(t: DecoratedTree, table: TypeTable) -> Iterable[tuple[int, Fraction]]:
-    """(edge mask, omega) of every connected subtree: the shape's
-    label-free list with the tree's own edge labels added."""
-    facts = _subtree_facts(t, table)
-    if not t.edge_dec_items:
-        return facts.subtrees
-    bit = {e: 1 << i for i, (e, _) in enumerate(t._shape.edges)}
-    labels = [(bit[e], k.sdeg(table.scaling)) for e, k in t.edge_dec_items if e in bit]
-    return [(m, w + sum(d for b, d in labels if m & b)) for m, w in facts.subtrees]
-
-
-def _subtree(t: DecoratedTree, mask: int) -> SubForest:
-    """The connected subtree of the edges in `mask` (see `_omegas`)."""
-    edges = frozenset(e for i, (e, _) in enumerate(t._shape.edges) if mask >> i & 1)
-    return SubForest(frozenset(itertools.chain.from_iterable(edges)), edges)
+    """|S^0_e|_s: the subtree's homogeneity with node labels dropped, that
+    of its edges (`_TableFacts.homs`) each lowered by the s-degree of its
+    label."""
+    homs, scaling = t._shape.facts(table).homs, table.scaling
+    return sum((homs[e] - t.edge_dec(e).sdeg(scaling) for e in sf.edges), _ZERO)
 
 
 def subtree_omegas(t: DecoratedTree, table: TypeTable) -> list[tuple[SubForest, Fraction]]:
     """Every connected subtree S of the tree, in `all_subtrees` order, with
-    its omega = -|S^0_e|_s: minus the homogeneity of its edges, each lowered
-    by the s-degree of its label."""
-    return [(_subtree(t, m), w) for m, w in _omegas(t, table)]
+    its omega = -|S^0_e|_s."""
+    return [(s, -zero_node_hom(t, s, table)) for s in t.all_subtrees()]
 
 
 def divergent_subtrees(t: DecoratedTree, table: TypeTable) -> list[tuple[SubForest, Fraction]]:
     """The entries of `subtree_omegas` with omega > 0: on a tree without
-    edge labels, the shape's own list, built once."""
+    edge labels, the shape's own list (`_TableFacts.divergent`)."""
     if not t.edge_dec_items:
-        return list(_subtree_facts(t, table).divergent)
-    return [(_subtree(t, m), w) for m, w in _omegas(t, table) if w > 0]
+        return list(t._shape.facts(table).divergent)
+    return [(s, w) for s, w in subtree_omegas(t, table) if w > 0]
 
 
 def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
@@ -732,18 +720,8 @@ def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
     is that homogeneity where nothing above p has color 2: on uncolored
     trees, and at the foot of the dangling trees of a rooted color-2 part,
     the entries that are read."""
-    scaling = table.scaling
-    shape = t._shape
-    facts, parent = shape.facts(table), shape.parent
-    if facts.up is None:  # one bottom-up pass per shape and table
-        above: dict[int, Fraction] = {}
-        facts.up = {}
-        for u in reversed(shape.order):
-            h = _ZERO
-            for e in shape.children[u]:
-                facts.up[e] = w = above[e[1]] + table.hom(shape.types[e])
-                h += w
-            above[u] = h
+    scaling, parent = table.scaling, t._shape.parent
+    facts = t._shape.facts(table)
     out = dict(facts.up)
 
     def add(u: int, h):

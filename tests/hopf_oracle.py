@@ -30,7 +30,6 @@ from renormforest.hopf import (
     _AntipodeMinus,
     _AntipodePlus,
     _bare_constant_key,
-    _boundary,
     _chi,
     _edge_choices,
     _extractions,
@@ -54,7 +53,7 @@ from renormforest.scaling import (
     multiindices_below,
     submultiindices,
 )
-from renormforest.trees import DecoratedTree, EdgeKey, SubForest, up_hom_table, zero_node_hom
+from renormforest.trees import DecoratedTree, EdgeKey, SubForest, _boundary, up_hom_table, zero_node_hom
 
 
 def _product(factors: Sequence[FormalSum], key: Callable[[list], Hashable]) -> FormalSum:
@@ -203,7 +202,7 @@ def extraction_options(
             continue
         if vanishing is not None and not irreducible_partition_exists(t, c, vanishing):
             continue
-        boundary = _boundary(t, c.nodes, c.edges, table)
+        boundary = _boundary(t.kernel_edges(table), c)
         bare = t.restrict(c)
         options[c] = []
         for nd, ed, cf in extraction_decorations(t, table, c, budget, boundary):
@@ -269,7 +268,7 @@ def assert_extractions_match(
     without enumerating a runaway product."""
     options = extraction_options(t, table, proper, vanishing)
     slots = {
-        c: (sorted(c.nodes), sorted(_boundary(t, c.nodes, c.edges, table))) for c in options
+        c: (sorted(c.nodes), sorted(_boundary(t.kernel_edges(table), c))) for c in options
     }
 
     def choice(c: SubForest, nd: dict, ed: dict) -> tuple:
@@ -302,7 +301,8 @@ def assert_extractions_match(
         candidates = strictly_inside(candidates, t)
     rows = _extractions(t, table, candidates)
     seen: dict[SubForest, set] = {g: set() for g in families}
-    for g, coeff, pieces, nd, ed in itertools.islice(rows, sum(sizes.values()) + 1):
+    for coeff, pieces, nd, ed in itertools.islice(rows, sum(sizes.values()) + 1):
+        g = union([p.restricted_to for p in pieces])
         comps = families.get(g)
         assert comps is not None and sorted(p.root for p in pieces) == sorted(comps), g
         want = [choices[comps[p.root]].get(choice(comps[p.root], nd, ed)) for p in pieces]
@@ -374,8 +374,8 @@ class AntipodeMinusPerPiece:
             raise ValueError("negative antipode applied outside X_-")
         terms = []
         listed = strictly_inside(div_enumerate(piece, self.table), piece)
-        for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, listed):
-            residual = _remainder(piece, sub, nd, ed, o_label=False)
+        for coeff, pieces, nd, ed in _extractions(piece, self.table, listed):
+            residual = _remainder(piece, union([p.restricted_to for p in pieces]), nd, ed, o_label=False)
             terms.extend((k, -coeff * c) for k, c in self.forest(pieces, (residual,)).items())
         result = FormalSum(terms)
         self.memo[piece] = result
@@ -412,11 +412,11 @@ class RenormalizedConstant:
         terms = []
         if irreducible_partition_exists(piece, SubForest(piece.nodes, piece.edge_set), self.cum):
             listed = strictly_inside(div_enumerate(piece, self.table), piece)
-            for sub, coeff, pieces, nd, ed in _extractions(piece, self.table, listed):
+            for coeff, pieces, nd, ed in _extractions(piece, self.table, listed):
                 factors = [self.of(p) for p in pieces]
                 if any(f.is_zero() for f in factors):
                     continue
-                residual = _remainder(piece, sub, nd, ed, o_label=False)
+                residual = _remainder(piece, union([p.restricted_to for p in pieces]), nd, ed, o_label=False)
                 ckey = _bare_constant_key(residual, self.table, self.cum)
                 if ckey is None:
                     continue
@@ -538,7 +538,7 @@ def dangle_headroom(
     recentered around S, restricted to each dangling up-tree."""
     probe = piece.with_(node_dec=ndec, hat1=hat1, hat2=hat2, o_label=olabel)
     out: dict[EdgeKey, Fraction] = {}
-    for e in _boundary(piece, s.nodes, s.edges, table):
+    for e in _boundary(piece.kernel_edges(table), s):
         h = recentered_plus_hom(probe, up_tree(piece, e), table)
         if h <= 0:
             return None
@@ -605,7 +605,7 @@ def delta_plus_loop(piece: DecoratedTree, table: TypeTable) -> FormalSum:
     up = up_hom_table(piece, table)
     terms = []
     for s, _ in _admissible_rooted(piece, table):
-        boundary = _boundary(piece, s.nodes, s.edges, table)
+        boundary = _boundary(piece.kernel_edges(table), s)
         headroom = up_headroom(boundary, up)
         if headroom is None:
             continue
@@ -652,7 +652,7 @@ class AntipodePlusLoop:
             res = FormalSum.single(((piece.with_(o_label={}),),), (-1) ** deg_nhat)
             self.memo[piece] = res
             return res
-        f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, t))
+        f_slots = sorted(_boundary(piece.kernel_edges(t), piece.hat2))
         f_headroom = up_headroom(f_slots, up)
         outer_sign = (-1) ** len(f_slots)
         f_choices = [
@@ -660,7 +660,7 @@ class AntipodePlusLoop:
         ]
         terms = []
         for s in abar2(piece, t):
-            boundary_s = _boundary(piece, s.nodes, s.edges, t)
+            boundary_s = _boundary(piece.kernel_edges(t), s)
             headroom = up_headroom(boundary_s, up)
             if headroom is None:
                 continue

@@ -48,7 +48,6 @@ from renormforest.hopf import (
     _admissible_rooted,
     _AntipodeMinus,
     _AntipodePlus,
-    _boundary,
     _bare_constant_key,
     _extraction_decorations,
     _extractions,
@@ -66,6 +65,8 @@ from renormforest.trees import (
     EMPTY_SUBFOREST,
     DecoratedTree,
     SubForest,
+    _boundary,
+    _Shape,
     integrate,
     poly,
     tree_product,
@@ -283,29 +284,33 @@ def test_listed_antipode_matches_per_piece_listing_on_basis_trees(workbenches, m
 def test_expansion_lists_divergences_and_rooted_subtrees_once(workbenches, monkeypatch):
     """On a freshly built copy of KPZ T5, whose shape has worked out
     nothing yet, `bphz_expansion` lists the tree's divergent subtrees once
-    (`all_subtrees` calls `rooted_edge_sets` once per node) and its rooted
-    subtrees once, however many pieces the antipodes and Delta_+ visit."""
+    (`all_subtrees` calls `rooted_edge_sets` once per node, on every edge)
+    and its rooted subtrees once (one call on the kernel edges, at the
+    root), however many pieces the antipodes and Delta_+ visit."""
     wb = workbenches["kpz"]
     table, basis = wb.config.table, wb.tree_by_id("T5")
     t = DecoratedTree(
         basis.root, basis.edges, dict(basis.node_dec_items), dict(basis.edge_dec_items), table=table
     )
     div_calls, rooted_calls = [], []
-    div_enumerate, rooted_edge_sets = fo.div_enumerate, DecoratedTree.rooted_edge_sets
+    div_enumerate, rooted_edge_sets = fo.div_enumerate, _Shape.rooted_edge_sets
 
     def counted_div_enumerate(tree, *args):
         div_calls.append(tree)
         return div_enumerate(tree, *args)
 
-    def counted_rooted_edge_sets(tree, r, *args):
-        rooted_calls.append((r, args))
-        return rooted_edge_sets(tree, r, *args)
+    def counted_rooted_edge_sets(shape, r, edges):
+        rooted_calls.append((r, edges))
+        return rooted_edge_sets(shape, r, edges)
 
     monkeypatch.setattr(fo, "div_enumerate", counted_div_enumerate)
-    monkeypatch.setattr(DecoratedTree, "rooted_edge_sets", counted_rooted_edge_sets)
+    monkeypatch.setattr(_Shape, "rooted_edge_sets", counted_rooted_edge_sets)
     assert len(bphz_expansion(t, table)) == BPHZ_TERMS["kpz"][5]
     assert div_calls == [t]
-    assert [r for r, args in rooted_calls if args] == [t.root]
+    kernel = frozenset(t.kernel_edges(table))
+    assert kernel != t.edge_set
+    assert [r for r, edges in rooted_calls if edges == kernel] == [t.root]
+    assert [edges for _, edges in rooted_calls].count(t.edge_set) == len(t.nodes)
     assert len(rooted_calls) == len(t.nodes) + 1
 
 
@@ -379,7 +384,7 @@ def test_extractions_match_edge_subset_scan(workbenches, model, tree_id):
     a = wb.analysis(t)
     for candidates in (a.all_divergences, strictly_inside(a.all_divergences, t), a.divergences):
         # the empty forest comes first
-        assert next(_extractions(t, table, candidates))[2] == [], len(candidates)
+        assert next(_extractions(t, table, candidates))[1] == [], len(candidates)
 
 
 def handed_down(tree: DecoratedTree) -> DecoratedTree:
@@ -435,7 +440,7 @@ def test_extraction_decorations_match_budget_recursion():
         labelled = data.draw(st.sets(st.sampled_from(sorted(t.true_nodes(table)))))
         t = t.with_(node_dec={u: data.draw(multiindices(2)) for u in labelled})
         for c, omega in div_enumerate(t, table):
-            boundary = _boundary(t, c.nodes, c.edges, table)
+            boundary = _boundary(t.kernel_edges(table), c)
             rows = list(_extraction_decorations(t, table, c, omega, boundary))
             assert rows == list(hopf_oracle.extraction_decorations(t, table, c, omega, boundary))
             reached["node"] += sum(1 for nd, _, _ in rows if nd)
@@ -452,7 +457,7 @@ def assert_headroom_matches_probe(piece, s, table):
     """The piece's up-tree table on S's boundary edges equals the probe's
     headroom, for every split of S's node labels: both skip S when an entry
     is not positive."""
-    boundary = _boundary(piece, s.nodes, s.edges, table)
+    boundary = _boundary(piece.kernel_edges(table), s)
     want = hopf_oracle.up_headroom(boundary, up_hom_table(piece, table))
     assert all(h == want for h in probe_headrooms(piece, s, table))
 
@@ -462,13 +467,13 @@ def assert_x_plus_matches_probe(piece, table):
     dangling trees and the positive antipode's recentered subtrees equal
     their probe-based versions."""
     assert in_X_plus(piece, table, up_hom_table(piece, table)) == hopf_oracle.in_X_plus(piece, table)
-    f_slots = sorted(_boundary(piece, piece.hat2.nodes, piece.hat2.edges, table))
+    f_slots = sorted(_boundary(piece.kernel_edges(table), piece.hat2))
     probe = {e: recentered_plus_hom(piece, up_tree(piece, e), table) for e in f_slots}
     up = up_hom_table(piece, table)
     assert {e: up[e] for e in f_slots} == probe
     abar2 = list(_AntipodePlus(table)._abar2(piece, f_slots))
     assert [s for s, _ in abar2] == hopf_oracle.abar2(piece, table)
-    assert all(list(b) == _boundary(piece, s.nodes, s.edges, table) for s, b in abar2)
+    assert all(b == _boundary(piece.kernel_edges(table), s) for s, b in abar2)
 
 
 def test_recentering_bounds_match_probe_trees(workbenches):

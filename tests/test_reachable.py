@@ -173,7 +173,7 @@ def defaulted_parameters() -> int:
 
 
 # the count of defaulted parameters may only fall
-MAX_DEFAULTED_PARAMETERS = 33
+MAX_DEFAULTED_PARAMETERS = 31
 
 
 def test_defaulted_parameters_do_not_grow():
@@ -183,6 +183,32 @@ def test_defaulted_parameters_do_not_grow():
         "stays only where callers in src/ or perfbench/ need different values, and a change "
         "that raises the count says why in CHANGES.md"
     )
+
+
+# what a shape is under a type table is worked out in `trees` alone
+SHAPE_FACT_NAMES = {"_shape", "_by_table", "_TableFacts"}
+
+
+def shape_fact_readers() -> list[str]:
+    """Each place in a module of `src/renormforest` other than `trees.py`
+    that names a tree's shape, a shape's facts per table or their class,
+    or calls `.facts(`."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "trees.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr == "facts":
+                out.append(f"{path.name}:{node.lineno}: .facts(")
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name in SHAPE_FACT_NAMES:
+                out.append(f"{path.name}:{node.lineno}: {name}")
+    return out
+
+
+def test_only_trees_reads_the_shape_facts():
+    assert shape_fact_readers() == []
 
 
 def load_benchmark_module(name: str):

@@ -416,9 +416,11 @@ def test_shape_facts_are_kept_per_table(phi4):
     noise edges, fictitious nodes, rooted subtrees, subtree omegas (in
     `all_subtrees` order, by node set: (0, 1), (0, 1, 2), (0, 1, 2, 3), the
     whole tree, (0, 1, 3), (0, 1, 3, 4), (0, 3), (0, 3, 4), (1, 2) and
-    (3, 4)) and homogeneity, to which `copy` adds the 2 of its node label.
-    The tree mixes both tables' types, and an edge of a type the table does
-    not know is neither kernel nor noise, so it counts for nothing."""
+    (3, 4)), each omega that of `zero_node_hom`, homogeneity and up-tree
+    table, to both of which `copy` adds the 2 of its node label.  The tree
+    mixes both tables' types, and an edge of a type the table does not know
+    is neither kernel nor noise, so it counts for nothing: in the omegas,
+    the homogeneity and the up-tree table alike."""
     kpz, phi = KPZ.table, phi4.table
     t = DecoratedTree(root=0, edges={(0, 1): "t", (1, 2): "l", (0, 3): "I", (3, 4): "Xi"})
     copy = t.with_(node_dec={1: MultiIndex({0: 1})})
@@ -427,25 +429,31 @@ def test_shape_facts_are_kept_per_table(phi4):
         "kpz": (
             ((0, 1),), ((1, 2),), {2}, [({0}, set(), ((0, 1),)), ({0, 1, 2}, {(0, 1), (1, 2)}, ())],
             [-1, f(51, 100), f(51, 100), f(51, 100), -1, -1, 0, 0, f(151, 100), 0],
+            {(0, 1): f(-51, 100), (1, 2): f(-151, 100), (0, 3): 0, (3, 4): 0},
         ),
         "phi": (
             ((0, 3),), ((3, 4),), {4}, [({0}, set(), ((0, 3),)), ({0, 3, 4}, {(0, 3), (3, 4)}, ())],
             [0, 0, -2, f(51, 100), -2, f(51, 100), -2, f(51, 100), 0, f(251, 100)],
+            {(0, 1): 0, (1, 2): 0, (0, 3): f(-51, 100), (3, 4): f(-251, 100)},
         ),
     }
     tables = {"kpz": kpz, "phi": phi}
     for tree, name in ((t, "kpz"), (copy, "phi"), (copy, "kpz"), (t, "phi")):
         table = tables[name]
-        kernel, noise_edges, fictitious, rooted, omegas = want[name]
+        kernel, noise_edges, fictitious, rooted, omegas, up = want[name]
         assert tree.kernel_edges(table) == kernel
         assert tree.noise_edges(table) == noise_edges
         assert tree.fictitious_nodes(table) == fictitious
         assert [(s.nodes, s.edges, b) for s, b in tree.rooted_subtrees(table)] == rooted
         assert trees.subtree_omegas(tree, table) == list(zip(t.all_subtrees(), omegas))
+        assert trees.subtree_omegas(tree, table) == [
+            (s, -trees.zero_node_hom(tree, s, table)) for s in t.all_subtrees()
+        ]
         # a subtree of omega 0 is not divergent
         want_div = [(s, w) for s, w in zip(t.all_subtrees(), omegas) if w > 0]
         assert trees.divergent_subtrees(tree, table) == want_div
         assert tree.homogeneity(table) == f(-51, 100) + (2 if tree is copy else 0)
+        assert trees.up_hom_table(tree, table) == {**up, (0, 1): up[(0, 1)] + (2 if tree is copy else 0)}
 
 
 # -- every copy through `_copy` and `graft` ----------------------------------------
@@ -495,12 +503,20 @@ def test_copy_matches_the_hand_written_copies(t, data):
         assert t.leaves_of(s, table) == piece.leaf_nodes(table)
 
 
+# the eager fields, then those worked out on their first read
+TABLE_FACTS = (
+    "kernel", "noise", "fictitious", "true", "leaf_types", "leaves", "homs",
+    "hom", "up", "rooted", "divergent",
+)
+
+
 def table_facts(t: DecoratedTree, table) -> dict:
-    """Every field of the tree's `_TableFacts`, each filled first."""
-    t.rooted_subtrees(table)
-    trees.up_hom_table(t, table)
+    """Every fact of the tree's `_TableFacts`, the eager ones and those
+    worked out on their first read."""
     facts = t._shape.facts(table)
-    return {name: getattr(facts, name) for name in facts.__slots__}
+    out = {name: getattr(facts, name) for name in TABLE_FACTS}
+    assert vars(facts).keys() - {"shape"} == set(TABLE_FACTS)
+    return out
 
 
 def assert_same_tree(piece: DecoratedTree, fresh: DecoratedTree, table):
@@ -508,6 +524,7 @@ def assert_same_tree(piece: DecoratedTree, fresh: DecoratedTree, table):
     assert piece == fresh and hash(piece) == hash(fresh)
     assert piece.canonical_code() == fresh.canonical_code()
     assert table_facts(piece, table) == table_facts(fresh, table)
+    assert trees.subtree_omegas(piece, table) == trees.subtree_omegas(fresh, table)
 
 
 @settings(max_examples=80, deadline=None)
