@@ -1,7 +1,9 @@
 """Divergent subtrees, positive cuts, forests of subtrees and their parent
 map (`forest_parents`: A_F, and through it C_F and the maximal members),
 the layered i-forests of the negative twisted antipode, and the leaf
-partitions that forests must be compatible with."""
+partitions that forests must be compatible with.  Compatibility is tested on
+a subtree's leaf set; `powercount.TreeAnalysis.compatible` holds each
+divergence's leaf set and lists the divergences a partition admits."""
 from __future__ import annotations
 
 import itertools
@@ -181,28 +183,11 @@ def leaf_partitions(
     return out
 
 
-def compatible_partition(t: DecoratedTree, table: TypeTable, s: SubForest, pi: frozenset) -> bool:
-    """A subtree and a partition are compatible when the subtree's leaf set
-    is a union of blocks (a forest is compatible when each member is)."""
-    ls = t.leaves_of(s, table)
-    return ls <= set().union(*pi) and all(b <= ls for b in pi if b & ls)
-
-
-def forests_compatible_with(
-    t: DecoratedTree,
-    table: TypeTable,
-    universe: Sequence[SubForest],
-    pi: frozenset,
-    cap: int,
-) -> list[ForestOfSubtrees]:
-    """F_pi over the given divergent-subtree universe, at most `cap`
-    forests (`all_forests`)."""
-    keep = [
-        s
-        for s in universe
-        if compatible_partition(t, table, s, pi)
-    ]
-    return all_forests(keep, cap)
+def compatible_partition(leaves: frozenset[int], pi: frozenset) -> bool:
+    """A subtree with leaf set `leaves` and a partition are compatible when
+    the leaf set is a union of blocks (a forest is compatible when each
+    member is)."""
+    return leaves <= set().union(*pi) and all(b <= leaves for b in pi if b & leaves)
 
 
 # -- sigma constructions ---------------------------------------------------------

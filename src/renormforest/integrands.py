@@ -1,12 +1,14 @@
 """The chaos decomposition of a tree: its (Wick set, leaf partition) classes,
 each with the forests compatible with the partition and the positive cuts
-each forest leaves free."""
+each forest leaves free.  The classes and each partition's compatible
+divergences are read off `powercount.TreeAnalysis`; the forests over them
+are listed here."""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .forests import cuts_avoiding, forests_compatible_with
+from . import forests as fo
 from .forests import leaf_partitions  # noqa: F401  (perfbench wraps this name)
 from .powercount import TreeAnalysis
 
@@ -23,15 +25,15 @@ def chaos_classes(analysis: TreeAnalysis) -> list[ChaosClass]:
     """All (Wick set, partition) classes of `analysis.tree` with their
     compatible forests and admissible cut sets; a class's summands are the
     (forest, cuts) pairs."""
-    t, table = analysis.tree, analysis.table
-    univ = [s for s, _ in analysis.divergences]
+    effective = {s for s, _ in analysis.divergences}
     all_cuts = [e for e, _ in analysis.cuts]
     out = []
     for wick, pi in analysis.gaussian_classes:
-        forests = forests_compatible_with(t, table, univ, pi, analysis.max_div)
+        univ = [s for s in analysis.compatible(pi) if s in effective]
+        forests = fo.all_forests(univ, analysis.max_div)
         cut_sets = []
         for f in forests:
-            free = cuts_avoiding(all_cuts, f)
+            free = fo.cuts_avoiding(all_cuts, f)
             cut_sets.append(
                 tuple(
                     frozenset(c)

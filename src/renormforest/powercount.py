@@ -1,9 +1,19 @@
-"""The per-tree analysis with the convergence theorem's hypotheses, and the
-power-counting certifier of the single-tree moment bounds.
+"""The per-tree analysis with the convergence theorem's hypotheses, the
+power-counting certifier of the single-tree moment bounds, and the
+coalescence trees it reasons about.
+
+`TreeAnalysis` derives each fact of a tree that no scale changes, once; the
+certifier's plan, `project` and `integrands.chaos_classes` read a leaf
+partition's compatible divergences off it (`TreeAnalysis.compatible`).
 
 The certificate puts one "up" entry per cumulant block at the cluster where
 the block's vertices join; the closed forms of the cumulant homogeneity are
-in `rules`."""
+in `rules`.
+
+A coalescence tree is a frozenset of cluster bitmasks (`Family`): a laminar
+family of vertex subsets of size >= 2 holding the full set, the children of
+a cluster being its maximal proper sub-clusters and its uncovered single
+vertices.  The poset has the root (full set) minimal."""
 from __future__ import annotations
 
 import itertools
@@ -13,12 +23,13 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from . import forests as fo
-from .coalescence import Family, bits, enumerate_trees, full_mask, popcount
 from . import multiscale as ms
-from .forests import cut_enumerate, compatible_partition
+from .forests import cut_enumerate
 from .rules import CumulantSet, fict_gain, higher_cum_check, margin, subtree_hypotheses
 from .scaling import TypeTable
 from .trees import DecoratedTree, EdgeKey, SubForest
+
+Family = frozenset  # frozenset[int] of cluster bitmasks, laminar, contains the full mask
 
 
 # -- the per-tree analysis -------------------------------------------------------------
@@ -28,14 +39,15 @@ from .trees import DecoratedTree, EdgeKey, SubForest
 class TreeAnalysis:
     """The power-counting facts of one tree that every command reads: its
     divergent subtrees with their omega, listed once under the cap
-    `max_div`, and the effective ones among them (nonvanishing counterterm),
-    its positive cuts with their Taylor order gamma, its Gaussian chaos
-    classes (Wick set, leaf partition) and the convergence theorem's
-    hypotheses on its subtrees that fail.
+    `max_div`, each with its leaf set, and the effective ones among them
+    (nonvanishing counterterm), its positive cuts with their Taylor order
+    gamma, its Gaussian chaos classes (Wick set, leaf partition) and the
+    convergence theorem's hypotheses on its subtrees that fail.
 
     They depend only on the tree, the type table and the cumulant set, not on
     a partition or on scales.  Each is computed on first use and then kept;
-    none is computed on construction."""
+    none is computed on construction.  `compatible` reads the leaf sets for
+    one partition and keeps nothing."""
 
     tree: DecoratedTree
     table: TypeTable
@@ -52,6 +64,18 @@ class TreeAnalysis:
             d for d in self.all_divergences
             if fo.irreducible_partition_exists(self.tree, d[0], self.cum)
         )
+
+    @cached_property
+    def divergence_leaves(self) -> tuple[tuple[SubForest, frozenset[int]], ...]:
+        """Every entry of `all_divergences` with its leaf set L(S)."""
+        t, table = self.tree, self.table
+        return tuple((s, t.leaves_of(s, table)) for s, _ in self.all_divergences)
+
+    def compatible(self, pi: frozenset[frozenset[int]]) -> list[SubForest]:
+        """The divergent subtrees, effective or not, compatible with the leaf
+        partition `pi` (`forests.compatible_partition`), in
+        `all_divergences` order."""
+        return [s for s, leaves in self.divergence_leaves if fo.compatible_partition(leaves, pi)]
 
     @cached_property
     def cuts(self) -> tuple[tuple[EdgeKey, int], ...]:
@@ -200,16 +224,14 @@ class Certifier:
         Comparisons sit at the cluster-rank level with ties resolved
         favorably, reflecting the bounded in-window jitter of individual
         edge scales."""
-        t, table, masks = ci.tree, self.table, eu.masks
-        analysis = self.analysis(t)
+        masks = eu.masks
+        analysis = self.analysis(ci.tree)
         cuts = [(masks[("star", e[0])], masks[("K", e)]) for e, _ in analysis.cuts]
         # the scale machinery needs every power-counting divergence: a
         # subtree with a vanishing counterterm still gets its scale-local
         # Taylor reorganization, so the universe here is the full one
         subtrees = []
-        for s, _ in analysis.all_divergences:
-            if not compatible_partition(t, table, s, ci.pi):
-                continue
+        for s in analysis.compatible(ci.pi):
             ints = sorted({masks[tag] for tag in ms.internal_tags(eu, s)})
             exts = sorted({masks[tag] for tag in ms.external_tags(eu, s)})
             if ints and exts:
@@ -286,13 +308,13 @@ class Certifier:
 
         base, total = self._subset_tables(ci, eu)
         alpha = total - (n - 1) * abs_s
-        full = full_mask(n)
+        full = (1 << n) - 1
         failures = []
         for a in range(1, full + 1):
-            if popcount(a) < 2:
+            if a.bit_count() < 2:
                 continue
             ext_types = tuple(sorted(types_of[i] for i in bits(a) if i in wick_idx))
-            rhs = abs_s * (popcount(a) - 1) + sum(
+            rhs = abs_s * (a.bit_count() - 1) + sum(
                 (self.table.hom(x) for x in ext_types), Fraction(0)
             )
             if not a & 1:
@@ -307,7 +329,7 @@ class Certifier:
                 rest_types = tuple(
                     sorted(types_of[i] for i in wick_idx if not (a >> i) & 1)
                 )
-                rhs2 = abs_s * (n - popcount(a)) + sum(
+                rhs2 = abs_s * (n - a.bit_count()) + sum(
                     (self.table.hom(x) for x in rest_types), Fraction(0)
                 )
                 if not out > rhs2:
@@ -369,6 +391,73 @@ def connected_split(edge_masks: Iterable[int]) -> Callable[[int, list[int]], boo
     return prune
 
 
+# -- coalescence trees ------------------------------------------------------------
+
+
+def bits(x: int) -> list[int]:
+    out = []
+    i = 0
+    while x:
+        if x & 1:
+            out.append(i)
+        x >>= 1
+        i += 1
+    return out
+
+
+def _set_partitions(items: list[int]) -> Iterable[list[list[int]]]:
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def enumerate_trees(n: int, cap: int = 9, prune: Optional[Callable[[int, list[int]], bool]] = None) -> list[Family]:
+    """All coalescence trees on n vertices (the full multifurcating family).
+
+    `prune(cluster, blocks)` may reject a cluster split early (used to keep
+    only trees realizable by a multigraph).  Counts grow super-exponentially,
+    so the vertex count is capped.
+    """
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    if n > cap:
+        raise fo.CapExceeded(
+            f"{n} vertices exceeds the cap {cap}; the tree count grows like "
+            "the ordered-partition numbers (660032 already at 9 vertices)"
+        )
+    memo: dict[int, list[Family]] = {}
+
+    def rec(cluster: int) -> list[Family]:
+        if cluster in memo:
+            return memo[cluster]
+        vs = bits(cluster)
+        out: list[Family] = []
+        for part in _set_partitions(vs):
+            if len(part) < 2:
+                continue
+            blocks = [sum(1 << v for v in blk) for blk in part]
+            if prune is not None and not prune(cluster, blocks):
+                continue
+            sub_lists = []
+            for b in blocks:
+                if b.bit_count() >= 2:
+                    sub_lists.append(rec(b))
+                else:
+                    sub_lists.append([frozenset()])
+            for combo in itertools.product(*sub_lists):
+                fam = frozenset({cluster}).union(*combo)
+                out.append(fam)
+        memo[cluster] = out
+        return out
+
+    return rec((1 << n) - 1)
+
+
 def trees_containing(
     n: int,
     cluster: int,
@@ -391,9 +480,9 @@ def trees_containing(
     of the unpruned trees all of whose clusters pass `prune` with their
     `children_blocks`, in the same order.
     """
-    if popcount(cluster) < 2:
+    if cluster.bit_count() < 2:
         raise ValueError("a cluster needs at least two vertices")
-    full = full_mask(n)
+    full = (1 << n) - 1
 
     def enumerate_expanded(pieces: list[int]) -> list[Family]:
         def expand(mask: int) -> int:

@@ -435,11 +435,7 @@ class Workbench:
                     [f"scale of edge {key} is {n[tag]}, outside 0..{caps['scale_range']}"]
                 )
         analysis = self.analysis(t)
-        compat = [
-            s
-            for s, _ in analysis.all_divergences
-            if fo.compatible_partition(t, table, s, pi)
-        ]
+        compat = analysis.compatible(pi)
         family = fo.all_forests(compat, cap=caps["max_div"])
         cuts = [e for e, _ in analysis.cuts]
         rows = []
@@ -625,12 +621,4 @@ def report_emit(result: dict | str) -> str:
         return result
     body = {"schema_version": SCHEMA_VERSION}
     body.update(result)
-    return json.dumps(body, sort_keys=True, indent=2, default=_json_default) + "\n"
-
-
-def _json_default(x):
-    if isinstance(x, Fraction):
-        return frac_str(x)
-    if isinstance(x, frozenset):
-        return sorted(x, key=repr)
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+    return json.dumps(body, sort_keys=True, indent=2) + "\n"

@@ -24,13 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from coalescence_oracle import ancestor, children_blocks, grand_ancestor
-from renormforest.coalescence import Cluster, Family, bits, enumerate_trees, full_mask, popcount
+from coalescence_oracle import Cluster, ancestor, children_blocks, full_mask, grand_ancestor, popcount
 from renormforest.forests import compatible_partition, cut_enumerate, div_enumerate
 from renormforest.powercount import (
     CertificateInput,
     Certifier,
+    Family,
+    bits,
     connected_split,
+    enumerate_trees,
     trees_containing as pruned_trees_containing,
 )
 
@@ -42,7 +44,7 @@ def div_universe(cert: Certifier, ci: CertificateInput) -> list:
     return [
         s
         for s, _ in univ
-        if compatible_partition(ci.tree, cert.table, s, ci.pi)
+        if compatible_partition(ci.tree.leaves_of(s, cert.table), ci.pi)
     ]
 
 

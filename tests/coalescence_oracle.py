@@ -1,6 +1,8 @@
 """Test-only helpers on coalescence trees (frozensets of cluster bitmasks,
-as in `renormforest.coalescence`).
+as in `renormforest.powercount`).
 
+- `Cluster`, `popcount` and `full_mask` name a cluster bitmask, count its
+  vertices and give the mask of all n vertices;
 - `build_coalescence` builds the labelled tree of a multigraph under a scale
   assignment, the input of the worked examples;
 - `join`, `strict_join` and `ancestor` find the cluster where a set of
@@ -14,7 +16,17 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from renormforest.coalescence import Cluster, Family, bits, full_mask, popcount
+from renormforest.powercount import Family, bits
+
+Cluster = int  # bitmask over vertex indices
+
+
+def popcount(x: int) -> int:
+    return x.bit_count()
+
+
+def full_mask(n: int) -> int:
+    return (1 << n) - 1
 
 
 def join(fam: Family, mask: int) -> Cluster:

@@ -24,7 +24,8 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from renormforest.coalescence import Cluster, Family, bits, enumerate_trees, full_mask, popcount
+from coalescence_oracle import Cluster, full_mask, popcount
+from renormforest.powercount import Family, bits, enumerate_trees
 from renormforest.rules import CumulantSet, fict_gain
 
 

@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 
 import certify_oracle as oracle
 from conftest import BPHZ_TERMS, CERTIFY_VARIANTS, Phi4, certifier, variant_workbench
-from renormforest.coalescence import enumerate_trees, full_mask, popcount
+from coalescence_oracle import full_mask, popcount
 from renormforest.powercount import (
     Certifier,
     CertificateInput,
+    bits,
     connected_split,
+    enumerate_trees,
     trees_containing,
 )
+from renormforest.multiscale import external_tags, harvested_cuts, internal_tags, safe_projection
 from renormforest.workbench import Workbench, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -298,3 +301,48 @@ def test_pruned_trees_containing_matches_filtered_list(case):
     got = list(trees_containing(n, cluster, prune))
     assert got == list(oracle.trees_containing(n, cluster, prune))
     assert list(trees_containing(n, cluster)) == list(oracle.trees_containing(n, cluster))
+
+
+# (class, subset) pairs of the shipped bases by verdict: 14 252 in all
+SAME_SCALES_VERDICTS = {
+    "kpz": {True: 3315, False: 1984},
+    "phi4_3": {True: 5320, False: 3633},
+}
+
+
+@pytest.mark.parametrize("model", ["kpz", "phi4_3"])
+def test_certify_and_project_describe_the_same_scales(model):
+    """The certifier's per-subset decision against the scale rules that
+    `project` applies.  For every chaos class of every basis tree and every
+    vertex subset a of at least two vertices, let n_a put scale 1 on each
+    edge inside a and 0 on every other edge.  Then a is witnessed
+    (`Certifier._witnessed`) exactly when a is connected, no positive cut is
+    harvested from the empty forest under n_a, and every divergence
+    compatible with the partition that has internal and external edges is
+    its own safe projection under n_a."""
+    wb = Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")))
+    cert = Certifier(wb.analysis, wb.config.caps["max_coalescence_vertices"])
+    verdicts = {True: 0, False: 0}
+    for t in wb.basis():
+        analysis = wb.analysis(t)
+        cuts = [e for e, _ in analysis.cuts]
+        for wick, pi in analysis.gaussian_classes:
+            ci = CertificateInput(tree=t, wick=wick, pi=pi)
+            eu = cert.build(ci)
+            plan = cert._interval_plan(ci, eu)
+            connected = connected_split(eu.masks.values())
+            subtrees = [
+                s for s in analysis.compatible(pi) if internal_tags(eu, s) and external_tags(eu, s)
+            ]
+            for a in range(1, 1 << len(eu.verts)):
+                if popcount(a) < 2:
+                    continue
+                n_a = {tag: int(m & a == m) for tag, m in eu.masks.items()}
+                scales = (
+                    connected(a, [1 << v for v in bits(a)])
+                    and not harvested_cuts(eu, frozenset(), cuts, n_a)
+                    and all(safe_projection(eu, frozenset({s}), n_a) == {s} for s in subtrees)
+                )
+                assert cert._witnessed(plan, connected, a) == scales, (t, wick, pi, a)
+                verdicts[scales] += 1
+    assert verdicts == SAME_SCALES_VERDICTS[model]

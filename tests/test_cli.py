@@ -329,6 +329,33 @@ def test_bad_scales_are_input_errors(doc, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "caps, edge, scale, top",
+    [
+        (None, "K:0,1", 65, 64),
+        (None, "star:3", -1, 64),
+        ('{"scale_range": 3}', "K:0,3", 4, 3),
+    ],
+    ids=["above-64", "negative", "above-the-cap"],
+)
+def test_scales_outside_the_range_are_input_errors(caps, edge, scale, top, tmp_path, capsys, monkeypatch):
+    """A scale outside 0..scale_range exits 2 and names the range; the
+    range's ends are accepted."""
+    if caps is None:
+        monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+    else:
+        monkeypatch.setenv("RENORMFOREST_CAPS", caps)
+    path = tmp_path / "scales.json"
+    argv = ["--config", config_path("kpz"), "project", "T2", "--scales", str(path)]
+    for value, code in ((scale, 2), (0, 0), (top, 0)):
+        path.write_text(json.dumps({"pi": [], "scales": dict(KPZ_T2_SCALES, **{edge: value})}))
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert f"outside 0..{top}" in captured.err
+
+
 def test_certify(capsys, monkeypatch):
     monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
     assert cli.main(["--config", config_path("kpz"), "certify", "T3"]) == 0

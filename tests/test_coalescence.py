@@ -9,9 +9,11 @@ from coalescence_oracle import (
     children_blocks,
     grand_ancestor,
     labelings_consistent,
+    full_mask,
+    popcount,
     restrict_tree,
 )
-from renormforest.coalescence import enumerate_trees, full_mask, popcount
+from renormforest.powercount import enumerate_trees
 from renormforest.forests import CapExceeded
 
 

@@ -27,7 +27,6 @@ from renormforest.forests import (
     cut_enumerate,
     div_enumerate,
     forest_parents,
-    forests_compatible_with,
     irreducible_partition_exists,
     is_forest_of_subtrees,
     nested_or_disjoint,
@@ -218,7 +217,8 @@ def test_forest_parents_match_oracle_on_drawn_forests(t, picks):
 def test_kpz_scenario_forests(kpz):
     """The seven admissible class patterns of the chain tree."""
     t, table = kpz.t211, kpz.table
-    univ = [s for s, _ in analyses(kpz)(t).divergences]
+    analysis = analyses(kpz)(t)
+    effective = {s for s, _ in analysis.divergences}
     leaves = sorted(t.leaf_nodes(table))
 
     def hops(u):
@@ -233,7 +233,8 @@ def test_kpz_scenario_forests(kpz):
 
     def f_pi(blocks):
         pi = frozenset(frozenset(b) for b in blocks)
-        return forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
+        univ = [s for s in analysis.compatible(pi) if s in effective]
+        return all_forests(univ, DEFAULT_CAPS["max_div"])
 
     assert len(f_pi([])) == 1
     assert len(f_pi([(v3, v4)])) == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KPZ, ROOT, decorated_trees
+from conftest import KPZ, ROOT, analyses, decorated_trees
 from multiscale_oracle import (
     TagScan,
     dangerous_extension,
@@ -13,10 +13,10 @@ from multiscale_oracle import (
     reorganize,
 )
 from renormforest.forests import (
+    all_forests,
     cut_enumerate,
     div_enumerate,
     forest_parents,
-    forests_compatible_with,
     leaf_partitions,
     nested_or_disjoint,
 )
@@ -32,6 +32,12 @@ from renormforest.multiscale import (
 )
 from renormforest.trees import StructureError
 from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
+
+
+def compatible_forests(setting, t, pi):
+    """F_pi: the forests over every divergent subtree of `t`, effective or
+    not, that the partition admits."""
+    return all_forests(analyses(setting)(t).compatible(pi), DEFAULT_CAPS["max_div"])
 
 
 def _setup(kpz, pi_blocks=None):
@@ -53,7 +59,7 @@ def _setup(kpz, pi_blocks=None):
     pi = frozenset(frozenset(b) for b in pi_blocks)
     eu = EdgeUniverse(t, table, pi)
     univ = [s for s, _ in div_enumerate(t, table)]
-    compat = forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
+    compat = compatible_forests(kpz, t, pi)
     return t, table, eu, univ, compat, (v1, v2, v3, v4)
 
 
@@ -203,7 +209,7 @@ def random_setting(rng, phi4, kpz):
             if ps:
                 subsets.append(rng.choice(ps))
     pi = rng.choice(subsets) if subsets else frozenset()
-    return t, table, pi
+    return setting, t, table, pi
 
 
 def test_path_scale_matches_exhaustive_under_forests(phi4, kpz):
@@ -214,12 +220,11 @@ def test_path_scale_matches_exhaustive_under_forests(phi4, kpz):
     rng = random.Random(20261019)
     draws = 0
     while draws < 30:
-        t, table, pi = random_setting(rng, phi4, kpz)
+        setting, t, table, pi = random_setting(rng, phi4, kpz)
         eu = EdgeUniverse(t, table, pi)
         if len(eu.tags) > 14:
             continue
-        univ = [s for s, _ in div_enumerate(t, table)]
-        compat = [f for f in forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"]) if f]
+        compat = [f for f in compatible_forests(setting, t, pi) if f]
         if not compat:
             continue
         f = frozenset(rng.choice(compat))
@@ -238,10 +243,10 @@ def test_property_suite(phi4, kpz):
     rng = random.Random(20260809)
     draws = 0
     while draws < 500:
-        t, table, pi = random_setting(rng, phi4, kpz)
+        setting, t, table, pi = random_setting(rng, phi4, kpz)
         eu = EdgeUniverse(t, table, pi)
         univ = [s for s, _ in div_enumerate(t, table)]
-        compat = forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
+        compat = compatible_forests(setting, t, pi)
         cuts = [e for e, _ in cut_enumerate(t, table)]
         n = eu.random_assignment(rng, 0, 64)
         f = frozenset(rng.choice(compat))
@@ -284,7 +289,7 @@ def test_reorganize_kpz_counts(kpz):
     t, table, eu0, univ, compat0, (v1, v2, v3, v4) = _setup(kpz)
     pi = frozenset({frozenset({v2, v3})})
     eu = EdgeUniverse(t, table, pi)
-    compat = forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
+    compat = compatible_forests(kpz, t, pi)
     cuts = [e for e, _ in cut_enumerate(t, table)]
     rng = random.Random(99)
     for _ in range(100):
@@ -302,8 +307,7 @@ def test_reorganize_phi4_cover(phi4):
     leaves = sorted(t.leaf_nodes(table))
     pi = frozenset({frozenset(leaves[1:3]), frozenset(leaves[3:5])})
     eu = EdgeUniverse(t, table, pi)
-    univ = [s for s, _ in div_enumerate(t, table)]
-    compat = forests_compatible_with(t, table, univ, pi, DEFAULT_CAPS["max_div"])
+    compat = compatible_forests(phi4, t, pi)
     cuts = [e for e, _ in cut_enumerate(t, table)]
     rng = random.Random(7)
     for _ in range(10):

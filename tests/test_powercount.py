@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from certify_oracle import div_universe, evaluate_hom, realizable
 from conftest import KAPPA, Phi4, certifier
 from cumulant_oracle import CumulantHomogeneity, jump_recursion, partitions_list
-from renormforest.coalescence import enumerate_trees, full_mask
-from renormforest.powercount import CertificateInput, trees_containing
+from coalescence_oracle import full_mask
+from renormforest.powercount import CertificateInput, enumerate_trees, trees_containing
 from renormforest.rules import CumulantSet, fict_gain, gain, higher_cum_check, jump
 from renormforest.scaling import ScalingSpec, TypeTable
 

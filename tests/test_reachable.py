@@ -185,6 +185,25 @@ def test_defaulted_parameters_do_not_grow():
     )
 
 
+def referrers(name: str) -> set[str]:
+    """The module-level functions and methods of `src/renormforest` whose
+    bodies reference `name` (`scan`), and the modules whose own statements
+    do."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        top, defs = scan(ast.parse(path.read_text(encoding="utf-8")))
+        if name in top:
+            out.add(path.stem)
+        out |= {f"{path.stem}.{qual}" for qual, _, refs in defs if name in refs}
+    return out
+
+
+def test_only_the_analysis_tests_partition_compatibility():
+    """A partition's compatible divergences are read off the tree's
+    analysis, which holds each divergence's leaf set."""
+    assert referrers("compatible_partition") == {"powercount.TreeAnalysis.compatible"}
+
+
 # what a shape is under a type table is worked out in `trees` alone
 SHAPE_FACT_NAMES = {"_shape", "_by_table", "_TableFacts"}
 
