@@ -43,7 +43,7 @@ class FormalSum:
 
     def __init__(self, terms: Mapping[Hashable, Coefficient] | Iterable[tuple[Hashable, Coefficient]] = ()):
         acc: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if hasattr(terms, "items") else terms  # cheaper than an ABC check
         for key, coeff in items:
             if type(coeff) is not int:
                 coeff = exact(coeff)

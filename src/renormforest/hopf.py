@@ -36,18 +36,22 @@ order of their smallest nodes), and every
 remainder of a recentering those it keeps (`_plus_colored`), so no colored
 tree that the expansion builds is scanned for them.
 Delta_+ and A_+ recenter a piece around rooted subtrees (`_recenterings`).
-Every piece they recenter is a `with_` copy of the expanded tree, so the
-shared shape lists the rooted subtrees and their boundaries once
-(`DecoratedTree.rooted_subtrees`), and each piece only filters them by its
-color-1 components.  Recentering changes no label above the subtree, so the
-bound on each boundary edge's decoration, and the X_+ test of each dangling
-tree, read the piece's up-tree table (`trees.up_hom_table`): the shape's
-label-free table, worked out once per shape, with the piece's own labels
-added; a piece that A_+ finds colored 2 throughout has no dangling tree and
-needs only its sign, not the table.  Every piece that Delta_- and A_-
-extract, and every left piece of Delta_+ and A_+, is a restriction of the
-expanded tree, and all restrictions to one subforest share one shape
-(`DecoratedTree.restrict`), built once with its facts.
+Every piece they recenter is a `with_` copy of the expanded tree, whose
+shape lists the rooted subtrees S and their boundaries once
+(`DecoratedTree.rooted_subtrees`); a piece picks its own by one test
+(`_selected`), that S's boundary avoids a forbidden set: the color-1 edges
+(S holds or misses each color-1 component), the edges of non-positive
+up-tree entry (S's dangling trees are positive), and for A_+ the color-2
+edges and the foot edges of the color-2 part's dangling trees (S holds
+them).  Recentering changes no label above S, so those entries, the bounds
+on S's boundary decorations and the X_+ test read the piece's up-tree table
+(`trees.up_hom_table`): the shape's label-free table, worked out once per
+shape, with the piece's own labels added; a piece that A_+ finds colored 2
+throughout has no dangling tree and needs only its sign, not the table.
+Every piece that Delta_- and A_- extract, and every left piece of Delta_+
+and A_+, is a restriction of the expanded tree, and all restrictions to one
+subforest share one shape (`DecoratedTree.restrict`), built once with its
+facts.
 """
 from __future__ import annotations
 
@@ -347,21 +351,18 @@ class _AntipodeMinus:
 # -- positive coaction and antipode ------------------------------------------------
 
 
-def _admissible_rooted(
-    piece: DecoratedTree, table: TypeTable
+def _selected(
+    piece: DecoratedTree, table: TypeTable, up: dict[EdgeKey, Fraction], *forbidden: Iterable[EdgeKey]
 ) -> list[tuple[SubForest, tuple[EdgeKey, ...]]]:
-    """A_2: subtrees S containing the root, the trivial one included, such
-    that every color-1 component is contained in S or disjoint from it,
-    each with its boundary.  They are the shape's rooted subtrees
-    (`DecoratedTree.rooted_subtrees`, with the noise edges riding along with
-    their parent nodes, so recentering can never strand one), filtered by
-    the piece's color-1 components."""
-    comps = piece.hat1_components()
-    return [
-        (s, boundary)
-        for s, boundary in piece.rooted_subtrees(table)
-        if all(not c.nodes & s.nodes or (c.nodes <= s.nodes and c.edges <= s.edges) for c in comps)
-    ]
+    """The rooted subtrees S of the piece, with their boundaries, in
+    `DecoratedTree.rooted_subtrees` order, whose boundary holds no color-1
+    edge, no edge of non-positive entry in the up-tree table `up` and no
+    edge of `forbidden`.  A connected C with a node in S lies in S unless
+    one of its kernel edges is on S's boundary, so S holds or misses each
+    color-1 component (A_2), and holds the color-2 part, which holds the
+    root, where its edges are forbidden."""
+    fence = piece.hat1.edges.union(*forbidden, (e for e, h in up.items() if h <= 0))
+    return [(s, boundary) for s, boundary in piece.rooted_subtrees(table) if fence.isdisjoint(boundary)]
 
 
 def _plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[list[SubForest], SubForest]:
@@ -384,23 +385,19 @@ def _recenterings(
     up: dict[EdgeKey, Fraction],
     subtrees: Iterable[tuple[SubForest, tuple[EdgeKey, ...]]],
 ) -> Iterator[tuple[DecoratedTree, Coefficient, DecoratedTree]]:
-    """The piece recentered around each S of `subtrees` (rooted, holding the
-    color-2 part, given with its boundary), with every split of the node
-    labels and every labelling e_S of S's boundary edges that keeps the
-    dangling trees positive (the up-tree table `up` is the headroom of each
-    boundary edge, and S is skipped where its boundary holds an edge whose
-    entry is not positive).  Yields (left piece, coefficient, remainder):
-    the left piece is S with the node labels n_S + chi(e_S), where n_S takes
-    part of each uncolored label in S and all of the color-2 labels n^,
-    which the remainder gives up; S restricts the piece unless it is the
-    whole piece, whose restriction is the piece itself."""
+    """The piece recentered around each S of `subtrees` (as `_selected`
+    picks them, with their boundaries), with every split of the node labels
+    and every labelling e_S of S's boundary edges that keeps the dangling
+    trees positive (the up-tree table `up` is the headroom of each boundary
+    edge).  Yields (left piece, coefficient, remainder): the left piece is S
+    with the node labels n_S + chi(e_S), where n_S takes part of each
+    uncolored label in S and all of the color-2 labels n^, which the
+    remainder gives up; S restricts the piece unless it is the whole piece,
+    whose restriction is the piece itself."""
     fict = piece.fictitious_nodes(table)
     nhat = _color2_labels(piece, table)
-    nonpositive = {e for e, h in up.items() if h <= 0}
     whole = len(piece.edge_set)  # S holds edges of the piece only
     for s, boundary in subtrees:
-        if not nonpositive.isdisjoint(boundary):
-            continue
         hat1, hat2 = _plus_colored(piece, s)
         colored = {"hat1": hat1, "hat2": hat2}
         # o labels sit on color-1 nodes, and S holds a component or misses it
@@ -421,18 +418,20 @@ def _recenterings(
                 yield left, coeff_n * coeff_e, remainder
 
 
+def _delta_plus_terms(piece: DecoratedTree, table: TypeTable) -> Iterator[tuple]:
+    """The terms of Delta_+ on a tree of color <= 1, unsummed:
+    `_recenterings` around each rooted subtree that `_selected` picks."""
+    up = up_hom_table(piece, table)
+    return _recenterings(piece, table, up, _selected(piece, table, up))
+
+
 def delta_plus(piece: DecoratedTree, table: TypeTable) -> FormalSum:
     """The recentering coaction on a tree of color <= 1: a sum of
     (rooted piece, recentered remainder) pairs, the remainder filtered to
     X_+."""
     if piece.hat2.nodes:
         raise ValueError("the positive coaction acts on trees of color <= 1")
-    return FormalSum(
-        ((left, remainder), coeff)
-        for left, coeff, remainder in _recenterings(
-            piece, table, up_hom_table(piece, table), _admissible_rooted(piece, table)
-        )
-    )
+    return FormalSum(((left, remainder), coeff) for left, coeff, remainder in _delta_plus_terms(piece, table))
 
 
 class _AntipodePlus:
@@ -466,7 +465,7 @@ class _AntipodePlus:
         outer_sign = (-1) ** len(f_slots)
         f_choices = [(ed_f, _chi(ed_f), coeff_f) for ed_f, coeff_f in _edge_choices(f_slots, up, t)]
         terms = []
-        for left_s, coeff_s, remainder in _recenterings(piece, t, up, self._abar2(piece, f_slots)):
+        for left_s, coeff_s, remainder in _recenterings(piece, t, up, self._abar2(piece, f_slots, up)):
             # within the headroom every dangling tree of S stays positive, so
             # the remainder lies in X_+
             right = self.run(remainder)
@@ -486,21 +485,15 @@ class _AntipodePlus:
         return result
 
     def _abar2(
-        self, piece: DecoratedTree, dangling: list[EdgeKey]
-    ) -> Iterator[tuple[SubForest, tuple[EdgeKey, ...]]]:
-        """Admissible rooted subtrees, with their boundaries, that strictly
-        grow the color-2 part and meet every dangling tree, that is, contain
-        the edge at its foot (a rooted subtree holding any edge of T_>=(e)
-        holds e)."""
-        for s, boundary in _admissible_rooted(piece, self.table):
-            if not (piece.hat2.nodes <= s.nodes and piece.hat2.edges <= s.edges):
-                continue
-            if s.edges == piece.hat2.edges:
-                # the induction is on the number of uncolored edges, so the
-                # recentered subtree must strictly grow the color-2 part
-                continue
-            if all(e in s.edges for e in dangling):
-                yield s, boundary
+        self, piece: DecoratedTree, f_slots: list[EdgeKey], up: dict[EdgeKey, Fraction]
+    ) -> list[tuple[SubForest, tuple[EdgeKey, ...]]]:
+        """What `_selected` picks with the color-2 edges and the foot
+        edges `f_slots` forbidden too: S holds the color-2 part and meets
+        each of its dangling trees (holding any edge of T_>=(f), S holds
+        f).  S must strictly grow the color-2 part, as the induction is on
+        the number of uncolored edges."""
+        picked = _selected(piece, self.table, up, piece.hat2.edges, f_slots)
+        return [(s, boundary) for s, boundary in picked if s.edges != piece.hat2.edges]
 
 
 # -- the full expansion and the report ---------------------------------------------
@@ -552,7 +545,7 @@ def bphz_expansion(
         if own is not None:
             residual = remainder.with_(o_label={}) if remainder.o_label_items else remainder
             own.extend(((tuple(sorted(lkey + (residual,))),), -c1 * cl) for (lkey,), cl in left.items())
-        for (mid, rec_piece), c2 in delta_plus(remainder, table).items():
+        for mid, c2, rec_piece in _delta_plus_terms(remainder, table):
             right = anti_plus.run(rec_piece)
             c12 = c1 * c2
             for (lkey,), cl in left.items():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -337,9 +336,11 @@ def generate_trees(
     of the type homogeneities (s-degrees are ints), which is exact.  Each
     tree is grafted (`trees.graft`) from its root's label and production and
     the planted subtrees the search chose for the production's kernel
-    entries, once per call: the graft is keyed by the label and the multiset
-    of branches, so another budget, bound or order of equal branches that
-    asks for the same tree gets the one already built.
+    entries, once per call.  Equal entries take their subtrees in
+    non-decreasing canonical order, so the search walks each multiset of
+    branches in one order, and the graft is keyed by the label and that
+    order: another budget or bound that asks for the same tree gets the one
+    already built.
     """
     table = rule.table
     scaling = table.scaling
@@ -396,7 +397,7 @@ def generate_trees(
             spread_memo[key] = best
         return spread_memo[key]
 
-    # each grafted tree, by its root label and multiset of branches
+    # each grafted tree, by its root label and branches
     grafted: dict[tuple, DecoratedTree] = {}
     cache: dict[tuple[Optional[str], int, int], list[tuple[int, DecoratedTree]]] = {}
 
@@ -429,18 +430,22 @@ def generate_trees(
                 if rest is None:
                     return
                 for h, sub in gen(kernels[idx], left, bound - hom - rest):
+                    # equal entries, adjacent in a sorted production, take
+                    # their subtrees in non-decreasing canonical order
+                    if idx and kernel_entries[idx] == kernel_entries[idx - 1]:
+                        if sub.canonical_code() < acc[-1].canonical_code():
+                            continue
                     acc.append(sub)
                     yield from branches(idx + 1, left - len(sub.edge_items), hom + h, acc)
                     acc.pop()
 
             for hom, subs in branches(0, budget - len(p), fixed, []):
-                planted = noises + [(name, k, sub, sub.root) for (name, k), sub in zip(kernel_entries, subs)]
-                multiset = frozenset(Counter(planted).items())
+                planted = (*noises, *((name, k, sub, sub.root) for (name, k), sub in zip(kernel_entries, subs)))
                 for lab, lab_hom in label_homs:
                     if hom + lab_hom < bound:
-                        if (lab, multiset) not in grafted:
-                            grafted[lab, multiset] = graft(lab, planted)
-                        t = grafted[lab, multiset]
+                        if (lab, planted) not in grafted:
+                            grafted[lab, planted] = graft(lab, planted)
+                        t = grafted[lab, planted]
                         out[t.canonical_code()] = (hom + lab_hom, t)
         cache[key] = list(out.values())
         return cache[key]

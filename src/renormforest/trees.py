@@ -219,7 +219,9 @@ class _TableFacts:
     @cached_property
     def rooted(self) -> tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]:
         """S is determined by its kernel edges; the noise edges ride along
-        with their parent nodes (a noise is an attribute of its node)."""
+        with their parent nodes (a noise is an attribute of its node).  So
+        a connected subforest with a node in S lies in S unless one of its
+        edges is on S's boundary, and what S holds is read off that."""
         shape, out = self.shape, []
         for acc in shape.rooted_edge_sets(shape.root, frozenset(self.kernel)):
             nodes = {shape.root, *itertools.chain.from_iterable(acc)}
@@ -639,7 +641,7 @@ class DecoratedTree:
     def rooted_subtrees(self, table: TypeTable) -> tuple[tuple[SubForest, tuple[EdgeKey, ...]], ...]:
         """Every subtree S holding the root, the trivial one included, with
         its boundary (`_TableFacts.rooted`), in `_Shape.rooted_edge_sets`
-        order."""
+        order: a recentering picks S by the edges its boundary avoids."""
         return self._shape.facts(table).rooted
 
     def all_subtrees(self) -> list[SubForest]:

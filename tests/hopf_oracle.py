@@ -6,7 +6,10 @@ antipode summed each forest into, the negative antipode listing the divergent
 subtrees of every piece it visits, the counterterm constants by their own
 recursion with a vanishing filter and the counterterm report built on them,
 the recentering bounds found by building a
-probe tree and restricting it to each dangling up-tree, and Delta_+ and the
+probe tree and restricting it to each dangling up-tree, the recentering
+subtrees of Delta_+ and the positive antipode picked by their own filters
+(A_2 by the color-1 components, then the color-2 part, the foot edges and
+positivity, each by its own scan), and Delta_+ and the
 positive antipode each with its own recentering loop, and the three-slot
 expansion whose negative antipode of the expanded tree goes through its own
 recursion.  The decorations of an
@@ -26,7 +29,6 @@ from renormforest.formal import Coefficient, FormalSum, exact, exact_div
 from renormforest.hopf import (
     CountertermMonomial,
     CountertermReport,
-    _admissible_rooted,
     _AntipodeMinus,
     _AntipodePlus,
     _bare_constant_key,
@@ -565,13 +567,61 @@ def probe_headrooms(piece: DecoratedTree, s: SubForest, table: TypeTable) -> lis
     return out
 
 
+# -- the recentering subtrees by their own filters -----------------------------------
+
+
+def admissible_rooted(
+    piece: DecoratedTree, table: TypeTable
+) -> list[tuple[SubForest, tuple[EdgeKey, ...]]]:
+    """A_2 as `hopf` filtered it before one boundary test picked the
+    recentering subtrees: the rooted subtrees S, with their boundaries, such
+    that every color-1 component is contained in S or disjoint from it."""
+    comps = piece.hat1_components()
+    return [
+        (s, boundary)
+        for s, boundary in piece.rooted_subtrees(table)
+        if all(not c.nodes & s.nodes or (c.nodes <= s.nodes and c.edges <= s.edges) for c in comps)
+    ]
+
+
+def positive(
+    up: dict[EdgeKey, Fraction], subtrees: Iterable[tuple[SubForest, tuple[EdgeKey, ...]]]
+) -> list[tuple[SubForest, tuple[EdgeKey, ...]]]:
+    """The entries of `subtrees` whose boundary holds no edge of
+    non-positive entry in the up-tree table `up`: the scan that the
+    recentering loop made over each subtree it was handed."""
+    nonpositive = {e for e, h in up.items() if h <= 0}
+    return [(s, boundary) for s, boundary in subtrees if nonpositive.isdisjoint(boundary)]
+
+
+def delta_plus_subtrees(piece: DecoratedTree, table: TypeTable) -> list:
+    """Delta_+'s recentering subtrees: the admissible ones, then the
+    positive ones."""
+    return positive(up_hom_table(piece, table), admissible_rooted(piece, table))
+
+
+def antipode_plus_subtrees(piece: DecoratedTree, table: TypeTable, f_slots: Sequence[EdgeKey]) -> list:
+    """The positive antipode's recentering subtrees: the admissible ones
+    that hold the color-2 part, differ from it and hold every foot edge in
+    `f_slots`, then the positive ones."""
+    out = []
+    for s, boundary in admissible_rooted(piece, table):
+        if not (piece.hat2.nodes <= s.nodes and piece.hat2.edges <= s.edges):
+            continue
+        if s.edges == piece.hat2.edges:
+            continue
+        if all(e in s.edges for e in f_slots):
+            out.append((s, boundary))
+    return positive(up_hom_table(piece, table), out)
+
+
 def abar2(piece: DecoratedTree, table: TypeTable) -> list[SubForest]:
     """The positive antipode's recentered subtrees, meeting each dangling
     tree in some edge."""
     danglers = dangling_trees(piece, piece.hat2, table)
     return [
         s
-        for s, _ in _admissible_rooted(piece, table)
+        for s, _ in admissible_rooted(piece, table)
         if piece.hat2.nodes <= s.nodes
         and piece.hat2.edges <= s.edges
         and s.edges != piece.hat2.edges
@@ -586,7 +636,7 @@ def recentering_cases(t: DecoratedTree, table: TypeTable) -> Iterator[tuple[Deco
     runs on, with its recentered subtrees."""
     anti_plus = _AntipodePlus(table)
     for _, remainder in delta_minus(t, table, div_enumerate(t, table)).keys():
-        for s, _ in _admissible_rooted(remainder, table):
+        for s, _ in admissible_rooted(remainder, table):
             yield remainder, s
         for _, rec_piece in delta_plus(remainder, table).keys():
             anti_plus.run(rec_piece)
@@ -604,7 +654,7 @@ def delta_plus_loop(piece: DecoratedTree, table: TypeTable) -> FormalSum:
     fict = piece.fictitious_nodes(table)
     up = up_hom_table(piece, table)
     terms = []
-    for s, _ in _admissible_rooted(piece, table):
+    for s, _ in admissible_rooted(piece, table):
         boundary = _boundary(piece.kernel_edges(table), s)
         headroom = up_headroom(boundary, up)
         if headroom is None:

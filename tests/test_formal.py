@@ -1,9 +1,11 @@
 """Property tests for `FormalSum`: building from pairs agrees with the fold
-of single terms it replaced, cancelled keys are dropped, the tensor
+of single terms it replaced, a mapping and an iterable of its pairs build
+the same sum, cancelled keys are dropped, the tensor
 product of the test oracle `hopf_oracle.tensor` is bilinear, and the mixed
 `int`/`Fraction` coefficients agree by value with the all-`Fraction` oracle
 `formal_oracle.FractionSum`."""
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +51,20 @@ def test_cancelled_keys_dropped(terms):
     assert all(fs.coeff(k) == v for k, v in total.items())
     assert all(c != 0 for _, c in fs.items())
     assert len(fs) == len(list(fs.items()))
+
+
+@given(pairs)
+def test_mappings_and_iterables_build_equal_sums(terms):
+    """A dict, a read-only view of it, a list of its pairs and a generator
+    of them build one sum, and so does the list of repeated pairs it sums."""
+    total: dict = {}
+    for key, coeff in terms:
+        total[key] = total.get(key, Fraction(0)) + coeff
+    want = FormalSum(total)
+    assert FormalSum(MappingProxyType(total)) == want
+    assert FormalSum(list(total.items())) == want
+    assert FormalSum(pair for pair in total.items()) == want
+    assert FormalSum(terms) == want
 
 
 @given(pairs, pairs, pairs, coeffs)

@@ -143,3 +143,28 @@ def test_setup_builds_few_trees(monkeypatch):
         Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8"))).basis()
     assert len(grafts) <= 15
     assert len(built) <= 32
+
+
+@pytest.mark.parametrize("poly_sdeg_bound", [0, 1])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_each_call_grafts_each_distinct_tree_once(monkeypatch, model, poly_sdeg_bound):
+    """The graft table is keyed by the branches in the order the search
+    walks them, so a tree is grafted again exactly when the search walks
+    two orders of one multiset of equal branches.  Phi4's production
+    (I, I, I) and KPZ's (t, t) take distinct subtrees on equal entries, and
+    in no call is one tree grafted twice."""
+    results = []
+    graft = renormforest.rules.graft
+
+    def counted_graft(*args):
+        results.append(graft(*args))
+        return results[-1]
+
+    monkeypatch.setattr(renormforest.rules, "graft", counted_graft)
+    rule = MODELS[model].rule
+    for cutoff in (Fraction(0), Fraction(1)):
+        for max_edges in range(1, 7 if poly_sdeg_bound else 8):
+            results.clear()
+            generate_trees(rule, cutoff, max_edges, poly_sdeg_bound)
+            codes = [t.canonical_code() for t in results]
+            assert len(set(codes)) == len(codes)

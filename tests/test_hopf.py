@@ -45,7 +45,6 @@ from renormforest import hopf, trees
 from renormforest.forests import cut_enumerate, div_enumerate, sigma_negative
 from renormforest.formal import FormalSum
 from renormforest.hopf import (
-    _admissible_rooted,
     _AntipodeMinus,
     _AntipodePlus,
     _bare_constant_key,
@@ -465,15 +464,16 @@ def assert_headroom_matches_probe(piece, s, table):
 def assert_x_plus_matches_probe(piece, table):
     """X_+ membership, the bounds on the f decorations at the foot of the
     dangling trees and the positive antipode's recentered subtrees equal
-    their probe-based versions."""
+    their probe-based versions (the subtrees meeting every dangling tree,
+    kept where each boundary edge has a positive entry)."""
     assert in_X_plus(piece, table, up_hom_table(piece, table)) == hopf_oracle.in_X_plus(piece, table)
     f_slots = sorted(_boundary(piece.kernel_edges(table), piece.hat2))
     probe = {e: recentered_plus_hom(piece, up_tree(piece, e), table) for e in f_slots}
     up = up_hom_table(piece, table)
     assert {e: up[e] for e in f_slots} == probe
-    abar2 = list(_AntipodePlus(table)._abar2(piece, f_slots))
-    assert [s for s, _ in abar2] == hopf_oracle.abar2(piece, table)
-    assert all(b == _boundary(piece.kernel_edges(table), s) for s, b in abar2)
+    kernel = piece.kernel_edges(table)
+    probed = [(s, _boundary(kernel, s)) for s in hopf_oracle.abar2(piece, table)]
+    assert _AntipodePlus(table)._abar2(piece, f_slots, up) == hopf_oracle.positive(up, probed)
 
 
 def test_recentering_bounds_match_probe_trees(workbenches):
@@ -503,13 +503,76 @@ def test_recentering_bounds_match_probe_on_random_trees(piece):
     table = KPZ.table
     if piece.hat2.nodes:
         assert_x_plus_matches_probe(piece, table)
-    for s, _ in _admissible_rooted(piece, table):
+    for s, _ in hopf_oracle.admissible_rooted(piece, table):
         if piece.hat2.nodes <= s.nodes and piece.hat2.edges <= s.edges:
             assert_headroom_matches_probe(piece, s, table)
     plain = piece.with_(hat1=EMPTY_SUBFOREST, hat2=EMPTY_SUBFOREST, o_label={})
     up = up_hom_table(plain, table)
     assert up == {e: recentered_up_hom(plain, e, table) for e, _ in plain.edge_items}
     assert cut_enumerate(plain, table) == hopf_oracle.cut_enumerate(plain, table)
+
+
+# -- recentering subtrees against their own filters -----------------------------------
+
+
+def assert_selection_matches_filters(piece, table) -> tuple[int, int, int]:
+    """Delta_+'s recentering subtrees, with their boundaries, on the piece
+    without its color 2, and, where it has color 2, the positive
+    antipode's, are the lists that the old filters give, in order.
+    Returns how many rooted subtrees A_2 and positivity rejected for
+    Delta_+, and how many the positive antipode picked."""
+    up = up_hom_table(piece, table)
+    plain = piece.with_(hat2=EMPTY_SUBFOREST)
+    picked = hopf._selected(plain, table, up)
+    assert picked == hopf_oracle.delta_plus_subtrees(plain, table)
+    admissible = hopf_oracle.admissible_rooted(plain, table)
+    picked_plus = []
+    if piece.hat2.nodes:
+        f_slots = sorted(_boundary(piece.kernel_edges(table), piece.hat2))
+        picked_plus = _AntipodePlus(table)._abar2(piece, f_slots, up)
+        assert picked_plus == hopf_oracle.antipode_plus_subtrees(piece, table, f_slots)
+    rooted = plain.rooted_subtrees(table)
+    return len(rooted) - len(admissible), len(admissible) - len(picked), len(picked_plus)
+
+
+def test_recentering_selection_matches_filters_on_random_trees():
+    """On random colored trees: the rejections by A_2 and by positivity,
+    and the positive antipode's picks, were all reached."""
+    table = KPZ.table
+    reached = [0, 0, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(colored_trees())
+    def check(piece):
+        for i, n in enumerate(assert_selection_matches_filters(piece, table)):
+            reached[i] += n
+
+    check()
+    assert all(reached), reached
+
+
+def test_recentering_selection_matches_filters_on_basis_trees(workbenches):
+    """On every piece that the expansions of the basis trees recenter: each
+    remainder of Delta_- and each piece the positive antipode runs on."""
+    for model, tree_id in TREES:
+        wb = workbenches[model]
+        table = wb.config.table
+        for piece in dict.fromkeys(p for p, _ in recentering_cases(wb.tree_by_id(tree_id), table)):
+            assert_selection_matches_filters(piece, table)
+
+
+@pytest.mark.parametrize("model,tree_id,remainders", [("kpz", "T5", 34), ("phi4_3", "T3", 27)])
+def test_delta_plus_selects_the_whole_tree_on_each_remainder(workbenches, model, tree_id, remainders):
+    """On the workload's largest requests, Delta_+ picks one rooted
+    subtree on each remainder of Delta_-: the whole tree."""
+    wb = workbenches[model]
+    t, table = wb.tree_by_id(tree_id), wb.config.table
+    whole = SubForest(t.nodes, t.edge_set)
+    rows = delta_minus(t, table, div_enumerate(t, table)).keys()
+    assert len(rows) == remainders
+    for _, remainder in rows:
+        picked = hopf._selected(remainder, table, up_hom_table(remainder, table))
+        assert [s for s, _ in picked] == [whole]
 
 
 # t(l) with the label 3 in the second coordinate on the kernel edge's top

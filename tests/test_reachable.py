@@ -48,6 +48,9 @@ ENTRY_POINTS = {
     # public entries: tree building beside `noise` and `poly`
     "trees.integrate",
     "trees.tree_product",
+    # public entry: the recentering coaction, summed; the expansion reads
+    # its unsummed terms
+    "hopf.delta_plus",
 }
 
 
@@ -202,6 +205,12 @@ def test_only_the_analysis_tests_partition_compatibility():
     """A partition's compatible divergences are read off the tree's
     analysis, which holds each divergence's leaf set."""
     assert referrers("compatible_partition") == {"powercount.TreeAnalysis.compatible"}
+
+
+def test_one_selector_reads_the_rooted_subtrees():
+    """Delta_+ and A_+ pick their recentering subtrees with one boundary
+    test, and nothing else in `src/` scans a tree's rooted subtrees."""
+    assert referrers("rooted_subtrees") == {"hopf._selected"}
 
 
 # what a shape is under a type table is worked out in `trees` alone
