@@ -320,48 +320,54 @@ def generate_trees(
     content conforms for incoming kernel type t and that has at most b edges;
     node labels only add (|n|_s >= 0), so it takes them zero.  It is a plain
     minimum over finitely many trees and does not use the subcriticality
-    fixpoint, so it is valid for any rule.  When the search fills the kernel
-    branches of a production, a branch is asked only for subtrees below what
-    is left of the bound once the homogeneity already fixed (the entries,
-    the branches chosen so far) and the least the unfilled branches can reach
-    with the remaining edges are taken off.  Every tree dropped this way has
-    homogeneity >= cutoff, and every kept tree is checked exactly, so the
-    result is the same set as filtering all conforming trees at the root.
-    For a subcritical rule the bounded search is finite however large
-    `max_edges` is, because only finitely many trees lie below any cutoff;
-    the rule is not checked here (`Workbench.basis` checks it).
+    fixpoint, so it is valid for any rule.
+
+    Each planted tree is built once, in the listing of its root production
+    and edge count n, made for n = 0, 1, ..., `max_edges` in turn from the
+    listings of fewer edges.  A listing keeps the trees below the largest
+    bound any tree asks of it (`asked`, worked out first from the root down,
+    where edge counts fall): the cutoff at the root, and under a production
+    of n' > n edges, that production's bound less its entries and the least
+    (`spread`) its other kernel entries reach with the n' - n edges left.
+    An entry being filled reads its type's listings, filtered to what is
+    left of the bound once the homogeneity already fixed and the least the
+    unfilled entries can reach are taken off.  Every tree dropped this way
+    has homogeneity >= cutoff, and every kept tree is checked exactly, so
+    the result is the set of all conforming trees filtered at the root.
+    For a subcritical rule this is finite however large `max_edges` is, as
+    only finitely many trees lie below any cutoff; the rule is not checked
+    here (`Workbench.basis` checks it).
 
     The search adds and compares ints: every homogeneity is counted in
     units of 1/den, with den the lcm of the denominators of the cutoff and
-    of the type homogeneities (s-degrees are ints), which is exact.  Each
-    tree is grafted (`trees.graft`) from its root's label and production and
-    the planted subtrees the search chose for the production's kernel
-    entries, once per call.  Equal entries take their subtrees in
-    non-decreasing canonical order, so the search walks each multiset of
-    branches in one order, and the graft is keyed by the label and that
-    order: another budget or bound that asks for the same tree gets the one
-    already built.
+    of the type homogeneities (s-degrees are ints), which is exact.  The
+    productions are read once, in sorted order.  Each tree is one
+    `trees.graft`; equal entries (adjacent in a sorted production) take
+    their subtrees in non-decreasing canonical order, so each multiset of
+    branches is walked once.
     """
     table = rule.table
     scaling = table.scaling
     cutoff = Fraction(cutoff)
-    den = math.lcm(
-        cutoff.denominator,
-        *(h.denominator for h in (*table.kernel_types.values(), *table.noise_types.values())),
-    )
+    homs = (*table.kernel_types.values(), *table.noise_types.values())
+    den = math.lcm(cutoff.denominator, *(h.denominator for h in homs))
     cut = int(cutoff * den)
-    labels = (
-        [ZERO_MI]
-        if poly_sdeg_bound <= 0
-        else multiindices_below(scaling, Fraction(poly_sdeg_bound) + 1)
-    )
+    labels = [ZERO_MI] if poly_sdeg_bound <= 0 else multiindices_below(scaling, Fraction(poly_sdeg_bound) + 1)
     label_homs = [(lab, lab.sdeg(scaling) * den) for lab in labels]
-    productions = rule.allowed_contents(None)
-    # per production: its entries' summed homogeneity and its kernel types
-    entries_hom = {
-        p: sum(int(table.hom(n) * den) - k.sdeg(scaling) * den for n, k in p) for p in productions
-    }
-    kernel_names = {p: tuple(name for name, _ in p if table.is_kernel(name)) for p in productions}
+    # every production once, in sorted order: its length, noise branches, kernel
+    # entries, their types, whether each equals the one before, and homogeneity
+    prods = sorted(rule.allowed_contents(None), key=lambda p: [(name, k.entries) for name, k in p])
+    index = [
+        (
+            len(p), tuple((name, k, None, None) for name, k in p if table.is_noise(name)), ks,
+            tuple(name for name, _ in ks), tuple(i > 0 and e == ks[i - 1] for i, e in enumerate(ks)),
+            sum(int(table.hom(n) * den) - k.sdeg(scaling) * den for n, k in p),
+        )
+        for p in prods
+        for ks in [tuple(e for e in p if table.is_kernel(e[0]))]
+    ]
+    kernel_types = sorted(rule.productions)
+    by_kernel = {t: [i for i, p in enumerate(prods) if p in rule.productions[t]] for t in kernel_types}
 
     least_memo: dict[tuple[str, int], Optional[int]] = {}
     spread_memo: dict[tuple[tuple[str, ...], int], Optional[int]] = {}
@@ -372,12 +378,11 @@ def generate_trees(
         key = (kernel, budget)
         if key not in least_memo:
             best = None
-            for p in rule.allowed_contents(kernel):
-                if len(p) <= budget:
-                    rest = spread(kernel_names[p], budget - len(p))
-                    if rest is not None:
-                        v = entries_hom[p] + rest
-                        best = v if best is None or v < best else best
+            for i in by_kernel[kernel]:
+                length, _, _, names, _, fixed = index[i]
+                rest = spread(names, budget - length) if length <= budget else None
+                if rest is not None and (best is None or fixed + rest < best):
+                    best = fixed + rest
             least_memo[key] = best
         return least_memo[key]
 
@@ -397,70 +402,61 @@ def generate_trees(
             spread_memo[key] = best
         return spread_memo[key]
 
-    # each grafted tree, by its root label and branches
-    grafted: dict[tuple, DecoratedTree] = {}
-    cache: dict[tuple[Optional[str], int, int], list[tuple[int, DecoratedTree]]] = {}
+    # the largest bound asked of a planted tree per kernel type and edge count
+    asked = {t: [cut] * (max_edges + 1) for t in kernel_types}
+    for n in range(max_edges, 0, -1):
+        for t in kernel_types:
+            for i in by_kernel[t]:
+                length, _, _, names, _, fixed = index[i]
+                for j, k in enumerate(names):
+                    if k in names[:j]:
+                        continue  # an equal entry asked the same
+                    others, most = names[:j] + names[j + 1 :], asked[t][n] - fixed
+                    for m in range(n - length + 1):
+                        rest = spread(others, n - length - m)
+                        if rest is not None and most - rest > asked[k][m]:
+                            asked[k][m] = most - rest
 
-    def gen(incoming: Optional[str], budget: int, bound: int) -> list[tuple[int, DecoratedTree]]:
-        """(homogeneity, tree) for every planted tree with root content
-        allowed for `incoming`, at most `budget` edges and homogeneity
-        below `bound`."""
-        key = (incoming, budget, bound)
-        if key in cache:
-            return cache[key]
-        out: dict[tuple, tuple[int, DecoratedTree]] = {}
-        for p in rule.allowed_contents(incoming):
-            if len(p) > budget:
+    # per kernel type, (edges, homogeneity, tree) of its listed trees by edges
+    planted: dict[str, list[tuple[int, int, DecoratedTree]]] = {t: [] for t in kernel_types}
+
+    def fill(i: int, idx: int, left: int, hom: int, bound: int, acc: list[DecoratedTree]):
+        """Production i's kernel entries from idx on, given `left` edges."""
+        _, _, entries, names, repeats, _ = index[i]
+        if idx == len(entries):
+            if not left:
+                yield hom, acc
+            return
+        last = idx + 1 == len(entries)  # which takes exactly the edges left
+        for e, h, sub in planted[names[idx]]:
+            if e > left:
+                break
+            rest = 0 if last else spread(names[idx + 1 :], left - e)
+            if (last and e < left) or rest is None or hom + h + rest >= bound:
                 continue
-            noises = [(name, k, None, None) for name, k in p if table.is_noise(name)]
-            kernel_entries = [e for e in p if table.is_kernel(e[0])]
-            kernels = kernel_names[p]
-            fixed = entries_hom[p]
-            floor = spread(kernels, budget - len(p))
+            if repeats[idx] and sub.canonical_code() < acc[-1].canonical_code():
+                continue
+            acc.append(sub)
+            yield from fill(i, idx + 1, left - e, hom + h, bound, acc)
+            acc.pop()
+
+    bare = [poly(lab) for lab, h in label_homs if h < cut]
+    bare += [t for t in map(noise, rule.standalone_noises) if t.homogeneity(table) < cutoff]
+    basis = {t.canonical_code(): t for t in bare}
+    owners = [[t for t in kernel_types if i in by_kernel[t]] for i in range(len(prods))]
+    for n in range(max_edges + 1):
+        for i, (length, noises, entries, names, _, fixed) in enumerate(index):
+            bound = max(asked[t][n] for t in owners[i])
+            floor = spread(names, n - length) if length <= n else None
             if floor is None or fixed + floor >= bound:
                 continue
-
-            # fill the kernel branches in turn; `left` edges remain for the
-            # subtrees of branches idx, idx+1, ...
-            def branches(idx: int, left: int, hom: int, acc: list[DecoratedTree]):
-                if idx == len(kernel_entries):
-                    yield hom, list(acc)
-                    return
-                rest = spread(kernels[idx + 1 :], left)
-                if rest is None:
-                    return
-                for h, sub in gen(kernels[idx], left, bound - hom - rest):
-                    # equal entries, adjacent in a sorted production, take
-                    # their subtrees in non-decreasing canonical order
-                    if idx and kernel_entries[idx] == kernel_entries[idx - 1]:
-                        if sub.canonical_code() < acc[-1].canonical_code():
-                            continue
-                    acc.append(sub)
-                    yield from branches(idx + 1, left - len(sub.edge_items), hom + h, acc)
-                    acc.pop()
-
-            for hom, subs in branches(0, budget - len(p), fixed, []):
-                planted = (*noises, *((name, k, sub, sub.root) for (name, k), sub in zip(kernel_entries, subs)))
-                for lab, lab_hom in label_homs:
-                    if hom + lab_hom < bound:
-                        if (lab, planted) not in grafted:
-                            grafted[lab, planted] = graft(lab, planted)
-                        t = grafted[lab, planted]
-                        out[t.canonical_code()] = (hom + lab_hom, t)
-        cache[key] = list(out.values())
-        return cache[key]
-
-    basis: dict[tuple, DecoratedTree] = {}
-    for lab, lab_hom in label_homs:
-        if lab_hom < cut:
-            t = poly(lab)
-            basis[t.canonical_code()] = t
-    for ln in rule.standalone_noises:
-        t = noise(ln)
-        if t.homogeneity(table) < cutoff:
-            basis[t.canonical_code()] = t
-    for _, t in gen(None, max_edges, cut):
-        basis[t.canonical_code()] = t
+            out = []
+            for hom, subs in fill(i, 0, n - length, fixed, bound, []):
+                branches = (*noises, *((name, k, sub, sub.root) for (name, k), sub in zip(entries, subs)))
+                out.extend((n, hom + h, graft(lab, branches)) for lab, h in label_homs if hom + h < bound)
+            for t in owners[i]:
+                planted[t].extend(out)
+            basis.update((t.canonical_code(), t) for _, h, t in out if h < cut)
     return sorted(basis.values(), key=lambda t: (len(t.edge_items), t.canonical_code()))
 
 

@@ -10,9 +10,9 @@ Each tree is checked, and its shape (`_Shape`) indexed, when it is made; its
 `with_` copies share the shape.  Its restrictions to one connected subforest
 (`restrict`) share that subforest's sub-shape, which the ambient shape builds
 and checks once, for itself and for every piece of it, and they keep the
-tree's labels there.  Its AHU codes and its color-1 components (unless the
-caller who colored it hands them to `with_`) stay lazy, because most trees
-never read them.
+tree's labels there.  Its AHU codes (unless `graft` hands them over) and
+its color-1 components (unless the caller who colored it hands them to
+`with_`) stay lazy, because most trees never read them.
 
 What a shape is under a type table, whatever its labels, is worked out in
 one class, `_TableFacts`, once per shape and table: kernel and noise edges,
@@ -26,11 +26,12 @@ tree's own labels: `DecoratedTree.homogeneity`, `up_hom_table`, and
 Every copy of a tree under new ids is made by one primitive,
 `DecoratedTree._copy`, which renames the edges, labels, coloring and o
 labels of the nodes a renaming maps (`relabel` renames all of them).  New
-trees are built as the rule builds them,
-by planting trees under edges: `graft` puts copies of subtrees, and noise
-leaves, under a fresh root, and the planted tree I_k(tau) (`integrate`), the
-tree product (`tree_product`) and every tree of `rules.generate_trees` are
-one graft each.
+trees are built as the rule builds them, by planting trees under edges:
+`graft` puts copies of subtrees, and noise leaves, under a fresh root, laid
+out in the canonical labelling with their codes read off the subtrees, so
+each is built once.  The planted tree I_k(tau) (`integrate`), the tree
+product (`tree_product`) and every tree of `rules.generate_trees` are one
+graft each; `relabel_canonical` builds a tree made otherwise again.
 """
 from __future__ import annotations
 
@@ -533,18 +534,23 @@ class DecoratedTree:
         """Literal representation: equal iff equal as embedded i-trees."""
         return self._key
 
-    def relabel_canonical(self) -> "DecoratedTree":
-        """Relabel node ids 0..n-1 in the canonical (AHU) traversal order,
-        giving a deterministic representative of the iso class.  The
-        relabelled tree takes over the codes, which erase the embedding."""
-        codes = self._node_codes()
-        ren: dict[int, int] = {}
-        stack = [self.root]
-        while stack:  # preorder, children in the order of their codes
+    def _canonical_preorder(self, top: int) -> list[int]:
+        """The nodes from `top` down in preorder, children in code order."""
+        codes, order, stack = self._node_codes(), [], [top]
+        while stack:
             u = stack.pop()
-            ren[u] = len(ren)
+            order.append(u)
             kids = sorted(self._shape.children[u], key=lambda e: self._edge_code(e, codes))
             stack.extend(c for _, c in reversed(kids))
+        return order
+
+    def relabel_canonical(self) -> "DecoratedTree":
+        """Relabel node ids 0..n-1 in the canonical (AHU) traversal order,
+        giving a deterministic representative of the iso class (a second
+        build, which `graft` avoids).  The relabelled tree takes over the
+        codes, which erase the embedding."""
+        codes = self._node_codes()
+        ren = {u: i for i, u in enumerate(self._canonical_preorder(self.root))}
         out = self.relabel(ren)
         out._codes = {ren[u]: code for u, code in codes.items()}
         return out
@@ -564,6 +570,8 @@ class DecoratedTree:
             return {(ren[p], ren[c]): v for (p, c), v in items if p in ren and c in ren}
 
         def colored(sf: SubForest) -> SubForest:
+            if sf.is_empty():
+                return sf
             return SubForest(
                 frozenset(ren[u] for u in sf.nodes if u in ren),
                 frozenset((ren[p], ren[c]) for p, c in sf.edges if p in ren and c in ren),
@@ -757,29 +765,43 @@ def noise(name: str) -> DecoratedTree:
     return DecoratedTree(root=0, edges={(0, 1): name})
 
 
+# the bare node a noise edge of a graft ends in
+_POINT = poly()
+
+
 def graft(
     label: MultiIndex, branches: Iterable[tuple[str, MultiIndex, Optional[DecoratedTree], Optional[int]]]
 ) -> DecoratedTree:
     """A fresh root with node label `label` and one edge per branch (type,
     k, tree, top): an edge of that type and decoration k down to a copy of
     `tree` from its node `top` down, or to a fresh leaf when `tree` is None
-    (a noise), in the canonical labelling.  The branches' colorings and o
-    labels are not carried over."""
-    edges: dict[EdgeKey, str] = {}
-    node_dec = {0: label}
-    edge_dec: dict[EdgeKey, MultiIndex] = {}
-    fresh = 1
+    (a noise).  The branches' colorings and o labels are not carried over.
+    Built once, in the canonical labelling: the branches are sorted by edge
+    code (type, k, color 0, the AHU code of the top, read off the branch
+    tree's codes with its coloring erased), each is copied to consecutive
+    ids in its canonical preorder, and the tree is handed those codes."""
+    placed = []
     for name, k, tree, top in branches:
+        if tree is None:
+            tree, top = _POINT, _POINT.root
+        elif tree.has_coloring():
+            tree = tree.with_(hat1=EMPTY_SUBFOREST, hat2=EMPTY_SUBFOREST, o_label={})
+        placed.append(((name, k.entries, 0, tree._node_codes()[top]), k, tree, top))
+    placed.sort(key=lambda b: b[0])
+    edges, node_dec, edge_dec = {}, {0: label}, {}
+    codes = {0: (label.entries, 0, (ZERO_EXT.zd, ZERO_EXT.types), tuple(b[0] for b in placed))}
+    fresh = 1
+    for (name, *_), k, tree, top in placed:
         edges[(0, fresh)], edge_dec[(0, fresh)] = name, k
-        below = [top]
-        if tree is not None:
-            for u in below:  # the list grows while it is read
-                below.extend(c for _, c in tree.children(u))
-            ren = dict(zip(below, itertools.count(fresh)))
-            for part, copied in zip((edges, node_dec, edge_dec), tree._copy(ren)):
-                part.update(copied)
+        below = tree._canonical_preorder(top)
+        ren = dict(zip(below, itertools.count(fresh)))
+        for part, copied in zip((edges, node_dec, edge_dec), tree._copy(ren)):
+            part.update(copied)
+        codes.update((ren[u], tree._node_codes()[u]) for u in below)
         fresh += len(below)
-    return DecoratedTree(0, edges, node_dec, edge_dec).relabel_canonical()
+    out = DecoratedTree(0, edges, node_dec, edge_dec)
+    out._codes = codes
+    return out
 
 
 def integrate(name: str, k: MultiIndex, tree: DecoratedTree, table: TypeTable) -> DecoratedTree:

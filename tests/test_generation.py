@@ -1,5 +1,9 @@
-"""The branch-and-bound tree generator against the exhaustive oracle, and
-its invariants as property tests."""
+"""The branch-and-bound tree generator against the exhaustive oracle and
+against the memoized search its listings replaced, and its invariants as
+property tests."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,11 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import renormforest.rules
 from conftest import ROOT, Kpz, Phi4
-from generation_oracle import conforms, exhaustive_trees
+from generation_oracle import conforms, exhaustive_trees, memoized_search
 from renormforest.rules import RuleSpec, generate_trees, production
 from renormforest.scaling import ScalingSpec, TypeTable
-from renormforest.trees import DecoratedTree
-from renormforest.workbench import Workbench, parse_config
 
 MODELS = {"phi4": Phi4(), "kpz": Kpz()}
 
@@ -117,42 +119,68 @@ def test_generation_invariants(model, cutoff, max_edges):
     assert set(basis) <= bigger
 
 
-def test_setup_builds_few_trees(monkeypatch):
+# one set-up of both shipped bases, counting the trees built: the number of
+# `DecoratedTree.__init__` calls, then the canonical code of each grafted tree
+# in the order the generator grafted it
+SETUP_WALK = """
+from pathlib import Path
+import renormforest.rules
+from renormforest.trees import DecoratedTree
+from renormforest.workbench import Workbench, parse_config
+
+built, grafted = [], []
+init, graft = DecoratedTree.__init__, renormforest.rules.graft
+
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+def counted_graft(*args):
+    grafted.append(graft(*args))
+    return grafted[-1]
+
+DecoratedTree.__init__ = counted
+renormforest.rules.graft = counted_graft
+for model in ("kpz", "phi4_3"):
+    Workbench(parse_config(Path(f"configs/{model}.json").read_text(encoding="utf-8"))).basis()
+print(len(built))
+for t in grafted:
+    print(t.canonical_code())
+"""
+
+
+def test_setup_builds_few_trees():
     """Setting up both shipped bases grafts each of its 15 distinct trees
-    once and builds at most 32 trees: the graft and its canonical relabelling
-    per grafted tree, and the two bare noises (142 trees and 70 grafts when
-    a tree was grafted again for every budget, bound and order of equal
-    branches that asked for it)."""
-    built = []
-    init = DecoratedTree.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    grafts = []
-    graft = renormforest.rules.graft
-
-    def counted_graft(*args):
-        grafts.append(args)
-        return graft(*args)
-
-    monkeypatch.setattr(DecoratedTree, "__init__", counted)
-    monkeypatch.setattr(renormforest.rules, "graft", counted_graft)
-    for model in ("kpz", "phi4_3"):
-        Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8"))).basis()
-    assert len(grafts) <= 15
-    assert len(built) <= 32
+    once, and builds 17 trees: one per graft, as `graft` lays out the
+    canonical labelling, and the two bare noises (142 trees and 70 grafts
+    when a tree was grafted again for every budget, bound and order of equal
+    branches that asked for it, and 32 trees when each graft was built again
+    in its canonical labelling).  The productions are walked in sorted order,
+    so the trees are grafted in one order under any hash seed; seeds 0 and 3
+    iterate the rule's sets of productions in different orders."""
+    env = dict(os.environ)
+    env.pop("RENORMFOREST_CAPS", None)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", SETUP_WALK], env={**env, "PYTHONHASHSEED": seed}, cwd=ROOT,
+            capture_output=True, check=True, text=True,
+        ).stdout
+        for seed in ("0", "3")
+    ]
+    assert outputs[0] == outputs[1]
+    built, *grafted = outputs[0].splitlines()
+    assert len(set(grafted)) == len(grafted) == 15
+    assert int(built) <= 17
 
 
 @pytest.mark.parametrize("poly_sdeg_bound", [0, 1])
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_each_call_grafts_each_distinct_tree_once(monkeypatch, model, poly_sdeg_bound):
-    """The graft table is keyed by the branches in the order the search
-    walks them, so a tree is grafted again exactly when the search walks
-    two orders of one multiset of equal branches.  Phi4's production
-    (I, I, I) and KPZ's (t, t) take distinct subtrees on equal entries, and
-    in no call is one tree grafted twice."""
+    """Each tree is listed once, under its root production and edge count,
+    and equal entries take their subtrees in one order, so no call grafts
+    one tree twice, though phi4's production (I, I, I) and KPZ's (t, t) take
+    distinct subtrees on equal entries."""
     results = []
     graft = renormforest.rules.graft
 
@@ -168,3 +196,60 @@ def test_each_call_grafts_each_distinct_tree_once(monkeypatch, model, poly_sdeg_
             generate_trees(rule, cutoff, max_edges, poly_sdeg_bound)
             codes = [t.canonical_code() for t in results]
             assert len(set(codes)) == len(codes)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    data=st.data(),
+    model=st.sampled_from(sorted(MODELS)),
+    cutoff=st.fractions(min_value=-2, max_value=3, max_denominator=12),
+    max_edges=st.integers(min_value=1, max_value=11),
+    poly_sdeg_bound=st.sampled_from([0, 1]),
+)
+def test_matches_memoized_search(data, model, cutoff, max_edges, poly_sdeg_bound):
+    """The listings per root production and edge count give the trees that
+    the search memoized on (incoming, budget, bound) gives, in the same
+    order and each in the same labelling, with the same codes.  Without
+    node labels the noise homogeneity is drawn too, down to supercritical
+    values, where the other entries of a production can weigh less than
+    nothing, so that its subtrees are asked for trees above the cutoff.
+    Labelled trees that far down number in the hundreds of thousands at 11
+    edges, so labelled cases keep the model's noise."""
+    rule = MODELS[model].rule
+    if not poly_sdeg_bound:
+        rule = with_noise_hom(rule, data.draw(noise_homs(rule.table.scaling.abs_s)))
+    got = generate_trees(rule, cutoff, max_edges, poly_sdeg_bound)
+    want = memoized_search(rule, cutoff, max_edges, poly_sdeg_bound)
+    assert [(t.embedded_key(), t.canonical_code()) for t in got] == [
+        (t.embedded_key(), t.canonical_code()) for t in want
+    ]
+
+
+@pytest.mark.parametrize(
+    "model, hom, cutoff, max_edges, size",
+    [
+        ("phi4", Fraction(-3), Fraction(0), 9, 9),
+        ("kpz", Fraction(-2), Fraction(0), 9, 10),
+        ("kpz", Fraction(-2), Fraction(0), 11, 21),
+        ("phi4", Fraction(-7, 2), Fraction(0), 5, 6),
+        ("phi4", Fraction(-9, 2), Fraction(0), 9, 79),
+        ("kpz", Fraction(-11, 4), Fraction(-2), 9, 24),
+        ("kpz", Fraction(-11, 4), Fraction(0), 7, 29),
+    ],
+)
+def test_matches_memoized_search_at_and_below_criticality(model, hom, cutoff, max_edges, size):
+    """At a critical noise (the first three cases) homogeneity stops growing
+    along some trees and the bound prunes least; the listings' bounds are
+    worked out from the root down, where edge counts fall, so they are
+    finite there too.  Below criticality the other entries of a production
+    weigh less than nothing, so a listing is asked for trees above the
+    cutoff, and each asked bound must leave the other entries exactly the
+    edges the tree has left for them: with one edge fewer, each of the last
+    four bases loses trees."""
+    rule = with_noise_hom(MODELS[model].rule, hom)
+    got = generate_trees(rule, cutoff, max_edges)
+    assert len(got) == size
+    want = memoized_search(rule, cutoff, max_edges)
+    assert [(t.embedded_key(), t.canonical_code()) for t in got] == [
+        (t.embedded_key(), t.canonical_code()) for t in want
+    ]

@@ -484,6 +484,42 @@ def test_graft_matches_the_hand_written_copies(factors, k):
     assert integrate("t", k, product, table).embedded_key() == want.embedded_key()
 
 
+def assert_canonical_layout(t: DecoratedTree):
+    """The codes `graft` hands its tree are the codes recomputed on it, and
+    the tree is its own canonical relabelling."""
+    assert t.canonical_code() == code(t, t.root)
+    assert relabel_canonical(t).embedded_key() == t.embedded_key()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(labelled_trees(), colored_trees(max_edges=5)), max_size=3), multiindices())
+def test_graft_lays_out_the_canonical_labelling(factors, k):
+    """`integrate` and `tree_product` of labelled and colored trees, and
+    the planted product: the colorings and o labels, which the graft drops,
+    are erased from the codes it reads off the branches."""
+    table = KPZ.table
+    for t in factors:
+        assert_canonical_layout(integrate("t", k, t, table))
+    product = tree_product(*factors)
+    assert_canonical_layout(product)
+    assert_canonical_layout(integrate("t", k, product, table))
+
+
+def test_graft_lays_out_the_canonical_labelling_on_basis_trees():
+    """Every basis tree of both models, each planted under a kernel edge
+    of its model, and every product of two of them."""
+    for model in sorted(BPHZ_TERMS):
+        text = (ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")
+        wb = Workbench(parse_config(text))
+        table, basis = wb.config.table, wb.basis()
+        (kernel,) = table.kernel_types
+        for t in basis:
+            assert_canonical_layout(t)
+            assert_canonical_layout(integrate(kernel, MultiIndex({0: 1}), t, table))
+        for a, b in itertools.combinations_with_replacement(basis, 2):
+            assert_canonical_layout(tree_product(a, b))
+
+
 @settings(max_examples=80, deadline=None)
 @given(colored_trees(), st.data())
 def test_copy_matches_the_hand_written_copies(t, data):
