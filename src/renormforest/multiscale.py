@@ -10,7 +10,11 @@ then basepoint edges, each group sorted), and `masks` maps each tag to the
 bitmask of its endpoints' positions.  The certifier's vertex subsets and
 the scale rules here read the same encoding: for a connected subtree S,
 whose true nodes N(S) never include `STAR`, E^int(S) is the tags with both
-ends in N(S) and E^ext(S) those with exactly one, one mask test per tag."""
+ends in N(S) and E^ext(S) those with exactly one, one mask test per tag.
+
+`project` applies the rules to a forest at given scales; the certifier
+(`powercount.Certifier`) calls them at the 0/1 scales of one vertex subset
+to decide whether a coalescence tree through it is realizable."""
 from __future__ import annotations
 
 import itertools
@@ -71,12 +75,6 @@ def internal_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
     return frozenset(tag for tag, m in eu.masks.items() if m & inside == m)
 
 
-def external_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
-    """E^ext(S): the tags with exactly one end in N(S)."""
-    inside = eu.node_mask(s.nodes)
-    return frozenset(tag for tag, m in eu.masks.items() if m & inside and m & inside != m)
-
-
 def int_ext(
     eu: EdgeUniverse,
     s: SubForest,
@@ -88,25 +86,27 @@ def int_ext(
     its children C_F(S), the members whose parent is S, and the greatest
     scale of its external edges inside its parent A_F(S), which for a
     maximal member is the whole edge universe.  For a compatible subtree S
-    outside F, pass the map of F + {S}."""
-    internal = internal_tags(eu, s)
-    for child, parent in parents.items():
-        if parent == s:
-            internal = internal - internal_tags(eu, child)
+    outside F, pass the map of F + {S}.
+
+    One pass over the tags reads each endpoint mask against the masks of
+    N(S), of the children and of the parent (-1, every vertex, for a
+    maximal member)."""
+    inside = eu.node_mask(s.nodes)
+    kids = [eu.node_mask(c.nodes) for c, p in parents.items() if p == s]
+    anc = parents[s]
+    outer = -1 if anc is None else eu.node_mask(anc.nodes)
+    internal, external = [], []
+    for tag, m in eu.masks.items():
+        if m & inside == m:
+            if not any(m & k == m for k in kids):
+                internal.append(n[tag])
+        elif m & inside and m & outer == m:
+            external.append(n[tag])
     if not internal:
         raise StructureError("no internal edges left for the subtree")
-    anc = parents[s]
-    if anc is None:
-        anc_internal = frozenset(eu.tags)
-    else:
-        anc_internal = internal_tags(eu, anc)
-    ext = external_tags(eu, s) & anc_internal
-    if not ext:
+    if not external:
         raise StructureError("no external edges for the subtree")
-    return (
-        min(n[tag] for tag in internal),
-        max(n[tag] for tag in ext),
-    )
+    return min(internal), max(external)
 
 
 def safe_projection(

@@ -3,12 +3,13 @@ power-counting certifier of the single-tree moment bounds, and the
 coalescence trees it reasons about.
 
 `TreeAnalysis` derives each fact of a tree that no scale changes, once; the
-certifier's plan, `project` and `integrands.chaos_classes` read a leaf
-partition's compatible divergences off it (`TreeAnalysis.compatible`).
+certifier, `project` and `integrands.chaos_classes` read a leaf partition's
+compatible divergences off it (`TreeAnalysis.compatible`).
 
 The certificate puts one "up" entry per cumulant block at the cluster where
 the block's vertices join; the closed forms of the cumulant homogeneity are
-in `rules`.
+in `rules`.  A failing vertex subset is decided under the scale rules of
+`multiscale`, the ones `project` applies.
 
 A coalescence tree is a frozenset of cluster bitmasks (`Family`): a laminar
 family of vertex subsets of size >= 2 holding the full set, the children of
@@ -148,7 +149,9 @@ class Certifier:
     `multiscale.EdgeUniverse` and builds the total homogeneity of the
     single-tree moment bound, then checks the integrability and large-scale
     decay inequalities on every vertex subset that some realizable
-    coalescence tree contains.
+    coalescence tree contains: one whose scales keep every compatible
+    divergence its own safe projection and harvest no positive cut
+    (`multiscale`).
 
     Vertex subsets are bitmasks over the universe's `verts`: bit 0 is the
     basepoint, then the true nodes in order, so a reported `cluster_mask`
@@ -201,70 +204,46 @@ class Certifier:
             parts.append(("up", masks[("K", e)], h))
         return parts
 
-    # ---- the scale constraints of a coalescence tree
+    # ---- the scale rules at one cluster
 
-    def _interval_plan(self, ci: CertificateInput, eu: ms.EdgeUniverse):
-        """The scale-order constraints on every labeled coalescence tree,
-        reduced to vertex masks.  A mask joins at the deepest cluster that
-        holds it (a single vertex at its parent), and a labeling ranks the
-        clusters so that ranks strictly increase into smaller clusters:
+    def _realizable(self, ci: CertificateInput, eu: ms.EdgeUniverse) -> Callable[[int], bool]:
+        """The predicate on vertex subsets `a`: does some coalescence tree
+        through `a` have scales under which every compatible divergence is
+        its own safe projection (`multiscale.safe_projection`) and no
+        positive cut is harvested (`multiscale.harvested_cuts`)?
 
-        - `cuts`: per positive cut e = (p, c), (star_pair, edge_pair), the
-          masks of the basepoint edge of p and of e itself.  Every cut must
-          lie outside G^n(F).  A kernel route can never beat the join of its
-          endpoints and the basepoint route never drops below its direct
-          edge, so this puts the basepoint join at or below the edge join.
-        - `subtrees`: per divergence compatible with the partition that has
-          internal and external edges (`multiscale.internal_tags`,
-          `external_tags`), (internal masks, external masks): some internal
-          join must sit at or above some external one.  The internal masks
-          cover the divergence's true nodes, so every external mask meets
-          them.
-
-        Comparisons sit at the cluster-rank level with ties resolved
-        favorably, reflecting the bounded in-window jitter of individual
-        edge scales."""
-        masks = eu.masks
+        Clusters are ranked so that ranks strictly increase into smaller
+        clusters, an edge sits at the deepest cluster that holds its
+        endpoints, and ties between edge scales are resolved favorably (the
+        bounded in-window jitter of individual edge scales).  In a tree
+        through `a`, an edge inside `a` sits at or below `a` and one that
+        leaves `a` strictly above it.  So a cut whose basepoint edge lies
+        inside `a` and whose own edge does not, or a divergence whose
+        internal edges lie inside `a` and whose external edges all leave
+        it, fails in every such tree.  Otherwise the flat tree {full, a}
+        passes, each edge sitting at `a` or at the root: its scales n_a, 1
+        on the edges inside `a` and 0 elsewhere, are the ones checked here.
+        It is a coalescence tree of the multigraph exactly when `a` is
+        connected (`connected_split`).  Every compatible divergence has
+        internal edges (a block or a kernel edge) and external ones (a
+        basepoint edge), so its scales are defined."""
         analysis = self.analysis(ci.tree)
-        cuts = [(masks[("star", e[0])], masks[("K", e)]) for e, _ in analysis.cuts]
-        # the scale machinery needs every power-counting divergence: a
-        # subtree with a vanishing counterterm still gets its scale-local
-        # Taylor reorganization, so the universe here is the full one
-        subtrees = []
-        for s in analysis.compatible(ci.pi):
-            ints = sorted({masks[tag] for tag in ms.internal_tags(eu, s)})
-            exts = sorted({masks[tag] for tag in ms.external_tags(eu, s)})
-            if ints and exts:
-                subtrees.append((ints, exts))
-        return cuts, subtrees
+        cuts = [e for e, _ in analysis.cuts]
+        # the scale rules need every power-counting divergence: a subtree
+        # with a vanishing counterterm still gets its scale-local Taylor
+        # reorganization, so the universe here is the full one
+        alone = [frozenset({s}) for s in analysis.compatible(ci.pi)]
+        connected = connected_split(eu.masks.values())
 
-    @staticmethod
-    def _witnessed(plan, connected: Callable[[int, list[int]], bool], a: int) -> bool:
-        """Does some coalescence tree that contains the vertex subset `a`
-        satisfy the plan?  In such a tree a mask inside `a` joins at or
-        below `a`, and a mask that meets `a` and leaves it joins strictly
-        above `a`.  So a cut whose basepoint pair lies inside `a` and whose
-        edge pair does not, or a divergence whose internal masks all lie
-        inside `a` and whose external masks (which then all meet `a`) all
-        leave it, forces a cluster's rank to or below that of a cluster
-        strictly inside it: no tree containing `a` is realizable.
-        Otherwise the flat tree {full, a}, the coarsest one through `a`,
-        satisfies the plan, since every mask joins at `a` or at the root;
-        it is a coalescence tree of the multigraph exactly when `a` is
-        connected (`connected_split`)."""
-        cuts, subtrees = plan
-
-        def inside(m: int) -> bool:
-            return (m & a) == m
-
-        return (
-            connected(a, [1 << v for v in bits(a)])
-            and not any(inside(star) and not inside(edge) for star, edge in cuts)
-            and not any(
-                all(map(inside, ints)) and not any(map(inside, exts))
-                for ints, exts in subtrees
+        def realizable(a: int) -> bool:
+            n_a = {tag: int(m & a == m) for tag, m in eu.masks.items()}
+            return (
+                connected(a, [1 << v for v in bits(a)])
+                and all(ms.safe_projection(eu, f, n_a) == f for f in alone)
+                and not ms.harvested_cuts(eu, frozenset(), cuts, n_a)
             )
-        )
+
+        return realizable
 
     # ---- hypothesis checks
 
@@ -343,17 +322,17 @@ class Certifier:
 
         The inequalities are evaluated per vertex subset (`_subset_tables`),
         and each failing subset, in subset order, is decided at its own
-        cluster (`_witnessed`); the first one that some realizable tree
-        contains is the violation.
+        cluster under the scale rules that `project` applies
+        (`_realizable`); the first one that some realizable tree contains
+        is the violation.
         """
         eu = self.build(ci)
         alpha, failures = self._failures(ci, eu)
         if not failures:
             return {"pass": True, "alpha": alpha, "failing_subsets": 0}
-        plan = self._interval_plan(ci, eu)
-        connected = connected_split(eu.masks.values())
+        realizable = self._realizable(ci, eu)
         for violation in failures:
-            if self._witnessed(plan, connected, violation[1]):
+            if realizable(violation[1]):
                 return {"pass": False, "alpha": alpha, "violation": violation}
         return {
             "pass": True,
@@ -465,7 +444,7 @@ def trees_containing(
     cap: int = 9,
 ) -> Iterable[Family]:
     """Coalescence trees on n vertices that contain the given cluster.  No
-    command searches them: `Certifier._witnessed` decides a subset at its
+    command searches them: `Certifier._realizable` decides a subset at its
     own cluster, and the search is kept for the benchmark's tracing and as
     the tests' witness search.
 

@@ -333,7 +333,14 @@ class DecoratedTree:
                 raise KeyError(f"unknown type {t!r}")
 
     def _check_labels(self):
-        h1n, h2n = self.hat1.nodes, self.hat2.nodes
+        nodes, edges, h1, h2 = self._shape.nodes, self._shape.edge_set, self.hat1, self.hat2
+        h1n, h2n = h1.nodes, h2.nodes
+        ends = itertools.chain.from_iterable
+        if not (
+            h1n <= nodes and h1.edges <= edges and h1n.issuperset(ends(h1.edges))
+            and h2n <= nodes and h2.edges <= edges and h2n.issuperset(ends(h2.edges))
+        ):
+            raise StructureError("a coloring leaves the tree, or has an edge outside its own nodes")
         if h1n & h2n:
             raise StructureError("colorings hat1 and hat2 overlap")
         for u, _ in self._olabel:

@@ -1,7 +1,13 @@
 """Test-only oracles for `powercount.Certifier`: the coalescence-tree search
-that the certifier's per-subset decision (`Certifier._witnessed`) replaced,
-and that search's first implementation.
+that the certifier's per-subset decision (`Certifier._realizable`)
+replaced, that search's first implementation, and the decision's first
+form as mask inequalities.
 
+- `interval_plan` and `witnessed` are the per-subset decision as first
+  written: the scale rules of `multiscale` worked out again as a plan of
+  vertex-mask inequalities, and a subset decided against the plan at its
+  own cluster.  They check `Certifier._realizable`, which calls the rules
+  themselves.
 - `witness_search` is the search the certifier ran: for a failing vertex
   subset it walks the coalescence trees containing the subset
   (`powercount.trees_containing` under the `connected_split` prune) and
@@ -25,7 +31,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from coalescence_oracle import Cluster, ancestor, children_blocks, full_mask, grand_ancestor, popcount
+from multiscale_oracle import external_tags
 from renormforest.forests import compatible_partition, cut_enumerate, div_enumerate
+from renormforest.multiscale import EdgeUniverse, internal_tags
 from renormforest.powercount import (
     CertificateInput,
     Certifier,
@@ -235,6 +243,67 @@ def witness(cert: Certifier, ci: CertificateInput):
     return None
 
 
+# -- the per-subset decision as first written ------------------------------------
+
+
+def interval_plan(cert: Certifier, ci: CertificateInput, eu: EdgeUniverse):
+    """The scale-order constraints on every labeled coalescence tree,
+    reduced to vertex masks.  A mask joins at the deepest cluster that
+    holds it (a single vertex at its parent), and a labeling ranks the
+    clusters so that ranks strictly increase into smaller clusters:
+
+    - `cuts`: per positive cut e = (p, c), (star_pair, edge_pair), the
+      masks of the basepoint edge of p and of e itself.  Every cut must
+      lie outside G^n(F).  A kernel route can never beat the join of its
+      endpoints and the basepoint route never drops below its direct
+      edge, so this puts the basepoint join at or below the edge join.
+    - `subtrees`: per divergence compatible with the partition,
+      (internal masks, external masks): some internal join must sit at or
+      above some external one.  The internal masks cover the divergence's
+      true nodes, so every external mask meets them.
+
+    The plan once kept a divergence only when it had internal and external
+    edges; every compatible divergence has both, which is asserted here.
+    Comparisons sit at the cluster-rank level with ties resolved
+    favorably, reflecting the bounded in-window jitter of individual edge
+    scales."""
+    masks = eu.masks
+    analysis = cert.analysis(ci.tree)
+    cuts = [(masks[("star", e[0])], masks[("K", e)]) for e, _ in analysis.cuts]
+    subtrees = []
+    for s in analysis.compatible(ci.pi):
+        ints = sorted({masks[tag] for tag in internal_tags(eu, s)})
+        exts = sorted({masks[tag] for tag in external_tags(eu, s)})
+        assert ints and exts, s
+        subtrees.append((ints, exts))
+    return cuts, subtrees
+
+
+def witnessed(plan, connected: Callable[[int, list[int]], bool], a: int) -> bool:
+    """Does some coalescence tree that contains the vertex subset `a`
+    satisfy the plan?  In such a tree a mask inside `a` joins at or below
+    `a`, and a mask that meets `a` and leaves it joins strictly above `a`.
+    So a cut whose basepoint pair lies inside `a` and whose edge pair does
+    not, or a divergence whose internal masks all lie inside `a` and whose
+    external masks (which then all meet `a`) all leave it, forces a
+    cluster's rank to or below that of a cluster strictly inside it.
+    Otherwise the flat tree {full, a} satisfies the plan; it is a
+    coalescence tree of the multigraph exactly when `a` is connected."""
+    cuts, subtrees = plan
+
+    def inside(m: int) -> bool:
+        return (m & a) == m
+
+    return (
+        connected(a, [1 << v for v in bits(a)])
+        and not any(inside(star) and not inside(edge) for star, edge in cuts)
+        and not any(
+            all(map(inside, ints)) and not any(map(inside, exts))
+            for ints, exts in subtrees
+        )
+    )
+
+
 # -- the search the certifier ran ------------------------------------------------
 
 
@@ -290,7 +359,7 @@ def incremental_feasible(fam: Family, atoms: Iterable, disjunctions: list) -> bo
 
 def plan_realizable(plan, fam: Family) -> bool:
     """Does some labeling of the tree satisfy the plan of
-    `Certifier._interval_plan`?  Each mask is looked up at the cluster
+    `interval_plan`?  Each mask is looked up at the cluster
     where it joins (`ancestor`)."""
     cuts, subtrees = plan
     masks = {m for cut in cuts for m in cut} | {m for ints, exts in subtrees for m in ints + exts}

@@ -4,6 +4,12 @@
   every tag scanned on each call, a subtree's internal edges read from its
   own edges.  It checks the tag order and vertex masks of `EdgeUniverse`
   and the mask-based `internal_tags` and `external_tags`.
+- `external_tags` and `tag_set_int_ext` are the internal and external
+  scales as `multiscale.int_ext` first read them, by set algebra on the
+  tag sets of a subtree, its children and its parent; they check the
+  one-pass mask reading of `int_ext`, and `external_tags` gives the
+  certifier's first-written plan (`certify_oracle.interval_plan`) its
+  external edges.
 - `exhaustive_path_scales` enumerates every edge set; it checks the
   widest-path search of `path_scale` on every vertex pair.
 - `dangerous_extension` names the largest forest in the fibre of the safe
@@ -90,6 +96,41 @@ class TagScan:
 
     def external_tags(self, s: SubForest) -> frozenset[EdgeTag]:
         return self.incident_tags(s) - self.internal_tags(s)
+
+
+def external_tags(eu: EdgeUniverse, s: SubForest) -> frozenset[EdgeTag]:
+    """E^ext(S): the tags with exactly one end in N(S)."""
+    inside = eu.node_mask(s.nodes)
+    return frozenset(tag for tag, m in eu.masks.items() if m & inside and m & inside != m)
+
+
+def tag_set_int_ext(
+    eu: EdgeUniverse,
+    s: SubForest,
+    parents: Mapping[SubForest, Optional[SubForest]],
+    n: Mapping[EdgeTag, int],
+) -> tuple[int, int]:
+    """(int_F(S), ext_F(S)) by set algebra: S's internal tags less each
+    child's, and its external tags within its parent's internal tags (all
+    tags for a maximal member)."""
+    internal = internal_tags(eu, s)
+    for child, parent in parents.items():
+        if parent == s:
+            internal = internal - internal_tags(eu, child)
+    if not internal:
+        raise StructureError("no internal edges left for the subtree")
+    anc = parents[s]
+    if anc is None:
+        anc_internal = frozenset(eu.tags)
+    else:
+        anc_internal = internal_tags(eu, anc)
+    ext = external_tags(eu, s) & anc_internal
+    if not ext:
+        raise StructureError("no external edges for the subtree")
+    return (
+        min(n[tag] for tag in internal),
+        max(n[tag] for tag in ext),
+    )
 
 
 def exhaustive_path_scales(

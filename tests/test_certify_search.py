@@ -1,11 +1,14 @@
-"""The certifier's per-subset decision (`Certifier._witnessed`) against the
-coalescence-tree search it replaced (`certify_oracle.witness_search`): on
-every failing vertex subset of every chaos class of the basis trees, of
-rougher-noise variants and of random plans, a subset is witnessed exactly
-when the search finds a realizable tree containing it, and then the flat
-tree {full, subset} is realizable.  The search's plan, incremental
-feasibility and pruned enumeration are checked in turn against their first
-implementation."""
+"""The certifier's per-subset decision (`Certifier._realizable`, the scale
+rules of `multiscale` at one subset's scales) against the coalescence-tree
+search it replaced (`certify_oracle.witness_search`): on every failing
+vertex subset of every chaos class of the basis trees and of rougher-noise
+variants, a subset is realized exactly when the search finds a realizable
+tree containing it, and then the flat tree {full, subset} is realizable.
+The decision's first form as mask inequalities (`certify_oracle.witnessed`
+on `interval_plan`) is checked the same way on random plans, and against
+the decision on every subset of the shipped bases and of random trees.
+The search's plan, incremental feasibility and pruned enumeration are
+checked in turn against their first implementation."""
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,18 +17,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import certify_oracle as oracle
-from conftest import BPHZ_TERMS, CERTIFY_VARIANTS, Phi4, certifier, variant_workbench
+from conftest import KPZ as KPZ_SETTING
+from conftest import (
+    BPHZ_TERMS,
+    CERTIFY_VARIANTS,
+    MAX_DIV,
+    Phi4,
+    certifier,
+    decorated_trees,
+    variant_workbench,
+)
 from coalescence_oracle import full_mask, popcount
+from renormforest.forests import leaf_partitions
 from renormforest.powercount import (
+    Analyses,
     Certifier,
     CertificateInput,
-    bits,
     connected_split,
     enumerate_trees,
     trees_containing,
 )
-from renormforest.multiscale import external_tags, harvested_cuts, internal_tags, safe_projection
-from renormforest.workbench import Workbench, parse_config
+from renormforest.rules import CumulantSet
+from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PHI4 = Phi4()
@@ -68,7 +81,7 @@ def test_realizability_matches_oracle_on_every_tree(case):
     built = cert.build(ci)
     n = len(built.verts)
     assert 4 <= n <= 6
-    plan = cert._interval_plan(ci, built)
+    plan = oracle.interval_plan(cert, ci, built)
     assert (len(plan[0]), len(plan[1])) == (n_cuts, n_subtrees)
     univ = oracle.div_universe(cert, ci)
     verdicts = set()
@@ -86,7 +99,7 @@ def test_cut_and_subtree_reach_the_plan():
     setting, t, wick, pi, _, _ = CASES["kpz-T3-pair"]
     ci = certificate(t, wick, pi)
     cert = certifier(setting)
-    cuts, subtrees = cert._interval_plan(ci, cert.build(ci))
+    cuts, subtrees = oracle.interval_plan(cert, ci, cert.build(ci))
     assert len(cuts) == 1
     assert len(subtrees) == 1
 
@@ -98,14 +111,14 @@ def compare_with_search(cert: Certifier, ci: CertificateInput) -> tuple[int, int
     _, failures = cert._failures(ci, built)
     n = len(built.verts)
     masks = list(built.masks.values())
-    plan = cert._interval_plan(ci, built)
-    connected = connected_split(masks)
+    plan = oracle.interval_plan(cert, ci, built)
+    realizable = cert._realizable(ci, built)
     memo: dict = {}
     witnessed = []
     for violation in failures:
         a = violation[1]
         found = oracle.witness_search(n, masks, plan, a, memo)
-        assert cert._witnessed(plan, connected, a) == (found is not None), violation
+        assert realizable(a) == (found is not None), violation
         if found is not None:
             assert a in found
             flat = frozenset({full_mask(n), a})
@@ -201,7 +214,7 @@ def test_certify_witness_matches_oracle(index):
 @st.composite
 def plans(draw):
     """A multigraph on n <= 6 vertices and a plan of the shape
-    `_interval_plan` produces: a basepoint edge {0, v} to every other
+    `interval_plan` produces: a basepoint edge {0, v} to every other
     vertex; cuts whose basepoint pair {0, p} and edge pair {p, c} share p;
     divergences whose external masks meet the vertices their internal
     masks cover.  Every mask the plan names is an edge of the multigraph.
@@ -241,7 +254,7 @@ def plans(draw):
 def test_local_decision_matches_search_on_random_plans(case):
     n, edges, plan, a = case
     found = oracle.witness_search(n, edges, plan, a, {})
-    assert Certifier._witnessed(plan, connected_split(edges), a) == (found is not None)
+    assert oracle.witnessed(plan, connected_split(edges), a) == (found is not None)
     if found is not None:
         assert oracle.plan_realizable(plan, frozenset({full_mask(n), a}))
 
@@ -310,39 +323,59 @@ SAME_SCALES_VERDICTS = {
 }
 
 
+def decide_every_subset(cert: Certifier, ci: CertificateInput) -> dict[bool, int]:
+    """Decide every vertex subset of at least two vertices both with the
+    scale rules (`Certifier._realizable`) and with the first-written plan
+    (`certify_oracle.witnessed`), which asserts that every compatible
+    divergence has internal and external edges; the verdicts by count."""
+    eu = cert.build(ci)
+    plan = oracle.interval_plan(cert, ci, eu)
+    connected = connected_split(eu.masks.values())
+    realizable = cert._realizable(ci, eu)
+    verdicts = {True: 0, False: 0}
+    for a in range(1, 1 << len(eu.verts)):
+        if popcount(a) < 2:
+            continue
+        got = realizable(a)
+        assert got == oracle.witnessed(plan, connected, a), (ci, a)
+        verdicts[got] += 1
+    return verdicts
+
+
 @pytest.mark.parametrize("model", ["kpz", "phi4_3"])
 def test_certify_and_project_describe_the_same_scales(model):
-    """The certifier's per-subset decision against the scale rules that
-    `project` applies.  For every chaos class of every basis tree and every
-    vertex subset a of at least two vertices, let n_a put scale 1 on each
-    edge inside a and 0 on every other edge.  Then a is witnessed
-    (`Certifier._witnessed`) exactly when a is connected, no positive cut is
-    harvested from the empty forest under n_a, and every divergence
-    compatible with the partition that has internal and external edges is
-    its own safe projection under n_a."""
+    """The certifier's per-subset decision, which calls the scale rules
+    that `project` applies, against those rules worked out again as mask
+    inequalities.  For every chaos class of every basis tree and every
+    vertex subset a of at least two vertices, a is realized under the
+    scales n_a (1 on each edge inside a, 0 on every other edge) exactly
+    when the plan witnesses it."""
     wb = Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")))
     cert = Certifier(wb.analysis, wb.config.caps["max_coalescence_vertices"])
     verdicts = {True: 0, False: 0}
     for t in wb.basis():
-        analysis = wb.analysis(t)
-        cuts = [e for e, _ in analysis.cuts]
-        for wick, pi in analysis.gaussian_classes:
-            ci = CertificateInput(tree=t, wick=wick, pi=pi)
-            eu = cert.build(ci)
-            plan = cert._interval_plan(ci, eu)
-            connected = connected_split(eu.masks.values())
-            subtrees = [
-                s for s in analysis.compatible(pi) if internal_tags(eu, s) and external_tags(eu, s)
-            ]
-            for a in range(1, 1 << len(eu.verts)):
-                if popcount(a) < 2:
-                    continue
-                n_a = {tag: int(m & a == m) for tag, m in eu.masks.items()}
-                scales = (
-                    connected(a, [1 << v for v in bits(a)])
-                    and not harvested_cuts(eu, frozenset(), cuts, n_a)
-                    and all(safe_projection(eu, frozenset({s}), n_a) == {s} for s in subtrees)
-                )
-                assert cert._witnessed(plan, connected, a) == scales, (t, wick, pi, a)
-                verdicts[scales] += 1
+        for wick, pi in wb.analysis(t).gaussian_classes:
+            got = decide_every_subset(cert, CertificateInput(tree=t, wick=wick, pi=pi))
+            verdicts = {v: verdicts[v] + got[v] for v in verdicts}
     assert verdicts == SAME_SCALES_VERDICTS[model]
+
+
+# cumulants of the KPZ noise of arity two to four
+EXPLICIT = CumulantSet(KPZ_SETTING.table, "explicit", frozenset(("l",) * m for m in (2, 3, 4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(decorated_trees(max_edges=9), st.data())
+def test_scale_rules_match_the_plan_on_random_trees(t, data):
+    """On random KPZ-typed trees with derivative decorations on their
+    kernel edges, under explicit cumulants of arity two to four, with a
+    random Wick set and admissible partition of the other leaves: every
+    vertex subset is decided by the scale rules as by the plan."""
+    table = KPZ_SETTING.table
+    leaves = sorted(t.leaf_nodes(table))
+    wick = data.draw(st.sets(st.sampled_from(leaves)) if leaves else st.just(set()))
+    pis = leaf_partitions(t, table, EXPLICIT, ground=[u for u in leaves if u not in wick])
+    assume(pis)
+    pi = data.draw(st.sampled_from(pis))
+    cert = Certifier(Analyses(table, EXPLICIT, MAX_DIV), DEFAULT_CAPS["max_coalescence_vertices"])
+    decide_every_subset(cert, CertificateInput(tree=t, wick=frozenset(wick), pi=pi))

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from multiscale_oracle import (
     TagScan,
     dangerous_extension,
     exhaustive_path_scales,
+    external_tags,
     is_interval_of,
     reorganize,
+    tag_set_int_ext,
 )
 from renormforest.forests import (
     all_forests,
@@ -23,7 +26,6 @@ from renormforest.forests import (
 from renormforest.multiscale import (
     STAR,
     EdgeUniverse,
-    external_tags,
     harvested_cuts,
     int_ext,
     internal_tags,
@@ -95,6 +97,36 @@ def test_edge_sets_match_tag_scan_on_random_trees(data):
     pis = leaf_partitions(t, KPZ.table, KPZ.cum, ground=paired)
     pi = data.draw(st.sampled_from(pis)) if pis else frozenset()
     assert_matches_tag_scan(t, KPZ.table, pi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int_ext_matches_tag_sets_on_random_forests(data):
+    """On random trees and partitions, every member of a random forest of
+    subtrees (divergent or not) gets the scales that the set algebra on
+    tag sets gives, or the same error where that raises: a subtree whose
+    children hold all its internal edges, or whose parent holds none of
+    its external ones."""
+    t = data.draw(decorated_trees(max_edges=8))
+    leaves = sorted(t.leaf_nodes(KPZ.table))
+    paired = data.draw(st.lists(st.sampled_from(leaves), unique=True) if leaves else st.just([]))
+    pis = leaf_partitions(t, KPZ.table, KPZ.cum, ground=paired)
+    pi = data.draw(st.sampled_from(pis)) if pis else frozenset()
+    eu = EdgeUniverse(t, KPZ.table, pi)
+    forest: list = []
+    for s in data.draw(st.lists(st.sampled_from(t.all_subtrees()), min_size=1, max_size=4)):
+        if all(nested_or_disjoint(s, x) and s != x for x in forest):
+            forest.append(s)
+    parents = forest_parents(frozenset(forest))
+    n = eu.random_assignment(random.Random(data.draw(st.integers(0, 2**32))), 0, 9)
+    for s in forest:
+        try:
+            want = tag_set_int_ext(eu, s, parents, n)
+        except StructureError as err:
+            with pytest.raises(StructureError, match=re.escape(str(err))):
+                int_ext(eu, s, parents, n)
+        else:
+            assert int_ext(eu, s, parents, n) == want
 
 
 def test_int_ext_constant(kpz):

@@ -213,6 +213,31 @@ def test_one_selector_reads_the_rooted_subtrees():
     assert referrers("rooted_subtrees") == {"hopf._selected"}
 
 
+def src_names() -> set[str]:
+    """Every function, method and class that `src/renormforest` defines, and
+    every name and attribute name it references."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.Name):
+                out.add(node.id)
+    return out
+
+
+def test_certify_and_project_call_the_same_scale_rules():
+    """The certifier decides a failing subset with the scale rules that
+    `project` applies, not with a second copy of them as mask inequalities
+    (kept in `tests/certify_oracle.py`)."""
+    callers = {"workbench.Workbench.cmd_project", "powercount.Certifier._realizable"}
+    assert referrers("harvested_cuts") == callers
+    assert referrers("safe_projection") == callers
+    assert not {"_interval_plan", "_witnessed"} & src_names()
+
+
 # what a shape is under a type table is worked out in `trees` alone
 SHAPE_FACT_NAMES = {"_shape", "_by_table", "_TableFacts"}
 
@@ -260,12 +285,15 @@ def test_benchmark_patch_targets_exist():
         tracer.unpatch_all()
 
 
-# The spans `perfbench/README.md` says each workload reaches: the set-up's,
-# which every workload pays, and each workload's own.  No command searches
-# coalescence trees, so `coalescence.trees_containing` reads 0 by design.
+# The spans each workload reaches: the set-up's, which every workload pays,
+# and each workload's own, among them those `perfbench/README.md` names.
+# certify decides its failing subsets with the scale rules that project
+# applies, so it reaches `multiscale.safe_projection` too.  No command
+# searches coalescence trees, so `coalescence.trees_containing` reads 0 by
+# design.
 SETUP_SPANS = ("workbench.parse_config", "rules.generate_trees")
 WORKLOAD_SPANS = {
-    "certify": ("powercount.certify", "powercount.cut_enumerate"),
+    "certify": ("powercount.certify", "powercount.cut_enumerate", "multiscale.safe_projection"),
     "bphz": ("hopf.bphz_expansion", "hopf.counterterm_report"),
     "project": (
         "forests.div_enumerate",

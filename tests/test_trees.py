@@ -398,6 +398,27 @@ def test_shape_facts_of_a_copy_match_a_fresh_tree(t, data):
     assert edited.hat1_components() == fresh.subforest_components(fresh.hat1)
 
 
+STRAY_COLORINGS = {
+    "hat1-off-the-tree": ("hat1", SubForest(frozenset({7}), frozenset({(7, 8)}))),
+    "hat2-node-off-the-tree": ("hat2", SubForest(frozenset({9}), frozenset())),
+    "hat1-edge-off-the-tree": ("hat1", SubForest(frozenset({1}), frozenset({(5, 6)}))),
+    "hat2-edge-leaves-its-nodes": ("hat2", SubForest(frozenset({0}), frozenset({(0, 1)}))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_COLORINGS))
+def test_colorings_stay_inside_the_tree(case):
+    """A coloring whose nodes or edges are not the tree's, or whose edges
+    leave its own nodes, is refused when the tree is built and by
+    `with_`."""
+    name, coloring = STRAY_COLORINGS[case]
+    edges = {(0, 1): "t", (1, 2): "l"}
+    with pytest.raises(StructureError):
+        DecoratedTree(0, edges, **{name: coloring})
+    with pytest.raises(StructureError):
+        DecoratedTree(0, edges).with_(**{name: coloring})
+
+
 @pytest.mark.parametrize(
     "edges",
     [{(0, 1): "t", (2, 3): "t"}, {(1, 0): "t"}],
