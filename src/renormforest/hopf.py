@@ -34,7 +34,12 @@ components, the subtrees that the extracted pieces keep
 order, so pairwise disjoint subtrees in `div_enumerate`'s order come in the
 order of their smallest nodes), and every
 remainder of a recentering those it keeps (`_plus_colored`), so no colored
-tree that the expansion builds is scanned for them.
+tree that the expansion builds is scanned for them.  A recentering's
+color-2 part is S itself, the shape's own subforest, since S holds the
+piece's color-2 part.
+The expansion and the report read Delta_- and Delta_+ term by term,
+unsummed (`_delta_minus_terms`, `_delta_plus_terms`): both are linear in
+them.  `delta_minus` and `delta_plus` are the summed public forms.
 Delta_+ and A_+ recenter a piece around rooted subtrees (`_recenterings`).
 Every piece they recenter is a `with_` copy of the expanded tree, whose
 shape lists the rooted subtrees S and their boundaries once
@@ -259,24 +264,41 @@ def _remainder(
     return t.with_(**labels)
 
 
+def _delta_minus_terms(
+    t: DecoratedTree,
+    table: TypeTable,
+    candidates: Sequence[tuple[SubForest, Fraction]],
+) -> Iterator[tuple[tuple[DecoratedTree, ...], DecoratedTree, Coefficient]]:
+    """The terms of Delta_- on an uncolored tree, unsummed: (extracted
+    forest as its sorted pieces, colored remainder, coefficient).  A colored
+    tree is refused when this is called, before any term is built.
+
+    Every forest of candidates, the caller's list of the tree's divergent
+    subtrees (see `_extractions`), is extracted with every decoration that
+    keeps its components in X_-.  Each coefficient is a product of
+    binomials and reciprocal factorials, so it is positive and no two
+    terms cancel."""
+    if t.has_coloring():
+        raise ValueError("the negative coaction acts on uncolored trees")
+    return (
+        (
+            tuple(sorted(pieces, key=DecoratedTree.embedded_key)),
+            _remainder(t, [p.restricted_to for p in pieces], nd, ed, o_label=True),
+            coeff,
+        )
+        for coeff, pieces, nd, ed in _extractions(t, table, candidates)
+    )
+
+
 def delta_minus(
     t: DecoratedTree,
     table: TypeTable,
     candidates: Sequence[tuple[SubForest, Fraction]],
 ) -> FormalSum:
-    """The extraction coaction on an uncolored tree: a sum of
-    (extracted forest, colored remainder) pairs.
-
-    Every forest of candidates, the caller's list of the tree's divergent
-    subtrees (see `_extractions`), is extracted with every decoration that
-    keeps its components in X_-.
-    """
-    if t.has_coloring():
-        raise ValueError("the negative coaction acts on uncolored trees")
-    return FormalSum(
-        ((tuple(sorted(pieces)), _remainder(t, [p.restricted_to for p in pieces], nd, ed, o_label=True)), coeff)
-        for coeff, pieces, nd, ed in _extractions(t, table, candidates)
-    )
+    """The extraction coaction on an uncolored tree: the sum of
+    `_delta_minus_terms`, keyed by (extracted forest, colored remainder)."""
+    terms = _delta_minus_terms(t, table, candidates)
+    return FormalSum(((extracted, remainder), c) for extracted, remainder, c in terms)
 
 
 # -- negative twisted antipode ----------------------------------------------------
@@ -327,10 +349,16 @@ class _AntipodeMinus:
     ) -> Iterator[tuple[tuple, Coefficient]]:
         """The terms of `scale` times A_- on a forest, unsummed: one term of
         each piece's sum per output term, keyed by the sorted symbols of
-        them and of `extra`."""
+        them and of `extra`.  Each term is built in one loop over the
+        chosen terms: their symbols extend one list, sorted once, and their
+        coefficients multiply `scale`."""
         for chosen in itertools.product(*(self.tree(p).items() for p in pieces)):
-            keys = itertools.chain(extra, *(k for (k,), _ in chosen))
-            yield (tuple(sorted(keys)),), scale * math.prod(c for _, c in chosen)
+            keys, c = list(extra), scale
+            for (k,), ck in chosen:
+                keys.extend(k)
+                c *= ck
+            keys.sort()
+            yield (tuple(keys),), c
 
     def tree(self, piece: DecoratedTree) -> FormalSum:
         if piece in self.memo:
@@ -368,9 +396,11 @@ def _selected(
 def _plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[list[SubForest], SubForest]:
     """New coloring [hat1 \\ S]_1 + [S]_2 after recentering around an
     admissible S: the color-1 components outside S, in their order, and the
-    color-2 part."""
-    kept = [c for c in piece.hat1_components() if not c.nodes <= s.nodes]
-    return kept, SubForest(s.nodes | piece.hat2.nodes, s.edges | piece.hat2.edges)
+    color-2 part, which is S itself.  S holds the piece's color-2 part,
+    nodes and edges (`_AntipodePlus._abar2` forbids its edges on S's
+    boundary), so S is their union; it is the shape's own subforest, whose
+    sort key is worked out once per shape."""
+    return [c for c in piece.hat1_components() if not c.nodes <= s.nodes], s
 
 
 def _color2_labels(piece: DecoratedTree, table: TypeTable) -> dict[int, MultiIndex]:
@@ -479,7 +509,7 @@ class _AntipodePlus:
                 left = left_s.with_(**labels)
                 coeff = outer_sign * inner_sign * coeff_s * coeff_f
                 for (inner,), c in right.items():
-                    terms.append(((tuple(sorted(inner + (left,))),), coeff * c))
+                    terms.append(((tuple(sorted((*inner, left), key=DecoratedTree.embedded_key)),), coeff * c))
         result = FormalSum(terms)
         self.memo[piece] = result
         return result
@@ -517,34 +547,24 @@ def bphz_expansion(
     A_-(T) of the tree itself is read off its own Delta_-: A_-(T) is
     -sum c_F A_-(F) R_F over the terms (F, R_F) of Delta_- T with
     coefficient c_F and F other than {T}, with the o labels of each
-    remainder R_F dropped (A_-'s recursion carries none).  So the terms are
-    walked once, those that extract T itself last: each other forest's
-    A_-(F) fills the left slot and adds its terms to A_-(T), which is then
-    handed to A_- before any piece equal to T asks for it, and T's
+    remainder R_F dropped (A_-'s recursion carries none).  So the terms of
+    Delta_- are walked once, unsummed (`_delta_minus_terms`; the expansion
+    is linear in them), those that extract T itself last: each other
+    forest's A_-(F) fills the left slot and adds its terms to A_-(T), which
+    is then handed to A_- before any piece equal to T asks for it, and T's
     extractions are listed once.  Where T is not in X_- or is not among its
     own listed divergent subtrees, nothing is summed, and A_- recurses on
     every extracted piece."""
     listed = fo.div_enumerate(t, table) if candidates is None else candidates
+    rows = _delta_minus_terms(t, table, listed)
     anti_minus = _AntipodeMinus(table, listed, lambda p: p)
     anti_plus = _AntipodePlus(table)
     edges = len(t.edge_set)
+    # A_-(T) is summed only where it is read: T in X_- and listed
+    own = [] if in_X_minus(t, table) and any(len(c.edges) == edges for c, _ in listed) else None
+    terms, last = [], []  # last: the extractions of T itself
 
-    def extracts_t(extracted: tuple) -> bool:
-        return len(extracted) == 1 and len(extracted[0].edge_set) == edges
-
-    # the extractions of T itself last, once the other forests have summed
-    # A_-(T); it is summed only where it is read, T in X_- and listed (the
-    # empty forest is always a row)
-    rows = sorted(delta_minus(t, table, candidates=listed).items(), key=lambda row: extracts_t(row[0][0]))
-    own = [] if extracts_t(rows[-1][0][0]) and in_X_minus(t, table) else None
-    terms = []
-    for (extracted, remainder), c1 in rows:
-        if own is not None and extracts_t(extracted):
-            anti_minus.memo[t], own = FormalSum(own), None
-        left = anti_minus.forest(extracted)
-        if own is not None:
-            residual = remainder.with_(o_label={}) if remainder.o_label_items else remainder
-            own.extend(((tuple(sorted(lkey + (residual,))),), -c1 * cl) for (lkey,), cl in left.items())
+    def expand(left: FormalSum, remainder: DecoratedTree, c1: Coefficient):
         for mid, c2, rec_piece in _delta_plus_terms(remainder, table):
             right = anti_plus.run(rec_piece)
             c12 = c1 * c2
@@ -552,6 +572,21 @@ def bphz_expansion(
                 c = c12 * cl
                 for (rkey,), cr in right.items():
                     terms.append(((lkey, mid, rkey), c * cr))
+
+    for extracted, remainder, c1 in rows:
+        if len(extracted) == 1 and len(extracted[0].edge_set) == edges:
+            last.append((extracted, remainder, c1))
+            continue
+        left = anti_minus.forest(extracted)
+        if own is not None:
+            residual = remainder.with_(o_label={}) if remainder.o_label_items else remainder
+            for (lkey,), cl in left.items():
+                own.append(((tuple(sorted((*lkey, residual), key=DecoratedTree.embedded_key)),), -c1 * cl))
+        expand(left, remainder, c1)
+    if own is not None:
+        anti_minus.memo[t] = FormalSum(own)
+    for extracted, remainder, c1 in last:
+        expand(anti_minus.forest(extracted), remainder, c1)
     return FormalSum(terms)
 
 
@@ -598,19 +633,24 @@ def counterterm_report(
     other divergent subtree vanishes (every admissible partition of its
     noises is pendant-reducible), and so does every term of A_- that
     extracts one, which the symbols alone cannot tell.
+    The terms of Delta_- are walked unsummed (`_delta_minus_terms`): the
+    report is linear in them.  Each is grouped by the AHU code of its
+    contracted remainder and the codes of its pieces, and only the term
+    that opens a group relabels its contracted remainder canonically, as
+    the group's residual.
     """
     anti_minus = _AntipodeMinus(table, candidates, lambda p: _bare_constant_key(p, table, cum))
     groups: dict[tuple, dict] = {}
-    dm = delta_minus(t, table, candidates)
-    for (extracted, remainder), coeff in dm.items():
+    for extracted, remainder, coeff in _delta_minus_terms(t, table, candidates):
         if not extracted:
             continue
-        residual = remainder.contract_colored(table).relabel_canonical()
+        contracted = remainder.contract_colored(table)
         codes = [p.canonical_code() for p in extracted]
-        key = (residual.canonical_code(), tuple(sorted(codes)))
-        g = groups.setdefault(
-            key, {"residual": residual, "pieces": list(zip(codes, extracted)), "coeff": 0}
-        )
+        key = (contracted.canonical_code(), tuple(sorted(codes)))
+        g = groups.get(key)
+        if g is None:
+            residual = contracted.relabel_canonical()
+            g = groups[key] = {"residual": residual, "pieces": list(zip(codes, extracted)), "coeff": 0}
         g["coeff"] += coeff
     monomials = []
     for key, g in sorted(groups.items(), key=lambda kv: repr(kv[0])):

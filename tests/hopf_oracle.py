@@ -12,7 +12,12 @@ subtrees of Delta_+ and the positive antipode picked by their own filters
 positivity, each by its own scan), and Delta_+ and the
 positive antipode each with its own recentering loop, and the three-slot
 expansion whose negative antipode of the expanded tree goes through its own
-recursion.  The decorations of an
+recursion.  The summed Delta_- built from the extractions directly, the
+report grouped over it with each row's residual relabelled, the negative
+antipode whose product terms chain their keys and take a `math.prod`, and
+the recentered coloring whose color-2 part is the union of S with the
+piece's are kept too, so no oracle here calls the `hopf` code they
+replaced.  The decorations of an
 extraction come from their own budget recursion, and the loops' bounds on
 the boundary decorations from their own copy of the up-tree table."""
 from __future__ import annotations
@@ -29,19 +34,14 @@ from renormforest.formal import Coefficient, FormalSum, exact, exact_div
 from renormforest.hopf import (
     CountertermMonomial,
     CountertermReport,
-    _AntipodeMinus,
-    _AntipodePlus,
     _bare_constant_key,
     _chi,
     _edge_choices,
     _extractions,
     _label_for,
     _node_choices,
-    _plus_colored,
     _remainder,
     _shifted,
-    delta_minus,
-    delta_plus,
     in_X_minus,
 )
 from renormforest.powercount import TreeAnalysis
@@ -222,6 +222,30 @@ def union(comps: Sequence[SubForest]) -> SubForest:
     )
 
 
+def delta_minus(
+    t: DecoratedTree,
+    table: TypeTable,
+    candidates: Sequence[tuple[SubForest, Fraction]],
+) -> FormalSum:
+    """`hopf.delta_minus` as it was before the expansion and the report
+    walked its terms unsummed: the sum built from `hopf._extractions`
+    directly, each forest's pieces sorted by `DecoratedTree.__lt__`."""
+    if t.has_coloring():
+        raise ValueError("the negative coaction acts on uncolored trees")
+    return FormalSum(
+        ((tuple(sorted(pieces)), _remainder(t, [p.restricted_to for p in pieces], nd, ed, o_label=True)), coeff)
+        for coeff, pieces, nd, ed in _extractions(t, table, candidates)
+    )
+
+
+def plus_colored(piece: DecoratedTree, s: SubForest) -> tuple[list[SubForest], SubForest]:
+    """`hopf._plus_colored` as it was before it took S itself as the
+    color-2 part: the color-1 components outside S, in their order, and the
+    union of S with the piece's color-2 part."""
+    kept = [c for c in piece.hat1_components() if not c.nodes <= s.nodes]
+    return kept, SubForest(s.nodes | piece.hat2.nodes, s.edges | piece.hat2.edges)
+
+
 def extractions(
     t: DecoratedTree,
     table: TypeTable,
@@ -384,6 +408,50 @@ class AntipodeMinusPerPiece:
         return result
 
 
+class AntipodeMinusChained:
+    """`hopf._AntipodeMinus` as it was before it built each product term in
+    one loop: a term's keys are a chain of the chosen terms' keys, sorted,
+    and its coefficient is `scale` times a `math.prod` of theirs."""
+
+    def __init__(
+        self,
+        table: TypeTable,
+        listed: Sequence[tuple[SubForest, Fraction]],
+        symbol: Callable[[DecoratedTree], Optional[Hashable]],
+    ):
+        self.table = table
+        self.listed = listed
+        self.symbol = symbol
+        self.memo: dict[DecoratedTree, FormalSum] = {}
+
+    def forest(self, pieces: Sequence[DecoratedTree]) -> FormalSum:
+        if len(pieces) == 1:
+            return self.tree(pieces[0])
+        return FormalSum(self._terms(pieces, (), 1))
+
+    def _terms(
+        self, pieces: Sequence[DecoratedTree], extra: tuple, scale: Coefficient
+    ) -> Iterator[tuple[tuple, Coefficient]]:
+        for chosen in itertools.product(*(self.tree(p).items() for p in pieces)):
+            keys = itertools.chain(extra, *(k for (k,), _ in chosen))
+            yield (tuple(sorted(keys)),), scale * math.prod(c for _, c in chosen)
+
+    def tree(self, piece: DecoratedTree) -> FormalSum:
+        if piece in self.memo:
+            return self.memo[piece]
+        if not in_X_minus(piece, self.table):
+            raise ValueError("negative antipode applied outside X_-")
+        inside = strictly_inside(self.listed, piece)
+        terms = []
+        for coeff, pieces, nd, ed in _extractions(piece, self.table, inside):
+            symbol = self.symbol(_remainder(piece, [p.restricted_to for p in pieces], nd, ed, o_label=False))
+            if symbol is not None:
+                terms.extend(self._terms(pieces, (symbol,), -coeff))
+        result = FormalSum(terms)
+        self.memo[piece] = result
+        return result
+
+
 class RenormalizedConstant:
     """`hopf._RenormalizedConstant` as it was before the counterterm report
     computed each constant as E Pi A_- through `hopf._AntipodeMinus`: its
@@ -429,15 +497,17 @@ class RenormalizedConstant:
         return res
 
 
-def counterterm_report(
+def grouped_report(
     t: DecoratedTree,
     table: TypeTable,
-    cum: CumulantSet,
     candidates: Sequence[tuple[SubForest, Fraction]],
+    constant: Callable[[DecoratedTree, tuple], FormalSum],
 ) -> CountertermReport:
-    """`hopf.counterterm_report` as it was before it computed each constant
-    as E Pi A_-: the constants come from `RenormalizedConstant`."""
-    rc = RenormalizedConstant(table, cum)
+    """The report's grouping as `hopf.counterterm_report` made it before it
+    walked the terms of Delta_- unsummed: the rows of the summed
+    `delta_minus`, each row's contracted remainder relabelled canonically.
+    `constant(piece, code)` is a piece's constant, keyed by the sorted codes
+    of its symbols."""
     groups: dict[tuple, dict] = {}
     dm = delta_minus(t, table, candidates=candidates)
     for (extracted, remainder), coeff in dm.items():
@@ -456,7 +526,7 @@ def counterterm_report(
         names_out = []
         dead = False
         for code, p in pieces:
-            expansion = rc.of(p, code)
+            expansion = constant(p, code)
             if expansion.is_zero():
                 dead = True
                 break
@@ -474,6 +544,30 @@ def counterterm_report(
         )
     monomials.sort(key=lambda m: (len(m.constants), m.constants, repr(m.residual.canonical_code())))
     return CountertermReport(monomials=tuple(monomials))
+
+
+def counterterm_report(
+    t: DecoratedTree,
+    table: TypeTable,
+    cum: CumulantSet,
+    candidates: Sequence[tuple[SubForest, Fraction]],
+) -> CountertermReport:
+    """`hopf.counterterm_report` as it was before it computed each constant
+    as E Pi A_-: the constants come from `RenormalizedConstant`."""
+    return grouped_report(t, table, candidates, RenormalizedConstant(table, cum).of)
+
+
+def counterterm_report_per_row(
+    t: DecoratedTree,
+    table: TypeTable,
+    cum: CumulantSet,
+    candidates: Sequence[tuple[SubForest, Fraction]],
+) -> CountertermReport:
+    """`hopf.counterterm_report` as it was before it walked the terms of
+    Delta_- unsummed (`grouped_report`), each constant E Pi A_- through
+    `AntipodeMinusChained`."""
+    anti_minus = AntipodeMinusChained(table, candidates, lambda p: _bare_constant_key(p, table, cum))
+    return grouped_report(t, table, candidates, lambda p, code: map_keys(anti_minus.tree(p), lambda k: k[0]))
 
 
 # -- recentering bounds by probe trees ----------------------------------------------
@@ -553,7 +647,7 @@ def probe_headrooms(piece: DecoratedTree, s: SubForest, table: TypeTable) -> lis
     the color-2 part, as `delta_plus` and the positive antipode made it
     (the color-2 part's labels all go to the recentered piece)."""
     fict = piece.fictitious_nodes(table)
-    kept, hat2 = _plus_colored(piece, s)
+    kept, hat2 = plus_colored(piece, s)
     hat1 = union(kept)
     olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
     nhat = [(u, k) for u, k in piece.node_dec_items if u in piece.hat2.nodes - fict]
@@ -634,11 +728,11 @@ def recentering_cases(t: DecoratedTree, table: TypeTable) -> Iterator[tuple[Deco
     of S's boundary edges: each remainder of Delta_- with its admissible
     rooted subtrees (`delta_plus`), then each piece the positive antipode
     runs on, with its recentered subtrees."""
-    anti_plus = _AntipodePlus(table)
+    anti_plus = AntipodePlusLoop(table)
     for _, remainder in delta_minus(t, table, div_enumerate(t, table)).keys():
         for s, _ in admissible_rooted(remainder, table):
             yield remainder, s
-        for _, rec_piece in delta_plus(remainder, table).keys():
+        for _, rec_piece in delta_plus_loop(remainder, table).keys():
             anti_plus.run(rec_piece)
     for piece in anti_plus.memo:
         for s in abar2(piece, table):
@@ -659,7 +753,7 @@ def delta_plus_loop(piece: DecoratedTree, table: TypeTable) -> FormalSum:
         headroom = up_headroom(boundary, up)
         if headroom is None:
             continue
-        kept, hat2 = _plus_colored(piece, s)
+        kept, hat2 = plus_colored(piece, s)
         hat1 = union(kept)
         olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
         plain = piece.restrict(s)
@@ -714,7 +808,7 @@ class AntipodePlusLoop:
             headroom = up_headroom(boundary_s, up)
             if headroom is None:
                 continue
-            kept, hat2 = _plus_colored(piece, s)
+            kept, hat2 = plus_colored(piece, s)
             hat1 = union(kept)
             olabel = {u: v for u, v in piece.o_label_items if u in hat1.nodes}
             plain = piece.restrict(s)
@@ -760,15 +854,17 @@ class AntipodePlusLoop:
 def bphz_expansion(t: DecoratedTree, table: TypeTable) -> FormalSum:
     """`hopf.bphz_expansion` as it was before it read A_-(T) of the expanded
     tree off its own Delta_-: every extracted forest, the tree itself
-    included, goes through `hopf._AntipodeMinus`'s recursion, which
-    extracts from the tree once more."""
+    included, goes through the negative antipode's recursion
+    (`AntipodeMinusChained`), which extracts from the tree once more, over
+    the summed `delta_minus`, with Delta_+ and the positive antipode each by
+    its own recentering loop."""
     listed = div_enumerate(t, table)
-    anti_minus = _AntipodeMinus(table, listed, lambda p: p)
-    anti_plus = _AntipodePlus(table)
+    anti_minus = AntipodeMinusChained(table, listed, lambda p: p)
+    anti_plus = AntipodePlusLoop(table)
     terms = []
     for (extracted, remainder), c1 in delta_minus(t, table, listed).items():
         left = anti_minus.forest(extracted)
-        for (mid, rec_piece), c2 in delta_plus(remainder, table).items():
+        for (mid, rec_piece), c2 in delta_plus_loop(remainder, table).items():
             right = anti_plus.run(rec_piece)
             for (lkey,), cl in left.items():
                 for (rkey,), cr in right.items():

@@ -111,16 +111,25 @@ def test_x_plus_dangling(kpz):
 
 
 def test_expansion_pieces_refuse_trees_outside_their_domain(kpz):
-    """Each guard raises: Delta_- on a colored tree, Delta_+ on a tree with
-    color 2, A_- on pieces outside X_- (homogeneity 0, a root label, a
+    """Each guard raises: Delta_-, the expansion and the report on a
+    colored tree (color 2 at the root, or color 1 alone, which overlaps no
+    color 2 and would be expanded without the guard), Delta_+ on a tree
+    with color 2, A_- on pieces outside X_- (homogeneity 0, a root label, a
     coloring), and A_+ on pieces without color 2 (the bare node among
     them, which has no uncolored edge either) and on a piece whose dangling
     tree is not positive."""
     t, table = kpz.t211, kpz.table
     root_only = SubForest(frozenset({t.root}), frozenset())
     colored = t.with_(hat2=root_only)
-    with pytest.raises(ValueError, match="uncolored"):
-        delta_minus(colored, table, div_enumerate(t, table))
+    listed = div_enumerate(t, table)
+    color1_only = t.with_(hat1=listed[0][0])
+    for tree in (colored, color1_only):
+        with pytest.raises(ValueError, match="uncolored"):
+            delta_minus(tree, table, listed)
+        with pytest.raises(ValueError, match="uncolored"):
+            bphz_expansion(tree, table)
+        with pytest.raises(ValueError, match="uncolored"):
+            counterterm_report(tree, table, kpz.cum, listed)
     with pytest.raises(ValueError, match="color <= 1"):
         delta_plus(colored, table)
     outside_minus = (
@@ -551,6 +560,57 @@ def test_recentering_selection_matches_filters_on_random_trees():
     assert all(reached), reached
 
 
+def assert_recentered_subtrees_hold_color2(piece, subtrees) -> int:
+    """Each S of `subtrees` holds the piece's color-2 part, nodes and
+    edges, so that S is the color-2 part after recentering
+    (`hopf._plus_colored`).  Returns how many S there are."""
+    for s, _ in subtrees:
+        assert piece.hat2.nodes <= s.nodes and piece.hat2.edges <= s.edges
+    return len(subtrees)
+
+
+def test_recentered_subtrees_hold_the_color2_part_on_basis_trees(workbenches, monkeypatch):
+    """On every piece that the expansions of the basis trees recenter,
+    each S that `_recenterings` is given holds the piece's color-2 part;
+    the positive antipode recenters pieces with color 2 among them."""
+    seen = []
+    recenterings = hopf._recenterings
+
+    def recording(piece, table, up, subtrees):
+        subtrees = list(subtrees)
+        seen.append((piece, subtrees))
+        return recenterings(piece, table, up, subtrees)
+
+    monkeypatch.setattr(hopf, "_recenterings", recording)
+    for model, tree_id in TREES:
+        wb = workbenches[model]
+        terms = bphz_expansion(wb.tree_by_id(tree_id), wb.config.table)
+        assert len(terms) == BPHZ_TERMS[model][int(tree_id[1:])]
+    for piece, subtrees in seen:
+        assert_recentered_subtrees_hold_color2(piece, subtrees)
+    assert sum(len(subtrees) for piece, subtrees in seen if piece.hat2.nodes) > 0
+
+
+def test_recentered_subtrees_hold_the_color2_part_on_random_trees():
+    """On random colored trees, drawn as for the selection filters: each S
+    that the positive antipode picks (`_abar2`) holds the piece's color-2
+    part, and some draws pick one."""
+    table = KPZ.table
+    reached = [0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(colored_trees())
+    def check(piece):
+        if piece.hat2.nodes:
+            up = up_hom_table(piece, table)
+            f_slots = sorted(_boundary(piece.kernel_edges(table), piece.hat2))
+            picked = _AntipodePlus(table)._abar2(piece, f_slots, up)
+            reached[0] += assert_recentered_subtrees_hold_color2(piece, picked)
+
+    check()
+    assert reached[0], reached
+
+
 def test_recentering_selection_matches_filters_on_basis_trees(workbenches):
     """On every piece that the expansions of the basis trees recenter: each
     remainder of Delta_- and each piece the positive antipode runs on."""
@@ -976,6 +1036,29 @@ DECORATED_FORK = DecoratedTree(
     edge_dec={e: MultiIndex({0: 1, 1: 1}) for e in ((0, 1), (1, 2), (1, 3))},
     table=KPZ.table,
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(decorated_trees(max_edges=7), st.booleans())
+@example(DECORATED_FORK, True)
+def test_report_matches_per_row_grouping(t, to_four):
+    """The report, which walks Delta_- unsummed and relabels only the term
+    that opens a group, equals monomial by monomial the one grouped over
+    the summed Delta_- with each row's residual relabelled, under KPZ's
+    Gaussian cumulants or cumulants up to arity four.  A drawn tree is
+    checked where its Delta_- from the effective subtrees has at most 60
+    terms, a bound on the draws' time.  `DECORATED_FORK` has 194 such
+    terms under arity four and is checked all the same: an explicit
+    example that fails `assume` would be skipped without a word."""
+    table = KPZ.table
+    cum = cumulants_to_four(table) if to_four else KPZ.cum
+    divergences = TreeAnalysis(t, table, cum, MAX_DIV).divergences
+    assume(t == DECORATED_FORK or len(delta_minus(t, table, divergences)) <= 60)
+    got = counterterm_report(t, table, cum, divergences).monomials
+    want = hopf_oracle.counterterm_report_per_row(t, table, cum, divergences).monomials
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
 
 
 def test_report_on_decorated_tree_pinned():

@@ -48,8 +48,9 @@ ENTRY_POINTS = {
     # public entries: tree building beside `noise` and `poly`
     "trees.integrate",
     "trees.tree_product",
-    # public entry: the recentering coaction, summed; the expansion reads
-    # its unsummed terms
+    # public entries: the extraction and the recentering coactions, summed;
+    # the expansion reads their unsummed terms
+    "hopf.delta_minus",
     "hopf.delta_plus",
 }
 
@@ -211,6 +212,13 @@ def test_one_selector_reads_the_rooted_subtrees():
     """Delta_+ and A_+ pick their recentering subtrees with one boundary
     test, and nothing else in `src/` scans a tree's rooted subtrees."""
     assert referrers("rooted_subtrees") == {"hopf._selected"}
+
+
+def test_nothing_in_src_sums_the_extraction_coaction():
+    """The expansion and the report walk the terms of Delta_- unsummed
+    (`hopf._delta_minus_terms`); the summed `delta_minus` is a public
+    entry that no function or method in `src/` calls."""
+    assert referrers("delta_minus") == set()
 
 
 def src_names() -> set[str]:
