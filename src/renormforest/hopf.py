@@ -389,7 +389,7 @@ def _selected(
     one of its kernel edges is on S's boundary, so S holds or misses each
     color-1 component (A_2), and holds the color-2 part, which holds the
     root, where its edges are forbidden."""
-    fence = piece.hat1.edges.union(*forbidden, (e for e, h in up.items() if h <= 0))
+    fence = piece.hat1.edges.union(*forbidden, (e for e, h in up.items() if h.numerator <= 0))
     return [(s, boundary) for s, boundary in piece.rooted_subtrees(table) if fence.isdisjoint(boundary)]
 
 

@@ -14,7 +14,8 @@ in `rules`.  A failing vertex subset is decided under the scale rules of
 A coalescence tree is a frozenset of cluster bitmasks (`Family`): a laminar
 family of vertex subsets of size >= 2 holding the full set, the children of
 a cluster being its maximal proper sub-clusters and its uncovered single
-vertices.  The poset has the root (full set) minimal."""
+vertices.  The poset has the root (full set) minimal.  The split prune the
+tests' witness search passes to the enumerations lives with that search."""
 from __future__ import annotations
 
 import itertools
@@ -151,7 +152,7 @@ class Certifier:
     decay inequalities on every vertex subset that some realizable
     coalescence tree contains: one whose scales keep every compatible
     divergence its own safe projection and harvest no positive cut
-    (`multiscale`).
+    (`multiscale`).  The bounds are read from per-class Wick tables.
 
     Vertex subsets are bitmasks over the universe's `verts`: bit 0 is the
     basepoint, then the true nodes in order, so a reported `cluster_mask`
@@ -223,8 +224,8 @@ class Certifier:
         it, fails in every such tree.  Otherwise the flat tree {full, a}
         passes, each edge sitting at `a` or at the root: its scales n_a, 1
         on the edges inside `a` and 0 elsewhere, are the ones checked here.
-        It is a coalescence tree of the multigraph exactly when `a` is
-        connected (`connected_split`).  Every compatible divergence has
+        It is a coalescence tree of the multigraph exactly when the edges
+        inside `a` connect it (`connected`).  Every compatible divergence has
         internal edges (a block or a kernel edge) and external ones (a
         basepoint edge), so its scales are defined."""
         analysis = self.analysis(ci.tree)
@@ -233,12 +234,12 @@ class Certifier:
         # with a vanishing counterterm still gets its scale-local Taylor
         # reorganization, so the universe here is the full one
         alone = [frozenset({s}) for s in analysis.compatible(ci.pi)]
-        connected = connected_split(eu.masks.values())
+        masks = list(eu.masks.values())
 
         def realizable(a: int) -> bool:
             n_a = {tag: int(m & a == m) for tag, m in eu.masks.items()}
             return (
-                connected(a, [1 << v for v in bits(a)])
+                connected(masks, a)
                 and all(ms.safe_projection(eu, f, n_a) == f for f in alone)
                 and not ms.harvested_cuts(eu, frozenset(), cuts, n_a)
             )
@@ -276,41 +277,44 @@ class Certifier:
     def _failures(self, ci: CertificateInput, eu: ms.EdgeUniverse):
         """The order alpha and the vertex subsets that violate the
         integrability or the large-scale decay inequality, as (kind, subset,
-        value, bound) in subset order."""
-        n = len(eu.verts)
-        abs_s = self.table.scaling.abs_s
-        types_of = {eu.index[u]: ci.tree.leaf_type(u, self.table) for u in sorted(ci.wick)}
-        wick_idx = set(types_of)
+        value, bound) in subset order.  A subset's bounds read its size and
+        its Wick part w only: `hom[w]` sums the homogeneities of those
+        noises and `types[w]` is their sorted type multiset, each grown one
+        Wick vertex at a time.  A margin is worked out once per multiset of
+        a subset of at least two vertices without the basepoint, which holds
+        its Wick part and any of the `others` true vertices."""
+        n, table = len(eu.verts), self.table
+        abs_s = table.scaling.abs_s
+        wick_mask, hom, types = 0, {0: Fraction(0)}, {0: ()}
+        for u in sorted(ci.wick):
+            bit, x = 1 << eu.index[u], ci.tree.leaf_type(u, table)
+            wick_mask |= bit
+            for w in list(hom):
+                hom[w | bit] = hom[w] + table.hom(x)
+                types[w | bit] = tuple(sorted(types[w] + (x,)))
+        others, pool = n - 1 - len(ci.wick), sorted(set(types[wick_mask]))
+        multisets = {types[w] for w in types if w.bit_count() + others >= 2}
+        margins = {ts: margin(self.cum, pool, ts) for ts in multisets}
         star_rho = eu.masks[("star", ci.tree.root)]
-        pool = sorted({types_of[i] for i in wick_idx})
-        brackets: dict[tuple, Fraction] = {}
 
         base, total = self._subset_tables(ci, eu)
         alpha = total - (n - 1) * abs_s
         full = (1 << n) - 1
         failures = []
         for a in range(1, full + 1):
-            if a.bit_count() < 2:
+            k = a.bit_count()
+            if k < 2:
                 continue
-            ext_types = tuple(sorted(types_of[i] for i in bits(a) if i in wick_idx))
-            rhs = abs_s * (a.bit_count() - 1) + sum(
-                (self.table.hom(x) for x in ext_types), Fraction(0)
-            )
+            w = a & wick_mask
+            rhs = abs_s * (k - 1) + hom[w]
             if not a & 1:
-                if ext_types not in brackets:
-                    brackets[ext_types] = margin(self.cum, pool, ext_types)
-                rhs += brackets[ext_types]
+                rhs += margins[types[w]]
             if not base[a] < rhs:
                 failures.append(("integrability", a, base[a], rhs))
                 continue
             if (a & star_rho) == star_rho and a != full:
                 out = total - base[a]
-                rest_types = tuple(
-                    sorted(types_of[i] for i in wick_idx if not (a >> i) & 1)
-                )
-                rhs2 = abs_s * (n - a.bit_count()) + sum(
-                    (self.table.hom(x) for x in rest_types), Fraction(0)
-                )
+                rhs2 = abs_s * (n - k) + hom[wick_mask ^ w]
                 if not out > rhs2:
                     failures.append(("decay", a, out, rhs2))
         return alpha, failures
@@ -342,32 +346,18 @@ class Certifier:
         }
 
 
-def connected_split(edge_masks: Iterable[int]) -> Callable[[int, list[int]], bool]:
-    """A cluster may split into blocks only when the multigraph's edges
-    (given by their endpoint masks) inside the cluster connect the blocks,
-    as in the coalescence tree of a connected multigraph.  With the
-    cluster's single vertices as blocks this says that the cluster is
-    connected."""
-    edge_masks = list(edge_masks)
-
-    def prune(cluster: int, blocks: list[int]) -> bool:
-        parent = list(range(len(blocks)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for m in edge_masks:
-            if (m & cluster) != m:
-                continue
-            touched = [i for i, b in enumerate(blocks) if m & b]
-            for j in touched[1:]:
-                parent[find(j)] = find(touched[0])
-        return len({find(i) for i in range(len(blocks))}) == 1
-
-    return prune
+def connected(masks: Iterable[int], a: int) -> bool:
+    """Do the multigraph's edges (given by their endpoint masks) that lie
+    inside the vertex subset `a` connect it?  The reach of its lowest vertex
+    grows through those edges until nothing new is reached."""
+    inside = [m for m in masks if (m & a) == m]
+    reach, last = a & -a, 0
+    while reach != last:
+        last = reach
+        for m in inside:
+            if m & reach:
+                reach |= m
+    return reach == a
 
 
 # -- coalescence trees ------------------------------------------------------------
@@ -446,7 +436,7 @@ def trees_containing(
     """Coalescence trees on n vertices that contain the given cluster.  No
     command searches them: `Certifier._realizable` decides a subset at its
     own cluster, and the search is kept for the benchmark's tracing and as
-    the tests' witness search.
+    the tests' witness search, whose connectivity prune lives with it.
 
     The trees are assembled from a tree inside the cluster and a tree on the
     quotient (the cluster as one vertex), outer trees in the outer loop.

@@ -329,14 +329,12 @@ class Workbench:
         rep = counterterm_report(t, table, self.config.cum, self.analysis(t).divergences, names=names)
         monos = []
         for m in rep.monomials:
+            code = m.residual.canonical_code()
             monos.append(
                 {
                     "coeff": frac_str(m.coefficient),
                     "constants": list(m.constants),
-                    "residual": names.get(
-                        m.residual.canonical_code(),
-                        format_tree(m.residual, table),
-                    ),
+                    "residual": names[code] if code in names else format_tree(m.residual, table),
                 }
             )
         return {

@@ -24,6 +24,13 @@ form as mask inequalities.
 
 `evaluate_hom` places the certificate's homogeneity on one coalescence tree
 node by node; it checks the per-subset tables the certifier sums instead.
+
+`failures` is the certifier's first per-subset scan: each subset's Wick
+types listed from its bits, sorted and summed, and each margin kept in a
+memo per certificate.  It checks the per-class Wick tables of
+`Certifier._failures`.  `connected_split` is the split prune of the
+witness search; with single vertices as blocks it checks
+`powercount.connected`.
 """
 from __future__ import annotations
 
@@ -39,10 +46,10 @@ from renormforest.powercount import (
     Certifier,
     Family,
     bits,
-    connected_split,
     enumerate_trees,
     trees_containing as pruned_trees_containing,
 )
+from renormforest.rules import margin
 
 
 def div_universe(cert: Certifier, ci: CertificateInput) -> list:
@@ -243,6 +250,34 @@ def witness(cert: Certifier, ci: CertificateInput):
     return None
 
 
+def connected_split(edge_masks: Iterable[int]) -> Callable[[int, list[int]], bool]:
+    """A cluster may split into blocks only when the multigraph's edges
+    (given by their endpoint masks) inside the cluster connect the blocks,
+    as in the coalescence tree of a connected multigraph.  With the
+    cluster's single vertices as blocks this says that the cluster is
+    connected."""
+    edge_masks = list(edge_masks)
+
+    def prune(cluster: int, blocks: list[int]) -> bool:
+        parent = list(range(len(blocks)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for m in edge_masks:
+            if (m & cluster) != m:
+                continue
+            touched = [i for i, b in enumerate(blocks) if m & b]
+            for j in touched[1:]:
+                parent[find(j)] = find(touched[0])
+        return len({find(i) for i in range(len(blocks))}) == 1
+
+    return prune
+
+
 # -- the per-subset decision as first written ------------------------------------
 
 
@@ -406,3 +441,49 @@ def evaluate_hom(parts: list, fam: Family, n: int) -> dict[Cluster, Fraction]:
                 add(grand_ancestor(fam, full, data), value)
                 add(a, -value)
     return {c: v for c, v in out.items() if v}
+
+
+# -- the per-subset bounds as first written ------------------------------------------
+
+
+def failures(cert: Certifier, ci: CertificateInput, eu: EdgeUniverse):
+    """The order alpha and the vertex subsets that violate the
+    integrability or the large-scale decay inequality, as (kind, subset,
+    value, bound) in subset order."""
+    n = len(eu.verts)
+    abs_s = cert.table.scaling.abs_s
+    types_of = {eu.index[u]: ci.tree.leaf_type(u, cert.table) for u in sorted(ci.wick)}
+    wick_idx = set(types_of)
+    star_rho = eu.masks[("star", ci.tree.root)]
+    pool = sorted({types_of[i] for i in wick_idx})
+    brackets: dict[tuple, Fraction] = {}
+
+    base, total = cert._subset_tables(ci, eu)
+    alpha = total - (n - 1) * abs_s
+    full = (1 << n) - 1
+    failures = []
+    for a in range(1, full + 1):
+        if a.bit_count() < 2:
+            continue
+        ext_types = tuple(sorted(types_of[i] for i in bits(a) if i in wick_idx))
+        rhs = abs_s * (a.bit_count() - 1) + sum(
+            (cert.table.hom(x) for x in ext_types), Fraction(0)
+        )
+        if not a & 1:
+            if ext_types not in brackets:
+                brackets[ext_types] = margin(cert.cum, pool, ext_types)
+            rhs += brackets[ext_types]
+        if not base[a] < rhs:
+            failures.append(("integrability", a, base[a], rhs))
+            continue
+        if (a & star_rho) == star_rho and a != full:
+            out = total - base[a]
+            rest_types = tuple(
+                sorted(types_of[i] for i in wick_idx if not (a >> i) & 1)
+            )
+            rhs2 = abs_s * (n - a.bit_count()) + sum(
+                (cert.table.hom(x) for x in rest_types), Fraction(0)
+            )
+            if not out > rhs2:
+                failures.append(("decay", a, out, rhs2))
+    return alpha, failures

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import certify_oracle as oracle
+from certify_oracle import connected_split
 from conftest import KPZ as KPZ_SETTING
 from conftest import (
     BPHZ_TERMS,
@@ -33,7 +34,6 @@ from renormforest.powercount import (
     Analyses,
     Certifier,
     CertificateInput,
-    connected_split,
     enumerate_trees,
     trees_containing,
 )

@@ -221,6 +221,15 @@ def test_nothing_in_src_sums_the_extraction_coaction():
     assert referrers("delta_minus") == set()
 
 
+def test_only_the_coalescence_trees_list_a_mask_bits():
+    """The certifier reads each vertex subset's bounds from per-class
+    tables and tests its connectivity with one mask closure, so only the
+    enumerations of coalescence trees list a mask's bits; the split prune
+    of the tests' witness search lives with that search."""
+    assert referrers("bits") == {"powercount.enumerate_trees", "powercount.trees_containing"}
+    assert "connected_split" not in src_names()
+
+
 def src_names() -> set[str]:
     """Every function, method and class that `src/renormforest` defines, and
     every name and attribute name it references."""
