@@ -11,7 +11,7 @@ from .rules import CumulantSet, RuleSpec, check_subcritical, generate_trees, pro
 from .forests import div_enumerate, cut_enumerate, sigma_negative
 from .hopf import bphz_expansion, counterterm_report, delta_minus, delta_plus
 from .multiscale import EdgeUniverse, harvested_cuts, path_scale, safe_projection
-from .powercount import Certifier, CertificateInput, enumerate_trees
+from .powercount import Certifier, enumerate_trees
 from .integrands import chaos_classes
 from .workbench import Workbench, parse_config, report_emit
 

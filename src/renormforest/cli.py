@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 check failure (a certificate or side condition
-reported a violation), 2 usage or configuration error, 3 cap exceeded.
+reported a violation), 2 usage or configuration error, 3 cap exceeded.  Any
+other exception is a fault of the program and propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -77,9 +78,6 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     except SubcriticalityError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """Divergent subtrees, positive cuts, forests of subtrees and their parent
 map (`forest_parents`: A_F, and through it C_F and the maximal members),
 the layered i-forests of the negative twisted antipode, and the leaf
-partitions that forests must be compatible with.  Compatibility is tested on
-a subtree's leaf set; `powercount.TreeAnalysis.compatible` holds each
-divergence's leaf set and lists the divergences a partition admits."""
+partitions that forests must be compatible with.  Which divergences a
+partition admits is a per-tree table, `powercount.TreeAnalysis.compatible`,
+built once from each divergence's leaf set."""
 from __future__ import annotations
 
 import itertools
@@ -181,13 +181,6 @@ def leaf_partitions(
     for part in cum.partitions_of(types):
         out.append(frozenset(frozenset(leaves[i] for i in block) for block in part))
     return out
-
-
-def compatible_partition(leaves: frozenset[int], pi: frozenset) -> bool:
-    """A subtree with leaf set `leaves` and a partition are compatible when
-    the leaf set is a union of blocks (a forest is compatible when each
-    member is)."""
-    return leaves <= set().union(*pi) and all(b <= leaves for b in pi if b & leaves)
 
 
 # -- sigma constructions ---------------------------------------------------------

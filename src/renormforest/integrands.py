@@ -1,8 +1,8 @@
 """The chaos decomposition of a tree: its (Wick set, leaf partition) classes,
 each with the forests compatible with the partition and the positive cuts
-each forest leaves free.  The classes and each partition's compatible
-divergences are read off `powercount.TreeAnalysis`; the forests over them
-are listed here."""
+each forest leaves free.  The classes are read off
+`powercount.TreeAnalysis`, and each partition's compatible divergences are
+looked up in its partition table; the forests over them are listed here."""
 from __future__ import annotations
 
 import itertools
@@ -29,7 +29,7 @@ def chaos_classes(analysis: TreeAnalysis) -> list[ChaosClass]:
     all_cuts = [e for e, _ in analysis.cuts]
     out = []
     for wick, pi in analysis.gaussian_classes:
-        univ = [s for s in analysis.compatible(pi) if s in effective]
+        univ = [s for s in analysis.compatible[pi] if s in effective]
         forests = fo.all_forests(univ, analysis.max_div)
         cut_sets = []
         for f in forests:

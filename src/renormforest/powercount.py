@@ -3,8 +3,8 @@ power-counting certifier of the single-tree moment bounds, and the
 coalescence trees it reasons about.
 
 `TreeAnalysis` derives each fact of a tree that no scale changes, once; the
-certifier, `project` and `integrands.chaos_classes` read a leaf partition's
-compatible divergences off it (`TreeAnalysis.compatible`).
+certifier built on it, `project` and `integrands.chaos_classes` look a leaf
+partition's compatible divergences up in its partition table (`compatible`).
 
 The certificate puts one "up" entry per cumulant block at the cluster where
 the block's vertices join; the closed forms of the cumulant homogeneity are
@@ -47,9 +47,8 @@ class TreeAnalysis:
     convergence theorem's hypotheses on its subtrees that fail.
 
     They depend only on the tree, the type table and the cumulant set, not on
-    a partition or on scales.  Each is computed on first use and then kept;
-    none is computed on construction.  `compatible` reads the leaf sets for
-    one partition and keeps nothing."""
+    scales.  Each is computed on first use and then kept; none is computed
+    on construction."""
 
     tree: DecoratedTree
     table: TypeTable
@@ -68,16 +67,21 @@ class TreeAnalysis:
         )
 
     @cached_property
-    def divergence_leaves(self) -> tuple[tuple[SubForest, frozenset[int]], ...]:
-        """Every entry of `all_divergences` with its leaf set L(S)."""
+    def compatible(self) -> dict[frozenset, tuple[SubForest, ...]]:
+        """The partition table: the divergent subtrees, effective or not, that
+        each leaf partition of `gaussian_classes` admits, in `all_divergences`
+        order.  S is compatible when its leaf set is a union of blocks; one
+        pass reads each leaf set once.  A partition `project` accepts is an
+        admissible partition of some leaves, so it is a class's partition."""
         t, table = self.tree, self.table
-        return tuple((s, t.leaves_of(s, table)) for s, _ in self.all_divergences)
-
-    def compatible(self, pi: frozenset[frozenset[int]]) -> list[SubForest]:
-        """The divergent subtrees, effective or not, compatible with the leaf
-        partition `pi` (`forests.compatible_partition`), in
-        `all_divergences` order."""
-        return [s for s, leaves in self.divergence_leaves if fo.compatible_partition(leaves, pi)]
+        block_of = {pi: {u: b for b in pi for u in b} for _, pi in self.gaussian_classes}
+        members: dict[frozenset, list[SubForest]] = {pi: [] for pi in block_of}
+        for s, _ in self.all_divergences:
+            leaves = t.leaves_of(s, table)
+            for pi, blocks in block_of.items():
+                if all(u in blocks and blocks[u] <= leaves for u in leaves):
+                    members[pi].append(s)
+        return {pi: tuple(ss) for pi, ss in members.items()}
 
     @cached_property
     def cuts(self) -> tuple[tuple[EdgeKey, int], ...]:
@@ -135,18 +139,10 @@ class Analyses:
 # -- the certifier -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateInput:
-    """One chaos class of one tree: the noises kept in the Wick product and
-    the partition of the other leaves into cumulant blocks."""
-
-    tree: DecoratedTree
-    wick: frozenset[int]  # L~: noises kept in the Wick product
-    pi: frozenset[frozenset[int]]
-
-
 class Certifier:
-    """Reads the multigraph K(T) + E_pi + E_star of a chaos class from
+    """Certifies one tree's chaos classes (Wick set, partition `pi` of the
+    other leaves into cumulant blocks), built on the tree's analysis.  Reads
+    the multigraph K(T) + E_pi + E_star of a class from
     `multiscale.EdgeUniverse` and builds the total homogeneity of the
     single-tree moment bound, then checks the integrability and large-scale
     decay inequalities on every vertex subset that some realizable
@@ -159,23 +155,22 @@ class Certifier:
     names its vertices by these positions.  Every edge enters through its
     endpoint mask in the universe's `masks`."""
 
-    def __init__(self, analysis: Analyses, vertex_cap: int):
-        self.analysis = analysis
-        self.table, self.cum = analysis.table, analysis.cum
-        self.vertex_cap = vertex_cap
+    def __init__(self, analysis: TreeAnalysis, vertex_cap: int):
+        self.analysis, self.vertex_cap = analysis, vertex_cap
+        self.tree, self.table, self.cum = analysis.tree, analysis.table, analysis.cum
 
     # ---- construction of the multigraph
 
-    def build(self, ci: CertificateInput) -> ms.EdgeUniverse:
+    def build(self, pi: frozenset) -> ms.EdgeUniverse:
         """The class's edge universe, within the vertex cap."""
-        eu = ms.EdgeUniverse(ci.tree, self.table, ci.pi)
+        eu = ms.EdgeUniverse(self.tree, self.table, pi)
         if len(eu.verts) > self.vertex_cap:
             raise fo.CapExceeded(
                 f"quotient vertex count {len(eu.verts)} exceeds the cap {self.vertex_cap}"
             )
         return eu
 
-    def wick_contributions(self, ci: CertificateInput, eu: ms.EdgeUniverse) -> list:
+    def wick_contributions(self, pi: frozenset, eu: ms.EdgeUniverse) -> list:
         """Flat description of the moment integrand's total homogeneity:
         node polynomial weights, cumulant weights, the second-cumulant
         renormalization gain, and kernel growth.
@@ -185,14 +180,14 @@ class Certifier:
         per vertex subset.  Each cumulant block B of the partition puts
         -|t(B)|_s at the cluster where its vertices join.
         """
-        t, table, masks = ci.tree, self.table, eu.masks
+        t, table, masks = self.tree, self.table, eu.masks
         abs_s = table.scaling.abs_s
         parts: list = []
         for u in eu.verts[1:]:
             d = t.node_dec(u).sdeg(table.scaling)
             if d:
                 parts.append(("up", masks[("star", u)], Fraction(-d)))
-        for block in ci.pi:
+        for block in pi:
             leaves = sorted(block)
             types = tuple(t.leaf_type(u, table) for u in leaves)
             mask = eu.node_mask(leaves)
@@ -207,7 +202,7 @@ class Certifier:
 
     # ---- the scale rules at one cluster
 
-    def _realizable(self, ci: CertificateInput, eu: ms.EdgeUniverse) -> Callable[[int], bool]:
+    def _realizable(self, pi: frozenset, eu: ms.EdgeUniverse) -> Callable[[int], bool]:
         """The predicate on vertex subsets `a`: does some coalescence tree
         through `a` have scales under which every compatible divergence is
         its own safe projection (`multiscale.safe_projection`) and no
@@ -228,12 +223,11 @@ class Certifier:
         inside `a` connect it (`connected`).  Every compatible divergence has
         internal edges (a block or a kernel edge) and external ones (a
         basepoint edge), so its scales are defined."""
-        analysis = self.analysis(ci.tree)
-        cuts = [e for e, _ in analysis.cuts]
+        cuts = [e for e, _ in self.analysis.cuts]
         # the scale rules need every power-counting divergence: a subtree
         # with a vanishing counterterm still gets its scale-local Taylor
         # reorganization, so the universe here is the full one
-        alone = [frozenset({s}) for s in analysis.compatible(ci.pi)]
+        alone = [frozenset({s}) for s in self.analysis.compatible[pi]]
         masks = list(eu.masks.values())
 
         def realizable(a: int) -> bool:
@@ -248,13 +242,13 @@ class Certifier:
 
     # ---- hypothesis checks
 
-    def _subset_tables(self, ci: CertificateInput, eu: ms.EdgeUniverse):
+    def _subset_tables(self, pi: frozenset, eu: ms.EdgeUniverse):
         """Per-subset data for the inequality checks.  Every entry sits at
         the cluster where its mask joins, so the partial sums below a node
         depend only on the node's leaf set, and the whole certificate
         reduces to one check per vertex subset."""
         n = len(eu.verts)
-        parts = self.wick_contributions(ci, eu)
+        parts = self.wick_contributions(pi, eu)
         ups: list[tuple[int, Fraction]] = []
         ficts: dict[int, Fraction] = {}
         for kind, mask, value in parts:
@@ -274,7 +268,7 @@ class Certifier:
             base[a] = acc
         return base, total
 
-    def _failures(self, ci: CertificateInput, eu: ms.EdgeUniverse):
+    def _failures(self, wick: frozenset[int], pi: frozenset, eu: ms.EdgeUniverse):
         """The order alpha and the vertex subsets that violate the
         integrability or the large-scale decay inequality, as (kind, subset,
         value, bound) in subset order.  A subset's bounds read its size and
@@ -286,18 +280,18 @@ class Certifier:
         n, table = len(eu.verts), self.table
         abs_s = table.scaling.abs_s
         wick_mask, hom, types = 0, {0: Fraction(0)}, {0: ()}
-        for u in sorted(ci.wick):
-            bit, x = 1 << eu.index[u], ci.tree.leaf_type(u, table)
+        for u in sorted(wick):
+            bit, x = 1 << eu.index[u], self.tree.leaf_type(u, table)
             wick_mask |= bit
             for w in list(hom):
                 hom[w | bit] = hom[w] + table.hom(x)
                 types[w | bit] = tuple(sorted(types[w] + (x,)))
-        others, pool = n - 1 - len(ci.wick), sorted(set(types[wick_mask]))
+        others, pool = n - 1 - len(wick), sorted(set(types[wick_mask]))
         multisets = {types[w] for w in types if w.bit_count() + others >= 2}
         margins = {ts: margin(self.cum, pool, ts) for ts in multisets}
-        star_rho = eu.masks[("star", ci.tree.root)]
+        star_rho = eu.masks[("star", self.tree.root)]
 
-        base, total = self._subset_tables(ci, eu)
+        base, total = self._subset_tables(pi, eu)
         alpha = total - (n - 1) * abs_s
         full = (1 << n) - 1
         failures = []
@@ -319,7 +313,7 @@ class Certifier:
                     failures.append(("decay", a, out, rhs2))
         return alpha, failures
 
-    def certify(self, ci: CertificateInput) -> dict:
+    def certify(self, wick: frozenset[int], pi: frozenset) -> dict:
         """Check the integrability and large-scale decay inequalities; a
         violated node only fails the certificate when some realizable
         coalescence tree contains it.
@@ -330,11 +324,11 @@ class Certifier:
         (`_realizable`); the first one that some realizable tree contains
         is the violation.
         """
-        eu = self.build(ci)
-        alpha, failures = self._failures(ci, eu)
+        eu = self.build(pi)
+        alpha, failures = self._failures(wick, pi, eu)
         if not failures:
             return {"pass": True, "alpha": alpha, "failing_subsets": 0}
-        realizable = self._realizable(ci, eu)
+        realizable = self._realizable(pi, eu)
         for violation in failures:
             if realizable(violation[1]):
                 return {"pass": False, "alpha": alpha, "violation": violation}

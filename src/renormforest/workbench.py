@@ -13,7 +13,7 @@ from . import multiscale as ms
 from .formal import Coefficient
 from .hopf import bphz_expansion, counterterm_report
 from .integrands import chaos_classes
-from .powercount import Analyses, Certifier, CertificateInput
+from .powercount import Analyses, Certifier
 from .rules import CumulantSet, RuleSpec, SubcriticalityError, check_subcritical
 from .rules import generate_trees, production
 from .scaling import MultiIndex, ScalingSpec, TypeTable
@@ -269,6 +269,7 @@ class Workbench:
         self.config = config
         self._basis: Optional[list[DecoratedTree]] = None
         self._names: Optional[dict] = None
+        self._by_id: dict[str, tuple[DecoratedTree, str]] = {}
         # per-tree divergences, cuts and chaos classes, each built on first use
         self.analysis = Analyses(config.table, config.cum, config.caps["max_div"])
 
@@ -288,22 +289,26 @@ class Workbench:
     def tree_by_id(self, tree_id: str) -> DecoratedTree:
         """The basis tree of an id as `generate` prints it: T and its index
         written plainly, or its formatted tree."""
-        basis = self.basis()
-        for i, t in enumerate(basis):
-            if tree_id == f"T{i}":
-                return t
-        names = self.name_map()
-        for t in basis:
-            if names[t.canonical_code()] == tree_id:
-                return t
-        raise KeyError(f"unknown tree id {tree_id!r}; run `generate` to list ids")
+        return self._lookup(tree_id)[0]
+
+    def _lookup(self, tree_id: str) -> tuple[DecoratedTree, str]:
+        """A basis tree with its formatted name, by id (`name_map`)."""
+        self.name_map()
+        if tree_id not in self._by_id:
+            raise ConfigError([f"unknown tree id {tree_id!r}; run `generate` to list ids"])
+        return self._by_id[tree_id]
 
     def name_map(self) -> dict:
-        """The formatted name of each basis tree, by canonical code; built
-        on first use."""
+        """The formatted name of each basis tree, by canonical code, built on
+        first use in the pass that fills the id table: each basis tree with
+        its name, by T and its index, which wins, and by the name."""
         if self._names is None:
             table = self.config.table
-            self._names = {t.canonical_code(): format_tree(t, table) for t in self.basis()}
+            named = [(t, format_tree(t, table)) for t in self.basis()]
+            self._names = {t.canonical_code(): name for t, name in named}
+            self._by_id = {f"T{i}": entry for i, entry in enumerate(named)}
+            for entry in named:
+                self._by_id.setdefault(entry[1], entry)
         return self._names
 
     # -- commands
@@ -315,7 +320,7 @@ class Workbench:
             rows.append(
                 {
                     "id": f"T{i}",
-                    "tree": format_tree(t, table),
+                    "tree": self._lookup(f"T{i}")[1],
                     "edges": len(t.edge_items),
                     "homogeneity": frac_str(t.homogeneity(table)),
                 }
@@ -324,7 +329,7 @@ class Workbench:
 
     def cmd_renormalize(self, tree_id: str) -> dict:
         table = self.config.table
-        t = self.tree_by_id(tree_id)
+        t, name = self._lookup(tree_id)
         names = self.name_map()
         rep = counterterm_report(t, table, self.config.cum, self.analysis(t).divergences, names=names)
         monos = []
@@ -339,7 +344,7 @@ class Workbench:
             )
         return {
             "command": "renormalize",
-            "tree": format_tree(t, table),
+            "tree": name,
             "terms": monos,
         }
 
@@ -348,7 +353,7 @@ class Workbench:
         embedded keys of (counterterm forest, observed piece, recentering
         forest), a space, then the coefficient; the rows sorted.  The tree's
         divergent subtrees are listed under the configured `max_div`."""
-        t = self.tree_by_id(tree_id)
+        t, name = self._lookup(tree_id)
         bp = bphz_expansion(t, self.config.table, candidates=self.analysis(t).all_divergences)
         # the same pieces recur across the rows: each one's key is written
         # once, and each row is the `repr` of its tuple of keys, assembled
@@ -368,19 +373,19 @@ class Workbench:
         )
         return {
             "command": "bphz",
-            "tree": format_tree(t, self.config.table),
+            "tree": name,
             "term_count": len(rows),
             "terms": rows,
         }
 
     def cmd_certify(self, tree_id: str) -> dict:
-        table = self.config.table
-        t = self.tree_by_id(tree_id)
-        cert = Certifier(self.analysis, self.config.caps["max_coalescence_vertices"])
+        t, name = self._lookup(tree_id)
+        analysis = self.analysis(t)
+        cert = Certifier(analysis, self.config.caps["max_coalescence_vertices"])
         rows = []
         ok = True
-        for wick, pi in self.analysis(t).gaussian_classes:
-            res = cert.certify(CertificateInput(tree=t, wick=wick, pi=pi))
+        for wick, pi in analysis.gaussian_classes:
+            res = cert.certify(wick, pi)
             rows.append(
                 {
                     "wick": sorted(wick),
@@ -393,12 +398,12 @@ class Workbench:
             ok = ok and res["pass"]
         out = {
             "command": "certify",
-            "tree": format_tree(t, table),
+            "tree": name,
             "pass": ok,
             "classes": rows,
         }
         # the certificates prove convergence only under the theorem's hypotheses
-        failed = self.analysis.failed_cumulant_hypotheses + self.analysis(t).failed_hypotheses
+        failed = self.analysis.failed_cumulant_hypotheses + analysis.failed_hypotheses
         if failed:
             out["hypotheses"] = list(failed)
             out["pass"] = False
@@ -406,7 +411,7 @@ class Workbench:
 
     def cmd_project(self, tree_id: str, scales_doc: str) -> dict:
         table, caps = self.config.table, self.config.caps
-        t = self.tree_by_id(tree_id)
+        t, name = self._lookup(tree_id)
         pi, given = _parse_scales(scales_doc)
         unknown = sorted(set().union(*pi) - t.leaf_nodes(table))
         if unknown:
@@ -433,7 +438,7 @@ class Workbench:
                     [f"scale of edge {key} is {n[tag]}, outside 0..{caps['scale_range']}"]
                 )
         analysis = self.analysis(t)
-        compat = analysis.compatible(pi)
+        compat = analysis.compatible[pi]
         family = fo.all_forests(compat, cap=caps["max_div"])
         cuts = [e for e, _ in analysis.cuts]
         rows = []
@@ -449,14 +454,14 @@ class Workbench:
             )
         return {
             "command": "project",
-            "tree": format_tree(t, table),
+            "tree": name,
             "divergent_subtrees": sorted(_sf_str(s) for s in compat),
             "cuts": sorted(map(str, cuts)),
             "rows": rows,
         }
 
     def cmd_decompose(self, tree_id: str) -> dict:
-        t = self.tree_by_id(tree_id)
+        t, name = self._lookup(tree_id)
         classes = chaos_classes(self.analysis(t))
         rows = []
         total = 0
@@ -473,7 +478,7 @@ class Workbench:
             )
         return {
             "command": "decompose",
-            "tree": format_tree(t, self.config.table),
+            "tree": name,
             "classes": rows,
             "class_count": len(rows),
             "summand_count": total,

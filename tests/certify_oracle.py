@@ -22,6 +22,11 @@ form as mask inequalities.
   costs a few milliseconds per candidate tree (2 752 trees on six vertices);
   keep its cases small.
 
+`compatible_partition` is the scan that the partition table
+(`TreeAnalysis.compatible`) replaced: a divergence's leaf set tested
+against a partition on every request.  `div_universe` lists a partition's
+compatible divergences with it, and checks the table.
+
 `evaluate_hom` places the certificate's homogeneity on one coalescence tree
 node by node; it checks the per-subset tables the certifier sums instead.
 
@@ -39,12 +44,12 @@ from typing import Callable, Iterable, Optional
 
 from coalescence_oracle import Cluster, ancestor, children_blocks, full_mask, grand_ancestor, popcount
 from multiscale_oracle import external_tags
-from renormforest.forests import compatible_partition, cut_enumerate, div_enumerate
+from renormforest.forests import cut_enumerate
 from renormforest.multiscale import EdgeUniverse, internal_tags
 from renormforest.powercount import (
-    CertificateInput,
     Certifier,
     Family,
+    TreeAnalysis,
     bits,
     enumerate_trees,
     trees_containing as pruned_trees_containing,
@@ -52,26 +57,35 @@ from renormforest.powercount import (
 from renormforest.rules import margin
 
 
-def div_universe(cert: Certifier, ci: CertificateInput) -> list:
-    """Every power-counting divergence compatible with the partition; the
-    certifier once kept it in a memo per (tree, partition)."""
-    univ = div_enumerate(ci.tree, cert.table)
+def compatible_partition(leaves: frozenset[int], pi: frozenset) -> bool:
+    """A subtree with leaf set `leaves` and a partition are compatible when
+    the leaf set is a union of blocks (a forest is compatible when each
+    member is)."""
+    return leaves <= set().union(*pi) and all(b <= leaves for b in pi if b & leaves)
+
+
+def div_universe(analysis: TreeAnalysis, pi: frozenset) -> list:
+    """Every power-counting divergence of the analysis, effective or not,
+    compatible with the partition, in `all_divergences` order: each leaf
+    set scanned against the partition, as the certifier and `project` did
+    per request before the partition table."""
+    t, table = analysis.tree, analysis.table
     return [
         s
-        for s, _ in univ
-        if compatible_partition(ci.tree.leaves_of(s, cert.table), ci.pi)
+        for s, _ in analysis.all_divergences
+        if compatible_partition(t.leaves_of(s, table), pi)
     ]
 
 
-def edge_masks(cert: Certifier, ci: CertificateInput) -> tuple[dict, dict]:
+def edge_masks(cert: Certifier, pi: frozenset) -> tuple[dict, dict]:
     """The multigraph K(T) + E_pi + E_star of the class, rebuilt from the
     tree: the vertex index of each true node (0 is the basepoint, then the
     true nodes in order) and the bitmask of the endpoints of each tagged
     edge."""
-    t, table = ci.tree, cert.table
+    t, table = cert.tree, cert.table
     index = {u: i for i, u in enumerate(sorted(t.true_nodes(table)), start=1)}
     out = {("K", e): 1 << index[e[0]] | 1 << index[e[1]] for e in t.kernel_edges(table)}
-    for block in ci.pi:
+    for block in pi:
         for a in block:
             for b in block:
                 if a < b:
@@ -81,12 +95,12 @@ def edge_masks(cert: Certifier, ci: CertificateInput) -> tuple[dict, dict]:
     return index, out
 
 
-def scale_conditions(cert: Certifier, ci: CertificateInput, univ: list, fam: Family):
+def scale_conditions(cert: Certifier, pi: frozenset, univ: list, fam: Family):
     """Conjunctive atoms LE(c, d) (rank c <= rank d) and disjunctive atom
     groups (at least one must hold) of the scale constraints on one labeled
     tree.  A subtree's edges come from `DecoratedTree.restrict`."""
-    t, table = ci.tree, cert.table
-    index, tag_mask = edge_masks(cert, ci)
+    t, table = cert.tree, cert.table
+    index, tag_mask = edge_masks(cert, pi)
 
     def joins(tags) -> list[Cluster]:
         return sorted({ancestor(fam, tag_mask[tg]) for tg in tags})
@@ -231,21 +245,21 @@ def trees_containing(
                 yield fam
 
 
-def realizable(cert: Certifier, ci: CertificateInput, univ: list, fam: Family) -> bool:
-    return feasible(fam, *scale_conditions(cert, ci, univ, fam))
+def realizable(cert: Certifier, pi: frozenset, univ: list, fam: Family) -> bool:
+    return feasible(fam, *scale_conditions(cert, pi, univ, fam))
 
 
-def witness(cert: Certifier, ci: CertificateInput):
+def witness(cert: Certifier, wick: frozenset, pi: frozenset):
     """The first failing subset with a realizable tree, searched the old way:
     (violation, tree), or None when every failure is pruned."""
-    built = cert.build(ci)
-    _, failures = cert._failures(ci, built)
+    built = cert.build(pi)
+    _, failures = cert._failures(wick, pi, built)
     n = len(built.verts)
-    univ = div_universe(cert, ci)
-    prune = connected_split(edge_masks(cert, ci)[1].values())
+    univ = div_universe(cert.analysis, pi)
+    prune = connected_split(edge_masks(cert, pi)[1].values())
     for violation in failures:
         for fam in trees_containing(n, violation[1], prune, cap=cert.vertex_cap):
-            if realizable(cert, ci, univ, fam):
+            if realizable(cert, pi, univ, fam):
                 return violation, fam
     return None
 
@@ -281,7 +295,7 @@ def connected_split(edge_masks: Iterable[int]) -> Callable[[int, list[int]], boo
 # -- the per-subset decision as first written ------------------------------------
 
 
-def interval_plan(cert: Certifier, ci: CertificateInput, eu: EdgeUniverse):
+def interval_plan(cert: Certifier, pi: frozenset, eu: EdgeUniverse):
     """The scale-order constraints on every labeled coalescence tree,
     reduced to vertex masks.  A mask joins at the deepest cluster that
     holds it (a single vertex at its parent), and a labeling ranks the
@@ -303,10 +317,9 @@ def interval_plan(cert: Certifier, ci: CertificateInput, eu: EdgeUniverse):
     favorably, reflecting the bounded in-window jitter of individual edge
     scales."""
     masks = eu.masks
-    analysis = cert.analysis(ci.tree)
-    cuts = [(masks[("star", e[0])], masks[("K", e)]) for e, _ in analysis.cuts]
+    cuts = [(masks[("star", e[0])], masks[("K", e)]) for e, _ in cert.analysis.cuts]
     subtrees = []
-    for s in analysis.compatible(ci.pi):
+    for s in div_universe(cert.analysis, pi):
         ints = sorted({masks[tag] for tag in internal_tags(eu, s)})
         exts = sorted({masks[tag] for tag in external_tags(eu, s)})
         assert ints and exts, s
@@ -446,19 +459,19 @@ def evaluate_hom(parts: list, fam: Family, n: int) -> dict[Cluster, Fraction]:
 # -- the per-subset bounds as first written ------------------------------------------
 
 
-def failures(cert: Certifier, ci: CertificateInput, eu: EdgeUniverse):
+def failures(cert: Certifier, wick: frozenset, pi: frozenset, eu: EdgeUniverse):
     """The order alpha and the vertex subsets that violate the
     integrability or the large-scale decay inequality, as (kind, subset,
     value, bound) in subset order."""
     n = len(eu.verts)
     abs_s = cert.table.scaling.abs_s
-    types_of = {eu.index[u]: ci.tree.leaf_type(u, cert.table) for u in sorted(ci.wick)}
+    types_of = {eu.index[u]: cert.tree.leaf_type(u, cert.table) for u in sorted(wick)}
     wick_idx = set(types_of)
-    star_rho = eu.masks[("star", ci.tree.root)]
+    star_rho = eu.masks[("star", cert.tree.root)]
     pool = sorted({types_of[i] for i in wick_idx})
     brackets: dict[tuple, Fraction] = {}
 
-    base, total = cert._subset_tables(ci, eu)
+    base, total = cert._subset_tables(pi, eu)
     alpha = total - (n - 1) * abs_s
     full = (1 << n) - 1
     failures = []

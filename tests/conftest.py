@@ -116,23 +116,26 @@ def analyses(setting) -> Analyses:
     return Analyses(setting.table, setting.cum, MAX_DIV)
 
 
-def certifier(setting) -> Certifier:
-    """A setting's certifier under the default caps."""
-    return Certifier(analyses(setting), DEFAULT_CAPS["max_coalescence_vertices"])
+def certifier(setting, t: DecoratedTree) -> Certifier:
+    """The certifier of a setting's tree under the default caps."""
+    return Certifier(analyses(setting)(t), DEFAULT_CAPS["max_coalescence_vertices"])
+
+
+def project_doc(wb: Workbench, t: DecoratedTree, pi: frozenset, rng: random.Random) -> str:
+    """A scale document for one leaf partition of a tree, its scales drawn
+    from `rng`."""
+    eu = EdgeUniverse(t, wb.config.table, pi)
+    scales = {}
+    for (kind, data), n in eu.random_assignment(rng).items():
+        key = f"star:{data}" if kind == "star" else f"{kind}:{data[0]},{data[1]}"
+        scales[key] = n
+    return json.dumps({"pi": sorted(sorted(b) for b in pi), "scales": scales})
 
 
 def project_docs(wb: Workbench, tree_id: str, rng: random.Random) -> list[str]:
     """One scale document per Gaussian class of the tree."""
     t = wb.tree_by_id(tree_id)
-    docs = []
-    for _, pi in wb.analysis(t).gaussian_classes:
-        eu = EdgeUniverse(t, wb.config.table, pi)
-        scales = {}
-        for (kind, data), n in eu.random_assignment(rng).items():
-            key = f"star:{data}" if kind == "star" else f"{kind}:{data[0]},{data[1]}"
-            scales[key] = n
-        docs.append(json.dumps({"pi": sorted(sorted(b) for b in pi), "scales": scales}))
-    return docs
+    return [project_doc(wb, t, pi, rng) for _, pi in wb.analysis(t).gaussian_classes]
 
 
 def multiindices(max_entry: int = 1):

@@ -1,17 +1,30 @@
-"""The per-tree analysis against the direct enumerations it replaces, the
+"""The per-tree analysis against the direct enumerations it replaces, its
+partition table against the per-request scan of leaf sets it replaced, the
 edge-weight omega of `div_enumerate` against the per-subtree zero-node
 homogeneity, the BPHZ extractions and negative antipode built on it against
 the edge-subset scan and tensor fold they replaced, on random decorated
 trees, and reports that do not depend on what a Workbench has already
 analysed."""
 import itertools
+import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BPHZ_TERMS, KPZ, MAX_DIV, decorated_trees, project_docs
+from certify_oracle import div_universe
+from conftest import (
+    BPHZ_TERMS,
+    CERTIFY_VARIANTS,
+    KPZ,
+    MAX_DIV,
+    decorated_trees,
+    project_doc,
+    project_docs,
+    variant_workbench,
+)
 from hopf_oracle import antipode_minus_fold, assert_extractions_match
 from renormforest.forests import (
     cut_enumerate,
@@ -21,8 +34,9 @@ from renormforest.forests import (
 )
 from renormforest.hopf import _AntipodeMinus, delta_minus
 from renormforest.powercount import TreeAnalysis
+from renormforest.rules import CumulantSet
 from renormforest.trees import zero_node_hom
-from renormforest.workbench import Workbench, parse_config, report_emit
+from renormforest.workbench import Workbench, _sf_str, parse_config, report_emit
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = sorted(BPHZ_TERMS)
@@ -81,6 +95,98 @@ def test_analysis_is_lazy():
     assert vars(a).keys() == {"tree", "table", "cum", "max_div"}
     assert a.cuts is a.cuts
     assert vars(a).keys() == {"tree", "table", "cum", "max_div", "cuts"}
+
+
+# -- the partition table ---------------------------------------------------------
+
+
+def assert_table_matches_scan(a: TreeAnalysis) -> int:
+    """The partition table holds the partitions of the classes, in class
+    order and nothing else, and each entry equals the scan of every leaf
+    set against the partition (`certify_oracle.div_universe`, over
+    `compatible_partition`) in members and order; the count of classes."""
+    pis = [pi for _, pi in a.gaussian_classes]
+    assert list(a.compatible) == pis
+    for pi in pis:
+        assert list(a.compatible[pi]) == div_universe(a, pi), pi
+    return len(pis)
+
+
+@pytest.mark.parametrize("model,classes", [("kpz", 32), ("phi4_3", 54)])
+def test_partition_table_matches_the_scan_on_the_bases(model, classes):
+    wb = workbench(model)
+    assert sum(assert_table_matches_scan(wb.analysis(t)) for t in wb.basis()) == classes
+
+
+@pytest.mark.parametrize("variant", CERTIFY_VARIANTS, ids=["/".join(v) for v in CERTIFY_VARIANTS])
+def test_partition_table_matches_the_scan_on_variants(variant):
+    wb = variant_workbench(*variant)
+    assert sum(assert_table_matches_scan(wb.analysis(t)) for t in wb.basis())
+
+
+# cumulants of the KPZ noise of arity two to four
+EXPLICIT = CumulantSet(KPZ.table, "explicit", frozenset(("l",) * m for m in (2, 3, 4)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(decorated_trees(max_edges=9))
+def test_partition_table_matches_the_scan_on_random_trees(t):
+    """Random KPZ-typed trees with derivative decorations on their kernel
+    edges, every class under Gaussian cumulants and under explicit
+    cumulants of arity two to four."""
+    for cum in (KPZ.cum, EXPLICIT):
+        assert assert_table_matches_scan(TreeAnalysis(t, KPZ.table, cum, MAX_DIV))
+
+
+def set_partitions(items: list) -> list[list[list]]:
+    """Every partition of `items` into blocks, singletons included."""
+    if not items:
+        return [[]]
+    first, out = items[0], []
+    for part in set_partitions(items[1:]):
+        out.append([[first]] + part)
+        out += [part[:i] + [[first] + part[i]] + part[i + 1 :] for i in range(len(part))]
+    return out
+
+
+def admissible_partitions(t, table, cum) -> list[frozenset]:
+    """Every partition of a subset of the tree's leaves whose blocks the
+    cumulant set admits, listed without the analysis."""
+    leaves = sorted(t.leaf_nodes(table))
+    out = []
+    for r in range(len(leaves) + 1):
+        for subset in itertools.combinations(leaves, r):
+            for part in set_partitions(list(subset)):
+                if all(cum.admits([t.leaf_type(u, table) for u in block]) for block in part):
+                    out.append(frozenset(map(frozenset, part)))
+    return out
+
+
+def explicit_kpz() -> Workbench:
+    config = json.loads((ROOT / "configs" / "kpz.json").read_text(encoding="utf-8"))
+    config["cumulants"] = {"mode": "explicit", "blocks": [["l"] * m for m in (2, 3, 4)]}
+    return Workbench(parse_config(json.dumps(config)))
+
+
+@pytest.mark.parametrize("model", MODELS + ["kpz-explicit"])
+def test_project_accepts_every_admissible_partition(model):
+    """`project` looks every partition it accepts up in the partition
+    table: each admissible partition of each leaf subset of every basis
+    tree is the partition of one class, and its report lists the scan's
+    divergences."""
+    wb = explicit_kpz() if model == "kpz-explicit" else workbench(model)
+    table, cum = wb.config.table, wb.config.cum
+    rng = random.Random(7)
+    accepted = classes = 0
+    for i, t in enumerate(wb.basis()):
+        analysis = wb.analysis(t)
+        classes += len(analysis.gaussian_classes)
+        for pi in admissible_partitions(t, table, cum):
+            report = wb.cmd_project(f"T{i}", project_doc(wb, t, pi, rng))
+            want = sorted(_sf_str(s) for s in div_universe(analysis, pi))
+            assert report["divergent_subtrees"] == want, (i, pi)
+            accepted += 1
+    assert accepted == classes
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,33 +17,34 @@ import certify_oracle as oracle
 from conftest import KPZ as KPZ_SETTING
 from conftest import CERTIFY_VARIANTS, MAX_DIV, ROOT, decorated_trees, variant_workbench
 from renormforest.forests import leaf_partitions
-from renormforest.powercount import Analyses, Certifier, CertificateInput, bits, connected
+from renormforest.powercount import Analyses, Certifier, bits, connected
 from renormforest.rules import CumulantSet, margin
 from renormforest.scaling import MultiIndex, ScalingSpec, TypeTable, ZERO_MI
 from renormforest.trees import DecoratedTree, integrate, noise, tree_product
 from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
 
 
-def check_class(cert: Certifier, ci: CertificateInput) -> list:
-    """Compare both ways on one class; the failures."""
-    eu = cert.build(ci)
-    got = cert._failures(ci, eu)
-    assert got == oracle.failures(cert, ci, eu), ci
+def check_class(cert: Certifier, wick: frozenset, pi: frozenset) -> list:
+    """Compare both ways on one class of the certifier's tree; the
+    failures."""
+    eu = cert.build(pi)
+    got = cert._failures(wick, pi, eu)
+    assert got == oracle.failures(cert, wick, pi, eu), (wick, pi)
     masks = list(eu.masks.values())
     split = oracle.connected_split(masks)
     for a in range(1, 1 << len(eu.verts)):
-        assert connected(masks, a) == split(a, [1 << v for v in bits(a)]), (ci, a)
+        assert connected(masks, a) == split(a, [1 << v for v in bits(a)]), (wick, pi, a)
     return got[1]
 
 
 def check_every_class(wb: Workbench) -> int:
     """Compare both ways on every class of every basis tree; the count of
     classes."""
-    cert = Certifier(wb.analysis, wb.config.caps["max_coalescence_vertices"])
     count = 0
     for t in wb.basis():
-        for wick, pi in wb.analysis(t).gaussian_classes:
-            check_class(cert, CertificateInput(tree=t, wick=wick, pi=pi))
+        cert = Certifier(wb.analysis(t), wb.config.caps["max_coalescence_vertices"])
+        for wick, pi in cert.analysis.gaussian_classes:
+            check_class(cert, wick, pi)
             count += 1
     return count
 
@@ -79,8 +80,8 @@ def test_tables_match_the_scan_on_random_trees(t, data):
         pis = leaf_partitions(t, table, cum, ground=[u for u in leaves if u not in wick])
         if pis:
             pi = data.draw(st.sampled_from(pis))
-            cert = Certifier(Analyses(table, cum, MAX_DIV), DEFAULT_CAPS["max_coalescence_vertices"])
-            check_class(cert, CertificateInput(tree=t, wick=frozenset(wick), pi=pi))
+            cert = Certifier(Analyses(table, cum, MAX_DIV)(t), DEFAULT_CAPS["max_coalescence_vertices"])
+            check_class(cert, frozenset(wick), pi)
             checked += 1
     assume(checked)
 
@@ -96,7 +97,7 @@ def two_noise_class():
     )
     il, im = (integrate("t", ZERO_MI, noise(x), table) for x in ("l", "m"))
     t = tree_product(il, im, integrate("t", ZERO_MI, tree_product(il, im), table))
-    cert = Certifier(Analyses(table, CumulantSet(table, "gaussian"), MAX_DIV), DEFAULT_CAPS["max_coalescence_vertices"])
+    cert = Certifier(Analyses(table, CumulantSet(table, "gaussian"), MAX_DIV)(t), DEFAULT_CAPS["max_coalescence_vertices"])
     return cert, t
 
 
@@ -106,8 +107,7 @@ def test_tables_match_the_scan_on_two_noise_types():
     lower = {u for u in t.leaf_nodes(table) if t.parent(u) == t.root}
     upper = t.leaf_nodes(table) - lower
     assert sorted(t.leaf_type(u, table) for u in upper) == ["l", "m"]
-    ci = CertificateInput(tree=t, wick=frozenset(upper), pi=frozenset({frozenset(lower)}))
-    check_class(cert, ci)
+    check_class(cert, frozenset(upper), frozenset({frozenset(lower)}))
 
 
 def test_the_margin_applies_to_subsets_without_the_basepoint():
@@ -123,10 +123,9 @@ def test_the_margin_applies_to_subsets_without_the_basepoint():
         edge_dec={(0, 2): MultiIndex({0: 1})},
         table=table,
     )
-    cert = Certifier(Analyses(table, GAUSSIAN, MAX_DIV), DEFAULT_CAPS["max_coalescence_vertices"])
-    ci = CertificateInput(tree=t, wick=frozenset({0, 1}), pi=frozenset())
+    cert = Certifier(Analyses(table, GAUSSIAN, MAX_DIV)(t), DEFAULT_CAPS["max_coalescence_vertices"])
     assert margin(GAUSSIAN, ["l"], ["l", "l"]) == Fraction(3, 2)
-    assert check_class(cert, ci) == [
+    assert check_class(cert, frozenset({0, 1}), frozenset()) == [
         ("integrability", 0b0110, 2, Fraction(37, 25)),
         ("integrability", 0b1010, 4, Fraction(149, 50)),
         ("integrability", 0b1110, 6, Fraction(112, 25)),

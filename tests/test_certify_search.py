@@ -30,13 +30,7 @@ from conftest import (
 )
 from coalescence_oracle import full_mask, popcount
 from renormforest.forests import leaf_partitions
-from renormforest.powercount import (
-    Analyses,
-    Certifier,
-    CertificateInput,
-    enumerate_trees,
-    trees_containing,
-)
+from renormforest.powercount import Analyses, Certifier, enumerate_trees, trees_containing
 from renormforest.rules import CumulantSet
 from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
 
@@ -45,10 +39,10 @@ PHI4 = Phi4()
 KPZ = Workbench(parse_config((ROOT / "configs" / "kpz.json").read_text(encoding="utf-8")))
 
 
-def certificate(t, wick, pi):
-    return CertificateInput(
-        tree=t, wick=frozenset(wick), pi=frozenset(frozenset(b) for b in pi)
-    )
+def certificate(setting, t, wick, pi):
+    """The certifier of a setting's tree and one of its chaos classes,
+    (Wick set, partition)."""
+    return certifier(setting, t), frozenset(wick), frozenset(frozenset(b) for b in pi)
 
 
 def mask(*vs):
@@ -76,18 +70,17 @@ def test_realizability_matches_oracle_on_every_tree(case):
     """The plan, looked up in each tree, realizes the same trees as the
     scale constraints rebuilt from the tree."""
     setting, t, wick, pi, n_cuts, n_subtrees = CASES[case]
-    ci = certificate(t, wick, pi)
-    cert = certifier(setting)
-    built = cert.build(ci)
+    cert, wick, pi = certificate(setting, t, wick, pi)
+    built = cert.build(pi)
     n = len(built.verts)
     assert 4 <= n <= 6
-    plan = oracle.interval_plan(cert, ci, built)
+    plan = oracle.interval_plan(cert, pi, built)
     assert (len(plan[0]), len(plan[1])) == (n_cuts, n_subtrees)
-    univ = oracle.div_universe(cert, ci)
+    univ = oracle.div_universe(cert.analysis, pi)
     verdicts = set()
     for fam in enumerate_trees(n):
         got = oracle.plan_realizable(plan, fam)
-        assert got == oracle.realizable(cert, ci, univ, fam), fam
+        assert got == oracle.realizable(cert, pi, univ, fam), fam
         verdicts.add(got)
     assert True in verdicts
     assert False in verdicts
@@ -97,22 +90,21 @@ def test_cut_and_subtree_reach_the_plan():
     """KPZ T3 with its two leaves paired: the positive cut and the one
     divergence compatible with the pair each constrain the scales."""
     setting, t, wick, pi, _, _ = CASES["kpz-T3-pair"]
-    ci = certificate(t, wick, pi)
-    cert = certifier(setting)
-    cuts, subtrees = oracle.interval_plan(cert, ci, cert.build(ci))
+    cert, wick, pi = certificate(setting, t, wick, pi)
+    cuts, subtrees = oracle.interval_plan(cert, pi, cert.build(pi))
     assert len(cuts) == 1
     assert len(subtrees) == 1
 
 
-def compare_with_search(cert: Certifier, ci: CertificateInput) -> tuple[int, int]:
+def compare_with_search(cert: Certifier, wick: frozenset, pi: frozenset) -> tuple[int, int]:
     """Decide every failing subset of the class both ways and check that
     `certify` reports the first witnessed one; (witnessed, refuted)."""
-    built = cert.build(ci)
-    _, failures = cert._failures(ci, built)
+    built = cert.build(pi)
+    _, failures = cert._failures(wick, pi, built)
     n = len(built.verts)
     masks = list(built.masks.values())
-    plan = oracle.interval_plan(cert, ci, built)
-    realizable = cert._realizable(ci, built)
+    plan = oracle.interval_plan(cert, pi, built)
+    realizable = cert._realizable(pi, built)
     memo: dict = {}
     witnessed = []
     for violation in failures:
@@ -123,20 +115,19 @@ def compare_with_search(cert: Certifier, ci: CertificateInput) -> tuple[int, int
             assert a in found
             flat = frozenset({full_mask(n), a})
             assert oracle.plan_realizable(plan, flat)
-            assert oracle.realizable(cert, ci, oracle.div_universe(cert, ci), flat)
+            assert oracle.realizable(cert, pi, oracle.div_universe(cert.analysis, pi), flat)
             witnessed.append(violation)
-    res = cert.certify(ci)
+    res = cert.certify(wick, pi)
     assert res["pass"] == (not witnessed)
     assert res.get("violation") == (witnessed[0] if witnessed else None)
     return len(witnessed), len(failures) - len(witnessed)
 
 
 def compare_every_class(wb: Workbench, tree_id: str) -> tuple[int, int]:
-    t = wb.tree_by_id(tree_id)
-    cert = Certifier(wb.analysis, wb.config.caps["max_coalescence_vertices"])
+    cert = Certifier(wb.analysis(wb.tree_by_id(tree_id)), wb.config.caps["max_coalescence_vertices"])
     witnessed = refuted = 0
-    for wick, pi in wb.analysis(t).gaussian_classes:
-        w, r = compare_with_search(cert, CertificateInput(tree=t, wick=wick, pi=pi))
+    for wick, pi in cert.analysis.gaussian_classes:
+        w, r = compare_with_search(cert, wick, pi)
         witnessed, refuted = witnessed + w, refuted + r
     return witnessed, refuted
 
@@ -190,23 +181,22 @@ def bad_noise_certificates():
     fail, so the search has a witness to find."""
     bad = Phi4(xi_hom=Fraction(-3))
     lv = sorted(bad.t111.leaf_nodes(bad.table))
-    yield bad, certificate(bad.t111, [lv[2]], [(lv[0], lv[1])])
-    yield bad, certificate(bad.t111, [lv[0]], [(lv[1], lv[2])])
+    yield certificate(bad, bad.t111, [lv[2]], [(lv[0], lv[1])])
+    yield certificate(bad, bad.t111, [lv[0]], [(lv[1], lv[2])])
     lv = sorted(bad.t11.leaf_nodes(bad.table))
-    yield bad, certificate(bad.t11, [], [(lv[0], lv[1])])
+    yield certificate(bad, bad.t11, [], [(lv[0], lv[1])])
 
 
 @pytest.mark.parametrize("index", range(3))
 def test_certify_witness_matches_oracle(index):
     """The violation is the one the search's first implementation finds
     first, and every failing subset is decided as the search decides it."""
-    bad, ci = list(bad_noise_certificates())[index]
-    cert = certifier(bad)
-    witnessed, _ = compare_with_search(cert, ci)
+    cert, wick, pi = list(bad_noise_certificates())[index]
+    witnessed, _ = compare_with_search(cert, wick, pi)
     assert witnessed
-    res = cert.certify(ci)
+    res = cert.certify(wick, pi)
     assert not res["pass"]
-    violation, fam = oracle.witness(cert, ci)
+    violation, fam = oracle.witness(cert, wick, pi)
     assert res["violation"] == violation
     assert violation[1] in fam
 
@@ -323,21 +313,21 @@ SAME_SCALES_VERDICTS = {
 }
 
 
-def decide_every_subset(cert: Certifier, ci: CertificateInput) -> dict[bool, int]:
+def decide_every_subset(cert: Certifier, pi: frozenset) -> dict[bool, int]:
     """Decide every vertex subset of at least two vertices both with the
     scale rules (`Certifier._realizable`) and with the first-written plan
     (`certify_oracle.witnessed`), which asserts that every compatible
     divergence has internal and external edges; the verdicts by count."""
-    eu = cert.build(ci)
-    plan = oracle.interval_plan(cert, ci, eu)
+    eu = cert.build(pi)
+    plan = oracle.interval_plan(cert, pi, eu)
     connected = connected_split(eu.masks.values())
-    realizable = cert._realizable(ci, eu)
+    realizable = cert._realizable(pi, eu)
     verdicts = {True: 0, False: 0}
     for a in range(1, 1 << len(eu.verts)):
         if popcount(a) < 2:
             continue
         got = realizable(a)
-        assert got == oracle.witnessed(plan, connected, a), (ci, a)
+        assert got == oracle.witnessed(plan, connected, a), (pi, a)
         verdicts[got] += 1
     return verdicts
 
@@ -351,11 +341,11 @@ def test_certify_and_project_describe_the_same_scales(model):
     scales n_a (1 on each edge inside a, 0 on every other edge) exactly
     when the plan witnesses it."""
     wb = Workbench(parse_config((ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")))
-    cert = Certifier(wb.analysis, wb.config.caps["max_coalescence_vertices"])
     verdicts = {True: 0, False: 0}
     for t in wb.basis():
-        for wick, pi in wb.analysis(t).gaussian_classes:
-            got = decide_every_subset(cert, CertificateInput(tree=t, wick=wick, pi=pi))
+        cert = Certifier(wb.analysis(t), wb.config.caps["max_coalescence_vertices"])
+        for _, pi in cert.analysis.gaussian_classes:
+            got = decide_every_subset(cert, pi)
             verdicts = {v: verdicts[v] + got[v] for v in verdicts}
     assert verdicts == SAME_SCALES_VERDICTS[model]
 
@@ -377,5 +367,5 @@ def test_scale_rules_match_the_plan_on_random_trees(t, data):
     pis = leaf_partitions(t, table, EXPLICIT, ground=[u for u in leaves if u not in wick])
     assume(pis)
     pi = data.draw(st.sampled_from(pis))
-    cert = Certifier(Analyses(table, EXPLICIT, MAX_DIV), DEFAULT_CAPS["max_coalescence_vertices"])
-    decide_every_subset(cert, CertificateInput(tree=t, wick=frozenset(wick), pi=pi))
+    cert = Certifier(Analyses(table, EXPLICIT, MAX_DIV)(t), DEFAULT_CAPS["max_coalescence_vertices"])
+    decide_every_subset(cert, pi)

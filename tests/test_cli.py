@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import BPHZ_TERMS, KPZ_BASIS, PHI4_BASIS, project_docs
 from renormforest import cli
-from renormforest.workbench import ConfigError, Workbench, parse_config
+from renormforest.workbench import ConfigError, Workbench, format_tree, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {"kpz": KPZ_BASIS, "phi4_3": PHI4_BASIS}
@@ -394,6 +394,36 @@ def test_certify_malformed_tree_id(tree_id, capsys, monkeypatch):
     so no sign, space, leading zero, underscore or non-ASCII digit."""
     monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
     _assert_unknown_tree(tree_id, capsys)
+
+
+def test_a_fault_inside_a_command_is_no_usage_error(monkeypatch):
+    """A KeyError raised inside a command, a missed table lookup say, is a
+    fault of the program: it reaches the caller with its traceback, and is
+    not printed as an `error:` line with exit 2."""
+    monkeypatch.delenv("RENORMFOREST_CAPS", raising=False)
+
+    def missed_lookup(self, tree_id):
+        return {}[tree_id]
+
+    monkeypatch.setattr(Workbench, "cmd_certify", missed_lookup)
+    with pytest.raises(KeyError):
+        cli.main(["--config", config_path("kpz"), "certify", "T0"])
+
+
+def test_an_index_id_wins_over_a_formatted_name():
+    """KPZ with its noise named T1: basis tree T0, the lone noise, formats
+    as "T1".  The id T1 still names basis tree 1, and every other
+    formatted name names its own tree."""
+    wb = Workbench(parse_config(Path(config_path("kpz")).read_text().replace('"l"', '"T1"')))
+    basis, table = wb.basis(), wb.config.table
+    names = [format_tree(t, table) for t in basis]
+    assert names[:2] == ["T1", "t(T1)"]
+    assert wb.tree_by_id("T1") is basis[1]
+    assert wb.cmd_decompose("T1")["tree"] == "t(T1)"
+    for i, (t, name) in enumerate(zip(basis, names)):
+        assert wb.tree_by_id(f"T{i}") is t
+        if i:
+            assert wb.tree_by_id(name) is t
 
 
 def test_certify_independent_of_hash_seed():

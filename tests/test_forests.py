@@ -233,7 +233,7 @@ def test_kpz_scenario_forests(kpz):
 
     def f_pi(blocks):
         pi = frozenset(frozenset(b) for b in blocks)
-        univ = [s for s in analysis.compatible(pi) if s in effective]
+        univ = [s for s in analysis.compatible[pi] if s in effective]
         return all_forests(univ, DEFAULT_CAPS["max_div"])
 
     assert len(f_pi([])) == 1

@@ -39,7 +39,7 @@ from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
 def compatible_forests(setting, t, pi):
     """F_pi: the forests over every divergent subtree of `t`, effective or
     not, that the partition admits."""
-    return all_forests(analyses(setting)(t).compatible(pi), DEFAULT_CAPS["max_div"])
+    return all_forests(analyses(setting)(t).compatible[pi], DEFAULT_CAPS["max_div"])
 
 
 def _setup(kpz, pi_blocks=None):
@@ -138,8 +138,6 @@ def test_int_ext_constant(kpz):
 
 def test_int_ext_dangerous(kpz):
     """Internal scales 9,9,8 against externals at most 5."""
-    t, table, eu, univ, compat, (v1, v2, v3, v4) = _setup(kpz, [(v2, v3) for v2, v3 in [(0, 0)]] )
-    # rebuild with the mid-top block
     t, table, eu, univ, compat, (v1, v2, v3, v4) = _setup(kpz, None)
     # S3: the two-level chain with leaves v2, v3
     s3 = [

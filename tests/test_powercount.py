@@ -8,7 +8,7 @@ from certify_oracle import div_universe, evaluate_hom, realizable
 from conftest import KAPPA, Phi4, certifier
 from cumulant_oracle import CumulantHomogeneity, jump_recursion, partitions_list
 from coalescence_oracle import full_mask
-from renormforest.powercount import CertificateInput, enumerate_trees, trees_containing
+from renormforest.powercount import enumerate_trees, trees_containing
 from renormforest.rules import CumulantSet, fict_gain, gain, higher_cum_check, jump
 from renormforest.scaling import ScalingSpec, TypeTable
 
@@ -140,16 +140,15 @@ def test_partitions_and_jump_match_the_recursions(cum, data):
         assert jump(cum, pool, block) == jump_recursion(cum, pool, block)
 
 
-def _ci(setting, t, wick, pi):
-    return CertificateInput(
-        tree=t, wick=frozenset(wick), pi=frozenset(frozenset(b) for b in pi)
-    )
+def _class(wick, pi):
+    """A chaos class as `Certifier.certify` takes it: (Wick set, partition)."""
+    return frozenset(wick), frozenset(frozenset(b) for b in pi)
 
 
 def test_certify_111(phi4):
     lv = sorted(phi4.t111.leaf_nodes(phi4.table))
-    cert = certifier(phi4)
-    res = cert.certify(_ci(phi4, phi4.t111, [lv[2]], [(lv[0], lv[1])]))
+    cert = certifier(phi4, phi4.t111)
+    res = cert.certify(*_class([lv[2]], [(lv[0], lv[1])]))
     assert res["pass"]
     assert res["alpha"] < 0
     assert res["alpha"] == Fraction(-6) + 2 * KAPPA
@@ -158,18 +157,18 @@ def test_certify_111(phi4):
 def test_certify_degenerate_two_vertices(phi4):
     """Just the root and the basepoint: the order is -|s| and there is
     nothing to violate."""
-    cert = certifier(phi4)
     t = phi4.t1
+    cert = certifier(phi4, t)
     lv = sorted(t.leaf_nodes(phi4.table))
     # wick the only noise: no pairs; the quotient keeps the root, the leaf
     # node, and the basepoint
-    res = cert.certify(_ci(phi4, t, lv, []))
+    res = cert.certify(*_class(lv, []))
     assert res["pass"]
     assert res["alpha"] < 0
 
 
 def test_certify_131_all_classes(phi4):
-    cert = certifier(phi4)
+    cert = certifier(phi4, phi4.t131)
     lv = sorted(phi4.t131.leaf_nodes(phi4.table))
 
     def pairings(xs):
@@ -184,7 +183,7 @@ def test_certify_131_all_classes(phi4):
     for wick in lv:
         rest = [u for u in lv if u != wick]
         for p in pairings(rest):
-            res = cert.certify(_ci(phi4, phi4.t131, [wick], p))
+            res = cert.certify(*_class([wick], p))
             assert res["pass"], (wick, p, res)
             assert res["alpha"] == Fraction(-7) + 4 * KAPPA
 
@@ -192,27 +191,27 @@ def test_certify_131_all_classes(phi4):
 def test_certify_flips_on_bad_noise():
     bad = Phi4(xi_hom=Fraction(-3))
     lv = sorted(bad.t111.leaf_nodes(bad.table))
-    cert = certifier(bad)
-    ci = _ci(bad, bad.t111, [lv[2]], [(lv[0], lv[1])])
-    res = cert.certify(ci)
+    cert = certifier(bad, bad.t111)
+    wick, pi = _class([lv[2]], [(lv[0], lv[1])])
+    res = cert.certify(wick, pi)
     assert not res["pass"]
     kind, a, _, _ = res["violation"]
     assert kind in ("integrability", "decay")
     # the coarsest coalescence tree through the violated subset realizes it
-    n = len(cert.build(ci).verts)
-    assert realizable(cert, ci, div_universe(cert, ci), frozenset({full_mask(n), a}))
+    n = len(cert.build(pi).verts)
+    assert realizable(cert, pi, div_universe(cert.analysis, pi), frozenset({full_mask(n), a}))
 
 
 def test_subset_reduction_matches_tree_scan(phi4):
     """Cross-check: per-subset partial sums equal the per-tree evaluation of
     the assembled homogeneity on every coalescence tree."""
     lv = sorted(phi4.t111.leaf_nodes(phi4.table))
-    ci = _ci(phi4, phi4.t111, [lv[2]], [(lv[0], lv[1])])
-    cert = certifier(phi4)
-    built = cert.build(ci)
+    _, pi = _class([lv[2]], [(lv[0], lv[1])])
+    cert = certifier(phi4, phi4.t111)
+    built = cert.build(pi)
     n = len(built.verts)
-    parts = cert.wick_contributions(ci, built)
-    base, total = cert._subset_tables(ci, built)
+    parts = cert.wick_contributions(pi, built)
+    base, total = cert._subset_tables(pi, built)
     for fam in enumerate_trees(n):
         vals = evaluate_hom(parts, fam, n)
         assert sum(vals.values(), Fraction(0)) == total

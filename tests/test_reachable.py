@@ -202,10 +202,18 @@ def referrers(name: str) -> set[str]:
     return out
 
 
-def test_only_the_analysis_tests_partition_compatibility():
-    """A partition's compatible divergences are read off the tree's
-    analysis, which holds each divergence's leaf set."""
-    assert referrers("compatible_partition") == {"powercount.TreeAnalysis.compatible"}
+def test_per_tree_facts_are_table_lookups():
+    """A partition's compatible divergences are looked up in the tree's
+    partition table, whose scan `compatible_partition` is a test oracle; a
+    certifier is built on one tree's analysis, with no input record naming
+    the tree; and a basis tree is formatted once, in the pass that builds
+    the id table, while `renormalize` formats the residuals outside the
+    basis."""
+    assert not {"compatible_partition", "CertificateInput"} & src_names()
+    assert referrers("format_tree") == {
+        "workbench.Workbench.name_map",
+        "workbench.Workbench.cmd_renormalize",
+    }
 
 
 def test_one_selector_reads_the_rooted_subtrees():
