@@ -6,9 +6,9 @@ coalescence trees it reasons about.
 certifier built on it, `project` and `integrands.chaos_classes` look a leaf
 partition's compatible divergences up in its partition table (`compatible`).
 
-The certificate puts one "up" entry per cumulant block at the cluster where
-the block's vertices join; the closed forms of the cumulant homogeneity are
-in `rules`.  A failing vertex subset is decided under the scale rules of
+The certificate puts each cumulant block's weight at the cluster where the
+block's vertices join; the closed forms of the cumulant homogeneity are in
+`rules`.  A failing vertex subset is decided under the scale rules of
 `multiscale`, the ones `project` applies.
 
 A coalescence tree is a frozenset of cluster bitmasks (`Family`): a laminar
@@ -148,7 +148,7 @@ class Certifier:
     decay inequalities on every vertex subset that some realizable
     coalescence tree contains: one whose scales keep every compatible
     divergence its own safe projection and harvest no positive cut
-    (`multiscale`).  The bounds are read from per-class Wick tables.
+    (`multiscale`).  One loop over the subsets reads all their bounds.
 
     Vertex subsets are bitmasks over the universe's `verts`: bit 0 is the
     basepoint, then the true nodes in order, so a reported `cluster_mask`
@@ -169,36 +169,6 @@ class Certifier:
                 f"quotient vertex count {len(eu.verts)} exceeds the cap {self.vertex_cap}"
             )
         return eu
-
-    def wick_contributions(self, pi: frozenset, eu: ms.EdgeUniverse) -> list:
-        """Flat description of the moment integrand's total homogeneity:
-        node polynomial weights, cumulant weights, the second-cumulant
-        renormalization gain, and kernel growth.
-
-        Each entry is ("up", mask, value), placed at the deepest cluster that
-        holds the mask, or ("fict", mask, value); `_subset_tables` sums them
-        per vertex subset.  Each cumulant block B of the partition puts
-        -|t(B)|_s at the cluster where its vertices join.
-        """
-        t, table, masks = self.tree, self.table, eu.masks
-        abs_s = table.scaling.abs_s
-        parts: list = []
-        for u in eu.verts[1:]:
-            d = t.node_dec(u).sdeg(table.scaling)
-            if d:
-                parts.append(("up", masks[("star", u)], Fraction(-d)))
-        for block in pi:
-            leaves = sorted(block)
-            types = tuple(t.leaf_type(u, table) for u in leaves)
-            mask = eu.node_mask(leaves)
-            parts.append(("up", mask, -sum((table.hom(x) for x in types), Fraction(0))))
-            f = fict_gain(table, types)
-            if f > 0:
-                parts.append(("fict", mask, Fraction(f)))
-        for e in t.kernel_edges(table):
-            h = Fraction(abs_s) - table.hom(t.edge_type(e)) + t.edge_dec(e).sdeg(table.scaling)
-            parts.append(("up", masks[("K", e)], h))
-        return parts
 
     # ---- the scale rules at one cluster
 
@@ -242,46 +212,43 @@ class Certifier:
 
     # ---- hypothesis checks
 
-    def _subset_tables(self, pi: frozenset, eu: ms.EdgeUniverse):
-        """Per-subset data for the inequality checks.  Every entry sits at
-        the cluster where its mask joins, so the partial sums below a node
-        depend only on the node's leaf set, and the whole certificate
-        reduces to one check per vertex subset."""
-        n = len(eu.verts)
-        parts = self.wick_contributions(pi, eu)
-        ups: list[tuple[int, Fraction]] = []
-        ficts: dict[int, Fraction] = {}
-        for kind, mask, value in parts:
-            if kind == "up":
-                ups.append((mask, value))
-            else:
-                ficts[mask] = ficts.get(mask, Fraction(0)) + value
-        total = sum((v for _, v in ups), Fraction(0))
-        base: dict[int, Fraction] = {}
-        for a in range(1, 1 << n):
-            acc = Fraction(0)
-            for m, v in ups:
-                if (m & a) == m:
-                    acc += v
-            if a in ficts:
-                acc -= ficts[a]
-            base[a] = acc
-        return base, total
-
     def _failures(self, wick: frozenset[int], pi: frozenset, eu: ms.EdgeUniverse):
         """The order alpha and the vertex subsets that violate the
         integrability or the large-scale decay inequality, as (kind, subset,
-        value, bound) in subset order.  A subset's bounds read its size and
-        its Wick part w only: `hom[w]` sums the homogeneities of those
-        noises and `types[w]` is their sorted type multiset, each grown one
-        Wick vertex at a time.  A margin is worked out once per multiset of
-        a subset of at least two vertices without the basepoint, which holds
-        its Wick part and any of the `others` true vertices."""
-        n, table = len(eu.verts), self.table
-        abs_s = table.scaling.abs_s
+        value, bound) in subset order.  A subset's value sums the weights
+        whose masks it holds (-|n_u|_s per node label, -|t(B)|_s per block
+        B, |s| - |t| + |k|_s per kernel edge), less f(B) when it is B's own
+        mask.  Each weight sits at the cluster where its mask joins, so the
+        partial sums below a node depend only on the node's leaf set, and one
+        check per vertex subset decides the certificate.  Its bounds read its
+        size and its Wick part w only: `hom[w]` sums the homogeneities of
+        those noises and `types[w]` is their sorted type multiset, each grown
+        one Wick vertex at a time.  A margin is worked out once per multiset
+        of a subset of at least two vertices without the basepoint, which
+        holds its Wick part and any of the `others` true vertices."""
+        t, n, table, masks = self.tree, len(eu.verts), self.table, eu.masks
+        scaling = table.scaling
+        abs_s = scaling.abs_s
+        ups: list[tuple[int, Fraction]] = []
+        gains: dict[int, Fraction] = {}
+        for u in eu.verts[1:]:
+            d = t.node_dec(u).sdeg(scaling)
+            if d:
+                ups.append((masks[("star", u)], Fraction(-d)))
+        for block in pi:
+            leaves = sorted(block)
+            block_types = tuple(t.leaf_type(u, table) for u in leaves)
+            mask = eu.node_mask(leaves)
+            ups.append((mask, -sum((table.hom(x) for x in block_types), Fraction(0))))
+            gains[mask] = Fraction(fict_gain(table, block_types))
+        for e in t.kernel_edges(table):
+            h = Fraction(abs_s) - table.hom(t.edge_type(e)) + t.edge_dec(e).sdeg(scaling)
+            ups.append((masks[("K", e)], h))
+        total = sum((h for _, h in ups), Fraction(0))
+
         wick_mask, hom, types = 0, {0: Fraction(0)}, {0: ()}
         for u in sorted(wick):
-            bit, x = 1 << eu.index[u], self.tree.leaf_type(u, table)
+            bit, x = 1 << eu.index[u], t.leaf_type(u, table)
             wick_mask |= bit
             for w in list(hom):
                 hom[w | bit] = hom[w] + table.hom(x)
@@ -289,9 +256,8 @@ class Certifier:
         others, pool = n - 1 - len(wick), sorted(set(types[wick_mask]))
         multisets = {types[w] for w in types if w.bit_count() + others >= 2}
         margins = {ts: margin(self.cum, pool, ts) for ts in multisets}
-        star_rho = eu.masks[("star", self.tree.root)]
+        star_rho = masks[("star", t.root)]
 
-        base, total = self._subset_tables(pi, eu)
         alpha = total - (n - 1) * abs_s
         full = (1 << n) - 1
         failures = []
@@ -299,15 +265,21 @@ class Certifier:
             k = a.bit_count()
             if k < 2:
                 continue
+            value = Fraction(0)
+            for m, h in ups:
+                if (m & a) == m:
+                    value += h
+            if a in gains:
+                value -= gains[a]
             w = a & wick_mask
             rhs = abs_s * (k - 1) + hom[w]
             if not a & 1:
                 rhs += margins[types[w]]
-            if not base[a] < rhs:
-                failures.append(("integrability", a, base[a], rhs))
+            if not value < rhs:
+                failures.append(("integrability", a, value, rhs))
                 continue
             if (a & star_rho) == star_rho and a != full:
-                out = total - base[a]
+                out = total - value
                 rhs2 = abs_s * (n - k) + hom[wick_mask ^ w]
                 if not out > rhs2:
                     failures.append(("decay", a, out, rhs2))
@@ -318,7 +290,7 @@ class Certifier:
         violated node only fails the certificate when some realizable
         coalescence tree contains it.
 
-        The inequalities are evaluated per vertex subset (`_subset_tables`),
+        The inequalities are evaluated per vertex subset (`_failures`),
         and each failing subset, in subset order, is decided at its own
         cluster under the scale rules that `project` applies
         (`_realizable`); the first one that some realizable tree contains

@@ -391,7 +391,7 @@ class Workbench:
                     "wick": sorted(wick),
                     "pi": sorted(sorted(b) for b in pi),
                     "pass": res["pass"],
-                    "alpha": frac_str(res["alpha"]) if res.get("alpha") is not None else None,
+                    "alpha": frac_str(res["alpha"]),
                     "violation": _violation_row(res.get("violation")),
                 }
             )

@@ -27,15 +27,20 @@ form as mask inequalities.
 against a partition on every request.  `div_universe` lists a partition's
 compatible divergences with it, and checks the table.
 
-`evaluate_hom` places the certificate's homogeneity on one coalescence tree
-node by node; it checks the per-subset tables the certifier sums instead.
+`wick_contributions` and `subset_tables` are the certificate's homogeneity
+as the certifier first assembled it: a tagged ("up" | "fict", mask, value)
+list, and a table of its partial sums over all 2^n vertex subsets.
+`Certifier._failures` now sums each subset's value in its own subset loop,
+from weights it builds itself, and shares neither with this module.
+`evaluate_hom` places the tagged list on one coalescence tree node by node;
+it checks `subset_tables`.
 
-`failures` is the certifier's first per-subset scan: each subset's Wick
-types listed from its bits, sorted and summed, and each margin kept in a
-memo per certificate.  It checks the per-class Wick tables of
-`Certifier._failures`.  `connected_split` is the split prune of the
-witness search; with single vertices as blocks it checks
-`powercount.connected`.
+`failures` is the certifier's first per-subset scan, on `subset_tables`:
+each subset's Wick types listed from its bits, sorted and summed, and each
+margin kept in a memo per certificate.  It checks `Certifier._failures`,
+its weights and its per-class Wick tables, against weights that `src/` no
+longer holds.  `connected_split` is the split prune of the witness search;
+with single vertices as blocks it checks `powercount.connected`.
 """
 from __future__ import annotations
 
@@ -54,7 +59,7 @@ from renormforest.powercount import (
     enumerate_trees,
     trees_containing as pruned_trees_containing,
 )
-from renormforest.rules import margin
+from renormforest.rules import fict_gain, margin
 
 
 def compatible_partition(leaves: frozenset[int], pi: frozenset) -> bool:
@@ -432,13 +437,71 @@ def witness_search(n: int, masks, plan, a: int, memo: dict) -> Optional[Family]:
     return None
 
 
-# -- the certificate's homogeneity on one tree ---------------------------------------
+# -- the certificate's homogeneity, as first written ---------------------------------
+
+
+def wick_contributions(cert: Certifier, pi: frozenset, eu: EdgeUniverse) -> list:
+    """Flat description of the moment integrand's total homogeneity:
+    node polynomial weights, cumulant weights, the second-cumulant
+    renormalization gain, and kernel growth.
+
+    Each entry is ("up", mask, value), placed at the deepest cluster that
+    holds the mask, or ("fict", mask, value); `subset_tables` sums them
+    per vertex subset.  Each cumulant block B of the partition puts
+    -|t(B)|_s at the cluster where its vertices join.
+    """
+    t, table, masks = cert.tree, cert.table, eu.masks
+    abs_s = table.scaling.abs_s
+    parts: list = []
+    for u in eu.verts[1:]:
+        d = t.node_dec(u).sdeg(table.scaling)
+        if d:
+            parts.append(("up", masks[("star", u)], Fraction(-d)))
+    for block in pi:
+        leaves = sorted(block)
+        types = tuple(t.leaf_type(u, table) for u in leaves)
+        mask = eu.node_mask(leaves)
+        parts.append(("up", mask, -sum((table.hom(x) for x in types), Fraction(0))))
+        f = fict_gain(table, types)
+        if f > 0:
+            parts.append(("fict", mask, Fraction(f)))
+    for e in t.kernel_edges(table):
+        h = Fraction(abs_s) - table.hom(t.edge_type(e)) + t.edge_dec(e).sdeg(table.scaling)
+        parts.append(("up", masks[("K", e)], h))
+    return parts
+
+
+def subset_tables(cert: Certifier, pi: frozenset, eu: EdgeUniverse):
+    """Per-subset data for the inequality checks.  Every entry sits at
+    the cluster where its mask joins, so the partial sums below a node
+    depend only on the node's leaf set, and the whole certificate
+    reduces to one check per vertex subset."""
+    n = len(eu.verts)
+    parts = wick_contributions(cert, pi, eu)
+    ups: list[tuple[int, Fraction]] = []
+    ficts: dict[int, Fraction] = {}
+    for kind, mask, value in parts:
+        if kind == "up":
+            ups.append((mask, value))
+        else:
+            ficts[mask] = ficts.get(mask, Fraction(0)) + value
+    total = sum((v for _, v in ups), Fraction(0))
+    base: dict[int, Fraction] = {}
+    for a in range(1, 1 << n):
+        acc = Fraction(0)
+        for m, v in ups:
+            if (m & a) == m:
+                acc += v
+        if a in ficts:
+            acc -= ficts[a]
+        base[a] = acc
+    return base, total
 
 
 def evaluate_hom(parts: list, fam: Family, n: int) -> dict[Cluster, Fraction]:
-    """The total homogeneity of `Certifier.wick_contributions` on one
-    coalescence tree, placed node by node; `Certifier._subset_tables`
-    replaces it with one partial sum per vertex subset."""
+    """The total homogeneity of `wick_contributions` on one coalescence
+    tree, placed node by node; `subset_tables` replaces it with one partial
+    sum per vertex subset."""
     full = full_mask(n)
     out: dict[Cluster, Fraction] = {}
 
@@ -471,7 +534,7 @@ def failures(cert: Certifier, wick: frozenset, pi: frozenset, eu: EdgeUniverse):
     pool = sorted({types_of[i] for i in wick_idx})
     brackets: dict[tuple, Fraction] = {}
 
-    base, total = cert._subset_tables(pi, eu)
+    base, total = subset_tables(cert, pi, eu)
     alpha = total - (n - 1) * abs_s
     full = (1 << n) - 1
     failures = []

@@ -1,12 +1,15 @@
-"""The certifier's per-subset bounds (`Certifier._failures`, read from
-per-class Wick tables) and its connectivity test (`powercount.connected`,
-one mask closure) against the first per-subset scan
-(`certify_oracle.failures`) and the witness search's split prune
+"""The certifier's per-subset bounds (`Certifier._failures`: each subset's
+value summed from the class's weights in one subset loop, its bounds read
+from per-class Wick tables) and its connectivity test
+(`powercount.connected`, one mask closure) against the first per-subset
+scan (`certify_oracle.failures`, on the oracle's own weights and subset
+tables) and the witness search's split prune
 (`certify_oracle.connected_split`): the same order alpha and the same
 failures, in kind, subset, value, bound and order, on every chaos class of
-both bases, of the rougher-noise variants, of random trees under Gaussian
-and explicit cumulants, and of a class whose Wick set mixes two noise
-types; and the same verdict on every vertex subset of those classes."""
+both bases, of the rougher-noise variants, of random node-labelled trees
+under Gaussian and explicit cumulants, and of a class whose Wick set mixes
+two noise types; and the same verdict on every vertex subset of those
+classes."""
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 import certify_oracle as oracle
 from conftest import KPZ as KPZ_SETTING
-from conftest import CERTIFY_VARIANTS, MAX_DIV, ROOT, decorated_trees, variant_workbench
+from conftest import CERTIFY_VARIANTS, MAX_DIV, ROOT, decorated_trees, multiindices, variant_workbench
 from renormforest.forests import leaf_partitions
 from renormforest.powercount import Analyses, Certifier, bits, connected
 from renormforest.rules import CumulantSet, margin
@@ -69,10 +72,14 @@ EXPLICIT = CumulantSet(KPZ_SETTING.table, "explicit", frozenset(("l",) * m for m
 @given(decorated_trees(max_edges=9), st.data())
 def test_tables_match_the_scan_on_random_trees(t, data):
     """Random KPZ-typed trees with derivative decorations on their kernel
-    edges, each with a random Wick set and admissible partition of the
-    other leaves under Gaussian cumulants and under explicit cumulants of
-    arity two to four, where it has one."""
+    edges and node labels on a random set of their true nodes, each with a
+    random Wick set and admissible partition of the other leaves under
+    Gaussian cumulants and under explicit cumulants of arity two to four,
+    where it has one.  Neither basis carries node labels, so only this test
+    reaches their weights."""
     table = KPZ_SETTING.table
+    labelled = data.draw(st.sets(st.sampled_from(sorted(t.true_nodes(table)))))
+    t = t.with_(node_dec={u: data.draw(multiindices()) for u in sorted(labelled)})
     leaves = sorted(t.leaf_nodes(table))
     checked = 0
     for cum in (GAUSSIAN, EXPLICIT):

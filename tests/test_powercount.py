@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certify_oracle import div_universe, evaluate_hom, realizable
+from certify_oracle import div_universe, evaluate_hom, realizable, subset_tables, wick_contributions
 from conftest import KAPPA, Phi4, certifier
 from cumulant_oracle import CumulantHomogeneity, jump_recursion, partitions_list
 from coalescence_oracle import full_mask
@@ -203,15 +203,16 @@ def test_certify_flips_on_bad_noise():
 
 
 def test_subset_reduction_matches_tree_scan(phi4):
-    """Cross-check: per-subset partial sums equal the per-tree evaluation of
-    the assembled homogeneity on every coalescence tree."""
+    """Cross-check: the oracle's per-subset partial sums, which
+    `test_certify_bounds` compares with the certifier's, equal the per-tree
+    evaluation of the assembled homogeneity on every coalescence tree."""
     lv = sorted(phi4.t111.leaf_nodes(phi4.table))
     _, pi = _class([lv[2]], [(lv[0], lv[1])])
     cert = certifier(phi4, phi4.t111)
     built = cert.build(pi)
     n = len(built.verts)
-    parts = cert.wick_contributions(pi, built)
-    base, total = cert._subset_tables(pi, built)
+    parts = wick_contributions(cert, pi, built)
+    base, total = subset_tables(cert, pi, built)
     for fam in enumerate_trees(n):
         vals = evaluate_hom(parts, fam, n)
         assert sum(vals.values(), Fraction(0)) == total

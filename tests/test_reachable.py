@@ -238,6 +238,15 @@ def test_only_the_coalescence_trees_list_a_mask_bits():
     assert "connected_split" not in src_names()
 
 
+def test_the_certificate_weights_are_worked_out_in_one_place():
+    """`Certifier._failures` builds each class's weights and sums every
+    vertex subset's value in its one subset loop; the tagged list and the
+    table of all 2^n partial sums it replaced are test oracles, and the
+    second-cumulant gain is read there and by the margin hypothesis alone."""
+    assert not {"wick_contributions", "_subset_tables"} & src_names()
+    assert referrers("fict_gain") == {"powercount.Certifier._failures", "rules.higher_cum_check"}
+
+
 def src_names() -> set[str]:
     """Every function, method and class that `src/renormforest` defines, and
     every name and attribute name it references."""
