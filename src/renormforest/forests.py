@@ -39,10 +39,11 @@ def _block_pendant_reducible(
     t: DecoratedTree, sf: SubForest, block: Sequence[int], table: TypeTable
 ) -> bool:
     """The block's span, the connected subtree of `sf` joining the block's
-    leaves with every edge of `sf` out of them (their noise edges, and a
-    kernel edge out of one of them too), is a proper part of `sf`, no other
-    edge of `sf` leaves the span below the join, and the span's zero-label
-    homogeneity is negative."""
+    leaves with their noise edges, is a proper part of `sf`, no other edge
+    of `sf` leaves the span below the join, and the span's zero-label
+    homogeneity is negative.  A kernel edge out of a leaf is no part of the
+    span: out of the join it hangs beside the span, and out of a leaf below
+    the join it leaves the span there."""
     top = t.subtree_root(sf)
     paths = []
     for u in block:
@@ -54,9 +55,9 @@ def _block_pendant_reducible(
     # each path runs deepest-first, so the first common node is the join
     join = next(v for v in paths[0] if v in common)
     below = {v for path in paths for v in path[: path.index(join)]}
-    out_of_leaves = [e for e in sf.edges if e[0] in block]
-    interior = below.union(c for _, c in out_of_leaves)
-    edges = frozenset({(t.parent(v), v) for v in below}.union(out_of_leaves))
+    noises = [e for e in t.noise_edges(table) if e[0] in block]
+    interior = below.union(c for _, c in noises)
+    edges = frozenset({(t.parent(v), v) for v in below}.union(noises))
     return (
         edges != sf.edges
         and not any(p in interior for p, _ in sf.edges - edges)

@@ -2,17 +2,19 @@
 
 A `FormalSum` maps canonical hashable keys to nonzero exact coefficients: an
 `int` where the coefficient is integral, a `Fraction` (denominator > 1) only
-where it is not.  Other coefficients (a bool, an integral `Fraction`) are
-converted on the way in, so an integral `Fraction` is stored as its
-numerator; a float raises TypeError.  Tensor terms are represented by tuples
-of per-slot keys.
+where it is not.  It is built once, from an iterable of (key, coefficient)
+terms, whose repeated keys it merges; other coefficients (a bool, an
+integral `Fraction`) are converted on the way in, so an integral `Fraction`
+is stored as its numerator; a float raises TypeError.  It is then only read
+(`items`, `coeff`, `keys`, `is_zero`, `len`, `==`): the BPHZ path sums every
+expansion in one term list and does no arithmetic on sums.  Tensor terms are
+represented by tuples of per-slot keys.
 """
 from __future__ import annotations
 
-import itertools
 import numbers
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Union
+from typing import Hashable, Iterable, Iterator, Union
 
 Coefficient = Union[int, Fraction]
 
@@ -41,10 +43,9 @@ def exact_div(c: Coefficient, n: int) -> Coefficient:
 class FormalSum:
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Hashable, Coefficient] | Iterable[tuple[Hashable, Coefficient]] = ()):
+    def __init__(self, terms: Iterable[tuple[Hashable, Coefficient]]):
         acc: dict = {}
-        items = terms.items() if hasattr(terms, "items") else terms  # cheaper than an ABC check
-        for key, coeff in items:
+        for key, coeff in terms:
             if type(coeff) is not int:
                 coeff = exact(coeff)
             if not coeff:
@@ -63,14 +64,6 @@ class FormalSum:
                     del acc[key]
         self._terms = acc
 
-    @classmethod
-    def single(cls, key: Hashable, coeff=1) -> "FormalSum":
-        return cls([(key, coeff)])
-
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
-
     def items(self) -> Iterator[tuple[Hashable, Coefficient]]:
         """The terms in no canonical order: callers that emit them sort by
         a canonical key of their own."""
@@ -88,24 +81,8 @@ class FormalSum:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum(itertools.chain(self._terms.items(), other._terms.items()))
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "FormalSum":
-        scalar = exact(scalar)
-        out = FormalSum.zero()
-        if scalar:
-            out._terms = {k: exact(scalar * v) for k, v in self._terms.items()}
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FormalSum) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -79,7 +79,7 @@ from .scaling import (
     multiindices_below,
     submultiindices,
 )
-from .trees import DecoratedTree, EdgeKey, SubForest, _boundary, up_hom_table
+from .trees import DecoratedTree, EdgeKey, SubForest, _boundary, tree_product, up_hom_table
 
 # -- membership ----------------------------------------------------------------
 
@@ -481,7 +481,7 @@ class _AntipodePlus:
         deg_nhat = sum(k.degree() for k in _color2_labels(piece, t).values())
         if not (piece.edge_set - piece.hat2.edges):  # no dangling tree: in X_+
             bare = piece.with_(o_label={}) if piece.o_label_items else piece
-            res = FormalSum.single(((bare,),), (-1) ** deg_nhat)
+            res = FormalSum([(((bare,),), (-1) ** deg_nhat)])
             self.memo[piece] = res
             return res
         up = up_hom_table(piece, t)
@@ -636,8 +636,8 @@ def counterterm_report(
     The terms of Delta_- are walked unsummed (`_delta_minus_terms`): the
     report is linear in them.  Each is grouped by the AHU code of its
     contracted remainder and the codes of its pieces, and only the term
-    that opens a group relabels its contracted remainder canonically, as
-    the group's residual.
+    that opens a group builds its contracted remainder again in the
+    canonical labelling, as the group's residual.
     """
     anti_minus = _AntipodeMinus(table, candidates, lambda p: _bare_constant_key(p, table, cum))
     groups: dict[tuple, dict] = {}
@@ -649,7 +649,8 @@ def counterterm_report(
         key = (contracted.canonical_code(), tuple(sorted(codes)))
         g = groups.get(key)
         if g is None:
-            residual = contracted.relabel_canonical()
+            # a graft of one tree is that tree in its canonical labelling
+            residual = tree_product(contracted)
             g = groups[key] = {"residual": residual, "pieces": list(zip(codes, extracted)), "coeff": 0}
         g["coeff"] += coeff
     monomials = []

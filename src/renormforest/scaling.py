@@ -210,15 +210,6 @@ class ExtLabel:
     def is_zero(self) -> bool:
         return not self._zd and not self._types
 
-    def __add__(self, other: "ExtLabel") -> "ExtLabel":
-        zd = dict(self._zd)
-        for i, v in other._zd:
-            zd[i] = zd.get(i, 0) + v
-        ty = dict(self._types)
-        for t, v in other._types:
-            ty[t] = ty.get(t, 0) + v
-        return ExtLabel(zd, ty)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExtLabel)

@@ -23,15 +23,13 @@ their boundaries and divergent subtrees.  A labelled sum adds only the
 tree's own labels: `DecoratedTree.homogeneity`, `up_hom_table`, and
 `zero_node_hom`, which `subtree_omegas` reads.
 
-Every copy of a tree under new ids is made by one primitive,
-`DecoratedTree._copy`, which renames the edges, labels, coloring and o
-labels of the nodes a renaming maps (`relabel` renames all of them).  New
-trees are built as the rule builds them, by planting trees under edges:
-`graft` puts copies of subtrees, and noise leaves, under a fresh root, laid
-out in the canonical labelling with their codes read off the subtrees, so
-each is built once.  The planted tree I_k(tau) (`integrate`), the tree
-product (`tree_product`) and every tree of `rules.generate_trees` are one
-graft each; `relabel_canonical` builds a tree made otherwise again.
+New trees are built as the rule builds them, by planting trees under
+edges, and by one builder: `graft` puts copies of subtrees (`_copy`), and
+noise leaves, under a fresh root, laid out in the canonical labelling with
+their codes read off the subtrees, so each is built once.  The planted tree
+I_k(tau) (`integrate`), the tree product (`tree_product`), every tree of
+`rules.generate_trees` and every residual of a counterterm report are one
+graft each: a graft of one tree is that tree in its canonical labelling.
 """
 from __future__ import annotations
 
@@ -54,10 +52,6 @@ class SubForest:
     nodes: frozenset[int]
     edges: frozenset[EdgeKey]
 
-    @classmethod
-    def empty(cls) -> "SubForest":
-        return cls(frozenset(), frozenset())
-
     def is_empty(self) -> bool:
         return not self.nodes and not self.edges
 
@@ -70,7 +64,7 @@ class SubForest:
         return key
 
 
-EMPTY_SUBFOREST = SubForest.empty()
+EMPTY_SUBFOREST = SubForest(frozenset(), frozenset())
 
 
 class StructureError(ValueError):
@@ -551,24 +545,10 @@ class DecoratedTree:
             stack.extend(c for _, c in reversed(kids))
         return order
 
-    def relabel_canonical(self) -> "DecoratedTree":
-        """Relabel node ids 0..n-1 in the canonical (AHU) traversal order,
-        giving a deterministic representative of the iso class (a second
-        build, which `graft` avoids).  The relabelled tree takes over the
-        codes, which erase the embedding."""
-        codes = self._node_codes()
-        ren = {u: i for i, u in enumerate(self._canonical_preorder(self.root))}
-        out = self.relabel(ren)
-        out._codes = {ren[u]: code for u, code in codes.items()}
-        return out
-
-    def relabel(self, ren: Mapping[int, int]) -> "DecoratedTree":
-        return DecoratedTree(ren[self.root], *self._copy(ren))
-
     def _copy(self, ren: Mapping[int, int]) -> tuple:
-        """The edges, node labels, edge labels, coloring and o labels among
-        the nodes that `ren` maps, renamed by `ren`: the arguments after the
-        root of the tree they make."""
+        """The edges, node labels and edge labels among the nodes that `ren`
+        maps, renamed by `ren`: what `graft` copies of a branch, whose
+        coloring and o labels it has stripped."""
 
         def nodes(items):
             return {ren[u]: v for u, v in items if u in ren}
@@ -576,18 +556,7 @@ class DecoratedTree:
         def edges(items):
             return {(ren[p], ren[c]): v for (p, c), v in items if p in ren and c in ren}
 
-        def colored(sf: SubForest) -> SubForest:
-            if sf.is_empty():
-                return sf
-            return SubForest(
-                frozenset(ren[u] for u in sf.nodes if u in ren),
-                frozenset((ren[p], ren[c]) for p, c in sf.edges if p in ren and c in ren),
-            )
-
-        return (
-            edges(self._shape.edges), nodes(self._ndec), edges(self._edec),
-            colored(self.hat1), colored(self.hat2), nodes(self._olabel),
-        )
+        return edges(self._shape.edges), nodes(self._ndec), edges(self._edec)
 
     # -- subforest machinery -----------------------------------------------
 

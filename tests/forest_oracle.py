@@ -316,9 +316,10 @@ def sigma_positive(
 # -- pendant-reducible blocks -------------------------------------------------------
 
 
-def span_of_block(t: DecoratedTree, sf: SubForest, leaves: Sequence[int]) -> SubForest:
+def span_of_block(t: DecoratedTree, sf: SubForest, leaves: Sequence[int], table: TypeTable) -> SubForest:
     """The span of a block as `forests` first built it: the path of each
-    leaf up inside `sf` to the join, and every edge of `sf` out of a leaf."""
+    leaf up inside `sf` to the join, and the edges of `sf` out of a leaf
+    that are noise edges."""
     paths: list[list[int]] = []
     for u in leaves:
         path = [u]
@@ -341,7 +342,7 @@ def span_of_block(t: DecoratedTree, sf: SubForest, leaves: Sequence[int]) -> Sub
             if v == lca:
                 break
     edges = {e for e in sf.edges if e[0] in nodes and e[1] in nodes}
-    out_of_leaves = {e for e in sf.edges if e[0] in set(leaves)}
+    out_of_leaves = {e for e in sf.edges if e[0] in set(leaves) and table.is_noise(t.edge_type(e))}
     nodes.update(c for _, c in out_of_leaves)
     return SubForest(frozenset(nodes), frozenset(edges | out_of_leaves))
 
@@ -351,7 +352,7 @@ def block_pendant_reducible(
 ) -> bool:
     """`forests._block_pendant_reducible` as first written: the span
     restricted to a tree to read its leaves, and its root looked up."""
-    span = span_of_block(t, sf, block)
+    span = span_of_block(t, sf, block, table)
     if span.edges == sf.edges:
         return False
     if restrict(t, span).leaf_nodes(table) != frozenset(block):

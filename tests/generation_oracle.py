@@ -20,7 +20,7 @@ from typing import Optional
 from renormforest.rules import RuleSpec
 from renormforest.scaling import MultiIndex, ZERO_MI, multiindices_below
 from renormforest.trees import DecoratedTree, noise, poly
-from tree_oracle import assemble
+from tree_oracle import assemble, relabel_canonical
 
 
 def exhaustive_trees(
@@ -213,7 +213,7 @@ def memoized_search(
 def graft_then_relabel(label: MultiIndex, branches) -> DecoratedTree:
     """`trees.graft` as it was: the branches copied in the order given,
     under fresh ids, and the tree built again in its canonical labelling
-    (`relabel_canonical`)."""
+    (`tree_oracle.relabel_canonical`)."""
     edges: dict[tuple[int, int], str] = {}
     node_dec = {0: label}
     edge_dec: dict[tuple[int, int], MultiIndex] = {}
@@ -225,10 +225,11 @@ def graft_then_relabel(label: MultiIndex, branches) -> DecoratedTree:
             for u in below:  # the list grows while it is read
                 below.extend(c for _, c in tree.children(u))
             ren = dict(zip(below, itertools.count(fresh)))
-            for part, copied in zip((edges, node_dec, edge_dec), tree._copy(ren)):
-                part.update(copied)
+            edges.update(((ren[p], ren[c]), ty) for (p, c), ty in tree.edge_items if p in ren and c in ren)
+            node_dec.update((ren[u], n) for u, n in tree.node_dec_items if u in ren)
+            edge_dec.update(((ren[p], ren[c]), n) for (p, c), n in tree.edge_dec_items if p in ren and c in ren)
         fresh += len(below)
-    return DecoratedTree(0, edges, node_dec, edge_dec).relabel_canonical()
+    return relabel_canonical(DecoratedTree(0, edges, node_dec, edge_dec))
 
 
 def node_content(t: DecoratedTree, u: int) -> tuple:

@@ -56,6 +56,7 @@ from renormforest.scaling import (
     submultiindices,
 )
 from renormforest.trees import DecoratedTree, EdgeKey, SubForest, _boundary, up_hom_table, zero_node_hom
+from tree_oracle import relabel_canonical
 
 
 def _product(factors: Sequence[FormalSum], key: Callable[[list], Hashable]) -> FormalSum:
@@ -352,7 +353,7 @@ class AntipodeMinusFold:
         self.memo: dict[DecoratedTree, FormalSum] = {}
 
     def forest(self, pieces: Sequence[DecoratedTree]) -> FormalSum:
-        acc = FormalSum.single(((),))
+        acc = FormalSum([(((),), 1)])
         for p in pieces:
             acc = tensor(acc, self.tree(p))
             acc = map_keys(acc, lambda k: (sorted_pieces(k[0] + k[1]),))
@@ -476,7 +477,7 @@ class RenormalizedConstant:
         """The expansion of one piece; `code` is its canonical code, when
         the caller already has it."""
         if code is None:
-            code = piece.relabel_canonical().canonical_code()
+            code = piece.canonical_code()
         if code in self.memo:
             return self.memo[code]
         terms = []
@@ -513,8 +514,8 @@ def grouped_report(
     for (extracted, remainder), coeff in dm.items():
         if not extracted:
             continue
-        residual = remainder.contract_colored(table).relabel_canonical()
-        codes = [p.relabel_canonical().canonical_code() for p in extracted]
+        residual = relabel_canonical(remainder.contract_colored(table))
+        codes = [p.canonical_code() for p in extracted]
         key = (residual.canonical_code(), tuple(sorted(codes)))
         g = groups.setdefault(
             key, {"residual": residual, "pieces": list(zip(codes, extracted)), "coeff": 0}
@@ -793,7 +794,7 @@ class AntipodePlusLoop:
         full_edges = frozenset(e for e, _ in piece.edge_items)
         if not (full_edges - piece.hat2.edges):
             # the sign (-1)^|n^| counts the color-2 labels of true nodes only
-            res = FormalSum.single(((piece.with_(o_label={}),),), (-1) ** deg_nhat)
+            res = FormalSum([(((piece.with_(o_label={}),),), (-1) ** deg_nhat)])
             self.memo[piece] = res
             return res
         f_slots = sorted(_boundary(piece.kernel_edges(t), piece.hat2))

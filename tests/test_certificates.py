@@ -8,15 +8,22 @@ containing each failing vertex subset for one the scale constraints realize
 (the basis pins on that search's first implementation, which rebuilt the
 interval constraints for every candidate tree and assembled every tree
 before filtering), so the per-subset decision is checked against the
-search's output: alpha, the violation rows and the failed hypotheses."""
+search's output: alpha, the violation rows and the failed hypotheses.
+
+Neither basis carries node labels, and no basis certificate moves with its
+kernel edges' decorations, so one KPZ-typed tree that carries both has its
+classes pinned too."""
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from conftest import BPHZ_TERMS, CERTIFY_VARIANTS, variant_workbench
-from renormforest.workbench import Workbench, parse_config, report_emit
+import certify_oracle
+from conftest import BPHZ_TERMS, CERTIFY_VARIANTS, KPZ, analyses, certifier, variant_workbench
+from renormforest.scaling import MultiIndex
+from renormforest.trees import DecoratedTree
+from renormforest.workbench import Workbench, frac_str, parse_config, report_emit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -125,3 +132,48 @@ def test_variant_certificates_are_pinned(variant):
         for i in range(len(wb.basis()))
     )
     assert got == VARIANT_PINS[variant]
+
+
+# Noises under every node: the root 0, labelled x_1, with kernel edges to 1,
+# decorated d_1, and to 3; node 1 with a kernel edge to 2, labelled x_1.
+LABELLED_FORK = DecoratedTree(
+    root=0,
+    edges={(0, 1): "t", (1, 2): "t", (0, 3): "t", (0, 100): "l", (1, 101): "l", (2, 102): "l", (3, 103): "l"},
+    node_dec={0: MultiIndex({1: 1}), 2: MultiIndex({1: 1})},
+    edge_dec={(0, 1): MultiIndex({1: 1})},
+    table=KPZ.table,
+)
+# (wick, pi, pass, alpha, violation as (kind, vertex subset, value, bound))
+# of each Gaussian class of `LABELLED_FORK`, in the analysis's order.
+# Recorded once, and checked class by class against
+# `certify_oracle.failures`, which builds the weights on its own: the same
+# alpha, and each violation among the subsets it finds failing.
+LABELLED_FORK_CLASSES = (
+    ([], [[0, 1], [2, 3]], True, "-24/25", None),
+    ([], [[0, 2], [1, 3]], False, "-24/25", ("integrability", 6, "3", "3")),
+    ([], [[0, 3], [1, 2]], False, "-24/25", ("integrability", 6, "3", "3")),
+    ([0, 1], [[2, 3]], False, "-199/50", ("integrability", 6, "3", "37/25")),
+    ([0, 2], [[1, 3]], False, "-199/50", ("integrability", 6, "3", "149/50")),
+    ([0, 3], [[1, 2]], False, "-199/50", ("integrability", 6, "3", "149/50")),
+    ([1, 2], [[0, 3]], False, "-199/50", ("integrability", 6, "3", "149/50")),
+    ([1, 3], [[0, 2]], False, "-199/50", ("integrability", 6, "3", "149/50")),
+    ([2, 3], [[0, 1]], True, "-199/50", None),
+    ([0, 1, 2, 3], [], False, "-7", ("integrability", 6, "3", "37/25")),
+)
+
+
+def test_node_labelled_edge_decorated_certificate_is_pinned():
+    """alpha sums every weight, so a node label's weight -|n_u|_s and a
+    kernel edge's |k|_s each move it; the violations' values read the
+    decorated edge (0, 1)."""
+    cert = certifier(KPZ, LABELLED_FORK)
+    got = []
+    for wick, pi in analyses(KPZ)(LABELLED_FORK).gaussian_classes:
+        res = cert.certify(wick, pi)
+        v = res.get("violation")
+        row = (sorted(wick), sorted(sorted(b) for b in pi), res["pass"], frac_str(res["alpha"]))
+        got.append((*row, v and (v[0], v[1], frac_str(v[2]), frac_str(v[3]))))
+        alpha, failures = certify_oracle.failures(cert, wick, pi, cert.build(pi))
+        assert alpha == res["alpha"]
+        assert v is None or v in failures
+    assert tuple(got) == LABELLED_FORK_CLASSES

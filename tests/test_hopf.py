@@ -72,6 +72,7 @@ from renormforest.trees import (
     up_hom_table,
 )
 from renormforest.workbench import Workbench, parse_config
+from tree_oracle import relabel_canonical
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = [(m, f"T{i}") for m in sorted(BPHZ_TERMS) for i in range(len(BPHZ_TERMS[m]))]
@@ -172,7 +173,7 @@ def test_delta_minus_triple_filtered(phi4):
         assert len(extracted) == 1
         piece = extracted[0]
         assert piece.node_dec_items == ()  # no chi e_G labels survive
-        classes.add(piece.relabel_canonical().canonical_code())
+        classes.add(piece.canonical_code())
         assert remainder.hat1 == SubForest(piece.nodes, piece.edge_set)
     assert len(classes) == 1
     assert classes == {phi4.t11.canonical_code()}
@@ -212,7 +213,7 @@ def test_antipode_minus_base_and_cherry(phi4):
     antipode extracts every divergent subtree, vanishing constants
     included."""
     anti_minus = _AntipodeMinus(phi4.table, div_enumerate(phi4.t111, phi4.table), lambda p: p)
-    assert anti_minus.forest(()) == FormalSum.single(((),))
+    assert anti_minus.forest(()) == FormalSum([(((),), 1)])
     cherry_piece = phi4.t111.restrict(cherry_subtrees(phi4.t111, phi4.table)[0])
     out = anti_minus.forest((cherry_piece,))
     assert len(out) == 12
@@ -1064,11 +1065,16 @@ def test_report_matches_per_row_grouping(t, to_four):
 def test_report_on_decorated_tree_pinned():
     """The report of `DECORATED_FORK` under cumulants up to arity four,
     pinned as the sha256 of its (coefficient, constants, residual code)
-    rows.  The pin was recorded on the code that built each piece's
-    tree-valued A_- before applying E Pi to it: there, one piece's A_- had
-    31 815 forests that E Pi maps to 717 symbol keys, and the report took
-    about 20 s.  With E Pi applied inside the recursion no memoized sum
-    holds more than those 717 terms."""
+    rows.  The first pin, 101 rows, was recorded on the code that built
+    each piece's tree-valued A_- before applying E Pi to it: there, one
+    piece's A_- had 31 815 forests that E Pi maps to 717 symbol keys, and
+    the report took about 20 s.  With E Pi applied inside the recursion no
+    memoized sum holds more than those 717 terms.  Once a block's span
+    stopped taking a kernel edge out of its leaves, two of the tree's 20
+    effective divergences dropped out (`test_a_span_hangs_beside_a_kernel_edge_out_of_its_join`),
+    and the pin, now 100 rows, was recorded again from
+    `hopf_oracle.counterterm_report_per_row` on the 18 divergences that
+    `forest_oracle.block_pendant_reducible` leaves."""
     table, cum = KPZ.table, cumulants_to_four(KPZ.table)
     t = DECORATED_FORK
     divergences = TreeAnalysis(t, table, cum, MAX_DIV).divergences
@@ -1076,13 +1082,31 @@ def test_report_on_decorated_tree_pinned():
         (str(m.coefficient), m.constants, repr(m.residual.canonical_code()))
         for m in counterterm_report(t, table, cum, divergences).monomials
     ]
-    assert len(rows) == 101
+    assert len(rows) == 100
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "43a8d222ee6ce6f1993b4fe0dda6846848460740deaf61ea6e1975cfeacc0945"
+    assert digest == "7cdf2fbb6981513de9a41c53efbb657d62ef64e1d59e43440d3dae0017687a62"
     expectation = expectation_antipode(table, cum, divergences)
     for (extracted, _), _ in delta_minus(t, table, divergences).items():
         expectation.forest(extracted)
     assert max(len(s) for s in expectation.memo.values()) <= 717
+
+
+def test_a_span_hangs_beside_a_kernel_edge_out_of_its_join():
+    """Under cumulants up to arity four, the divergent subtrees of
+    `DECORATED_FORK` on {(1,2),(1,3),(1,101),(2,102)} and on
+    {(1,2),(1,3),(1,101),(3,103)} are not effective.  Their only admissible
+    partition pairs the noises at nodes 1 and 2 (or 1 and 3), whose join is
+    node 1: the block's span, those two noise edges and the path between
+    them, hangs at the join beside the kernel edge (1,3) (or (1,2)), so by
+    translation invariance its constant vanishes.  A span that takes the
+    kernel edges out of node 1 too is the whole subtree, and keeps both."""
+    table, cum = KPZ.table, cumulants_to_four(KPZ.table)
+    t = DECORATED_FORK
+    divergent = {s.edges for s, _ in div_enumerate(t, table)}
+    effective = {s.edges for s, _ in TreeAnalysis(t, table, cum, MAX_DIV).divergences}
+    for edges in ({(1, 2), (1, 3), (1, 101), (2, 102)}, {(1, 2), (1, 3), (1, 101), (3, 103)}):
+        assert frozenset(edges) in divergent - effective
+    assert len(effective) == 18
 
 
 def test_reports_key_each_residual_once(workbenches, monkeypatch):
@@ -1134,8 +1158,8 @@ def test_coaction_outputs_reconform(phi4):
     dm = delta_minus(phi4.t111, phi4.table, candidates=analyses(phi4)(phi4.t111).divergences)
     for (extracted, remainder), _ in dm.items():
         for p in extracted:
-            assert conforms(phi4.rule, p.relabel_canonical())
-        contracted = remainder.contract_colored(phi4.table).relabel_canonical()
+            assert conforms(phi4.rule, relabel_canonical(p))
+        contracted = relabel_canonical(remainder.contract_colored(phi4.table))
         assert conforms(phi4.rule, contracted)
 
 

@@ -123,11 +123,7 @@ def test_every_function_is_reached_or_an_entry_point():
 
 
 def test_entry_points_exist():
-    defined = set()
-    for path in PACKAGE.glob("*.py"):
-        _, defs = scan(ast.parse(path.read_text(encoding="utf-8")))
-        defined |= {f"{path.stem}.{qual}" for qual, _, _ in defs}
-    assert ENTRY_POINTS <= defined
+    assert ENTRY_POINTS <= qualified_defs()
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:
@@ -177,7 +173,7 @@ def defaulted_parameters() -> int:
 
 
 # the count of defaulted parameters may only fall
-MAX_DEFAULTED_PARAMETERS = 31
+MAX_DEFAULTED_PARAMETERS = 29
 
 
 def test_defaulted_parameters_do_not_grow():
@@ -245,6 +241,36 @@ def test_the_certificate_weights_are_worked_out_in_one_place():
     second-cumulant gain is read there and by the margin hypothesis alone."""
     assert not {"wick_contributions", "_subset_tables"} & src_names()
     assert referrers("fict_gain") == {"powercount.Certifier._failures", "rules.higher_cum_check"}
+
+
+def test_graft_is_the_one_canonical_tree_builder():
+    """Every canonical tree is laid out by `trees.graft`: no second
+    builder relabels a tree made otherwise, and only the graft copies a
+    tree or reads its canonical preorder.  The canonical relabelling is a
+    test oracle (`tree_oracle.relabel_canonical`)."""
+    assert not {"relabel_canonical", "relabel"} & src_names()
+    assert "trees.SubForest.empty" not in qualified_defs()
+    assert referrers("_copy") == referrers("_canonical_preorder") == {"trees.graft"}
+
+
+def test_the_bphz_value_types_keep_only_what_the_path_does():
+    """A `FormalSum` is built once from its terms and only read, and an
+    extended label comes from one multi-index: neither defines
+    arithmetic."""
+    defs = qualified_defs()
+    methods = {q.removeprefix("formal.FormalSum.") for q in defs if q.startswith("formal.FormalSum.")}
+    assert methods == {"__init__", "items", "coeff", "keys", "is_zero", "__len__", "__eq__", "__repr__"}
+    assert "scaling.ExtLabel.__add__" not in defs
+
+
+def qualified_defs() -> set[str]:
+    """module.function and module.Class.method of every definition in
+    `src/renormforest` (`scan`)."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        _, defs = scan(ast.parse(path.read_text(encoding="utf-8")))
+        out |= {f"{path.stem}.{qual}" for qual, _, _ in defs}
+    return out
 
 
 def src_names() -> set[str]:

@@ -78,7 +78,9 @@ def test_ext_label_homogeneity():
     table = TypeTable(sc, kernel_types={"t": Fraction(1)}, noise_types={"l": Fraction(-3, 2)})
     lab = ExtLabel({0: 1}, {"t": 2, "l": -1})
     assert table.hom_ext(lab) == Fraction(2) + 2 * Fraction(1) - Fraction(-3, 2)
-    assert lab + ExtLabel({0: -1}, {"t": -2, "l": 1}) == ExtLabel()
+    # zero entries are dropped, so a label of zero entries is the zero label
+    assert ExtLabel({0: 0, 1: 0}, {"t": 0}) == ExtLabel() and ExtLabel({0: 0}).is_zero()
+    assert not lab.is_zero() and lab == ExtLabel({0: 1, 1: 0}, {"l": -1, "t": 2})
 
 
 @given(

@@ -19,6 +19,8 @@ from conftest import (
     spine_tree,
 )
 from renormforest import trees
+from renormforest.forests import div_enumerate
+from renormforest.hopf import delta_minus
 from renormforest.scaling import MultiIndex, ZERO_EXT, ZERO_MI
 from renormforest.trees import (
     DecoratedTree,
@@ -96,7 +98,7 @@ def test_modes_agree_without_coloring(phi4):
 def test_canonical_form_invariance(phi4):
     t = phi4.t131
     ren = {u: u + 100 for u in t.nodes}
-    assert t.relabel(ren).canonical_code() == t.canonical_code()
+    assert tree_oracle.relabel(t, ren).canonical_code() == t.canonical_code()
     # reordering the product factors makes no difference
     other = tree_product(
         integrate("I", ZERO_MI, phi4.t111, phi4.table), phi4.t1, phi4.t1
@@ -259,8 +261,9 @@ def assert_indexes_match_scans(t: DecoratedTree, table):
         assert t.edge_dec(e) == scan(t.edge_dec_items, e, ZERO_MI)
     assert t.canonical_code() == code(t, t.root)
     relabelled = relabel_canonical(t)
-    assert t.relabel_canonical() == relabelled
-    assert t.relabel_canonical().canonical_code() == code(relabelled, relabelled.root)
+    assert code(relabelled, relabelled.root) == t.canonical_code()
+    if not t.has_coloring():  # a graft drops colorings and o labels
+        assert_graft_of_one_tree_is_canonical(t)
 
 
 @settings(max_examples=80, deadline=None)
@@ -477,7 +480,7 @@ def test_shape_facts_are_kept_per_table(phi4):
         assert trees.up_hom_table(tree, table) == {**up, (0, 1): up[(0, 1)] + (2 if tree is copy else 0)}
 
 
-# -- every copy through `_copy` and `graft` ----------------------------------------
+# -- every copy through `graft` and `restrict` ---------------------------------------
 
 
 @st.composite
@@ -541,19 +544,60 @@ def test_graft_lays_out_the_canonical_labelling_on_basis_trees():
             assert_canonical_layout(tree_product(a, b))
 
 
+def assert_graft_of_one_tree_is_canonical(t: DecoratedTree):
+    """`tree_product` of one uncolored tree, a graft of its root's branches,
+    is the tree that the oracle's recursion relabels canonically: equal
+    embedded keys, and equal canonical codes, the graft's handed over and
+    the oracle's recomputed."""
+    got, want = tree_product(t), relabel_canonical(t)
+    assert got.embedded_key() == want.embedded_key()
+    assert got.canonical_code() == code(want, want.root) == t.canonical_code()
+
+
+@settings(max_examples=150, deadline=None)
+@given(decorated_trees(max_edges=9), st.data())
+def test_graft_of_one_tree_is_its_canonical_relabelling(t, data):
+    """`graft` is the one builder of canonical trees: on random KPZ-typed
+    trees with derivative decorations on their kernel edges and node labels
+    on a random set of their true nodes, a graft of one tree is the tree in
+    its canonical labelling."""
+    labelled = data.draw(st.sets(st.sampled_from(sorted(t.true_nodes(KPZ.table)))))
+    t = t.with_(node_dec={u: data.draw(multiindices()) for u in sorted(labelled)})
+    assert_graft_of_one_tree_is_canonical(t)
+
+
+def test_graft_of_one_tree_is_canonical_on_the_extraction_terms():
+    """Every contracted remainder, which the counterterm report builds
+    again by one graft as a residual, and every extracted piece of Delta_-
+    on every basis tree of both models, under the tree's effective and
+    under all its divergent subtrees."""
+    checked = 0
+    for model in sorted(BPHZ_TERMS):
+        text = (ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")
+        wb = Workbench(parse_config(text))
+        table = wb.config.table
+        for t in wb.basis():
+            for candidates in (wb.analysis(t).divergences, div_enumerate(t, table)):
+                for extracted, remainder in delta_minus(t, table, candidates).keys():
+                    for piece in (remainder.contract_colored(table), *extracted):
+                        assert_graft_of_one_tree_is_canonical(piece)
+                        checked += 1
+    assert checked == 2624
+
+
 @settings(max_examples=80, deadline=None)
 @given(colored_trees(), st.data())
 def test_copy_matches_the_hand_written_copies(t, data):
-    """`relabel` and `restrict`, one `_copy` each, carry the node and edge
-    labels, the coloring and the o labels as the hand-written copies they
-    replaced did, compared by embedded key: under a random renaming, and on
-    every subtree and every single node.  The leaves of each subtree are
-    those of its restriction."""
+    """`restrict` carries the node and edge labels, the coloring and the o
+    labels as the hand-written copy it replaced did, compared by embedded
+    key, on every subtree and every single node of the tree under a random
+    renaming (`tree_oracle.relabel`).  The leaves of each subtree are those
+    of its restriction."""
     table = KPZ.table
     ids = sorted(t.nodes)
     ren = dict(zip(ids, data.draw(st.permutations([u + 1000 for u in ids]))))
-    assert t.relabel(ren).embedded_key() == tree_oracle.relabel(t, ren).embedded_key()
-    singles = [SubForest(frozenset({u}), frozenset()) for u in ids]
+    t = tree_oracle.relabel(t, ren)
+    singles = [SubForest(frozenset({u}), frozenset()) for u in sorted(t.nodes)]
     for s in t.all_subtrees() + singles:
         piece = t.restrict(s)
         assert piece.embedded_key() == tree_oracle.restrict(t, s).embedded_key()
@@ -599,10 +643,10 @@ def test_restrict_matches_a_fresh_build(t, data):
         t = t.with_(node_dec=dict(data.draw(colored_trees(base=t)).node_dec_items))
     subtrees = t.all_subtrees() + [s for s, _ in t.rooted_subtrees(table)]
     for s in subtrees:
-        assert_same_tree(t.restrict(s), tree_oracle.restrict_fresh(t, s), table)
+        assert_same_tree(t.restrict(s), tree_oracle.restrict(t, s), table)
     piece = t.restrict(data.draw(st.sampled_from(subtrees)))
     for s in piece.all_subtrees():
-        assert_same_tree(piece.restrict(s), tree_oracle.restrict_fresh(piece, s), table)
+        assert_same_tree(piece.restrict(s), tree_oracle.restrict(piece, s), table)
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,13 +3,14 @@ of `DecoratedTree` replaced (node and edge labels, AHU codes, true nodes,
 leaves and their noise types), the bitmask growth of connected edge sets that
 its rooted edge-set recursion replaced, the hand-written copies (`relabel`,
 `restrict`, `integrate`, `tree_product` and the generator's `assemble`) that
-`DecoratedTree._copy` and `trees.graft` replaced, the restriction that built
-a fresh tree, shape and all, where `DecoratedTree.restrict` now shares one
-shape per subforest, the one bottom-up pass over the labels that
-`trees.up_hom_table` replaced with a label-free table per shape, and the
-per-call `Fraction` sum over every edge and true node that
-`DecoratedTree.homogeneity` replaced with a label-free sum per shape, kept as
-test oracles."""
+`trees.graft` and `DecoratedTree.restrict` replaced (`restrict` builds a
+fresh tree, shape and all, where `DecoratedTree.restrict` shares one shape
+per subforest), the canonical relabelling (`relabel_canonical`) that
+`trees.graft` lays out in one build, the one bottom-up pass over the labels
+that `trees.up_hom_table` replaced with a label-free table per shape, and
+the per-call `Fraction` sum over every edge and true node that
+`DecoratedTree.homogeneity` replaced with a label-free sum per shape, kept
+as test oracles.  Nothing here calls `DecoratedTree`'s copy primitive."""
 from __future__ import annotations
 
 import itertools
@@ -66,6 +67,9 @@ def code(t: DecoratedTree, u: int) -> tuple:
 
 
 def relabel_canonical(t: DecoratedTree) -> DecoratedTree:
+    """The tree under node ids 0..n-1 in preorder, each node's children in
+    the order of their edge codes (`_edge_code`), by recursion: the
+    canonical labelling of its iso class."""
     order: list[int] = []
 
     def visit(u: int):
@@ -173,12 +177,6 @@ def restrict(t: DecoratedTree, sf: SubForest) -> DecoratedTree:
         hat2=SubForest(t.hat2.nodes & sf.nodes, t.hat2.edges & sf.edges),
         o_label={u: v for u, v in t.o_label_items if u in sf.nodes},
     )
-
-
-def restrict_fresh(t: DecoratedTree, sf: SubForest) -> DecoratedTree:
-    """A tree built from scratch, its shape with it, from one `_copy` of
-    the subforest's nodes under their own ids."""
-    return DecoratedTree(t.subtree_root(sf), *t._copy(dict(zip(sf.nodes, sf.nodes))))
 
 
 def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
