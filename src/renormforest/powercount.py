@@ -6,6 +6,14 @@ coalescence trees it reasons about.
 certifier built on it, `project` and `integrands.chaos_classes` look a leaf
 partition's compatible divergences up in its partition table (`compatible`).
 
+A tree automorphism maps each chaos class onto a class whose multigraph is
+the same up to vertex names, and neither the inequalities nor the scale
+rules read a vertex name, so a class's verdict and alpha are those of its
+orbit's representative (`TreeAnalysis.representatives`).  The certifier
+proves each representative once, and a class whose representative fails
+is certified itself, because its violation is the first failing subset in
+its own subset order, which no automorphism keeps.
+
 The certificate puts each cumulant block's weight at the cluster where the
 block's vertices join; the closed forms of the cumulant homogeneity are in
 `rules`.  A failing vertex subset is decided under the scale rules of
@@ -29,7 +37,7 @@ from . import multiscale as ms
 from .forests import cut_enumerate
 from .rules import CumulantSet, fict_gain, higher_cum_check, margin, subtree_hypotheses
 from .scaling import TypeTable
-from .trees import DecoratedTree, EdgeKey, SubForest
+from .trees import DecoratedTree, EdgeKey, SubForest, automorphism_swaps
 
 Family = frozenset  # frozenset[int] of cluster bitmasks, laminar, contains the full mask
 
@@ -43,8 +51,9 @@ class TreeAnalysis:
     divergent subtrees with their omega, listed once under the cap
     `max_div`, each with its leaf set, and the effective ones among them
     (nonvanishing counterterm), its positive cuts with their Taylor order
-    gamma, its Gaussian chaos classes (Wick set, leaf partition) and the
-    convergence theorem's hypotheses on its subtrees that fail.
+    gamma, its Gaussian chaos classes (Wick set, leaf partition) with the
+    representative of each class's automorphism orbit, and the convergence
+    theorem's hypotheses on its subtrees that fail.
 
     They depend only on the tree, the type table and the cumulant set, not on
     scales.  Each is computed on first use and then kept; none is computed
@@ -102,6 +111,34 @@ class TreeAnalysis:
         return tuple(out)
 
     @cached_property
+    def representatives(self) -> tuple[int, ...]:
+        """For each class of `gaussian_classes`, the index of its orbit's
+        representative under the tree's automorphisms
+        (`trees.automorphism_swaps`): the least index among the class's images.
+        Each orbit is walked from its least index through the group's
+        swaps, so the choice reads indices only, never set order."""
+        classes = self.gaussian_classes
+        index = {c: i for i, c in enumerate(classes)}
+        swaps = automorphism_swaps(self.tree)
+        reps: list[Optional[int]] = [None] * len(classes)
+        for i, c in enumerate(classes):
+            if reps[i] is not None:
+                continue
+            reps[i], stack = i, [c]
+            while stack:
+                wick, pi = stack.pop()
+                for g in swaps:
+                    image = (
+                        frozenset(g.get(u, u) for u in wick),
+                        frozenset(frozenset(g.get(u, u) for u in b) for b in pi),
+                    )
+                    j = index[image]
+                    if reps[j] is None:
+                        reps[j] = i
+                        stack.append(image)
+        return tuple(reps)
+
+    @cached_property
     def failed_hypotheses(self) -> tuple[str, ...]:
         """The names of the theorem's per-tree hypotheses that fail, from
         `rules.subtree_hypotheses`: subtree power counting
@@ -153,7 +190,13 @@ class Certifier:
     Vertex subsets are bitmasks over the universe's `verts`: bit 0 is the
     basepoint, then the true nodes in order, so a reported `cluster_mask`
     names its vertices by these positions.  Every edge enters through its
-    endpoint mask in the universe's `masks`."""
+    endpoint mask in the universe's `masks`.
+
+    `certify_classes` certifies the tree's classes one automorphism orbit
+    at a time: the weights, bounds and scale rules read the multigraph up to
+    vertex names, so a class has its representative's verdict and alpha;
+    a class whose representative fails is certified itself, for its own
+    violation row."""
 
     def __init__(self, analysis: TreeAnalysis, vertex_cap: int):
         self.analysis, self.vertex_cap = analysis, vertex_cap
@@ -310,6 +353,17 @@ class Certifier:
             "failing_subsets": len(failures),
             "pruned_violations": len(failures),
         }
+
+    def certify_classes(self) -> list[dict]:
+        """`certify` of every class of `gaussian_classes`, in order, with one
+        certificate per automorphism orbit: a class whose representative
+        (`TreeAnalysis.representatives`, which comes first in its orbit)
+        passes gets the representative's result, and any other class is
+        certified itself."""
+        out: list[dict] = []
+        for (wick, pi), r in zip(self.analysis.gaussian_classes, self.analysis.representatives):
+            out.append(out[r] if r < len(out) and out[r]["pass"] else self.certify(wick, pi))
+        return out
 
 
 def connected(masks: Iterable[int], a: int) -> bool:

@@ -30,6 +30,10 @@ their codes read off the subtrees, so each is built once.  The planted tree
 I_k(tau) (`integrate`), the tree product (`tree_product`), every tree of
 `rules.generate_trees` and every residual of a counterterm report are one
 graft each: a graft of one tree is that tree in its canonical labelling.
+
+The automorphism group of a tree is read off its AHU codes too
+(`automorphism_swaps`): sibling subtrees of equal edge code are swapped,
+node for node, by pairing their children code for code.
 """
 from __future__ import annotations
 
@@ -725,6 +729,49 @@ def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
     for e, k in t.edge_dec_items:
         if e in out:
             add(e[1], -k.sdeg(scaling))
+    return out
+
+
+# -- automorphisms -------------------------------------------------------------
+
+
+def automorphism_swaps(t: DecoratedTree) -> tuple[dict[int, int], ...]:
+    """Generators of the tree's automorphism group, read off its AHU codes.
+    An automorphism keeps the root, every edge with its type and label, and
+    every node's label, color and o label, so it maps each node's children
+    onto children of equal edge code.  The group is therefore generated by
+    one swap per two consecutive children of a node whose edge codes are
+    equal: the involution that exchanges the subtrees under them node for
+    node (`_pairing`), given by the nodes it moves.  Its order, the symmetry
+    factor S(tau), is the product over every node of m! for each edge code
+    that m of its children share."""
+    codes = t._node_codes()
+    swaps = []
+    for u in t.top_down():
+        alike: dict[tuple, list[int]] = {}
+        for e in t.children(u):
+            alike.setdefault(t._edge_code(e, codes), []).append(e[1])
+        for kids in alike.values():
+            for a, b in zip(kids, kids[1:]):
+                swap = _pairing(t, codes, a, b)
+                swap.update({w: v for v, w in swap.items()})
+                swaps.append(swap)
+    return tuple(swaps)
+
+
+def _pairing(t: DecoratedTree, codes: dict[int, tuple], a: int, b: int) -> dict[int, int]:
+    """An isomorphism of the subtree under `a` onto the subtree under `b`,
+    whose codes are equal: each node's children, sorted by edge code and
+    then by id, go in that order onto the image's children, sorted alike."""
+
+    def kids(u: int) -> list[int]:
+        return [c for _, c in sorted((t._edge_code(e, codes), e[1]) for e in t.children(u))]
+
+    out, stack = {}, [(a, b)]
+    while stack:
+        u, v = stack.pop()
+        out[u] = v
+        stack.extend(zip(kids(u), kids(v)))
     return out
 
 

@@ -379,13 +379,18 @@ class Workbench:
         }
 
     def cmd_certify(self, tree_id: str) -> dict:
+        """One row per chaos class of the tree, in `gaussian_classes` order.
+        A class whose orbit's representative passes takes the
+        representative's pass and alpha: no inequality or scale rule reads
+        a vertex name, so an automorphism keeps both.  A class whose
+        representative fails is certified itself, for its own violation
+        (`Certifier.certify_classes`)."""
         t, name = self._lookup(tree_id)
         analysis = self.analysis(t)
         cert = Certifier(analysis, self.config.caps["max_coalescence_vertices"])
         rows = []
         ok = True
-        for wick, pi in analysis.gaussian_classes:
-            res = cert.certify(wick, pi)
+        for (wick, pi), res in zip(analysis.gaussian_classes, cert.certify_classes()):
             rows.append(
                 {
                     "wick": sorted(wick),

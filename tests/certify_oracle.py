@@ -41,6 +41,10 @@ margin kept in a memo per certificate.  It checks `Certifier._failures`,
 its weights and its per-class Wick tables, against weights that `src/` no
 longer holds.  `connected_split` is the split prune of the witness search;
 with single vertices as blocks it checks `powercount.connected`.
+
+`certify_each` is the per-class loop that `Certifier.certify_classes`
+replaced with one certificate per automorphism orbit: every class
+certified on its own.
 """
 from __future__ import annotations
 
@@ -60,6 +64,12 @@ from renormforest.powercount import (
     trees_containing as pruned_trees_containing,
 )
 from renormforest.rules import fict_gain, margin
+
+
+def certify_each(cert: Certifier) -> list[dict]:
+    """`Certifier.certify` of every class of the certifier's tree, in
+    `gaussian_classes` order, one class at a time."""
+    return [cert.certify(wick, pi) for wick, pi in cert.analysis.gaussian_classes]
 
 
 def compatible_partition(leaves: frozenset[int], pi: frozenset) -> bool:

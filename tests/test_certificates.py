@@ -20,7 +20,20 @@ from pathlib import Path
 import pytest
 
 import certify_oracle
-from conftest import BPHZ_TERMS, CERTIFY_VARIANTS, KPZ, analyses, certifier, variant_workbench
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    BPHZ_TERMS,
+    CERTIFY_VARIANTS,
+    KPZ,
+    analyses,
+    certifier,
+    decorated_trees,
+    multiindices,
+    variant_workbench,
+)
+from renormforest.powercount import Certifier
 from renormforest.scaling import MultiIndex
 from renormforest.trees import DecoratedTree
 from renormforest.workbench import Workbench, frac_str, parse_config, report_emit
@@ -177,3 +190,75 @@ def test_node_labelled_edge_decorated_certificate_is_pinned():
         assert alpha == res["alpha"]
         assert v is None or v in failures
     assert tuple(got) == LABELLED_FORK_CLASSES
+
+
+def orbit_shortcut_matches_every_class(cert: Certifier) -> list[dict]:
+    """`Certifier.certify_classes`, one certificate per automorphism orbit,
+    gives every class the result that certifying it alone gives
+    (`certify_oracle.certify_each`); those results."""
+    got = cert.certify_classes()
+    assert got == certify_oracle.certify_each(cert)
+    return got
+
+
+def basis_certifiers(wb: Workbench) -> list[Certifier]:
+    return [Certifier(wb.analysis(t), wb.config.caps["max_coalescence_vertices"]) for t in wb.basis()]
+
+
+@pytest.mark.parametrize("model", sorted(BPHZ_TERMS))
+def test_orbit_shortcut_matches_every_class_on_the_bases(workbenches, model):
+    for cert in basis_certifiers(workbenches[model]):
+        orbit_shortcut_matches_every_class(cert)
+
+
+# The failing classes of each variant's basis that are not their orbit's
+# representative, and so are certified themselves.
+FAILING_NON_REPRESENTATIVES = {
+    ("phi4_3", "-251/100"): 0,
+    ("phi4_3", "-11/4"): 4,
+    ("phi4_3", "-3"): 6,
+    ("kpz", "-151/100"): 0,
+    ("kpz", "-7/4"): 1,
+    ("kpz", "-19/10"): 1,
+}
+
+
+@pytest.mark.parametrize("variant", CERTIFY_VARIANTS, ids=["/".join(v) for v in CERTIFY_VARIANTS])
+def test_orbit_shortcut_matches_every_class_on_variants(variant):
+    failing = 0
+    for cert in basis_certifiers(variant_workbench(*variant)):
+        results = orbit_shortcut_matches_every_class(cert)
+        reps = cert.analysis.representatives
+        failing += sum(r != i and not results[i]["pass"] for i, r in enumerate(reps))
+    assert failing == FAILING_NON_REPRESENTATIVES[variant]
+
+
+@settings(max_examples=60, deadline=None)
+@given(decorated_trees(max_edges=8), st.booleans(), st.data())
+def test_orbit_shortcut_matches_every_class_on_random_trees(t, bare, data):
+    """Random KPZ-typed trees, with derivative decorations on their kernel
+    edges or, to have more automorphisms, without, and node labels on a
+    random set of their true nodes."""
+    if bare:
+        t = t.with_(edge_dec={})
+    labelled = data.draw(st.sets(st.sampled_from(sorted(t.true_nodes(KPZ.table)))))
+    t = t.with_(node_dec={u: data.draw(multiindices()) for u in sorted(labelled)})
+    orbit_shortcut_matches_every_class(certifier(KPZ, t))
+
+
+def test_orbits_share_their_failing_subsets(workbenches):
+    """Over the 86 chaos classes of the shipped bases, in 46 automorphism
+    orbits: 61 pass only because `Certifier._realizable` finds no failing
+    subset realizable, and each class has as many failing subsets as its
+    orbit's representative, and the same verdict and alpha."""
+    classes = orbits = pruned = 0
+    for model in sorted(BPHZ_TERMS):
+        for cert in basis_certifiers(workbenches[model]):
+            each = certify_oracle.certify_each(cert)
+            reps = cert.analysis.representatives
+            for res, r in zip(each, reps):
+                assert res == each[r]
+            classes += len(each)
+            orbits += len(set(reps))
+            pruned += sum(res["pass"] and res["failing_subsets"] > 0 for res in each)
+    assert (classes, orbits, pruned) == (86, 46, 61)

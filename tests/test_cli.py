@@ -430,8 +430,10 @@ def test_certify_independent_of_hash_seed():
     """KPZ T5, KPZ T6 and phi4_3 T6 have failing vertex subsets (4, 17 and
     39 over their chaos classes), so the certifier builds the scale
     constraints of those classes and decides each failing subset against
-    them."""
-    for model, tree_id in (("kpz", "T5"), ("kpz", "T6"), ("phi4_3", "T6")):
+    them.  phi4_3 T6 (26 classes in 7 automorphism orbits) and KPZ T7 (10
+    in 5) certify one class per orbit, and the representative of each
+    orbit, its least index, must not follow set order."""
+    for model, tree_id in (("kpz", "T5"), ("kpz", "T6"), ("kpz", "T7"), ("phi4_3", "T6")):
         args = ["-m", "renormforest.cli", "--config", config_path(model), "certify", tree_id]
         outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
         assert outputs[0] == outputs[1]

@@ -4,8 +4,9 @@ is referenced by name from code an entry point reaches, and every field of
 a dataclass there is read somewhere there, and the count of defaulted
 parameters there does not grow.  These checks are static:
 they parse the modules and run none of them.  Last, every name the
-benchmark's tracing patches still exists, and the benchmark's canonical
-requests still give their recorded outputs."""
+benchmark's tracing patches still exists, the benchmark's canonical
+requests still give their recorded outputs, and its certify span counts one
+call per automorphism orbit."""
 import ast
 import importlib.util
 import sys
@@ -343,6 +344,36 @@ def test_benchmark_patch_targets_exist():
         workloads.install_tracing(tracer, workloads.load_program())
     finally:
         tracer.unpatch_all()
+
+
+def test_benchmark_certify_span_counts_one_call_per_orbit():
+    """perfbench times `Certifier.certify` under the span
+    `powercount.certify` by patching the class's attribute
+    (`harness.Tracer.patch`), so a call site that moved off it would drop
+    the span without an error.  Under the benchmark's own tracing, one warm
+    `cmd_certify` calls it once per orbit: 7 times on phi4_3 T6, 5 times on
+    KPZ T7, and 17 times over the ten trees the certify workload sends."""
+    harness, workloads = load_benchmark_module("harness"), load_benchmark_module("workloads")
+    prog = workloads.load_program()
+    wbs = workloads.setup(prog)
+    cases = [
+        ([("phi4_3", "T6")], 7),
+        ([("kpz", "T7")], 5),
+        (workloads.make_workload("certify", prog, wbs).trees(), 17),
+    ]
+    got = []
+    for trees, _ in cases:
+        for model, tree_id in trees:
+            wbs[model].cmd_certify(tree_id)
+        tracer = harness.Tracer()
+        try:
+            workloads.install_tracing(tracer, prog)
+            for model, tree_id in trees:
+                wbs[model].cmd_certify(tree_id)
+        finally:
+            tracer.unpatch_all()
+        got.append(tracer.counts.get("powercount.certify_calls", 0))
+    assert got == [calls for _, calls in cases]
 
 
 # The spans each workload reaches: the set-up's, which every workload pays,

@@ -723,3 +723,54 @@ def test_with_normalizes_only_the_labels_passed(monkeypatch):
     assert copy == DecoratedTree(0, t.edges, {1: k}, {(0, 1): k})
     with pytest.raises(TypeError):
         t.with_(node_labels={})
+
+
+def assert_group_matches_brute_force(t: DecoratedTree):
+    """The swaps that `trees.automorphism_swaps` reads off the codes
+    generate exactly the brute-force automorphisms."""
+    found = tree_oracle.automorphisms(t)
+    order = sorted(t.nodes)
+    got = tree_oracle.closure(t.nodes, trees.automorphism_swaps(t))
+    assert got == {tuple(g[u] for u in order) for g in found}
+
+
+def test_automorphisms_match_brute_force_on_basis_trees():
+    seen = 0
+    for model in sorted(BPHZ_TERMS):
+        text = (ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")
+        for t in Workbench(parse_config(text)).basis():
+            assert_group_matches_brute_force(t)
+            seen += 1
+    assert seen == 15
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_trees(max_edges=7), st.booleans())
+def test_automorphisms_match_brute_force_on_random_trees(t, bare):
+    """Trees of at most 8 nodes, labelled and colored, or bare, which have
+    more automorphisms."""
+    if bare:
+        t = DecoratedTree(root=t.root, edges=t.edges)
+    assert_group_matches_brute_force(t)
+
+
+# S(tau): the order of the automorphism group of basis trees, by hand.  In
+# phi4_3 (T2 = I(Xi)^2, T3 = I(Xi)^3, T4 = I(I(Xi)^2) I(Xi)^2 and
+# T6 = I(I(Xi)^3) I(Xi)^2) the planted I(Xi) at one node are permuted
+# freely; in KPZ T7 = t(t(l)^2) t(t(l)^2) the two halves are swapped, and
+# the two leaves of each.
+SYMMETRY_FACTORS = {
+    ("phi4_3", "T2"): 2,
+    ("phi4_3", "T3"): 6,
+    ("phi4_3", "T4"): 2 * 2,
+    ("phi4_3", "T6"): 6 * 2,
+    ("kpz", "T7"): 2 * 2 * 2,
+}
+
+
+def test_symmetry_factors_of_basis_trees():
+    for (model, tree_id), want in SYMMETRY_FACTORS.items():
+        text = (ROOT / "configs" / f"{model}.json").read_text(encoding="utf-8")
+        t = Workbench(parse_config(text)).tree_by_id(tree_id)
+        group = tree_oracle.closure(t.nodes, trees.automorphism_swaps(t))
+        assert len(group) == len(tree_oracle.automorphisms(t)) == want

@@ -10,7 +10,10 @@ per subforest), the canonical relabelling (`relabel_canonical`) that
 that `trees.up_hom_table` replaced with a label-free table per shape, and
 the per-call `Fraction` sum over every edge and true node that
 `DecoratedTree.homogeneity` replaced with a label-free sum per shape, kept
-as test oracles.  Nothing here calls `DecoratedTree`'s copy primitive."""
+as test oracles.  `automorphisms` finds a tree's automorphisms by brute
+force, where `trees.automorphisms` reads them off the AHU codes, and
+`closure` lists the group that a set of permutations generates.  Nothing
+here calls `DecoratedTree`'s copy primitive."""
 from __future__ import annotations
 
 import itertools
@@ -296,3 +299,55 @@ def assemble(
         nxt = max(shifted.nodes) + 1
     out = DecoratedTree(root=0, edges=edges, node_dec=ndec, edge_dec=edec)
     return relabel_canonical(out)
+
+
+# -- automorphisms ---------------------------------------------------------------
+
+
+def automorphisms(t: DecoratedTree) -> list[dict[int, int]]:
+    """Every node permutation that keeps the root, each edge with its type
+    and label, and each node's label, color and o label, by brute force:
+    every permutation of the nodes within each depth (an automorphism keeps
+    the root and every parent, hence every depth), checked edge by edge and
+    node by node.  Each is given on every node."""
+    depth = {t.root: 0}
+    for u in t.top_down()[1:]:
+        depth[u] = depth[t.parent(u)] + 1
+    levels = [sorted(u for u in t.nodes if depth[u] == d) for d in range(max(depth.values()) + 1)]
+    types, edec = dict(t.edge_items), dict(t.edge_dec_items)
+    ndec, olabel = dict(t.node_dec_items), dict(t.o_label_items)
+
+    def node_labels(u: int) -> tuple:
+        o = olabel.get(u, ZERO_EXT)
+        return ndec.get(u, ZERO_MI).entries, t.color_of_node(u), (o.zd, o.types)
+
+    def edge_labels(e: EdgeKey) -> tuple:
+        return types.get(e), edec.get(e, ZERO_MI).entries, t.color_of_edge(e)
+
+    out = []
+    for images in itertools.product(*(itertools.permutations(level) for level in levels)):
+        g = {u: v for level, image in zip(levels, images) for u, v in zip(level, image)}
+        if all(node_labels(u) == node_labels(g[u]) for u in t.nodes) and all(
+            edge_labels(e) == edge_labels((g[e[0]], g[e[1]])) for e in types
+        ):
+            out.append(g)
+    return out
+
+
+def closure(nodes: frozenset[int], generators: Sequence[Mapping[int, int]]) -> set[tuple]:
+    """The group that node permutations generate, each element as its
+    images of the sorted nodes; a generator leaves the nodes it does not
+    name fixed."""
+    order = sorted(nodes)
+    at = {u: i for i, u in enumerate(order)}
+    gens = [tuple(g.get(u, u) for u in order) for g in generators]
+    seen = {tuple(order)}
+    frontier = list(seen)
+    while frontier:
+        h = frontier.pop()
+        for g in gens:
+            gh = tuple(g[at[v]] for v in h)
+            if gh not in seen:
+                seen.add(gh)
+                frontier.append(gh)
+    return seen
