@@ -4,7 +4,7 @@ counterterm reports, safe-forest projections at given scales, and the
 power-counting certificates of the convergence theorem with its hypotheses,
 all in exact rational arithmetic."""
 
-from .scaling import ExtLabel, MultiIndex, ScalingSpec, TypeTable
+from .scaling import MultiIndex, ScalingSpec, TypeTable
 from .trees import DecoratedTree, SubForest, integrate, noise, poly, tree_product
 from .formal import FormalSum
 from .rules import CumulantSet, RuleSpec, check_subcritical, generate_trees, production

@@ -71,7 +71,6 @@ from . import forests as fo
 from .formal import Coefficient, FormalSum, exact, exact_div
 from .rules import CumulantSet
 from .scaling import (
-    ExtLabel,
     MultiIndex,
     TypeTable,
     ZERO_MI,
@@ -248,9 +247,10 @@ def _remainder(
 ) -> DecoratedTree:
     """What an extraction leaves: n_G subtracted from the node labels, e_G
     added to the edge labels, the extracted subforest colored 1.  With
-    `o_label`, o records n_G + chi(e_G) on the extracted nodes (the
-    coaction); the antipode's recursion carries no o-label.  Only the labels
-    that change are passed to `with_` (`t` is uncolored: it has no o label).
+    `o_label`, o records the multi-index n_G + chi(e_G) on the extracted
+    nodes (the coaction); the antipode's recursion carries no o-label.  Only
+    the labels that change are passed to `with_` (`t` is uncolored: it has
+    no o label).
     `extracted` is the subforest, or its components, which the remainder
     then keeps as its color-1 components."""
     labels = {"hat1": extracted}
@@ -259,8 +259,7 @@ def _remainder(
     if edec_g:
         labels["edge_dec"] = _shifted(t.edge_dec_items, plus=edec_g.items())
     if o_label and (ndec_g or edec_g):
-        o = _shifted(ndec_g, plus=_chi(edec_g).items())
-        labels["o_label"] = {u: ExtLabel.from_multiindex(k) for u, k in o.items()}
+        labels["o_label"] = _shifted(ndec_g, plus=_chi(edec_g).items())
     return t.with_(**labels)
 
 

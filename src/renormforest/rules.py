@@ -75,14 +75,6 @@ class RuleSpec:
             if not self.table.is_noise(t):
                 raise ValueError(f"standalone noise {t!r} is not a noise type")
 
-    def allowed_contents(self, incoming: Optional[str]) -> frozenset[Production]:
-        if incoming is None:
-            out: set[Production] = set()
-            for ps in self.productions.values():
-                out |= ps
-            return frozenset(out)
-        return self.productions.get(incoming, frozenset())
-
 
 @dataclass(frozen=True)
 class CumulantSet:
@@ -356,7 +348,7 @@ def generate_trees(
     label_homs = [(lab, lab.sdeg(scaling) * den) for lab in labels]
     # every production once, in sorted order: its length, noise branches, kernel
     # entries, their types, whether each equals the one before, and homogeneity
-    prods = sorted(rule.allowed_contents(None), key=lambda p: [(name, k.entries) for name, k in p])
+    prods = sorted(set().union(*rule.productions.values()), key=lambda p: [(name, k.entries) for name, k in p])
     index = [
         (
             len(p), tuple((name, k, None, None) for name, k in p if table.is_noise(name)), ks,

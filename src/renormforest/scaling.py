@@ -1,7 +1,13 @@
-"""Scalings, types, multi-indices, and extended labels.
+"""Scalings, types and multi-indices.
 
 Everything here is exact: homogeneities are `fractions.Fraction`, multi-index
 entries are integers. Floats never appear.
+
+One label type, `MultiIndex`, serves the node labels n, the edge labels e
+and the extended labels o of a tree.  An extended label takes values in
+Z^d (+) Z(L) in general, but the extraction coaction here keeps each
+extracted subtree inside its remainder, colored 1, and sets o = n_G +
+chi(e_G) there: one multi-index, whose Z(L) half is always zero.
 """
 from __future__ import annotations
 
@@ -184,49 +190,6 @@ def submultiindices(n: MultiIndex) -> Iterator[MultiIndex]:
     yield from rec(0, {})
 
 
-class ExtLabel:
-    """Element of Z^d (+) Z(L): an integer multi-index plus an integer
-    combination of type names.  Used for the extended node label that
-    records what a contracted subtree carried."""
-
-    __slots__ = ("_zd", "_types")
-
-    def __init__(self, zd: Mapping[int, int] = (), types: Mapping[str, int] = ()):
-        self._zd = tuple(sorted((int(i), int(v)) for i, v in dict(zd).items() if int(v)))
-        self._types = tuple(sorted((str(t), int(v)) for t, v in dict(types).items() if int(v)))
-
-    @classmethod
-    def from_multiindex(cls, k: MultiIndex) -> "ExtLabel":
-        return cls(dict(k.entries))
-
-    @property
-    def zd(self) -> tuple[tuple[int, int], ...]:
-        return self._zd
-
-    @property
-    def types(self) -> tuple[tuple[str, int], ...]:
-        return self._types
-
-    def is_zero(self) -> bool:
-        return not self._zd and not self._types
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtLabel)
-            and self._zd == other._zd
-            and self._types == other._types
-        )
-
-    def __hash__(self) -> int:
-        return hash(("ext", self._zd, self._types))
-
-    def __repr__(self) -> str:
-        return f"ExtLabel(zd={dict(self._zd)}, types={dict(self._types)})"
-
-
-ZERO_EXT = ExtLabel()
-
-
 @dataclass(frozen=True)
 class TypeTable:
     """Kernel and noise types with their exact homogeneities.
@@ -271,14 +234,3 @@ class TypeTable:
         if name in self.noise_types:
             return self.noise_types[name]
         raise KeyError(f"unknown type {name!r}")
-
-    def hom_ext(self, label: ExtLabel) -> Fraction:
-        """Homogeneity of an extended label, extending |.|_s linearly."""
-        total = Fraction(0)
-        for i, v in label.zd:
-            if i < 0 or i >= self.scaling.d:
-                raise ValueError(f"coordinate index {i} outside [0, {self.scaling.d})")
-            total += v * self.scaling.s[i]
-        for t, v in label.types:
-            total += v * self.hom(t)
-        return total

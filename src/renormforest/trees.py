@@ -6,6 +6,10 @@ ambient's ids, so two components are "the same embedded object" exactly when
 their node/edge sets and decorations coincide literally.  Isomorphism of
 abstract (embedding-erased) trees is decided by an AHU-style canonical code.
 
+A tree's three label maps, node labels n, edge labels e and the extended
+labels o that an extraction leaves on the color-1 nodes of its remainder,
+all take `MultiIndex` values.
+
 Each tree is checked, and its shape (`_Shape`) indexed, when it is made; its
 `with_` copies share the shape.  Its restrictions to one connected subforest
 (`restrict`) share that subforest's sub-shape, which the ambient shape builds
@@ -43,7 +47,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .scaling import ExtLabel, MultiIndex, TypeTable, ZERO_EXT, ZERO_MI
+from .scaling import MultiIndex, TypeTable, ZERO_MI
 
 EdgeKey = tuple[int, int]
 _ZERO = Fraction(0)
@@ -254,7 +258,8 @@ def _edge_key(e) -> EdgeKey:
 
 class DecoratedTree:
     """Typed rooted tree with node labels n, edge labels e, an optional
-    coloring (hat1, hat2) and an extended label o on the color-1 nodes.
+    coloring (hat1, hat2) and, on the color-1 nodes, extended labels o: the
+    multi-index n_G + chi(e_G) of the extraction that colored them.
 
     Each tree is indexed and checked once, when it is made.  Its shape
     (root, sorted typed edges, children and parent maps, `top_down` order,
@@ -289,7 +294,7 @@ class DecoratedTree:
         edge_dec: Mapping[EdgeKey, MultiIndex] = (),
         hat1: SubForest = EMPTY_SUBFOREST,
         hat2: SubForest = EMPTY_SUBFOREST,
-        o_label: Mapping[int, ExtLabel] = (),
+        o_label: Mapping[int, MultiIndex] = (),
         table: Optional[TypeTable] = None,
     ):
         self._shape = _Shape(root, edges, {}, None)
@@ -373,8 +378,11 @@ class DecoratedTree:
     def edge_dec(self, e: EdgeKey) -> MultiIndex:
         return self._ed.get(e, ZERO_MI)
 
-    def o_label(self, u: int) -> ExtLabel:
-        return self._ol.get(u, ZERO_EXT)
+    def o_label(self, u: int) -> MultiIndex:
+        """The extended label o of node u: on a remainder of Delta_-, the
+        multi-index n_G + chi(e_G) that the extraction coloring u took
+        there; zero elsewhere."""
+        return self._ol.get(u, ZERO_MI)
 
     @property
     def node_dec_items(self):
@@ -520,11 +528,13 @@ class DecoratedTree:
             codes: dict[int, tuple] = {}
             children = self._shape.children
             for u in reversed(self.top_down()):
-                o = self.o_label(u)
+                # o sits in an (entries, ()) slot, a layout that must not
+                # move: constant names are sha256 digests of repr(code),
+                # and reports sort by repr(code)
                 codes[u] = (
                     self.node_dec(u).entries,
                     self.color_of_node(u),
-                    (o.zd, o.types),
+                    (self.o_label(u).entries, ()),
                     tuple(sorted(self._edge_code(e, codes) for e in children[u])),
                 )
             self._codes = codes
@@ -705,11 +715,11 @@ def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
     edge e = (p, c): the edge e and every edge above it, and the node labels
     and o labels of the true nodes from c up.  A copy of the shape's
     label-free table (`_TableFacts.up`) with each nonzero label added along
-    its path to the root: a node's n and o to the edges below it, an edge's
-    -|e| to it and the edges below it.  Color 2 is not looked at, so an entry
-    is that homogeneity where nothing above p has color 2: on uncolored
-    trees, and at the foot of the dangling trees of a rooted color-2 part,
-    the entries that are read."""
+    its path to the root: a node's |n|_s and |o|_s (both multi-indices) to
+    the edges below it, an edge's -|e|_s to it and the edges below it.
+    Color 2 is not looked at, so an entry is that homogeneity where nothing
+    above p has color 2: on uncolored trees, and at the foot of the dangling
+    trees of a rooted color-2 part, the entries that are read."""
     scaling, parent = table.scaling, t._shape.parent
     facts = t._shape.facts(table)
     out = dict(facts.up)
@@ -720,12 +730,9 @@ def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
             out[(p, u)] += h
             u = p
 
-    for u, k in t.node_dec_items:
+    for u, k in itertools.chain(t.node_dec_items, t.o_label_items):
         if u in parent and u not in facts.fictitious:
             add(u, k.sdeg(scaling))
-    for u, o in t.o_label_items:
-        if u in parent and u not in facts.fictitious:
-            add(u, table.hom_ext(o))
     for e, k in t.edge_dec_items:
         if e in out:
             add(e[1], -k.sdeg(scaling))
@@ -812,7 +819,7 @@ def graft(
         placed.append(((name, k.entries, 0, tree._node_codes()[top]), k, tree, top))
     placed.sort(key=lambda b: b[0])
     edges, node_dec, edge_dec = {}, {0: label}, {}
-    codes = {0: (label.entries, 0, (ZERO_EXT.zd, ZERO_EXT.types), tuple(b[0] for b in placed))}
+    codes = {0: (label.entries, 0, ((), ()), tuple(b[0] for b in placed))}  # o slot: see _node_codes
     fresh = 1
     for (name, *_), k, tree, top in placed:
         edges[(0, fresh)], edge_dec[(0, fresh)] = name, k

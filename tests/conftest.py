@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from renormforest.multiscale import EdgeUniverse
 from renormforest.powercount import Analyses, Certifier
 from renormforest.rules import CumulantSet, RuleSpec, production
-from renormforest.scaling import ExtLabel, MultiIndex, ScalingSpec, TypeTable, ZERO_MI
+from renormforest.scaling import MultiIndex, ScalingSpec, TypeTable, ZERO_MI
 from renormforest.workbench import DEFAULT_CAPS, Workbench, parse_config
 from renormforest.trees import (
     EMPTY_SUBFOREST,
@@ -195,8 +195,7 @@ def colored_trees(draw, max_edges: int = 8, base: DecoratedTree = None, max_labe
     olabel = {}
     if hat1.nodes:
         for u in draw(st.sets(st.sampled_from(sorted(hat1.nodes)))):
-            zd = {draw(st.integers(0, KPZ_DIMS - 1)): draw(st.integers(1, 2))}
-            olabel[u] = ExtLabel(zd, {"t": draw(st.integers(0, 1))})
+            olabel[u] = MultiIndex({draw(st.integers(0, KPZ_DIMS - 1)): draw(st.integers(1, 2))})
     return t.with_(node_dec=ndec, hat1=hat1, hat2=hat2, o_label=olabel)
 
 

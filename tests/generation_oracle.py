@@ -23,6 +23,14 @@ from renormforest.trees import DecoratedTree, noise, poly
 from tree_oracle import assemble, relabel_canonical
 
 
+def contents(rule: RuleSpec, incoming: Optional[str]) -> frozenset:
+    """The productions a node may carry under an edge of type `incoming`,
+    read off `rule.productions`; at the root (None), every production."""
+    if incoming is None:
+        return frozenset().union(*rule.productions.values())
+    return rule.productions.get(incoming, frozenset())
+
+
 def exhaustive_trees(
     rule: RuleSpec,
     cutoff: Fraction,
@@ -47,7 +55,7 @@ def exhaustive_trees(
         if key in cache:
             return cache[key]
         out: dict[tuple, DecoratedTree] = {}
-        for p in rule.allowed_contents(incoming):
+        for p in contents(rule, incoming):
             noise_entries = [e for e in p if table.is_noise(e[0])]
             kernel_entries = [e for e in p if table.is_kernel(e[0])]
             if len(p) > budget:
@@ -115,7 +123,7 @@ def memoized_search(
         else multiindices_below(scaling, Fraction(poly_sdeg_bound) + 1)
     )
     label_homs = [(lab, lab.sdeg(scaling) * den) for lab in labels]
-    productions = rule.allowed_contents(None)
+    productions = contents(rule, None)
     entries_hom = {
         p: sum(int(table.hom(n) * den) - k.sdeg(scaling) * den for n, k in p) for p in productions
     }
@@ -128,7 +136,7 @@ def memoized_search(
         key = (kernel, budget)
         if key not in least_memo:
             best = None
-            for p in rule.allowed_contents(kernel):
+            for p in contents(rule, kernel):
                 if len(p) <= budget:
                     rest = spread(kernel_names[p], budget - len(p))
                     if rest is not None:
@@ -159,7 +167,7 @@ def memoized_search(
         if key in cache:
             return cache[key]
         out: dict[tuple, tuple[int, DecoratedTree]] = {}
-        for p in rule.allowed_contents(incoming):
+        for p in contents(rule, incoming):
             if len(p) > budget:
                 continue
             noises = [(name, k, None, None) for name, k in p if table.is_noise(name)]
@@ -254,6 +262,6 @@ def conforms(rule: RuleSpec, t: DecoratedTree) -> bool:
         content = node_content(t, u)
         if u == t.root and not content and len(t.nodes) == 1:
             return True  # bare polynomial
-        if content not in rule.allowed_contents(incoming):
+        if content not in contents(rule, incoming):
             return False
     return True

@@ -47,7 +47,6 @@ from renormforest.hopf import (
 from renormforest.powercount import TreeAnalysis
 from renormforest.rules import CumulantSet
 from renormforest.scaling import (
-    ExtLabel,
     MultiIndex,
     TypeTable,
     ZERO_MI,
@@ -584,7 +583,7 @@ def plus_homogeneity(piece: DecoratedTree, table: TypeTable) -> Fraction:
     for u in piece.true_nodes(table):
         if piece.color_of_node(u) != 2:
             total += Fraction(piece.node_dec(u).sdeg(table.scaling))
-            total += table.hom_ext(piece.o_label(u))
+            total += Fraction(piece.o_label(u).sdeg(table.scaling))
     return total
 
 
@@ -629,7 +628,7 @@ def in_X_plus(piece: DecoratedTree, table: TypeTable) -> bool:
 def dangle_headroom(
     piece: DecoratedTree, s: SubForest, table: TypeTable,
     ndec: dict[int, MultiIndex], hat1: SubForest, hat2: SubForest,
-    olabel: dict[int, ExtLabel],
+    olabel: dict[int, MultiIndex],
 ) -> Optional[dict[EdgeKey, Fraction]]:
     """The headroom of S's boundary edges read off a probe: the piece
     recentered around S, restricted to each dangling up-tree."""

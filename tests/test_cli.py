@@ -1,8 +1,10 @@
 """The command line: exit codes, malformed configurations, caps and scale
 documents, and output that does not depend on the hash seed."""
+import ast
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -465,6 +467,31 @@ def test_bphz_independent_of_hash_seed():
         report = json.loads(outputs[0])
         assert report["command"] == "bphz"
         assert report["term_count"] == len(report["terms"]) == BPHZ_TERMS[model][int(tree_id[1:])]
+
+
+def o_labels(row: str) -> list:
+    """The o labels of a bphz row's pieces, as printed: each embedded key
+    ends with its o label items.  The printed multi-indices are read back
+    as strings."""
+    keys = row.rsplit(" ", 1)[0]
+    left, mid, right = ast.literal_eval(re.sub(r"MultiIndex\(\{[^}]*\}\)", lambda m: repr(m.group()), keys))
+    return [o for key in (*left, mid, *right) for _, o in key[-1]]
+
+
+def test_labelled_bphz_independent_of_hash_seed(tmp_path):
+    """With node labels up to |n|_s = 1 in the basis, the pieces of KPZ T4
+    carry o labels on the rows whose extraction takes a node label away:
+    12 of its 76 rows.  The o labels are multi-indices in the rows' sorted
+    keys, so the report is the same bytes under every hash seed."""
+    path = tmp_path / "kpz_labelled.json"
+    path.write_text(json.dumps(with_changes("kpz", **{"caps.poly_sdeg_bound": 1, "caps.max_edges": 6})))
+    args = ["-m", "renormforest.cli", "--config", str(path), "bphz", "T4"]
+    outputs = [run_with_hash_seed(seed, args) for seed in ("0", "1")]
+    assert outputs[0] == outputs[1]
+    rows = json.loads(outputs[0])["terms"]
+    labelled = [o for o in map(o_labels, rows) if o]
+    assert len(rows) == 76 and len(labelled) == 12
+    assert all(label.startswith("MultiIndex(") for o in labelled for label in o)
 
 
 def test_decompose_and_project_independent_of_hash_seed(tmp_path):

@@ -207,6 +207,66 @@ def test_delta_minus_131_forest_extraction(phi4):
     assert (4,) in shapes
 
 
+E1 = MultiIndex({1: 1})
+# the KPZ cherry under one kernel edge: node 1 carries the planted noises at
+# nodes 2 and 3, and S is the cherry without the edge (0, 1)
+CHERRY = {(0, 1): "t", (1, 2): "t", (1, 3): "t", (2, 102): "l", (3, 103): "l"}
+CHERRY_S = frozenset({(1, 2), (1, 3), (2, 102), (3, 103)})
+
+
+def o_labelled_terms(t: DecoratedTree, table) -> list:
+    """The (pieces, remainder, coefficient) of the terms of Delta_- on t
+    whose remainder carries an o label."""
+    dm = delta_minus(t, table, div_enumerate(t, table))
+    return [(pieces, rem, coeff) for (pieces, rem), coeff in dm.items() if rem.o_label_items]
+
+
+def up_entries(t: DecoratedTree, table) -> tuple:
+    up = up_hom_table(t, table)
+    return up[(1, 2)], up[(0, 1)]
+
+
+def test_o_label_of_a_node_label_by_hand(kpz):
+    """On the cherry with the label e_1 on node 2, one term of Delta_-
+    carries an o label: it extracts S (omega = -(2 - 2(3/2 + kappa)) =
+    51/50, node labels dropped) with n_G = {2: e_1}, so the remainder keeps no
+    node label and o(2) = e_1.  Its up-tree table adds |o(2)|_s = 1 to the
+    entries below node 2: on (1, 2), 1 - 3/2 - kappa + 1 = 49/100, and on
+    (0, 1), 49/100 + 1 + (1 - 3/2 - kappa) = 49/50."""
+    table = kpz.table
+    t = DecoratedTree(0, CHERRY, node_dec={2: E1}, table=table)
+    assert (SubForest(frozenset({1, 2, 3, 102, 103}), CHERRY_S), Fraction(51, 50)) in div_enumerate(t, table)
+    [(pieces, rem, coeff)] = o_labelled_terms(t, table)
+    assert coeff == 1
+    assert [p.edge_set for p in pieces] == [CHERRY_S] and pieces[0].node_dec_items == ((2, E1),)
+    assert rem.hat1.edges == CHERRY_S
+    assert rem.node_dec_items == () and rem.edge_dec_items == ()
+    assert rem.o_label_items == ((2, E1),) and rem.o_label(2) == E1
+    assert up_entries(rem, table) == (Fraction(49, 100), Fraction(49, 50))
+    assert up_entries(rem.with_(o_label={}), table) == (Fraction(-51, 100), Fraction(-1, 50))
+
+
+def test_o_label_of_an_edge_decoration_by_hand(kpz):
+    """On the unlabelled cherry with a planted noise (2, 4), (4, 104) added
+    at node 2, two terms of Delta_- carry an o label: both extract S, the
+    second with the noise (4, 104) beside it, and both take e_G = {(2, 4):
+    e_1}, so o(2) = chi(e_G)(2) = e_1 while n_G is zero.  The remainder's
+    edge (2, 4) carries e_1, which lowers the entries below node 2 by 1, and
+    o(2) raises them by 1 again: -51/50 on (1, 2) and -53/100 on (0, 1),
+    against -101/50 and -153/100 without o."""
+    table = kpz.table
+    t = DecoratedTree(0, {**CHERRY, (2, 4): "t", (4, 104): "l"}, table=table)
+    terms = o_labelled_terms(t, table)
+    assert sorted(sorted(len(p.edge_set) for p in pieces) for pieces, _, _ in terms) == [[1, 4], [4]]
+    for pieces, rem, coeff in terms:
+        assert coeff == 1
+        assert CHERRY_S in [p.edge_set for p in pieces]
+        assert rem.node_dec_items == () and rem.edge_dec_items == (((2, 4), E1),)
+        assert rem.o_label_items == ((2, E1),)
+        assert up_entries(rem, table) == (Fraction(-51, 50), Fraction(-53, 100))
+        assert up_entries(rem.with_(o_label={}), table) == (Fraction(-101, 50), Fraction(-153, 100))
+
+
 def test_antipode_minus_base_and_cherry(phi4):
     """The empty forest maps to itself.  A cherry maps to its bare term
     -cherry and to 11 terms that extract its lone and planted noises: the

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from renormforest.scaling import (
-    ExtLabel,
     MultiIndex,
     ScalingSpec,
     TypeTable,
@@ -71,16 +70,6 @@ def test_type_table_invariants():
         TypeTable(sc, kernel_types={}, noise_types={"Xi": Fraction(-6)})
     with pytest.raises(ValueError):
         TypeTable(sc, kernel_types={"a": Fraction(1)}, noise_types={"a": Fraction(-1)})
-
-
-def test_ext_label_homogeneity():
-    sc = ScalingSpec(2, (2, 1))
-    table = TypeTable(sc, kernel_types={"t": Fraction(1)}, noise_types={"l": Fraction(-3, 2)})
-    lab = ExtLabel({0: 1}, {"t": 2, "l": -1})
-    assert table.hom_ext(lab) == Fraction(2) + 2 * Fraction(1) - Fraction(-3, 2)
-    # zero entries are dropped, so a label of zero entries is the zero label
-    assert ExtLabel({0: 0, 1: 0}, {"t": 0}) == ExtLabel() and ExtLabel({0: 0}).is_zero()
-    assert not lab.is_zero() and lab == ExtLabel({0: 1, 1: 0}, {"l": -1, "t": 2})
 
 
 @given(

@@ -21,7 +21,7 @@ from conftest import (
 from renormforest import trees
 from renormforest.forests import div_enumerate
 from renormforest.hopf import delta_minus
-from renormforest.scaling import MultiIndex, ZERO_EXT, ZERO_MI
+from renormforest.scaling import MultiIndex, ZERO_MI
 from renormforest.trees import (
     DecoratedTree,
     StructureError,
@@ -250,7 +250,7 @@ def assert_indexes_match_scans(t: DecoratedTree, table):
     assert t.leaf_nodes(table) == set(types)
     for u in t.nodes | {max(t.nodes) + 1}:
         assert t.node_dec(u) == scan(t.node_dec_items, u, ZERO_MI)
-        assert t.o_label(u) == scan(t.o_label_items, u, ZERO_EXT)
+        assert t.o_label(u) == scan(t.o_label_items, u, ZERO_MI)
         if u in types:
             assert t.leaf_type(u, table) == types[u]
         else:

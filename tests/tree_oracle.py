@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from renormforest.scaling import MultiIndex, TypeTable, ZERO_EXT, ZERO_MI
+from renormforest.scaling import MultiIndex, TypeTable, ZERO_MI
 from renormforest.trees import DecoratedTree, EdgeKey, SubForest, poly
 
 
@@ -59,12 +59,12 @@ def _edge_code(t: DecoratedTree, e: EdgeKey) -> tuple:
 
 
 def code(t: DecoratedTree, u: int) -> tuple:
-    """The AHU code of node u, by recursion over its children."""
-    o = scan(t.o_label_items, u, ZERO_EXT)
+    """The AHU code of node u, by recursion over its children.  The o label
+    sits in an (entries, ()) slot, the layout of the codes `src/` keeps."""
     return (
         scan(t.node_dec_items, u, ZERO_MI).entries,
         t.color_of_node(u),
-        (o.zd, o.types),
+        (scan(t.o_label_items, u, ZERO_MI).entries, ()),
         tuple(sorted(_edge_code(t, e) for e in t.children(u))),
     )
 
@@ -196,7 +196,7 @@ def up_hom_table(t: DecoratedTree, table: TypeTable) -> dict[EdgeKey, Fraction]:
             if not k.is_zero():
                 h += k.sdeg(scaling)
             if not o.is_zero():
-                h += table.hom_ext(o)
+                h += o.sdeg(scaling)
         for e in t.children(u):
             w = above[e[1]] + table.hom(t.edge_type(e))
             k = t.edge_dec(e)
@@ -318,8 +318,7 @@ def automorphisms(t: DecoratedTree) -> list[dict[int, int]]:
     ndec, olabel = dict(t.node_dec_items), dict(t.o_label_items)
 
     def node_labels(u: int) -> tuple:
-        o = olabel.get(u, ZERO_EXT)
-        return ndec.get(u, ZERO_MI).entries, t.color_of_node(u), (o.zd, o.types)
+        return ndec.get(u, ZERO_MI).entries, t.color_of_node(u), olabel.get(u, ZERO_MI).entries
 
     def edge_labels(e: EdgeKey) -> tuple:
         return types.get(e), edec.get(e, ZERO_MI).entries, t.color_of_edge(e)
